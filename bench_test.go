@@ -105,8 +105,13 @@ func BenchmarkAblateScales(b *testing.B) { runExperiment(b, "ablate-scales") }
 // -json runs the exact same workloads when recording BENCH_*.json.
 
 // BenchmarkADAStep measures one ADA time instance on the dense hot
-// path (the paper's O(|tree|) step).
+// path, where a unit touches most of a small tree.
 func BenchmarkADAStep(b *testing.B) { perfbench.ADAStep(b) }
+
+// BenchmarkADAStepSparse measures one ADA time instance touching 8
+// leaves of a 12k-leaf tree, 1600 quiet units in: the step must cost
+// O(|closure(touched)| + |SHHH| + |refs|), not O(|tree|).
+func BenchmarkADAStepSparse(b *testing.B) { perfbench.ADAStepSparse(b) }
 
 // BenchmarkManagerFeed measures the synchronous single-goroutine
 // Manager.Feed path across a 4-shard fleet (one unit per record).

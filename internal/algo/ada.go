@@ -21,12 +21,19 @@ type nodeSeries struct {
 // single hierarchy whose heavy-hitter nodes carry time series, and at
 // each time instance moves those series to the new heavy-hitter
 // positions with SPLIT (top-down) and MERGE (bottom-up) instead of
-// reconstructing them, giving O(|tree|) work per instance.
+// reconstructing them.
 //
-// The per-instance hot path is flat: traversals iterate the tree's CSR
-// ID orders, the timeunit is consumed in dense (node-ID) form, and all
-// scratch — including the returned StepState — is reused across
-// instances, so a steady-state StepDense performs zero allocations.
+// The per-instance hot path is flat and sparse. A node outside the
+// ancestor closure of the timeunit's touched IDs has zero raw and
+// modified weight and cannot be heavy, so the step visits only that
+// closure, the current SHHH members and the reference nodes, each in
+// level order: O(|closure(touched)| + |SHHH| + |refs|) per instance,
+// however many categories the stream has ever seen. Work proportional
+// to the tree remains only where the tree itself changes or is
+// (de)serialized: growth (grow, the CSR rebuild), Init, ExportState
+// and ImportState. All scratch — including the returned StepState —
+// is reused across instances, so a steady-state StepDense performs
+// zero allocations.
 type ADA struct {
 	cfg      Config
 	tree     *hierarchy.Tree
@@ -34,6 +41,7 @@ type ADA struct {
 	inited   bool
 
 	// Per-node state, indexed by node ID and grown with the tree.
+	// weight, rawA and ishh are zero/false outside closure.
 	state    []*nodeSeries // non-nil iff the node is in SHHH (plus the root)
 	inSHHH   []bool
 	weight   []float64 // modified weight W_n of the current instance
@@ -42,26 +50,46 @@ type ADA struct {
 	tosplit  []bool
 	gotSplit []bool // received a split series this instance (for §V-B5 repair)
 
+	// closure is the ancestor closure of the current instance's touched
+	// IDs in level order (ascending ID within a level); prevClosure is
+	// the previous instance's, kept for one step to zero what went
+	// quiet.
+	closure     []int32
+	prevClosure []int32
+
 	// Touched-ID lists for tosplit/gotSplit, so each instance clears
-	// only what the previous instance marked instead of memsetting
-	// O(|tree|) flags.
+	// only what the previous instance marked.
 	splitMark []int32
 	gotMark   []int32
 
-	// Split-rule statistics (X_n), per node.
-	prevA []float64 // raw weight in the previous timeunit
-	cumA  []float64 // cumulative raw weight over all timeunits
-	ewmaA []float64 // exponentially smoothed raw weight
+	// Split-rule statistics (X_n), per node. ewmaA[id] is current
+	// through instance ewmaAt[id]; ewmaThrough applies the decay of the
+	// quiet instances since, when the value is read.
+	prevA  []float64 // raw weight in the previous timeunit
+	cumA   []float64 // cumulative raw weight over all timeunits
+	ewmaA  []float64 // exponentially smoothed raw weight
+	ewmaAt []int
 
-	// Reference series for nodes in the top h levels (§V-B5).
-	refActual  map[int]*series.Ring
-	refModel   map[int]forecast.Linear
+	// Reference series for nodes in the top h levels (§V-B5), as
+	// parallel slices in ascending node-ID order; refIdx maps a node ID
+	// to its position, -1 for nodes without one.
+	refIDs     []int32
+	refActual  []*series.Ring
+	refModel   []forecast.Linear
+	refIdx     []int32
 	refCovered int // tree size when reference coverage was last ensured
+
+	// memberSet holds the SHHH member IDs (the set form of inSHHH);
+	// members is its ascending listing as of the last snapshot.
+	memberSet idSet
+	members   []int32
+	// work orders node ranks: it sorts the closure and queues the merge
+	// pass. Empty between passes.
+	work idSet
 
 	// Reusable scratch and pools for the steady-state step.
 	du        DenseUnit     // dense form of map-based Step input
 	snap      StepState     // returned by snapshot, reused every instance
-	members   []int32       // current SHHH member IDs, ascending
 	freeNS    []*nodeSeries // pooled series holders (rings attached)
 	freeRings []*series.Ring
 	candBuf   []int32   // split candidates
@@ -81,12 +109,7 @@ func NewADA(cfg Config) (*ADA, error) {
 	if tree == nil {
 		tree = hierarchy.New()
 	}
-	return &ADA{
-		cfg:       cfg,
-		tree:      tree,
-		refActual: make(map[int]*series.Ring),
-		refModel:  make(map[int]forecast.Linear),
-	}, nil
+	return &ADA{cfg: cfg, tree: tree}, nil
 }
 
 // Name implements Engine.
@@ -110,7 +133,11 @@ func (a *ADA) grow() {
 		a.prevA = append(a.prevA, 0)
 		a.cumA = append(a.cumA, 0)
 		a.ewmaA = append(a.ewmaA, 0)
+		a.ewmaAt = append(a.ewmaAt, a.instance)
+		a.refIdx = append(a.refIdx, -1)
 	}
+	a.memberSet.grow(n)
+	a.work.grow(n)
 }
 
 // Init implements Engine: the first time instance performs the same
@@ -192,31 +219,30 @@ func (a *ADA) Init(window []Timeunit) (*StepState, error) {
 
 	// Reference series for the top h levels (§V-B5, raw weights A_n)
 	// and split-rule statistics, seeded in one pass over the window.
-	for depth := 1; depth <= a.cfg.RefLevels; depth++ {
-		for _, n := range a.tree.AtDepth(depth) {
-			a.refActual[n.ID] = series.NewRing(a.cfg.WindowLen)
-		}
-	}
+	a.coverRefs(a.tree.CSR(), false)
 	var agg []float64
+	alpha := a.cfg.RuleAlpha
 	for _, u := range units {
 		agg = shhh.AggregateInto(a.tree, u, agg)
-		for id, r := range a.refActual {
-			r.Append(agg[id])
+		for i, id := range a.refIDs {
+			a.refActual[i].Append(agg[id])
 		}
-		for id := range agg {
-			a.observeRuleStats(id, agg[id])
+		for id, v := range agg {
+			a.prevA[id] = v
+			a.cumA[id] += v
+			a.ewmaA[id] = forecast.Flush(alpha*v + (1-alpha)*a.ewmaA[id])
 		}
 	}
-	for id, r := range a.refActual {
+	for i, r := range a.refActual {
 		vals := r.Values()
 		if len(vals) == 0 {
-			a.refModel[id] = a.cfg.NewForecaster(nil)
+			a.refModel[i] = a.cfg.NewForecaster(nil)
 			continue
 		}
-		a.refModel[id] = a.cfg.NewForecaster(vals[:len(vals)-1])
-		a.refModel[id].Update(vals[len(vals)-1])
+		a.refModel[i] = a.cfg.NewForecaster(vals[:len(vals)-1])
+		a.refModel[i].Update(vals[len(vals)-1])
 	}
-	a.refCovered = a.tree.Len()
+	a.indexState()
 	tSeries := now().Sub(start)
 
 	start = now()
@@ -289,15 +315,51 @@ func (a *ADA) putRing(r *series.Ring) {
 	}
 }
 
-// observeRuleStats updates X_n statistics with the node's raw weight
-// for the elapsed timeunit.
-func (a *ADA) observeRuleStats(id int, rawA float64) {
-	a.prevA[id] = rawA
-	a.cumA[id] += rawA
-	a.ewmaA[id] = a.cfg.RuleAlpha*rawA + (1-a.cfg.RuleAlpha)*a.ewmaA[id]
+// observeRuleStats updates the X_n statistics with the raw weights of
+// the elapsed timeunit. A node outside both closures had and has zero
+// raw weight: its prevA and cumA are unchanged and its ewmaA only
+// decays, which ewmaThrough applies when the value is next read.
+//
+//tiresias:hotpath
+func (a *ADA) observeRuleStats() {
+	for _, id := range a.prevClosure {
+		a.prevA[id] = a.rawA[id] // zero unless touched again
+	}
+	alpha := a.cfg.RuleAlpha
+	for _, id := range a.closure {
+		v := a.rawA[id]
+		a.prevA[id] = v
+		a.cumA[id] += v
+		a.ewmaA[id] = forecast.Flush(alpha*v + (1-alpha)*a.ewmaThrough(int(id), a.instance-1))
+		a.ewmaAt[id] = a.instance
+	}
 }
 
-// ruleX returns the split-rule weight X_n for a node.
+// ewmaThrough returns the node's smoothed raw weight as of the end of
+// the given instance, first applying one multiply by 1−α per quiet
+// instance since it was last brought current — exactly what the
+// recurrence computes for a zero observation, so the value is
+// bit-identical to updating every node every instance. The loop stops
+// at zero, which Flush makes reachable (about 1360 multiplies from 1 at
+// α = 0.4), so a node costs what its eager updates would have, at most
+// that many, when it is next touched — and nothing while it is quiet.
+//
+//tiresias:hotpath
+func (a *ADA) ewmaThrough(id, instance int) float64 {
+	e := a.ewmaA[id]
+	at := a.ewmaAt[id]
+	if at >= instance {
+		return e
+	}
+	for decay := 1 - a.cfg.RuleAlpha; at < instance && e != 0; at++ {
+		e = forecast.Flush(decay * e)
+	}
+	a.ewmaA[id], a.ewmaAt[id] = e, instance
+	return e
+}
+
+// ruleX returns the split-rule weight X_n for a node, as of the end of
+// the previous instance when called from within a step.
 func (a *ADA) ruleX(id int) float64 {
 	switch a.cfg.Rule {
 	case Uniform:
@@ -307,8 +369,41 @@ func (a *ADA) ruleX(id int) float64 {
 	case LongTermHistory:
 		return a.cumA[id]
 	default: // EWMARule
-		return a.ewmaA[id]
+		return a.ewmaThrough(id, a.instance-1)
 	}
+}
+
+// setMember moves a node into or out of the SHHH set.
+//
+//tiresias:hotpath
+func (a *ADA) setMember(id int, in bool) {
+	if a.inSHHH[id] == in {
+		return
+	}
+	a.inSHHH[id] = in
+	if in {
+		a.memberSet.add(int32(id))
+	} else {
+		a.memberSet.remove(int32(id))
+	}
+}
+
+// indexState rebuilds the sparse indexes — closure, memberSet, members
+// — from the dense per-node arrays, after Init or ImportState filled
+// them. Any node with a non-zero weight, flag or prevA is listed in
+// closure, so the next step zeroes and re-observes it whatever the
+// arrays held.
+func (a *ADA) indexState() {
+	a.closure = a.closure[:0]
+	for id := range a.rawA {
+		if a.rawA[id] != 0 || a.weight[id] != 0 || a.ishh[id] || a.prevA[id] != 0 {
+			a.closure = append(a.closure, int32(id))
+		}
+		if a.inSHHH[id] {
+			a.memberSet.add(int32(id))
+		}
+	}
+	a.members = a.memberSet.appendTo(a.members[:0], false)
 }
 
 // Step implements Engine: lines 6-29 of Fig. 5. The map-form timeunit
@@ -333,9 +428,10 @@ func (a *ADA) StepDense(u *DenseUnit) (*StepState, error) {
 	return a.stepDense(u)
 }
 
-// stepDense is the flat per-instance core. Every traversal is a loop
-// over the tree's CSR ID orders; in the steady state (no tree growth,
-// no membership change) it allocates nothing.
+// stepDense is the flat, sparse per-instance core: every loop ranges
+// over the touched closure, the SHHH members or the reference nodes,
+// never over the tree. In the steady state (no tree growth, no
+// membership change) it allocates nothing.
 //
 //tiresias:hotpath
 func (a *ADA) stepDense(u *DenseUnit) (*StepState, error) {
@@ -345,7 +441,6 @@ func (a *ADA) stepDense(u *DenseUnit) (*StepState, error) {
 	start := now()
 	a.grow()
 	csr := a.tree.CSR()
-	childOff, childIDs := csr.ChildOff, csr.ChildIDs
 	for _, id := range a.splitMark {
 		a.tosplit[id] = false
 	}
@@ -354,95 +449,34 @@ func (a *ADA) stepDense(u *DenseUnit) (*StepState, error) {
 		a.gotSplit[id] = false
 	}
 	a.gotMark = a.gotMark[:0]
-	// Update-Ishh-and-Weight (Fig. 6), as a bottom-up sweep: W_n and
-	// A_n of the current timeunit, with ishh ≡ W_n >= θ. Assignment
-	// form: direct counts come from the dense unit in O(1), so no
-	// per-instance clearing of the weight arrays is needed.
-	theta := a.cfg.Theta
-	for _, id32 := range csr.BottomUp {
-		id := int(id32)
-		v := u.ValueAt(id)
-		aw, w := v, v
-		for j := childOff[id]; j < childOff[id+1]; j++ {
-			c := childIDs[j]
-			aw += a.rawA[c]
-			if !a.ishh[c] {
-				w += a.weight[c]
-			}
-		}
-		a.rawA[id], a.weight[id] = aw, w
-		a.ishh[id] = w >= theta
-	}
+	a.updateWeights(u, csr)
 	tUpdate := now().Sub(start)
 
 	// --- SHHH and time-series adaptation (lines 13-25). ---
 	start = now()
-	// Mark ancestors of newly heavy nodes for splitting (lines 13-17).
-	for _, id32 := range csr.BottomUp {
-		id := int(id32)
-		if (a.ishh[id] || a.tosplit[id]) && !a.inSHHH[id] {
-			if p := csr.Parent[id]; p >= 0 {
-				a.markSplit(int(p))
-			}
-		}
-	}
-	// Top-down split pass (lines 18-20; the root is always eligible).
-	for _, id32 := range csr.TopDown {
-		id := int(id32)
-		if a.tosplit[id] && (a.inSHHH[id] || csr.Parent[id] < 0) {
-			a.split(id, csr)
-		}
-	}
-	// Bottom-up merge pass (lines 21-23).
-	for _, id32 := range csr.BottomUp {
-		id := int(id32)
-		if a.inSHHH[id] && !a.ishh[id] {
-			a.merge(id, csr)
-		}
-	}
-	// Root membership (lines 24-25). The root keeps its residual
-	// series either way.
-	rootID := a.tree.Root().ID
-	a.inSHHH[rootID] = a.ishh[rootID]
-	if a.state[rootID] == nil {
-		a.state[rootID] = a.freshSeries()
-	}
+	a.adaptMembership(csr)
 	// Repair split-induced bias with reference series (§V-B5).
 	if a.cfg.RefLevels > 0 {
 		a.repairFromReferences(csr)
 	}
-	// Append the new weights to every member's series (lines 26-29).
-	for id := range a.state {
-		if !a.inSHHH[id] && id != rootID {
-			continue
-		}
-		ns := a.state[id]
-		if ns == nil {
-			// A heavy hitter that received no series through
-			// split or merge (possible only with direct interior
-			// counts); start a fresh one.
-			ns = a.freshSeries()
-			a.state[id] = ns
-		}
-		ns.fcast.Append(ns.model.Forecast())
-		ns.actual.Append(a.weight[id])
-		ns.model.Update(a.weight[id])
-		if ns.multi != nil {
-			ns.multi.Update(a.weight[id])
-		}
+	// Append the new weights to every member's series (lines 26-29);
+	// the root keeps its residual series whether or not it is a member.
+	rootID := a.tree.Root().ID
+	if !a.inSHHH[rootID] {
+		a.appendNewest(rootID)
+	}
+	for _, id := range a.members {
+		a.appendNewest(int(id))
 	}
 	// Reference series and split-rule statistics.
-	for id, r := range a.refActual {
-		r.Append(a.rawA[id])
-		a.refModel[id].Update(a.rawA[id])
+	for i, id := range a.refIDs {
+		a.refActual[i].Append(a.rawA[id])
+		a.refModel[i].Update(a.rawA[id])
 	}
-	a.maintainRefCoverage()
-	alpha := a.cfg.RuleAlpha
-	for id, v := range a.rawA {
-		a.prevA[id] = v
-		a.cumA[id] += v
-		a.ewmaA[id] = alpha*v + (1-alpha)*a.ewmaA[id]
+	if a.refCovered != a.tree.Len() {
+		a.coverRefs(csr, true)
 	}
+	a.observeRuleStats()
 	tSeries := now().Sub(start)
 
 	// --- Detection stage: forecasts were produced incrementally;
@@ -457,8 +491,126 @@ func (a *ADA) stepDense(u *DenseUnit) (*StepState, error) {
 	return st, nil
 }
 
+// updateWeights is Update-Ishh-and-Weight (Fig. 6): W_n and A_n of the
+// current timeunit, with ishh ≡ W_n >= θ, over the ancestor closure of
+// the touched IDs. Everything outside it is zero and light (θ > 0), so
+// the previous closure is zeroed and the rest of the tree is left
+// alone. Each level is visited in ascending ID order and pushes into
+// its parents, so a parent sums its direct count and then its children
+// in ChildIDs order — the order, and therefore the floating-point
+// result, of a full bottom-up sweep.
+//
+//tiresias:hotpath
+func (a *ADA) updateWeights(u *DenseUnit, csr *hierarchy.CSR) {
+	a.closure, a.prevClosure = a.prevClosure[:0], a.closure
+	for _, id := range a.prevClosure {
+		a.rawA[id], a.weight[id], a.ishh[id] = 0, 0, false
+	}
+	parent, rank, depth := csr.Parent, csr.Rank, csr.Depth
+	for _, id := range u.IDs() {
+		if int(id) >= len(rank) {
+			continue // not in this engine's tree: no node to weigh
+		}
+		for x := id; x >= 0 && a.work.add(rank[x]); x = parent[x] {
+		}
+	}
+	// Draining the ranks in ascending order is level order; map each
+	// back to its ID in place.
+	a.closure = a.work.appendTo(a.closure, true)
+	for i, r := range a.closure {
+		id := csr.TopDown[r]
+		a.closure[i] = id
+		v := u.ValueAt(int(id))
+		a.rawA[id], a.weight[id] = v, v
+	}
+	theta := a.cfg.Theta
+	for hi := len(a.closure); hi > 0; {
+		lo := hi - 1
+		for d := depth[a.closure[lo]]; lo > 0 && depth[a.closure[lo-1]] == d; lo-- {
+		}
+		for _, id := range a.closure[lo:hi] {
+			heavy := a.weight[id] >= theta
+			a.ishh[id] = heavy
+			if p := parent[id]; p >= 0 {
+				a.rawA[p] += a.rawA[id]
+				if !heavy {
+					a.weight[p] += a.weight[id]
+				}
+			}
+		}
+		hi = lo
+	}
+}
+
+// adaptMembership moves the SHHH set, and the series with it, to the
+// new heavy-hitter positions (lines 13-25) and refreshes members.
+//
+//tiresias:hotpath
+func (a *ADA) adaptMembership(csr *hierarchy.CSR) {
+	// Mark ancestors of newly heavy nodes for splitting (lines 13-17),
+	// deepest level first. Only closure nodes can be heavy, and marks
+	// land on their parents, which the closure contains.
+	for i := len(a.closure) - 1; i >= 0; i-- {
+		id := a.closure[i]
+		if (a.ishh[id] || a.tosplit[id]) && !a.inSHHH[id] {
+			if p := csr.Parent[id]; p >= 0 {
+				a.markSplit(int(p))
+			}
+		}
+	}
+	// Top-down split pass (lines 18-20; the root is always eligible).
+	for _, id := range a.closure {
+		if a.tosplit[id] && (a.inSHHH[id] || csr.Parent[id] < 0) {
+			a.split(int(id), csr)
+		}
+	}
+	// Bottom-up merge pass (lines 21-23) over the members, deepest
+	// first; a merge queues the parent it made a member.
+	a.members = a.memberSet.appendTo(a.members[:0], false)
+	for _, id := range a.members {
+		a.work.add(csr.Rank[id])
+	}
+	for r := a.work.popMax(); r >= 0; r = a.work.popMax() {
+		id := int(csr.TopDown[r])
+		if a.inSHHH[id] && !a.ishh[id] {
+			a.merge(id, csr)
+		}
+	}
+	// Root membership (lines 24-25). The root keeps its residual
+	// series either way.
+	rootID := a.tree.Root().ID
+	a.setMember(rootID, a.ishh[rootID])
+	if a.state[rootID] == nil {
+		a.state[rootID] = a.freshSeries()
+	}
+	a.members = a.memberSet.appendTo(a.members[:0], false)
+}
+
+// appendNewest appends the instance's weight and forecast to the
+// node's series and advances its model.
+//
+//tiresias:hotpath
+func (a *ADA) appendNewest(id int) {
+	ns := a.state[id]
+	if ns == nil {
+		// A heavy hitter that received no series through split or
+		// merge (possible only with direct interior counts); start a
+		// fresh one.
+		ns = a.freshSeries()
+		a.state[id] = ns
+	}
+	ns.fcast.Append(ns.model.Forecast())
+	ns.actual.Append(a.weight[id])
+	ns.model.Update(a.weight[id])
+	if ns.multi != nil {
+		ns.multi.Update(a.weight[id])
+	}
+}
+
 // markSplit flags a node for the split pass, recording it for the
 // next instance's O(touched) clear.
+//
+//tiresias:hotpath
 func (a *ADA) markSplit(id int) {
 	if !a.tosplit[id] {
 		a.tosplit[id] = true
@@ -468,6 +620,8 @@ func (a *ADA) markSplit(id int) {
 
 // markGotSplit records that a node received a split series this
 // instance.
+//
+//tiresias:hotpath
 func (a *ADA) markGotSplit(id int) {
 	if !a.gotSplit[id] {
 		a.gotSplit[id] = true
@@ -562,18 +716,18 @@ func (a *ADA) split(id int, csr *hierarchy.CSR) {
 			continue
 		}
 		a.state[c] = a.scaledCopy(parent, ratio)
-		a.inSHHH[c] = true
+		a.setMember(c, true)
 		a.markGotSplit(c)
 	}
 	a.state[id] = nil
-	a.inSHHH[id] = false
+	a.setMember(id, false)
 	if skippedLight > 0 {
 		// Emulate the skipped children's merge-back: n stays a
 		// member holding the zero residual series (the sum of the
 		// zero-scaled series the skipped children would have
 		// returned). If n is light it will merge upward normally.
 		a.state[id] = a.scaledCopy(parent, 0)
-		a.inSHHH[id] = true
+		a.setMember(id, true)
 	} else if csr.Parent[id] < 0 {
 		// The root must keep a (now empty) residual series holder.
 		a.state[id] = a.freshSeries()
@@ -582,7 +736,8 @@ func (a *ADA) split(id int, csr *hierarchy.CSR) {
 }
 
 // merge implements MERGE(n) (Fig. 8): fold the series of n — and of
-// any sibling members that are also below threshold — into the parent.
+// any sibling members that are also below threshold — into the parent,
+// which becomes a member and is queued for the merge pass in turn.
 func (a *ADA) merge(id int, csr *hierarchy.CSR) {
 	if a.ishh[id] {
 		return
@@ -622,9 +777,10 @@ func (a *ADA) merge(id int, csr *hierarchy.CSR) {
 			a.putSeries(src)
 		}
 		a.state[c] = nil
-		a.inSHHH[c] = false
+		a.setMember(c, false)
 	}
-	a.inSHHH[pid] = true
+	a.setMember(pid, true)
+	a.work.add(csr.Rank[pid])
 }
 
 // repairFromReferences implements §V-B5: for every node that received
@@ -639,16 +795,13 @@ func (a *ADA) repairFromReferences(csr *hierarchy.CSR) {
 		if !a.inSHHH[id] {
 			continue
 		}
-		ref, ok := a.refActual[id]
-		if !ok {
-			continue
-		}
+		ri := a.refIdx[id]
 		ns := a.state[id]
-		if ns == nil {
+		if ri < 0 || ns == nil {
 			continue
 		}
 		repaired := a.getRing()
-		_ = repaired.CopyFrom(ref)
+		_ = repaired.CopyFrom(a.refActual[ri])
 		a.subtractDescendants(id, repaired, csr)
 		a.putRing(ns.actual)
 		ns.actual = repaired
@@ -692,45 +845,49 @@ func (a *ADA) subtractDescendants(id int, r *series.Ring, csr *hierarchy.CSR) {
 	a.stackBuf = stack[:0]
 }
 
-// maintainRefCoverage creates reference series for nodes that newly
-// appeared in the top h levels. It is a no-op (without a single map
-// lookup) while the tree has not grown.
-func (a *ADA) maintainRefCoverage() {
-	if a.refCovered == a.tree.Len() {
-		return
-	}
-	for depth := 1; depth <= a.cfg.RefLevels; depth++ {
-		for _, n := range a.tree.AtDepth(depth) {
-			if _, ok := a.refActual[n.ID]; ok {
-				continue
-			}
-			r := series.NewRing(a.cfg.WindowLen)
-			r.Append(a.rawA[n.ID])
-			a.refActual[n.ID] = r
-			a.refModel[n.ID] = a.cfg.NewForecaster(nil)
-			a.refModel[n.ID].Update(a.rawA[n.ID])
+// coverRefs creates reference series for the nodes that appeared in
+// the top h levels since coverage was last ensured. Node IDs are
+// assigned in insertion order, so those are exactly the IDs from
+// refCovered on, and appending them keeps the reference slices in
+// ascending ID order. With seed set a new entry starts from the node's
+// current raw weight; Init instead fills the entries from its window.
+func (a *ADA) coverRefs(csr *hierarchy.CSR, seed bool) {
+	for id := a.refCovered; id < a.tree.Len(); id++ {
+		if d := int(csr.Depth[id]); d < 1 || d > a.cfg.RefLevels {
+			continue
 		}
+		r := series.NewRing(a.cfg.WindowLen)
+		var m forecast.Linear
+		if seed {
+			r.Append(a.rawA[id])
+			m = a.cfg.NewForecaster(nil)
+			m.Update(a.rawA[id])
+		}
+		a.addRef(id, r, m)
 	}
 	a.refCovered = a.tree.Len()
 }
 
-// snapshot assembles the StepState from current membership, reusing
-// the engine-owned state and refreshing the member-ID list. Nodes are
-// visited in ID order, so HeavyHitters needs no sort.
+// addRef appends a reference entry; callers add IDs in ascending order.
+func (a *ADA) addRef(id int, r *series.Ring, m forecast.Linear) {
+	a.refIdx[id] = int32(len(a.refIDs))
+	a.refIDs = append(a.refIDs, int32(id))
+	a.refActual = append(a.refActual, r)
+	a.refModel = append(a.refModel, m)
+}
+
+// snapshot assembles the StepState from the member list, reusing the
+// engine-owned state. members is in ascending ID order, so
+// HeavyHitters needs no sort.
+//
+//tiresias:hotpath
 func (a *ADA) snapshot() *StepState {
 	st := &a.snap
 	st.Instance = a.instance
 	st.HeavyHitters = st.HeavyHitters[:0]
-	a.members = a.members[:0]
-	for _, n := range a.tree.Nodes() {
-		id := n.ID
-		if !a.inSHHH[id] {
-			continue
-		}
-		a.members = append(a.members, int32(id))
-		ns := a.state[id]
+	for _, id := range a.members {
 		var actual, fc float64
-		if ns != nil {
+		if ns := a.state[id]; ns != nil {
 			if v, ok := ns.actual.Last(); ok {
 				actual = v
 			}
@@ -738,7 +895,7 @@ func (a *ADA) snapshot() *StepState {
 				fc = v
 			}
 		}
-		st.HeavyHitters = append(st.HeavyHitters, HeavyHitter{Node: n, Actual: actual, Forecast: fc})
+		st.HeavyHitters = append(st.HeavyHitters, HeavyHitter{Node: a.tree.Node(int(id)), Actual: actual, Forecast: fc})
 	}
 	return st
 }

@@ -7,8 +7,11 @@
 //     time instance. Exact but O(ℓ·|tree|) per instance.
 //   - ADA (§V-B, Figs. 5–8): the paper's contribution, which keeps a
 //     single tree and *adapts* the previous instance's series to the
-//     new heavy-hitter positions via SPLIT and MERGE, in O(|tree|)
-//     per instance with amortized O(1) series updates.
+//     new heavy-hitter positions via SPLIT and MERGE, with amortized
+//     O(1) series updates. Its step is sparse: O(|closure(touched)| +
+//     |SHHH| + |refs|) per instance, where closure(touched) is the
+//     ancestor closure of the categories the timeunit saw; O(|tree|)
+//     work remains only on tree growth, Init and state export/import.
 //
 // Both produce, per time instance, the SHHH set together with each
 // member's newest modified weight and its one-step-ahead forecast.

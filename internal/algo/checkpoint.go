@@ -124,6 +124,9 @@ func (a *ADA) ExportState() (*EngineState, error) {
 	// the exported hierarchy.
 	a.grow()
 	n := a.tree.Len()
+	for id := 0; id < n; id++ {
+		a.ewmaThrough(id, a.instance)
+	}
 	st := &EngineState{
 		Kind:       a.Name(),
 		Instance:   a.instance,
@@ -156,17 +159,12 @@ func (a *ADA) ExportState() (*EngineState, error) {
 		}
 		st.Series = append(st.Series, ss)
 	}
-	ids := make([]int, 0, len(a.refActual))
-	for id := range a.refActual {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		model, err := forecast.Capture(a.refModel[id])
+	for i, id := range a.refIDs {
+		model, err := forecast.Capture(a.refModel[i])
 		if err != nil {
 			return nil, fmt.Errorf("algo: reference %d: %w", id, err)
 		}
-		st.Refs = append(st.Refs, RefState{ID: id, Ring: captureRing(a.refActual[id]), Model: model})
+		st.Refs = append(st.Refs, RefState{ID: int(id), Ring: captureRing(a.refActual[i]), Model: model})
 	}
 	return st, nil
 }
@@ -235,8 +233,8 @@ func (a *ADA) ImportState(st *EngineState) (*StepState, error) {
 		if rs.ID < 0 || rs.ID >= n {
 			return nil, fmt.Errorf("algo: reference for node %d outside hierarchy of %d nodes", rs.ID, n)
 		}
-		if _, ok := a.refActual[rs.ID]; ok {
-			return nil, fmt.Errorf("algo: duplicate reference series for node %d", rs.ID)
+		if k := len(a.refIDs); k > 0 && rs.ID <= int(a.refIDs[k-1]) {
+			return nil, fmt.Errorf("algo: reference series for node %d duplicated or out of ID order", rs.ID)
 		}
 		ring, err := restoreRing(rs.Ring, a.cfg.WindowLen)
 		if err != nil {
@@ -246,9 +244,9 @@ func (a *ADA) ImportState(st *EngineState) (*StepState, error) {
 		if err != nil {
 			return nil, fmt.Errorf("algo: reference %d: %w", rs.ID, err)
 		}
-		a.refActual[rs.ID] = ring
-		a.refModel[rs.ID] = model
+		a.addRef(rs.ID, ring, model)
 	}
+	a.indexState()
 	a.refCovered = st.RefCovered
 	return a.snapshot(), nil
 }

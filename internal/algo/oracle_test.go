@@ -1,0 +1,1085 @@
+package algo
+
+// The differential oracle for the sparse ADA step. oracleADA is the
+// engine as it stood before the step was made sparse, kept verbatim:
+// seven full-tree sweeps per instance, reference series in maps, the
+// split-rule statistics updated eagerly on every node. It shares no
+// step code with ADA, so agreement between the two is evidence about
+// the closure/worklist logic and not about a shared helper.
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"tiresias/internal/forecast"
+	"tiresias/internal/hierarchy"
+	"tiresias/internal/series"
+	"tiresias/internal/shhh"
+)
+
+// oracleADA is the pre-sparse ADA engine; see the file comment.
+type oracleADA struct {
+	cfg      Config
+	tree     *hierarchy.Tree
+	instance int
+	inited   bool
+
+	// Per-node state, indexed by node ID and grown with the tree.
+	state    []*nodeSeries // non-nil iff the node is in SHHH (plus the root)
+	inSHHH   []bool
+	weight   []float64 // modified weight W_n of the current instance
+	rawA     []float64 // raw aggregated weight A_n of the current instance
+	ishh     []bool
+	tosplit  []bool
+	gotSplit []bool // received a split series this instance (for §V-B5 repair)
+
+	// Touched-ID lists for tosplit/gotSplit, so each instance clears
+	// only what the previous instance marked instead of memsetting
+	// O(|tree|) flags.
+	splitMark []int32
+	gotMark   []int32
+
+	// Split-rule statistics (X_n), per node.
+	prevA []float64 // raw weight in the previous timeunit
+	cumA  []float64 // cumulative raw weight over all timeunits
+	ewmaA []float64 // exponentially smoothed raw weight
+
+	// Reference series for nodes in the top h levels (§V-B5).
+	refActual  map[int]*series.Ring
+	refModel   map[int]forecast.Linear
+	refCovered int // tree size when reference coverage was last ensured
+
+	// Reusable scratch and pools for the steady-state step.
+	du        DenseUnit     // dense form of map-based Step input
+	snap      StepState     // returned by snapshot, reused every instance
+	members   []int32       // current SHHH member IDs, ascending
+	freeNS    []*nodeSeries // pooled series holders (rings attached)
+	freeRings []*series.Ring
+	candBuf   []int32   // split candidates
+	xsBuf     []float64 // split ratios
+	valBuf    []float64 // Ring.ValuesInto scratch for model refits
+	stackBuf  []int32   // DFS stack for subtractDescendants
+}
+
+func newOracleADA(cfg Config) (*oracleADA, error) {
+	if err := cfg.normalize(); err != nil {
+		return nil, err
+	}
+	return &oracleADA{
+		cfg:       cfg,
+		tree:      cfg.Tree,
+		refActual: make(map[int]*series.Ring),
+		refModel:  make(map[int]forecast.Linear),
+	}, nil
+}
+
+// grow extends the per-node state slices to cover newly inserted
+// nodes.
+func (a *oracleADA) grow() {
+	n := a.tree.Len()
+	for len(a.state) < n {
+		a.state = append(a.state, nil)
+		a.inSHHH = append(a.inSHHH, false)
+		a.weight = append(a.weight, 0)
+		a.rawA = append(a.rawA, 0)
+		a.ishh = append(a.ishh, false)
+		a.tosplit = append(a.tosplit, false)
+		a.gotSplit = append(a.gotSplit, false)
+		a.prevA = append(a.prevA, 0)
+		a.cumA = append(a.cumA, 0)
+		a.ewmaA = append(a.ewmaA, 0)
+	}
+}
+
+// Init implements Engine: the first time instance performs the same
+// work as STA (lines 2-5 of Fig. 5), seeding series and models for the
+// initial SHHH set, the root, and the reference nodes.
+func (a *oracleADA) Init(window []Timeunit) (*StepState, error) {
+	if a.inited {
+		return nil, errState
+	}
+	a.inited = true
+
+	start := now()
+	// Materialize the tree and per-unit counts.
+	units := make([]Timeunit, 0, a.cfg.WindowLen)
+	for _, u := range window {
+		cp := make(Timeunit, len(u))
+		for k, v := range u {
+			cp[k] = v
+			a.tree.InsertKey(k)
+		}
+		units = append(units, cp)
+		if len(units) > a.cfg.WindowLen {
+			units = units[1:]
+		}
+	}
+	if len(units) == 0 {
+		units = append(units, Timeunit{})
+	}
+	a.grow()
+	newest := units[len(units)-1]
+	res := shhh.Compute(a.tree, newest, a.cfg.Theta)
+	copy(a.weight, res.W)
+	copy(a.rawA, res.A)
+	copy(a.ishh, res.InSet)
+	tUpdate := now().Sub(start)
+
+	// Reconstruct series for the initial SHHH members plus the root
+	// (the root always holds the residual series so that it can
+	// re-enter SHHH without information loss).
+	start = now()
+	owners := append([]*hierarchy.Node(nil), res.Set...)
+	if !res.IsHH(a.tree.Root()) {
+		owners = append(owners, a.tree.Root())
+	}
+	hist := make(map[int][]float64, len(owners))
+	for _, n := range owners {
+		hist[n.ID] = make([]float64, 0, len(units))
+	}
+	var w []float64
+	for _, u := range units {
+		w = shhh.FrozenWeightsInto(a.tree, u, res.InSet, w)
+		for _, n := range owners {
+			hist[n.ID] = append(hist[n.ID], w[n.ID])
+		}
+	}
+	for _, n := range owners {
+		ts := hist[n.ID]
+		ns := a.newNodeSeries()
+		ns.actual.SetValues(ts)
+		ns.model = a.cfg.NewForecaster(ts[:len(ts)-1])
+		// Reconstruct the forecast trajectory by replay so the
+		// forecast ring aligns with the actual ring.
+		replay := a.cfg.NewForecaster(nil)
+		for _, v := range ts {
+			ns.fcast.Append(replay.Forecast())
+			replay.Update(v)
+		}
+		if ns.multi != nil {
+			for _, v := range ts {
+				ns.multi.Update(v)
+			}
+		}
+		// Advance the live model over the newest value so state is
+		// "post-instance", matching Step's epilogue.
+		ns.model.Update(ts[len(ts)-1])
+		a.state[n.ID] = ns
+		a.inSHHH[n.ID] = res.IsHH(n)
+	}
+
+	// Reference series for the top h levels (§V-B5, raw weights A_n)
+	// and split-rule statistics, seeded in one pass over the window.
+	for depth := 1; depth <= a.cfg.RefLevels; depth++ {
+		for _, n := range a.tree.AtDepth(depth) {
+			a.refActual[n.ID] = series.NewRing(a.cfg.WindowLen)
+		}
+	}
+	var agg []float64
+	for _, u := range units {
+		agg = shhh.AggregateInto(a.tree, u, agg)
+		for id, r := range a.refActual {
+			r.Append(agg[id])
+		}
+		for id := range agg {
+			a.observeRuleStats(id, agg[id])
+		}
+	}
+	for id, r := range a.refActual {
+		vals := r.Values()
+		if len(vals) == 0 {
+			a.refModel[id] = a.cfg.NewForecaster(nil)
+			continue
+		}
+		a.refModel[id] = a.cfg.NewForecaster(vals[:len(vals)-1])
+		a.refModel[id].Update(vals[len(vals)-1])
+	}
+	a.refCovered = a.tree.Len()
+	tSeries := now().Sub(start)
+
+	start = now()
+	st := a.snapshot()
+	st.Timings = StageTimings{
+		UpdatingHierarchies: tUpdate,
+		CreatingTimeSeries:  tSeries,
+		DetectingAnomalies:  now().Sub(start),
+	}
+	return st, nil
+}
+
+func (a *oracleADA) newNodeSeries() *nodeSeries {
+	ns := &nodeSeries{
+		actual: series.NewRing(a.cfg.WindowLen),
+		fcast:  series.NewRing(a.cfg.WindowLen),
+	}
+	if a.cfg.Eta > 1 {
+		ms, err := series.NewMultiScale(a.cfg.Lambda, a.cfg.Eta, a.cfg.WindowLen)
+		if err == nil {
+			ns.multi = ms
+		}
+	}
+	return ns
+}
+
+// getSeries returns a series holder with empty rings, reusing a pooled
+// one when available.
+func (a *oracleADA) getSeries() *nodeSeries {
+	if n := len(a.freeNS); n > 0 {
+		ns := a.freeNS[n-1]
+		a.freeNS = a.freeNS[:n-1]
+		ns.actual.Reset()
+		ns.fcast.Reset()
+		return ns
+	}
+	return &nodeSeries{
+		actual: series.NewRing(a.cfg.WindowLen),
+		fcast:  series.NewRing(a.cfg.WindowLen),
+	}
+}
+
+// putSeries returns a discarded holder to the pool. The model and
+// multi-scale state are dropped (their shapes vary), the rings are
+// kept.
+func (a *oracleADA) putSeries(ns *nodeSeries) {
+	if ns == nil {
+		return
+	}
+	ns.model = nil
+	ns.multi = nil
+	a.freeNS = append(a.freeNS, ns)
+}
+
+// getRing returns an empty ring of window capacity from the pool.
+func (a *oracleADA) getRing() *series.Ring {
+	if n := len(a.freeRings); n > 0 {
+		r := a.freeRings[n-1]
+		a.freeRings = a.freeRings[:n-1]
+		r.Reset()
+		return r
+	}
+	return series.NewRing(a.cfg.WindowLen)
+}
+
+// putRing pools a discarded ring.
+func (a *oracleADA) putRing(r *series.Ring) {
+	if r != nil && r.Cap() == a.cfg.WindowLen {
+		a.freeRings = append(a.freeRings, r)
+	}
+}
+
+// observeRuleStats updates X_n statistics with the node's raw weight
+// for the elapsed timeunit.
+func (a *oracleADA) observeRuleStats(id int, rawA float64) {
+	a.prevA[id] = rawA
+	a.cumA[id] += rawA
+	a.ewmaA[id] = a.cfg.RuleAlpha*rawA + (1-a.cfg.RuleAlpha)*a.ewmaA[id]
+}
+
+// ruleX returns the split-rule weight X_n for a node.
+func (a *oracleADA) ruleX(id int) float64 {
+	switch a.cfg.Rule {
+	case Uniform:
+		return 1
+	case LastTimeUnit:
+		return a.prevA[id]
+	case LongTermHistory:
+		return a.cumA[id]
+	default: // EWMARule
+		return a.ewmaA[id]
+	}
+}
+
+// stepDense is the flat per-instance core. Every traversal is a loop
+// over the tree's CSR ID orders; in the steady state (no tree growth,
+// no membership change) it allocates nothing.
+//
+//tiresias:hotpath
+func (a *oracleADA) stepDense(u *DenseUnit) (*StepState, error) {
+	a.instance++
+
+	// --- Initialization stage (lines 6-12). ---
+	start := now()
+	a.grow()
+	csr := a.tree.CSR()
+	childOff, childIDs := csr.ChildOff, csr.ChildIDs
+	for _, id := range a.splitMark {
+		a.tosplit[id] = false
+	}
+	a.splitMark = a.splitMark[:0]
+	for _, id := range a.gotMark {
+		a.gotSplit[id] = false
+	}
+	a.gotMark = a.gotMark[:0]
+	// Update-Ishh-and-Weight (Fig. 6), as a bottom-up sweep: W_n and
+	// A_n of the current timeunit, with ishh ≡ W_n >= θ. Assignment
+	// form: direct counts come from the dense unit in O(1), so no
+	// per-instance clearing of the weight arrays is needed.
+	theta := a.cfg.Theta
+	for _, id32 := range csr.BottomUp {
+		id := int(id32)
+		v := u.ValueAt(id)
+		aw, w := v, v
+		for j := childOff[id]; j < childOff[id+1]; j++ {
+			c := childIDs[j]
+			aw += a.rawA[c]
+			if !a.ishh[c] {
+				w += a.weight[c]
+			}
+		}
+		a.rawA[id], a.weight[id] = aw, w
+		a.ishh[id] = w >= theta
+	}
+	tUpdate := now().Sub(start)
+
+	// --- SHHH and time-series adaptation (lines 13-25). ---
+	start = now()
+	// Mark ancestors of newly heavy nodes for splitting (lines 13-17).
+	for _, id32 := range csr.BottomUp {
+		id := int(id32)
+		if (a.ishh[id] || a.tosplit[id]) && !a.inSHHH[id] {
+			if p := csr.Parent[id]; p >= 0 {
+				a.markSplit(int(p))
+			}
+		}
+	}
+	// Top-down split pass (lines 18-20; the root is always eligible).
+	for _, id32 := range csr.TopDown {
+		id := int(id32)
+		if a.tosplit[id] && (a.inSHHH[id] || csr.Parent[id] < 0) {
+			a.split(id, csr)
+		}
+	}
+	// Bottom-up merge pass (lines 21-23).
+	for _, id32 := range csr.BottomUp {
+		id := int(id32)
+		if a.inSHHH[id] && !a.ishh[id] {
+			a.merge(id, csr)
+		}
+	}
+	// Root membership (lines 24-25). The root keeps its residual
+	// series either way.
+	rootID := a.tree.Root().ID
+	a.inSHHH[rootID] = a.ishh[rootID]
+	if a.state[rootID] == nil {
+		a.state[rootID] = a.freshSeries()
+	}
+	// Repair split-induced bias with reference series (§V-B5).
+	if a.cfg.RefLevels > 0 {
+		a.repairFromReferences(csr)
+	}
+	// Append the new weights to every member's series (lines 26-29).
+	for id := range a.state {
+		if !a.inSHHH[id] && id != rootID {
+			continue
+		}
+		ns := a.state[id]
+		if ns == nil {
+			// A heavy hitter that received no series through
+			// split or merge (possible only with direct interior
+			// counts); start a fresh one.
+			ns = a.freshSeries()
+			a.state[id] = ns
+		}
+		ns.fcast.Append(ns.model.Forecast())
+		ns.actual.Append(a.weight[id])
+		ns.model.Update(a.weight[id])
+		if ns.multi != nil {
+			ns.multi.Update(a.weight[id])
+		}
+	}
+	// Reference series and split-rule statistics.
+	for id, r := range a.refActual {
+		r.Append(a.rawA[id])
+		a.refModel[id].Update(a.rawA[id])
+	}
+	a.maintainRefCoverage()
+	alpha := a.cfg.RuleAlpha
+	for id, v := range a.rawA {
+		a.prevA[id] = v
+		a.cumA[id] += v
+		a.ewmaA[id] = alpha*v + (1-alpha)*a.ewmaA[id]
+	}
+	tSeries := now().Sub(start)
+
+	// --- Detection stage: forecasts were produced incrementally;
+	// assembling the snapshot is the remaining work. ---
+	start = now()
+	st := a.snapshot()
+	st.Timings = StageTimings{
+		UpdatingHierarchies: tUpdate,
+		CreatingTimeSeries:  tSeries,
+		DetectingAnomalies:  now().Sub(start),
+	}
+	return st, nil
+}
+
+// markSplit flags a node for the split pass, recording it for the
+// next instance's O(touched) clear.
+func (a *oracleADA) markSplit(id int) {
+	if !a.tosplit[id] {
+		a.tosplit[id] = true
+		a.splitMark = append(a.splitMark, int32(id))
+	}
+}
+
+// markGotSplit records that a node received a split series this
+// instance.
+func (a *oracleADA) markGotSplit(id int) {
+	if !a.gotSplit[id] {
+		a.gotSplit[id] = true
+		a.gotMark = append(a.gotMark, int32(id))
+	}
+}
+
+// freshSeries creates an empty series whose model is seeded from
+// nothing (EWMA-like behaviour until history accumulates).
+func (a *oracleADA) freshSeries() *nodeSeries {
+	ns := a.getSeries()
+	ns.model = a.cfg.NewForecaster(nil)
+	if a.cfg.Eta > 1 {
+		ms, err := series.NewMultiScale(a.cfg.Lambda, a.cfg.Eta, a.cfg.WindowLen)
+		if err == nil {
+			ns.multi = ms
+		}
+	}
+	return ns
+}
+
+// scaledCopy builds a child series holder carrying ratio times the
+// parent's state, drawing rings from the pool instead of cloning.
+func (a *oracleADA) scaledCopy(src *nodeSeries, ratio float64) *nodeSeries {
+	child := a.getSeries()
+	_ = child.actual.CopyFrom(src.actual)
+	child.actual.Scale(ratio)
+	_ = child.fcast.CopyFrom(src.fcast)
+	child.fcast.Scale(ratio)
+	child.model = src.model.Clone()
+	child.model.Scale(ratio)
+	if src.multi != nil {
+		child.multi = src.multi.Clone()
+		child.multi.Scale(ratio)
+	}
+	return child
+}
+
+// split implements SPLIT(n) (Fig. 7): distribute n's series to its
+// non-member children with scale ratios from the split rule. Children
+// whose ratio is zero and whose subtree holds no heavy hitter are
+// skipped (they would receive an all-zero series and immediately merge
+// back); their weight stays accounted at n.
+func (a *oracleADA) split(id int, csr *hierarchy.CSR) {
+	cands := a.candBuf[:0]
+	eligible := false
+	for j := csr.ChildOff[id]; j < csr.ChildOff[id+1]; j++ {
+		c := int(csr.ChildIDs[j])
+		if a.inSHHH[c] {
+			continue
+		}
+		cands = append(cands, int32(c))
+		if a.weight[c] >= a.cfg.Theta || a.tosplit[c] {
+			eligible = true
+		}
+	}
+	a.candBuf = cands[:0]
+	if !eligible || len(cands) == 0 {
+		return
+	}
+	var sumX float64
+	xs := a.xsBuf[:0]
+	for _, c := range cands {
+		x := a.ruleX(int(c))
+		if x < 0 {
+			x = 0
+		}
+		xs = append(xs, x)
+		sumX += x
+	}
+	a.xsBuf = xs[:0]
+	if sumX == 0 {
+		for i := range xs {
+			xs[i] = 1
+		}
+		sumX = float64(len(xs))
+	}
+	parent := a.state[id]
+	if parent == nil {
+		parent = a.freshSeries()
+	}
+	skippedLight := 0
+	for i, c32 := range cands {
+		c := int(c32)
+		ratio := xs[i] / sumX
+		needsSeries := a.weight[c] >= a.cfg.Theta || a.tosplit[c]
+		if ratio == 0 && !needsSeries {
+			// In the paper this child would receive a zero-scaled
+			// series and immediately merge back into n; short-
+			// circuit that round trip below.
+			skippedLight++
+			continue
+		}
+		a.state[c] = a.scaledCopy(parent, ratio)
+		a.inSHHH[c] = true
+		a.markGotSplit(c)
+	}
+	a.state[id] = nil
+	a.inSHHH[id] = false
+	if skippedLight > 0 {
+		// Emulate the skipped children's merge-back: n stays a
+		// member holding the zero residual series (the sum of the
+		// zero-scaled series the skipped children would have
+		// returned). If n is light it will merge upward normally.
+		a.state[id] = a.scaledCopy(parent, 0)
+		a.inSHHH[id] = true
+	} else if csr.Parent[id] < 0 {
+		// The root must keep a (now empty) residual series holder.
+		a.state[id] = a.freshSeries()
+	}
+	a.putSeries(parent)
+}
+
+// merge implements MERGE(n) (Fig. 8): fold the series of n — and of
+// any sibling members that are also below threshold — into the parent.
+func (a *oracleADA) merge(id int, csr *hierarchy.CSR) {
+	if a.ishh[id] {
+		return
+	}
+	p := csr.Parent[id]
+	if p < 0 {
+		return // root handled by the membership rule
+	}
+	pid := int(p)
+	dst := a.state[pid]
+	if dst == nil {
+		dst = a.freshSeries()
+		a.state[pid] = dst
+	}
+	for j := csr.ChildOff[pid]; j < csr.ChildOff[pid+1]; j++ {
+		c := int(csr.ChildIDs[j])
+		if !a.inSHHH[c] || a.ishh[c] {
+			continue
+		}
+		src := a.state[c]
+		if src != nil {
+			// Series and model addition are exact thanks to
+			// Holt-Winters linearity (Lemma 2).
+			_ = dst.actual.AddRing(src.actual)
+			_ = dst.fcast.AddRing(src.fcast)
+			if forecast.Compatible(dst.model, src.model) {
+				_ = dst.model.Add(src.model)
+			} else {
+				// Shape mismatch (fresh EWMA vs seasoned HW):
+				// refit from the merged actual series.
+				a.valBuf = dst.actual.ValuesInto(a.valBuf)
+				dst.model = a.cfg.NewForecaster(a.valBuf)
+			}
+			if dst.multi != nil && src.multi != nil {
+				_ = dst.multi.Add(src.multi)
+			}
+			a.putSeries(src)
+		}
+		a.state[c] = nil
+		a.inSHHH[c] = false
+	}
+	a.inSHHH[pid] = true
+}
+
+// repairFromReferences implements §V-B5: for every node that received
+// a (possibly biased) split series this instance and has a reference
+// series, replace its series with T_REF − Σ series of its heavy-hitter
+// descendants. gotMark lists the split receivers in non-decreasing
+// depth, so — as in the ID-order walk this replaces — an ancestor is
+// repaired before any of its repaired descendants.
+func (a *oracleADA) repairFromReferences(csr *hierarchy.CSR) {
+	for _, id32 := range a.gotMark {
+		id := int(id32)
+		if !a.inSHHH[id] {
+			continue
+		}
+		ref, ok := a.refActual[id]
+		if !ok {
+			continue
+		}
+		ns := a.state[id]
+		if ns == nil {
+			continue
+		}
+		repaired := a.getRing()
+		_ = repaired.CopyFrom(ref)
+		a.subtractDescendants(id, repaired, csr)
+		a.putRing(ns.actual)
+		ns.actual = repaired
+		a.valBuf = repaired.ValuesInto(a.valBuf)
+		vals := a.valBuf
+		if len(vals) > 1 {
+			ns.model = a.cfg.NewForecaster(vals[:len(vals)-1])
+			a.putRing(ns.fcast)
+			ns.fcast = a.getRing()
+			replay := a.cfg.NewForecaster(nil)
+			for _, v := range vals {
+				ns.fcast.Append(replay.Forecast())
+				replay.Update(v)
+			}
+			ns.model.Update(vals[len(vals)-1])
+		}
+	}
+}
+
+// subtractDescendants subtracts from r the actual series of every
+// heavy-hitter descendant of id (excluding id itself), stopping
+// descent at each member (deeper members are already discounted from
+// it). The explicit stack pushes children in reverse so pop order
+// matches the recursive preorder walk exactly.
+func (a *oracleADA) subtractDescendants(id int, r *series.Ring, csr *hierarchy.CSR) {
+	stack := a.stackBuf[:0]
+	for j := csr.ChildOff[id+1] - 1; j >= csr.ChildOff[id]; j-- {
+		stack = append(stack, csr.ChildIDs[j])
+	}
+	for len(stack) > 0 {
+		c := int(stack[len(stack)-1])
+		stack = stack[:len(stack)-1]
+		if a.inSHHH[c] && a.state[c] != nil {
+			_ = r.SubRing(a.state[c].actual)
+			continue
+		}
+		for j := csr.ChildOff[c+1] - 1; j >= csr.ChildOff[c]; j-- {
+			stack = append(stack, csr.ChildIDs[j])
+		}
+	}
+	a.stackBuf = stack[:0]
+}
+
+// maintainRefCoverage creates reference series for nodes that newly
+// appeared in the top h levels. It is a no-op (without a single map
+// lookup) while the tree has not grown.
+func (a *oracleADA) maintainRefCoverage() {
+	if a.refCovered == a.tree.Len() {
+		return
+	}
+	for depth := 1; depth <= a.cfg.RefLevels; depth++ {
+		for _, n := range a.tree.AtDepth(depth) {
+			if _, ok := a.refActual[n.ID]; ok {
+				continue
+			}
+			r := series.NewRing(a.cfg.WindowLen)
+			r.Append(a.rawA[n.ID])
+			a.refActual[n.ID] = r
+			a.refModel[n.ID] = a.cfg.NewForecaster(nil)
+			a.refModel[n.ID].Update(a.rawA[n.ID])
+		}
+	}
+	a.refCovered = a.tree.Len()
+}
+
+// snapshot assembles the StepState from current membership, reusing
+// the engine-owned state and refreshing the member-ID list. Nodes are
+// visited in ID order, so HeavyHitters needs no sort.
+func (a *oracleADA) snapshot() *StepState {
+	st := &a.snap
+	st.Instance = a.instance
+	st.HeavyHitters = st.HeavyHitters[:0]
+	a.members = a.members[:0]
+	for _, n := range a.tree.Nodes() {
+		id := n.ID
+		if !a.inSHHH[id] {
+			continue
+		}
+		a.members = append(a.members, int32(id))
+		ns := a.state[id]
+		var actual, fc float64
+		if ns != nil {
+			if v, ok := ns.actual.Last(); ok {
+				actual = v
+			}
+			if v, ok := ns.fcast.Last(); ok {
+				fc = v
+			}
+		}
+		st.HeavyHitters = append(st.HeavyHitters, HeavyHitter{Node: n, Actual: actual, Forecast: fc})
+	}
+	return st
+}
+
+// SeriesOf implements Engine.
+func (a *oracleADA) SeriesOf(n *hierarchy.Node) []float64 {
+	if n.ID >= len(a.state) || a.state[n.ID] == nil {
+		return nil
+	}
+	return a.state[n.ID].actual.Values()
+}
+
+// ForecastSeriesOf implements Engine.
+func (a *oracleADA) ForecastSeriesOf(n *hierarchy.Node) []float64 {
+	if n.ID >= len(a.state) || a.state[n.ID] == nil {
+		return nil
+	}
+	return a.state[n.ID].fcast.Values()
+}
+
+// ExportState implements Engine. The returned state deep-copies every
+// ring and model, so it stays valid while the engine keeps stepping.
+func (a *oracleADA) ExportState() (*EngineState, error) {
+	if !a.inited {
+		return nil, errState
+	}
+	// Records interned since the last step may have grown the tree past
+	// the per-node arrays; grow now so the exported arrays line up with
+	// the exported hierarchy.
+	a.grow()
+	n := a.tree.Len()
+	st := &EngineState{
+		Kind:       "ADA",
+		Instance:   a.instance,
+		InSHHH:     append([]bool(nil), a.inSHHH[:n]...),
+		Ishh:       append([]bool(nil), a.ishh[:n]...),
+		Weight:     append([]float64(nil), a.weight[:n]...),
+		RawA:       append([]float64(nil), a.rawA[:n]...),
+		PrevA:      append([]float64(nil), a.prevA[:n]...),
+		CumA:       append([]float64(nil), a.cumA[:n]...),
+		EwmaA:      append([]float64(nil), a.ewmaA[:n]...),
+		RefCovered: a.refCovered,
+	}
+	for id, ns := range a.state {
+		if ns == nil {
+			continue
+		}
+		model, err := forecast.Capture(ns.model)
+		if err != nil {
+			return nil, fmt.Errorf("algo: node %d: %w", id, err)
+		}
+		ss := SeriesState{
+			ID:     id,
+			Actual: captureRing(ns.actual),
+			Fcast:  captureRing(ns.fcast),
+			Model:  model,
+		}
+		if ns.multi != nil {
+			ms := ns.multi.State()
+			ss.Multi = &ms
+		}
+		st.Series = append(st.Series, ss)
+	}
+	ids := make([]int, 0, len(a.refActual))
+	for id := range a.refActual {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	for _, id := range ids {
+		model, err := forecast.Capture(a.refModel[id])
+		if err != nil {
+			return nil, fmt.Errorf("algo: reference %d: %w", id, err)
+		}
+		st.Refs = append(st.Refs, RefState{ID: id, Ring: captureRing(a.refActual[id]), Model: model})
+	}
+	return st, nil
+}
+
+// --- The differential test. ---
+
+// oracleWorld is one generated case: a random hierarchy shared by the
+// engine under test and the oracle, and the leaf universe units are
+// drawn from.
+type oracleWorld struct {
+	rng    *rand.Rand
+	tree   *hierarchy.Tree
+	leaves []int
+	unit   DenseUnit
+}
+
+// growLeaves interns count random paths of depth 2..4 under a
+// top-level fan of tops branches.
+func (w *oracleWorld) growLeaves(count, tops int) {
+	for i := 0; i < count; i++ {
+		depth := 2 + w.rng.Intn(3)
+		path := make([]string, depth)
+		path[0] = fmt.Sprintf("t%d", w.rng.Intn(tops))
+		for d := 1; d < depth; d++ {
+			path[d] = fmt.Sprintf("n%d", w.rng.Intn(3+4*d))
+		}
+		before := w.tree.Len()
+		id := w.tree.Intern(path)
+		if w.tree.Len() > before {
+			w.leaves = append(w.leaves, id)
+		}
+	}
+}
+
+// count draws a non-integer weight, so a different summation order
+// shows in the low bits.
+func (w *oracleWorld) count(max int) float64 {
+	return float64(1+w.rng.Intn(max)) / 7
+}
+
+// sparse touches k random leaves lightly; dense touches every leaf;
+// burst puts several θ on one leaf on top of a sparse unit.
+func (w *oracleWorld) sparse(k int) {
+	w.unit.Reset()
+	for i := 0; i < k; i++ {
+		w.unit.Add(w.leaves[w.rng.Intn(len(w.leaves))], w.count(40))
+	}
+}
+
+func (w *oracleWorld) dense() {
+	w.unit.Reset()
+	for _, id := range w.leaves {
+		w.unit.Add(id, w.count(12))
+	}
+}
+
+func (w *oracleWorld) burst(leaf int, theta float64) {
+	w.sparse(4)
+	w.unit.Add(leaf, theta*(2+w.rng.Float64()*3))
+}
+
+// sameFloat is bit equality, except that two values under the
+// documented flush threshold count as equal: the oracle's eager
+// split-rule EWMA decays into (and sticks in) the range the engine
+// flushes to zero.
+func sameFloat(a, b float64) bool {
+	if math.Float64bits(a) == math.Float64bits(b) {
+		return true
+	}
+	return forecast.Flush(a) == 0 && forecast.Flush(b) == 0
+}
+
+func sameFloats(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !sameFloat(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameModel(a, b forecast.State) bool {
+	if a.Kind != b.Kind || len(a.Ints) != len(b.Ints) {
+		return false
+	}
+	for i := range a.Ints {
+		if a.Ints[i] != b.Ints[i] {
+			return false
+		}
+	}
+	return sameFloats(a.Floats, b.Floats)
+}
+
+// diffStep compares the step outcome and every member's retained
+// series, bit for bit.
+func diffStep(got *StepState, eng *ADA, want *StepState, ora *oracleADA) error {
+	if got.Instance != want.Instance {
+		return fmt.Errorf("instance %d, oracle %d", got.Instance, want.Instance)
+	}
+	if len(got.HeavyHitters) != len(want.HeavyHitters) {
+		return fmt.Errorf("|SHHH| = %d, oracle %d", len(got.HeavyHitters), len(want.HeavyHitters))
+	}
+	for i, g := range got.HeavyHitters {
+		o := want.HeavyHitters[i]
+		if g.Node != o.Node {
+			return fmt.Errorf("member %d is %v, oracle %v", i, g.Node, o.Node)
+		}
+		if math.Float64bits(g.Actual) != math.Float64bits(o.Actual) || math.Float64bits(g.Forecast) != math.Float64bits(o.Forecast) {
+			return fmt.Errorf("%v: (actual, forecast) = (%v, %v), oracle (%v, %v)", g.Node, g.Actual, g.Forecast, o.Actual, o.Forecast)
+		}
+		if !sameFloats(eng.SeriesOf(g.Node), ora.SeriesOf(g.Node)) {
+			return fmt.Errorf("%v: actual series differs from oracle", g.Node)
+		}
+		if !sameFloats(eng.ForecastSeriesOf(g.Node), ora.ForecastSeriesOf(g.Node)) {
+			return fmt.Errorf("%v: forecast series differs from oracle", g.Node)
+		}
+	}
+	return nil
+}
+
+// diffExport compares the two engines' full exported state.
+func diffExport(eng *ADA, ora *oracleADA) error {
+	g, err := eng.ExportState()
+	if err != nil {
+		return err
+	}
+	o, err := ora.ExportState()
+	if err != nil {
+		return err
+	}
+	if g.Instance != o.Instance || g.RefCovered != o.RefCovered {
+		return fmt.Errorf("instance/refCovered %d/%d, oracle %d/%d", g.Instance, g.RefCovered, o.Instance, o.RefCovered)
+	}
+	if len(g.InSHHH) != len(o.InSHHH) {
+		return fmt.Errorf("arrays cover %d nodes, oracle %d", len(g.InSHHH), len(o.InSHHH))
+	}
+	for id := range g.InSHHH {
+		if g.InSHHH[id] != o.InSHHH[id] || g.Ishh[id] != o.Ishh[id] {
+			return fmt.Errorf("node %d: inSHHH/ishh %v/%v, oracle %v/%v", id, g.InSHHH[id], g.Ishh[id], o.InSHHH[id], o.Ishh[id])
+		}
+	}
+	for _, arr := range []struct {
+		name string
+		g, o []float64
+	}{
+		{"Weight", g.Weight, o.Weight}, {"RawA", g.RawA, o.RawA}, {"PrevA", g.PrevA, o.PrevA},
+		{"CumA", g.CumA, o.CumA}, {"EwmaA", g.EwmaA, o.EwmaA},
+	} {
+		for id := range arr.g {
+			if !sameFloat(arr.g[id], arr.o[id]) {
+				return fmt.Errorf("%s[%d] = %v, oracle %v", arr.name, id, arr.g[id], arr.o[id])
+			}
+		}
+	}
+	if len(g.Series) != len(o.Series) {
+		return fmt.Errorf("%d series, oracle %d", len(g.Series), len(o.Series))
+	}
+	for i, gs := range g.Series {
+		os := o.Series[i]
+		if gs.ID != os.ID || !sameFloats(gs.Actual.Values, os.Actual.Values) || !sameFloats(gs.Fcast.Values, os.Fcast.Values) || !sameModel(gs.Model, os.Model) {
+			return fmt.Errorf("series %d (node %d, oracle node %d) differs", i, gs.ID, os.ID)
+		}
+		if (gs.Multi == nil) != (os.Multi == nil) || (gs.Multi != nil && fmt.Sprint(*gs.Multi) != fmt.Sprint(*os.Multi)) {
+			return fmt.Errorf("series of node %d: multi-scale state differs", gs.ID)
+		}
+	}
+	if len(g.Refs) != len(o.Refs) {
+		return fmt.Errorf("%d reference series, oracle %d", len(g.Refs), len(o.Refs))
+	}
+	for i, gr := range g.Refs {
+		or := o.Refs[i]
+		if gr.ID != or.ID || !sameFloats(gr.Ring.Values, or.Ring.Values) || !sameModel(gr.Model, or.Model) {
+			return fmt.Errorf("reference %d (node %d, oracle node %d) differs", i, gr.ID, or.ID)
+		}
+	}
+	return nil
+}
+
+// TestSparseStepMatchesFullSweepOracle drives the sparse engine and the
+// retained full-sweep engine over the same generated hierarchies and
+// unit streams — sparse units, fully dense units, tree growth
+// mid-stream, bursts that force a split and the merge back, stretches
+// of silence — and requires identical output after every unit and
+// identical exported state throughout, across every split rule, with
+// and without reference levels and coarse timescales. Each run
+// snapshots the engine at a random unit and continues on a restored
+// copy.
+func TestSparseStepMatchesFullSweepOracle(t *testing.T) {
+	const theta = 10.0
+	run := 0
+	for _, rule := range []SplitRule{Uniform, LastTimeUnit, LongTermHistory, EWMARule} {
+		for _, refLevels := range []int{0, 2} {
+			for _, eta := range []int{1, 2} {
+				run++
+				seed := int64(1000 + run)
+				// One run per rule is on a tree past 10k nodes, where
+				// an 8-leaf unit touches a thousandth of it.
+				leaves, units := 300, 260
+				if refLevels == 2 && eta == 1 {
+					leaves, units = 9000, 90
+				}
+				name := fmt.Sprintf("%s/ref%d/eta%d/seed%d", rule, refLevels, eta, seed)
+				t.Run(name, func(t *testing.T) {
+					w := &oracleWorld{rng: rand.New(rand.NewSource(seed)), tree: hierarchy.New()}
+					w.growLeaves(leaves, 5)
+					cfg := Config{
+						Theta:         theta,
+						WindowLen:     16,
+						Rule:          rule,
+						RuleAlpha:     []float64{0.4, 0.9}[run%2],
+						RefLevels:     refLevels,
+						NewForecaster: HoltWintersFactory(0.4, 0.05, 0.3, 4),
+						Lambda:        2,
+						Eta:           eta,
+						Tree:          w.tree,
+					}
+					eng, err := NewADA(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ora, err := newOracleADA(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					window := make([]Timeunit, 16)
+					for i := range window {
+						w.sparse(12)
+						window[i] = w.unit.Timeunit(w.tree)
+					}
+					got, err := eng.Init(window)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := ora.Init(window)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := diffStep(got, eng, want, ora); err != nil {
+						t.Fatalf("init: %v", err)
+					}
+					if err := diffExport(eng, ora); err != nil {
+						t.Fatalf("init: %v", err)
+					}
+
+					restoreAt := 20 + w.rng.Intn(units-40)
+					hot := w.leaves[w.rng.Intn(len(w.leaves))]
+					for step := 1; step <= units; step++ {
+						switch phase := step % 40; {
+						case phase == 7 || phase == 8:
+							w.burst(hot, theta) // split down to the leaf …
+						case phase == 9:
+							w.unit.Reset() // … and merge all the way back
+							hot = w.leaves[w.rng.Intn(len(w.leaves))]
+						case phase == 15:
+							w.dense()
+						case phase == 23:
+							// New categories: under existing branches and as
+							// new top-level ones (reference coverage grows).
+							w.growLeaves(20, 5+step/40)
+							w.sparse(8)
+							w.unit.Add(w.leaves[len(w.leaves)-1], 2*theta)
+						case phase >= 30 && phase < 36 && step > units/2:
+							w.unit.Reset() // silence: statistics and models only decay
+						default:
+							w.sparse(8)
+						}
+						got, err := eng.StepDense(&w.unit)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := ora.stepDense(&w.unit)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := diffStep(got, eng, want, ora); err != nil {
+							t.Fatalf("step %d: %v", step, err)
+						}
+						if step%9 == 0 || step == units {
+							if err := diffExport(eng, ora); err != nil {
+								t.Fatalf("step %d: %v", step, err)
+							}
+						}
+						if step == restoreAt {
+							st, err := eng.ExportState()
+							if err != nil {
+								t.Fatal(err)
+							}
+							eng, err = NewADA(cfg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							got, err := eng.ImportState(st)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if err := diffStep(got, eng, want, ora); err != nil {
+								t.Fatalf("restored at step %d: %v", step, err)
+							}
+						}
+					}
+					if err := w.tree.Validate(); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+		}
+	}
+}

@@ -24,6 +24,26 @@ var ErrIncompatible = errors.New("forecast: incompatible models")
 // that is too short.
 var ErrHistory = errors.New("forecast: insufficient history")
 
+// flushBelow is the magnitude under which smoothed state is flushed to
+// zero: 2^-1000, twenty-two binades above the smallest normal float64.
+const flushBelow = 0x1p-1000
+
+// Flush returns x, or 0 when |x| < 2^-1000. Every recurrence of the
+// form s ← a·v + (1−a)·s — the models here, ADA's split-rule
+// statistics — applies it to the value it stores. Without it a series
+// that goes quiet decays into the subnormal range and sticks there
+// (0.6 × 4.9e-324 rounds back to 4.9e-324), after which every update
+// of that state takes a microcoded multiply, forever; on a wide quiet
+// hierarchy that was two thirds of the engine step. No count-derived
+// quantity is meaningfully that small, and above the threshold results
+// are bit-identical to the unflushed recurrence.
+func Flush(x float64) float64 {
+	if x < flushBelow && x > -flushBelow {
+		return 0
+	}
+	return x
+}
+
 // Forecaster produces one-step-ahead forecasts over a time series fed
 // to it one sample per timeunit.
 type Forecaster interface {
@@ -97,7 +117,7 @@ func (e *EWMA) Update(actual float64) {
 		e.seen = true
 		return
 	}
-	e.f = e.Alpha*actual + (1-e.Alpha)*e.f
+	e.f = Flush(e.Alpha*actual + (1-e.Alpha)*e.f)
 }
 
 // Scale implements Linear.
@@ -205,9 +225,9 @@ func (hw *HoltWinters) Forecast() float64 {
 func (hw *HoltWinters) Update(actual float64) {
 	sOld := hw.season[hw.idx]
 	prevLevel := hw.level
-	hw.level = hw.alpha*(actual-sOld) + (1-hw.alpha)*(hw.level+hw.trend)
-	hw.trend = hw.beta*(hw.level-prevLevel) + (1-hw.beta)*hw.trend
-	hw.season[hw.idx] = hw.gamma*(actual-hw.level) + (1-hw.gamma)*sOld
+	hw.level = Flush(hw.alpha*(actual-sOld) + (1-hw.alpha)*(hw.level+hw.trend))
+	hw.trend = Flush(hw.beta*(hw.level-prevLevel) + (1-hw.beta)*hw.trend)
+	hw.season[hw.idx] = Flush(hw.gamma*(actual-hw.level) + (1-hw.gamma)*sOld)
 	hw.idx = (hw.idx + 1) % hw.period
 }
 
@@ -328,11 +348,11 @@ func (d *DualSeason) Forecast() float64 {
 func (d *DualSeason) Update(actual float64) {
 	sOld1, sOld2 := d.s1[d.i1], d.s2[d.i2]
 	prevLevel := d.level
-	d.level = d.alpha*(actual-sOld1-sOld2) + (1-d.alpha)*(d.level+d.trend)
-	d.trend = d.beta*(d.level-prevLevel) + (1-d.beta)*d.trend
+	d.level = Flush(d.alpha*(actual-sOld1-sOld2) + (1-d.alpha)*(d.level+d.trend))
+	d.trend = Flush(d.beta*(d.level-prevLevel) + (1-d.beta)*d.trend)
 	resid := actual - d.level
-	d.s1[d.i1] = d.gamma*d.xi*resid + (1-d.gamma)*sOld1
-	d.s2[d.i2] = d.gamma*(1-d.xi)*resid + (1-d.gamma)*sOld2
+	d.s1[d.i1] = Flush(d.gamma*d.xi*resid + (1-d.gamma)*sOld1)
+	d.s2[d.i2] = Flush(d.gamma*(1-d.xi)*resid + (1-d.gamma)*sOld2)
 	d.i1 = (d.i1 + 1) % d.p1
 	d.i2 = (d.i2 + 1) % d.p2
 }

@@ -18,14 +18,19 @@
 //     in insertion order;
 //   - TopDown lists every node ID in level order (root first, and in
 //     insertion order within a level), BottomUp in inverse level order
-//     (deepest level first, root last).
+//     (deepest level first, root last);
+//   - Depth[id] is the node's depth and Rank[id] its position in
+//     TopDown, so a caller holding a few IDs can put them in level
+//     order (ascending ID within a level) by ordering their ranks,
+//     without walking TopDown.
 //
 // The arrays are rebuilt lazily — CSR() reuses the cached build until
 // the tree has grown — so steady-state traffic, where the category
 // universe has stabilized, walks plain int32 slices with no pointer
 // chasing and no per-node closure calls. Invariants (ID-indexed
 // arrays, offsets summing to Len()-1 edges, both orders being
-// depth-consistent permutations) are checked by Validate.
+// depth-consistent permutations, Depth and Rank agreeing with the
+// nodes and with TopDown) are checked by Validate.
 //
 // Record paths can skip the string Key encoding entirely: Intern maps
 // a path directly to its node ID, creating nodes on first sight.
@@ -166,6 +171,10 @@ type CSR struct {
 	// level both use insertion order, matching WalkTopDown/WalkBottomUp.
 	TopDown  []int32
 	BottomUp []int32
+	// Depth maps node ID → depth (root = 0). Rank maps node ID → its
+	// index in TopDown: ranks order nodes by depth, then by ID.
+	Depth []int32
+	Rank  []int32
 }
 
 // New returns an empty tree containing only the root node.
@@ -279,9 +288,12 @@ func (t *Tree) rebuildCSR() {
 	f.ChildIDs = growInt32(f.ChildIDs, n-1)
 	f.TopDown = growInt32(f.TopDown, n)
 	f.BottomUp = growInt32(f.BottomUp, n)
+	f.Depth = growInt32(f.Depth, n)
+	f.Rank = growInt32(f.Rank, n)
 
 	off := int32(0)
 	for id, node := range t.nodes {
+		f.Depth[id] = int32(node.Depth)
 		if node.parent == nil {
 			f.Parent[id] = -1
 		} else {
@@ -301,6 +313,7 @@ func (t *Tree) rebuildCSR() {
 		for k, node := range level {
 			f.TopDown[i] = int32(node.ID)
 			f.BottomUp[j+k] = int32(node.ID)
+			f.Rank[node.ID] = int32(i)
 			i++
 		}
 	}
@@ -426,9 +439,9 @@ func (t *Tree) Validate() error {
 func (t *Tree) validateCSR() error {
 	f := t.CSR()
 	n := len(t.nodes)
-	if len(f.Parent) != n || len(f.TopDown) != n || len(f.BottomUp) != n {
-		return fmt.Errorf("hierarchy: CSR arrays sized %d/%d/%d, tree has %d nodes",
-			len(f.Parent), len(f.TopDown), len(f.BottomUp), n)
+	if len(f.Parent) != n || len(f.TopDown) != n || len(f.BottomUp) != n || len(f.Depth) != n || len(f.Rank) != n {
+		return fmt.Errorf("hierarchy: CSR arrays sized %d/%d/%d/%d/%d, tree has %d nodes",
+			len(f.Parent), len(f.TopDown), len(f.BottomUp), len(f.Depth), len(f.Rank), n)
 	}
 	if len(f.ChildOff) != n+1 || len(f.ChildIDs) != n-1 {
 		return fmt.Errorf("hierarchy: CSR adjacency sized off=%d ids=%d, want %d/%d",
@@ -440,6 +453,9 @@ func (t *Tree) validateCSR() error {
 			return fmt.Errorf("hierarchy: CSR parent of root %q is %d, want -1", node.Key, f.Parent[id])
 		case node.parent != nil && int(f.Parent[id]) != node.parent.ID:
 			return fmt.Errorf("hierarchy: CSR parent of %q is %d, want %d", node.Key, f.Parent[id], node.parent.ID)
+		}
+		if int(f.Depth[id]) != node.Depth {
+			return fmt.Errorf("hierarchy: CSR depth of %q is %d, want %d", node.Key, f.Depth[id], node.Depth)
 		}
 		lo, hi := f.ChildOff[id], f.ChildOff[id+1]
 		if int(hi-lo) != len(node.ordered) {
@@ -462,12 +478,22 @@ func (t *Tree) validateCSR() error {
 			seen[id] = true
 		}
 	}
+	for i, id := range f.TopDown {
+		if int(f.Rank[id]) != i {
+			return fmt.Errorf("hierarchy: CSR rank of node %d is %d, TopDown holds it at %d", id, f.Rank[id], i)
+		}
+	}
 	for i := 1; i < n; i++ {
 		if t.nodes[f.TopDown[i]].Depth < t.nodes[f.TopDown[i-1]].Depth {
 			return fmt.Errorf("hierarchy: CSR TopDown not in level order at %d", i)
 		}
 		if t.nodes[f.BottomUp[i]].Depth > t.nodes[f.BottomUp[i-1]].Depth {
 			return fmt.Errorf("hierarchy: CSR BottomUp not in inverse level order at %d", i)
+		}
+		// Ascending ID within a level is what makes rank order visit a
+		// node's children in ChildIDs order.
+		if f.Depth[f.TopDown[i]] == f.Depth[f.TopDown[i-1]] && f.TopDown[i] < f.TopDown[i-1] {
+			return fmt.Errorf("hierarchy: CSR TopDown not in ascending ID order within level at %d", i)
 		}
 	}
 	return nil

@@ -8,6 +8,7 @@ package perfbench
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"testing"
 	"time"
 
@@ -67,10 +68,70 @@ func engineWorkload(b *testing.B, name string) (algo.Engine, []*algo.DenseUnit) 
 	return e, steps
 }
 
-// ADAStep measures one ADA time instance on the dense hot path (the
-// paper's O(|tree|) step).
+// ADAStep measures one ADA time instance on the dense hot path, on a
+// workload whose units touch most of a small tree (closure ≈ tree).
 func ADAStep(b *testing.B) {
 	e, units := engineWorkload(b, "ADA")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.StepDense(units[i%len(units)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// ADAStepSparse measures one ADA time instance where the step's cost
+// must not depend on the tree: 8 touched leaves a unit on a 12k-leaf
+// hierarchy whose every leaf carried traffic during warm-up. Timing
+// starts after 1600 such units, past the point (≈1450 units at
+// α = 0.4) where a quiet node's smoothed state used to decay into the
+// subnormal range and make every later step pay a microcoded multiply
+// per node.
+func ADAStepSparse(b *testing.B) {
+	const tops, mids, perMid, warm, quiet = 6, 20, 100, 48, 1600
+	tree := hierarchy.New()
+	leaves := make([]int, 0, tops*mids*perMid)
+	for t := 0; t < tops; t++ {
+		for m := 0; m < mids; m++ {
+			for l := 0; l < perMid; l++ {
+				leaves = append(leaves, tree.Intern([]string{"t" + strconv.Itoa(t), "m" + strconv.Itoa(m), "l" + strconv.Itoa(l)}))
+			}
+		}
+	}
+	e, err := algo.NewADA(algo.Config{
+		Theta:         10,
+		WindowLen:     warm,
+		Rule:          algo.LongTermHistory,
+		RefLevels:     2,
+		NewForecaster: algo.HoltWintersFactory(0.4, 0.05, 0.3, 24),
+		Tree:          tree,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	window := make([]algo.Timeunit, warm)
+	for i := range window {
+		window[i] = make(algo.Timeunit, len(leaves))
+		for _, id := range leaves {
+			window[i][tree.Node(id).Key] = float64(1 + (id+i)%3)
+		}
+	}
+	if _, err := e.Init(window); err != nil {
+		b.Fatal(err)
+	}
+	units := make([]*algo.DenseUnit, 64)
+	for i := range units {
+		units[i] = &algo.DenseUnit{}
+		for k := 0; k < 8; k++ {
+			units[i].Add(leaves[(i*8+k)*977%len(leaves)], float64(1+k%3))
+		}
+	}
+	for i := 0; i < quiet; i++ {
+		if _, err := e.StepDense(units[i%len(units)]); err != nil {
+			b.Fatal(err)
+		}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -132,6 +193,7 @@ type Spec struct {
 func Specs() []Spec {
 	return []Spec{
 		{"ADAStep", ADAStep},
+		{"ADAStepSparse", ADAStepSparse},
 		{"STAStep", STAStep},
 		{"WindowerObserve", WindowerObserve},
 		{"ManagerFeed", ManagerFeed},
