@@ -8,9 +8,7 @@
 //
 // Versioning contract: within /v2, existing fields and error codes
 // are never renamed or removed, and unknown response fields must be
-// ignored by clients. A breaking change means a new version prefix,
-// served side by side, the way /v1 survives today as a deprecated
-// shim over the same handlers.
+// ignored by clients. A breaking change means a new version prefix.
 package api
 
 import (
@@ -105,11 +103,10 @@ type WatchStats struct {
 	Lagged uint64 `json:"lagged"`
 }
 
-// IngestStats counts the server's HTTP ingest surface: what the
-// /v1 + /v2 record endpoints accepted, before detection. The same
-// counters back the tiresias_ingest_* series of GET /metrics — both
-// views read one set of registers, so dashboards built on either
-// cannot disagree.
+// IngestStats counts the server's HTTP ingest surface: what
+// POST /v2/records accepted, before detection. The same counters back
+// the tiresias_ingest_* series of GET /metrics — both views read one
+// set of registers, so dashboards built on either cannot disagree.
 type IngestStats struct {
 	// Records is the number of records accepted (fed or enqueued)
 	// across all ingest requests.
@@ -127,10 +124,8 @@ type StatsResponse struct {
 	// Watch reports the live subscription fan-out.
 	Watch WatchStats `json:"watch"`
 	// Ingest reports the HTTP ingest surface (records and bytes
-	// accepted by the record endpoints).
+	// accepted by POST /v2/records).
 	Ingest IngestStats `json:"ingest"`
-	// StoreLen is the persistent dashboard store size.
-	StoreLen int `json:"storeLen"`
 	// Panics counts handler panics the server recovered (each
 	// answered with a structured 500 instead of a dropped
 	// connection).

@@ -185,9 +185,8 @@ func decodeInto(r io.Reader, out any) error {
 
 // decodeError turns a non-2xx response into an *api.Error, keeping
 // the HTTP status and Retry-After hint. A body that is not a
-// structured envelope (a proxy error page, a legacy /v1 plain-text
-// error) degrades to a synthesized envelope with the body as
-// message.
+// structured envelope (a proxy error page) degrades to a synthesized
+// envelope with the body as message.
 func decodeError(resp *http.Response) *api.Error {
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 	e := &api.Error{Status: resp.StatusCode}

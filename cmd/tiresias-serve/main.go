@@ -2,8 +2,10 @@
 // versioned /v2 wire API (package api) served by package httpserve —
 // NDJSON/batch ingest, cursor-paginated anomaly queries, per-stream
 // heavy-hitter introspection, live SSE anomaly subscriptions — next
-// to the stored-anomaly dashboard of the paper's front-end
-// (Fig. 3(f)) and the deprecated /v1 shims.
+// to the HTML dashboard of the paper's front-end (Fig. 3(f)) at "/".
+// Every view reads the one bounded anomaly index; -store preloads it
+// with a file written by cmd/tiresias -store (stream "history",
+// sharing -index-cap with live detections).
 //
 // Usage:
 //
@@ -16,11 +18,11 @@
 //	curl 'localhost:8080/metrics'                                   # Prometheus exposition
 //	curl -N 'localhost:8080/v2/anomalies/watch?stream=ccd'          # live SSE
 //
-// POST /v2/records accepts one JSON record, a JSON array, or NDJSON
-// (one record per line; Content-Type application/x-ndjson or
-// auto-detected). Prefer the typed Go client in package client over
-// raw curl: it follows pagination cursors, reconnects watch streams,
-// and retries queue-full rejections honoring Retry-After.
+// POST /v2/records accepts one JSON record, a JSON array, or — with
+// Content-Type application/x-ndjson — one record per line. Prefer the
+// typed Go client in package client over raw curl: it follows
+// pagination cursors, reconnects watch streams, and retries queue-full
+// rejections honoring Retry-After.
 //
 // With -queue N the server ingests through the Manager's pipelined
 // mode: ingest enqueues batches to per-shard workers and returns
@@ -56,6 +58,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -199,13 +202,13 @@ func parseLogLevel(s string) (slog.Level, error) {
 	}
 }
 
-// buildServer parses flags into an httpserve.Config, loads the store,
-// and returns the configured (unstarted) process. The caller runs the
-// listener and, once it stops serving, proc.finish.
+// buildServer parses flags into an httpserve.Config, loads the
+// -store history, and returns the configured (unstarted) process. The
+// caller runs the listener and, once it stops serving, proc.finish.
 func buildServer(args []string) (*proc, error) {
 	fs := flag.NewFlagSet("tiresias-serve", flag.ContinueOnError)
 	var (
-		storePath = fs.String("store", "", "anomaly JSON produced by cmd/tiresias -store")
+		storePath = fs.String("store", "", "anomaly JSON produced by cmd/tiresias -store, preloaded into the index")
 		addr      = fs.String("addr", ":8080", "listen address")
 		delta     = fs.Duration("delta", 15*time.Minute, "live ingest: timeunit size Δ")
 		window    = fs.Int("window", 672, "live ingest: sliding window length ℓ")
@@ -216,7 +219,7 @@ func buildServer(args []string) (*proc, error) {
 		maxGap    = fs.Int("max-gap", tiresias.DefaultMaxGap, "live ingest: max timeunits one record may gap-fill (<=0 disables)")
 		queue     = fs.Int("queue", 0, "pipelined ingest: per-shard queue depth in batches (0 = synchronous)")
 		policy    = fs.String("backpressure", "block", "pipelined ingest full-queue policy: block | drop-oldest | error")
-		indexCap  = fs.Int("index-cap", 65536, "queryable anomaly index capacity (entries)")
+		indexCap  = fs.Int("index-cap", 65536, "anomaly index capacity (entries), -store history included")
 		watchBuf  = fs.Int("watch-buffer", 256, "per-subscriber watch buffer (entries); slower watchers are disconnected and resume by cursor")
 		ckptDir   = fs.String("checkpoint-dir", "", "directory for stream checkpoints (enables POST /v2/checkpoint)")
 		restore   = fs.Bool("restore", false, "restore all streams from -checkpoint-dir at startup (consumes a handoff marker)")
@@ -247,16 +250,14 @@ func buildServer(args []string) (*proc, error) {
 		// surface keeps the stricter contract.
 		return nil, fmt.Errorf("-shards must be >= 1, got %d", *shards)
 	}
-	st := tiresias.NewStore()
+	var history []tiresias.Anomaly
 	if *storePath != "" {
-		f, err := os.Open(*storePath)
+		raw, err := os.ReadFile(*storePath)
 		if err != nil {
 			return nil, err
 		}
-		err = st.Load(f)
-		f.Close()
-		if err != nil {
-			return nil, err
+		if err := json.Unmarshal(raw, &history); err != nil {
+			return nil, fmt.Errorf("-store %s: %w", *storePath, err)
 		}
 	}
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: lvl}))
@@ -271,7 +272,7 @@ func buildServer(args []string) (*proc, error) {
 		Backpressure:  bp,
 		IndexCap:      *indexCap,
 		WatchBuffer:   *watchBuf,
-		Store:         st,
+		History:       history,
 		CheckpointDir: *ckptDir,
 		Restore:       *restore,
 		Logger:        logger,
@@ -342,7 +343,7 @@ func buildServer(args []string) (*proc, error) {
 		srv:       srv,
 		hs:        hs,
 		log:       plog,
-		loaded:    st.Len(),
+		loaded:    len(history),
 		handoff:   *handoff,
 		ckptDir:   *ckptDir,
 		pprofAddr: *pprofAddr,

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,9 +13,8 @@ import (
 	"testing"
 	"time"
 
-	"tiresias/internal/detect"
-	"tiresias/internal/hierarchy"
-	"tiresias/internal/report"
+	"tiresias"
+	"tiresias/api"
 )
 
 // newProc builds a test proc, with the log floor raised to error so
@@ -28,11 +28,15 @@ func newProc(t *testing.T, args ...string) *proc {
 	return p
 }
 
+// TestBuildServerLoadsStore round-trips a cmd/tiresias -store file
+// into the server: the file's anomalies are ordinary index entries
+// (stream "history"), pageable through /v2/anomalies and rendered by
+// the dashboard.
 func TestBuildServerLoadsStore(t *testing.T) {
-	st := report.NewStore()
+	st := tiresias.NewStore()
 	st.Add(
-		detect.Anomaly{Key: hierarchy.KeyOf([]string{"vho1"}), Depth: 1, Instance: 4},
-		detect.Anomaly{Key: hierarchy.KeyOf([]string{"vho2", "io1"}), Depth: 2, Instance: 9},
+		tiresias.Anomaly{Key: tiresias.KeyOf([]string{"vho1"}), Depth: 1, Instance: 4},
+		tiresias.Anomaly{Key: tiresias.KeyOf([]string{"vho2", "io1"}), Depth: 2, Instance: 9},
 	)
 	path := filepath.Join(t.TempDir(), "anoms.json")
 	f, err := os.Create(path)
@@ -50,17 +54,27 @@ func TestBuildServerLoadsStore(t *testing.T) {
 	}
 	ts := httptest.NewServer(p.srv.Handler)
 	defer ts.Close()
-	resp, err := ts.Client().Get(ts.URL + "/anomalies?under=vho2")
+	var page api.AnomaliesPage
+	getJSON(t, ts.URL+"/v2/anomalies?under=vho2", &page)
+	if len(page.Entries) != 1 || page.Entries[0].Instance != 9 || page.Entries[0].Stream != "history" {
+		t.Fatalf("query result = %+v", page.Entries)
+	}
+	if page.Stats.Added != 2 {
+		t.Fatalf("index stats = %+v, want the 2 loaded entries", page.Stats)
+	}
+	resp, err := http.Get(ts.URL + "/")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var got []detect.Anomaly
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+	html, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0].Instance != 9 {
-		t.Fatalf("query result = %+v", got)
+	for _, want := range []string{"<td>vho1</td>", "<td>vho2/io1</td>", "<td>history</td>", "2 retained / 2 added / 0 evicted"} {
+		if !strings.Contains(string(html), want) {
+			t.Fatalf("dashboard missing %q:\n%s", want, html)
+		}
 	}
 }
 
@@ -90,15 +104,40 @@ func TestBuildServerEmpty(t *testing.T) {
 	}
 }
 
-// postJSON posts body to the test server and decodes the response.
-func postJSON(t *testing.T, url string, body string, out any) int {
+// postJSON posts body as application/json and decodes a 200 response
+// into out (if non-nil); for any other status it returns the code of
+// the structured error envelope every /v2 failure carries.
+func postJSON(t *testing.T, url string, body string, out any) (status int, code string) {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if out != nil && resp.StatusCode == http.StatusOK {
+	if resp.StatusCode != http.StatusOK {
+		var er api.ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil || er.Error == nil {
+			t.Fatalf("status %d without a structured error envelope (%v)", resp.StatusCode, err)
+		}
+		return resp.StatusCode, er.Error.Code
+	}
+	if out != nil {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resp.StatusCode, ""
+}
+
+// getJSON fetches url and decodes a 200 response into out.
+func getJSON(t *testing.T, url string, out any) int {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 			t.Fatal(err)
 		}
@@ -136,11 +175,8 @@ func TestLiveIngestDetectsAndFeedsDashboard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ing struct {
-		Accepted  int               `json:"accepted"`
-		Anomalies []json.RawMessage `json:"anomalies"`
-	}
-	if code := postJSON(t, ts.URL+"/v1/records", string(body), &ing); code != http.StatusOK {
+	var ing api.IngestResponse
+	if code, _ := postJSON(t, ts.URL+"/v2/records", string(body), &ing); code != http.StatusOK {
 		t.Fatalf("ingest status = %d", code)
 	}
 	if ing.Accepted != len(batch) {
@@ -150,34 +186,30 @@ func TestLiveIngestDetectsAndFeedsDashboard(t *testing.T) {
 		t.Fatal("burst not flagged by live ingest")
 	}
 
-	// The stream shows up in /v1/streams, warm.
+	// The stream shows up in /v2/streams, warm.
 	var streams []map[string]any
-	resp, err := http.Get(ts.URL + "/v1/streams")
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&streams)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	getJSON(t, ts.URL+"/v2/streams", &streams)
 	if len(streams) != 1 || streams[0]["name"] != "ccd" || streams[0]["warm"] != true {
-		t.Fatalf("/v1/streams = %+v", streams)
+		t.Fatalf("/v2/streams = %+v", streams)
 	}
 
-	// Live detections also landed in the dashboard store.
-	resp, err = http.Get(ts.URL + "/anomalies?under=vho1")
+	// Live detections are in the index the dashboard renders.
+	var page api.AnomaliesPage
+	getJSON(t, ts.URL+"/v2/anomalies?under=vho1", &page)
+	if len(page.Entries) != len(ing.Anomalies) {
+		t.Fatalf("index holds %d entries under vho1, ingest reported %d", len(page.Entries), len(ing.Anomalies))
+	}
+	resp, err := http.Get(ts.URL + "/?under=vho1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stored []detect.Anomaly
-	err = json.NewDecoder(resp.Body).Decode(&stored)
+	html, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stored) == 0 {
-		t.Fatal("live anomalies not visible in the store API")
+	if !strings.Contains(string(html), "<td>ccd</td>") {
+		t.Fatalf("live anomalies not visible on the dashboard:\n%s", html)
 	}
 }
 
@@ -186,24 +218,25 @@ func TestLiveIngestSingleObjectAndErrors(t *testing.T) {
 	ts := httptest.NewServer(p.srv.Handler)
 	defer ts.Close()
 
-	var ing struct {
-		Accepted int `json:"accepted"`
-	}
+	var ing api.IngestResponse
 	one := `{"path":["a","b"],"time":"2010-09-14T00:00:00Z"}`
-	if code := postJSON(t, ts.URL+"/v1/records", one, &ing); code != http.StatusOK {
+	if code, _ := postJSON(t, ts.URL+"/v2/records", one, &ing); code != http.StatusOK {
 		t.Fatalf("single-object ingest status = %d", code)
 	}
 	if ing.Accepted != 1 {
 		t.Fatalf("accepted = %d, want 1 (default stream)", ing.Accepted)
 	}
-	// Malformed body, empty path, and out-of-order time are 400s.
-	for name, body := range map[string]string{
-		"garbage":      `{not json`,
-		"empty path":   `{"path":[],"time":"2010-09-14T00:00:00Z"}`,
-		"out of order": `{"path":["a"],"time":"2009-01-01T00:00:00Z"}`,
+	// Malformed body, empty path, a missing time (a zero time would
+	// seed the stream clock at year 1 and let the next sane record
+	// gap-fill millions of units), and out-of-order time are 400s.
+	for name, tc := range map[string]struct{ body, code string }{
+		"garbage":      {`{not json`, api.CodeBadRequest},
+		"empty path":   {`{"path":[],"time":"2010-09-14T00:00:00Z"}`, api.CodeInvalidRecord},
+		"missing time": {`{"path":["a"]}`, api.CodeInvalidRecord},
+		"out of order": {`{"path":["a"],"time":"2009-01-01T00:00:00Z"}`, api.CodeOutOfOrder},
 	} {
-		if code := postJSON(t, ts.URL+"/v1/records", body, nil); code != http.StatusBadRequest {
-			t.Fatalf("%s: status = %d, want 400", name, code)
+		if status, code := postJSON(t, ts.URL+"/v2/records", tc.body, nil); status != http.StatusBadRequest || code != tc.code {
+			t.Fatalf("%s: %d %q, want 400 %q", name, status, code, tc.code)
 		}
 	}
 }
@@ -217,24 +250,13 @@ func TestBuildServerBadLiveConfig(t *testing.T) {
 	}
 }
 
-func TestLiveIngestRejectsMissingTime(t *testing.T) {
-	p := newProc(t, "-addr", "127.0.0.1:0", "-delta", "1m", "-window", "8")
-	ts := httptest.NewServer(p.srv.Handler)
-	defer ts.Close()
-	// A zero time would seed the stream clock at year 1 and let the
-	// next sane record gap-fill millions of units.
-	if code := postJSON(t, ts.URL+"/v1/records", `{"path":["a"]}`, nil); code != http.StatusBadRequest {
-		t.Fatalf("missing time: status = %d, want 400", code)
-	}
-}
-
 func TestLiveIngestOversizedBodyIs413(t *testing.T) {
 	p := newProc(t, "-addr", "127.0.0.1:0", "-delta", "1m", "-window", "8")
 	ts := httptest.NewServer(p.srv.Handler)
 	defer ts.Close()
 	big := "[" + strings.Repeat(" ", 9<<20) + "]"
-	if code := postJSON(t, ts.URL+"/v1/records", big, nil); code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body: status = %d, want 413", code)
+	if status, code := postJSON(t, ts.URL+"/v2/records", big, nil); status != http.StatusRequestEntityTooLarge || code != api.CodeBodyTooLarge {
+		t.Fatalf("oversized body: %d %q, want 413 %q", status, code, api.CodeBodyTooLarge)
 	}
 }
 
@@ -244,26 +266,18 @@ func TestLiveIngestBatchValidationHasNoSideEffects(t *testing.T) {
 	defer ts.Close()
 	// A batch with a bad second record must not feed the first one.
 	bad := `[{"stream":"s","path":["a"],"time":"2010-09-14T00:00:00Z"},{"stream":"s","path":[]}]`
-	if code := postJSON(t, ts.URL+"/v1/records", bad, nil); code != http.StatusBadRequest {
-		t.Fatalf("bad batch: status = %d, want 400", code)
+	if status, code := postJSON(t, ts.URL+"/v2/records", bad, nil); status != http.StatusBadRequest || code != api.CodeInvalidRecord {
+		t.Fatalf("bad batch: %d %q, want 400 %q", status, code, api.CodeInvalidRecord)
 	}
 	var streams []map[string]any
-	resp, err := http.Get(ts.URL + "/v1/streams")
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&streams)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	getJSON(t, ts.URL+"/v2/streams", &streams)
 	if len(streams) != 0 {
 		t.Fatalf("rejected batch mutated state: %+v", streams)
 	}
 }
 
 // TestCheckpointEndpointAndRestore ingests into two streams, snapshots
-// through POST /v1/checkpoint, restarts the server with -restore, and
+// through POST /v2/checkpoint, restarts the server with -restore, and
 // verifies the streams resume (warm state, counters, live ingest).
 func TestCheckpointEndpointAndRestore(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ckpt")
@@ -288,17 +302,12 @@ func TestCheckpointEndpointAndRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ing struct {
-		Accepted int `json:"accepted"`
-	}
-	if code := postJSON(t, ts.URL+"/v1/records", string(body), &ing); code != http.StatusOK {
+	var ing api.IngestResponse
+	if code, _ := postJSON(t, ts.URL+"/v2/records", string(body), &ing); code != http.StatusOK {
 		t.Fatalf("ingest status = %d", code)
 	}
-	var ck struct {
-		Streams int    `json:"streams"`
-		Dir     string `json:"dir"`
-	}
-	if code := postJSON(t, ts.URL+"/v1/checkpoint", "", &ck); code != http.StatusOK {
+	var ck api.CheckpointResponse
+	if code, _ := postJSON(t, ts.URL+"/v2/checkpoint", "", &ck); code != http.StatusOK {
 		t.Fatalf("checkpoint status = %d", code)
 	}
 	if ck.Streams != 2 || ck.Dir != dir {
@@ -311,17 +320,9 @@ func TestCheckpointEndpointAndRestore(t *testing.T) {
 	ts2 := httptest.NewServer(p2.srv.Handler)
 	defer ts2.Close()
 	var streams []map[string]any
-	resp, err := http.Get(ts2.URL + "/v1/streams")
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&streams)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	getJSON(t, ts2.URL+"/v2/streams", &streams)
 	if len(streams) != 2 || streams[0]["warm"] != true || streams[1]["warm"] != true {
-		t.Fatalf("restored /v1/streams = %+v", streams)
+		t.Fatalf("restored /v2/streams = %+v", streams)
 	}
 	next := map[string]any{
 		"stream": "ccd", "path": []string{"vho1", "io2"},
@@ -331,7 +332,7 @@ func TestCheckpointEndpointAndRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if code := postJSON(t, ts2.URL+"/v1/records", string(body), &ing); code != http.StatusOK {
+	if code, _ := postJSON(t, ts2.URL+"/v2/records", string(body), &ing); code != http.StatusOK {
 		t.Fatalf("post-restore ingest status = %d", code)
 	}
 	if ing.Accepted != 1 {
@@ -344,9 +345,8 @@ func TestCheckpointEndpointDisabled(t *testing.T) {
 	p := newProc(t, "-addr", "127.0.0.1:0")
 	ts := httptest.NewServer(p.srv.Handler)
 	defer ts.Close()
-	var out map[string]any
-	if code := postJSON(t, ts.URL+"/v1/checkpoint", "", &out); code != http.StatusConflict {
-		t.Fatalf("checkpoint without -checkpoint-dir: status = %d, want 409", code)
+	if status, code := postJSON(t, ts.URL+"/v2/checkpoint", "", nil); status != http.StatusConflict || code != api.CodeCheckpointDisabled {
+		t.Fatalf("checkpoint without -checkpoint-dir: %d %q, want 409 %q", status, code, api.CodeCheckpointDisabled)
 	}
 	if _, err := buildServer([]string{"-restore"}); err == nil {
 		t.Fatal("-restore without -checkpoint-dir must fail")
@@ -384,15 +384,11 @@ func TestNDJSONIngestAndAnomalyQuery(t *testing.T) {
 	ts := httptest.NewServer(p.srv.Handler)
 	defer ts.Close()
 
-	body := ndjsonBody("ccd", 30)
-	resp, err := http.Post(ts.URL+"/v1/records", "application/x-ndjson", strings.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v2/records", "application/x-ndjson", strings.NewReader(ndjsonBody("ccd", 30)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ing struct {
-		Accepted  int               `json:"accepted"`
-		Anomalies []json.RawMessage `json:"anomalies"`
-	}
+	var ing api.IngestResponse
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("ndjson ingest status = %d", resp.StatusCode)
 	}
@@ -404,70 +400,68 @@ func TestNDJSONIngestAndAnomalyQuery(t *testing.T) {
 		t.Fatalf("accepted = %d anomalies = %d", ing.Accepted, len(ing.Anomalies))
 	}
 
-	// The same detections are queryable from the index, newest first.
-	var q struct {
-		Entries []struct {
-			Seq    uint64    `json:"seq"`
-			Stream string    `json:"stream"`
-			Time   time.Time `json:"time"`
-		} `json:"entries"`
-		Stats struct {
-			Added uint64 `json:"added"`
-		} `json:"stats"`
-	}
-	getJSON := func(url string) int {
+	// The same detections are queryable from the index.
+	var q api.AnomaliesPage
+	query := func(params string) int {
 		t.Helper()
-		resp, err := http.Get(url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			if err := json.NewDecoder(resp.Body).Decode(&q); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return resp.StatusCode
+		q = api.AnomaliesPage{}
+		return getJSON(t, ts.URL+"/v2/anomalies"+params, &q)
 	}
-	if code := getJSON(ts.URL + "/v1/anomalies?stream=ccd"); code != http.StatusOK {
+	if code := query("?stream=ccd"); code != http.StatusOK {
 		t.Fatalf("query status = %d", code)
 	}
 	if len(q.Entries) != len(ing.Anomalies) || q.Entries[0].Stream != "ccd" {
 		t.Fatalf("index entries = %d, ingest anomalies = %d", len(q.Entries), len(ing.Anomalies))
 	}
 	// Time-range filter excludes everything before the burst.
-	if code := getJSON(ts.URL + "/v1/anomalies?from=2010-09-14T00:30:00Z&to=2010-09-14T00:31:00Z"); code != http.StatusOK {
+	if code := query("?from=2010-09-14T00:30:00Z&to=2010-09-14T00:31:00Z"); code != http.StatusOK {
 		t.Fatalf("range query status = %d", code)
 	}
 	if len(q.Entries) == 0 {
 		t.Fatal("burst unit not matched by time-range query")
 	}
 	// An unrelated stream matches nothing.
-	if getJSON(ts.URL + "/v1/anomalies?stream=nope"); len(q.Entries) != 0 {
+	if query("?stream=nope"); len(q.Entries) != 0 {
 		t.Fatalf("stream filter leaked %d entries", len(q.Entries))
 	}
 	// Bad parameters are 400s.
-	for _, bad := range []string{"?from=yesterday", "?limit=ten", "?since=-1", "?to=nope"} {
-		if code := getJSON(ts.URL + "/v1/anomalies" + bad); code != http.StatusBadRequest {
+	for _, bad := range []string{"?from=yesterday", "?limit=ten", "?cursor=zzz!", "?to=nope"} {
+		if code := query(bad); code != http.StatusBadRequest {
 			t.Fatalf("%s: status = %d, want 400", bad, code)
 		}
 	}
 }
 
-func TestNDJSONAutoDetected(t *testing.T) {
+// TestBareNDJSONNeedsItsContentType: a multi-line body without the
+// NDJSON content type is not guessed at — it is a 400 that names the
+// content type to send, and nothing is fed.
+func TestBareNDJSONNeedsItsContentType(t *testing.T) {
 	p := newProc(t, "-addr", "127.0.0.1:0", "-delta", "1m", "-window", "8")
 	ts := httptest.NewServer(p.srv.Handler)
 	defer ts.Close()
-	// Two single-line records, no NDJSON content type.
 	body := `{"path":["a"],"time":"2010-09-14T00:00:00Z"}` + "\n" + `{"path":["a"],"time":"2010-09-14T00:01:00Z"}`
-	var ing struct {
-		Accepted int `json:"accepted"`
+	for _, contentType := range []string{"", "application/json"} {
+		resp, err := http.Post(ts.URL+"/v2/records", contentType, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er api.ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if err != nil || er.Error == nil {
+			t.Fatalf("no structured error envelope (%v)", err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(er.Error.Message, "application/x-ndjson") {
+			t.Fatalf("bare NDJSON as %q: %d %+v, want a 400 naming application/x-ndjson", contentType, resp.StatusCode, er.Error)
+		}
 	}
-	if code := postJSON(t, ts.URL+"/v1/records", body, &ing); code != http.StatusOK {
-		t.Fatalf("status = %d", code)
+	var streams []map[string]any
+	getJSON(t, ts.URL+"/v2/streams", &streams)
+	if len(streams) != 0 {
+		t.Fatalf("rejected body mutated state: %+v", streams)
 	}
-	if ing.Accepted != 2 {
-		t.Fatalf("accepted = %d, want 2", ing.Accepted)
+	if got := postNDJSON(t, ts.URL+"/v2/records", body); got != 2 {
+		t.Fatalf("the same body with its content type: accepted = %d, want 2", got)
 	}
 }
 
@@ -478,18 +472,13 @@ func TestPipelinedIngestEndToEnd(t *testing.T) {
 	ts := httptest.NewServer(p.srv.Handler)
 	defer ts.Close()
 
-	body := ndjsonBody("stb", 30)
 	// ?wait=1 drains the pipeline before the response, so the index
 	// read below is ordered after detection.
-	resp, err := http.Post(ts.URL+"/v1/records?wait=1", "application/x-ndjson", strings.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v2/records?wait=1", "application/x-ndjson", strings.NewReader(ndjsonBody("stb", 30)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ing struct {
-		Accepted  int               `json:"accepted"`
-		Queued    bool              `json:"queued"`
-		Anomalies []json.RawMessage `json:"anomalies"`
-	}
+	var ing api.IngestResponse
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("pipelined ingest status = %d", resp.StatusCode)
 	}
@@ -501,50 +490,22 @@ func TestPipelinedIngestEndToEnd(t *testing.T) {
 		t.Fatalf("pipelined response = %+v", ing)
 	}
 
-	var q struct {
-		Entries []json.RawMessage `json:"entries"`
-	}
-	resp, err = http.Get(ts.URL + "/v1/anomalies?stream=stb")
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&q)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(q.Entries) == 0 {
+	var page api.AnomaliesPage
+	getJSON(t, ts.URL+"/v2/anomalies?stream=stb", &page)
+	if len(page.Entries) == 0 {
 		t.Fatal("pipelined detections not queryable after ?wait=1")
 	}
 
-	var st struct {
-		Manager struct {
-			Pipelined bool   `json:"pipelined"`
-			Policy    string `json:"policy"`
-			Records   uint64 `json:"records"`
-			Enqueued  uint64 `json:"enqueued"`
-		} `json:"manager"`
-		Index struct {
-			Added uint64 `json:"added"`
-		} `json:"index"`
-	}
-	resp, err = http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	var st api.StatsResponse
+	getJSON(t, ts.URL+"/v2/stats", &st)
 	if !st.Manager.Pipelined || st.Manager.Policy != "block" {
-		t.Fatalf("/v1/stats manager = %+v", st.Manager)
+		t.Fatalf("/v2/stats manager = %+v", st.Manager)
 	}
 	if st.Manager.Records != 81 || st.Manager.Enqueued != 81 {
 		t.Fatalf("throughput counters = %+v", st.Manager)
 	}
 	if st.Index.Added == 0 {
-		t.Fatal("/v1/stats index added = 0")
+		t.Fatal("/v2/stats index added = 0")
 	}
 }
 

@@ -60,7 +60,9 @@ const (
 type StageTimings = algo.StageTimings
 
 // Store is an anomaly database with JSON persistence and an HTTP
-// query/dashboard front end (Steps 5–6). Safe for concurrent use.
+// query front end (Steps 5–6), for batch runs such as cmd/tiresias
+// -store. It grows without bound; a long-running service wants the
+// bounded AnomalyIndex instead. Safe for concurrent use.
 type Store = report.Store
 
 // NewStore returns an empty anomaly store.

@@ -1,16 +1,15 @@
 // Package httpserve is the reusable HTTP serving layer of tiresias:
-// it wires a sharded Manager, the bounded anomaly index, the
-// persistent dashboard store, and a live subscription hub behind the
-// versioned /v2 wire API defined in package api — NDJSON and batch
-// ingest, cursor-paginated anomaly queries, per-stream introspection
-// (including heavy hitters), configuration introspection, on-demand
-// checkpoints, and a Server-Sent-Events watch stream with bounded
-// per-subscriber buffers and slow-consumer drop accounting.
+// it wires a sharded Manager, the bounded anomaly index, and a live
+// subscription hub behind the versioned /v2 wire API defined in
+// package api — NDJSON and batch ingest, cursor-paginated anomaly
+// queries, per-stream introspection (including heavy hitters),
+// configuration introspection, on-demand checkpoints, and a
+// Server-Sent-Events watch stream with bounded per-subscriber buffers
+// and slow-consumer drop accounting.
 //
-// The deprecated /v1 routes are served as thin shims over the same
-// handlers (legacy response shapes, plain-text errors), so existing
-// clients keep working while /v2 is adopted; every /v1 response
-// carries a Deprecation header pointing at its successor.
+// The index is the server's only anomaly container (Steps 5–6 of the
+// paper, Fig. 3(f)): detections enter it once, and /v2/anomalies, the
+// watch hub, and the HTML dashboard at "/" all read it.
 //
 // cmd/tiresias-serve is flag parsing and process lifecycle around
 // this package; embedders can mount Handler on any mux instead.
@@ -61,9 +60,11 @@ type Config struct {
 	Backpressure tiresias.BackpressurePolicy
 	// IndexCap is the anomaly-index capacity (default 65536).
 	IndexCap int
-	// Store is the persistent dashboard store to serve and feed;
-	// nil builds an empty one.
-	Store *tiresias.Store
+	// History preloads the index at construction (e.g. a file
+	// written by cmd/tiresias -store). Entries land under the
+	// HistoryStream name and share IndexCap with live detections:
+	// bounded and eviction-counted like any other entry.
+	History []tiresias.Anomaly
 	// CheckpointDir enables POST /v2/checkpoint into the directory.
 	CheckpointDir string
 	// Restore rebuilds the fleet from CheckpointDir at construction
@@ -126,9 +127,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.IndexCap == 0 {
 		cfg.IndexCap = 65536
 	}
-	if cfg.Store == nil {
-		cfg.Store = tiresias.NewStore()
-	}
 	if cfg.MaxBodyBytes == 0 {
 		cfg.MaxBodyBytes = 8 << 20
 	}
@@ -162,7 +160,6 @@ type Server struct {
 	cfg       Config
 	mgr       *tiresias.Manager
 	ix        *tiresias.AnomalyIndex
-	store     *tiresias.Store
 	hub       *hub
 	mux       *http.ServeMux
 	handler   http.Handler
@@ -187,23 +184,22 @@ type Server struct {
 // and all routes are wired.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
+	history := cfg.History
+	cfg.History = nil // the index owns it now; do not pin the slice
 	s := &Server{
 		cfg:       cfg,
 		ix:        tiresias.NewAnomalyIndex(cfg.IndexCap),
-		store:     cfg.Store,
 		hub:       newHub(),
 		pipelined: cfg.QueueDepth > 0,
 		metrics:   newServerMetrics(cfg.Shards),
 		log:       cfg.Logger,
 	}
-	// Every live stream's detector feeds the dashboard store, so
-	// live detections surface next to loaded history.
+	s.ix.Add(HistoryStream, history...)
 	liveOpts := append([]tiresias.Option{
 		tiresias.WithDelta(cfg.Delta),
 		tiresias.WithWindowLen(cfg.WindowLen),
 		tiresias.WithTheta(cfg.Theta),
 		tiresias.WithThresholds(cfg.Thresholds),
-		tiresias.WithSink(tiresias.NewStoreSink(s.store)),
 	}, cfg.DetectorOptions...)
 	// The Manager builds detectors lazily on first Feed; probe the
 	// configuration now so bad options fail at construction.
@@ -242,8 +238,7 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// routes wires the /v2 API, the deprecated /v1 shims, and the
-// dashboard.
+// routes wires the /v2 API, the metrics scrape, and the dashboard.
 func (s *Server) routes() {
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v2/records", s.ingestV2)
@@ -256,14 +251,11 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v2/healthz", s.healthzV2)
 	s.mux.HandleFunc("POST /v2/checkpoint", s.checkpointV2)
 	s.mux.Handle("GET /metrics", s.metricsHandler())
-	s.routesV1()
-	// The dashboard serves the HTML report at "/" and keeps its
-	// legacy JSON API at /anomalies and /stats.
-	s.mux.Handle("/", s.store.DashboardHandler())
+	s.mux.HandleFunc("GET /{$}", s.dashboard)
 	s.handler = s.contain(s.mux)
 }
 
-// Handler returns the root handler: /v2, the /v1 shims, and the
+// Handler returns the root handler: /v2, /metrics, and the
 // dashboard, wrapped in the per-request containment middleware
 // (panic recovery plus the write deadline).
 func (s *Server) Handler() http.Handler { return s.handler }
@@ -378,30 +370,26 @@ func (s *Server) Close() error {
 	return err
 }
 
+// errCheckpointDisabled marks a checkpoint request on a server built
+// without Config.CheckpointDir.
+var errCheckpointDisabled = errors.New("checkpointing disabled: no checkpoint directory configured")
+
 // Checkpoint snapshots every live stream into Config.CheckpointDir.
 func (s *Server) Checkpoint() (int, error) {
 	if s.cfg.CheckpointDir == "" {
-		return 0, fmt.Errorf("httpserve: checkpointing disabled (no CheckpointDir)")
+		return 0, errCheckpointDisabled
 	}
 	return s.mgr.Checkpoint(s.cfg.CheckpointDir)
 }
 
 // wireError is an error on its way out: the structured envelope plus
-// the transport details each API version renders its own way.
+// its transport details.
 type wireError struct {
 	status     int
 	code       string
 	message    string
 	details    map[string]any
-	legacyMsg  string // /v1 plain-text body ("" → message)
 	retryAfter time.Duration
-}
-
-func (e *wireError) legacy() string {
-	if e.legacyMsg != "" {
-		return e.legacyMsg
-	}
-	return e.message
 }
 
 // writeJSON writes v with the given status.
@@ -423,18 +411,6 @@ func writeErrorV2(w http.ResponseWriter, e *wireError) {
 	}})
 }
 
-// writeErrorV1 renders a wireError for the legacy /v1 surface:
-// plain-text bodies as before, except queue-full 429s, which gained
-// the Retry-After header and the structured body (a deliberate v1
-// improvement — clients keying on the status code are unaffected).
-func writeErrorV1(w http.ResponseWriter, e *wireError) {
-	if e.code == api.CodeQueueFull {
-		writeErrorV2(w, e)
-		return
-	}
-	http.Error(w, e.legacy(), e.status)
-}
-
 // retryAfterSeconds renders a delay as the whole-second Retry-After
 // header value, rounding up so a sub-second hint never becomes 0.
 func retryAfterSeconds(d time.Duration) string {
@@ -448,35 +424,40 @@ func retryAfterSeconds(d time.Duration) string {
 // errBodyTooLarge marks an ingest body over Config.MaxBodyBytes.
 var errBodyTooLarge = errors.New("request body too large")
 
-// ingest is the shared ingest core behind POST /v1/records and
-// POST /v2/records: decode (JSON object, array, or NDJSON), validate
-// the whole batch before feeding anything, then feed or enqueue
-// per-stream groups. Accepted records are counted on the ingest
-// metrics whether or not the call as a whole errored — Accepted is
-// the contract either way.
-func (s *Server) ingest(r *http.Request) (api.IngestResponse, *wireError) {
-	resp, we := s.ingestCore(r)
-	s.metrics.ingestRecords.Add(uint64(resp.Accepted))
-	return resp, we
-}
-
-// ingestCore is ingest without the accounting.
-func (s *Server) ingestCore(r *http.Request) (api.IngestResponse, *wireError) {
+// ingestV2 serves POST /v2/records: decode (JSON object, array, or
+// NDJSON by Content-Type), validate the whole batch before feeding
+// anything, then feed or enqueue per-stream groups. ?wait=<bool>
+// drains the pipeline before the response returns.
+func (s *Server) ingestV2(w http.ResponseWriter, r *http.Request) {
 	resp := api.IngestResponse{Anomalies: []tiresias.Anomaly{}}
+	// Accepted records are counted on the ingest metrics whether or
+	// not the call as a whole errored — Accepted is the contract
+	// either way.
+	defer func() { s.metrics.ingestRecords.Add(uint64(resp.Accepted)) }()
+	wait := false
+	if v := r.URL.Query().Get("wait"); v != "" {
+		var err error
+		if wait, err = strconv.ParseBool(v); err != nil {
+			writeErrorV2(w, badParam("wait", err))
+			return
+		}
+	}
 	recs, err := s.decodeRecords(r.Body, r.Header.Get("Content-Type"))
 	if errors.Is(err, errBodyTooLarge) {
-		return resp, &wireError{
+		writeErrorV2(w, &wireError{
 			status:  http.StatusRequestEntityTooLarge,
 			code:    api.CodeBodyTooLarge,
 			message: fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes),
-		}
+		})
+		return
 	}
 	if err != nil {
-		return resp, &wireError{
+		writeErrorV2(w, &wireError{
 			status:  http.StatusBadRequest,
 			code:    api.CodeBadRequest,
 			message: err.Error(),
-		}
+		})
+		return
 	}
 	// Validate the whole batch before feeding anything, so a 400 for
 	// a malformed record has no side effects and the client can
@@ -491,74 +472,65 @@ func (s *Server) ingestCore(r *http.Request) (api.IngestResponse, *wireError) {
 		default:
 			continue
 		}
-		return resp, &wireError{
-			status:    http.StatusBadRequest,
-			code:      api.CodeInvalidRecord,
-			message:   fmt.Sprintf("record %d: %s", i, what),
-			details:   map[string]any{"record": i},
-			legacyMsg: fmt.Sprintf("record %d: %s (accepted 0)", i, what),
-		}
+		writeErrorV2(w, &wireError{
+			status:  http.StatusBadRequest,
+			code:    api.CodeInvalidRecord,
+			message: fmt.Sprintf("record %d: %s", i, what),
+			details: map[string]any{"record": i},
+		})
+		return
 	}
-	groups := groupByStream(recs)
-	if s.pipelined {
-		resp.Queued = true
-		for _, g := range groups {
+	resp.Queued = s.pipelined
+	for _, g := range groupByStream(recs) {
+		if s.pipelined {
 			// The request context bounds the enqueue: a client that
 			// hung up stops waiting on a full Block-policy queue
 			// instead of pinning this handler goroutine.
-			if err := s.mgr.EnqueueBatchContext(r.Context(), g.stream, g.recs); err != nil {
-				code := api.CodeFor(err, api.CodeInternal)
-				we := &wireError{
-					status:    api.StatusFor(code),
-					code:      code,
-					message:   err.Error(),
-					details:   map[string]any{"accepted": resp.Accepted},
-					legacyMsg: fmt.Sprintf("%v (accepted %d)", err, resp.Accepted),
-				}
-				if code == api.CodeQueueFull {
-					we.retryAfter = s.cfg.RetryAfter
-				} else if we.status == http.StatusInternalServerError {
-					we.status = http.StatusServiceUnavailable
-				}
-				return resp, we
+			if err = s.mgr.EnqueueBatchContext(r.Context(), g.stream, g.recs); err == nil {
+				resp.Accepted += len(g.recs)
 			}
-			resp.Accepted += len(g.recs)
-		}
-	} else {
-		for _, g := range groups {
-			anoms, n, err := s.mgr.FeedBatch(g.stream, g.recs)
+		} else {
+			anoms, n, feedErr := s.mgr.FeedBatch(g.stream, g.recs)
 			resp.Accepted += n
 			resp.Anomalies = append(resp.Anomalies, anoms...)
-			if err != nil {
-				// Out-of-order and gap errors depend on live stream
-				// state and can only surface mid-feed; report how
-				// far we got so the client can resume past the bad
-				// record.
-				code := api.CodeFor(err, api.CodeBadRequest)
-				return resp, &wireError{
-					status:    api.StatusFor(code),
-					code:      code,
-					message:   err.Error(),
-					details:   map[string]any{"accepted": resp.Accepted},
-					legacyMsg: fmt.Sprintf("%v (accepted %d)", err, resp.Accepted),
-				}
-			}
+			err = feedErr
+		}
+		if err != nil {
+			writeErrorV2(w, s.feedError(err, resp.Accepted))
+			return
 		}
 	}
-	if r.URL.Query().Get("wait") != "" {
+	if wait {
 		s.mgr.Drain()
 	}
-	return resp, nil
+	writeJSON(w, http.StatusOK, resp)
 }
 
-// ingestV2 serves POST /v2/records.
-func (s *Server) ingestV2(w http.ResponseWriter, r *http.Request) {
-	resp, we := s.ingest(r)
-	if we != nil {
-		writeErrorV2(w, we)
-		return
+// feedError builds the envelope for a batch that failed part-way
+// through feeding or enqueueing. Out-of-order and gap errors depend
+// on live stream state and can only surface mid-feed, so the details
+// report how far the batch got and the client can resume past the
+// bad record. An error with no wire code of its own is the client's
+// fault when fed synchronously (400) and the server's when enqueueing
+// (503: closing, or the request context ended).
+func (s *Server) feedError(err error, accepted int) *wireError {
+	fallback := api.CodeBadRequest
+	if s.pipelined {
+		fallback = api.CodeInternal
 	}
-	writeJSON(w, http.StatusOK, resp)
+	code := api.CodeFor(err, fallback)
+	we := &wireError{
+		status:  api.StatusFor(code),
+		code:    code,
+		message: err.Error(),
+		details: map[string]any{"accepted": accepted},
+	}
+	if code == api.CodeQueueFull {
+		we.retryAfter = s.cfg.RetryAfter
+	} else if we.status == http.StatusInternalServerError {
+		we.status = http.StatusServiceUnavailable
+	}
+	return we
 }
 
 // recordGroup is a run of consecutive posted records for one stream,
@@ -587,9 +559,7 @@ func groupByStream(recs []api.Record) []recordGroup {
 	return out
 }
 
-// decodeRecords accepts a single JSON record, a JSON array, or NDJSON
-// (one record per line — by Content-Type application/x-ndjson, or
-// auto-detected when the body is multiple one-record lines).
+// decodeRecords reads a size-limited ingest body and parses it.
 func (s *Server) decodeRecords(body io.Reader, contentType string) ([]api.Record, error) {
 	raw, err := io.ReadAll(io.LimitReader(body, s.cfg.MaxBodyBytes+1))
 	if err != nil {
@@ -609,7 +579,14 @@ func (s *Server) decodeRecords(body io.Reader, contentType string) ([]api.Record
 	return recs, nil
 }
 
-// parseRecords decodes a size-checked ingest body.
+// ndjsonHint ends the JSON decode errors: a one-record-per-line body
+// sent without its content type fails here, and the 400 says why.
+const ndjsonHint = " (send one record per line with Content-Type: application/x-ndjson)"
+
+// parseRecords decodes a size-checked ingest body. The format is
+// decided once, never by trial: NDJSON iff the Content-Type says so,
+// otherwise a leading '[' selects a JSON array and anything else one
+// JSON object.
 func parseRecords(raw []byte, contentType string) ([]api.Record, error) {
 	trimmed := bytes.TrimSpace(raw)
 	if len(trimmed) == 0 {
@@ -621,19 +598,13 @@ func parseRecords(raw []byte, contentType string) ([]api.Record, error) {
 	if trimmed[0] == '[' {
 		var recs []api.Record
 		if err := json.Unmarshal(trimmed, &recs); err != nil {
-			return nil, fmt.Errorf("bad record array: %w", err)
+			return nil, fmt.Errorf("bad record array: %w%s", err, ndjsonHint)
 		}
 		return recs, nil
 	}
 	var rec api.Record
 	if err := json.Unmarshal(trimmed, &rec); err != nil {
-		// A bare NDJSON body (curl --data-binary @records.ndjson
-		// with no content type) fails single-object decoding on the
-		// second line; accept it when every line parses on its own.
-		if recs, ndErr := decodeNDJSON(trimmed); ndErr == nil && len(recs) > 1 {
-			return recs, nil
-		}
-		return nil, fmt.Errorf("bad record: %w", err)
+		return nil, fmt.Errorf("bad record: %w%s", err, ndjsonHint)
 	}
 	return []api.Record{rec}, nil
 }
@@ -702,6 +673,20 @@ func (s *Server) cursor(seq uint64) string {
 	return api.Cursor(s.ix.Epoch(), seq)
 }
 
+// pageLimit parses ?limit= for the paged anomaly views: default 100,
+// at least 1, capped at Config.PageLimit.
+func (s *Server) pageLimit(r *http.Request) (int, *wireError) {
+	limit := 100
+	if v := r.URL.Query().Get("limit"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 1 {
+			return 0, badParam("limit", fmt.Errorf("want a positive integer, got %q", v))
+		}
+		limit = n
+	}
+	return min(limit, s.cfg.PageLimit), nil
+}
+
 // badParam builds the wireError for one unparsable query parameter.
 func badParam(name string, err error) *wireError {
 	return &wireError{
@@ -721,17 +706,9 @@ func (s *Server) anomaliesV2(w http.ResponseWriter, r *http.Request) {
 		writeErrorV2(w, we)
 		return
 	}
-	q.Limit = 100
-	if v := r.URL.Query().Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			writeErrorV2(w, badParam("limit", fmt.Errorf("want a positive integer, got %q", v)))
-			return
-		}
-		q.Limit = n
-	}
-	if q.Limit > s.cfg.PageLimit {
-		q.Limit = s.cfg.PageLimit
+	if q.Limit, we = s.pageLimit(r); we != nil {
+		writeErrorV2(w, we)
+		return
 	}
 	p := s.ix.PageAfter(q)
 	if p.Entries == nil {
@@ -812,7 +789,7 @@ func (s *Server) healthzV2(w http.ResponseWriter, r *http.Request) {
 // configV2 serves GET /v2/config.
 func (s *Server) configV2(w http.ResponseWriter, r *http.Request) {
 	cfg := api.ServerConfig{
-		APIVersions:   []string{"v1", api.Version},
+		APIVersions:   []string{api.Version},
 		Delta:         s.cfg.Delta.String(),
 		WindowLen:     s.cfg.WindowLen,
 		Theta:         s.cfg.Theta,
@@ -832,34 +809,16 @@ func (s *Server) configV2(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, cfg)
 }
 
-// checkpoint is the shared core of POST /v1/checkpoint and
-// POST /v2/checkpoint.
-func (s *Server) checkpoint() (api.CheckpointResponse, *wireError) {
-	if s.cfg.CheckpointDir == "" {
-		return api.CheckpointResponse{}, &wireError{
-			status:    http.StatusConflict,
-			code:      api.CodeCheckpointDisabled,
-			message:   "checkpointing disabled: start with a checkpoint directory",
-			legacyMsg: "checkpointing disabled: start with -checkpoint-dir",
-		}
-	}
-	n, err := s.mgr.Checkpoint(s.cfg.CheckpointDir)
-	if err != nil {
-		return api.CheckpointResponse{}, &wireError{
-			status:  http.StatusInternalServerError,
-			code:    api.CodeInternal,
-			message: err.Error(),
-		}
-	}
-	return api.CheckpointResponse{Streams: n, Dir: s.cfg.CheckpointDir}, nil
-}
-
 // checkpointV2 serves POST /v2/checkpoint.
 func (s *Server) checkpointV2(w http.ResponseWriter, r *http.Request) {
-	resp, we := s.checkpoint()
-	if we != nil {
-		writeErrorV2(w, we)
+	n, err := s.Checkpoint()
+	if err != nil {
+		code := api.CodeInternal
+		if errors.Is(err, errCheckpointDisabled) {
+			code = api.CodeCheckpointDisabled
+		}
+		writeErrorV2(w, &wireError{status: api.StatusFor(code), code: code, message: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, api.CheckpointResponse{Streams: n, Dir: s.cfg.CheckpointDir})
 }

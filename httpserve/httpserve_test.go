@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -265,37 +266,6 @@ func TestQueueFull429HasRetryAfterAndStructuredBody(t *testing.T) {
 	close(gs.gate)
 }
 
-func TestQueueFull429OnV1Too(t *testing.T) {
-	gs := &gateSink{arrived: make(chan struct{}), gate: make(chan struct{})}
-	cfg := testConfig()
-	cfg.Shards = 1
-	cfg.QueueDepth = 1
-	cfg.Backpressure = tiresias.ErrorWhenFull
-	cfg.DetectorOptions = []tiresias.Option{tiresias.WithSink(gs)}
-	_, ts := newTestServer(t, cfg)
-
-	post(t, ts.URL+"/v1/records", "application/x-ndjson", ndjsonBody("s", 8), nil)
-	<-gs.arrived
-	var full *http.Response
-	for i := 0; i < 2; i++ {
-		body := fmt.Sprintf(`{"stream":"s","path":["a"],"time":"2010-09-14T00:%02d:00Z"}`, 10+i)
-		full = post(t, ts.URL+"/v1/records", "application/json", body, nil)
-		if full.StatusCode == http.StatusTooManyRequests {
-			break
-		}
-	}
-	if full.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("v1 queue never filled: status = %d", full.StatusCode)
-	}
-	if full.Header.Get("Retry-After") == "" {
-		t.Fatal("v1 429 missing Retry-After")
-	}
-	if e := decodeError(t, full); e.Code != api.CodeQueueFull {
-		t.Fatalf("v1 429 code = %q", e.Code)
-	}
-	close(gs.gate)
-}
-
 func TestV2StreamDetailHeavyHitters(t *testing.T) {
 	_, ts := newTestServer(t, testConfig())
 	post(t, ts.URL+"/v2/records", "application/x-ndjson", ndjsonBody("ccd", 30), nil)
@@ -336,7 +306,7 @@ func TestV2ConfigAndStats(t *testing.T) {
 		sc.Checkpointing || sc.MaxGap != tiresias.DefaultMaxGap {
 		t.Fatalf("config = %+v", sc)
 	}
-	if len(sc.APIVersions) != 2 || sc.APIVersions[1] != api.Version {
+	if len(sc.APIVersions) != 1 || sc.APIVersions[0] != api.Version {
 		t.Fatalf("apiVersions = %v", sc.APIVersions)
 	}
 
@@ -398,20 +368,173 @@ func TestV2CheckpointAndRestore(t *testing.T) {
 	_ = s3.Close()
 }
 
-func TestV1ShimsCarryDeprecationHeaders(t *testing.T) {
+// TestRemovedRoutesAre404 pins the single wire version: the /v1 shims
+// and the store's instance-dialect JSON mounts are gone, not hidden.
+func TestRemovedRoutesAre404(t *testing.T) {
 	_, ts := newTestServer(t, testConfig())
-	for _, path := range []string{"/v1/streams", "/v1/anomalies", "/v1/stats"} {
-		resp := get(t, ts.URL+path, nil)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status = %d", path, resp.StatusCode)
-		}
-		if resp.Header.Get("Deprecation") == "" || !strings.Contains(resp.Header.Get("Link"), "/v2") {
-			t.Fatalf("%s: missing deprecation headers", path)
+	for _, path := range []string{"/v1/streams", "/v1/anomalies", "/v1/stats", "/anomalies", "/stats"} {
+		if resp := get(t, ts.URL+path, nil); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: status = %d, want 404", path, resp.StatusCode)
 		}
 	}
-	// v2 endpoints carry none.
-	if resp := get(t, ts.URL+"/v2/streams", nil); resp.Header.Get("Deprecation") != "" {
-		t.Fatal("/v2 must not be marked deprecated")
+	for _, path := range []string{"/v1/records", "/v1/checkpoint"} {
+		if resp := post(t, ts.URL+path, "application/json", `{}`, nil); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST %s: status = %d, want 404", path, resp.StatusCode)
+		}
+	}
+}
+
+// TestWaitParamIsABool pins ?wait=: only a true value drains the
+// pipeline before the response, false values and absence return
+// while the worker is still busy, and an unparsable value is a 400
+// before anything is fed.
+func TestWaitParamIsABool(t *testing.T) {
+	for _, tc := range []struct {
+		value  string
+		status int
+		drains bool
+	}{
+		{"1", http.StatusOK, true},
+		{"true", http.StatusOK, true},
+		{"0", http.StatusOK, false},
+		{"false", http.StatusOK, false},
+		{"", http.StatusOK, false},
+		{"x", http.StatusBadRequest, false},
+	} {
+		t.Run("wait="+tc.value, func(t *testing.T) {
+			// The sink parks the worker inside the first processed unit
+			// until release: a draining request cannot return before it.
+			gs := &gateSink{arrived: make(chan struct{}, 1), gate: make(chan struct{})}
+			release := sync.OnceFunc(func() { close(gs.gate) })
+			cfg := testConfig()
+			cfg.Shards = 1
+			cfg.QueueDepth = 4
+			cfg.DetectorOptions = []tiresias.Option{tiresias.WithSink(gs)}
+			s, ts := newTestServer(t, cfg)
+			t.Cleanup(release) // before Server.Close, which drains
+			if tc.drains {
+				go func() {
+					<-gs.arrived
+					release()
+				}()
+			}
+			client := &http.Client{Timeout: 5 * time.Second}
+			resp, err := client.Post(ts.URL+"/v2/records?wait="+tc.value, "application/x-ndjson", strings.NewReader(ndjsonBody("s", 8)))
+			if err != nil {
+				t.Fatalf("request did not return while the worker was parked: %v", err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status = %d, want %d", resp.StatusCode, tc.status)
+			}
+			switch {
+			case tc.status != http.StatusOK:
+				if e := decodeError(t, resp); e.Code != api.CodeBadRequest || e.Details["param"] != "wait" {
+					t.Fatalf("error = %+v, want bad_request on param wait", e)
+				}
+				if st := s.statsSnapshot(); st.Ingest.Records != 0 || st.Manager.Streams != 0 {
+					t.Fatalf("a rejected ?wait= still fed records: %+v", st)
+				}
+			case tc.drains:
+				if st := s.statsSnapshot(); st.Manager.Records != 59 {
+					t.Fatalf("drained response returned with %d of 59 records processed", st.Manager.Records)
+				}
+			}
+			// Not draining: the gate is still shut, so a response at all
+			// proves the handler did not wait for the worker.
+		})
+	}
+}
+
+// TestAnomalyMemoryIsBounded is the regression test for the leak the
+// second anomaly store was: however many detections a server makes,
+// it retains IndexCap of them, counts the rest as evicted, and no
+// gauge it exposes grows with the total.
+func TestAnomalyMemoryIsBounded(t *testing.T) {
+	cfg := testConfig()
+	cfg.IndexCap = 64
+	_, ts := newTestServer(t, cfg)
+
+	// One body per stream: 10 steady units over 40 leaves, every leaf
+	// bursting in the 11th.
+	base := time.Date(2010, 9, 14, 0, 0, 0, 0, time.UTC)
+	burst := func(streamName string) string {
+		var b strings.Builder
+		line := func(leaf, minute int) {
+			fmt.Fprintf(&b, `{"stream":%q,"path":["vho%d","io"],"time":%q}`+"\n",
+				streamName, leaf, base.Add(time.Duration(minute)*time.Minute).Format(time.RFC3339))
+		}
+		for minute := 0; minute < 10; minute++ {
+			for leaf := 0; leaf < 40; leaf++ {
+				line(leaf, minute)
+			}
+		}
+		for leaf := 0; leaf < 40; leaf++ {
+			for i := 0; i < 30; i++ {
+				line(leaf, 10)
+			}
+		}
+		line(0, 11)
+		return b.String()
+	}
+	detected := 0
+	for i := 0; detected < 1000; i++ {
+		if i == 100 {
+			t.Fatalf("only %d detections after %d bursts", detected, i)
+		}
+		var ing api.IngestResponse
+		if resp := post(t, ts.URL+"/v2/records", "application/x-ndjson", burst(fmt.Sprintf("s%03d", i)), &ing); resp.StatusCode != http.StatusOK {
+			t.Fatalf("burst %d: status = %d", i, resp.StatusCode)
+		}
+		detected += len(ing.Anomalies)
+	}
+
+	resp := get(t, ts.URL+"/v2/stats", nil)
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st api.StatsResponse
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Index.Len != 64 || st.Index.Added != uint64(detected) || st.Index.Evicted != uint64(detected-64) {
+		t.Fatalf("index after %d detections = %+v, want 64 retained and the rest evicted", detected, st.Index)
+	}
+	if st.Manager.Anomalies != uint64(detected) {
+		t.Fatalf("manager counted %d anomalies, ingest responses carried %d", st.Manager.Anomalies, detected)
+	}
+	if strings.Contains(string(raw), "storeLen") {
+		t.Fatalf("/v2/stats still reports a second anomaly store: %s", raw)
+	}
+
+	// Every gauge is a level, so none may have reached the detection
+	// count — except the eviction horizon, which is a cursor.
+	mresp := get(t, ts.URL+"/metrics", nil)
+	gauges := make(map[string]bool)
+	sc := bufio.NewScanner(mresp.Body)
+	for sc.Scan() {
+		line := sc.Text()
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			if name, ok = strings.CutSuffix(name, " gauge"); ok {
+				gauges[name] = true
+			}
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 || strings.HasPrefix(line, "#") || !gauges[familyOf(line[:i])] {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("unparsable value in %q: %v", line, err)
+		}
+		if v >= float64(detected) && familyOf(line[:i]) != "tiresias_index_oldest_seq" {
+			t.Errorf("gauge %s grew with total detections (%d)", line, detected)
+		}
+	}
+	if !gauges["tiresias_index_entries"] {
+		t.Fatal("no gauges parsed from /metrics")
 	}
 }
 

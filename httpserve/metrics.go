@@ -53,7 +53,6 @@ type serverMetrics struct {
 	watchDropped     *metrics.Counter
 	watchLagged      *metrics.Counter
 	panics           *metrics.Counter
-	storeAnomalies   *metrics.Gauge
 	ckptTotal        *metrics.Counter
 	ckptDuration     *metrics.Gauge
 	ckptAge          *metrics.Gauge
@@ -132,8 +131,6 @@ func newServerMetrics(shards int) *serverMetrics {
 		"Watch subscribers disconnected for falling behind.")
 	m.panics = r.Counter("tiresias_handler_panics_total",
 		"Handler panics contained by the recovery middleware.")
-	m.storeAnomalies = r.Gauge("tiresias_store_anomalies",
-		"Anomalies in the persistent dashboard store.")
 	m.ckptTotal = r.Counter("tiresias_checkpoints_total", "Committed checkpoints.")
 	m.ckptDuration = r.Gauge("tiresias_checkpoint_duration_seconds",
 		"Wall-clock cost of the last committed checkpoint, drain included.")
@@ -204,7 +201,6 @@ func (m *serverMetrics) refresh(st api.StatsResponse) {
 	m.watchDropped.Set(st.Watch.Dropped)
 	m.watchLagged.Set(st.Watch.Lagged)
 	m.panics.Set(st.Panics)
-	m.storeAnomalies.Set(float64(st.StoreLen))
 	if cs := ms.Checkpoint; cs != nil {
 		m.ckptTotal.Set(cs.Checkpoints)
 		m.ckptDuration.Set(cs.LastDurationSeconds)
@@ -226,8 +222,7 @@ func (s *Server) statsSnapshot() api.StatsResponse {
 			Records: s.metrics.ingestRecords.Value(),
 			Bytes:   s.metrics.ingestBytes.Value(),
 		},
-		StoreLen: s.store.Len(),
-		Panics:   s.panics.Load(),
+		Panics: s.panics.Load(),
 	}
 }
 

@@ -9,7 +9,8 @@ import (
 // TestMetricsDocumented pins the OPERATIONS.md metrics reference
 // table to the registered metric set, in both directions: every
 // family the server registers must have a table row, and every row
-// must name a registered family. Run by CI's docs-lint job, so the
+// must name a registered family — 31 of them, so a family cannot
+// appear or vanish unnoticed. Run by CI's docs-lint job, so the
 // operator documentation cannot drift from the code.
 func TestMetricsDocumented(t *testing.T) {
 	raw, err := os.ReadFile("../OPERATIONS.md")
@@ -33,6 +34,9 @@ func TestMetricsDocumented(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	if n := len(s.MetricNames()); n != 31 {
+		t.Errorf("server registers %d metric families, want 31", n)
+	}
 	for _, name := range s.MetricNames() {
 		if !documented[name] {
 			t.Errorf("registered metric %s has no row in the OPERATIONS.md reference table", name)

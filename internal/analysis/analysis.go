@@ -29,8 +29,10 @@
 //   - ckptsec: every checkpoint section tag must be handled by both
 //     the encoder and the decoder, and changing the tag set demands a
 //     codec version bump.
-//   - forbidimport: hot-path packages must not import or call a
-//     configured denylist (encoding/json, fmt.Sprintf, time.Now).
+//   - forbidimport: packages must not import or select from a
+//     configured denylist (encoding/json, fmt.Sprintf, time.Now on
+//     the hot path; the report store and tool-only packages in the
+//     serving layer).
 //
 // Analyzers run over parsed, type-checked syntax — per package (Run),
 // or once over every loaded package (RunModule, for inter-procedural

@@ -4,7 +4,8 @@
 // without depending on it.
 //
 // A fixture is one directory of Go files under testdata/src/<name>
-// forming a single package (std-library imports only). Lines that
+// forming a single package (importing the standard library or this
+// module's packages). Lines that
 // should trigger a finding carry a trailing comment of the form
 //
 //	code() // want `regexp`
@@ -149,8 +150,8 @@ func collectWants(t *testing.T, fset *token.FileSet, files []*ast.File) []want {
 	return wants
 }
 
-// fixtureExports resolves the std-library imports of the fixture files
-// to export-data files, caching across calls.
+// fixtureExports resolves the imports of the fixture files to
+// export-data files, caching across calls.
 func fixtureExports(files []*ast.File) (map[string]string, error) {
 	need := map[string]bool{}
 	for _, f := range files {

@@ -14,8 +14,9 @@ type ForbidRule struct {
 	Packages []string
 	// Imports lists banned import paths.
 	Imports []string
-	// Calls lists banned qualified calls, e.g. "fmt.Sprintf" or
-	// "time.Now": package name dot exported identifier.
+	// Calls lists banned qualified selectors, e.g. "fmt.Sprintf",
+	// "time.Now" or a type such as "tiresias.Store": package name dot
+	// exported identifier.
 	Calls []string
 }
 
@@ -25,11 +26,26 @@ type ForbidRule struct {
 // (allocates and boxes), and time.Now (hot-path code must be a pure
 // function of its inputs so replays and checkpoint restores are
 // bit-exact; wall-clock reads belong to the windowing layer's inputs).
+//
+// The second rule pins the serving import graph: the wire layer holds
+// one anomaly container, the bounded index, so the unbounded report
+// store (and the root aliases that reach it) stays out, as do the
+// experiment, reference, generator and benchmark packages that only
+// tools and examples may link.
 var DefaultForbidRules = []ForbidRule{
 	{
 		Packages: []string{"internal/algo", "internal/shhh", "internal/hierarchy", "internal/stream"},
 		Imports:  []string{"encoding/json"},
 		Calls:    []string{"fmt.Sprintf", "time.Now"},
+	},
+	{
+		Packages: []string{"httpserve", "api", "client", "cmd/tiresias-serve"},
+		Imports: []string{
+			"tiresias/internal/report", "tiresias/internal/hhd", "tiresias/internal/multidim",
+			"tiresias/internal/refmethod", "tiresias/internal/experiments", "tiresias/internal/scenario",
+			"tiresias/internal/gen", "tiresias/internal/evalx", "tiresias/internal/perfbench",
+		},
+		Calls: []string{"tiresias.Store", "tiresias.NewStore", "tiresias.NewStoreSink"},
 	},
 }
 
@@ -43,7 +59,7 @@ func NewForbidImport(rules []ForbidRule) *Analyzer {
 	}
 	return &Analyzer{
 		Name: "forbidimport",
-		Doc:  "ban configured imports and calls (encoding/json, fmt.Sprintf, time.Now) from hot-path packages",
+		Doc:  "ban configured imports and selectors per package (json/Sprintf/Now on the hot path; the report store and tool-only packages in the serving layer)",
 		Run: func(pass *Pass) error {
 			return runForbidImport(pass, rules)
 		},
@@ -92,7 +108,7 @@ func runForbidImport(pass *Pass, rules []ForbidRule) error {
 				continue
 			}
 			if bannedImports[path] {
-				pass.Reportf(imp.Pos(), "import %q is banned in hot-path package %s", path, pkgPath)
+				pass.Reportf(imp.Pos(), "import %q is banned in package %s", path, pkgPath)
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -106,7 +122,7 @@ func runForbidImport(pass *Pass, rules []ForbidRule) error {
 			}
 			qualified := obj.Pkg().Name() + "." + sel.Sel.Name
 			if bannedCalls[qualified] {
-				pass.Reportf(sel.Pos(), "%s is banned in hot-path package %s", qualified, pkgPath)
+				pass.Reportf(sel.Pos(), "%s is banned in package %s", qualified, pkgPath)
 			}
 			return true
 		})

@@ -56,6 +56,12 @@ func TestForbidImport(t *testing.T) {
 	analysistest.Run(t, "forbidfix", analysis.NewForbidImport(rules))
 }
 
+func TestForbidImportServingDefaults(t *testing.T) {
+	// The fixture package is named httpserve, so the default rules —
+	// not a test-local copy — are what it pins.
+	analysistest.Run(t, "httpserve", analysis.NewForbidImport(nil))
+}
+
 func TestTagSetFingerprintCanonical(t *testing.T) {
 	// The formula is order-insensitive and position-sensitive: the
 	// ckptsec analyzer and the checkpoint package's recorded constant

@@ -121,7 +121,7 @@ func (s *Store) Save(w io.Writer) error {
 }
 
 // Load replaces the store contents with JSON previously produced by
-// Save.
+// Save; the written total restarts at the loaded length.
 func (s *Store) Load(r io.Reader) error {
 	var as []detect.Anomaly
 	if err := json.NewDecoder(r).Decode(&as); err != nil {
@@ -130,6 +130,7 @@ func (s *Store) Load(r io.Reader) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.anoms = as
+	s.appended = len(as)
 	return nil
 }
 

@@ -73,6 +73,9 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 	if s2.Len() != s.Len() {
 		t.Fatalf("loaded %d, want %d", s2.Len(), s.Len())
 	}
+	if s2.appendedCount() != s2.Len() {
+		t.Fatalf("/stats totalWritten = %d after loading %d anomalies", s2.appendedCount(), s2.Len())
+	}
 	got := s2.Query(Query{})[0]
 	if got.Key != key("vho1") || !got.Time.Equal(as[0].Time) {
 		t.Fatalf("round trip = %+v", got)

@@ -3,9 +3,9 @@ package tiresias
 // Pipelined ingestion: per-shard worker goroutines behind bounded
 // channels, so throughput scales with cores instead of callers. The
 // synchronous Feed/FeedBatch path stays available on the same Manager;
-// the pipeline adds an asynchronous Enqueue path with a configurable
-// full-queue policy, drain barriers (Drain, and implicitly Checkpoint
-// and Flush), and graceful shutdown (Close).
+// the pipeline adds an asynchronous EnqueueBatch path with a
+// configurable full-queue policy, drain barriers (Drain, and
+// implicitly Checkpoint and Flush), and graceful shutdown (Close).
 
 import (
 	"context"
@@ -51,8 +51,7 @@ func (p BackpressurePolicy) String() string {
 
 // WithPipeline enables pipelined ingestion: NewManager starts one
 // worker goroutine per shard, each fed by a bounded channel holding up
-// to queueDepth record batches, and EnqueueBatch/Enqueue become
-// usable. policy selects the full-queue behavior. A pipelined Manager
+// to queueDepth record batches, and EnqueueBatch becomes usable. policy selects the full-queue behavior. A pipelined Manager
 // owns goroutines: call Close when done with it.
 func WithPipeline(queueDepth int, policy BackpressurePolicy) ManagerOption {
 	return managerOptionFunc(func(o *managerOptions) {
@@ -101,14 +100,14 @@ func WithStepObserver(f func(timings StageTimings)) ManagerOption {
 	return managerOptionFunc(func(o *managerOptions) { o.stepObs = f })
 }
 
-// ErrQueueFull is returned by Enqueue/EnqueueBatch under the
+// ErrQueueFull is returned by EnqueueBatch under the
 // ErrorWhenFull policy when the target shard's queue is full.
 var ErrQueueFull = errors.New("tiresias: pipeline queue full")
 
-// ErrPipelineClosed is returned by Enqueue/EnqueueBatch after Close.
+// ErrPipelineClosed is returned by EnqueueBatch after Close.
 var ErrPipelineClosed = errors.New("tiresias: pipeline closed")
 
-// ErrNotPipelined is returned by Enqueue/EnqueueBatch on a Manager
+// ErrNotPipelined is returned by EnqueueBatch on a Manager
 // built without WithPipeline.
 var ErrNotPipelined = errors.New("tiresias: manager is not pipelined (use WithPipeline)")
 
@@ -291,12 +290,6 @@ func (p *pipeline) close() {
 	p.wg.Wait()
 }
 
-// Enqueue hands one record to the pipeline for asynchronous ingestion
-// into the named stream. See EnqueueBatch for semantics.
-func (m *Manager) Enqueue(streamName string, r Record) error {
-	return m.EnqueueBatch(streamName, []Record{r})
-}
-
 // EnqueueBatch hands a batch of records for one stream to the
 // pipeline and returns without waiting for detection. Records of one
 // stream are processed in enqueue order by a single worker, so the
@@ -317,11 +310,6 @@ func (m *Manager) Enqueue(streamName string, r Record) error {
 // counted and latched in Stats rather than returned.
 func (m *Manager) EnqueueBatch(streamName string, recs []Record) error {
 	return m.EnqueueBatchContext(context.Background(), streamName, recs)
-}
-
-// EnqueueContext is Enqueue honoring ctx: see EnqueueBatchContext.
-func (m *Manager) EnqueueContext(ctx context.Context, streamName string, r Record) error {
-	return m.EnqueueBatchContext(ctx, streamName, []Record{r})
 }
 
 // EnqueueBatchContext is EnqueueBatch bounded by ctx — the shape an
@@ -350,7 +338,7 @@ func (m *Manager) EnqueueBatchContext(ctx context.Context, streamName string, re
 // processed (or dropped, under DropOldest). It does not stop the
 // workers: ingestion continues normally afterwards. On a
 // non-pipelined or closed Manager, Drain is a no-op. Use it to order
-// an Enqueue stream against a read — e.g. before querying the
+// an EnqueueBatch stream against a read — e.g. before querying the
 // AnomalyIndex in tests, or before Flush.
 func (m *Manager) Drain() {
 	if m.pipe != nil {

@@ -202,11 +202,11 @@ func TestPipelineEndToEnd(t *testing.T) {
 func TestPipelineWorkerErrorsLatchedInStats(t *testing.T) {
 	m := pipelineManager(t, 2, 8, Block, nil)
 	base := start()
-	if err := m.Enqueue("s", Record{Path: []string{"pop"}, Time: base.Add(time.Hour)}); err != nil {
+	if err := m.EnqueueBatch("s", []Record{{Path: []string{"pop"}, Time: base.Add(time.Hour)}}); err != nil {
 		t.Fatal(err)
 	}
 	// Out of order: rejected by the worker, surfaced in stats.
-	if err := m.Enqueue("s", Record{Path: []string{"pop"}, Time: base}); err != nil {
+	if err := m.EnqueueBatch("s", []Record{{Path: []string{"pop"}, Time: base}}); err != nil {
 		t.Fatal(err)
 	}
 	m.Drain()
@@ -345,7 +345,7 @@ func TestDropOldestEndToEnd(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		for _, s := range streams {
 			rec := Record{Path: []string{"pop"}, Time: start().Add(time.Duration(round) * time.Minute)}
-			if err := m.Enqueue(s, rec); err != nil {
+			if err := m.EnqueueBatch(s, []Record{rec}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -374,7 +374,7 @@ func TestBlockPolicyLossless(t *testing.T) {
 			name := fmt.Sprintf("s%d", g)
 			for i := 0; i < perProducer; i++ {
 				rec := Record{Path: []string{"pop"}, Time: start().Add(time.Duration(i) * time.Minute)}
-				if err := m.Enqueue(name, rec); err != nil {
+				if err := m.EnqueueBatch(name, []Record{rec}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -393,7 +393,7 @@ func TestCloseSemantics(t *testing.T) {
 	m := pipelineManager(t, 2, 64, Block, nil)
 	for i := 0; i < 100; i++ {
 		rec := Record{Path: []string{"pop"}, Time: start().Add(time.Duration(i) * time.Minute)}
-		if err := m.Enqueue("s", rec); err != nil {
+		if err := m.EnqueueBatch("s", []Record{rec}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -404,8 +404,8 @@ func TestCloseSemantics(t *testing.T) {
 	if st := m.Stats(); st.Records != 100 {
 		t.Fatalf("records after Close = %d, want 100", st.Records)
 	}
-	if err := m.Enqueue("s", Record{Path: []string{"pop"}, Time: start().Add(200 * time.Minute)}); !errors.Is(err, ErrPipelineClosed) {
-		t.Fatalf("Enqueue after Close = %v, want ErrPipelineClosed", err)
+	if err := m.EnqueueBatch("s", []Record{{Path: []string{"pop"}, Time: start().Add(200 * time.Minute)}}); !errors.Is(err, ErrPipelineClosed) {
+		t.Fatalf("EnqueueBatch after Close = %v, want ErrPipelineClosed", err)
 	}
 	if err := m.Close(); err != nil { // idempotent
 		t.Fatal(err)
@@ -420,8 +420,8 @@ func TestCloseSemantics(t *testing.T) {
 
 func TestEnqueueOnSynchronousManager(t *testing.T) {
 	m := testManager(t, 1)
-	if err := m.Enqueue("s", Record{Path: []string{"pop"}, Time: start()}); !errors.Is(err, ErrNotPipelined) {
-		t.Fatalf("Enqueue = %v, want ErrNotPipelined", err)
+	if err := m.EnqueueBatch("s", []Record{{Path: []string{"pop"}, Time: start()}}); !errors.Is(err, ErrNotPipelined) {
+		t.Fatalf("EnqueueBatch = %v, want ErrNotPipelined", err)
 	}
 	m.Drain()     // no-op
 	_ = m.Close() // no-op
@@ -512,7 +512,7 @@ func TestCheckpointDrainsPipeline(t *testing.T) {
 
 	m := pipelineManager(t, 4, 256, Block, nil)
 	for _, r := range recs {
-		if err := m.Enqueue("s", r); err != nil {
+		if err := m.EnqueueBatch("s", []Record{r}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -544,7 +544,7 @@ func TestConcurrentEnqueueAndCheckpoint(t *testing.T) {
 			defer wg.Done()
 			name := fmt.Sprintf("s%d", g)
 			for _, r := range unitRecords(25, 0) {
-				if err := m.Enqueue(name, r); err != nil {
+				if err := m.EnqueueBatch(name, []Record{r}); err != nil {
 					t.Error(err)
 					return
 				}

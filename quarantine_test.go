@@ -233,7 +233,7 @@ func TestPipelineWorkerPanicContained(t *testing.T) {
 		t.Fatalf("records = %d, want at least the healthy stream's %d", st.Records, len(recs))
 	}
 	// And the pipeline is still alive: more work drains fine.
-	if err := m.Enqueue("good", Record{Path: []string{"pop"}, Time: start().Add(time.Hour)}); err != nil {
+	if err := m.EnqueueBatch("good", []Record{{Path: []string{"pop"}, Time: start().Add(time.Hour)}}); err != nil {
 		t.Fatal(err)
 	}
 	m.Drain()
@@ -253,7 +253,7 @@ func TestEnqueueContextCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := m.EnqueueContext(ctx, "s", Record{Path: []string{"pop"}, Time: start()}); !errors.Is(err, context.Canceled) {
+	if err := m.EnqueueBatchContext(ctx, "s", []Record{{Path: []string{"pop"}, Time: start()}}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled enqueue = %v, want context.Canceled", err)
 	}
 
@@ -264,7 +264,7 @@ func TestEnqueueContextCancel(t *testing.T) {
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel2()
 	t0 := time.Now()
-	err := m.EnqueueContext(ctx2, "s", Record{Path: []string{"pop"}, Time: t0})
+	err := m.EnqueueBatchContext(ctx2, "s", []Record{{Path: []string{"pop"}, Time: t0}})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("blocked enqueue = %v, want context.DeadlineExceeded", err)
 	}

@@ -54,7 +54,8 @@ func (s SinkFuncs) OnUnit(ev UnitEvent) {
 }
 
 // NewStoreSink returns a Sink appending every anomaly to a report
-// Store, wiring the detector to the HTTP dashboard/query front end.
+// Store, wiring the detector to its JSON persistence and HTTP query
+// front end.
 func NewStoreSink(st *Store) Sink {
 	return SinkFuncs{Anomaly: func(a Anomaly) { st.Add(a) }}
 }

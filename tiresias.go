@@ -16,7 +16,7 @@
 // sharded Manager multiplexes many independent streams behind one
 // Feed hot path. At scale the Manager runs pipelined (WithPipeline):
 // per-shard worker goroutines behind bounded queues ingest
-// asynchronously via Enqueue/EnqueueBatch under a configurable
+// asynchronously via EnqueueBatch under a configurable
 // backpressure policy, and detections land in a bounded queryable
 // AnomalyIndex (WithAnomalyIndex) instead of vanishing with the
 // return value.
