@@ -123,6 +123,11 @@ func BenchmarkManagerFeed(b *testing.B) { perfbench.ManagerFeed(b) }
 // parallelism.
 func BenchmarkManagerFeedPipelined(b *testing.B) { perfbench.ManagerFeedPipelined(b) }
 
+// BenchmarkHandlerIngest measures one warm 1000-record NDJSON body
+// through the serving layer's handler (read, decode, validate, group,
+// synchronous FeedBatch, response); figures are per body.
+func BenchmarkHandlerIngest(b *testing.B) { perfbench.HandlerIngest(b) }
+
 // BenchmarkADAStepMap measures the same instance entering through the
 // compatibility map-form Step (per-unit Key interning included).
 func BenchmarkADAStepMap(b *testing.B) {

@@ -1,0 +1,529 @@
+package httpserve
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"tiresias"
+	"tiresias/api"
+)
+
+// The oracle: the ingest decode as it was before the span scanner —
+// json.Unmarshal into api.Record, validate, group — kept here as the
+// reference the scanner is compared against. It differs from that code
+// in one respect, the bug fixed alongside: NDJSON lines are numbered
+// against the body as sent, not against the trimmed body.
+
+type oracleGroup struct {
+	stream string
+	recs   []tiresias.Record
+}
+
+func oracleParse(raw []byte, ndjson bool) ([]api.Record, error) {
+	if ndjson {
+		var recs []api.Record
+		for n, line := range bytes.Split(raw, []byte("\n")) {
+			line = bytes.TrimSpace(line)
+			if len(line) == 0 {
+				continue
+			}
+			var rec api.Record
+			if err := json.Unmarshal(line, &rec); err != nil {
+				return nil, fmt.Errorf("bad record on line %d: %w", n+1, err)
+			}
+			recs = append(recs, rec)
+		}
+		if len(recs) == 0 {
+			return nil, fmt.Errorf("empty request body")
+		}
+		return recs, nil
+	}
+	trimmed := bytes.TrimSpace(raw)
+	if len(trimmed) == 0 {
+		return nil, fmt.Errorf("empty request body")
+	}
+	if trimmed[0] == '[' {
+		var recs []api.Record
+		if err := json.Unmarshal(trimmed, &recs); err != nil {
+			return nil, fmt.Errorf("bad record array: %w%s", err, ndjsonHint)
+		}
+		return recs, nil
+	}
+	var rec api.Record
+	if err := json.Unmarshal(trimmed, &rec); err != nil {
+		return nil, fmt.Errorf("bad record: %w%s", err, ndjsonHint)
+	}
+	return []api.Record{rec}, nil
+}
+
+func oracleIngest(raw []byte, ndjson bool) ([]oracleGroup, *wireError) {
+	recs, err := oracleParse(raw, ndjson)
+	if err != nil {
+		return nil, &wireError{status: http.StatusBadRequest, code: api.CodeBadRequest, message: err.Error()}
+	}
+	for i, rec := range recs {
+		var what string
+		switch {
+		case len(rec.Path) == 0:
+			what = "empty path"
+		case rec.Time.IsZero():
+			what = "missing time"
+		default:
+			continue
+		}
+		return nil, &wireError{
+			status:  http.StatusBadRequest,
+			code:    api.CodeInvalidRecord,
+			message: fmt.Sprintf("record %d: %s", i, what),
+			details: map[string]any{"record": i},
+		}
+	}
+	var out []oracleGroup
+	for _, rec := range recs {
+		name := rec.Stream
+		if name == "" {
+			name = api.DefaultStream
+		}
+		r := tiresias.Record{Path: rec.Path, Time: rec.Time}
+		if n := len(out); n > 0 && out[n-1].stream == name {
+			out[n-1].recs = append(out[n-1].recs, r)
+			continue
+		}
+		out = append(out, oracleGroup{stream: name, recs: []tiresias.Record{r}})
+	}
+	return out, nil
+}
+
+// decodeGroups runs the server's decode on raw and cuts the groups the
+// handler would feed.
+func decodeGroups(s *Server, raw []byte, ndjson bool) ([]oracleGroup, *wireError) {
+	d := s.decoders.Get().(*decoder)
+	defer s.putDecoder(d)
+	d.body = append(d.body[:0], raw...)
+	if we := s.decodeIngest(d, ndjson); we != nil {
+		return nil, we
+	}
+	var out []oracleGroup
+	lo := 0
+	for _, run := range d.runs {
+		out = append(out, oracleGroup{stream: run.stream, recs: d.recs[lo:run.end:run.end]})
+		lo = run.end
+	}
+	return out, nil
+}
+
+// sameOutcome compares a decode against the oracle's: same
+// accept/reject, same wire error, same (stream, path, time) sequence
+// and grouping.
+func sameOutcome(got []oracleGroup, gotErr *wireError, want []oracleGroup, wantErr *wireError) error {
+	if (gotErr == nil) != (wantErr == nil) {
+		return fmt.Errorf("error = %+v, oracle %+v", gotErr, wantErr)
+	}
+	if gotErr != nil {
+		if !reflect.DeepEqual(gotErr, wantErr) {
+			return fmt.Errorf("error = %+v, oracle %+v", gotErr, wantErr)
+		}
+		return nil
+	}
+	if len(got) != len(want) {
+		return fmt.Errorf("%d groups, oracle %d", len(got), len(want))
+	}
+	for g := range got {
+		if got[g].stream != want[g].stream || len(got[g].recs) != len(want[g].recs) {
+			return fmt.Errorf("group %d = %q × %d, oracle %q × %d", g, got[g].stream, len(got[g].recs), want[g].stream, len(want[g].recs))
+		}
+		for i, r := range got[g].recs {
+			w := want[g].recs[i]
+			if !reflect.DeepEqual(r.Path, w.Path) {
+				return fmt.Errorf("group %d record %d: path %q, oracle %q", g, i, r.Path, w.Path)
+			}
+			_, off := r.Time.Zone()
+			_, woff := w.Time.Zone()
+			if !r.Time.Equal(w.Time) || off != woff {
+				return fmt.Errorf("group %d record %d: time %v, oracle %v", g, i, r.Time, w.Time)
+			}
+		}
+	}
+	return nil
+}
+
+// checkAgainstOracle decodes raw on a cold server and again with the
+// caches it warmed, and holds both to the oracle.
+func checkAgainstOracle(t *testing.T, raw []byte, ndjson bool) {
+	t.Helper()
+	s, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	want, wantErr := oracleIngest(raw, ndjson)
+	for _, pass := range []string{"cold", "warm"} {
+		got, gotErr := decodeGroups(s, raw, ndjson)
+		if err := sameOutcome(got, gotErr, want, wantErr); err != nil {
+			t.Fatalf("%s decode of %q (ndjson=%v): %v", pass, raw, ndjson, err)
+		}
+	}
+}
+
+// FuzzIngestDecode is the differential target: the span scanner must
+// agree with the json.Unmarshal-into-api.Record oracle on every body,
+// in both framings, cold and warm.
+func FuzzIngestDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte, ndjson bool) {
+		checkAgainstOracle(t, raw, ndjson)
+	})
+}
+
+// TestDecodeMatchesOracle runs the shapes the fuzz corpus was seeded
+// from through the same check under plain go test, in both framings
+// and, for the single-line ones, wrapped in an array.
+func TestDecodeMatchesOracle(t *testing.T) {
+	const ts = `"2010-09-14T00:00:01Z"`
+	lines := []string{
+		`{"stream":"a","path":["x","y"],"time":` + ts + `}`,
+		`{"time":` + ts + `,"path":["x","y"],"stream":"a"}`,
+		` { "stream" : "a" , "path" : [ "x" , "y" ] , "time" : ` + ts + ` } `,
+		`{"path":["x"],"time":` + ts + `}`,
+		`{"stream":"","path":["x"],"time":` + ts + `}`,
+		`{"stream":"default","path":["x"],"time":` + ts + `}`,
+		`{}`,
+		`{"path":[],"time":` + ts + `}`,
+		`{"path":["x"]}`,
+		`{"path":["x"],"time":"0001-01-01T00:00:00Z"}`,
+		// Escapes, in every span.
+		`{"stream":"a\"b\\","path":["x\"]","y\\"],"time":` + ts + `}`,
+		`{"stream":"a","path":["é","😀","\n"],"time":` + ts + `}`,
+		`{"stream":"\u0061","path":["\u0078"],"time":"2010-09-14T00:00:01\u005a"}`,
+		`{"p\u0061th":["x"],"time":` + ts + `}`,
+		`{"path":["bad \x escape"],"time":` + ts + `}`,
+		"{\"path\":[\"ctl \x01\"],\"time\":" + ts + "}",
+		// Invalid UTF-8 is repaired by encoding/json, not rejected.
+		"{\"stream\":\"\xff\xfe\",\"path\":[\"\xc3\x28\",\"ok\"],\"time\":" + ts + "}",
+		// Keys: duplicate, case variants, unknown (with nesting).
+		`{"path":["x"],"path":["y","z"],"time":` + ts + `}`,
+		`{"path":["x","y"],"path":["z"],"time":` + ts + `}`,
+		`{"stream":"a","stream":"b","path":["x"],"time":` + ts + `}`,
+		`{"Path":["x"],"TIME":` + ts + `,"Stream":"S"}`,
+		`{"path":["x"],"Path":["y"],"time":` + ts + `}`,
+		`{"path":["x"],"time":` + ts + `,"extra":{"a":[1,{"b":"]}"}],"c":null}}`,
+		`{"path":["x"],"time":` + ts + `,"stream":"a","value":3}`,
+		// null, fields and elements; wrong types.
+		`{"stream":null,"path":["x"],"time":` + ts + `}`,
+		`{"path":null,"time":` + ts + `}`,
+		`{"path":["x"],"time":null}`,
+		`{"path":["x",null,"y"],"time":` + ts + `}`,
+		`{"path":[null],"time":` + ts + `}`,
+		`{"path":["x",1],"time":` + ts + `}`,
+		`{"path":[["x"]],"time":` + ts + `}`,
+		`{"path":"x","time":` + ts + `}`,
+		`{"path":{"a":"b"},"time":` + ts + `}`,
+		`{"stream":7,"path":["x"],"time":` + ts + `}`,
+		`{"path":["x"],"time":1284422401}`,
+		`{"path":["x"],"time":{"a":1}}`,
+		`null`,
+		`"string"`,
+		`17`,
+		// Timestamps: fractions, offsets, a Z inside, leap second,
+		// ranges, lenient forms time.Parse lets through.
+		`{"path":["x"],"time":"2010-09-14T00:00:01.5Z"}`,
+		`{"path":["x"],"time":"2010-09-14T00:00:01.123456789Z"}`,
+		`{"path":["x"],"time":"2010-09-14T00:00:01.1234567891Z"}`,
+		`{"path":["x"],"time":"2010-09-14T00:00:01.Z"}`,
+		`{"path":["x"],"time":"2010-09-14T00:00:01,5Z"}`,
+		`{"path":["x"],"time":"2010-09-14T00:00:59.999999999Z"}`,
+		`{"path":["x"],"time":"2010-09-14T00:00:60Z"}`,
+		`{"path":["x"],"time":"2010-09-14T00:00:01+02:00"}`,
+		`{"path":["x"],"time":"2010-09-14T00:00:01.25-07:30"}`,
+		`{"path":["x"],"time":"2010-09-14T00:00:01+00:00"}`,
+		`{"path":["x"],"time":"2010-09-14T00:00:01+24:00"}`,
+		`{"path":["x"],"time":"2010-09-14T00:Z0:01Z"}`,
+		`{"path":["x"],"time":"2010-09-14T00:00:0ZZ"}`,
+		`{"path":["x"],"time":"2010-09-14T00:00:01z"}`,
+		`{"path":["x"],"time":"2010-09-14t00:00:01Z"}`,
+		`{"path":["x"],"time":"2010-09-14 00:00:01Z"}`,
+		`{"path":["x"],"time":"2010-09-14T1:00:01Z"}`,
+		`{"path":["x"],"time":"2010-13-14T00:00:01Z"}`,
+		`{"path":["x"],"time":"2010-02-30T00:00:01Z"}`,
+		`{"path":["x"],"time":"2012-02-29T23:59:01Z"}`,
+		`{"path":["x"],"time":"2010-09-14T24:00:01Z"}`,
+		`{"path":["x"],"time":"2010-09-14T00:60:01Z"}`,
+		`{"path":["x"],"time":"20100914T000001Z"}`,
+		`{"path":["x"],"time":"+010-09-14T00:00:01Z"}`,
+		`{"path":["x"],"time":""}`,
+		// Trailing data and truncation.
+		`{"path":["x"],"time":` + ts + `}}`,
+		`{"path":["x"],"time":` + ts + `} {"path":["y"],"time":` + ts + `}`,
+		`{"path":["x"],"time":` + ts + `},`,
+		`{"path":["x"],"time":` + ts,
+		`{"path":["x"],"time":"2010-09-14T00:00:01Z`,
+		`{"path":["x","time":` + ts + `}`,
+		`{"path":["x",],"time":` + ts + `}`,
+		`{"path":["x"],"time":` + ts + `,}`,
+		`{"path":["x"] "time":` + ts + `}`,
+		`{"path"["x"],"time":` + ts + `}`,
+		`{not json`,
+		"\v{\"path\":[\"x\"],\"time\":" + ts + "}\f",
+		" {\"path\":[\"x\"],\"time\":" + ts + "}",
+		"{\"path\":[\"x\"],\v\"time\":" + ts + "}",
+	}
+	for _, line := range lines {
+		checkAgainstOracle(t, []byte(line), false)
+		checkAgainstOracle(t, []byte(line), true)
+		checkAgainstOracle(t, []byte("["+line+"]"), false)
+		checkAgainstOracle(t, []byte("[\n"+line+" , "+lines[0]+"\n]\n"), false)
+	}
+	good, other := lines[0], `{"stream":"b","path":["x","y"],"time":`+ts+`}`
+	bodies := []string{
+		"", " \n\t ", "\n\n", "[]", " [ ] ", "[", "]", "[]]", "[],", "[null]", "[{}]", "[null," + good + "]",
+		"[" + good + "]x", "[" + good + ",]", "[," + good + "]", "[" + good + " " + good + "]",
+		good + "\n" + good + "\n" + other + "\n" + good + "\n",
+		good + "\r\n" + other + "\r\n",
+		"\n\n" + good + "\n\n\n" + other,
+		"\n\n{bad",
+		good + "\n\n" + `{"path":["x"],"time":"nope"}` + "\n" + good,
+		good + "\n" + `{"path":[],"time":` + ts + `}` + "\n{bad\n",
+		good + "\n" + `{"path":[],"time":` + ts + `}` + "\n" + `{"path":["x"]}`,
+		"[" + good + "," + other + "," + other + "," + good + "]",
+		"[" + good + "," + `{"path":[]}` + "," + good + "]",
+	}
+	for _, body := range bodies {
+		checkAgainstOracle(t, []byte(body), false)
+		checkAgainstOracle(t, []byte(body), true)
+	}
+}
+
+// TestNDJSONErrorCases pins the NDJSON decode errors: lines are
+// numbered against the body as sent, a decode error wins over an
+// earlier invalid record, and the invalid record carries its index.
+func TestNDJSONErrorCases(t *testing.T) {
+	s, ts := newTestServer(t, testConfig())
+	const good = `{"path":["a"],"time":"2010-09-14T00:00:00Z"}`
+	for _, tc := range []struct {
+		name, body, code, message string
+		record                    any
+	}{
+		{"leading blank lines count", "\n\n{bad", api.CodeBadRequest, "bad record on line 3:", nil},
+		{"first line", "{bad\n" + good, api.CodeBadRequest, "bad record on line 1:", nil},
+		{"blank lines between", good + "\n\n\r\n" + `{"path":7}` + "\n", api.CodeBadRequest, "bad record on line 4:", nil},
+		{"only blank lines", "\n \n\t\n", api.CodeBadRequest, "empty request body", nil},
+		{"decode error wins over an earlier invalid record", `{"path":[]}` + "\n{bad", api.CodeBadRequest, "bad record on line 2:", nil},
+		{"invalid record carries its index", good + "\n\n" + `{"path":["a"]}` + "\n" + `{"path":[]}`, api.CodeInvalidRecord, "record 1: missing time", float64(1)},
+	} {
+		resp := post(t, ts.URL+"/v2/records", "application/x-ndjson", tc.body, nil)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400", tc.name, resp.StatusCode)
+		}
+		e := decodeError(t, resp)
+		if e.Code != tc.code || !strings.HasPrefix(e.Message, tc.message) || e.Details["record"] != tc.record {
+			t.Fatalf("%s: error = %+v, want code %s, message %q…, record %v", tc.name, e, tc.code, tc.message, tc.record)
+		}
+	}
+	if st := s.Manager().Stats(); st.Records != 0 || st.Streams != 0 {
+		t.Fatalf("a rejected batch fed records: %+v", st)
+	}
+}
+
+// TestOversizedContentLengthIs413BeforeReading: a declared length over
+// the limit is refused without touching the body; a chunked body is
+// still cut off by the limit reader.
+func TestOversizedContentLengthIs413BeforeReading(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxBodyBytes = 64
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, declared := range []int64{65, -1} {
+		body := &countingReader{r: strings.NewReader(strings.Repeat(" ", 4096))}
+		req := httptest.NewRequest(http.MethodPost, "/v2/records", body)
+		req.ContentLength = declared
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), api.CodeBodyTooLarge) {
+			t.Fatalf("declared %d: %d %s, want 413 %s", declared, rec.Code, rec.Body, api.CodeBodyTooLarge)
+		}
+		if declared > 0 && body.n != 0 {
+			t.Fatalf("read %d body bytes of a request whose Content-Length was already over the limit", body.n)
+		}
+		if declared < 0 && (body.n <= 64 || body.n > 4096) {
+			t.Fatalf("chunked body: read %d bytes, want just past the 64-byte limit", body.n)
+		}
+	}
+	// A buffer that grew past the limit is not pooled.
+	d := &decoder{cache: s.cache, body: make([]byte, 0, 65)}
+	s.putDecoder(d)
+	if got := s.decoders.Get().(*decoder); got == d {
+		t.Fatal("a buffer larger than MaxBodyBytes went back to the pool")
+	}
+}
+
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// denseBody renders n one-second-apart records of one stream over a
+// small set of paths, in either framing.
+func denseBody(n int, array bool) []byte {
+	base := time.Date(2010, 9, 14, 0, 0, 0, 0, time.UTC)
+	var b bytes.Buffer
+	if array {
+		b.WriteByte('[')
+	}
+	for i := 0; i < n; i++ {
+		if array && i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"stream":"s000","path":["vho%d","io%d","co%d","dslam%d"],"time":%q}`,
+			i%3, i%5, i%7, i%11, base.Add(time.Duration(i)*time.Second).Format(time.RFC3339))
+		if !array {
+			b.WriteByte('\n')
+		}
+	}
+	if array {
+		b.WriteByte(']')
+	}
+	return b.Bytes()
+}
+
+// TestWarmDecodeAllocatesPerBodyNotPerRecord pins the decode's
+// allocation count once the caches hold the body's spans: the record
+// array, and nothing per record.
+func TestWarmDecodeAllocatesPerBodyNotPerRecord(t *testing.T) {
+	s, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, tc := range []struct {
+		name    string
+		records int
+		array   bool
+	}{
+		{"1000-record NDJSON", 1000, false},
+		{"100-record array", 100, true},
+	} {
+		d := &decoder{cache: s.cache, body: denseBody(tc.records, tc.array)}
+		decode := func() {
+			if we := s.decodeIngest(d, !tc.array); we != nil {
+				t.Fatal(we.message)
+			}
+			if len(d.recs) != tc.records || len(d.runs) != 1 {
+				t.Fatalf("%s: %d records in %d runs", tc.name, len(d.recs), len(d.runs))
+			}
+		}
+		decode()
+		if allocs := testing.AllocsPerRun(20, decode); allocs > 1 {
+			t.Errorf("%s: %.1f allocations per warm body, want 1 (the record array), 0 per record", tc.name, allocs)
+		}
+	}
+}
+
+// TestConcurrentIngestSharesReadOnlyPaths posts overlapping bodies
+// from several goroutines to a pipelined server. Under -race this is
+// the check that nothing downstream of the decoder writes the shared,
+// cached Path slices; the snapshot comparison says it directly.
+func TestConcurrentIngestSharesReadOnlyPaths(t *testing.T) {
+	cfg := testConfig()
+	cfg.QueueDepth = 8
+	cfg.Shards = 4
+	s, ts := newTestServer(t, cfg)
+	const posters, rounds = 4, 6
+	var wg sync.WaitGroup
+	for p := 0; p < posters; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				// Every poster names the same paths; streams are
+				// per poster so each stays in time order.
+				body := bytes.ReplaceAll(denseBody(200, r%2 == 1), []byte("s000"), []byte(fmt.Sprintf("s%03d", p)))
+				ct := "application/x-ndjson"
+				if r%2 == 1 {
+					ct = "application/json"
+				}
+				resp, err := http.Post(ts.URL+"/v2/records", ct, bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp.Body.Close()
+				if r > 0 {
+					continue // later rounds are out of order for the stream: 400s, decoded all the same
+				}
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("poster %d: status %d", p, resp.StatusCode)
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	s.Manager().Drain()
+	s.cache.mu.RLock()
+	defer s.cache.mu.RUnlock()
+	if len(s.cache.paths) == 0 {
+		t.Fatal("path cache is empty after ingest")
+	}
+	for span, p := range s.cache.paths {
+		var want []string
+		if err := json.Unmarshal([]byte("["+span+"]"), &want); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(p, want) || cap(p) != len(p) {
+			t.Fatalf("cached path for %s = %q (cap %d), want %q with clipped capacity", span, p, cap(p), want)
+		}
+	}
+}
+
+// TestCacheFullClearsAndRewarms drives more distinct spans through a
+// tiny cache than it holds: the cache stays bounded, clears and
+// re-warms, and the detections equal those of an uncrowded server.
+func TestCacheFullClearsAndRewarms(t *testing.T) {
+	detect := func(pathCap, streamCap int) ([]tiresias.Anomaly, *Server, map[string]float64) {
+		s, ts := newTestServer(t, testConfig())
+		s.cache = newSpanCache(pathCap, streamCap)
+		var out []tiresias.Anomaly
+		for _, stream := range []string{"a", "b", "c", "d", "e", "f"} {
+			// 51 distinct paths a body (one of them the stream's own),
+			// two streams a body.
+			body := strings.ReplaceAll(ndjsonBody(stream, 30), `"io2"]`, `"io2","x`+stream+`"]`) +
+				strings.ReplaceAll(string(denseBody(50, false)), "s000", "dense-"+stream)
+			var ing api.IngestResponse
+			if resp := post(t, ts.URL+"/v2/records", "application/x-ndjson", body, &ing); resp.StatusCode != http.StatusOK {
+				t.Fatalf("stream %s: status %d", stream, resp.StatusCode)
+			}
+			out = append(out, ing.Anomalies...)
+		}
+		return out, s, scrape(t, ts.URL)
+	}
+	want, _, _ := detect(pathCacheCap, streamCacheCap)
+	got, s, series := detect(4, 1)
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("detections through a crowded cache differ: %d, want %d", len(got), len(want))
+	}
+	if np, ns := len(s.cache.paths), len(s.cache.streams); np == 0 || np > 4 || ns != 1 {
+		t.Fatalf("cache holds %d paths and %d streams, want 1–4 and 1", np, ns)
+	}
+	if hits, misses := series["tiresias_ingest_path_cache_hits_total"], series["tiresias_ingest_path_cache_misses_total"]; hits == 0 || misses < 6*47 {
+		t.Fatalf("path cache hits = %v, misses = %v; want hits, and every body missing all but the 4 paths the cache can hold", hits, misses)
+	}
+	if n := series["tiresias_ingest_decode_seconds_count"]; n != 6 {
+		t.Fatalf("tiresias_ingest_decode_seconds_count = %v, want one observation per body (6)", n)
+	}
+}

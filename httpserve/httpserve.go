@@ -16,15 +16,14 @@
 package httpserve
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -166,6 +165,10 @@ type Server struct {
 	pipelined bool
 	metrics   *serverMetrics
 	log       *slog.Logger
+	// cache and decoders are the ingest decode state (decode.go): the
+	// server-wide span caches and the pooled per-request decoders.
+	cache    *spanCache
+	decoders sync.Pool
 
 	// panics counts handler panics the recovery middleware contained,
 	// surfaced in /v2/stats and /v2/healthz.
@@ -193,7 +196,9 @@ func New(cfg Config) (*Server, error) {
 		pipelined: cfg.QueueDepth > 0,
 		metrics:   newServerMetrics(cfg.Shards),
 		log:       cfg.Logger,
+		cache:     newSpanCache(pathCacheCap, streamCacheCap),
 	}
+	s.decoders.New = func() any { return &decoder{cache: s.cache} }
 	s.ix.Add(HistoryStream, history...)
 	liveOpts := append([]tiresias.Option{
 		tiresias.WithDelta(cfg.Delta),
@@ -421,9 +426,6 @@ func retryAfterSeconds(d time.Duration) string {
 	return strconv.FormatInt(secs, 10)
 }
 
-// errBodyTooLarge marks an ingest body over Config.MaxBodyBytes.
-var errBodyTooLarge = errors.New("request body too large")
-
 // ingestV2 serves POST /v2/records: decode (JSON object, array, or
 // NDJSON by Content-Type), validate the whole batch before feeding
 // anything, then feed or enqueue per-stream groups. ?wait=<bool>
@@ -442,55 +444,41 @@ func (s *Server) ingestV2(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	recs, err := s.decodeRecords(r.Body, r.Header.Get("Content-Type"))
-	if errors.Is(err, errBodyTooLarge) {
-		writeErrorV2(w, &wireError{
-			status:  http.StatusRequestEntityTooLarge,
-			code:    api.CodeBodyTooLarge,
-			message: fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes),
-		})
+	if r.ContentLength > s.cfg.MaxBodyBytes {
+		writeErrorV2(w, s.bodyTooLarge())
 		return
 	}
-	if err != nil {
-		writeErrorV2(w, &wireError{
-			status:  http.StatusBadRequest,
-			code:    api.CodeBadRequest,
-			message: err.Error(),
-		})
-		return
-	}
-	// Validate the whole batch before feeding anything, so a 400 for
-	// a malformed record has no side effects and the client can
-	// safely fix and re-post the batch.
-	for i, rec := range recs {
-		var what string
-		switch {
-		case len(rec.Path) == 0:
-			what = "empty path"
-		case rec.Time.IsZero():
-			what = "missing time"
-		default:
-			continue
+	d := s.decoders.Get().(*decoder)
+	defer s.putDecoder(d)
+	if err := d.readBody(r.Body, r.ContentLength, s.cfg.MaxBodyBytes); err != nil {
+		we := s.bodyTooLarge()
+		if !errors.Is(err, errBodyTooLarge) {
+			we = &wireError{status: http.StatusBadRequest, code: api.CodeBadRequest, message: err.Error()}
 		}
-		writeErrorV2(w, &wireError{
-			status:  http.StatusBadRequest,
-			code:    api.CodeInvalidRecord,
-			message: fmt.Sprintf("record %d: %s", i, what),
-			details: map[string]any{"record": i},
-		})
+		writeErrorV2(w, we)
+		return
+	}
+	if we := s.decodeIngest(d, strings.Contains(r.Header.Get("Content-Type"), "ndjson")); we != nil {
+		writeErrorV2(w, we)
 		return
 	}
 	resp.Queued = s.pipelined
-	for _, g := range groupByStream(recs) {
+	lo := 0
+	for _, run := range d.runs {
+		// Every group is a capped window of the one record array the
+		// body decoded into; the pipeline owns it from here.
+		group := d.recs[lo:run.end:run.end]
+		lo = run.end
+		var err error
 		if s.pipelined {
 			// The request context bounds the enqueue: a client that
 			// hung up stops waiting on a full Block-policy queue
 			// instead of pinning this handler goroutine.
-			if err = s.mgr.EnqueueBatchContext(r.Context(), g.stream, g.recs); err == nil {
-				resp.Accepted += len(g.recs)
+			if err = s.mgr.EnqueueBatchContext(r.Context(), run.stream, group); err == nil {
+				resp.Accepted += len(group)
 			}
 		} else {
-			anoms, n, feedErr := s.mgr.FeedBatch(g.stream, g.recs)
+			anoms, n, feedErr := s.mgr.FeedBatch(run.stream, group)
 			resp.Accepted += n
 			resp.Anomalies = append(resp.Anomalies, anoms...)
 			err = feedErr
@@ -504,6 +492,63 @@ func (s *Server) ingestV2(w http.ResponseWriter, r *http.Request) {
 		s.mgr.Drain()
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// bodyTooLarge is the 413 for a body over Config.MaxBodyBytes.
+func (s *Server) bodyTooLarge() *wireError {
+	return &wireError{
+		status:  http.StatusRequestEntityTooLarge,
+		code:    api.CodeBodyTooLarge,
+		message: fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes),
+	}
+}
+
+// putDecoder returns a request's decoder to the pool. The record array
+// belongs to the pipeline by now, and a buffer grown past MaxBodyBytes
+// is left to the collector rather than pinned.
+func (s *Server) putDecoder(d *decoder) {
+	d.recs = nil
+	if int64(cap(d.body)) <= s.cfg.MaxBodyBytes {
+		s.decoders.Put(d)
+	}
+}
+
+// decodeIngest decodes and validates the body d has read, leaving the
+// records in d.recs and their same-stream runs in d.runs. Any decode
+// error wins over the first invalid record, and the whole batch is
+// validated before anything is fed, so a 400 has no side effects and
+// the client can safely fix and re-post the batch.
+func (s *Server) decodeIngest(d *decoder, ndjson bool) *wireError {
+	begin := time.Now()
+	err := d.decode(ndjson)
+	s.metrics.ingestDecode.Observe(time.Since(begin).Seconds())
+	s.metrics.pathCacheHits.Add(d.pathHits)
+	s.metrics.pathCacheMisses.Add(d.pathMisses)
+	if err != nil {
+		return &wireError{status: http.StatusBadRequest, code: api.CodeBadRequest, message: err.Error()}
+	}
+	for i, rec := range d.recs {
+		var what string
+		switch {
+		case len(rec.Path) == 0:
+			what = "empty path"
+		case rec.Time.IsZero():
+			what = "missing time"
+		default:
+			continue
+		}
+		return &wireError{
+			status:  http.StatusBadRequest,
+			code:    api.CodeInvalidRecord,
+			message: fmt.Sprintf("record %d: %s", i, what),
+			details: map[string]any{"record": i},
+		}
+	}
+	// Counted only once the body has both passed the size limit and
+	// decoded, so tiresias_ingest_bytes_total stays comparable to
+	// tiresias_ingest_records_total (rejected bodies count in neither).
+	s.metrics.ingestBytes.Add(uint64(len(d.body)))
+	return nil
 }
 
 // feedError builds the envelope for a batch that failed part-way
@@ -531,102 +576,6 @@ func (s *Server) feedError(err error, accepted int) *wireError {
 		we.status = http.StatusServiceUnavailable
 	}
 	return we
-}
-
-// recordGroup is a run of consecutive posted records for one stream,
-// the unit of batched feeding/enqueueing.
-type recordGroup struct {
-	stream string
-	recs   []tiresias.Record
-}
-
-// groupByStream splits posted records into consecutive same-stream
-// runs, preserving order within and across groups.
-func groupByStream(recs []api.Record) []recordGroup {
-	var out []recordGroup
-	for _, rec := range recs {
-		name := rec.Stream
-		if name == "" {
-			name = api.DefaultStream
-		}
-		r := tiresias.Record{Path: rec.Path, Time: rec.Time}
-		if n := len(out); n > 0 && out[n-1].stream == name {
-			out[n-1].recs = append(out[n-1].recs, r)
-			continue
-		}
-		out = append(out, recordGroup{stream: name, recs: []tiresias.Record{r}})
-	}
-	return out
-}
-
-// decodeRecords reads a size-limited ingest body and parses it.
-func (s *Server) decodeRecords(body io.Reader, contentType string) ([]api.Record, error) {
-	raw, err := io.ReadAll(io.LimitReader(body, s.cfg.MaxBodyBytes+1))
-	if err != nil {
-		return nil, fmt.Errorf("bad request body: %w", err)
-	}
-	if int64(len(raw)) > s.cfg.MaxBodyBytes {
-		return nil, errBodyTooLarge
-	}
-	recs, err := parseRecords(raw, contentType)
-	if err != nil {
-		return nil, err
-	}
-	// Counted only once the body has both passed the size limit and
-	// decoded, so tiresias_ingest_bytes_total stays comparable to
-	// tiresias_ingest_records_total (rejected bodies count in neither).
-	s.metrics.ingestBytes.Add(uint64(len(raw)))
-	return recs, nil
-}
-
-// ndjsonHint ends the JSON decode errors: a one-record-per-line body
-// sent without its content type fails here, and the 400 says why.
-const ndjsonHint = " (send one record per line with Content-Type: application/x-ndjson)"
-
-// parseRecords decodes a size-checked ingest body. The format is
-// decided once, never by trial: NDJSON iff the Content-Type says so,
-// otherwise a leading '[' selects a JSON array and anything else one
-// JSON object.
-func parseRecords(raw []byte, contentType string) ([]api.Record, error) {
-	trimmed := bytes.TrimSpace(raw)
-	if len(trimmed) == 0 {
-		return nil, fmt.Errorf("empty request body")
-	}
-	if strings.Contains(contentType, "ndjson") {
-		return decodeNDJSON(trimmed)
-	}
-	if trimmed[0] == '[' {
-		var recs []api.Record
-		if err := json.Unmarshal(trimmed, &recs); err != nil {
-			return nil, fmt.Errorf("bad record array: %w%s", err, ndjsonHint)
-		}
-		return recs, nil
-	}
-	var rec api.Record
-	if err := json.Unmarshal(trimmed, &rec); err != nil {
-		return nil, fmt.Errorf("bad record: %w%s", err, ndjsonHint)
-	}
-	return []api.Record{rec}, nil
-}
-
-// decodeNDJSON parses one JSON record per line, skipping blank lines.
-func decodeNDJSON(raw []byte) ([]api.Record, error) {
-	var recs []api.Record
-	for n, line := range bytes.Split(raw, []byte("\n")) {
-		line = bytes.TrimSpace(line)
-		if len(line) == 0 {
-			continue
-		}
-		var rec api.Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, fmt.Errorf("bad record on line %d: %w", n+1, err)
-		}
-		recs = append(recs, rec)
-	}
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("empty request body")
-	}
-	return recs, nil
 }
 
 // anomalyQuery parses the shared anomaly-query parameters (stream,

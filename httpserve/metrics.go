@@ -29,8 +29,13 @@ type serverMetrics struct {
 	httpLatency   *metrics.Histogram
 	ingestRecords *metrics.Counter
 	ingestBytes   *metrics.Counter
-	engineStep    *metrics.Histogram
-	engineStages  [3]*metrics.Histogram // hierarchies, series, detection
+	ingestDecode  *metrics.Histogram
+	// pathCacheHits/Misses count the decode scanner's path-cache
+	// lookups, so the hit ratio on real traffic is read, not assumed.
+	pathCacheHits   *metrics.Counter
+	pathCacheMisses *metrics.Counter
+	engineStep      *metrics.Histogram
+	engineStages    [3]*metrics.Histogram // hierarchies, series, detection
 
 	// Snapshot series, refreshed per scrape from statsSnapshot().
 	streams          *metrics.Gauge
@@ -82,6 +87,12 @@ func newServerMetrics(shards int) *serverMetrics {
 		"Records accepted by the ingest endpoints (fed or enqueued).")
 	m.ingestBytes = r.Counter("tiresias_ingest_bytes_total",
 		"Decoded ingest request-body bytes.")
+	m.ingestDecode = r.Histogram("tiresias_ingest_decode_seconds",
+		"Decode time per ingest body (scan, cache lookups, encoding/json fallback), body read excluded.", metrics.DurationBuckets())
+	m.pathCacheHits = r.Counter("tiresias_ingest_path_cache_hits_total",
+		"Record paths the ingest decoder resolved from its span cache.")
+	m.pathCacheMisses = r.Counter("tiresias_ingest_path_cache_misses_total",
+		"Record paths the ingest decoder had to decode through encoding/json.")
 	m.engineStep = r.Histogram("tiresias_engine_step_seconds",
 		"Detection-step latency per completed timeunit (all stages).", metrics.DurationBuckets())
 	for i, stage := range engineStageNames {
