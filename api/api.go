@@ -193,7 +193,8 @@ type ServerConfig struct {
 	// Pipelined reports asynchronous ingestion; QueueDepth and
 	// Backpressure describe it when true.
 	Pipelined bool `json:"pipelined"`
-	// QueueDepth is the per-shard queue capacity in batches.
+	// QueueDepth is the per-shard queue capacity in jobs (one per
+	// shard per ingest body).
 	QueueDepth int `json:"queueDepth,omitempty"`
 	// Backpressure is the full-queue policy name.
 	Backpressure string `json:"backpressure,omitempty"`

@@ -123,6 +123,11 @@ func BenchmarkManagerFeed(b *testing.B) { perfbench.ManagerFeed(b) }
 // parallelism.
 func BenchmarkManagerFeedPipelined(b *testing.B) { perfbench.ManagerFeedPipelined(b) }
 
+// BenchmarkEnqueueMerged measures one warm 1000-record body of 64
+// time-merged streams through EnqueueRuns + Drain (one job per shard
+// per body); figures are per body.
+func BenchmarkEnqueueMerged(b *testing.B) { perfbench.EnqueueMerged(b) }
+
 // BenchmarkHandlerIngest measures one warm 1000-record NDJSON body
 // through the serving layer's handler (read, decode, validate, group,
 // synchronous FeedBatch, response); figures are per body.

@@ -243,7 +243,7 @@ var ErrNoCheckpoint = errors.New("tiresias: no checkpoint in directory")
 // corruption — the last committed generation keeps their last good
 // snapshot instead.
 //
-//tiresias:acquires Manager.ckptMu, pipeline.mu, managerShard.mu, Manager.ckptStatsMu
+//tiresias:acquires Manager.ckptMu, pipeline.mu, pipeline.admitMu, managerShard.mu, Manager.ckptStatsMu
 func (m *Manager) Checkpoint(dir string) (int, error) {
 	start := time.Now()
 	m.ckptMu.Lock()

@@ -25,12 +25,13 @@
 // rejections honoring Retry-After.
 //
 // With -queue N the server ingests through the Manager's pipelined
-// mode: ingest enqueues batches to per-shard workers and returns
-// immediately ("queued": true — follow /v2/anomalies or the watch
-// stream for results). -backpressure selects the full-queue policy:
-// "block" stalls the request, "drop-oldest" sheds the oldest queued
-// batch (counted in /v2/stats), "error" turns a full queue into HTTP
-// 429 with a Retry-After header and a structured error body. Append
+// mode: ingest enqueues each body as one job per shard to per-shard
+// workers and returns immediately ("queued": true — follow
+// /v2/anomalies or the watch stream for results). -backpressure
+// selects the full-queue policy: "block" stalls the request,
+// "drop-oldest" sheds the oldest queued job (counted in /v2/stats),
+// "error" refuses the whole body with HTTP 429, a Retry-After header
+// and a structured error body. Append
 // ?wait=1 to drain the pipeline before the response returns.
 //
 // Detectors survive restarts through the checkpoint subsystem:
@@ -217,7 +218,7 @@ func buildServer(args []string) (*proc, error) {
 		dt        = fs.Float64("dt", 8, "live ingest: absolute threshold DT")
 		shards    = fs.Int("shards", 16, "live ingest: manager lock shards")
 		maxGap    = fs.Int("max-gap", tiresias.DefaultMaxGap, "live ingest: max timeunits one record may gap-fill (<=0 disables)")
-		queue     = fs.Int("queue", 0, "pipelined ingest: per-shard queue depth in batches (0 = synchronous)")
+		queue     = fs.Int("queue", 0, "pipelined ingest: per-shard queue depth in jobs, one per shard per body (0 = synchronous)")
 		policy    = fs.String("backpressure", "block", "pipelined ingest full-queue policy: block | drop-oldest | error")
 		indexCap  = fs.Int("index-cap", 65536, "anomaly index capacity (entries), -store history included")
 		watchBuf  = fs.Int("watch-buffer", 256, "per-subscriber watch buffer (entries); slower watchers are disconnected and resume by cursor")

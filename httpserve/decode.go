@@ -43,6 +43,10 @@ const (
 	pathCacheCap   = 1 << 16
 	streamCacheCap = 1 << 12
 	maxCachedSpan  = 256
+
+	// maxPooledRecords caps the record array a pooled decoder keeps: a
+	// larger one, grown by an outsized body, is left to the collector.
+	maxPooledRecords = 1 << 15
 )
 
 // spanCache is the server-wide, raw-span-keyed value cache of the
@@ -89,21 +93,15 @@ func (c *spanCache) add(paths map[string][]string, streams map[string]string) {
 	}
 }
 
-// streamRun closes one run of consecutive same-stream records of a
-// decoded body: the run is recs[previous end:end].
-type streamRun struct {
-	stream string
-	end    int
-}
-
 // decoder is the per-request ingest state, pooled across requests: the
-// body buffer and the run boundaries are reused, the record array is
-// allocated per body because the pipeline retains its sub-slices.
+// body buffer, the record array and the run boundaries are all reused.
+// Nothing downstream keeps the records: the pipeline copies a body in
+// (Manager.EnqueueRuns) and the synchronous path feeds it in place.
 type decoder struct {
 	cache *spanCache
 	body  []byte
 	recs  []tiresias.Record
-	runs  []streamRun
+	runs  []tiresias.StreamRun
 
 	// rec and name hold the record object last tokenized; emit commits
 	// them. name is the raw decoded stream ("" selects the default).
@@ -169,7 +167,7 @@ const ndjsonHint = " (send one record per line with Content-Type: application/x-
 // otherwise a leading '[' selects a JSON array and anything else one
 // JSON object. Nothing of the body is retained.
 func (d *decoder) decode(ndjson bool) error {
-	d.recs, d.runs, d.streamSpan = nil, d.runs[:0], nil
+	d.recs, d.runs, d.streamSpan = d.recs[:0], d.runs[:0], nil
 	d.pathHits, d.pathMisses = 0, 0
 	d.cache.mu.RLock()
 	err := d.scan(d.body, ndjson)
@@ -191,7 +189,7 @@ func (d *decoder) scan(raw []byte, ndjson bool) error {
 		return errors.New("empty request body")
 	}
 	if raw[0] == '[' {
-		d.recs = make([]tiresias.Record, 0, recordBound(raw, '{'))
+		d.reserve(recordBound(raw, '{'))
 		if d.array(raw) {
 			return nil
 		}
@@ -199,13 +197,13 @@ func (d *decoder) scan(raw []byte, ndjson bool) error {
 		if err := json.Unmarshal(raw, &recs); err != nil {
 			return fmt.Errorf("bad record array: %w%s", err, ndjsonHint)
 		}
-		d.recs, d.runs = make([]tiresias.Record, 0, len(recs)), d.runs[:0]
+		d.reserve(len(recs))
+		d.runs = d.runs[:0]
 		for _, r := range recs {
 			d.emitDecoded(r)
 		}
 		return nil
 	}
-	d.recs = make([]tiresias.Record, 0, 1)
 	if end, ok := d.object(raw, 0); ok && end == len(raw) {
 		d.emit()
 		return nil
@@ -216,6 +214,14 @@ func (d *decoder) scan(raw []byte, ndjson bool) error {
 	}
 	d.emitDecoded(rec)
 	return nil
+}
+
+// reserve empties the record array, growing it to hold n records.
+func (d *decoder) reserve(n int) {
+	if cap(d.recs) < n {
+		d.recs = make([]tiresias.Record, 0, n)
+	}
+	d.recs = d.recs[:0]
 }
 
 // recordBound sizes the record array from the count of a byte every
@@ -230,7 +236,7 @@ func recordBound(raw []byte, sep byte) int {
 // lines are numbered against the body as sent. The caller holds
 // cache.mu for reading.
 func (d *decoder) scanLines(raw []byte) error {
-	d.recs = make([]tiresias.Record, 0, recordBound(raw, '\n'))
+	d.reserve(recordBound(raw, '\n'))
 	for n := 1; len(raw) > 0; n++ {
 		line := raw
 		if k := bytes.IndexByte(raw, '\n'); k >= 0 {
@@ -272,11 +278,11 @@ func (d *decoder) emit() {
 		name = api.DefaultStream
 	}
 	d.recs = append(d.recs, d.rec)
-	if n := len(d.runs); n > 0 && d.runs[n-1].stream == name {
-		d.runs[n-1].end = len(d.recs)
+	if n := len(d.runs); n > 0 && d.runs[n-1].Stream == name {
+		d.runs[n-1].End = len(d.recs)
 		return
 	}
-	d.runs = append(d.runs, streamRun{stream: name, end: len(d.recs)})
+	d.runs = append(d.runs, tiresias.StreamRun{Stream: name, End: len(d.recs)})
 }
 
 // array tokenizes a whole '['-led body, emitting its records; false

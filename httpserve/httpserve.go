@@ -52,8 +52,9 @@ type Config struct {
 	// MaxGap bounds gap-fill timeunits per record: 0 selects
 	// tiresias.DefaultMaxGap, negative disables the bound.
 	MaxGap int
-	// QueueDepth > 0 enables pipelined ingestion with that many
-	// batches of queue per shard; 0 keeps ingestion synchronous.
+	// QueueDepth > 0 enables pipelined ingestion with that many jobs
+	// of queue per shard (a job is one body's records for one shard);
+	// 0 keeps ingestion synchronous.
 	QueueDepth int
 	// Backpressure is the pipeline's full-queue policy.
 	Backpressure tiresias.BackpressurePolicy
@@ -463,29 +464,28 @@ func (s *Server) ingestV2(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp.Queued = s.pipelined
-	lo := 0
-	for _, run := range d.runs {
-		// Every group is a capped window of the one record array the
-		// body decoded into; the pipeline owns it from here.
-		group := d.recs[lo:run.end:run.end]
-		lo = run.end
-		var err error
-		if s.pipelined {
-			// The request context bounds the enqueue: a client that
-			// hung up stops waiting on a full Block-policy queue
-			// instead of pinning this handler goroutine.
-			if err = s.mgr.EnqueueBatchContext(r.Context(), run.stream, group); err == nil {
-				resp.Accepted += len(group)
-			}
-		} else {
-			anoms, n, feedErr := s.mgr.FeedBatch(run.stream, group)
+	if s.pipelined {
+		// One call per body: the Manager copies the records out and
+		// queues one job per shard. The request context bounds the
+		// enqueue: a client that hung up stops waiting on a full
+		// Block-policy queue instead of pinning this handler goroutine.
+		n, err := s.mgr.EnqueueRuns(r.Context(), d.recs, d.runs)
+		resp.Accepted = n
+		if err != nil {
+			writeErrorV2(w, s.feedError(err, n))
+			return
+		}
+	} else {
+		lo := 0
+		for _, run := range d.runs {
+			anoms, n, err := s.mgr.FeedBatch(run.Stream, d.recs[lo:run.End:run.End])
+			lo = run.End
 			resp.Accepted += n
 			resp.Anomalies = append(resp.Anomalies, anoms...)
-			err = feedErr
-		}
-		if err != nil {
-			writeErrorV2(w, s.feedError(err, resp.Accepted))
-			return
+			if err != nil {
+				writeErrorV2(w, s.feedError(err, resp.Accepted))
+				return
+			}
 		}
 	}
 	if wait {
@@ -503,12 +503,11 @@ func (s *Server) bodyTooLarge() *wireError {
 	}
 }
 
-// putDecoder returns a request's decoder to the pool. The record array
-// belongs to the pipeline by now, and a buffer grown past MaxBodyBytes
-// is left to the collector rather than pinned.
+// putDecoder returns a request's decoder to the pool. A body buffer
+// grown past MaxBodyBytes, or a record array past maxPooledRecords, is
+// left to the collector rather than pinned.
 func (s *Server) putDecoder(d *decoder) {
-	d.recs = nil
-	if int64(cap(d.body)) <= s.cfg.MaxBodyBytes {
+	if int64(cap(d.body)) <= s.cfg.MaxBodyBytes && cap(d.recs) <= maxPooledRecords {
 		s.decoders.Put(d)
 	}
 }

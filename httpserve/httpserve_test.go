@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -264,6 +265,73 @@ func TestQueueFull429HasRetryAfterAndStructuredBody(t *testing.T) {
 		t.Fatalf("429 code = %q, want %q", e.Code, api.CodeQueueFull)
 	}
 	close(gs.gate)
+}
+
+// shardOf mirrors the Manager's stream-to-shard hash (FNV-1a).
+func shardOf(name string, shards int) int {
+	h := fnv.New32a()
+	h.Write([]byte(name))
+	return int(h.Sum32() % uint32(shards))
+}
+
+// TestQueueFull429AcceptsNothing: a body whose streams sit on two
+// shards, one of them with its queue held full, is refused whole — a
+// 429 with nothing accepted, nothing of it queued or detected — so the
+// client's retry of the body, once the queue drains, applies every
+// record exactly once.
+func TestQueueFull429AcceptsNothing(t *testing.T) {
+	gs := &gateSink{arrived: make(chan struct{}), gate: make(chan struct{})}
+	release := sync.OnceFunc(func() { close(gs.gate) })
+	cfg := testConfig()
+	cfg.Shards = 2
+	cfg.QueueDepth = 1
+	cfg.Backpressure = tiresias.ErrorWhenFull
+	cfg.DetectorOptions = []tiresias.Option{tiresias.WithSink(gs)}
+	s, ts := newTestServer(t, cfg)
+	t.Cleanup(release) // before Server.Close, which drains
+	a, b := "a", "b"
+	for shardOf(b, cfg.Shards) == shardOf(a, cfg.Shards) {
+		b += "b"
+	}
+	line := func(stream string, minute int) string {
+		return fmt.Sprintf(`{"stream":%q,"path":["vho1","io2"],"time":"2010-09-14T00:%02d:00Z"}`+"\n", stream, minute)
+	}
+
+	// Park a's worker inside detection, then fill its depth-1 queue.
+	if resp := post(t, ts.URL+"/v2/records", "application/x-ndjson", ndjsonBody(a, 8), nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm-up: status %d", resp.StatusCode)
+	}
+	<-gs.arrived
+	if resp := post(t, ts.URL+"/v2/records", "application/x-ndjson", line(a, 10), nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("fill: status %d", resp.StatusCode)
+	}
+
+	// b's shard has room, a's has none: runs b, a, b.
+	body := line(b, 0) + line(a, 11) + line(b, 1)
+	resp := post(t, ts.URL+"/v2/records", "application/x-ndjson", body, nil)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("status = %d, want 429", resp.StatusCode)
+	}
+	if e := decodeError(t, resp); e.Code != api.CodeQueueFull || e.Details["accepted"] != float64(0) {
+		t.Fatalf("error = %+v, want queue_full with accepted 0", e)
+	}
+
+	// Stats waits for the parked worker's shard lock: read it after.
+	release()
+	s.Manager().Drain()
+	if st := s.Manager().Stats(); st.Enqueued != 59+1 || st.Rejected != 3 {
+		t.Fatalf("refused body: %d enqueued, %d rejected; want the 60 before it, and all 3 of it rejected", st.Enqueued, st.Rejected)
+	}
+	if _, _, ok := s.Manager().Stream(b); ok {
+		t.Fatalf("stream %s of the refused body was fed", b)
+	}
+	var ing api.IngestResponse
+	if resp := post(t, ts.URL+"/v2/records?wait=1", "application/x-ndjson", body, &ing); resp.StatusCode != http.StatusOK || ing.Accepted != 3 {
+		t.Fatalf("retry = %d %+v, want 200 with 3 accepted", resp.StatusCode, ing)
+	}
+	if st := s.Manager().Stats(); st.Records != 59+1+3 || st.Failed != 0 {
+		t.Fatalf("after the retry: %d records fed, %d failed; want 63 fed once each, none failed", st.Records, st.Failed)
+	}
 }
 
 func TestV2StreamDetailHeavyHitters(t *testing.T) {

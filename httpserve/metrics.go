@@ -114,9 +114,9 @@ func newServerMetrics(shards int) *serverMetrics {
 	for i := 0; i < shards; i++ {
 		shard := metrics.Label{Name: "shard", Value: strconv.Itoa(i)}
 		m.queueDepth[i] = r.Gauge("tiresias_pipeline_queue_depth",
-			"Batches waiting in the shard's ingestion queue (0 when not pipelined).", shard)
+			"Jobs waiting in the shard's ingestion queue, one per shard per body (0 when not pipelined).", shard)
 		m.queueCap[i] = r.Gauge("tiresias_pipeline_queue_capacity",
-			"Configured shard queue capacity in batches (0 when not pipelined).", shard)
+			"Configured shard queue capacity in jobs, one per shard per body (0 when not pipelined).", shard)
 		m.pipeDropped[i] = r.Counter("tiresias_pipeline_dropped_total",
 			"Records evicted from the shard's queue under the drop-oldest policy.", shard)
 	}

@@ -1,7 +1,9 @@
 package perfbench
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -15,6 +17,8 @@ import (
 // the pipelined figure should sit well under half the synchronous one
 // (4 shards, 4 workers). On a single-core host the pipelined run
 // degenerates to the synchronous cost plus queue overhead.
+// EnqueueMerged adds the fleet shape: one body of many time-merged
+// streams through EnqueueRuns.
 
 // benchShards is the shard/worker count of the manager benchmarks.
 const benchShards = 4
@@ -153,6 +157,74 @@ func ManagerFeedPipelined(b *testing.B) {
 		}
 	}
 	m.Drain()
+	b.StopTimer()
+	if st := m.Stats(); st.Failed > 0 {
+		b.Fatalf("pipeline feed errors: %+v", st)
+	}
+}
+
+// mergedStreams and mergedRecords size the EnqueueMerged body.
+const (
+	mergedStreams = 64
+	mergedRecords = 1000
+)
+
+// mergedBody renders one minute of a 64-stream fleet merged by time:
+// 1000 records, each from a Zipf-picked stream, 60 ms apart, with the
+// body's same-stream runs.
+func mergedBody(base time.Time) ([]tiresias.Record, []tiresias.StreamRun) {
+	rng := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(rng, 1.1, 1, mergedStreams-1)
+	recs := make([]tiresias.Record, mergedRecords)
+	var runs []tiresias.StreamRun
+	for i := range recs {
+		recs[i] = tiresias.Record{Path: benchPaths[i%len(benchPaths)], Time: base.Add(time.Duration(i) * 60 * time.Millisecond)}
+		name := fmt.Sprintf("fleet-%02d", zipf.Uint64())
+		if n := len(runs); n > 0 && runs[n-1].Stream == name {
+			runs[n-1].End = i + 1
+			continue
+		}
+		runs = append(runs, tiresias.StreamRun{Stream: name, End: i + 1})
+	}
+	return recs, runs
+}
+
+// EnqueueMerged measures one warm 1000-record body of 64 time-merged
+// streams (911 same-stream runs over 63 streams) through the
+// batch-first pipelined path: EnqueueRuns, then Drain, so ns/op is the
+// body's records-in-to-detections-out cost. Each body is the next
+// minute, one unit — one engine step — for every stream it touches.
+// ns, allocs and bytes are per body.
+func EnqueueMerged(b *testing.B) {
+	m, err := tiresias.NewManager(
+		tiresias.WithShards(benchShards),
+		tiresias.WithPipeline(8, tiresias.Block),
+		tiresias.WithDetectorOptions(managerOptions()...),
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Close()
+	recs, runs := mergedBody(time.Date(2010, 9, 14, 0, 0, 0, 0, time.UTC))
+	ctx := context.Background()
+	post := func() {
+		if _, err := m.EnqueueRuns(ctx, recs, runs); err != nil {
+			b.Fatal(err)
+		}
+		m.Drain()
+		// The records are only borrowed: move the body to the next unit.
+		for i := range recs {
+			recs[i].Time = recs[i].Time.Add(time.Minute)
+		}
+	}
+	for i := 0; i < 40; i++ { // past the 32-unit window: every stream warm
+		post()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
+	}
 	b.StopTimer()
 	if st := m.Stats(); st.Failed > 0 {
 		b.Fatalf("pipeline feed errors: %+v", st)

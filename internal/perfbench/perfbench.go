@@ -198,6 +198,7 @@ func Specs() []Spec {
 		{"WindowerObserve", WindowerObserve},
 		{"ManagerFeed", ManagerFeed},
 		{"ManagerFeedPipelined", ManagerFeedPipelined},
+		{"EnqueueMerged", EnqueueMerged},
 		{"HandlerIngest", HandlerIngest},
 	}
 }

@@ -335,11 +335,7 @@ func (m *Manager) FeedBatch(streamName string, recs []Record) ([]Anomaly, int, e
 	return m.feedBatch(streamName, recs)
 }
 
-// feedBatch is FeedBatch; it is also the pipeline workers' entry
-// point, kept unexported-callable so the two paths cannot drift. Like
-// Feed it contains panics: the offending stream is quarantined,
-// records already applied stay counted, and the caller gets
-// ErrStreamQuarantined with the applied count.
+// feedBatch is FeedBatch: one shard lock around feedLocked.
 func (m *Manager) feedBatch(streamName string, recs []Record) (out []Anomaly, applied int, err error) {
 	if len(recs) == 0 {
 		return nil, 0, nil
@@ -347,6 +343,17 @@ func (m *Manager) feedBatch(streamName string, recs []Record) (out []Anomaly, ap
 	sh := m.shardOf(streamName)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	return m.feedLocked(sh, streamName, recs)
+}
+
+// feedLocked feeds recs into the named stream of shard sh until the
+// first record error; it is the body of both FeedBatch and the
+// pipeline workers, so the two paths cannot drift. Like Feed it
+// contains panics: the offending stream is quarantined, records
+// already applied stay counted, and the caller gets
+// ErrStreamQuarantined with the applied count.
+// The shard lock must be held.
+func (m *Manager) feedLocked(sh *managerShard, streamName string, recs []Record) (out []Anomaly, applied int, err error) {
 	ms, err := sh.getOrCreate(m, streamName)
 	if err != nil {
 		return nil, 0, err

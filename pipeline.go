@@ -3,20 +3,28 @@ package tiresias
 // Pipelined ingestion: per-shard worker goroutines behind bounded
 // channels, so throughput scales with cores instead of callers. The
 // synchronous Feed/FeedBatch path stays available on the same Manager;
-// the pipeline adds an asynchronous EnqueueBatch path with a
-// configurable full-queue policy, drain barriers (Drain, and
-// implicitly Checkpoint and Flush), and graceful shutdown (Close).
+// the pipeline adds an asynchronous EnqueueRuns path (EnqueueBatch is
+// its one-stream form) with a configurable full-queue policy, drain
+// barriers (Drain, and implicitly Checkpoint and Flush), and graceful
+// shutdown (Close).
+//
+// A body is handed over batch-first: EnqueueRuns regroups the body's
+// same-stream runs by stream into one pooled bodyBatch, laid out shard
+// by shard, and queues one job per touched shard. A worker takes its
+// shard lock once per job and feeds each stream's records as one
+// contiguous stretch.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// BackpressurePolicy selects what EnqueueBatch does when the target
+// BackpressurePolicy selects what EnqueueRuns does when a target
 // shard's queue is full.
 type BackpressurePolicy int
 
@@ -25,11 +33,12 @@ const (
 	// natural choice when the producer can tolerate stalls (the
 	// stall is the backpressure signal).
 	Block BackpressurePolicy = iota
-	// DropOldest evicts the oldest queued batch to admit the new
+	// DropOldest evicts the oldest queued job to admit the new
 	// one: bounded latency for live dashboards, with losses counted
 	// in PipelineStats.Dropped rather than silently absorbed.
 	DropOldest
-	// ErrorWhenFull rejects the new batch with ErrQueueFull,
+	// ErrorWhenFull rejects the whole body with ErrQueueFull when any
+	// of its shards' queues is full — nothing of it is queued —
 	// delegating the retry/shed decision to the caller (an ingest
 	// endpoint turns it into HTTP 429).
 	ErrorWhenFull
@@ -51,8 +60,10 @@ func (p BackpressurePolicy) String() string {
 
 // WithPipeline enables pipelined ingestion: NewManager starts one
 // worker goroutine per shard, each fed by a bounded channel holding up
-// to queueDepth record batches, and EnqueueBatch becomes usable. policy selects the full-queue behavior. A pipelined Manager
-// owns goroutines: call Close when done with it.
+// to queueDepth jobs (a job is one body's records for one shard), and
+// EnqueueRuns/EnqueueBatch become usable. policy selects the
+// full-queue behavior. A pipelined Manager owns goroutines: call Close
+// when done with it.
 func WithPipeline(queueDepth int, policy BackpressurePolicy) ManagerOption {
 	return managerOptionFunc(func(o *managerOptions) {
 		o.queueDepth = queueDepth
@@ -100,22 +111,67 @@ func WithStepObserver(f func(timings StageTimings)) ManagerOption {
 	return managerOptionFunc(func(o *managerOptions) { o.stepObs = f })
 }
 
-// ErrQueueFull is returned by EnqueueBatch under the
-// ErrorWhenFull policy when the target shard's queue is full.
+// ErrQueueFull is returned by EnqueueRuns and EnqueueBatch under the
+// ErrorWhenFull policy when a target shard's queue is full.
 var ErrQueueFull = errors.New("tiresias: pipeline queue full")
 
-// ErrPipelineClosed is returned by EnqueueBatch after Close.
+// ErrPipelineClosed is returned by EnqueueRuns and EnqueueBatch after
+// Close.
 var ErrPipelineClosed = errors.New("tiresias: pipeline closed")
 
-// ErrNotPipelined is returned by EnqueueBatch on a Manager
-// built without WithPipeline.
+// ErrNotPipelined is returned by EnqueueRuns and EnqueueBatch on a
+// Manager built without WithPipeline.
 var ErrNotPipelined = errors.New("tiresias: manager is not pipelined (use WithPipeline)")
 
-// pipeJob is one unit of worker input: a batch of records for one
-// stream, or a drain barrier (recs nil, barrier non-nil).
+// StreamRun closes one run of consecutive same-stream records of a
+// body handed to EnqueueRuns: the run is recs[previous End:End] (the
+// first run starts at 0) and its records belong to Stream.
+type StreamRun struct {
+	Stream string
+	End    int
+}
+
+// maxPooledRecords and maxPooledStreams bound what a pooled bodyBatch
+// may keep: a batch one outsized body grew past either is left to the
+// collector, so a hostile body cannot make every later body clear a
+// huge map or pin a huge array.
+const (
+	maxPooledRecords = 1 << 15
+	maxPooledStreams = 1 << 10
+)
+
+// batchGroup is one stream's records of a body: bodyBatch.recs[lo:lo+n].
+type batchGroup struct {
+	stream string
+	shard  int
+	lo, n  int
+	next   int // layout cursor: where the stream's next run is copied
+}
+
+// bodyBatch is one body's records regrouped by stream — each stream's
+// records one contiguous slice, in body order — with the groups laid
+// out shard by shard. The body's jobs share it; refs counts the
+// holders still to finish with it (the enqueuer and every queued job),
+// and the last one returns it to the pool.
+type bodyBatch struct {
+	refs   atomic.Int32
+	recs   []Record
+	groups []batchGroup // in the body's first-appearance order
+	laid   []int32      // group indexes, shard by shard
+	jobs   []pipeJob    // one per touched shard
+
+	// Layout scratch: stream → group index, run → group index.
+	byStream map[string]int32
+	runGroup []int32
+}
+
+// pipeJob is one unit of worker input: a body's stream groups on one
+// shard, or a drain barrier (batch nil, barrier non-nil).
 type pipeJob struct {
-	stream  string
-	recs    []Record
+	batch   *bodyBatch
+	groups  []int32 // indexes into batch.groups, all on shard
+	shard   int
+	n       int // records in the job
 	barrier chan<- struct{}
 }
 
@@ -144,6 +200,17 @@ type pipeline struct {
 	// channel under a concurrent send.
 	mu     sync.RWMutex
 	closed bool // guarded by mu
+
+	// admitMu makes an ErrorWhenFull admission atomic: the body's room
+	// check and its sends happen under it, and so does every drain
+	// barrier send, so no send can take a slot between the check and
+	// the body's sends (workers only ever free slots).
+	admitMu sync.Mutex
+
+	// batches pools bodyBatches; out counts the ones taken and not yet
+	// finished with.
+	batches sync.Pool
+	out     atomic.Int64
 }
 
 func newPipeline(m *Manager, depth int, policy BackpressurePolicy) *pipeline {
@@ -158,27 +225,44 @@ func newPipeline(m *Manager, depth int, policy BackpressurePolicy) *pipeline {
 	return p
 }
 
-// worker drains one shard's queue. Feed errors cannot be returned to
-// the (long gone) enqueuer, so they are counted and latched into the
-// shard's stats instead of lost. A record-level error (out-of-order
-// arrival, gap bound) poisons only that record: the worker resumes
-// the batch past it, mirroring the documented caller-resume semantics
-// of the synchronous FeedBatch — one displaced record must not
-// silently discard the rest of its batch. Stream-level errors
-// (quarantine, tombstone) are terminal for the batch: every remaining
-// record would fail identically, so they are counted failed in one
-// step.
+// worker drains one shard's queue, finishing each job's reference to
+// its batch once the job is fed.
 func (p *pipeline) worker(i int) {
 	defer p.wg.Done()
 	ps := &p.shards[i]
+	sh := &p.m.shards[i]
 	for job := range ps.ch {
 		if job.barrier != nil {
 			job.barrier <- struct{}{}
 			continue
 		}
-		recs := job.recs
+		p.feed(sh, ps, job)
+		p.release(job.batch)
+	}
+}
+
+// feed feeds one job's stream groups under a single hold of the shard
+// lock: per group one stream lookup, one quarantine check and one
+// panic barrier (feedLocked). Feed errors cannot be returned to the
+// (long gone) enqueuer, so they are counted and latched into the
+// shard's stats instead of lost. A record-level error (out-of-order
+// arrival, gap bound) poisons only that record: the worker resumes the
+// group past it, mirroring the documented caller-resume semantics of
+// the synchronous FeedBatch — one displaced record must not silently
+// discard the rest of its stream's records. Stream-level errors
+// (quarantine, tombstone) are terminal for the group and only for it:
+// every remaining record of that stream would fail identically, so
+// they are counted failed in one step, and the job's other streams are
+// fed as usual.
+func (p *pipeline) feed(sh *managerShard, ps *pipeShard, job pipeJob) {
+	b := job.batch
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for _, gi := range job.groups {
+		g := &b.groups[gi]
+		recs := b.recs[g.lo : g.lo+g.n]
 		for len(recs) > 0 {
-			_, n, err := p.m.feedBatch(job.stream, recs)
+			_, n, err := p.m.feedLocked(sh, g.stream, recs)
 			if err == nil {
 				break
 			}
@@ -193,63 +277,192 @@ func (p *pipeline) worker(i int) {
 	}
 }
 
-// enqueue routes one job to its shard's queue under the configured
-// backpressure policy. ctx bounds the wait: a Block policy send
-// unblocks on cancellation, and the DropOldest eviction loop checks
-// it between attempts. context.Background() (whose Done channel is
-// nil, so the cancel select arm never fires) recovers the original
-// unbounded behavior.
-func (p *pipeline) enqueue(ctx context.Context, si int, job pipeJob) error {
+// batch takes a bodyBatch from the pool, holding the enqueuer's
+// reference.
+func (p *pipeline) batch() *bodyBatch {
+	b, _ := p.batches.Get().(*bodyBatch)
+	if b == nil {
+		b = &bodyBatch{byStream: make(map[string]int32)}
+	}
+	b.refs.Store(1)
+	p.out.Add(1)
+	return b
+}
+
+// release finishes one reference to b; the last one returns b to the
+// pool if it is poolable.
+func (p *pipeline) release(b *bodyBatch) {
+	if b.refs.Add(-1) != 0 {
+		return
+	}
+	p.out.Add(-1)
+	if b.poolable() {
+		p.batches.Put(b)
+	}
+}
+
+// poolable reports whether b stayed within the pooling caps.
+func (b *bodyBatch) poolable() bool {
+	return cap(b.recs) <= maxPooledRecords && len(b.groups) <= maxPooledStreams
+}
+
+// layout copies recs into b regrouped by stream: the runs are grouped
+// by stream in first-appearance order, each stream's records become
+// one contiguous slice in body order, the groups are laid out shard by
+// shard, and b.jobs gets one job per touched shard. runs must cut recs
+// into non-empty runs.
+func (b *bodyBatch) layout(m *Manager, recs []Record, runs []StreamRun) error {
+	clear(b.byStream)
+	b.groups, b.runGroup, b.jobs = b.groups[:0], b.runGroup[:0], b.jobs[:0]
+	lo := 0
+	for i, run := range runs {
+		if run.End <= lo || run.End > len(recs) {
+			return fmt.Errorf("tiresias: run %d ends at %d, want (%d, %d]", i, run.End, lo, len(recs))
+		}
+		gi, ok := b.byStream[run.Stream]
+		if !ok {
+			gi = int32(len(b.groups))
+			b.byStream[run.Stream] = gi
+			b.groups = append(b.groups, batchGroup{stream: run.Stream, shard: m.shardIndex(run.Stream)})
+		}
+		b.groups[gi].n += run.End - lo
+		b.runGroup = append(b.runGroup, gi)
+		lo = run.End
+	}
+	if lo != len(recs) {
+		return fmt.Errorf("tiresias: runs cover %d of %d records", lo, len(recs))
+	}
+
+	// Lay the groups out shard by shard, in first-appearance order
+	// within a shard, place their records, and cut one job per shard.
+	b.laid = b.laid[:0]
+	for gi := range b.groups {
+		b.laid = append(b.laid, int32(gi))
+	}
+	slices.SortStableFunc(b.laid, func(x, y int32) int { return b.groups[x].shard - b.groups[y].shard })
+	at, first := 0, 0
+	for k, gi := range b.laid {
+		g := &b.groups[gi]
+		g.lo, g.next = at, at
+		at += g.n
+		if k+1 == len(b.laid) || b.groups[b.laid[k+1]].shard != g.shard {
+			b.jobs = append(b.jobs, pipeJob{batch: b, groups: b.laid[first : k+1], shard: g.shard, n: at - b.groups[b.laid[first]].lo})
+			first = k + 1
+		}
+	}
+	b.recs = slices.Grow(b.recs[:0], len(recs))[:len(recs)]
+	lo = 0
+	for i, run := range runs {
+		g := &b.groups[b.runGroup[i]]
+		g.next += copy(b.recs[g.next:], recs[lo:run.End])
+		lo = run.End
+	}
+	return nil
+}
+
+// enqueue lays one body out in a pooled batch and queues one job per
+// touched shard under the configured backpressure policy, returning
+// the records of the jobs queued. ctx bounds the wait: a Block policy
+// send unblocks on cancellation, and the DropOldest eviction loop
+// checks it between attempts. context.Background() (whose Done channel
+// is nil, so the cancel select arm never fires) waits without bound.
+func (p *pipeline) enqueue(ctx context.Context, recs []Record, runs []StreamRun) (accepted int, err error) {
+	b := p.batch()
+	defer p.release(b)
+	if err := b.layout(p.m, recs, runs); err != nil {
+		return 0, err
+	}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.closed {
-		return ErrPipelineClosed
+		return 0, ErrPipelineClosed
 	}
-	ps := &p.shards[si]
-	n := uint64(len(job.recs))
-	switch p.policy {
-	case DropOldest:
-		for {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			select {
-			case ps.ch <- job:
-				ps.enqueued.Add(n)
-				return nil
-			default:
-			}
-			select {
-			case old := <-ps.ch:
-				if old.barrier != nil {
-					// An evicted barrier still holds its promise —
-					// everything enqueued before it has now been
-					// processed or dropped — so signal, don't hang
-					// the drainer.
-					old.barrier <- struct{}{}
-				} else {
-					ps.dropped.Add(uint64(len(old.recs)))
-				}
-			default:
-				// A worker beat us to the oldest entry; retry the send.
-			}
+	if p.policy == ErrorWhenFull {
+		return p.admit(b)
+	}
+	for _, job := range b.jobs {
+		if err := p.send(ctx, job); err != nil {
+			return accepted, err
 		}
-	case ErrorWhenFull:
+		accepted += job.n
+	}
+	return accepted, nil
+}
+
+// admit is ErrorWhenFull's enqueue: all of b's jobs or none. Under
+// admitMu no other send can take a slot, so a room check on every
+// touched shard decides the whole body; a refused body is counted
+// rejected on every shard it touched. The caller holds mu for reading.
+func (p *pipeline) admit(b *bodyBatch) (accepted int, err error) {
+	p.admitMu.Lock()
+	defer p.admitMu.Unlock()
+	for _, job := range b.jobs {
+		if ps := &p.shards[job.shard]; len(ps.ch) == cap(ps.ch) {
+			for _, job := range b.jobs {
+				p.shards[job.shard].rejected.Add(uint64(job.n))
+			}
+			return 0, ErrQueueFull
+		}
+	}
+	for _, job := range b.jobs {
+		ps := &p.shards[job.shard]
+		b.refs.Add(1)
+		ps.ch <- job // room checked above
+		ps.enqueued.Add(uint64(job.n))
+		accepted += job.n
+	}
+	return accepted, nil
+}
+
+// send queues one job under Block or DropOldest. The caller holds mu
+// for reading and a reference to the job's batch.
+func (p *pipeline) send(ctx context.Context, job pipeJob) error {
+	ps := &p.shards[job.shard]
+	job.batch.refs.Add(1) // the queued job's; the worker finishes it
+	var err error
+	if p.policy == DropOldest {
+		err = p.sendEvicting(ctx, ps, job)
+	} else {
 		select {
 		case ps.ch <- job:
-			ps.enqueued.Add(n)
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
+	}
+	if err != nil {
+		job.batch.refs.Add(-1) // never queued; the caller's reference keeps b
+		return err
+	}
+	ps.enqueued.Add(uint64(job.n))
+	return nil
+}
+
+// sendEvicting is DropOldest's send: it evicts the oldest queued job
+// until the new one fits, checking ctx between attempts.
+func (p *pipeline) sendEvicting(ctx context.Context, ps *pipeShard, job pipeJob) error {
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		select {
+		case ps.ch <- job:
 			return nil
 		default:
-			ps.rejected.Add(n)
-			return ErrQueueFull
 		}
-	default: // Block
 		select {
-		case ps.ch <- job:
-			ps.enqueued.Add(n)
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
+		case old := <-ps.ch:
+			if old.barrier != nil {
+				// An evicted barrier still holds its promise —
+				// everything enqueued before it has now been
+				// processed or dropped — so signal, don't hang
+				// the drainer.
+				old.barrier <- struct{}{}
+			} else {
+				ps.dropped.Add(uint64(old.n))
+				p.release(old.batch)
+			}
+		default:
+			// A worker beat us to the oldest entry; retry the send.
 		}
 	}
 }
@@ -257,8 +470,9 @@ func (p *pipeline) enqueue(ctx context.Context, si int, job pipeJob) error {
 // drain inserts a barrier into every shard queue and waits until each
 // worker reaches its barrier: on return, every record enqueued before
 // the call has been processed (or, under DropOldest, dropped and
-// counted). Returns immediately on a closed pipeline — Close already
-// drained it.
+// counted). Each barrier is sent under admitMu, so it cannot take the
+// slot an ErrorWhenFull admission has just checked. Returns immediately
+// on a closed pipeline — Close already drained it.
 func (p *pipeline) drain() {
 	p.mu.RLock()
 	if p.closed {
@@ -267,7 +481,9 @@ func (p *pipeline) drain() {
 	}
 	done := make(chan struct{}, len(p.shards))
 	for i := range p.shards {
+		p.admitMu.Lock()
 		p.shards[i].ch <- pipeJob{barrier: done}
+		p.admitMu.Unlock()
 	}
 	p.mu.RUnlock()
 	for range p.shards {
@@ -290,55 +506,74 @@ func (p *pipeline) close() {
 	p.wg.Wait()
 }
 
-// EnqueueBatch hands a batch of records for one stream to the
-// pipeline and returns without waiting for detection. Records of one
-// stream are processed in enqueue order by a single worker, so the
-// in-order requirement of Feed carries over unchanged. The pipeline
-// takes ownership of recs; the caller must not modify the slice after
-// the call.
+// EnqueueRuns hands one body of records to the pipeline and returns
+// without waiting for detection. runs cuts recs into non-empty runs of
+// consecutive same-stream records — the shape an ingest decoder emits
+// — and a stream may have several runs in one body. Both slices are
+// only borrowed: the records are copied into a pooled batch before
+// EnqueueRuns returns, so the caller may reuse them at once.
 //
-// When the target shard's queue is full the configured
-// BackpressurePolicy decides: Block waits, DropOldest evicts the
-// oldest queued batch (counted in PipelineStats.Dropped), and
-// ErrorWhenFull returns ErrQueueFull. After Close, EnqueueBatch
-// returns ErrPipelineClosed; on a non-pipelined Manager,
-// ErrNotPipelined.
+// The body is regrouped by stream, each stream's records kept in body
+// order, so the in-order requirement of Feed carries over per stream;
+// it is queued as one job per shard it touches. A shard's worker feeds
+// the body's streams group by group, in the order each first appears
+// in the body, so the AnomalyIndex cursors of different streams on one
+// shard follow stream groups, not body order. Per-stream order is
+// unchanged.
+//
+// When a target shard's queue is full the configured
+// BackpressurePolicy decides. ErrorWhenFull is all-or-nothing: if any
+// touched shard's queue is full, nothing of the body is queued, the
+// whole body counts in PipelineStats.Rejected, and EnqueueRuns returns
+// 0 and ErrQueueFull, so retrying the body cannot apply a record
+// twice. Block waits, and a send that would wait unblocks when ctx is
+// done and returns ctx.Err(); DropOldest evicts the oldest queued job
+// (counted in PipelineStats.Dropped), checking ctx between eviction
+// attempts. A ctx that is already done is refused before any queue
+// interaction.
+//
+// A partial failure is whole streams, not a body-order prefix: when
+// Block's ctx ends part-way, the shards queued so far keep their jobs
+// and accepted counts their records — every record of some of the
+// body's streams and none of the others. Cancellation never
+// un-enqueues: accepted records are processed (or dropped and counted,
+// under DropOldest) regardless of ctx. After Close, EnqueueRuns
+// accepts nothing and returns ErrPipelineClosed; on a non-pipelined
+// Manager, ErrNotPipelined. (The synchronous FeedBatch reports a
+// body-order prefix instead.)
 //
 // Detection results are delivered through the detectors' sinks and
-// the Manager's AnomalyIndex, not a return value; a worker-side feed
-// error (out-of-order record, dropped stream, gap violation) is
-// counted and latched in Stats rather than returned.
-func (m *Manager) EnqueueBatch(streamName string, recs []Record) error {
-	return m.EnqueueBatchContext(context.Background(), streamName, recs)
-}
-
-// EnqueueBatchContext is EnqueueBatch bounded by ctx — the shape an
-// ingest endpoint needs, so a caller that hung up no longer pins a
-// handler goroutine against a full queue. Under Block, a send that
-// would wait unblocks when ctx is done and returns ctx.Err(); under
-// DropOldest, cancellation is checked between eviction attempts. A
-// ctx that is already done is refused before any queue interaction.
-// Cancellation never un-enqueues: once EnqueueBatchContext returns
-// nil the batch is owned by the pipeline and will be processed (or
-// dropped and counted, under DropOldest) regardless of ctx.
-func (m *Manager) EnqueueBatchContext(ctx context.Context, streamName string, recs []Record) error {
+// the Manager's AnomalyIndex, not a return value. A worker-side feed
+// error is counted and latched in Stats rather than returned: an
+// out-of-order or gap-violating record fails alone, and a dropped or
+// quarantined stream fails its own records only.
+func (m *Manager) EnqueueRuns(ctx context.Context, recs []Record, runs []StreamRun) (accepted int, err error) {
 	if m.pipe == nil {
-		return ErrNotPipelined
+		return 0, ErrNotPipelined
 	}
 	if len(recs) == 0 {
-		return nil
+		return 0, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return err
+		return 0, err
 	}
-	return m.pipe.enqueue(ctx, m.shardIndex(streamName), pipeJob{stream: streamName, recs: recs})
+	return m.pipe.enqueue(ctx, recs, runs)
+}
+
+// EnqueueBatch is EnqueueRuns for one stream's records, without a
+// deadline: it hands recs, in time order, to the pipeline and returns
+// without waiting for detection. The records are copied, so the caller
+// keeps recs.
+func (m *Manager) EnqueueBatch(streamName string, recs []Record) error {
+	_, err := m.EnqueueRuns(context.Background(), recs, []StreamRun{{Stream: streamName, End: len(recs)}})
+	return err
 }
 
 // Drain blocks until every record enqueued before the call has been
 // processed (or dropped, under DropOldest). It does not stop the
 // workers: ingestion continues normally afterwards. On a
 // non-pipelined or closed Manager, Drain is a no-op. Use it to order
-// an EnqueueBatch stream against a read — e.g. before querying the
+// enqueued records against a read — e.g. before querying the
 // AnomalyIndex in tests, or before Flush.
 func (m *Manager) Drain() {
 	if m.pipe != nil {
@@ -347,7 +582,7 @@ func (m *Manager) Drain() {
 }
 
 // Close gracefully shuts the pipeline down: no new records are
-// accepted (EnqueueBatch returns ErrPipelineClosed), queued records
+// accepted (EnqueueRuns returns ErrPipelineClosed), queued records
 // are drained through detection, and the worker goroutines exit
 // before Close returns. Close is idempotent and safe to call
 // concurrently with enqueuers. The Manager itself stays usable — the
@@ -362,11 +597,12 @@ func (m *Manager) Close() error {
 }
 
 // PipelineStats aggregates the queue-level accounting of one shard's
-// pipeline (all counters are records, not batches).
+// pipeline (all counters are records, not jobs).
 type PipelineStats struct {
-	// QueueDepth is the number of batches currently waiting.
+	// QueueDepth is the number of jobs currently waiting; a job is one
+	// enqueued body's records for this shard.
 	QueueDepth int `json:"queueDepth"`
-	// QueueCap is the configured queue capacity in batches.
+	// QueueCap is the configured queue capacity in jobs.
 	QueueCap int `json:"queueCap"`
 	// Enqueued counts records accepted into the queue.
 	Enqueued uint64 `json:"enqueued"`

@@ -162,12 +162,9 @@ func TestPipelineEndToEnd(t *testing.T) {
 
 	ix := NewAnomalyIndex(1024)
 	m := pipelineManager(t, 4, 16, Block, ix)
-	// Enqueue in chunks to exercise batching (copy: the pipeline owns
-	// the slices it is handed).
+	// Enqueue in chunks to exercise batching.
 	for i := 0; i < len(recs); i += 7 {
-		end := min(i+7, len(recs))
-		batch := append([]Record(nil), recs[i:end]...)
-		if err := m.EnqueueBatch("s", batch); err != nil {
+		if err := m.EnqueueBatch("s", recs[i:min(i+7, len(recs))]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -281,8 +278,8 @@ func TestPipelineWorkerStopsBatchOnTerminalError(t *testing.T) {
 
 // TestDropOldestAccuracy pins the drop counter at the queue level:
 // with no worker consuming, overflowing a depth-Q queue by k
-// single-record batches must count exactly k drops and retain the
-// newest Q batches.
+// single-record bodies must count exactly k drops, retain the newest Q
+// jobs, and return every evicted body's batch to the pool.
 func TestDropOldestAccuracy(t *testing.T) {
 	m := testManager(t, 1)
 	const depth, total = 4, 11
@@ -290,8 +287,8 @@ func TestDropOldestAccuracy(t *testing.T) {
 	p.shards[0].ch = make(chan pipeJob, depth) // no worker: queue is inert
 	base := start()
 	for i := 0; i < total; i++ {
-		err := p.enqueue(context.Background(), 0, pipeJob{stream: "s", recs: []Record{{Path: []string{"pop"}, Time: base.Add(time.Duration(i) * time.Minute)}}})
-		if err != nil {
+		rec := []Record{{Path: []string{"pop"}, Time: base.Add(time.Duration(i) * time.Minute)}}
+		if _, err := p.enqueue(context.Background(), rec, []StreamRun{{Stream: "s", End: 1}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -302,13 +299,20 @@ func TestDropOldestAccuracy(t *testing.T) {
 	if ps.enqueued.Load() != total {
 		t.Fatalf("enqueued = %d, want %d", ps.enqueued.Load(), total)
 	}
-	// The survivors are the newest `depth` batches, in order.
+	if got := p.out.Load(); got != depth {
+		t.Fatalf("%d batches out, want the %d queued", got, depth)
+	}
+	// The survivors are the newest `depth` jobs, in order.
 	for i := 0; i < depth; i++ {
 		job := <-ps.ch
 		want := base.Add(time.Duration(total-depth+i) * time.Minute)
-		if !job.recs[0].Time.Equal(want) {
-			t.Fatalf("survivor %d has time %v, want %v", i, job.recs[0].Time, want)
+		if got := job.batch.recs[job.batch.groups[job.groups[0]].lo].Time; !got.Equal(want) {
+			t.Fatalf("survivor %d has time %v, want %v", i, got, want)
 		}
+		p.release(job.batch)
+	}
+	if got := p.out.Load(); got != 0 {
+		t.Fatalf("%d batches never went back to the pool", got)
 	}
 }
 
@@ -318,17 +322,16 @@ func TestErrorWhenFullAccuracy(t *testing.T) {
 	m := testManager(t, 1)
 	p := &pipeline{m: m, policy: ErrorWhenFull, shards: make([]pipeShard, 1)}
 	p.shards[0].ch = make(chan pipeJob, 2)
-	job := func() pipeJob {
-		return pipeJob{stream: "s", recs: []Record{{Path: []string{"pop"}, Time: start()}}}
+	enqueue := func() (int, error) {
+		return p.enqueue(context.Background(), []Record{{Path: []string{"pop"}, Time: start()}}, []StreamRun{{Stream: "s", End: 1}})
 	}
-	if err := p.enqueue(context.Background(), 0, job()); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if n, err := enqueue(); n != 1 || err != nil {
+			t.Fatalf("enqueue %d = %d, %v", i, n, err)
+		}
 	}
-	if err := p.enqueue(context.Background(), 0, job()); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.enqueue(context.Background(), 0, job()); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("full queue = %v, want ErrQueueFull", err)
+	if n, err := enqueue(); n != 0 || !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("full queue = %d, %v, want 0, ErrQueueFull", n, err)
 	}
 	ps := &p.shards[0]
 	if ps.rejected.Load() != 1 || ps.enqueued.Load() != 2 {

@@ -203,10 +203,10 @@ func TestPipelineWorkerPanicContained(t *testing.T) {
 	for i := range recs {
 		recs[i].Path = []string{"pop", "edge"}
 	}
-	if err := m.EnqueueBatch("bad", append([]Record(nil), recs...)); err != nil {
+	if err := m.EnqueueBatch("bad", recs); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.EnqueueBatch("good", append([]Record(nil), recs...)); err != nil {
+	if err := m.EnqueueBatch("good", recs); err != nil {
 		t.Fatal(err)
 	}
 	m.Drain()
@@ -253,8 +253,9 @@ func TestEnqueueContextCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := m.EnqueueBatchContext(ctx, "s", []Record{{Path: []string{"pop"}, Time: start()}}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-canceled enqueue = %v, want context.Canceled", err)
+	run := []StreamRun{{Stream: "s", End: 1}}
+	if n, err := m.EnqueueRuns(ctx, []Record{{Path: []string{"pop"}, Time: start()}}, run); n != 0 || !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-canceled enqueue = %d, %v, want 0, context.Canceled", n, err)
 	}
 
 	// Fill the queue, then block a send and cancel it.
@@ -264,9 +265,12 @@ func TestEnqueueContextCancel(t *testing.T) {
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel2()
 	t0 := time.Now()
-	err := m.EnqueueBatchContext(ctx2, "s", []Record{{Path: []string{"pop"}, Time: t0}})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("blocked enqueue = %v, want context.DeadlineExceeded", err)
+	n, err := m.EnqueueRuns(ctx2, []Record{{Path: []string{"pop"}, Time: t0}}, run)
+	if n != 0 || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("blocked enqueue = %d, %v, want 0, context.DeadlineExceeded", n, err)
+	}
+	if got := m.pipe.out.Load(); got != 1 {
+		t.Fatalf("%d batches out, want only the queued one", got)
 	}
 	if time.Since(t0) > 5*time.Second {
 		t.Fatal("cancellation did not unblock the send promptly")

@@ -16,10 +16,10 @@
 // sharded Manager multiplexes many independent streams behind one
 // Feed hot path. At scale the Manager runs pipelined (WithPipeline):
 // per-shard worker goroutines behind bounded queues ingest
-// asynchronously via EnqueueBatch under a configurable
-// backpressure policy, and detections land in a bounded queryable
-// AnomalyIndex (WithAnomalyIndex) instead of vanishing with the
-// return value.
+// asynchronously via EnqueueRuns — one job per shard per body — under
+// a configurable backpressure policy, and detections land in a bounded
+// queryable AnomalyIndex (WithAnomalyIndex) instead of vanishing with
+// the return value.
 //
 // Detectors are durable: Snapshot serializes the full warm state to a
 // versioned binary checkpoint and Restore resumes it mid-stream with
@@ -29,11 +29,13 @@
 // The package's mutexes form a declared hierarchy, machine-checked by
 // tiresias-vet's lockorder analyzer: the checkpoint serializer is the
 // only path that nests locks, taking the checkpoint mutex first, then
-// the pipeline's (to drain queued records), each shard's (to freeze
-// its streams), and the stats mutex (to publish the outcome); shard
-// locks nest over the anomaly index's.
+// the pipeline's (to drain queued records, each barrier sent under the
+// pipeline's admission mutex), each shard's (to freeze its streams),
+// and the stats mutex (to publish the outcome); shard locks nest over
+// the anomaly index's. An enqueue holds the pipeline mutex over the
+// admission mutex, as a drain does.
 //
-//tiresias:lockorder Manager.ckptMu < pipeline.mu
+//tiresias:lockorder Manager.ckptMu < pipeline.mu < pipeline.admitMu
 //tiresias:lockorder Manager.ckptMu < managerShard.mu < Index.mu
 //tiresias:lockorder Manager.ckptMu < Manager.ckptStatsMu
 package tiresias
