@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"tiresias/internal/algo"
 	"tiresias/internal/experiments"
 	"tiresias/internal/forecast"
 	"tiresias/internal/perfbench"
@@ -132,53 +131,6 @@ func BenchmarkEnqueueMerged(b *testing.B) { perfbench.EnqueueMerged(b) }
 // through the serving layer's handler (read, decode, validate, group,
 // synchronous FeedBatch, response); figures are per body.
 func BenchmarkHandlerIngest(b *testing.B) { perfbench.HandlerIngest(b) }
-
-// BenchmarkADAStepMap measures the same instance entering through the
-// compatibility map-form Step (per-unit Key interning included).
-func BenchmarkADAStepMap(b *testing.B) {
-	e, units := stepWorkload(b, "ADA")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Step(units[i%len(units)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// stepWorkload builds a warm engine plus a stream of map-form steps.
-func stepWorkload(b *testing.B, name string) (algo.Engine, []algo.Timeunit) {
-	b.Helper()
-	p := benchProfile()
-	w, err := experiments.CCDNetWorkload(p, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := algo.Config{
-		Theta:         p.Theta,
-		WindowLen:     p.WarmUnits,
-		Rule:          algo.LongTermHistory,
-		RefLevels:     2,
-		NewForecaster: algo.HoltWintersFactory(0.4, 0.05, 0.3, 24),
-	}
-	var e algo.Engine
-	if name == "STA" {
-		e, err = algo.NewSTA(cfg)
-	} else {
-		e, err = algo.NewADA(cfg)
-	}
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := e.Init(w.Units[:p.WarmUnits]); err != nil {
-		b.Fatal(err)
-	}
-	return e, w.Units[p.WarmUnits:]
-}
-
-// BenchmarkSTAStep measures one STA time instance (the O(ℓ·|tree|)
-// strawman), the Table III contrast.
-func BenchmarkSTAStep(b *testing.B) { perfbench.STAStep(b) }
 
 // BenchmarkHoltWintersUpdate measures the constant-time forecast
 // update at the core of Step 4.

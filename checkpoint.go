@@ -81,7 +81,7 @@ func (t *Tiresias) snapshotState() (*checkpoint.Snapshot, error) {
 // The checkpointed configuration is authoritative; opts are applied on
 // top and exist to re-attach what a checkpoint cannot carry — Sinks,
 // adjusted Thresholds, a different MaxGap. Changing structural options
-// (delta, window length, algorithm, increment) is rejected: they shape
+// (delta, window length, increment) is rejected: they shape
 // the serialized state itself, so a detector with different structure
 // must be built fresh with New and re-warmed.
 //
@@ -118,7 +118,7 @@ func configOf(o *options) checkpoint.Config {
 		Theta:         o.theta,
 		RT:            o.thresholds.RT,
 		DT:            o.thresholds.DT,
-		Algorithm:     int(o.algorithm),
+		Algorithm:     adaAlgorithm,
 		Rule:          int(o.rule),
 		RuleAlpha:     o.ruleAlpha,
 		RefLevels:     o.refLevels,
@@ -134,6 +134,10 @@ func configOf(o *options) checkpoint.Config {
 	}
 }
 
+// adaAlgorithm is the engine selector every checkpoint carries in
+// Config.Algorithm: ADA, the only engine a detector runs.
+const adaAlgorithm = 1
+
 // optionsFrom is the inverse of configOf. The values are already
 // normalized (New's WithIncrement rescaling ran before the snapshot),
 // so no derivation is re-applied.
@@ -144,7 +148,6 @@ func optionsFrom(c checkpoint.Config) options {
 		windowLen:     c.WindowLen,
 		theta:         c.Theta,
 		thresholds:    detect.Thresholds{RT: c.RT, DT: c.DT},
-		algorithm:     Algorithm(c.Algorithm),
 		rule:          SplitRule(c.Rule),
 		ruleAlpha:     c.RuleAlpha,
 		refLevels:     c.RefLevels,
@@ -168,17 +171,14 @@ func restoreFromSnapshot(snap *checkpoint.Snapshot, opts ...Option) (*Tiresias, 
 	for _, op := range opts {
 		op.apply(&o)
 	}
-	if o.delta != base.delta || o.windowLen != base.windowLen ||
-		o.algorithm != base.algorithm || o.increment != base.increment {
-		return nil, errors.New("tiresias: Restore cannot change structural options (delta, window length, algorithm, increment); build a fresh detector with New and re-warm instead")
+	if o.delta != base.delta || o.windowLen != base.windowLen || o.increment != base.increment {
+		return nil, errors.New("tiresias: Restore cannot change structural options (delta, window length, increment); build a fresh detector with New and re-warm instead")
 	}
 	if o.delta <= 0 || o.windowLen < 2 {
 		return nil, fmt.Errorf("%w: configuration (delta %v, window %d)", ErrBadCheckpoint, o.delta, o.windowLen)
 	}
-	switch o.algorithm {
-	case AlgorithmADA, AlgorithmSTA:
-	default:
-		return nil, fmt.Errorf("%w: unknown algorithm %d", ErrBadCheckpoint, int(o.algorithm))
+	if snap.Config.Algorithm != adaAlgorithm {
+		return nil, fmt.Errorf("%w: engine selector %d (only ADA, %d, restores)", ErrBadCheckpoint, snap.Config.Algorithm, adaAlgorithm)
 	}
 	det, err := detect.New(o.thresholds)
 	if err != nil {
@@ -200,7 +200,7 @@ func restoreFromSnapshot(snap *checkpoint.Snapshot, opts ...Option) (*Tiresias, 
 	}
 	st, err := t.engine.ImportState(snap.Engine)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 	}
 	t.lastState = st
 	return t, nil

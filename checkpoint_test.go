@@ -77,12 +77,11 @@ func processAll(t *testing.T, det *Tiresias, units []Timeunit) []Anomaly {
 // checkpointOpts is the option set the round-trip property runs with,
 // exercising seasonal Holt-Winters models, reference-series repair,
 // and the multi-timescale series.
-func checkpointOpts(alg Algorithm) []Option {
+func checkpointOpts() []Option {
 	return []Option{
 		WithDelta(15 * time.Minute),
 		WithWindowLen(48),
 		WithTheta(8),
-		WithAlgorithm(alg),
 		WithReferenceLevels(2),
 		WithSeasonality(1.0, 24),
 		WithMultiScale(2, 2),
@@ -126,9 +125,9 @@ func sortStrings(s []string) {
 // stream property for one engine at one split point: the reference
 // detector never stops; the probe detector is snapshotted after
 // splitAt units, restored, and must finish the stream bit-identically.
-func testRoundTrip(t *testing.T, alg Algorithm, units []Timeunit, startAt time.Time, warmLen, splitAt int) {
+func testRoundTrip(t *testing.T, units []Timeunit, startAt time.Time, warmLen, splitAt int) {
 	t.Helper()
-	ref, err := New(checkpointOpts(alg)...)
+	ref, err := New(checkpointOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +137,7 @@ func testRoundTrip(t *testing.T, alg Algorithm, units []Timeunit, startAt time.T
 	}
 	want := processAll(t, ref, units[warmLen:])
 
-	det, err := New(checkpointOpts(alg)...)
+	det, err := New(checkpointOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +168,7 @@ func testRoundTrip(t *testing.T, alg Algorithm, units []Timeunit, startAt time.T
 		t.Fatalf("restored heavy hitters %s, want %s", g, w)
 	}
 	got = append(got, processAll(t, restored, units[splitAt:])...)
-	sameAnomalies(t, fmt.Sprintf("%v split at %d", alg, splitAt), want, got)
+	sameAnomalies(t, fmt.Sprintf("split at %d", splitAt), want, got)
 }
 
 func TestCheckpointRoundTripADA(t *testing.T) {
@@ -182,19 +181,7 @@ func TestCheckpointRoundTripADA(t *testing.T) {
 	// Property across several split points, including immediately
 	// after warmup and right inside an injected anomaly burst.
 	for _, splitAt := range []int{warmLen, warmLen + 7, len(units) / 2, len(units)/2 + 2, len(units) - 1} {
-		testRoundTrip(t, AlgorithmADA, units, startAt, warmLen, splitAt)
-	}
-}
-
-func TestCheckpointRoundTripSTA(t *testing.T) {
-	ds := ckptDataset(t, 90, 43)
-	units, startAt, err := stream.Collect(stream.NewSliceSource(ds.Records), 15*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmLen := 48
-	for _, splitAt := range []int{warmLen + 3, warmLen + 13, len(units) - 2} {
-		testRoundTrip(t, AlgorithmSTA, units, startAt, warmLen, splitAt)
+		testRoundTrip(t, units, startAt, warmLen, splitAt)
 	}
 }
 
@@ -282,7 +269,6 @@ func TestRestoreAppliesSinksAndRejectsStructuralChanges(t *testing.T) {
 	}{
 		{"delta", WithDelta(time.Hour)},
 		{"window", WithWindowLen(64)},
-		{"algorithm", WithAlgorithm(AlgorithmSTA)},
 		{"increment", WithIncrement(5 * time.Minute)},
 	} {
 		if _, err := Restore(bytes.NewReader(raw), tc.opt); err == nil {

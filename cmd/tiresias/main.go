@@ -4,7 +4,7 @@
 // Usage:
 //
 //	tiresias -in data.csv -delta 15m -window 672 -theta 10 \
-//	    -rt 2.8 -dt 8 -algo ada -rule long-term-history -ref 2 \
+//	    -rt 2.8 -dt 8 -rule long-term-history -ref 2 \
 //	    -store anomalies.json
 //
 // Input is either the CSVish format of tiresias-gen ("time,path") or
@@ -76,13 +76,12 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		theta   = fs.Float64("theta", 10, "heavy-hitter threshold θ")
 		rt      = fs.Float64("rt", 2.8, "relative sensitivity threshold RT")
 		dt      = fs.Float64("dt", 8, "absolute sensitivity threshold DT")
-		algoSel = fs.String("algo", "ada", "engine: ada | sta")
 		ruleSel = fs.String("rule", "long-term-history", "split rule: uniform | last-time-unit | long-term-history | ewma")
 		ref     = fs.Int("ref", 2, "reference time-series levels h")
 		storeTo = fs.String("store", "", "also write anomalies as JSON to this file")
 		jsonOut = fs.Bool("json", false, "stream anomalies as JSON lines instead of text")
 		quiet   = fs.Bool("quiet", false, "suppress per-anomaly lines")
-		resume  = fs.String("resume", "", "resume from a checkpoint written by -checkpoint (detector flags come from the checkpoint; -delta/-window/-theta/-algo/-rule/-ref are ignored)")
+		resume  = fs.String("resume", "", "resume from a checkpoint written by -checkpoint (detector flags come from the checkpoint; -delta/-window/-theta/-rule/-ref are ignored)")
 		ckptTo  = fs.String("checkpoint", "", "write the detector state to this file when the run ends (including on interrupt), for later -resume")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -165,14 +164,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			tiresias.WithThresholds(tiresias.Thresholds{RT: *rt, DT: *dt}),
 			tiresias.WithSplitRule(rule),
 			tiresias.WithReferenceLevels(*ref),
-		}
-		switch *algoSel {
-		case "ada":
-			opts = append(opts, tiresias.WithAlgorithm(tiresias.AlgorithmADA))
-		case "sta":
-			opts = append(opts, tiresias.WithAlgorithm(tiresias.AlgorithmSTA))
-		default:
-			return fmt.Errorf("unknown algo %q", *algoSel)
 		}
 		t, err = tiresias.New(append(opts, sinkOpts...)...)
 		if err != nil {

@@ -79,10 +79,10 @@ func TestRunDetectsAndStores(t *testing.T) {
 	}
 }
 
-func TestRunSTAEngine(t *testing.T) {
+func TestRunQuietSuppressesAnomalyLines(t *testing.T) {
 	path := writeDataset(t)
 	var out bytes.Buffer
-	err := run(context.Background(), []string{"-in", path, "-window", "48", "-theta", "4", "-algo", "sta", "-quiet"}, &out)
+	err := run(context.Background(), []string{"-in", path, "-window", "48", "-theta", "4", "-quiet"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,18 +96,23 @@ func TestRunErrors(t *testing.T) {
 	tests := []struct {
 		name string
 		args []string
+		want string // error substring, when the message matters
 	}{
 		{name: "missing file", args: []string{"-in", "/does/not/exist"}},
 		{name: "bad format", args: []string{"-in", path, "-format", "xml"}},
-		{name: "bad algo", args: []string{"-in", path, "-algo", "magic"}},
+		{name: "bad algo", args: []string{"-in", path, "-algo", "sta"}, want: "flag provided but not defined: -algo"},
 		{name: "bad rule", args: []string{"-in", path, "-rule", "nope"}},
 		{name: "bad thresholds", args: []string{"-in", path, "-rt", "0"}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			var out bytes.Buffer
-			if err := run(context.Background(), tt.args, &out); err == nil {
+			err := run(context.Background(), tt.args, &out)
+			if err == nil {
 				t.Fatal("run must fail")
+			}
+			if !strings.Contains(err.Error(), tt.want) {
+				t.Fatalf("error %q does not mention %q", err, tt.want)
 			}
 		})
 	}

@@ -95,11 +95,11 @@ func run() error {
 	var found bool
 	var errSum, refSum float64
 	for i, u := range units[warm:] {
-		stA, err := ada.Step(u)
+		stA, err := algo.StepTimeunit(ada, u)
 		if err != nil {
 			return err
 		}
-		if _, err := sta.Step(u); err != nil {
+		if _, err := algo.StepTimeunit(sta, u); err != nil {
 			return err
 		}
 		for _, a := range det.Scan(stA, time.Time{}) {

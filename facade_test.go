@@ -22,8 +22,6 @@ func TestNewValidation(t *testing.T) {
 		{name: "too many periods", opts: []Option{WithSeasonality(0.5, 2, 3, 4)}},
 		{name: "bad period", opts: []Option{WithSeasonality(0.5, 0)}},
 		{name: "bad thresholds", opts: []Option{WithThresholds(Thresholds{})}},
-		{name: "zero algorithm", opts: []Option{WithAlgorithm(Algorithm(0))}},
-		{name: "unknown algorithm", opts: []Option{WithAlgorithm(Algorithm(7))}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -31,15 +29,6 @@ func TestNewValidation(t *testing.T) {
 				t.Fatal("New must fail")
 			}
 		})
-	}
-}
-
-func TestAlgorithmString(t *testing.T) {
-	if AlgorithmADA.String() != "ADA" || AlgorithmSTA.String() != "STA" {
-		t.Fatal("Algorithm names wrong")
-	}
-	if Algorithm(9).String() != "Algorithm(9)" {
-		t.Fatal("unknown algorithm String wrong")
 	}
 }
 
@@ -195,48 +184,6 @@ func TestQuietStreamYieldsFewAnomalies(t *testing.T) {
 	if len(res.Anomalies) > 4 {
 		t.Fatalf("too many false alarms on a quiet stream: %d", len(res.Anomalies))
 	}
-}
-
-func TestSTAandADAAgreeOnAnomalies(t *testing.T) {
-	const warm = 48
-	spike := gen.AnomalySpec{
-		Path:         []string{"v2", "io1"},
-		StartUnit:    warm + 10,
-		EndUnit:      warm + 13,
-		ExtraPerUnit: 300,
-	}
-	d := genDataset(t, warm+20, []gen.AnomalySpec{spike})
-	run := func(a Algorithm) []Anomaly {
-		tr, err := New(
-			WithWindowLen(warm),
-			WithTheta(5),
-			WithAlgorithm(a),
-			WithSeasonality(1.0, 24),
-			WithReferenceLevels(2),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := tr.Run(context.Background(), NewSliceSource(d.Records))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Anomalies
-	}
-	adaAnoms := run(AlgorithmADA)
-	staAnoms := run(AlgorithmSTA)
-	// Both must flag the injected spike window under v2.
-	target := hierarchy.KeyOf([]string{"v2"})
-	check := func(name string, as []Anomaly) {
-		for _, a := range as {
-			if a.Instance >= 10 && a.Instance < 15 && target.IsAncestorOf(a.Key) {
-				return
-			}
-		}
-		t.Fatalf("%s missed the injected spike: %+v", name, as)
-	}
-	check("ADA", adaAnoms)
-	check("STA", staAnoms)
 }
 
 func TestAutoSeasonalityPicksDailyPeriod(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"tiresias/internal/algo"
 	"tiresias/internal/hierarchy"
 )
 
@@ -42,10 +41,7 @@ func TestWithIncrementRunsAtFineResolution(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ada, ok := tr.Engine().(*algo.ADA)
-	if !ok {
-		t.Fatal("engine is not ADA")
-	}
+	ada := tr.Engine()
 	n := ada.Tree().Lookup(hierarchy.KeyOf([]string{"a"}))
 	coarse := ada.MultiScaleOf(n, 1)
 	if len(coarse) == 0 {

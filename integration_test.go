@@ -144,11 +144,11 @@ func TestADATracksSTAOverLongRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, u := range units[48:] {
-		stA, err := ada.Step(u)
+		stA, err := algo.StepTimeunit(ada, u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stS, err := sta.Step(u)
+		stS, err := algo.StepTimeunit(sta, u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +234,7 @@ func TestReferenceMethodBlindSpot(t *testing.T) {
 	}
 	tiresiasHit := false
 	for i, u := range units[warm:] {
-		st, err := ada.Step(u)
+		st, err := algo.StepTimeunit(ada, u)
 		if err != nil {
 			t.Fatal(err)
 		}

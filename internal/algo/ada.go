@@ -88,7 +88,6 @@ type ADA struct {
 	work idSet
 
 	// Reusable scratch and pools for the steady-state step.
-	du        DenseUnit     // dense form of map-based Step input
 	snap      StepState     // returned by snapshot, reused every instance
 	freeNS    []*nodeSeries // pooled series holders (rings attached)
 	freeRings []*series.Ring
@@ -404,18 +403,6 @@ func (a *ADA) indexState() {
 		}
 	}
 	a.members = a.memberSet.appendTo(a.members[:0], false)
-}
-
-// Step implements Engine: lines 6-29 of Fig. 5. The map-form timeunit
-// is interned into a reused dense scratch unit and handed to the flat
-// core.
-func (a *ADA) Step(u Timeunit) (*StepState, error) {
-	if !a.inited {
-		return nil, errState
-	}
-	a.du.Reset()
-	a.du.AddTimeunit(a.tree, u)
-	return a.stepDense(&a.du)
 }
 
 // StepDense implements Engine.

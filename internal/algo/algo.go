@@ -202,37 +202,25 @@ func (m MemoryStats) Normalized() float64 {
 
 // Engine is the common interface of STA and ADA.
 //
-// Ownership: the *StepState returned by Init, Step, and StepDense —
-// including its HeavyHitters slice — is owned by the engine and only
-// valid until the next Init/Step/StepDense call (engines reuse it so
-// the steady-state step allocates nothing). Callers that retain a
-// state across steps must copy what they need.
+// Ownership: the *StepState returned by Init and StepDense — including
+// its HeavyHitters slice — is owned by the engine and only valid until
+// the next Init/StepDense call (engines reuse it so the steady-state
+// step allocates nothing). Callers that retain a state across steps
+// must copy what they need.
 type Engine interface {
 	// Name identifies the engine ("STA" or "ADA").
 	Name() string
 	// Init consumes the first time instance: the initial window of
 	// ℓ timeunits (oldest first). Must be called exactly once,
-	// before Step.
+	// before StepDense.
 	Init(window []Timeunit) (*StepState, error)
-	// Step advances one time instance with the newest timeunit.
-	Step(u Timeunit) (*StepState, error)
-	// StepDense is Step for a timeunit already in dense node-ID form.
-	// The IDs must have been interned into the engine's tree (share
-	// one via Config.Tree); the caller keeps ownership of u and may
-	// reset it after the call. This is the allocation-free hot path
-	// used by the streaming front end.
+	// StepDense advances one time instance with the newest timeunit
+	// in dense node-ID form. The IDs must have been interned into the
+	// engine's tree (share one via Config.Tree, or see StepTimeunit);
+	// the caller keeps ownership of u and may reset it after the call.
 	StepDense(u *DenseUnit) (*StepState, error)
 	// Tree exposes the engine's hierarchy (grown dynamically).
 	Tree() *hierarchy.Tree
-	// ExportState snapshots the engine's full dynamic state for the
-	// checkpoint subsystem. The returned state is an independent deep
-	// copy. Errors before Init.
-	ExportState() (*EngineState, error)
-	// ImportState loads an exported state into a freshly constructed
-	// engine sharing the exporting engine's Config and hierarchy, and
-	// returns the rebuilt StepState of the last processed instance.
-	// Errors after Init (import replaces it).
-	ImportState(st *EngineState) (*StepState, error)
 	// SeriesOf returns a copy of the retained actual series (oldest
 	// first) for the node, or nil when the node holds no series.
 	SeriesOf(n *hierarchy.Node) []float64

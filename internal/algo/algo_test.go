@@ -82,7 +82,7 @@ func TestEngineLifecycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Step(Timeunit{}); err == nil {
+		if _, err := StepTimeunit(e, Timeunit{}); err == nil {
 			t.Fatalf("%s: Step before Init must fail", e.Name())
 		}
 		if _, err := e.Init(nil); err != nil {
@@ -91,7 +91,7 @@ func TestEngineLifecycle(t *testing.T) {
 		if _, err := e.Init(nil); err == nil {
 			t.Fatalf("%s: second Init must fail", e.Name())
 		}
-		if _, err := e.Step(Timeunit{}); err != nil {
+		if _, err := StepTimeunit(e, Timeunit{}); err != nil {
 			t.Fatalf("%s: Step after Init: %v", e.Name(), err)
 		}
 	}
@@ -145,11 +145,11 @@ func TestLemma1HeavyHitterSetsAgree(t *testing.T) {
 			return false
 		}
 		for _, u := range units[warm:] {
-			stA, err = ada.Step(u)
+			stA, err = StepTimeunit(ada, u)
 			if err != nil {
 				return false
 			}
-			stS, err = sta.Step(u)
+			stS, err = StepTimeunit(sta, u)
 			if err != nil {
 				return false
 			}
@@ -196,7 +196,7 @@ func TestNewestWeightsMatchDefinition(t *testing.T) {
 				return false
 			}
 			for _, u := range units[8:] {
-				st, err := e.Step(u)
+				st, err := StepTimeunit(e, u)
 				if err != nil {
 					return false
 				}
@@ -240,7 +240,7 @@ func TestADASplitMovesSeriesDown(t *testing.T) {
 	}
 	// Child a spikes to 9: a becomes heavy, p drops to 3 < θ and its
 	// residual merges into the root.
-	st, err = ada.Step(Timeunit{key("p", "a"): 9, key("p", "b"): 3})
+	st, err = StepTimeunit(ada, Timeunit{key("p", "a"): 9, key("p", "b"): 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestADAMergeFoldsSeriesUp(t *testing.T) {
 		t.Fatalf("warmup SHHH = %v, want both children", keys)
 	}
 	// Both children drop to 3: p aggregates 6 >= θ.
-	st, err = ada.Step(Timeunit{key("p", "a"): 3, key("p", "b"): 3})
+	st, err = StepTimeunit(ada, Timeunit{key("p", "a"): 3, key("p", "b"): 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestADADeepSplitCascades(t *testing.T) {
 		t.Fatalf("warmup SHHH = %v, want {g}", keys)
 	}
 	// Grandchild x spikes; c1's residual (2) and c2 (2) stay light.
-	st, err = ada.Step(Timeunit{
+	st, err = StepTimeunit(ada, Timeunit{
 		key("g", "c1", "x"): 9,
 		key("g", "c1", "y"): 2,
 		key("g", "c2", "z"): 2,
@@ -374,7 +374,7 @@ func TestMassConservationAcrossAdaptation(t *testing.T) {
 			return false
 		}
 		for _, u := range units[8:] {
-			st, err := ada.Step(u)
+			st, err := StepTimeunit(ada, u)
 			if err != nil {
 				return false
 			}
@@ -429,11 +429,11 @@ func TestADASeriesCloseToSTA(t *testing.T) {
 	}
 	var sumErr, sumRef float64
 	for _, u := range units[12:] {
-		stA, err := ada.Step(u)
+		stA, err := StepTimeunit(ada, u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sta.Step(u); err != nil {
+		if _, err := StepTimeunit(sta, u); err != nil {
 			t.Fatal(err)
 		}
 		for _, hh := range stA.HeavyHitters {
@@ -501,11 +501,11 @@ func TestReferenceSeriesReduceSplitError(t *testing.T) {
 		}
 		var sumErr float64
 		for _, u := range units[12:] {
-			stA, err := ada.Step(u)
+			stA, err := StepTimeunit(ada, u)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := sta.Step(u); err != nil {
+			if _, err := StepTimeunit(sta, u); err != nil {
 				t.Fatal(err)
 			}
 			for _, hh := range stA.HeavyHitters {
@@ -539,10 +539,10 @@ func TestMemoryStatsADALessThanSTA(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, u := range units[24:] {
-		if _, err := ada.Step(u); err != nil {
+		if _, err := StepTimeunit(ada, u); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sta.Step(u); err != nil {
+		if _, err := StepTimeunit(sta, u); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -578,7 +578,7 @@ func TestADAMultiScaleTracking(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		if _, err := ada.Step(Timeunit{key("a"): 4}); err != nil {
+		if _, err := StepTimeunit(ada, Timeunit{key("a"): 4}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -619,7 +619,7 @@ func TestHeavyHitterNodesOrdered(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, u := range units[8:] {
-		if _, err := ada.Step(u); err != nil {
+		if _, err := StepTimeunit(ada, u); err != nil {
 			t.Fatal(err)
 		}
 	}

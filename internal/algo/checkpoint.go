@@ -1,15 +1,14 @@
 package algo
 
-// Engine checkpoint support: every engine can export its full dynamic
-// state into the flat, serializable EngineState and reimport it into a
-// freshly constructed engine sharing the same Config and hierarchy.
-// The round trip is exact — a restored engine steps bit-identically to
-// one that never stopped — which is what the public Snapshot/Restore
-// API builds on.
+// Engine checkpoint support: ADA exports its full dynamic state into the
+// flat, serializable EngineState and reimports it into a freshly
+// constructed ADA sharing the same Config and hierarchy. The round trip
+// is exact — a restored engine steps bit-identically to one that never
+// stopped — which is what the public Snapshot/Restore API builds on.
+// STA, the test and experiments reference, is never checkpointed.
 
 import (
 	"fmt"
-	"sort"
 
 	"tiresias/internal/forecast"
 	"tiresias/internal/series"
@@ -69,24 +68,14 @@ type RefState struct {
 	Model forecast.State
 }
 
-// UnitState is the serializable form of one retained timeunit (STA's
-// window): touched dense node IDs with their direct counts.
-type UnitState struct {
-	// IDs lists the touched node IDs in ascending order.
-	IDs []int32
-	// Vals holds the direct count per entry of IDs.
-	Vals []float64
-}
-
-// EngineState is the full dynamic state of an engine, exported by
-// Engine.ExportState and consumed by Engine.ImportState on a fresh
-// engine with the same Config and hierarchy. ADA fills the per-node
-// arrays and series; STA fills Window. Scratch buffers, pools, and
+// EngineState is the full dynamic state of an ADA engine, exported by
+// ADA.ExportState and consumed by ADA.ImportState on a fresh engine
+// with the same Config and hierarchy. Scratch buffers, pools, and
 // per-instance transient marks are deliberately absent: they are
 // empty/cleared at every step boundary, so omitting them preserves
 // step-for-step equivalence.
 type EngineState struct {
-	// Kind is the engine name ("ADA" or "STA").
+	// Kind is the engine name ("ADA").
 	Kind string
 	// Instance is the 0-based index of the last processed instance.
 	Instance int
@@ -108,13 +97,12 @@ type EngineState struct {
 	// RefCovered is the tree size when reference coverage was last
 	// ensured.
 	RefCovered int
-
-	// Window is STA's retained sliding window, oldest first.
-	Window []UnitState
 }
 
-// ExportState implements Engine. The returned state deep-copies every
-// ring and model, so it stays valid while the engine keeps stepping.
+// ExportState snapshots the engine's full dynamic state for the
+// checkpoint subsystem; it errors before Init. The returned state
+// deep-copies every ring and model, so it stays valid while the engine
+// keeps stepping.
 func (a *ADA) ExportState() (*EngineState, error) {
 	if !a.inited {
 		return nil, errState
@@ -169,10 +157,10 @@ func (a *ADA) ExportState() (*EngineState, error) {
 	return st, nil
 }
 
-// ImportState implements Engine: it loads an exported state into a
-// freshly constructed ADA whose Config and hierarchy match the
-// exporting engine, and returns the rebuilt StepState of the last
-// processed instance. The engine must not have been Init-ed.
+// ImportState loads an exported state into a freshly constructed ADA
+// whose Config and hierarchy match the exporting engine, and returns
+// the rebuilt StepState of the last processed instance. The engine
+// must not have been Init-ed.
 func (a *ADA) ImportState(st *EngineState) (*StepState, error) {
 	if a.inited {
 		return nil, errState
@@ -249,74 +237,4 @@ func (a *ADA) ImportState(st *EngineState) (*StepState, error) {
 	a.indexState()
 	a.refCovered = st.RefCovered
 	return a.snapshot(), nil
-}
-
-// ExportState implements Engine: STA's dynamic state is the retained
-// sliding window (plus the instance counter); everything else is
-// recomputed from scratch each step.
-func (s *STA) ExportState() (*EngineState, error) {
-	if !s.inited {
-		return nil, errState
-	}
-	st := &EngineState{
-		Kind:     s.Name(),
-		Instance: s.instance,
-		Window:   make([]UnitState, 0, len(s.window)),
-	}
-	for _, u := range s.window {
-		us := UnitState{IDs: make([]int32, 0, len(u)), Vals: make([]float64, 0, len(u))}
-		for k := range u {
-			n := s.tree.Lookup(k)
-			if n == nil {
-				return nil, fmt.Errorf("algo: window key %q missing from hierarchy", k)
-			}
-			us.IDs = append(us.IDs, int32(n.ID))
-		}
-		sort.Slice(us.IDs, func(i, j int) bool { return us.IDs[i] < us.IDs[j] })
-		for _, id := range us.IDs {
-			us.Vals = append(us.Vals, u[s.tree.Node(int(id)).Key])
-		}
-		st.Window = append(st.Window, us)
-	}
-	return st, nil
-}
-
-// ImportState implements Engine: it reloads the retained window into a
-// fresh STA and reruns the (idempotent) detection pass over it, so the
-// returned StepState — and all cached series — match the exporting
-// engine's last instance exactly.
-func (s *STA) ImportState(st *EngineState) (*StepState, error) {
-	if s.inited {
-		return nil, errState
-	}
-	if st.Kind != s.Name() {
-		return nil, fmt.Errorf("algo: checkpoint holds %s state, engine is %s", st.Kind, s.Name())
-	}
-	if len(st.Window) == 0 {
-		return nil, fmt.Errorf("algo: checkpoint window is empty")
-	}
-	if len(st.Window) > s.cfg.WindowLen {
-		return nil, fmt.Errorf("algo: checkpoint window holds %d units, ℓ is %d", len(st.Window), s.cfg.WindowLen)
-	}
-	if st.Instance < 0 {
-		return nil, fmt.Errorf("algo: checkpoint instance %d is negative", st.Instance)
-	}
-	n := s.tree.Len()
-	s.window = make([]Timeunit, 0, s.cfg.WindowLen)
-	for _, us := range st.Window {
-		if len(us.IDs) != len(us.Vals) {
-			return nil, fmt.Errorf("algo: window unit has %d IDs, %d values", len(us.IDs), len(us.Vals))
-		}
-		u := make(Timeunit, len(us.IDs))
-		for i, id := range us.IDs {
-			if id < 0 || int(id) >= n {
-				return nil, fmt.Errorf("algo: window unit references node %d outside hierarchy of %d nodes", id, n)
-			}
-			u[s.tree.Node(int(id)).Key] += us.Vals[i]
-		}
-		s.window = append(s.window, u)
-	}
-	s.instance = st.Instance
-	s.inited = true
-	return s.process()
 }

@@ -110,10 +110,20 @@ func (u *DenseUnit) Timeunit(t *hierarchy.Tree) Timeunit {
 }
 
 // AddTimeunit accumulates a map-form timeunit into the dense unit,
-// interning unseen keys into the tree. It is the bridge the map-based
-// Engine.Step entry points use to reach the dense core.
+// interning unseen keys into the tree. It is the bridge from map-form
+// timeunits to the engines' dense step.
 func (u *DenseUnit) AddTimeunit(t *hierarchy.Tree, counts Timeunit) {
 	for k, v := range counts {
 		u.Add(t.InsertKey(k).ID, v)
 	}
+}
+
+// StepTimeunit advances e one instance with a map-form timeunit, whose
+// keys are interned into e's tree through a fresh DenseUnit. It serves
+// harnesses that build timeunits as maps (experiments, tests); the
+// streaming front end fills a reused DenseUnit and calls StepDense.
+func StepTimeunit(e Engine, u Timeunit) (*StepState, error) {
+	var du DenseUnit
+	du.AddTimeunit(e.Tree(), u)
+	return e.StepDense(&du)
 }

@@ -113,8 +113,8 @@ func TestADADenseLemma1Agreement(t *testing.T) {
 }
 
 // TestADADenseMatchesMapStep feeds the identical unit stream through
-// StepDense and through the map-form Step on two engines with the same
-// configuration, asserting bit-identical heavy hitters, actuals, and
+// StepDense and through the map-form StepTimeunit on two engines with
+// the same configuration, asserting bit-identical heavy hitters, actuals, and
 // forecasts — the dense path is a representation change, not an
 // algorithm change.
 func TestADADenseMatchesMapStep(t *testing.T) {
@@ -159,7 +159,7 @@ func TestADADenseMatchesMapStep(t *testing.T) {
 			m[hierarchy.KeyOf(path)] += v
 		}
 		du.AddTimeunit(denseTree, m)
-		stM, err := mapEng.Step(m)
+		stM, err := StepTimeunit(mapEng, m)
 		if err != nil {
 			t.Fatal(err)
 		}

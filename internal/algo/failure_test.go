@@ -28,7 +28,7 @@ func TestADASurvivesTotalSilence(t *testing.T) {
 	// end empty.
 	var last *StepState
 	for i := 0; i < 12; i++ {
-		last, err = ada.Step(Timeunit{})
+		last, err = StepTimeunit(ada, Timeunit{})
 		if err != nil {
 			t.Fatalf("silent step %d: %v", i, err)
 		}
@@ -37,7 +37,7 @@ func TestADASurvivesTotalSilence(t *testing.T) {
 		t.Fatalf("SHHH after silence = %d members, want 0", len(last.HeavyHitters))
 	}
 	// Traffic returns: detection must resume.
-	st, err := ada.Step(Timeunit{key("a", "x"): 9})
+	st, err := StepTimeunit(ada, Timeunit{key("a", "x"): 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestADASingleMassiveBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One unit with a million records on a brand-new leaf.
-	st, err := ada.Step(Timeunit{key("z", "deep", "leaf"): 1e6})
+	st, err := StepTimeunit(ada, Timeunit{key("z", "deep", "leaf"): 1e6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestADASingleMassiveBurst(t *testing.T) {
 	}
 	// And it must decay cleanly.
 	for i := 0; i < 3; i++ {
-		if _, err := ada.Step(Timeunit{}); err != nil {
+		if _, err := StepTimeunit(ada, Timeunit{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -97,7 +97,7 @@ func TestADAGrowingUniverse(t *testing.T) {
 		u := Timeunit{
 			key("gen", string(rune('a'+i%26)), string(rune('a'+(i/26)%26))): 6,
 		}
-		st, err := ada.Step(u)
+		st, err := StepTimeunit(ada, u)
 		if err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
@@ -121,7 +121,7 @@ func TestSTAGrowingUniverse(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		u := Timeunit{key("n", string(rune('a'+i%26))): 6}
-		if _, err := sta.Step(u); err != nil {
+		if _, err := StepTimeunit(sta, u); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
 	}
@@ -143,7 +143,7 @@ func TestADAFractionalWeights(t *testing.T) {
 	if _, err := ada.Init(warm); err != nil {
 		t.Fatal(err)
 	}
-	st, err := ada.Step(Timeunit{key("w"): 3.25})
+	st, err := StepTimeunit(ada, Timeunit{key("w"): 3.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestADAThetaBoundary(t *testing.T) {
 		t.Fatal("weight == theta must be a member")
 	}
 	// Just below θ is not.
-	st, err = ada.Step(Timeunit{key("e"): 4.999})
+	st, err = StepTimeunit(ada, Timeunit{key("e"): 4.999})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func TestLemma1Seeds(t *testing.T) {
 			t.Fatal(err)
 		}
 		for step, u := range units[8:] {
-			st, err := ada.Step(u)
+			st, err := StepTimeunit(ada, u)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -30,7 +30,7 @@ func ruleScenario(t *testing.T, rule SplitRule, alpha float64) (aHist, bHist flo
 	}
 	// Child a becomes heavy; b stays light. The split distributes
 	// the parent's history (8 per unit) by the rule's ratios.
-	if _, err := ada.Step(Timeunit{key("p", "a"): 9, key("p", "b"): 2}); err != nil {
+	if _, err := StepTimeunit(ada, Timeunit{key("p", "a"): 9, key("p", "b"): 2}); err != nil {
 		t.Fatal(err)
 	}
 	nA := ada.Tree().Lookup(key("p", "a"))
@@ -85,7 +85,7 @@ func TestRuleXValues(t *testing.T) {
 	if ada.prevA[id] != 8 {
 		t.Fatalf("prevA = %v, want 8", ada.prevA[id])
 	}
-	if _, err := ada.Step(Timeunit{key("n"): 4}); err != nil {
+	if _, err := StepTimeunit(ada, Timeunit{key("n"): 4}); err != nil {
 		t.Fatal(err)
 	}
 	if ada.prevA[id] != 4 {
@@ -143,10 +143,10 @@ func TestReferenceRepairExactness(t *testing.T) {
 		t.Fatal(err)
 	}
 	step := Timeunit{key("p", "a"): 9, key("p", "b"): 2}
-	if _, err := ada.Step(step); err != nil {
+	if _, err := StepTimeunit(ada, step); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sta.Step(step); err != nil {
+	if _, err := StepTimeunit(sta, step); err != nil {
 		t.Fatal(err)
 	}
 	nA := ada.Tree().Lookup(key("p", "a"))

@@ -83,7 +83,7 @@ func TestMapScalesEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, u := range fineUnits[8:] {
-		if _, err := fine.Step(u); err != nil {
+		if _, err := StepTimeunit(fine, u); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -91,7 +91,7 @@ func TestMapScalesEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, u := range coarseUnits[2:] {
-		if _, err := coarse.Step(u); err != nil {
+		if _, err := StepTimeunit(coarse, u); err != nil {
 			t.Fatal(err)
 		}
 	}

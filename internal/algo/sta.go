@@ -82,16 +82,6 @@ func (s *STA) Init(window []Timeunit) (*StepState, error) {
 	return s.process()
 }
 
-// Step implements Engine.
-func (s *STA) Step(u Timeunit) (*StepState, error) {
-	if !s.inited {
-		return nil, errState
-	}
-	s.instance++
-	s.ingest(u)
-	return s.process()
-}
-
 // StepDense implements Engine: STA retains map-form timeunits for its
 // window, so the dense unit is converted on entry (the strawman is the
 // baseline, not the hot path).

@@ -82,7 +82,8 @@ type Config struct {
 	Theta float64
 	// RT and DT are the Definition-4 sensitivity thresholds.
 	RT, DT float64
-	// Algorithm is the engine selector (tiresias.Algorithm values).
+	// Algorithm is the engine selector. Only ADA (1) is written or
+	// restored; the field keeps the format's bytes unchanged.
 	Algorithm int
 	// Rule is the ADA split rule; RuleAlpha the EWMA-rule rate.
 	Rule      int
@@ -476,11 +477,9 @@ func encodeEngine(e *algo.EngineState) *payload {
 		putModel(p, rs.Model)
 	}
 	p.putInt(e.RefCovered)
-	p.putLen(len(e.Window))
-	for _, us := range e.Window {
-		p.putInt32s(us.IDs)
-		p.putFloats(us.Vals)
-	}
+	// The retained-window list once held STA state; it stays in the
+	// format, always empty, so ADA checkpoints keep their bytes.
+	p.putLen(0)
 	return p
 }
 
@@ -513,10 +512,8 @@ func decodeEngine(buf []byte) (*algo.EngineState, error) {
 		e.Refs = append(e.Refs, rs)
 	}
 	e.RefCovered = r.getInt()
-	n = r.getLen()
-	for i := 0; i < n && r.err == nil; i++ {
-		us := algo.UnitState{IDs: r.getInt32s(), Vals: r.getFloats()}
-		e.Window = append(e.Window, us)
+	if n := r.getLen(); n != 0 {
+		r.fail("engine section holds a %d-unit retained window (STA state); only ADA state restores", n)
 	}
 	if err := r.done(tagEngine); err != nil {
 		return nil, err

@@ -205,3 +205,23 @@ func TestStreamSectionRoundTrip(t *testing.T) {
 		t.Fatalf("current unit mismatch: %+v", ss.Windower)
 	}
 }
+
+// TestEngineSectionRejectsRetainedWindow: the engine section's trailing
+// retained-window list (once STA state) is written empty, and a
+// non-empty one is refused rather than silently dropped.
+func TestEngineSectionRejectsRetainedWindow(t *testing.T) {
+	p := encodeEngine(&algo.EngineState{Kind: "ADA"})
+	if last := p.buf[len(p.buf)-1]; last != 0 {
+		t.Fatalf("engine section ends in %#x, want an empty window (0)", last)
+	}
+	if _, err := decodeEngine(p.buf); err != nil {
+		t.Fatalf("empty window: %v", err)
+	}
+	p.buf = p.buf[:len(p.buf)-1]
+	p.putLen(1)
+	p.putInt32s([]int32{0})
+	p.putFloats([]float64{2})
+	if _, err := decodeEngine(p.buf); !errors.Is(err, ErrBadCheckpoint) {
+		t.Fatalf("one-unit window: err = %v, want ErrBadCheckpoint", err)
+	}
+}

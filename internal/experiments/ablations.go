@@ -142,7 +142,7 @@ func AblateScales(p Profile) (*Result, error) {
 			return algo.MemoryStats{}, nil, err
 		}
 		for _, u := range w.Units[p.WarmUnits:] {
-			if _, err := ada.Step(u); err != nil {
+			if _, err := algo.StepTimeunit(ada, u); err != nil {
 				return algo.MemoryStats{}, nil, err
 			}
 		}

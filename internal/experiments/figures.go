@@ -316,7 +316,7 @@ func Fig12(p Profile) (*Result, error) {
 	// Pre-drive STA and snapshot exact series at the final instance.
 	var lastSTA *algo.StepState
 	for _, u := range w.Units[p.WarmUnits:] {
-		lastSTA, err = sta.Step(u)
+		lastSTA, err = algo.StepTimeunit(sta, u)
 		if err != nil {
 			return nil, err
 		}
@@ -330,7 +330,7 @@ func Fig12(p Profile) (*Result, error) {
 			return nil, err
 		}
 		for _, u := range w.Units[p.WarmUnits:] {
-			if _, err := ada.Step(u); err != nil {
+			if _, err := algo.StepTimeunit(ada, u); err != nil {
 				return nil, err
 			}
 		}

@@ -105,7 +105,7 @@ func runTimed(e algo.Engine, w *Workload, warm int) (stageRow, error) {
 	}
 	row.stages.Add(st.Timings)
 	for _, u := range w.Units[warm:] {
-		st, err = e.Step(u)
+		st, err = algo.StepTimeunit(e, u)
 		if err != nil {
 			return row, err
 		}
@@ -200,7 +200,7 @@ func Table4(p Profile) (*Result, error) {
 			return algo.MemoryStats{}, err
 		}
 		for _, u := range w.Units[p.WarmUnits:] {
-			if _, err := e.Step(u); err != nil {
+			if _, err := algo.StepTimeunit(e, u); err != nil {
 				return algo.MemoryStats{}, err
 			}
 		}
@@ -255,7 +255,7 @@ func runDetect(e algo.Engine, w *Workload, warm int, th detect.Thresholds) (flag
 		return nil, nil, err
 	}
 	for i, u := range w.Units[warm:] {
-		st, err := e.Step(u)
+		st, err := algo.StepTimeunit(e, u)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -28,10 +28,10 @@ func profile() experiments.Profile {
 	return p
 }
 
-// engineWorkload builds a warm engine on a shared tree plus the step
+// engineWorkload builds a warm ADA on a shared tree plus the step
 // stream in dense form (paths pre-interned, so the steady state is
 // reached immediately).
-func engineWorkload(b *testing.B, name string) (algo.Engine, []*algo.DenseUnit) {
+func engineWorkload(b *testing.B) (*algo.ADA, []*algo.DenseUnit) {
 	b.Helper()
 	p := profile()
 	w, err := experiments.CCDNetWorkload(p, nil)
@@ -47,12 +47,7 @@ func engineWorkload(b *testing.B, name string) (algo.Engine, []*algo.DenseUnit) 
 		NewForecaster: algo.HoltWintersFactory(0.4, 0.05, 0.3, 24),
 		Tree:          tree,
 	}
-	var e algo.Engine
-	if name == "STA" {
-		e, err = algo.NewSTA(cfg)
-	} else {
-		e, err = algo.NewADA(cfg)
-	}
+	e, err := algo.NewADA(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -71,7 +66,7 @@ func engineWorkload(b *testing.B, name string) (algo.Engine, []*algo.DenseUnit) 
 // ADAStep measures one ADA time instance on the dense hot path, on a
 // workload whose units touch most of a small tree (closure ≈ tree).
 func ADAStep(b *testing.B) {
-	e, units := engineWorkload(b, "ADA")
+	e, units := engineWorkload(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -141,19 +136,6 @@ func ADAStepSparse(b *testing.B) {
 	}
 }
 
-// STAStep measures one STA time instance (the O(ℓ·|tree|) strawman),
-// the Table III contrast.
-func STAStep(b *testing.B) {
-	e, units := engineWorkload(b, "STA")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.StepDense(units[i%len(units)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // WindowerObserve measures Step-1 record classification on the dense
 // path (path interning plus pooled dense units).
 func WindowerObserve(b *testing.B) {
@@ -194,7 +176,6 @@ func Specs() []Spec {
 	return []Spec{
 		{"ADAStep", ADAStep},
 		{"ADAStepSparse", ADAStepSparse},
-		{"STAStep", STAStep},
 		{"WindowerObserve", WindowerObserve},
 		{"ManagerFeed", ManagerFeed},
 		{"ManagerFeedPipelined", ManagerFeedPipelined},

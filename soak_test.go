@@ -49,7 +49,7 @@ func TestSoakSpeedupGrowsWithWindow(t *testing.T) {
 			}
 			var total time.Duration
 			for _, u := range w.Units[warm:] {
-				st, err := e.Step(u)
+				st, err := algo.StepTimeunit(e, u)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -51,28 +51,6 @@ import (
 	"tiresias/internal/seasonal"
 )
 
-// Algorithm selects the Step-2 engine.
-type Algorithm int
-
-const (
-	// AlgorithmADA is the paper's adaptive algorithm (default).
-	AlgorithmADA Algorithm = iota + 1
-	// AlgorithmSTA is the strawman baseline.
-	AlgorithmSTA
-)
-
-// String implements fmt.Stringer.
-func (a Algorithm) String() string {
-	switch a {
-	case AlgorithmADA:
-		return "ADA"
-	case AlgorithmSTA:
-		return "STA"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", int(a))
-	}
-}
-
 // options collects configuration; adjusted through Option values.
 type options struct {
 	delta         time.Duration
@@ -80,7 +58,6 @@ type options struct {
 	windowLen     int
 	theta         float64
 	thresholds    detect.Thresholds
-	algorithm     Algorithm
 	rule          algo.SplitRule
 	ruleAlpha     float64
 	refLevels     int
@@ -125,11 +102,6 @@ func WithTheta(theta float64) Option {
 // (default RT=2.8, DT=8, the paper's operating point).
 func WithThresholds(th Thresholds) Option {
 	return optionFunc(func(o *options) { o.thresholds = th })
-}
-
-// WithAlgorithm selects ADA (default) or STA.
-func WithAlgorithm(a Algorithm) Option {
-	return optionFunc(func(o *options) { o.algorithm = a })
 }
 
 // WithSplitRule selects ADA's split rule (default Long-Term-History).
@@ -203,7 +175,6 @@ func defaultOptions() options {
 		windowLen:  672,
 		theta:      10,
 		thresholds: detect.DefaultThresholds(),
-		algorithm:  AlgorithmADA,
 		rule:       algo.LongTermHistory,
 		ruleAlpha:  0.4,
 		refLevels:  2,
@@ -221,7 +192,7 @@ func defaultOptions() options {
 // Manager, or run one instance per stream.
 type Tiresias struct {
 	opts     options
-	engine   algo.Engine
+	engine   *algo.ADA
 	detector *detect.Detector
 	warm     bool
 	start    time.Time // start of the first timeunit
@@ -238,6 +209,9 @@ type Tiresias struct {
 	xi      float64
 
 	lastState *algo.StepState
+
+	// du is ProcessUnit's reused dense form of its map-form unit.
+	du algo.DenseUnit
 }
 
 // New constructs a Tiresias instance.
@@ -251,11 +225,6 @@ func New(opts ...Option) (*Tiresias, error) {
 	}
 	if o.windowLen < 2 {
 		return nil, fmt.Errorf("tiresias: window length must be >= 2, got %d", o.windowLen)
-	}
-	switch o.algorithm {
-	case AlgorithmADA, AlgorithmSTA:
-	default:
-		return nil, fmt.Errorf("tiresias: unknown algorithm %v (want AlgorithmADA or AlgorithmSTA)", o.algorithm)
 	}
 	if o.increment != 0 {
 		m, err := algo.MapScales(o.delta, o.increment)
@@ -303,9 +272,9 @@ func (t *Tiresias) SeasonalPeriods() []int {
 	return append([]int(nil), t.periods...)
 }
 
-// Engine exposes the underlying Step-2 engine (for experiment
-// harnesses; treat as read-only).
-func (t *Tiresias) Engine() algo.Engine { return t.engine }
+// Engine exposes the underlying ADA engine (for experiment harnesses;
+// treat as read-only). It is nil until Warmup or a warm Restore.
+func (t *Tiresias) Engine() *algo.ADA { return t.engine }
 
 // ErrNotWarm is returned by ProcessUnit before Warmup.
 var ErrNotWarm = errors.New("tiresias: Warmup must complete before ProcessUnit")
@@ -364,10 +333,10 @@ func (t *Tiresias) Reset() {
 	t.tree = hierarchy.New()
 }
 
-// newEngine constructs the Step-2 engine from the current options and
-// the learned seasonality (t.periods/t.xi must be set first). Shared
-// by Warmup and checkpoint restore so the two paths cannot drift.
-func (t *Tiresias) newEngine() (algo.Engine, error) {
+// newEngine constructs the ADA engine from the current options and the
+// learned seasonality (t.periods/t.xi must be set first). Shared by
+// Warmup and checkpoint restore so the two paths cannot drift.
+func (t *Tiresias) newEngine() (*algo.ADA, error) {
 	cfg := algo.Config{
 		Theta:         t.opts.theta,
 		WindowLen:     t.opts.windowLen,
@@ -378,9 +347,6 @@ func (t *Tiresias) newEngine() (algo.Engine, error) {
 		Lambda:        t.opts.lambda,
 		Eta:           t.opts.eta,
 		Tree:          t.tree,
-	}
-	if t.opts.algorithm == AlgorithmSTA {
-		return algo.NewSTA(cfg)
 	}
 	return algo.NewADA(cfg)
 }
@@ -468,11 +434,9 @@ func (t *Tiresias) ProcessUnit(u Timeunit) (*StepResult, error) {
 	if !t.warm {
 		return nil, ErrNotWarm
 	}
-	st, err := t.engine.Step(u)
-	if err != nil {
-		return nil, err
-	}
-	return t.finishStep(st), nil
+	t.du.Reset()
+	t.du.AddTimeunit(t.tree, u)
+	return t.processDense(&t.du)
 }
 
 // processDense is ProcessUnit for a timeunit in dense node-ID form
@@ -521,28 +485,14 @@ func (t *Tiresias) emit(st *algo.StepState, anoms []Anomaly, unitStart time.Time
 	}
 }
 
-// ingestUnit routes one completed timeunit of a record feed: buffered
-// for warmup until the window fills (nil result), screened for
-// anomalies afterwards. first is the wall-clock start of the feed's
-// first unit, used when the buffer triggers Warmup. Shared by Run and
-// Manager so warmup semantics cannot drift between them.
-func (t *Tiresias) ingestUnit(u Timeunit, warmBuf *[]Timeunit, first time.Time) (*StepResult, error) {
-	if !t.warm {
-		*warmBuf = append(*warmBuf, u)
-		if len(*warmBuf) < t.opts.windowLen {
-			return nil, nil
-		}
-		err := t.Warmup(*warmBuf, first)
-		*warmBuf = nil
-		return nil, err
-	}
-	return t.ProcessUnit(u)
-}
-
-// ingestUnitDense is ingestUnit for pooled dense units from a bound
-// windower. During warmup the unit is converted to its map form (the
-// warm buffer must outlive the pooled unit); once warm it flows to the
-// engine's dense step untouched.
+// ingestUnitDense routes one completed dense timeunit from a bound
+// windower: buffered for warmup until the window fills (nil result),
+// screened for anomalies afterwards. During warmup the unit is
+// converted to its map form (the warm buffer must outlive the pooled
+// unit); once warm it flows to the engine's dense step untouched.
+// first is the wall-clock start of the feed's first unit, used when
+// the buffer triggers Warmup. Shared by Run and Manager so warmup
+// semantics cannot drift between them.
 func (t *Tiresias) ingestUnitDense(u *algo.DenseUnit, warmBuf *[]Timeunit, first time.Time) (*StepResult, error) {
 	if !t.warm {
 		*warmBuf = append(*warmBuf, u.Timeunit(t.tree))
