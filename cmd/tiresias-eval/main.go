@@ -3,8 +3,11 @@
 //
 //	tiresias-gen -days 2 -anomaly 'vho1:150:154:300' \
 //	    -out data.csv -truth truth.json
-//	tiresias -in data.csv -window 96 -store anomalies.json
-//	tiresias-eval -truth truth.json -anomalies anomalies.json -window 96
+//	tiresias -in data.csv -window 96 -store anomalies.jsonl
+//	tiresias-eval -truth truth.json -anomalies anomalies.jsonl -window 96
+//
+// The -anomalies file is the JSON lines cmd/tiresias -store writes
+// (tiresias.ReadAnomalies); a JSON array is rejected.
 //
 // An injected anomaly counts as detected when any reported anomaly
 // falls inside its timeunit span (±slack) at the anomaly's node or any
@@ -20,7 +23,7 @@ import (
 	"os"
 	"time"
 
-	"tiresias/internal/detect"
+	"tiresias"
 	"tiresias/internal/gen"
 )
 
@@ -42,7 +45,7 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("tiresias-eval", flag.ContinueOnError)
 	var (
 		truthPath = fs.String("truth", "", "ground-truth JSON from tiresias-gen -truth")
-		anomsPath = fs.String("anomalies", "", "anomaly JSON from tiresias -store")
+		anomsPath = fs.String("anomalies", "", "anomaly JSON lines from tiresias -store")
 		window    = fs.Int("window", 0, "detector warmup window ℓ (timeunits), to align instance numbering")
 		slack     = fs.Int("slack", 1, "timeunits of slack around each injected span")
 	)
@@ -56,9 +59,14 @@ func run(args []string, stdout io.Writer) error {
 	if err := readJSON(*truthPath, &truth); err != nil {
 		return err
 	}
-	var anoms []detect.Anomaly
-	if err := readJSON(*anomsPath, &anoms); err != nil {
+	f, err := os.Open(*anomsPath)
+	if err != nil {
 		return err
+	}
+	anoms, err := tiresias.ReadAnomalies(f)
+	f.Close()
+	if err != nil {
+		return fmt.Errorf("%s: %w", *anomsPath, err)
 	}
 
 	detected := 0

@@ -4,12 +4,12 @@
 // heavy-hitter introspection, live SSE anomaly subscriptions — next
 // to the HTML dashboard of the paper's front-end (Fig. 3(f)) at "/".
 // Every view reads the one bounded anomaly index; -store preloads it
-// with a file written by cmd/tiresias -store (stream "history",
-// sharing -index-cap with live detections).
+// with the JSON lines written by cmd/tiresias -store (stream
+// "history", sharing -index-cap with live detections).
 //
 // Usage:
 //
-//	tiresias-serve -store anomalies.json -addr :8080 -window 96 -delta 15m
+//	tiresias-serve -store anomalies.jsonl -addr :8080 -window 96 -delta 15m
 //	curl -X POST localhost:8080/v2/records -d '{"stream":"ccd","path":["vho1","io2"],"time":"2010-09-14T08:00:00Z"}'
 //	curl 'localhost:8080/v2/anomalies?stream=ccd&limit=20'          # cursor-paginated
 //	curl 'localhost:8080/v2/streams'                                # fleet status
@@ -59,7 +59,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -209,7 +208,7 @@ func parseLogLevel(s string) (slog.Level, error) {
 func buildServer(args []string) (*proc, error) {
 	fs := flag.NewFlagSet("tiresias-serve", flag.ContinueOnError)
 	var (
-		storePath = fs.String("store", "", "anomaly JSON produced by cmd/tiresias -store, preloaded into the index")
+		storePath = fs.String("store", "", "anomaly JSON lines written by cmd/tiresias -store, preloaded into the index")
 		addr      = fs.String("addr", ":8080", "listen address")
 		delta     = fs.Duration("delta", 15*time.Minute, "live ingest: timeunit size Δ")
 		window    = fs.Int("window", 672, "live ingest: sliding window length ℓ")
@@ -253,11 +252,13 @@ func buildServer(args []string) (*proc, error) {
 	}
 	var history []tiresias.Anomaly
 	if *storePath != "" {
-		raw, err := os.ReadFile(*storePath)
+		f, err := os.Open(*storePath)
 		if err != nil {
 			return nil, err
 		}
-		if err := json.Unmarshal(raw, &history); err != nil {
+		history, err = tiresias.ReadAnomalies(f)
+		f.Close()
+		if err != nil {
 			return nil, fmt.Errorf("-store %s: %w", *storePath, err)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -28,39 +29,57 @@ func newProc(t *testing.T, args ...string) *proc {
 	return p
 }
 
+// storeFileFromCLI runs the real tools — tiresias-gen with an injected
+// burst, then tiresias -store — and returns the file tiresias wrote.
+func storeFileFromCLI(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	data, storePath := filepath.Join(dir, "data.csv"), filepath.Join(dir, "anoms.jsonl")
+	for _, args := range [][]string{
+		{"tiresias/cmd/tiresias-gen", "-days", "2", "-anomaly", "vho1:150:154:300", "-out", data},
+		{"tiresias/cmd/tiresias", "-in", data, "-window", "96", "-quiet", "-store", storePath},
+	} {
+		if out, err := exec.Command("go", append([]string{"run"}, args...)...).CombinedOutput(); err != nil {
+			t.Fatalf("%s: %v\n%s", args[0], err, out)
+		}
+	}
+	return storePath
+}
+
 // TestBuildServerLoadsStore round-trips a cmd/tiresias -store file
 // into the server: the file's anomalies are ordinary index entries
-// (stream "history"), pageable through /v2/anomalies and rendered by
-// the dashboard.
+// (stream "history"), served unchanged through /v2/anomalies and
+// rendered by the dashboard.
 func TestBuildServerLoadsStore(t *testing.T) {
-	st := tiresias.NewStore()
-	st.Add(
-		tiresias.Anomaly{Key: tiresias.KeyOf([]string{"vho1"}), Depth: 1, Instance: 4},
-		tiresias.Anomaly{Key: tiresias.KeyOf([]string{"vho2", "io1"}), Depth: 2, Instance: 9},
-	)
-	path := filepath.Join(t.TempDir(), "anoms.json")
-	f, err := os.Create(path)
+	path := storeFileFromCLI(t)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Save(f); err != nil {
+	want, err := tiresias.ReadAnomalies(f)
+	f.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
+	if len(want) == 0 {
+		t.Fatal("cmd/tiresias stored no anomalies (injected burst)")
+	}
 
 	p := newProc(t, "-store", path, "-addr", "127.0.0.1:0")
-	if p.loaded != 2 {
-		t.Fatalf("loaded %d anomalies, want 2", p.loaded)
+	if p.loaded != len(want) {
+		t.Fatalf("loaded %d anomalies, want %d", p.loaded, len(want))
 	}
 	ts := httptest.NewServer(p.srv.Handler)
 	defer ts.Close()
 	var page api.AnomaliesPage
-	getJSON(t, ts.URL+"/v2/anomalies?under=vho2", &page)
-	if len(page.Entries) != 1 || page.Entries[0].Instance != 9 || page.Entries[0].Stream != "history" {
-		t.Fatalf("query result = %+v", page.Entries)
+	getJSON(t, ts.URL+"/v2/anomalies?stream=history&limit=1000", &page)
+	if len(page.Entries) != len(want) || page.NextCursor != "" {
+		t.Fatalf("served %d entries (next %q), want the file's %d", len(page.Entries), page.NextCursor, len(want))
 	}
-	if page.Stats.Added != 2 {
-		t.Fatalf("index stats = %+v, want the 2 loaded entries", page.Stats)
+	for i, e := range page.Entries {
+		if e.Stream != "history" || e.Anomaly != want[i] {
+			t.Fatalf("entry %d = %+v, want stream history and %+v", i, e, want[i])
+		}
 	}
 	resp, err := http.Get(ts.URL + "/")
 	if err != nil {
@@ -71,7 +90,8 @@ func TestBuildServerLoadsStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"<td>vho1</td>", "<td>vho2/io1</td>", "<td>history</td>", "2 retained / 2 added / 0 evicted"} {
+	counts := fmt.Sprintf("%d retained / %d added / 0 evicted", len(want), len(want))
+	for _, want := range []string{"<td>" + want[len(want)-1].Key.String() + "</td>", "<td>history</td>", counts} {
 		if !strings.Contains(string(html), want) {
 			t.Fatalf("dashboard missing %q:\n%s", want, html)
 		}
@@ -88,6 +108,19 @@ func TestBuildServerErrors(t *testing.T) {
 	}
 	if _, err := buildServer([]string{"-store", bad}); err == nil {
 		t.Fatal("corrupt store must fail")
+	}
+	// The indented JSON array older cmd/tiresias builds wrote is not
+	// the format, and the error says which one is.
+	array, err := json.MarshalIndent([]tiresias.Anomaly{{Key: tiresias.KeyOf([]string{"vho1"}), Depth: 1, Instance: 4}}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := filepath.Join(t.TempDir(), "old.json")
+	if err := os.WriteFile(old, array, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := buildServer([]string{"-store", old}); err == nil || !strings.Contains(err.Error(), "JSON lines") {
+		t.Fatalf("JSON-array store: err = %v, want one naming JSON lines", err)
 	}
 }
 

@@ -5,12 +5,15 @@
 //
 //	tiresias -in data.csv -delta 15m -window 672 -theta 10 \
 //	    -rt 2.8 -dt 8 -rule long-term-history -ref 2 \
-//	    -store anomalies.json
+//	    -store anomalies.jsonl
 //
 // Input is either the CSVish format of tiresias-gen ("time,path") or
 // JSON lines ({"path":[...],"time":"..."}) selected with -format. The
 // stream is processed incrementally (O(window) memory) and stops
-// cleanly on SIGINT/SIGTERM.
+// cleanly on SIGINT/SIGTERM. -store streams each anomaly to its file
+// as JSON lines the moment it is detected (tiresias.ReadAnomalies
+// reads them back), so an interrupted run keeps everything found so
+// far.
 //
 // With -checkpoint the detector state is written out when the run ends
 // (including on interrupt), and -resume continues a later run from
@@ -66,7 +69,13 @@ func parseRule(s string) (tiresias.SplitRule, error) {
 	}
 }
 
-func run(ctx context.Context, args []string, stdout io.Writer) error {
+// printAnomaly writes the one-line text form of a detection.
+func printAnomaly(w io.Writer, a tiresias.Anomaly) {
+	fmt.Fprintf(w, "anomaly instance=%d time=%s node=%s actual=%.1f forecast=%.1f\n",
+		a.Instance, a.Time.Format(time.RFC3339), a.Key, a.Actual, a.Forecast)
+}
+
+func run(ctx context.Context, args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("tiresias", flag.ContinueOnError)
 	var (
 		in      = fs.String("in", "-", "input file (- for stdin)")
@@ -78,7 +87,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		dt      = fs.Float64("dt", 8, "absolute sensitivity threshold DT")
 		ruleSel = fs.String("rule", "long-term-history", "split rule: uniform | last-time-unit | long-term-history | ewma")
 		ref     = fs.Int("ref", 2, "reference time-series levels h")
-		storeTo = fs.String("store", "", "also write anomalies as JSON to this file")
+		storeTo = fs.String("store", "", "also stream anomalies to this file as JSON lines, one per detection")
 		jsonOut = fs.Bool("json", false, "stream anomalies as JSON lines instead of text")
 		quiet   = fs.Bool("quiet", false, "suppress per-anomaly lines")
 		resume  = fs.String("resume", "", "resume from a checkpoint written by -checkpoint (detector flags come from the checkpoint; -delta/-window/-theta/-rule/-ref are ignored)")
@@ -113,28 +122,34 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	// Anomalies stream out through sinks as units complete, instead of
-	// accumulating in the result. The store (and its memory footprint)
-	// exists only when the run must persist to -store. Sinks live in
-	// their own option set because a -resume restore re-attaches them
-	// on top of the checkpointed configuration.
-	var st *tiresias.Store
-	var jsonSink *tiresias.JSONSink
+	// accumulating in the result; -store is one more JSON-lines sink,
+	// over a file opened once for the whole run. Sinks live in their
+	// own option set because a -resume restore re-attaches them on top
+	// of the checkpointed configuration.
+	var jsonSink, storeSink *tiresias.JSONSink
 	var sinkOpts []tiresias.Option
 	if *storeTo != "" {
-		st = tiresias.NewStore()
-		sinkOpts = append(sinkOpts, tiresias.WithSink(tiresias.NewStoreSink(st)))
+		f, ferr := os.Create(*storeTo)
+		if ferr != nil {
+			return ferr
+		}
+		// A failed Close fails the run: the file may not have landed.
+		defer func() {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
+		storeSink = tiresias.NewJSONSink(f)
+		sinkOpts = append(sinkOpts, tiresias.WithSink(storeSink))
 	}
 	if *jsonOut {
 		jsonSink = tiresias.NewJSONSink(stdout)
 		sinkOpts = append(sinkOpts, tiresias.WithSink(jsonSink))
 	} else if !*quiet {
 		sinkOpts = append(sinkOpts, tiresias.WithSink(tiresias.SinkFuncs{
-			Anomaly: func(a tiresias.Anomaly) {
-				fmt.Fprintf(stdout, "anomaly instance=%d time=%s node=%s actual=%.1f forecast=%.1f\n",
-					a.Instance, a.Time.Format(time.RFC3339), a.Key, a.Actual, a.Forecast)
-			},
+			Anomaly: func(a tiresias.Anomaly) { printAnomaly(stdout, a) },
 		}))
-	} else if st == nil {
+	} else if storeSink == nil {
 		// -quiet with no other output: a no-op sink keeps Run from
 		// accumulating anomalies it would never print (bounded memory
 		// on long streams; the summary only needs AnomalyCount).
@@ -171,8 +186,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 	}
 	// An interrupted or failed run still returns the partial result:
-	// report and persist what was detected before surfacing the error,
-	// so hours of streaming are not lost to a Ctrl-C.
+	// report what was detected before surfacing the error, so hours of
+	// streaming are not lost to a Ctrl-C (the -store file already holds
+	// every detection).
 	res, runErr := t.Run(ctx, src)
 	if res != nil {
 		summaryTo := stdout
@@ -185,16 +201,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			res.Timings.UpdatingHierarchies.Round(time.Millisecond),
 			res.Timings.CreatingTimeSeries.Round(time.Millisecond),
 			res.Timings.DetectingAnomalies.Round(time.Millisecond))
-		if *storeTo != "" {
-			f, err := os.Create(*storeTo)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := st.Save(f); err != nil {
-				return err
-			}
-		}
 	}
 	// Persist the detector for a later -resume before surfacing any run
 	// error: an interrupted stream is exactly when a checkpoint matters.
@@ -206,8 +212,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if runErr != nil {
 		return runErr
 	}
-	if jsonSink != nil {
+	if jsonSink != nil && jsonSink.Err() != nil {
 		return jsonSink.Err()
+	}
+	if storeSink != nil {
+		return storeSink.Err()
 	}
 	return nil
 }

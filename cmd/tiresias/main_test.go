@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -51,7 +52,7 @@ func writeDataset(t *testing.T) string {
 
 func TestRunDetectsAndStores(t *testing.T) {
 	path := writeDataset(t)
-	storePath := filepath.Join(t.TempDir(), "anoms.json")
+	storePath := filepath.Join(t.TempDir(), "anoms.jsonl")
 	var out bytes.Buffer
 	err := run(context.Background(), []string{
 		"-in", path, "-window", "48", "-theta", "4",
@@ -66,16 +67,35 @@ func TestRunDetectsAndStores(t *testing.T) {
 	if !strings.Contains(out.String(), "processed 24 timeunits") {
 		t.Fatalf("summary missing:\n%s", out.String())
 	}
+	assertStoreMatchesStdout(t, storePath, out.String())
+}
+
+// assertStoreMatchesStdout requires the -store file to hold one JSON
+// line per anomaly the run printed on stdout, in the same order.
+func assertStoreMatchesStdout(t *testing.T, storePath, stdout string) {
+	t.Helper()
 	raw, err := os.ReadFile(storePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stored []map[string]any
-	if err := json.Unmarshal(raw, &stored); err != nil {
+	stored, err := tiresias.ReadAnomalies(bytes.NewReader(raw))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stored) == 0 {
-		t.Fatal("store file empty")
+	if lines := bytes.Count(raw, []byte("\n")); lines != len(stored) {
+		t.Fatalf("-store file has %d lines for %d anomalies, want one per line", lines, len(stored))
+	}
+	var want, got strings.Builder
+	for _, line := range strings.SplitAfter(stdout, "\n") {
+		if strings.HasPrefix(line, "anomaly ") {
+			want.WriteString(line)
+		}
+	}
+	for _, a := range stored {
+		printAnomaly(&got, a)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("-store file holds:\n%s\nstdout reported:\n%s", got.String(), want.String())
 	}
 }
 
@@ -155,22 +175,40 @@ func TestRunJSONLInput(t *testing.T) {
 	}
 }
 
+// cancelAtFirstAnomaly is a stdout that cancels the run the moment
+// the first anomaly line is written through it.
+type cancelAtFirstAnomaly struct {
+	bytes.Buffer
+	cancel context.CancelFunc
+}
+
+func (w *cancelAtFirstAnomaly) Write(p []byte) (int, error) {
+	if bytes.HasPrefix(p, []byte("anomaly ")) {
+		w.cancel()
+	}
+	return w.Buffer.Write(p)
+}
+
 func TestRunCanceledStillReportsPartialResults(t *testing.T) {
 	path := writeDataset(t)
-	storePath := filepath.Join(t.TempDir(), "partial.json")
+	storePath := filepath.Join(t.TempDir(), "partial.jsonl")
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // canceled before the run starts: the extreme partial case
-	var out bytes.Buffer
-	err := run(ctx, []string{"-in", path, "-window", "48", "-theta", "4", "-store", storePath}, &out)
-	if err == nil {
-		t.Fatal("canceled run must surface the context error")
+	defer cancel()
+	out := &cancelAtFirstAnomaly{cancel: cancel}
+	err := run(ctx, []string{"-in", path, "-window", "48", "-theta", "4", "-store", storePath}, out)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled run must surface the context error, got %v", err)
 	}
 	if !strings.Contains(out.String(), "processed ") {
 		t.Fatalf("canceled run must still print the summary:\n%s", out.String())
 	}
-	if _, statErr := os.Stat(storePath); statErr != nil {
-		t.Fatalf("canceled run must still write -store: %v", statErr)
+	if strings.Contains(out.String(), "processed 24 timeunits") {
+		t.Fatalf("run was not cut short by the cancel:\n%s", out.String())
 	}
+	if !strings.Contains(out.String(), "anomaly ") {
+		t.Fatalf("no anomaly reported before the cancel:\n%s", out.String())
+	}
+	assertStoreMatchesStdout(t, storePath, out.String())
 }
 
 // writeSplitDataset emits one full CSV dataset plus the same records

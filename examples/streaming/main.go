@@ -2,24 +2,22 @@
 // Fig. 3) in one call: Run ingests the record feed incrementally —
 // warming itself on the first window of timeunits, then screening
 // every further unit the moment it completes — while sinks stream the
-// detections out. Here one sink appends to a report store served over
-// HTTP (the operator dashboard) and another logs live; the whole
-// pipeline holds O(window) timeunits in memory no matter how long the
-// feed runs.
+// detections out. Here one sink files them into a bounded anomaly
+// index (what tiresias-serve's query API and dashboard read) and
+// another logs live; the whole pipeline holds O(window) timeunits in
+// memory no matter how long the feed runs.
 //
 //	go run ./examples/streaming
 //
 // The example drives itself with a simulated feed (time compressed),
-// queries its own HTTP endpoint at the end, and exits.
+// queries the index for the injected subtree at the end, and exits.
+// examples/client shows the same queries over the served /v2 API.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"time"
 
 	"tiresias"
@@ -35,9 +33,8 @@ func main() {
 
 func run() error {
 	const (
-		warm    = 96
-		live    = 48
-		baseURL = "/anomalies?minDepth=1&limit=100"
+		warm = 96
+		live = 48
 	)
 	delta := 15 * time.Minute
 	cfg := gen.Config{
@@ -58,21 +55,9 @@ func run() error {
 		return err
 	}
 
-	// Report store + HTTP front end on an ephemeral port, live while
-	// the detector is still consuming the feed.
-	store := tiresias.NewStore()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	srv := &http.Server{Handler: store.Handler(), ReadHeaderTimeout: 2 * time.Second}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = srv.Serve(ln) // closed at shutdown below
-	}()
-
-	// Two sinks: the store behind the HTTP API, and a live logger.
+	// Two sinks: the bounded index an operator queries, and a live
+	// logger.
+	ix := tiresias.NewAnomalyIndex(1024)
 	logSink := tiresias.SinkFuncs{
 		Anomaly: func(a tiresias.Anomaly) {
 			fmt.Printf("  live unit %2d: anomaly at %s (%.0f vs %.1f)\n",
@@ -85,7 +70,7 @@ func run() error {
 		tiresias.WithTheta(6),
 		tiresias.WithSeasonality(1.0, 96),
 		tiresias.WithThresholds(tiresias.Thresholds{RT: 2.5, DT: 10}),
-		tiresias.WithSink(tiresias.NewStoreSink(store)),
+		tiresias.WithSink(tiresias.NewIndexSink(ix, "edge")),
 		tiresias.WithSink(logSink),
 	)
 	if err != nil {
@@ -102,24 +87,13 @@ func run() error {
 	fmt.Printf("\nprocessed %d live units (%d heavy hitters, %d anomalies)\n",
 		res.Units, res.HeavyHitterCount, res.AnomalyCount)
 
-	// Query our own front-end the way an operator would.
-	resp, err := http.Get("http://" + ln.Addr().String() + baseURL)
-	if err != nil {
-		return err
-	}
-	var fetched []tiresias.Anomaly
-	err = json.NewDecoder(resp.Body).Decode(&fetched)
-	resp.Body.Close()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("HTTP query returned %d anomalies\n", len(fetched))
-	if err := srv.Close(); err != nil {
-		return err
-	}
-	<-done
+	// Query the index the way an operator would: the injected subtree,
+	// newest first.
+	under := tiresias.KeyOf([]string{"pop2"})
+	fetched := ix.Query(tiresias.AnomalyQuery{Stream: "edge", Under: under, Limit: 100})
+	fmt.Printf("index query under %s returned %d anomalies\n", under, len(fetched))
 	if len(fetched) == 0 {
-		return fmt.Errorf("expected the injected edge spike in the report store")
+		return fmt.Errorf("expected the injected edge spike in the anomaly index")
 	}
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"tiresias/internal/algo"
 	"tiresias/internal/detect"
 	"tiresias/internal/hierarchy"
-	"tiresias/internal/report"
 	"tiresias/internal/store"
 	"tiresias/internal/stream"
 )
@@ -58,15 +57,6 @@ const (
 // StageTimings decomposes a time instance's cost into the pipeline
 // stages of Table III.
 type StageTimings = algo.StageTimings
-
-// Store is an anomaly database with JSON persistence and an HTTP
-// query front end (Steps 5–6), for batch runs such as cmd/tiresias
-// -store. It grows without bound; a long-running service wants the
-// bounded AnomalyIndex instead. Safe for concurrent use.
-type Store = report.Store
-
-// NewStore returns an empty anomaly store.
-func NewStore() *Store { return report.NewStore() }
 
 // AnomalyIndex is a bounded, concurrency-safe ring buffer of recent
 // detections tagged with their stream of origin, queryable by stream,

@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"tiresias"
+	"tiresias/api"
+	"tiresias/httpserve"
 
 	"tiresias/internal/algo"
 	"tiresias/internal/detect"
@@ -18,12 +20,12 @@ import (
 	"tiresias/internal/gen"
 	"tiresias/internal/hierarchy"
 	"tiresias/internal/refmethod"
-	"tiresias/internal/report"
 	"tiresias/internal/stream"
 )
 
 // TestPipelineGenToHTTP is the whole-system smoke: generate → serialize
-// → parse → window → warm → detect → store → query over HTTP.
+// → parse → window → warm → detect → JSON-lines file → served index →
+// query over HTTP.
 func TestPipelineGenToHTTP(t *testing.T) {
 	const warm = 96
 	cfg := gen.Config{
@@ -53,11 +55,16 @@ func TestPipelineGenToHTTP(t *testing.T) {
 	}
 	src := stream.NewCSVishSource(strings.NewReader(buf.String()))
 
+	// Detections stream to a JSON-lines sink, the cmd/tiresias -store
+	// file format.
+	var saved bytes.Buffer
+	sink := tiresias.NewJSONSink(&saved)
 	tr, err := tiresias.New(
 		tiresias.WithWindowLen(warm),
 		tiresias.WithTheta(6),
 		tiresias.WithSeasonality(1.0, 96),
 		tiresias.WithThresholds(detect.Thresholds{RT: 2.5, DT: 10}),
+		tiresias.WithSink(sink),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -66,41 +73,44 @@ func TestPipelineGenToHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Anomalies) == 0 {
-		t.Fatal("no anomalies detected")
+	if res.AnomalyCount == 0 || sink.Err() != nil {
+		t.Fatalf("anomalies = %d, sink error %v", res.AnomalyCount, sink.Err())
 	}
 
-	// Store and expose over HTTP.
-	st := report.NewStore()
-	st.Add(res.Anomalies...)
-	var saved bytes.Buffer
-	if err := st.Save(&saved); err != nil {
+	// Load the file into a server's index as history and query it over
+	// HTTP.
+	history, err := tiresias.ReadAnomalies(&saved)
+	if err != nil {
 		t.Fatal(err)
 	}
-	st2 := report.NewStore()
-	if err := st2.Load(&saved); err != nil {
+	if len(history) != res.AnomalyCount {
+		t.Fatalf("read back %d anomalies, detected %d", len(history), res.AnomalyCount)
+	}
+	hs, err := httpserve.New(httpserve.Config{History: history})
+	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(st2.Handler())
+	defer hs.Close()
+	srv := httptest.NewServer(hs.Handler())
 	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/anomalies?under=vho1")
+	resp, err := srv.Client().Get(srv.URL + "/v2/anomalies?stream=history&under=vho1&limit=1000")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var fetched []detect.Anomaly
-	if err := json.NewDecoder(resp.Body).Decode(&fetched); err != nil {
+	var page api.AnomaliesPage
+	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
 		t.Fatal(err)
 	}
 	target := hierarchy.KeyOf([]string{"vho1", "io2"})
 	found := false
-	for _, a := range fetched {
-		if target.IsAncestorOf(a.Key) && a.Instance >= 9 && a.Instance <= 15 {
+	for _, e := range page.Entries {
+		if target.IsAncestorOf(e.Key) && e.Instance >= 9 && e.Instance <= 15 {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("injected anomaly not retrievable over HTTP; fetched %+v", fetched)
+		t.Fatalf("injected anomaly not retrievable over HTTP; fetched %+v", page.Entries)
 	}
 }
 

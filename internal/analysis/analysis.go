@@ -31,8 +31,7 @@
 //     codec version bump.
 //   - forbidimport: packages must not import or select from a
 //     configured denylist (encoding/json, fmt.Sprintf, time.Now on
-//     the hot path; the report store and tool-only packages in the
-//     serving layer).
+//     the hot path; tool-only packages in the serving layer).
 //
 // Analyzers run over parsed, type-checked syntax — per package (Run),
 // or once over every loaded package (RunModule, for inter-procedural

@@ -14,9 +14,9 @@ type ForbidRule struct {
 	Packages []string
 	// Imports lists banned import paths.
 	Imports []string
-	// Calls lists banned qualified selectors, e.g. "fmt.Sprintf",
-	// "time.Now" or a type such as "tiresias.Store": package name dot
-	// exported identifier.
+	// Calls lists banned qualified selectors, e.g. "fmt.Sprintf" or
+	// "time.Now": package name dot exported identifier (type names
+	// included).
 	Calls []string
 }
 
@@ -27,11 +27,9 @@ type ForbidRule struct {
 // function of its inputs so replays and checkpoint restores are
 // bit-exact; wall-clock reads belong to the windowing layer's inputs).
 //
-// The second rule pins the serving import graph: the wire layer holds
-// one anomaly container, the bounded index, so the unbounded report
-// store (and the root aliases that reach it) stays out, as do the
-// experiment, reference, generator and benchmark packages that only
-// tools and examples may link.
+// The second rule pins the serving import graph: the experiment,
+// reference, generator and benchmark packages that only tools and
+// examples may link stay out of the wire layer.
 var DefaultForbidRules = []ForbidRule{
 	{
 		Packages: []string{"internal/algo", "internal/shhh", "internal/hierarchy", "internal/stream"},
@@ -41,11 +39,10 @@ var DefaultForbidRules = []ForbidRule{
 	{
 		Packages: []string{"httpserve", "api", "client", "cmd/tiresias-serve"},
 		Imports: []string{
-			"tiresias/internal/report", "tiresias/internal/hhd", "tiresias/internal/multidim",
-			"tiresias/internal/refmethod", "tiresias/internal/experiments", "tiresias/internal/scenario",
-			"tiresias/internal/gen", "tiresias/internal/evalx", "tiresias/internal/perfbench",
+			"tiresias/internal/hhd", "tiresias/internal/multidim", "tiresias/internal/refmethod",
+			"tiresias/internal/experiments", "tiresias/internal/scenario", "tiresias/internal/gen",
+			"tiresias/internal/evalx", "tiresias/internal/perfbench",
 		},
-		Calls: []string{"tiresias.Store", "tiresias.NewStore", "tiresias.NewStoreSink"},
 	},
 }
 
@@ -59,7 +56,7 @@ func NewForbidImport(rules []ForbidRule) *Analyzer {
 	}
 	return &Analyzer{
 		Name: "forbidimport",
-		Doc:  "ban configured imports and selectors per package (json/Sprintf/Now on the hot path; the report store and tool-only packages in the serving layer)",
+		Doc:  "ban configured imports and selectors per package (json/Sprintf/Now on the hot path; tool-only packages in the serving layer)",
 		Run: func(pass *Pass) error {
 			return runForbidImport(pass, rules)
 		},

@@ -45,15 +45,7 @@ func Sensitivity(p Profile) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			detected := 0
-			for _, tr := range truth {
-				for _, f := range flagged {
-					if f.Instance == tr.Instance && tr.Key.IsAncestorOf(f.Key) {
-						detected++
-						break
-					}
-				}
-			}
+			detected := evalx.CompareWithReference(truth, flagged, nil).TrueAlarms
 			frac := float64(detected) / float64(max(len(truth), 1))
 			t.addRow(f2(rt), f2(dt), pct(frac), fmt.Sprintf("%d", len(flagged)))
 			vals[fmt.Sprintf("rt%.1f:dt%.0f:recall", rt, dt)] = frac

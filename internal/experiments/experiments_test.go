@@ -221,6 +221,23 @@ func TestSensitivityMonotone(t *testing.T) {
 	}
 }
 
+// TestSensitivityPaperCellPinned pins the Quick profile's RT=2.8/DT=8
+// cell, the paper's operating point: 5 of 9 injected (node, instance)
+// events found among 17 alarms. A change to the detector or to the
+// evalx matcher the sweep scores with shows up here.
+func TestSensitivityPaperCellPinned(t *testing.T) {
+	r, err := Sensitivity(Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Values["rt2.8:dt8:recall"]; got != 5.0/9 {
+		t.Errorf("rt2.8:dt8:recall = %v, want %v", got, 5.0/9)
+	}
+	if got := r.Values["rt2.8:dt8:alarms"]; got != 17 {
+		t.Errorf("rt2.8:dt8:alarms = %v, want 17", got)
+	}
+}
+
 func TestAblateSeasonHWBeatsEWMA(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-week generation")

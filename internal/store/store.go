@@ -1,10 +1,11 @@
 // Package store implements the queryable anomaly index behind the
 // serving layer: a concurrency-safe, bounded ring buffer of detected
-// anomalies tagged with their stream of origin. Where internal/report
-// is the paper's persistent anomaly database (Steps 5–6, JSON on
-// disk), this package is the operational hot store — recent detections
-// kept in memory at fixed cost, queryable by stream, time range, and
-// hierarchy subtree, with eviction accounted for rather than hidden.
+// anomalies tagged with their stream of origin. It is the one anomaly
+// store of the paper's Steps 5–6 — recent detections kept in memory at
+// fixed cost, queryable by stream, time range, and hierarchy subtree,
+// with eviction accounted for rather than hidden. On disk, detections
+// are JSON lines (the root package's JSONSink and ReadAnomalies),
+// which a server preloads into the index as history.
 //
 // The index is the natural sink for a pipelined Manager: workers
 // append under their own locks, dashboards and pollers read

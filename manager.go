@@ -301,26 +301,11 @@ func (m *Manager) shardOf(name string) *managerShard {
 // contained: the stream is quarantined, Feed returns
 // ErrStreamQuarantined, and the process — including every other
 // stream — keeps running.
-func (m *Manager) Feed(streamName string, r Record) (out []Anomaly, err error) {
-	sh := m.shardOf(streamName)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ms, err := sh.getOrCreate(m, streamName)
-	if err != nil {
-		return nil, err
-	}
-	if ms.quarantined {
-		return nil, quarantineErr(streamName, ms.quarReason)
-	}
-	defer containPanic(streamName, ms, &err)
-	out, ferr := ms.feed(r)
-	sh.anomalies += uint64(len(out))
-	m.record(streamName, out)
-	if ferr != nil {
-		return out, fmt.Errorf("tiresias: stream %q: %w", streamName, ferr)
-	}
-	sh.records++
-	return out, nil
+//
+// Feed is FeedBatch of one record.
+func (m *Manager) Feed(streamName string, r Record) ([]Anomaly, error) {
+	out, _, err := m.FeedBatch(streamName, []Record{r})
+	return out, err
 }
 
 // FeedBatch ingests a batch of records (in time order) into the named
@@ -332,11 +317,6 @@ func (m *Manager) Feed(streamName string, r Record) (out []Anomaly, err error) {
 // count is the number of records applied, so a caller can resume past
 // the offending record.
 func (m *Manager) FeedBatch(streamName string, recs []Record) ([]Anomaly, int, error) {
-	return m.feedBatch(streamName, recs)
-}
-
-// feedBatch is FeedBatch: one shard lock around feedLocked.
-func (m *Manager) feedBatch(streamName string, recs []Record) (out []Anomaly, applied int, err error) {
 	if len(recs) == 0 {
 		return nil, 0, nil
 	}
@@ -348,8 +328,8 @@ func (m *Manager) feedBatch(streamName string, recs []Record) (out []Anomaly, ap
 
 // feedLocked feeds recs into the named stream of shard sh until the
 // first record error; it is the body of both FeedBatch and the
-// pipeline workers, so the two paths cannot drift. Like Feed it
-// contains panics: the offending stream is quarantined, records
+// pipeline workers, so the two paths cannot drift. It contains
+// panics: the offending stream is quarantined, records
 // already applied stay counted, and the caller gets
 // ErrStreamQuarantined with the applied count.
 // The shard lock must be held.

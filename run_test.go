@@ -1,6 +1,7 @@
 package tiresias
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -252,7 +253,7 @@ func TestSinkOrdering(t *testing.T) {
 // see the same events, in registration order per event.
 func TestMultipleSinksAllDelivered(t *testing.T) {
 	a, b := &countingSink{}, &countingSink{}
-	store := NewStore()
+	ix := NewAnomalyIndex(0)
 	tr, err := New(
 		WithWindowLen(8),
 		WithTheta(3),
@@ -260,7 +261,7 @@ func TestMultipleSinksAllDelivered(t *testing.T) {
 		WithThresholds(Thresholds{RT: 2.0, DT: 5}),
 		WithSink(a),
 		WithSink(b),
-		WithSink(NewStoreSink(store)),
+		WithSink(NewIndexSink(ix, "s")),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +280,7 @@ func TestMultipleSinksAllDelivered(t *testing.T) {
 	if a.unitCount() != 1 || b.unitCount() != 1 {
 		t.Fatalf("sink unit counts = %d, %d; want 1, 1", a.unitCount(), b.unitCount())
 	}
-	if atomic.LoadInt64(&a.anoms) == 0 || store.Len() == 0 {
+	if atomic.LoadInt64(&a.anoms) == 0 || ix.Len() == 0 {
 		t.Fatal("anomaly not delivered to all sinks")
 	}
 }
@@ -303,6 +304,50 @@ func TestJSONSinkWritesLines(t *testing.T) {
 	bad.OnAnomaly(Anomaly{Key: KeyOf([]string{"a"})})
 	if bad.Err() == nil {
 		t.Fatal("write error not latched")
+	}
+}
+
+// TestReadAnomaliesRoundTrip reads back what JSONSink wrote, field
+// for field, wall-clock time included.
+func TestReadAnomaliesRoundTrip(t *testing.T) {
+	want := []Anomaly{
+		{Key: KeyOf([]string{"vho1"}), Depth: 1, Instance: 10, Time: time.Date(2010, 9, 14, 8, 0, 0, 0, time.UTC), Actual: 40, Forecast: 5},
+		{Key: KeyOf([]string{"vho1", "io2"}), Depth: 2, Instance: 12, Actual: 30, Forecast: 4.25},
+	}
+	var buf bytes.Buffer
+	s := NewJSONSink(&buf)
+	for _, a := range want {
+		s.OnAnomaly(a)
+	}
+	got, err := ReadAnomalies(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("read %d anomalies, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Key != want[i].Key || !got[i].Time.Equal(want[i].Time) || got[i].Forecast != want[i].Forecast || got[i].Instance != want[i].Instance {
+			t.Fatalf("anomaly %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if got, err := ReadAnomalies(strings.NewReader("")); err != nil || len(got) != 0 {
+		t.Fatalf("empty file: %v, %v; want no anomalies and no error", got, err)
+	}
+}
+
+// TestReadAnomaliesRejectsOtherFormats fails truncated input and the
+// JSON array older cmd/tiresias builds wrote, naming the format.
+func TestReadAnomaliesRejectsOtherFormats(t *testing.T) {
+	for name, in := range map[string]string{
+		"truncated":  "{",
+		"json array": `[{"key":"vho1","depth":1,"instance":4}]`,
+		"bad line 2": `{"key":"vho1"}` + "\n" + `{"key":`,
+	} {
+		_, err := ReadAnomalies(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "JSON lines") {
+			t.Errorf("%s: err = %v, want one naming JSON lines", name, err)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package tiresias
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"sync"
 	"time"
@@ -53,13 +54,6 @@ func (s SinkFuncs) OnUnit(ev UnitEvent) {
 	}
 }
 
-// NewStoreSink returns a Sink appending every anomaly to a report
-// Store, wiring the detector to its JSON persistence and HTTP query
-// front end.
-func NewStoreSink(st *Store) Sink {
-	return SinkFuncs{Anomaly: func(a Anomaly) { st.Add(a) }}
-}
-
 // NewIndexSink returns a Sink recording every anomaly into a bounded
 // AnomalyIndex under the given stream name — the single-detector
 // counterpart of Manager's WithAnomalyIndex, for wiring a bare
@@ -77,7 +71,9 @@ func NewChannelSink(ch chan<- Anomaly) Sink {
 
 // JSONSink streams anomalies as JSON, one object per line, to an
 // io.Writer. Safe for concurrent use. The first write error is latched
-// and reported by Err; later events are dropped.
+// and reported by Err; later events are dropped. These JSON lines are
+// the one anomaly file format (cmd/tiresias -store); ReadAnomalies
+// reads them back.
 type JSONSink struct {
 	mu  sync.Mutex
 	enc *json.Encoder
@@ -109,4 +105,21 @@ func (s *JSONSink) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.err
+}
+
+// ReadAnomalies reads what a JSONSink writes: JSON lines, one Anomaly
+// object per line, until EOF. Anything else — a JSON array included —
+// fails with an error naming the format.
+func ReadAnomalies(r io.Reader) ([]Anomaly, error) {
+	dec := json.NewDecoder(r)
+	var out []Anomaly
+	for {
+		var a Anomaly
+		if err := dec.Decode(&a); err == io.EOF {
+			return out, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("tiresias: anomaly %d: want JSON lines, one Anomaly object per line: %w", len(out)+1, err)
+		}
+		out = append(out, a)
+	}
 }
