@@ -11,12 +11,10 @@ package tiresias_test
 
 import (
 	"testing"
-	"time"
 
 	"tiresias/internal/experiments"
 	"tiresias/internal/forecast"
 	"tiresias/internal/perfbench"
-	"tiresias/internal/stream"
 )
 
 // benchProfile is sized so each experiment iteration is milliseconds
@@ -170,28 +168,3 @@ func BenchmarkDualSeasonUpdate(b *testing.B) {
 // BenchmarkWindowerObserve measures Step-1 record classification on
 // the dense path (path interning plus pooled dense units).
 func BenchmarkWindowerObserve(b *testing.B) { perfbench.WindowerObserve(b) }
-
-// BenchmarkWindowerObserveMap measures the compatibility map path
-// (per-record Key construction, map-form timeunits).
-func BenchmarkWindowerObserveMap(b *testing.B) {
-	p := benchProfile()
-	w, err := experiments.CCDNetWorkload(p, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	recs := w.Dataset.Records
-	b.ReportAllocs()
-	b.ResetTimer()
-	var win *stream.Windower
-	for i := 0; i < b.N; i++ {
-		if i%len(recs) == 0 {
-			win, err = stream.NewWindower(time.Minute)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := win.Observe(recs[i%len(recs)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

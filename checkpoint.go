@@ -19,7 +19,6 @@ import (
 	"tiresias/internal/checkpoint"
 	"tiresias/internal/detect"
 	"tiresias/internal/fault"
-	"tiresias/internal/stream"
 )
 
 // ErrBadCheckpoint is returned by Restore and ManagerFromCheckpoint
@@ -37,26 +36,29 @@ var ErrBadCheckpoint = checkpoint.ErrBadCheckpoint
 // to one that never stopped.
 //
 // Snapshot may be called warm or cold (a cold snapshot records the
-// configuration and any partially grown hierarchy). The state covers
-// completed timeunits: records of a unit still being windowed inside
-// a surrounding Run belong to that Run's windower, not the detector —
-// snapshot between Run calls (Run flushes its final partial unit), or
-// use Manager.Checkpoint, which captures each stream's windowing
-// position including the partial unit. Like every other method,
-// Snapshot is not safe to call concurrently with detector use; a
-// Manager checkpoints its streams under their shard locks.
+// configuration and any partially grown hierarchy), and between any
+// two records: the windowing state — a warm-up buffer, the records of
+// the unit in progress — is part of the detector, so a Run cancelled
+// mid-unit or mid-warm-up resumes after Restore without losing what it
+// read. That state is written (as the STR. section) only when it holds
+// records; otherwise the window position follows from the clock, as it
+// does after a Run that reached the end of its input. Like every other
+// method, Snapshot is not safe to call concurrently with detector use;
+// a Manager checkpoints its streams under their shard locks.
 //
 //tiresias:acquires nothing
 func (t *Tiresias) Snapshot(w io.Writer) error {
-	snap, err := t.snapshotState()
+	snap, err := t.snapshotState(false)
 	if err != nil {
 		return err
 	}
 	return checkpoint.Write(w, snap)
 }
 
-// snapshotState assembles the serializable state of this detector.
-func (t *Tiresias) snapshotState() (*checkpoint.Snapshot, error) {
+// snapshotState assembles the serializable state of this detector,
+// with the windowing state when it holds records or withWindow is set
+// (a Manager stream file always carries it).
+func (t *Tiresias) snapshotState(withWindow bool) (*checkpoint.Snapshot, error) {
 	snap := &checkpoint.Snapshot{
 		Config:   configOf(&t.opts),
 		Tree:     t.tree,
@@ -74,16 +76,29 @@ func (t *Tiresias) snapshotState() (*checkpoint.Snapshot, error) {
 		}
 		snap.Engine = es
 	}
+	if withWindow || t.win.dirty || len(t.win.buf) > 0 {
+		snap.Stream = &checkpoint.StreamState{
+			Windower:  t.windower().State(),
+			WarmBuf:   t.win.buf,
+			First:     t.win.first,
+			FirstSeen: t.win.seen,
+			Dirty:     t.win.dirty,
+		}
+	}
 	return snap, nil
 }
 
-// Restore rebuilds a detector from a checkpoint written by Snapshot.
-// The checkpointed configuration is authoritative; opts are applied on
-// top and exist to re-attach what a checkpoint cannot carry — Sinks,
-// adjusted Thresholds, a different MaxGap. Changing structural options
-// (delta, window length, increment) is rejected: they shape
-// the serialized state itself, so a detector with different structure
-// must be built fresh with New and re-warmed.
+// Restore rebuilds a detector from a checkpoint written by Snapshot,
+// or from one stream file of a Manager checkpoint (its name and
+// counters are dropped). The detector resumes where the snapshot was
+// taken, windowing state included: the next record joins the partial
+// unit or the warm-up buffer it left. The checkpointed configuration
+// is authoritative; opts are applied on top and exist to re-attach
+// what a checkpoint cannot carry — Sinks, adjusted Thresholds, a
+// different MaxGap. Changing structural options (delta, window length,
+// increment) is rejected: they shape the serialized state itself, so
+// a detector with different structure must be built fresh with New
+// and re-warmed.
 //
 // Invalid input — truncated, corrupted (per-section CRC), or written
 // by an unknown format version — is rejected with an error wrapping
@@ -94,15 +109,6 @@ func Restore(r io.Reader, opts ...Option) (*Tiresias, error) {
 	snap, err := checkpoint.Read(r)
 	if err != nil {
 		return nil, err
-	}
-	if snap.Stream != nil {
-		// A per-stream file from a Manager checkpoint carries windowing
-		// state (warmup buffer, partial current unit) that a bare
-		// detector cannot hold; restoring just the detector would drop
-		// those records silently. Mirror restoreStream's check of the
-		// opposite mismatch.
-		return nil, fmt.Errorf("%w: manager stream checkpoint (stream %q); restore the directory with ManagerFromCheckpoint",
-			ErrBadCheckpoint, snap.Stream.Name)
 	}
 	return restoreFromSnapshot(snap, opts...)
 }
@@ -185,6 +191,11 @@ func restoreFromSnapshot(snap *checkpoint.Snapshot, opts ...Option) (*Tiresias, 
 		return nil, err
 	}
 	t := &Tiresias{opts: o, detector: det, tree: snap.Tree}
+	if snap.Stream != nil {
+		if err := t.restoreWindow(snap.Stream); err != nil {
+			return nil, err
+		}
+	}
 	if !snap.Warm {
 		return t, nil
 	}
@@ -431,20 +442,11 @@ func pruneGenerations(fsys fault.FS, dir, keep string) error {
 // staging directory (whole-directory staging provides the atomicity).
 // The caller holds the stream's shard lock.
 func writeStreamFile(fsys fault.FS, path, name string, ms *managedStream) error {
-	snap, err := ms.det.snapshotState()
+	snap, err := ms.det.snapshotState(true)
 	if err != nil {
 		return err
 	}
-	snap.Stream = &checkpoint.StreamState{
-		Name:      name,
-		Windower:  ms.w.State(),
-		WarmBuf:   ms.warmBuf,
-		First:     ms.first.at,
-		FirstSeen: ms.first.seen,
-		Dirty:     ms.dirty,
-		Units:     ms.units,
-		Anoms:     ms.anoms,
-	}
+	snap.Stream.Name, snap.Stream.Units, snap.Stream.Anoms = name, ms.units, ms.anoms
 	f, err := fsys.Create(path)
 	if err != nil {
 		return err
@@ -469,8 +471,10 @@ func writeStreamFile(fsys fault.FS, path, name string, ms *managedStream) error 
 // opts configure the rebuilt Manager the same way NewManager does.
 // Options given through WithDetectorOptions are additionally applied
 // to every restored detector (the way Restore applies them), which is
-// how sinks are re-attached after a restart; a factory given through
-// WithDetectorFactory only serves streams created after the restore.
+// how sinks are re-attached after a restart and how a new WithMaxGap
+// bound takes effect (without one, each stream keeps its checkpointed
+// bound); a factory given through WithDetectorFactory only serves
+// streams created after the restore.
 func ManagerFromCheckpoint(dir string, opts ...ManagerOption) (*Manager, error) {
 	m, err := NewManager(opts...)
 	if err != nil {
@@ -527,34 +531,13 @@ func (m *Manager) restoreStream(path string) error {
 	}
 	ss := snap.Stream
 	if ss == nil {
-		return fmt.Errorf("%w: detector checkpoint without a stream section (written by Snapshot, not Manager.Checkpoint)", ErrBadCheckpoint)
+		return fmt.Errorf("%w: detector checkpoint without a stream section; a stream file needs a name", ErrBadCheckpoint)
 	}
 	det, err := restoreFromSnapshot(snap, m.detectorOpts...)
 	if err != nil {
 		return err
 	}
-	if ss.Windower.Delta != det.Delta() {
-		return fmt.Errorf("%w: windower delta %v, detector delta %v", ErrBadCheckpoint, ss.Windower.Delta, det.Delta())
-	}
-	w, err := stream.RestoreWindower(ss.Windower, det.tree)
-	if err != nil {
-		return err
-	}
-	// The gap bound is a Manager-level knob (set on every windower at
-	// stream creation); the restoring Manager's configuration wins over
-	// the value frozen in the checkpoint, exactly as if the stream had
-	// been created under this Manager.
-	w.SetMaxGap(m.maxGap)
-	ms := &managedStream{
-		det:     det,
-		w:       w,
-		warmBuf: ss.WarmBuf,
-		first:   startClock{at: ss.First, seen: ss.FirstSeen},
-		dirty:   ss.Dirty,
-		units:   ss.Units,
-		anoms:   ss.Anoms,
-		stepObs: m.stepObs,
-	}
+	ms := &managedStream{det: det, units: ss.Units, anoms: ss.Anoms, stepObs: m.stepObs}
 	sh := m.shardOf(ss.Name)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()

@@ -8,6 +8,7 @@ import (
 	"flag"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -189,4 +190,129 @@ func rewriteSection(t *testing.T, raw []byte, tag string, edit func([]byte) []by
 		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
 	}
 	return out
+}
+
+var writeGoldenManager = flag.Bool("write-golden-manager", false,
+	"rewrite "+goldenManagerDir+"; only for a deliberate, versioned checkpoint format change")
+
+// goldenManagerDir holds a Manager checkpoint in the flat layout, one
+// <stream>.ckpt file per stream, written with window 16 over the golden
+// workload: stream "warming" mid-warm-up, stream "partial" warm with a
+// partial unit. It pins the stream-file bytes, STR. section included.
+const goldenManagerDir = "testdata/manager_w16"
+
+// goldenManagerFeed returns the golden Manager's detector options and
+// each stream's records before and after the checkpoint. Both cuts
+// fall in the middle of a unit.
+func goldenManagerFeed(t *testing.T) (opts []Option, head, tail map[string][]Record) {
+	t.Helper()
+	opts, part1, part2 := goldenWorkload(t)
+	all := append(append([]Record(nil), part1...), part2...)
+	cut := func(units int) int {
+		// Half of the records of unit `units`, past its boundary.
+		boundary := all[0].Time.Truncate(15 * time.Minute).Add(time.Duration(units) * 15 * time.Minute)
+		i := 0
+		for i < len(all) && all[i].Time.Before(boundary) {
+			i++
+		}
+		j := i
+		for j < len(all) && all[j].Time.Before(boundary.Add(15*time.Minute)) {
+			j++
+		}
+		return (i + j) / 2
+	}
+	head, tail = map[string][]Record{}, map[string][]Record{}
+	for name, units := range map[string]int{"warming": 9, "partial": goldenSplitUnit} {
+		n := cut(units)
+		head[name], tail[name] = all[:n], all[n:]
+	}
+	return opts, head, tail
+}
+
+// TestGoldenManagerCheckpoint checks that (a) Manager.Checkpoint of the
+// golden feed writes the committed stream files byte for byte, and (b)
+// a Manager restored from them detects exactly what an uninterrupted
+// one does.
+func TestGoldenManagerCheckpoint(t *testing.T) {
+	opts, head, tail := goldenManagerFeed(t)
+	newMgr := func() *Manager {
+		m, err := NewManager(WithShards(2), WithDetectorOptions(opts...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	m := newMgr()
+	for name, recs := range head {
+		if _, _, err := m.FeedBatch(name, recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := t.TempDir()
+	if _, err := m.Checkpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "ckpt-*", "*"+checkpointExt))
+	if err != nil || len(files) != len(head) {
+		t.Fatalf("stream files %v (err %v), want %d", files, err, len(head))
+	}
+	if *writeGoldenManager {
+		if err := os.MkdirAll(goldenManagerDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, path := range files {
+		fresh, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := checkpoint.Read(bytes.NewReader(fresh))
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden := filepath.Join(goldenManagerDir, snap.Stream.Name+checkpointExt)
+		if *writeGoldenManager {
+			if err := os.WriteFile(golden, fresh, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(fresh, want) {
+			t.Fatalf("stream %q: Checkpoint wrote %d bytes that differ from %s (%d bytes): the stream-file encoding changed",
+				snap.Stream.Name, len(fresh), golden, len(want))
+		}
+	}
+
+	ref := newMgr()
+	restored, err := ManagerFromCheckpoint(goldenManagerDir, WithDetectorOptions(opts...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := restored.Streams(); len(st) != 2 || st[0].Name != "partial" || !st[0].Warm || st[1].Warm || st[1].PendingWarmup != 9 {
+		t.Fatalf("restored statuses %+v, want partial warm and warming 9 units into warm-up", st)
+	}
+	for _, name := range []string{"warming", "partial"} {
+		refHead, _, err := ref.FeedBatch(name, head[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := ref.FeedBatch(name, tail[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(refHead) != 0 && name == "warming" {
+			t.Fatalf("stream %q detected during warm-up", name)
+		}
+		got, _, err := restored.FeedBatch(name, tail[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 {
+			t.Fatalf("stream %q: the uninterrupted Manager detects nothing after the cut; the workload no longer exercises the restore", name)
+		}
+		sameAnomalies(t, "golden manager "+name, want, got)
+	}
 }

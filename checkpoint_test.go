@@ -439,7 +439,7 @@ func TestManagerCheckpointRestore(t *testing.T) {
 }
 
 // TestManagerFromCheckpointErrors covers the empty-directory and
-// wrong-file cases.
+// wrong-file cases, and Restore of a Manager stream file.
 func TestManagerFromCheckpointErrors(t *testing.T) {
 	// An empty or missing directory is "nothing to restore yet", not a
 	// corrupt checkpoint — callers fall back to a cold start on it.
@@ -467,14 +467,17 @@ func TestManagerFromCheckpointErrors(t *testing.T) {
 		t.Fatalf("detector snapshot as stream file: err = %v, want ErrBadCheckpoint", err)
 	}
 
-	// The mirror image: a per-stream file from a Manager checkpoint
-	// carries windowing state a bare detector cannot hold, so Restore
-	// must refuse it instead of dropping records silently.
-	m, err := NewManager()
+	// The mirror image is accepted: a per-stream file from a Manager
+	// checkpoint restores as a bare detector that continues exactly as
+	// the managed stream does — its partial unit is detector state.
+	ds := ckptDataset(t, 80, 49)
+	opts := []Option{WithWindowLen(32), WithTheta(8), WithSeasonality(1.0, 16)}
+	m, err := NewManager(WithDetectorOptions(opts...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Feed("s1", Record{Path: []string{"a"}, Time: time.Date(2010, 5, 3, 0, 0, 30, 0, time.UTC)}); err != nil {
+	split := 2 * len(ds.Records) / 3 // warm, mid-unit
+	if _, _, err := m.FeedBatch("s1", ds.Records[:split]); err != nil {
 		t.Fatal(err)
 	}
 	mdir := filepath.Join(t.TempDir(), "mgr")
@@ -489,8 +492,36 @@ func TestManagerFromCheckpointErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Restore(bytes.NewReader(raw)); !errors.Is(err, ErrBadCheckpoint) {
-		t.Fatalf("manager stream file through Restore: err = %v, want ErrBadCheckpoint", err)
+	restored, err := Restore(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("manager stream file through Restore: %v", err)
+	}
+	res, err := restored.Run(context.Background(), NewSliceSource(ds.Records[split:]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := m.FeedBatch("s1", ds.Records[split:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	flushed, err := m.Flush("s1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, flushed...)
+	if len(want) == 0 {
+		t.Fatal("the managed stream detects nothing after the split; the workload no longer exercises the restore")
+	}
+	sameAnomalies(t, "manager stream file through Restore", want, res.Anomalies)
+	var got, managed bytes.Buffer
+	if err := restored.Snapshot(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.shardOf("s1").streams["s1"].det.Snapshot(&managed); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), managed.Bytes()) {
+		t.Fatal("the restored detector's Snapshot differs from the managed stream's")
 	}
 }
 

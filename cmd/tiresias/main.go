@@ -24,11 +24,11 @@
 //
 // A run that reaches end of input flushes its final partial timeunit,
 // so a resume over the next file detects exactly what one
-// uninterrupted run would have. The checkpoint holds completed-unit
-// state only: interrupting mid-stream loses the records of the unit
-// in progress (and, during warmup, the buffered warmup units) — feed
-// the affected unit's records again on resume, or use the serve
-// Manager, whose checkpoints carry partial units.
+// uninterrupted run would have. An interrupted run loses nothing it
+// read: the checkpoint carries the records of the unit in progress
+// and, during warmup, the buffered warmup units, so a resume whose
+// input starts with the first record the run did not read continues
+// exactly where it stopped.
 package main
 
 import (
@@ -91,7 +91,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) (err error) {
 		jsonOut = fs.Bool("json", false, "stream anomalies as JSON lines instead of text")
 		quiet   = fs.Bool("quiet", false, "suppress per-anomaly lines")
 		resume  = fs.String("resume", "", "resume from a checkpoint written by -checkpoint (detector flags come from the checkpoint; -delta/-window/-theta/-rule/-ref are ignored)")
-		ckptTo  = fs.String("checkpoint", "", "write the detector state to this file when the run ends (including on interrupt), for later -resume")
+		ckptTo  = fs.String("checkpoint", "", "write the detector state, with any partial unit or warmup buffer, to this file when the run ends (including on interrupt), for later -resume")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

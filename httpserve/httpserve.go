@@ -206,6 +206,7 @@ func New(cfg Config) (*Server, error) {
 		tiresias.WithWindowLen(cfg.WindowLen),
 		tiresias.WithTheta(cfg.Theta),
 		tiresias.WithThresholds(cfg.Thresholds),
+		tiresias.WithMaxGap(cfg.MaxGap),
 	}, cfg.DetectorOptions...)
 	// The Manager builds detectors lazily on first Feed; probe the
 	// configuration now so bad options fail at construction.
@@ -214,7 +215,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	mgrOpts := []tiresias.ManagerOption{
 		tiresias.WithShards(cfg.Shards),
-		tiresias.WithMaxGap(cfg.MaxGap),
 		tiresias.WithDetectorOptions(liveOpts...),
 		tiresias.WithAnomalyIndex(s.ix),
 		tiresias.WithAnomalyObserver(s.hub.publish),

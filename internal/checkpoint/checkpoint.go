@@ -3,8 +3,8 @@
 // serializes the full detector state — configuration, category
 // hierarchy, engine state (series rings, forecasting models,
 // split-rule statistics, reference series), detector clock, and the
-// optional per-stream windowing position a Manager needs to resume
-// mid-unit.
+// optional windowing state (warm-up buffer, partial current unit) a
+// detector needs to resume mid-unit.
 //
 // # Wire format
 //
@@ -103,10 +103,11 @@ type Config struct {
 	MaxGap int
 }
 
-// StreamState is the Manager-level per-stream extra state: the stream
-// name, the live windowing position (including the partial current
-// unit), the warmup buffer of a not-yet-warm detector, and the
-// bookkeeping counters surfaced by Manager.Streams.
+// StreamState is a detector's windowing state — the live windowing
+// position (including the partial current unit) and the warmup buffer
+// of a not-yet-warm detector — plus, in a Manager stream file, the
+// stream name and the bookkeeping counters surfaced by
+// Manager.Streams.
 type StreamState struct {
 	// Name is the stream name given to Feed.
 	Name string
@@ -144,8 +145,10 @@ type Snapshot struct {
 	Xi      float64
 	// Engine is the exported engine state; nil when not warm.
 	Engine *algo.EngineState
-	// Stream is the Manager per-stream section; nil for plain
-	// detector snapshots.
+	// Stream is the windowing section. A Manager stream file always
+	// carries it; a detector snapshot only when it holds a warm-up
+	// buffer or a partial unit (nil otherwise: the window position
+	// follows from the clock).
 	Stream *StreamState
 }
 
@@ -523,7 +526,7 @@ func decodeEngine(buf []byte) (*algo.EngineState, error) {
 
 // --- Stream section ---
 
-// encodeStream writes the Manager per-stream extras. Warmup-buffer
+// encodeStream writes the windowing section. Warmup-buffer
 // timeunits are map-form; they are encoded through the hierarchy as
 // sorted (ID, count) pairs, which keeps the bytes deterministic.
 func encodeStream(s *StreamState, t *hierarchy.Tree) (*payload, error) {

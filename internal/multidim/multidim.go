@@ -44,7 +44,6 @@ type Dimension struct {
 type Runner struct {
 	dims      []Dimension
 	detectors []*tiresias.Tiresias
-	windowers []*stream.Windower
 	warm      bool
 }
 
@@ -66,12 +65,7 @@ func New(dims []Dimension) (*Runner, error) {
 		} else if t.Delta() != delta {
 			return nil, fmt.Errorf("multidim: dimension %q delta %v != %v", d.Name, t.Delta(), delta)
 		}
-		w, err := stream.NewWindower(t.Delta())
-		if err != nil {
-			return nil, err
-		}
 		r.detectors = append(r.detectors, t)
-		r.windowers = append(r.windowers, w)
 	}
 	return r, nil
 }
@@ -86,10 +80,18 @@ func (r *Runner) Dimensions() []string {
 }
 
 // Warmup ingests history records (time-ordered), classifies them per
-// dimension, and initializes every detector.
+// dimension, and initializes every detector. Each dimension windows
+// through a private tree; completed units are kept in map form.
 func (r *Runner) Warmup(history []DimRecord) error {
 	if r.warm {
 		return errors.New("multidim: Warmup called twice")
+	}
+	windowers := make([]*stream.Windower, len(r.dims))
+	trees := make([]*hierarchy.Tree, len(r.dims))
+	for d, det := range r.detectors {
+		windowers[d], _ = stream.NewWindower(det.Delta()) // tiresias.New validated delta
+		trees[d] = hierarchy.New()
+		windowers[d].BindTree(trees[d])
 	}
 	units := make([][]algo.Timeunit, len(r.dims))
 	var start time.Time
@@ -97,19 +99,21 @@ func (r *Runner) Warmup(history []DimRecord) error {
 		if len(rec.Paths) != len(r.dims) {
 			return fmt.Errorf("multidim: record %d has %d paths, want %d", i, len(rec.Paths), len(r.dims))
 		}
-		for d := range r.dims {
-			done, err := r.windowers[d].Observe(stream.Record{Path: rec.Paths[d], Time: rec.Time})
+		for d, w := range windowers {
+			done, err := w.ObserveDense(stream.Record{Path: rec.Paths[d], Time: rec.Time})
 			if err != nil {
 				return err
 			}
-			units[d] = append(units[d], done...)
+			for _, u := range done {
+				units[d] = append(units[d], u.Timeunit(trees[d]))
+			}
 			if i == 0 && d == 0 {
-				start = r.windowers[d].Start()
+				start = w.Start()
 			}
 		}
 	}
-	for d := range r.dims {
-		units[d] = append(units[d], r.windowers[d].Flush())
+	for d, w := range windowers {
+		units[d] = append(units[d], w.FlushDense().Timeunit(trees[d]))
 		if err := r.detectors[d].Warmup(units[d], start); err != nil {
 			return fmt.Errorf("multidim: warmup %q: %w", r.dims[d].Name, err)
 		}

@@ -8,11 +8,11 @@ import (
 	"tiresias/internal/hierarchy"
 )
 
-// WindowerState is a serializable snapshot of a dense-mode Windower:
-// the windowing position (current unit boundary and whether windowing
-// has begun), the MaxGap bound, and the contents of the current
-// partial timeunit. It exists so a Manager checkpoint can resume
-// mid-unit without losing already-ingested records.
+// WindowerState is a serializable snapshot of a Windower: the
+// windowing position (current unit boundary and whether windowing has
+// begun), the MaxGap bound, and the contents of the current partial
+// timeunit. It exists so a checkpoint can resume mid-unit without
+// losing already-ingested records.
 type WindowerState struct {
 	// Delta is the timeunit size Δ.
 	Delta time.Duration
@@ -30,9 +30,8 @@ type WindowerState struct {
 	CurVals []float64
 }
 
-// State snapshots the windower. Only the dense emission mode is
-// captured (BindTree + ObserveDense/FlushDense); the map-mode current
-// unit, if any, is not part of the state.
+// State snapshots the windower's position, gap bound and partial
+// unit.
 func (w *Windower) State() WindowerState {
 	st := WindowerState{
 		Delta:  w.delta,
@@ -51,9 +50,9 @@ func (w *Windower) State() WindowerState {
 	return st
 }
 
-// RestoreWindower rebuilds a dense-mode Windower from a captured
-// state, binding it to t (the hierarchy the consuming engine operates
-// on — node IDs in the state must have been interned into it).
+// RestoreWindower rebuilds a Windower from a captured state, binding
+// it to t (the hierarchy the consuming engine operates on — node IDs
+// in the state must have been interned into it).
 func RestoreWindower(st WindowerState, t *hierarchy.Tree) (*Windower, error) {
 	if t == nil {
 		return nil, fmt.Errorf("stream: RestoreWindower needs a tree")

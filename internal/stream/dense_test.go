@@ -2,10 +2,12 @@ package stream
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"tiresias/internal/algo"
 	"tiresias/internal/hierarchy"
 )
 
@@ -13,9 +15,94 @@ func denseStart() time.Time {
 	return time.Date(2012, 6, 18, 0, 0, 0, 0, time.UTC)
 }
 
+// mapWindower is the reference model of Windower: map-form windowing,
+// one algo.Timeunit per Δ, each record counted under its path's Key.
+// It is written from the definition (Step 1 of Fig. 3 plus the
+// out-of-order and gap-bound rules), not from the dense code, so the
+// tests below check the dense path against it.
+type mapWindower struct {
+	delta  time.Duration
+	start  time.Time
+	began  bool
+	maxGap int
+	cur    algo.Timeunit
+}
+
+func newMapWindower(delta time.Duration, maxGap int) *mapWindower {
+	return &mapWindower{delta: delta, maxGap: maxGap, cur: algo.Timeunit{}}
+}
+
+// observe returns every unit completed strictly before r's own unit;
+// a rejected record changes nothing.
+func (m *mapWindower) observe(r Record) ([]algo.Timeunit, error) {
+	start := m.start
+	if !m.began {
+		start = r.Time.Truncate(m.delta)
+	}
+	if r.Time.Before(start) {
+		return nil, ErrOutOfOrder
+	}
+	if m.maxGap > 0 && r.Time.Sub(start)/m.delta > time.Duration(m.maxGap) {
+		return nil, ErrMaxGap
+	}
+	m.start, m.began = start, true
+	var done []algo.Timeunit
+	for !r.Time.Before(m.start.Add(m.delta)) {
+		done = append(done, m.cur)
+		m.cur = algo.Timeunit{}
+		m.start = m.start.Add(m.delta)
+	}
+	m.cur[hierarchy.KeyOf(r.Path)]++
+	return done, nil
+}
+
+// flush completes and returns the current unit.
+func (m *mapWindower) flush() algo.Timeunit {
+	u := m.cur
+	m.cur = algo.Timeunit{}
+	m.start = m.start.Add(m.delta)
+	return u
+}
+
+// newBound returns a Windower bound to a fresh tree.
+func newBound(t testing.TB, delta time.Duration) (*Windower, *hierarchy.Tree) {
+	t.Helper()
+	w, err := NewWindower(delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := hierarchy.New()
+	w.BindTree(tree)
+	return w, tree
+}
+
+// sameUnits fails unless the dense units hold exactly the model's
+// counts, unit by unit.
+func sameUnits(t testing.TB, label string, tree *hierarchy.Tree, got []*algo.DenseUnit, want []algo.Timeunit) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d dense units, model has %d", label, len(got), len(want))
+	}
+	for i := range want {
+		sameUnit(t, label, got[i].Timeunit(tree), want[i])
+	}
+}
+
+func sameUnit(t testing.TB, label string, got, want algo.Timeunit) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d keys, model has %d (%v vs %v)", label, len(got), len(want), got, want)
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Fatalf("%s: key %q = %v, model has %v", label, k, got[k], v)
+		}
+	}
+}
+
 // TestObserveDenseMatchesObserve feeds the same record sequence
-// through both emission modes and checks unit boundaries and counts
-// agree.
+// through the Windower and the map model and checks unit boundaries
+// and counts agree.
 func TestObserveDenseMatchesObserve(t *testing.T) {
 	recs := []Record{
 		{Path: []string{"a", "x"}, Time: denseStart()},
@@ -24,61 +111,26 @@ func TestObserveDenseMatchesObserve(t *testing.T) {
 		{Path: []string{"b"}, Time: denseStart().Add(200 * time.Second)},
 		{Path: []string{"a", "x"}, Time: denseStart().Add(305 * time.Second)},
 	}
-	wm, err := NewWindower(time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree := hierarchy.New()
-	wd, err := NewWindower(time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wd.BindTree(tree)
+	model := newMapWindower(time.Minute, 0)
+	wd, tree := newBound(t, time.Minute)
 	for _, r := range recs {
-		mapDone, err := wm.Observe(r)
+		want, err := model.observe(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		denseDone, err := wd.ObserveDense(r)
+		got, err := wd.ObserveDense(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(mapDone) != len(denseDone) {
-			t.Fatalf("record %v: %d map units vs %d dense units", r.Time, len(mapDone), len(denseDone))
-		}
-		for i := range mapDone {
-			back := denseDone[i].Timeunit(tree)
-			if len(back) != len(mapDone[i]) {
-				t.Fatalf("unit %d: %d keys vs %d", i, len(back), len(mapDone[i]))
-			}
-			for k, v := range mapDone[i] {
-				if back[k] != v {
-					t.Fatalf("unit %d key %q: %v vs %v", i, k, back[k], v)
-				}
-			}
-		}
+		sameUnits(t, r.Time.String(), tree, got, want)
 	}
-	mu := wm.Flush()
-	du := wd.FlushDense().Timeunit(tree)
-	if len(mu) != len(du) {
-		t.Fatalf("flush: %d keys vs %d", len(mu), len(du))
-	}
-	for k, v := range mu {
-		if du[k] != v {
-			t.Fatalf("flush key %q: %v vs %v", k, du[k], v)
-		}
-	}
+	sameUnit(t, "flush", wd.FlushDense().Timeunit(tree), model.flush())
 }
 
 // TestObserveDenseRecycles checks emitted units are pooled: after the
 // next dense call, previously returned units are reset and reused.
 func TestObserveDenseRecycles(t *testing.T) {
-	tree := hierarchy.New()
-	w, err := NewWindower(time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.BindTree(tree)
+	w, _ := newBound(t, time.Minute)
 	at := denseStart()
 	if _, err := w.ObserveDense(Record{Path: []string{"a"}, Time: at}); err != nil {
 		t.Fatal(err)
@@ -110,16 +162,11 @@ func TestObserveDenseRecycles(t *testing.T) {
 	}
 }
 
-// TestObserveDenseSteadyStateAllocs is the Windower.Observe allocation
-// guard: once the pools are warm, classifying a record — including
-// boundary crossings — allocates nothing.
+// TestObserveDenseSteadyStateAllocs is the windowing allocation guard:
+// once the pools are warm, classifying a record — including boundary
+// crossings — allocates nothing.
 func TestObserveDenseSteadyStateAllocs(t *testing.T) {
-	tree := hierarchy.New()
-	w, err := NewWindower(time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.BindTree(tree)
+	w, _ := newBound(t, time.Minute)
 	paths := [][]string{{"a", "x"}, {"a", "y"}, {"b"}}
 	at := denseStart()
 	step := 0
@@ -140,7 +187,7 @@ func TestObserveDenseSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestObserveDenseRequiresBind checks the dense mode guards its
+// TestObserveDenseRequiresBind checks the windower guards its
 // precondition.
 func TestObserveDenseRequiresBind(t *testing.T) {
 	w, err := NewWindower(time.Minute)
@@ -152,48 +199,39 @@ func TestObserveDenseRequiresBind(t *testing.T) {
 	}
 }
 
-// TestWindowerMaxGap checks the gap bound on both modes: the record is
-// rejected with ErrMaxGap, no state is mutated, and sane records keep
-// working.
+// TestWindowerMaxGap checks the gap bound on the Windower and the
+// model: the record is rejected with ErrMaxGap, no state is mutated,
+// and sane records keep working.
 func TestWindowerMaxGap(t *testing.T) {
-	for _, mode := range []string{"map", "dense"} {
-		w, err := NewWindower(time.Minute)
-		if err != nil {
-			t.Fatal(err)
+	w, _ := newBound(t, time.Minute)
+	w.SetMaxGap(10)
+	model := newMapWindower(time.Minute, 10)
+	for _, tc := range []struct {
+		offset time.Duration
+		err    error
+	}{
+		{0, nil},
+		{9 * time.Minute, nil}, // within the bound
+		{500 * time.Minute, ErrMaxGap},
+		{10 * time.Minute, nil}, // still usable after the rejection
+	} {
+		r := Record{Path: []string{"a"}, Time: denseStart().Add(tc.offset)}
+		before := w.State()
+		_, err := w.ObserveDense(r)
+		if _, merr := model.observe(r); !errors.Is(merr, tc.err) {
+			t.Fatalf("model at +%v: error %v, want %v", tc.offset, merr, tc.err)
 		}
-		w.SetMaxGap(10)
-		if got := w.MaxGap(); got != 10 {
-			t.Fatalf("MaxGap() = %d", got)
+		if !errors.Is(err, tc.err) {
+			t.Fatalf("+%v: error %v, want %v", tc.offset, err, tc.err)
 		}
-		tree := hierarchy.New()
-		observe := func(r Record) error {
-			if mode == "dense" {
-				_, err := w.ObserveDense(r)
-				return err
-			}
-			_, err := w.Observe(r)
-			return err
-		}
-		if mode == "dense" {
-			w.BindTree(tree)
-		}
-		if err := observe(Record{Path: []string{"a"}, Time: denseStart()}); err != nil {
-			t.Fatal(err)
-		}
-		// Within the bound: fine.
-		if err := observe(Record{Path: []string{"a"}, Time: denseStart().Add(9 * time.Minute)}); err != nil {
-			t.Fatalf("%s: in-bound gap rejected: %v", mode, err)
-		}
-		// Past the bound: ErrMaxGap, and the windower stays usable.
-		err = observe(Record{Path: []string{"a"}, Time: denseStart().Add(500 * time.Minute)})
-		if !errors.Is(err, ErrMaxGap) {
-			t.Fatalf("%s: far-future record error = %v, want ErrMaxGap", mode, err)
+		if err == nil {
+			continue
 		}
 		if !strings.Contains(err.Error(), "timeunits past") {
-			t.Fatalf("%s: error not descriptive: %v", mode, err)
+			t.Fatalf("error not descriptive: %v", err)
 		}
-		if err := observe(Record{Path: []string{"a"}, Time: denseStart().Add(10 * time.Minute)}); err != nil {
-			t.Fatalf("%s: windower unusable after rejection: %v", mode, err)
+		if after := w.State(); fmt.Sprint(after) != fmt.Sprint(before) {
+			t.Fatalf("rejected record changed the state:\n%+v\n%+v", before, after)
 		}
 	}
 }
@@ -202,33 +240,107 @@ func TestWindowerMaxGap(t *testing.T) {
 // multi-day delta, maxGap*delta would overflow a Duration; the
 // unit-count comparison must still accept ordinary records.
 func TestWindowerMaxGapLargeDelta(t *testing.T) {
-	w, err := NewWindower(36 * time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, _ := newBound(t, 36*time.Hour)
 	w.SetMaxGap(100_000) // tiresias.DefaultMaxGap
-	if _, err := w.Observe(Record{Path: []string{"a"}, Time: denseStart()}); err != nil {
+	if _, err := w.ObserveDense(Record{Path: []string{"a"}, Time: denseStart()}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Observe(Record{Path: []string{"a"}, Time: denseStart().Add(40 * time.Hour)}); err != nil {
+	if _, err := w.ObserveDense(Record{Path: []string{"a"}, Time: denseStart().Add(40 * time.Hour)}); err != nil {
 		t.Fatalf("ordinary record rejected under large delta: %v", err)
 	}
 }
 
 // TestWindowerMaxGapDisabled checks n <= 0 keeps unbounded filling.
 func TestWindowerMaxGapDisabled(t *testing.T) {
-	w, err := NewWindower(time.Minute)
-	if err != nil {
+	w, _ := newBound(t, time.Minute)
+	if _, err := w.ObserveDense(Record{Path: []string{"a"}, Time: denseStart()}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Observe(Record{Path: []string{"a"}, Time: denseStart()}); err != nil {
-		t.Fatal(err)
-	}
-	done, err := w.Observe(Record{Path: []string{"a"}, Time: denseStart().Add(1000 * time.Minute)})
+	done, err := w.ObserveDense(Record{Path: []string{"a"}, Time: denseStart().Add(1000 * time.Minute)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(done) != 1000 {
 		t.Fatalf("unbounded gap filled %d units, want 1000", len(done))
+	}
+}
+
+// FuzzWindowerObserveDense holds the Windower to the map model on
+// generated feeds. Each 3-byte op is a flush or a record whose time
+// steps forwards, backwards (out-of-order) or far past the gap bound,
+// on a path of depth 0–3. The properties: the same completed units,
+// the same ErrOutOfOrder/ErrMaxGap rejections with no state change on
+// rejection, and a State → RestoreWindower round trip at the cut op
+// that continues with the same remaining units.
+func FuzzWindowerObserveDense(f *testing.F) {
+	f.Fuzz(func(t *testing.T, ops []byte, maxGap int16, deltaSec uint16, cut uint8) {
+		if len(ops) > 3*256 {
+			ops = ops[:3*256]
+		}
+		checkWindower(t, ops, int(maxGap)%200, time.Duration(1+int(deltaSec)%3600)*time.Second, int(cut))
+	})
+}
+
+// checkWindower is FuzzWindowerObserveDense's property for one feed.
+func checkWindower(t *testing.T, ops []byte, maxGap int, delta time.Duration, cut int) {
+	t.Helper()
+	w, tree := newBound(t, delta)
+	w.SetMaxGap(maxGap)
+	model := newMapWindower(delta, maxGap)
+	// The far-future step exceeds a positive bound by a few units; with
+	// the bound disabled it stays small enough to gap-fill cheaply.
+	far := maxGap
+	if far <= 0 {
+		far = 50
+	}
+	at := denseStart().Add(7 * time.Second) // not on a unit boundary
+	for i := 0; i+2 < len(ops); i += 3 {
+		label := fmt.Sprintf("op %d", i/3)
+		if i/3 == cut%(len(ops)/3+1) {
+			st := w.State()
+			rw, err := RestoreWindower(st, tree)
+			if err != nil {
+				t.Fatalf("%s: restore: %v", label, err)
+			}
+			if got := rw.State(); fmt.Sprint(got) != fmt.Sprint(st) {
+				t.Fatalf("%s: restored state %+v, captured %+v", label, got, st)
+			}
+			w = rw
+		}
+		kind, step, shape := ops[i], int8(ops[i+1]), ops[i+2]
+		if kind%8 == 0 {
+			if model.began {
+				sameUnit(t, label+" flush", w.FlushDense().Timeunit(tree), model.flush())
+			}
+			continue
+		}
+		next := at.Add(time.Duration(step) * delta / 4)
+		if kind%8 == 7 {
+			next = at.Add(time.Duration(far+1+int(step)%4) * delta)
+		}
+		path := make([]string, shape%4)
+		for d := range path {
+			path[d] = string(rune('a' + (int(shape>>2)+d)%3))
+		}
+		r := Record{Path: path, Time: next}
+		before := w.State()
+		want, merr := model.observe(r)
+		got, err := w.ObserveDense(r)
+		for _, sentinel := range []error{ErrOutOfOrder, ErrMaxGap} {
+			if errors.Is(err, sentinel) != errors.Is(merr, sentinel) {
+				t.Fatalf("%s at %v: error %v, model %v", label, next, err, merr)
+			}
+		}
+		if (err == nil) != (merr == nil) {
+			t.Fatalf("%s at %v: error %v, model %v", label, next, err, merr)
+		}
+		if err != nil {
+			if after := w.State(); fmt.Sprint(after) != fmt.Sprint(before) {
+				t.Fatalf("%s: rejected record changed the state:\n%+v\n%+v", label, before, after)
+			}
+			continue
+		}
+		at = next
+		sameUnits(t, label, tree, got, want)
 	}
 }

@@ -230,25 +230,21 @@ var ErrOutOfOrder = errors.New("stream: record out of time order")
 var ErrMaxGap = errors.New("stream: record exceeds the max timeunit gap")
 
 // Windower classifies records into consecutive timeunits of size Δ
-// (Step 1 of Fig. 3). Feed records in time order with Observe; each
-// time a record crosses a timeunit boundary, the completed timeunits
-// are emitted (possibly several, when the stream has gaps).
-//
-// Two emission modes exist. The map mode (Observe/Flush) hands out
-// independent algo.Timeunit maps the caller may retain. The dense mode
-// (BindTree + ObserveDense/FlushDense) interns record paths into a
-// shared hierarchy and fills pooled algo.DenseUnits: returned units
-// are only valid until the next ObserveDense/FlushDense call, after
-// which they are recycled — the steady state allocates nothing. Use
-// one mode per Windower, not both.
+// (Step 1 of Fig. 3). Bind it to the hierarchy the consuming engine
+// operates on with BindTree, then feed records in time order with
+// ObserveDense; each time a record crosses a timeunit boundary, the
+// completed timeunits are emitted (possibly several, when the stream
+// has gaps). Record paths are interned straight into the tree and
+// counted into pooled algo.DenseUnits: returned units are only valid
+// until the next ObserveDense/FlushDense call, after which they are
+// recycled — the steady state allocates nothing. A caller that keeps a
+// unit converts it with DenseUnit.Timeunit.
 type Windower struct {
 	delta  time.Duration
 	start  time.Time
-	cur    algo.Timeunit
 	began  bool
 	maxGap int
 
-	// Dense mode.
 	tree *hierarchy.Tree
 	dcur *algo.DenseUnit   // unit currently being filled
 	dbuf []*algo.DenseUnit // units emitted by the last dense call
@@ -260,7 +256,7 @@ func NewWindower(delta time.Duration) (*Windower, error) {
 	if delta <= 0 {
 		return nil, fmt.Errorf("stream: delta must be > 0, got %v", delta)
 	}
-	return &Windower{delta: delta, cur: algo.Timeunit{}}, nil
+	return &Windower{delta: delta}, nil
 }
 
 // NewWindowerAt creates a Windower pre-anchored at start, which must
@@ -277,9 +273,6 @@ func NewWindowerAt(delta time.Duration, start time.Time) (*Windower, error) {
 	return w, nil
 }
 
-// Delta returns the timeunit size.
-func (w *Windower) Delta() time.Duration { return w.delta }
-
 // Start returns the start of the current (incomplete) timeunit; the
 // zero time before any record is observed.
 func (w *Windower) Start() time.Time { return w.start }
@@ -291,9 +284,6 @@ func (w *Windower) Start() time.Time { return w.start }
 // important when records arrive from an ingest endpoint. n <= 0
 // disables the bound (trusted feeds only).
 func (w *Windower) SetMaxGap(n int) { w.maxGap = n }
-
-// MaxGap returns the configured gap bound (0 = unbounded).
-func (w *Windower) MaxGap() int { return w.maxGap }
 
 // checkGap rejects a record whose timestamp is more than MaxGap
 // timeunits past the current unit's start, without mutating any
@@ -313,8 +303,7 @@ func (w *Windower) checkGap(at time.Time) error {
 
 // anchor starts windowing at the first observed record and validates
 // time order and the gap bound for every one, mutating no state on
-// rejection. Shared by both emission modes so their semantics cannot
-// drift.
+// rejection.
 func (w *Windower) anchor(at time.Time) error {
 	if !w.began {
 		w.start = at.Truncate(w.delta)
@@ -326,35 +315,8 @@ func (w *Windower) anchor(at time.Time) error {
 	return w.checkGap(at)
 }
 
-// Observe adds a record, returning every timeunit completed strictly
-// before the record's own unit (empty units are included so seasonal
-// indexing stays aligned).
-func (w *Windower) Observe(r Record) ([]algo.Timeunit, error) {
-	if err := w.anchor(r.Time); err != nil {
-		return nil, err
-	}
-	var done []algo.Timeunit
-	for !r.Time.Before(w.start.Add(w.delta)) {
-		done = append(done, w.cur)
-		w.cur = algo.Timeunit{}
-		w.start = w.start.Add(w.delta)
-	}
-	w.cur[hierarchy.KeyOf(r.Path)]++
-	return done, nil
-}
-
-// Flush completes and returns the current timeunit (which may be
-// empty) and resets it.
-func (w *Windower) Flush() algo.Timeunit {
-	u := w.cur
-	w.cur = algo.Timeunit{}
-	w.start = w.start.Add(w.delta)
-	return u
-}
-
-// BindTree enables the dense emission mode: record paths are interned
-// into t (which must be the tree the consuming engine operates on, see
-// algo.Config.Tree) and timeunits are filled as algo.DenseUnits.
+// BindTree sets the hierarchy record paths are interned into; it must
+// be the tree the consuming engine operates on (see algo.Config.Tree).
 func (w *Windower) BindTree(t *hierarchy.Tree) { w.tree = t }
 
 // maxDensePool bounds the recycle pool and the emission buffer's
@@ -390,9 +352,11 @@ func (w *Windower) nextDense() *algo.DenseUnit {
 	return &algo.DenseUnit{}
 }
 
-// ObserveDense is Observe on the dense path: the record's path is
-// interned straight to a node ID (no Key string is built) and counted
-// into a pooled DenseUnit. The returned units are valid until the next
+// ObserveDense adds a record, returning every timeunit completed
+// strictly before the record's own unit (empty units are included so
+// seasonal indexing stays aligned). The record's path is interned
+// straight to a node ID (no Key string is built) and counted into a
+// pooled DenseUnit. The returned units are valid until the next
 // ObserveDense/FlushDense call; in the steady state the call performs
 // zero allocations. BindTree must have been called.
 //
@@ -417,9 +381,9 @@ func (w *Windower) ObserveDense(r Record) ([]*algo.DenseUnit, error) {
 	return w.dbuf, nil
 }
 
-// FlushDense completes and returns the current dense timeunit (which
-// may be empty) and resets it. Like ObserveDense's result, the
-// returned unit is valid until the next dense call.
+// FlushDense completes and returns the current timeunit (which may be
+// empty) and resets it. Like ObserveDense's result, the returned unit
+// is valid until the next ObserveDense/FlushDense call.
 //
 //tiresias:hotpath
 func (w *Windower) FlushDense() *algo.DenseUnit {
@@ -436,12 +400,15 @@ func (w *Windower) FlushDense() *algo.DenseUnit {
 
 // Collect drains a Source into consecutive timeunits of size delta,
 // returning the units (oldest first) and the start time of the first
-// unit.
+// unit. It windows through a private tree and converts each completed
+// unit to its map form.
 func Collect(src Source, delta time.Duration) ([]algo.Timeunit, time.Time, error) {
 	w, err := NewWindower(delta)
 	if err != nil {
 		return nil, time.Time{}, err
 	}
+	tree := hierarchy.New()
+	w.BindTree(tree)
 	var units []algo.Timeunit
 	var first time.Time
 	seen := false
@@ -453,7 +420,7 @@ func Collect(src Source, delta time.Duration) ([]algo.Timeunit, time.Time, error
 		if err != nil {
 			return nil, time.Time{}, err
 		}
-		done, err := w.Observe(r)
+		done, err := w.ObserveDense(r)
 		if err != nil {
 			return nil, time.Time{}, err
 		}
@@ -461,10 +428,12 @@ func Collect(src Source, delta time.Duration) ([]algo.Timeunit, time.Time, error
 			first = w.Start()
 			seen = true
 		}
-		units = append(units, done...)
+		for _, u := range done {
+			units = append(units, u.Timeunit(tree))
+		}
 	}
 	if seen {
-		units = append(units, w.Flush())
+		units = append(units, w.FlushDense().Timeunit(tree))
 	}
 	return units, first, nil
 }

@@ -102,20 +102,14 @@ func TestWindowerValidation(t *testing.T) {
 }
 
 func TestWindowerGroupsByDelta(t *testing.T) {
-	w, err := NewWindower(15 * time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Delta() != 15*time.Minute {
-		t.Fatal("Delta accessor wrong")
-	}
+	w, tree := newBound(t, 15*time.Minute)
 	// Three records in unit 0, one in unit 1.
 	for _, r := range []Record{
 		rec(1*time.Minute, "a"),
 		rec(5*time.Minute, "a"),
 		rec(14*time.Minute, "b"),
 	} {
-		done, err := w.Observe(r)
+		done, err := w.ObserveDense(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,67 +117,58 @@ func TestWindowerGroupsByDelta(t *testing.T) {
 			t.Fatalf("no unit should complete yet, got %d", len(done))
 		}
 	}
-	done, err := w.Observe(rec(16*time.Minute, "a"))
+	done, err := w.ObserveDense(rec(16*time.Minute, "a"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(done) != 1 {
 		t.Fatalf("completed units = %d, want 1", len(done))
 	}
-	u := done[0]
+	u := done[0].Timeunit(tree)
 	if u[hierarchy.KeyOf([]string{"a"})] != 2 || u[hierarchy.KeyOf([]string{"b"})] != 1 {
 		t.Fatalf("unit counts = %v", u)
 	}
-	last := w.Flush()
+	last := w.FlushDense().Timeunit(tree)
 	if last[hierarchy.KeyOf([]string{"a"})] != 1 {
 		t.Fatalf("flushed unit = %v", last)
 	}
 }
 
 func TestWindowerEmitsEmptyGapUnits(t *testing.T) {
-	w, err := NewWindower(10 * time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Observe(rec(0, "a")); err != nil {
+	w, _ := newBound(t, 10*time.Minute)
+	if _, err := w.ObserveDense(rec(0, "a")); err != nil {
 		t.Fatal(err)
 	}
 	// Jump 35 minutes: units 0,1,2 complete; 1 and 2 are empty.
-	done, err := w.Observe(rec(35*time.Minute, "b"))
+	done, err := w.ObserveDense(rec(35*time.Minute, "b"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(done) != 3 {
 		t.Fatalf("completed units = %d, want 3", len(done))
 	}
-	if len(done[1]) != 0 || len(done[2]) != 0 {
-		t.Fatalf("gap units must be empty: %v", done)
+	if done[1].Len() != 0 || done[2].Len() != 0 {
+		t.Fatalf("gap units must be empty: %d, %d entries", done[1].Len(), done[2].Len())
 	}
 }
 
 func TestWindowerRejectsOutOfOrder(t *testing.T) {
-	w, err := NewWindower(10 * time.Minute)
-	if err != nil {
+	w, _ := newBound(t, 10*time.Minute)
+	if _, err := w.ObserveDense(rec(20*time.Minute, "a")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Observe(rec(20*time.Minute, "a")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Observe(rec(5*time.Minute, "b")); !errors.Is(err, ErrOutOfOrder) {
+	if _, err := w.ObserveDense(rec(5*time.Minute, "b")); !errors.Is(err, ErrOutOfOrder) {
 		t.Fatalf("err = %v, want ErrOutOfOrder", err)
 	}
 	// Same-unit earlier timestamps are fine (floor is the unit start).
-	if _, err := w.Observe(rec(21*time.Minute, "c")); err != nil {
+	if _, err := w.ObserveDense(rec(21*time.Minute, "c")); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestWindowerAlignsToDeltaBoundary(t *testing.T) {
-	w, err := NewWindower(15 * time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Observe(rec(7*time.Minute, "a")); err != nil {
+	w, _ := newBound(t, 15*time.Minute)
+	if _, err := w.ObserveDense(rec(7*time.Minute, "a")); err != nil {
 		t.Fatal(err)
 	}
 	if !w.Start().Equal(t0()) {

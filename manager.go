@@ -7,9 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"tiresias/internal/algo"
 	"tiresias/internal/fault"
-	"tiresias/internal/stream"
 )
 
 // Manager multiplexes many independent record streams, each with its
@@ -20,7 +18,6 @@ import (
 type Manager struct {
 	shards  []managerShard
 	factory func(stream string) (*Tiresias, error)
-	maxGap  int
 
 	// pipe is the asynchronous ingestion layer (nil unless built
 	// with WithPipeline); index is the attached anomaly store (nil
@@ -77,9 +74,9 @@ type managerShard struct {
 	anomalies uint64 // guarded by mu
 }
 
-// getOrCreate returns the named stream, creating its detector and
-// windower on first use. The shard lock must be held. A tombstoned
-// name (see Drop) is refused with ErrStreamDropped.
+// getOrCreate returns the named stream, creating its detector on first
+// use. The shard lock must be held. A tombstoned name (see Drop) is
+// refused with ErrStreamDropped.
 func (sh *managerShard) getOrCreate(m *Manager, streamName string) (*managedStream, error) {
 	if ms, ok := sh.streams[streamName]; ok {
 		return ms, nil
@@ -91,31 +88,18 @@ func (sh *managerShard) getOrCreate(m *Manager, streamName string) (*managedStre
 	if err != nil {
 		return nil, fmt.Errorf("tiresias: stream %q: %w", streamName, err)
 	}
-	w, err := stream.NewWindower(det.Delta())
-	if err != nil {
-		return nil, err
-	}
-	// The windower interns paths into the detector's tree and emits
-	// pooled dense units, so the warm per-record path is
-	// allocation-free; the Manager-level gap bound guards the ingest
-	// endpoint.
-	w.SetMaxGap(m.maxGap)
-	w.BindTree(det.tree)
-	ms := &managedStream{det: det, w: w, stepObs: m.stepObs}
+	ms := &managedStream{det: det, stepObs: m.stepObs}
 	sh.streams[streamName] = ms
 	return ms, nil
 }
 
-// managedStream is one tenant: a detector plus its windowing state.
-// All fields are accessed under the owning shard's lock.
+// managedStream is one tenant: a detector (which owns its windowing
+// state) plus the Manager's bookkeeping. All fields are accessed under
+// the owning shard's lock.
 type managedStream struct {
-	det     *Tiresias
-	w       *stream.Windower
-	warmBuf []Timeunit
-	first   startClock
-	dirty   bool // current timeunit has records since the last Flush
-	units   int  // detection units processed
-	anoms   int  // anomalies detected
+	det   *Tiresias
+	units int // detection units processed
+	anoms int // anomalies detected
 
 	// quarantined latches that a panic escaped this stream's
 	// detector, windower, or sink mid-feed; quarReason records the
@@ -135,7 +119,6 @@ type managedStream struct {
 // managerOptions collects Manager configuration.
 type managerOptions struct {
 	shards       int
-	maxGap       int
 	factory      func(stream string) (*Tiresias, error)
 	detectorOpts []Option
 	pipelined    bool
@@ -154,14 +137,6 @@ func withFS(fsys fault.FS) ManagerOption {
 	return managerOptionFunc(func(o *managerOptions) { o.fsys = fsys })
 }
 
-// DefaultMaxGap bounds how many timeunits a single record may
-// force-complete when it jumps past the current unit (gap filling
-// across quiet periods). It caps the work and allocation one
-// bad-timestamp record can trigger — important when Feed is wired to
-// an ingest endpoint. Both Run and Manager.Feed enforce it unless
-// overridden with WithMaxGap.
-const DefaultMaxGap = 100_000
-
 // ManagerOption configures NewManager.
 type ManagerOption interface {
 	applyManager(*managerOptions)
@@ -178,33 +153,6 @@ func (f managerOptionFunc) applyManager(o *managerOptions) { f(o) }
 func WithShards(n int) ManagerOption {
 	return managerOptionFunc(func(o *managerOptions) { o.shards = n })
 }
-
-// GapOption is the value returned by WithMaxGap; it configures both a
-// single detector (Option, applied to Run's windowing) and a Manager
-// (ManagerOption, applied to every managed stream's windowing).
-type GapOption int
-
-func (g GapOption) apply(o *options)               { o.maxGap = int(g) }
-func (g GapOption) applyManager(o *managerOptions) { o.maxGap = int(g) }
-
-// WithMaxGap bounds gap filling: when a record's timestamp jumps past
-// the current timeunit, the windower emits one empty timeunit per
-// elapsed Δ (so seasonal phase and timestamps stay honest across quiet
-// periods), and each emitted unit is screened like any other. A single
-// record may force-complete at most n such units; a record further in
-// the future than n·Δ is rejected with an error (stream.ErrMaxGap)
-// before any windowing state changes, so the stream stays usable at
-// sane timestamps. n <= 0 disables the bound entirely — acceptable
-// only for trusted feeds, since one bad far-future timestamp then
-// fabricates unbounded empty units. The default is DefaultMaxGap.
-//
-// The returned GapOption deliberately implements both option
-// interfaces, so the same knob governs every ingestion path: pass it
-// to New and it bounds that detector's Run windowing (and is carried
-// through Snapshot/Restore); pass it to NewManager or
-// ManagerFromCheckpoint and it bounds every managed stream's Feed
-// windowing.
-func WithMaxGap(n int) GapOption { return GapOption(n) }
 
 // WithDetectorFactory supplies the constructor invoked for each new
 // stream name; use it when streams need heterogeneous configuration.
@@ -227,7 +175,7 @@ func WithDetectorOptions(opts ...Option) ManagerOption {
 // NewManager builds an empty sharded Manager. Without a factory,
 // detectors use the package defaults.
 func NewManager(opts ...ManagerOption) (*Manager, error) {
-	o := managerOptions{shards: 16, maxGap: DefaultMaxGap}
+	o := managerOptions{shards: 16}
 	for _, op := range opts {
 		op.applyManager(&o)
 	}
@@ -254,7 +202,6 @@ func NewManager(opts ...ManagerOption) (*Manager, error) {
 	m := &Manager{
 		shards:       make([]managerShard, o.shards),
 		factory:      o.factory,
-		maxGap:       o.maxGap,
 		detectorOpts: o.detectorOpts,
 		index:        o.index,
 		observer:     o.observer,
@@ -342,10 +289,9 @@ func (m *Manager) feedLocked(sh *managerShard, streamName string, recs []Record)
 		return nil, 0, quarantineErr(streamName, ms.quarReason)
 	}
 	defer containPanic(streamName, ms, &err)
+	step := func(sr *StepResult) { out = append(out, ms.count(sr)...) }
 	for _, r := range recs {
-		anoms, ferr := ms.feed(r)
-		out = append(out, anoms...)
-		if ferr != nil {
+		if ferr := ms.det.ingest(r, step); ferr != nil {
 			sh.records += uint64(applied)
 			sh.anomalies += uint64(len(out))
 			m.record(streamName, out)
@@ -357,26 +303,6 @@ func (m *Manager) feedLocked(sh *managerShard, streamName string, recs []Record)
 	sh.anomalies += uint64(len(out))
 	m.record(streamName, out)
 	return out, applied, nil
-}
-
-// feed ingests one record into the stream: windowing plus detection
-// of any completed units. The shard lock must be held.
-func (ms *managedStream) feed(r Record) ([]Anomaly, error) {
-	done, err := ms.w.ObserveDense(r)
-	if err != nil {
-		return nil, err
-	}
-	ms.first.observe(ms.w)
-	ms.dirty = true
-	var out []Anomaly
-	for _, u := range done {
-		anoms, err := ms.advance(u)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, anoms...)
-	}
-	return out, nil
 }
 
 // record appends detections to the attached AnomalyIndex, if any,
@@ -394,18 +320,15 @@ func (m *Manager) record(streamName string, anoms []Anomaly) {
 	}
 }
 
-// advance routes one completed dense unit of a managed stream.
-func (ms *managedStream) advance(u *algo.DenseUnit) ([]Anomaly, error) {
-	sr, err := ms.det.ingestUnitDense(u, &ms.warmBuf, ms.first.at)
-	if err != nil || sr == nil {
-		return nil, err
-	}
+// count tallies one screened unit of the stream, reports its stage
+// timings to the step observer, and returns its anomalies.
+func (ms *managedStream) count(sr *StepResult) []Anomaly {
 	ms.units++
 	ms.anoms += len(sr.Anomalies)
-	if ms.stepObs != nil && sr.State != nil {
+	if ms.stepObs != nil {
 		ms.stepObs(sr.State.Timings)
 	}
-	return sr.Anomalies, nil
+	return sr.Anomalies
 }
 
 // Flush completes the named stream's current partial timeunit and
@@ -428,15 +351,14 @@ func (m *Manager) Flush(streamName string) (anoms []Anomaly, err error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	ms, ok := sh.streams[streamName]
-	if !ok || !ms.first.seen || !ms.dirty {
+	if !ok || !ms.det.win.dirty {
 		return nil, nil
 	}
 	if ms.quarantined {
 		return nil, quarantineErr(streamName, ms.quarReason)
 	}
 	defer containPanic(streamName, ms, &err)
-	ms.dirty = false
-	anoms, ferr := ms.advance(ms.w.FlushDense())
+	ferr := ms.det.flush(func(sr *StepResult) { anoms = ms.count(sr) })
 	sh.anomalies += uint64(len(anoms))
 	m.record(streamName, anoms)
 	if ferr != nil {
@@ -536,8 +458,8 @@ func (ms *managedStream) status(name string) StreamStatus {
 		Warm:             ms.det.Warm(),
 		Units:            ms.units,
 		Anomalies:        ms.anoms,
-		PendingWarmup:    len(ms.warmBuf),
-		UnitStart:        ms.w.Start(),
+		PendingWarmup:    len(ms.det.win.buf),
+		UnitStart:        ms.det.windower().Start(),
 		Quarantined:      ms.quarantined,
 		QuarantineReason: ms.quarReason,
 	}

@@ -200,8 +200,7 @@ func TestManagerConcurrentFeeders(t *testing.T) {
 
 func TestManagerMaxGapBound(t *testing.T) {
 	m, err := NewManager(
-		WithMaxGap(100),
-		WithDetectorOptions(WithDelta(time.Minute), WithWindowLen(8), WithTheta(0.5), WithSeasonality(1.0, 4)),
+		WithDetectorOptions(WithDelta(time.Minute), WithWindowLen(8), WithTheta(0.5), WithSeasonality(1.0, 4), WithMaxGap(100)),
 	)
 	if err != nil {
 		t.Fatal(err)

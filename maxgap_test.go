@@ -63,26 +63,3 @@ func TestRunMaxGapDefaultAllowsNormalGaps(t *testing.T) {
 		t.Fatal("run processed no units")
 	}
 }
-
-// TestWithMaxGapIsBothOptionKinds pins the dual-role contract: one
-// WithMaxGap value must satisfy Option (New) and ManagerOption
-// (NewManager), so the public API and Manager share the knob.
-func TestWithMaxGapIsBothOptionKinds(t *testing.T) {
-	g := WithMaxGap(42)
-	var _ Option = g
-	var _ ManagerOption = g
-	tr, err := New(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.opts.maxGap != 42 {
-		t.Fatalf("detector maxGap = %d, want 42", tr.opts.maxGap)
-	}
-	m, err := NewManager(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.maxGap != 42 {
-		t.Fatalf("manager maxGap = %d, want 42", m.maxGap)
-	}
-}

@@ -3,10 +3,12 @@ package tiresias
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"time"
 
 	"tiresias/internal/algo"
+	"tiresias/internal/checkpoint"
 	"tiresias/internal/stream"
 )
 
@@ -38,13 +40,15 @@ const ctxCheckEvery = 256
 // O(stream). When the source ends, the final partial unit is flushed
 // and processed.
 //
-// Run honors ctx: on cancellation it stops promptly and returns the
-// partial RunResult alongside the context's error. If the instance is
-// already warm (a previous Run or Warmup), the warmup phase is skipped
-// and every completed unit is screened, so a stream can be resumed
-// across several Run calls: the resumed windowing is anchored where
-// the previous run's clock left off, records predating it are
-// rejected as out-of-order, and any quiet gap is filled with empty
+// Run honors ctx: on cancellation it stops promptly, between two
+// records, and returns the partial RunResult alongside the context's
+// error. The windowing state lives in the detector, not the call, so
+// nothing read is lost: a later Run (or Snapshot, Restore and Run)
+// over the records not yet read continues the same warm-up buffer and
+// partial unit, and detects exactly what one uninterrupted Run would.
+// The same holds across Runs that reach the end of their input: the
+// next Run is anchored where the clock left off, records predating it
+// are rejected as out-of-order, and any quiet gap is filled with empty
 // units so timestamps and seasonal phase stay honest. Gap filling is
 // bounded by WithMaxGap; a record past the bound aborts the run with
 // a descriptive error.
@@ -57,22 +61,16 @@ func (t *Tiresias) Run(ctx context.Context, src Source) (*RunResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var w *stream.Windower
-	var err error
-	if t.warm {
-		next := t.start.Add(time.Duration(t.warmLen+t.instance) * t.opts.delta)
-		w, err = stream.NewWindowerAt(t.opts.delta, next)
-	} else {
-		w, err = stream.NewWindower(t.opts.delta)
-	}
-	if err != nil {
-		return nil, err
-	}
-	w.SetMaxGap(t.opts.maxGap)
-	w.BindTree(t.tree)
 	res := &RunResult{}
-	var warmBuf []Timeunit
-	var first startClock
+	step := func(sr *StepResult) {
+		res.AnomalyCount += len(sr.Anomalies)
+		if len(t.opts.sinks) == 0 {
+			res.Anomalies = append(res.Anomalies, sr.Anomalies...)
+		}
+		res.Units++
+		res.Timings.Add(sr.State.Timings)
+		res.HeavyHitterCount = len(sr.State.HeavyHitters)
+	}
 	sinceCheck := 0
 	for {
 		if sinceCheck == 0 {
@@ -88,60 +86,133 @@ func (t *Tiresias) Run(ctx context.Context, src Source) (*RunResult, error) {
 		if err != nil {
 			return res, err
 		}
-		done, err := w.ObserveDense(r)
-		if err != nil {
+		if err := t.ingest(r, step); err != nil {
 			return res, err
 		}
-		first.observe(w)
-		for _, u := range done {
-			if err := t.runUnit(u, &warmBuf, &first, res); err != nil {
-				return res, err
-			}
-		}
 	}
-	if !first.seen {
+	if !t.win.dirty {
 		return nil, errors.New("tiresias: empty input stream")
 	}
 	// Flush the trailing partial unit so no ingested record is lost.
-	if err := t.runUnit(w.FlushDense(), &warmBuf, &first, res); err != nil {
+	if err := t.flush(step); err != nil {
 		return res, err
 	}
 	// A stream shorter than the window still warms the detector with
 	// whatever history it carried (reduced forecast quality).
 	if !t.warm {
-		if err := t.Warmup(warmBuf, first.at); err != nil {
+		if err := t.finishWarmup(); err != nil {
 			return res, err
 		}
 	}
 	return res, nil
 }
 
-// startClock latches the start time of the first observed timeunit.
-type startClock struct {
-	at   time.Time
-	seen bool
+// window is a detector's Step-1 state (§III, Fig. 3): the windower
+// that classifies records into Δ-units, and the completed units
+// buffered until the warm-up window of ℓ fills. Run and Manager.Feed
+// both drive it through ingest and flush, so a stream's partial unit
+// and warm-up buffer live with its detector, and in its checkpoint.
+type window struct {
+	// w is bound to the detector's tree; nil until first used.
+	w *stream.Windower
+	// buf holds the completed units of a detector still warming up.
+	buf []Timeunit
+	// first is the warm-up start, set by the first record (seen).
+	first time.Time
+	seen  bool
+	// dirty reports records in the current unit since the last flush.
+	dirty bool
 }
 
-func (c *startClock) observe(w *stream.Windower) {
-	if !c.seen {
-		c.at = w.Start()
-		c.seen = true
+// windower returns the detector's windower, creating it on first use:
+// anchored at the clock's next unit when warm, at the first record
+// otherwise. New and Restore validated delta, so creation cannot fail.
+func (t *Tiresias) windower() *stream.Windower {
+	if t.win.w != nil {
+		return t.win.w
 	}
+	var w *stream.Windower
+	if t.warm {
+		w, _ = stream.NewWindowerAt(t.opts.delta, t.start.Add(time.Duration(t.warmLen+t.instance)*t.opts.delta))
+	} else {
+		w, _ = stream.NewWindower(t.opts.delta)
+	}
+	w.SetMaxGap(t.opts.maxGap)
+	w.BindTree(t.tree)
+	t.win.w = w
+	return w
 }
 
-// runUnit routes one completed dense timeunit through ingestUnitDense
-// and accumulates the screened result.
-func (t *Tiresias) runUnit(u *algo.DenseUnit, warmBuf *[]Timeunit, first *startClock, res *RunResult) error {
-	sr, err := t.ingestUnitDense(u, warmBuf, first.at)
-	if err != nil || sr == nil {
+// ingest windows one record and advances every unit it completes,
+// handing each screened unit's result to step.
+func (t *Tiresias) ingest(r Record, step func(*StepResult)) error {
+	w := t.windower()
+	done, err := w.ObserveDense(r)
+	if err != nil {
 		return err
 	}
-	res.AnomalyCount += len(sr.Anomalies)
-	if len(t.opts.sinks) == 0 {
-		res.Anomalies = append(res.Anomalies, sr.Anomalies...)
+	if !t.win.seen {
+		t.win.first, t.win.seen = w.Start(), true
 	}
-	res.Units++
-	res.Timings.Add(sr.State.Timings)
-	res.HeavyHitterCount = len(sr.State.HeavyHitters)
+	t.win.dirty = true
+	for _, u := range done {
+		if err := t.advance(u, step); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// flush completes the current partial unit and advances it, when it
+// holds records since the last flush; otherwise it is a no-op, so
+// repeated deadline flushes never fabricate empty units.
+func (t *Tiresias) flush(step func(*StepResult)) error {
+	if !t.win.dirty {
+		return nil
+	}
+	t.win.dirty = false
+	return t.advance(t.win.w.FlushDense(), step)
+}
+
+// advance routes one completed dense unit: buffered until the warm-up
+// window fills, screened afterwards. A buffered unit is converted to
+// its map form, since the buffer outlives the pooled unit; once warm,
+// the unit flows to the engine's dense step untouched.
+func (t *Tiresias) advance(u *algo.DenseUnit, step func(*StepResult)) error {
+	if !t.warm {
+		t.win.buf = append(t.win.buf, u.Timeunit(t.tree))
+		if len(t.win.buf) < t.opts.windowLen {
+			return nil
+		}
+		return t.finishWarmup()
+	}
+	sr, err := t.processDense(u)
+	if err != nil {
+		return err
+	}
+	step(sr)
+	return nil
+}
+
+// finishWarmup warms the detector up on the buffered units.
+func (t *Tiresias) finishWarmup() error {
+	err := t.warmup(t.win.buf, t.win.first)
+	t.win.buf = nil
+	return err
+}
+
+// restoreWindow rebuilds the windowing state from a checkpoint's STR.
+// section. The detector's own gap bound applies, not the one frozen in
+// the section.
+func (t *Tiresias) restoreWindow(ss *checkpoint.StreamState) error {
+	if ss.Windower.Delta != t.opts.delta {
+		return fmt.Errorf("%w: windower delta %v, detector delta %v", ErrBadCheckpoint, ss.Windower.Delta, t.opts.delta)
+	}
+	w, err := stream.RestoreWindower(ss.Windower, t.tree)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
+	}
+	w.SetMaxGap(t.opts.maxGap)
+	t.win = window{w: w, buf: ss.WarmBuf, first: ss.First, seen: ss.FirstSeen, dirty: ss.Dirty}
 	return nil
 }

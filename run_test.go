@@ -418,3 +418,164 @@ func TestRunResumeKeepsClockAndRejectsRewinds(t *testing.T) {
 		t.Fatal("rewinding resume must be rejected as out-of-order")
 	}
 }
+
+// cancelSource serves recs and cancels a context once cancelAt records
+// have been read; read counts the records Run consumed.
+type cancelSource struct {
+	recs     []Record
+	read     int
+	cancelAt int
+	cancel   context.CancelFunc
+}
+
+func (s *cancelSource) Next() (Record, error) {
+	if s.read == s.cancelAt {
+		s.cancel()
+	}
+	if s.read >= len(s.recs) {
+		return Record{}, io.EOF
+	}
+	s.read++
+	return s.recs[s.read-1], nil
+}
+
+// checkCancelledRunResumes cancels a Run of recs after cancelAt
+// records, with the detector warm or not as wantWarm says and records
+// of the unit in progress held, then resumes over the records it did
+// not read — on the same detector, or on one restored from its
+// Snapshot — and requires the anomalies, unit count and final Snapshot
+// bytes of one uninterrupted Run.
+func checkCancelledRunResumes(t *testing.T, opts []Option, recs []Record, cancelAt int, wantWarm, restore bool) {
+	t.Helper()
+	ref, err := New(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Run(context.Background(), NewSliceSource(recs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	det, err := New(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	src := &cancelSource{recs: recs, cancelAt: cancelAt, cancel: cancel}
+	res1, err := det.Run(ctx, src)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("first Run = %v, want context.Canceled", err)
+	}
+	if src.read >= len(recs) || det.Warm() != wantWarm || !det.win.dirty {
+		t.Fatalf("cancelled after %d of %d records, warm %v, partial unit %v; want a partial unit and warm %v",
+			src.read, len(recs), det.Warm(), det.win.dirty, wantWarm)
+	}
+	resumed := det
+	if restore {
+		var buf bytes.Buffer
+		if err := det.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if resumed, err = Restore(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res2, err := resumed.Run(context.Background(), NewSliceSource(recs[src.read:]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := append(append([]Anomaly(nil), res1.Anomalies...), res2.Anomalies...)
+	sameAnomalies(t, "resumed run", want.Anomalies, got)
+	if len(want.Anomalies) == 0 || res1.Units+res2.Units != want.Units {
+		t.Fatalf("units %d+%d, want %d; %d anomalies (want some)", res1.Units, res2.Units, want.Units, len(want.Anomalies))
+	}
+	var a, b bytes.Buffer
+	if err := ref.Snapshot(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := resumed.Snapshot(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("resumed detector snapshot (%d bytes) differs from the uninterrupted one (%d bytes)", b.Len(), a.Len())
+	}
+}
+
+// TestRunResumesAfterCancelDuringWarmup cancels a Run while the
+// detector is still buffering its warm-up window, then resumes it on
+// the same detector (and, as a variant, through Snapshot/Restore).
+func TestRunResumesAfterCancelDuringWarmup(t *testing.T) {
+	ds := ckptDataset(t, 120, 51)
+	opts := []Option{WithWindowLen(48), WithTheta(8), WithSeasonality(1.0, 24)}
+	for _, restore := range []bool{false, true} {
+		checkCancelledRunResumes(t, opts, ds.Records, len(ds.Records)/6, false, restore)
+	}
+}
+
+// TestRunResumesAfterCancelMidUnitThroughRestore cancels a warm Run in
+// the middle of a unit, snapshots and restores the detector, and
+// resumes on the restored one (and, as a variant, on the same one).
+func TestRunResumesAfterCancelMidUnitThroughRestore(t *testing.T) {
+	ds := ckptDataset(t, 120, 52)
+	opts := []Option{WithWindowLen(48), WithTheta(8), WithSeasonality(1.0, 24)}
+	cancelAt := 2 * len(ds.Records) / 3
+	// Run notices the cancellation at its next context check.
+	stop := (cancelAt/ctxCheckEvery + 1) * ctxCheckEvery
+	delta := 15 * time.Minute
+	if !ds.Records[stop-1].Time.Truncate(delta).Equal(ds.Records[stop].Time.Truncate(delta)) {
+		t.Fatalf("record %d starts a unit; pick a cut inside one", stop)
+	}
+	for _, restore := range []bool{true, false} {
+		checkCancelledRunResumes(t, opts, ds.Records, cancelAt, true, restore)
+	}
+}
+
+// TestDirectUnitsReanchorWindowing pins that Warmup and ProcessUnit,
+// which move the clock without windowing a record, discard the
+// windowing state a Run left behind: the next Run is anchored at the
+// new clock, not at the stale window position.
+func TestDirectUnitsReanchorWindowing(t *testing.T) {
+	opts := []Option{WithDelta(time.Minute), WithWindowLen(4), WithTheta(0.5), WithSeasonality(1.0, 2)}
+	at := func(u int) Record {
+		return Record{Path: []string{"a"}, Time: start().Add(time.Duration(u) * time.Minute)}
+	}
+	var recs []Record
+	for u := 0; u < 8; u++ {
+		recs = append(recs, at(u))
+	}
+	tr, err := New(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.Run(context.Background(), NewSliceSource(recs)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.ProcessUnit(Timeunit{KeyOf([]string{"a"}): 1}); err != nil {
+		t.Fatal(err)
+	}
+	// ProcessUnit consumed unit 8, so a record in it is out of order.
+	if _, err := tr.Run(context.Background(), NewSliceSource([]Record{at(8)})); !errors.Is(err, ErrOutOfOrder) {
+		t.Fatalf("Run into the unit ProcessUnit consumed: err = %v, want ErrOutOfOrder", err)
+	}
+
+	cold, err := New(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs[:2] { // a warm-up buffer and a partial unit
+		if err := cold.ingest(r, func(*StepResult) {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	units := []Timeunit{{KeyOf([]string{"a"}): 1}, {KeyOf([]string{"a"}): 1}, {KeyOf([]string{"a"}): 1}, {KeyOf([]string{"a"}): 1}}
+	if err := cold.Warmup(units, start().Add(100*time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := cold.Run(context.Background(), NewSliceSource([]Record{at(104)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Units != 1 {
+		t.Fatalf("Run after Warmup screened %d units, want 1 (anchored at the new clock)", res.Units)
+	}
+}

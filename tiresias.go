@@ -169,6 +169,30 @@ func WithSink(s Sink) Option {
 	})
 }
 
+// DefaultMaxGap bounds how many timeunits a single record may
+// force-complete when it jumps past the current unit (gap filling
+// across quiet periods). It caps the work and allocation one
+// bad-timestamp record can trigger — important when Feed is wired to
+// an ingest endpoint. Both Run and Manager.Feed enforce it unless
+// overridden with WithMaxGap.
+const DefaultMaxGap = 100_000
+
+// WithMaxGap bounds gap filling: when a record's timestamp jumps past
+// the current timeunit, the windower emits one empty timeunit per
+// elapsed Δ (so seasonal phase and timestamps stay honest across quiet
+// periods), and each emitted unit is screened like any other. A single
+// record may force-complete at most n such units; a record further in
+// the future than n·Δ is rejected with an error (stream.ErrMaxGap)
+// before any windowing state changes, so the stream stays usable at
+// sane timestamps. n <= 0 disables the bound entirely — acceptable
+// only for trusted feeds, since one bad far-future timestamp then
+// fabricates unbounded empty units. The default is DefaultMaxGap. It
+// bounds Run and Manager.Feed alike (give it to a Manager through
+// WithDetectorOptions) and is carried through every checkpoint.
+func WithMaxGap(n int) Option {
+	return optionFunc(func(o *options) { o.maxGap = n })
+}
+
 func defaultOptions() options {
 	return options{
 		delta:      15 * time.Minute,
@@ -212,6 +236,9 @@ type Tiresias struct {
 
 	// du is ProcessUnit's reused dense form of its map-form unit.
 	du algo.DenseUnit
+
+	// win is the Step-1 windowing state Run and Manager.Feed share.
+	win window
 }
 
 // New constructs a Tiresias instance.
@@ -286,11 +313,20 @@ var ErrWarm = errors.New("tiresias: already warm (call Reset to re-warm)")
 // Warmup ingests the initial history window (oldest first) starting at
 // the given wall-clock time, performs Step-3 seasonality analysis, and
 // initializes the engine. len(units) should be the configured window
-// length; shorter histories work with reduced forecast quality.
+// length; shorter histories work with reduced forecast quality. Any
+// windowing state a Run or Feed left behind is discarded: the next
+// record is windowed from the new clock.
 func (t *Tiresias) Warmup(units []Timeunit, start time.Time) error {
 	if t.warm {
 		return ErrWarm
 	}
+	t.win = window{}
+	return t.warmup(units, start)
+}
+
+// warmup is Warmup without the windowing reset, for the windowing
+// path's own warm-up.
+func (t *Tiresias) warmup(units []Timeunit, start time.Time) error {
 	t.start = start
 
 	// Step 3: seasonality analysis over the total-count series.
@@ -331,6 +367,7 @@ func (t *Tiresias) Reset() {
 	t.xi = 0
 	t.lastState = nil
 	t.tree = hierarchy.New()
+	t.win = window{}
 }
 
 // newEngine constructs the ADA engine from the current options and the
@@ -426,7 +463,8 @@ type StepResult struct {
 // ProcessUnit advances one timeunit (Step 6's "keep checking for new
 // data" loop body) and returns detected anomalies. Registered sinks
 // are notified before ProcessUnit returns: OnAnomaly once per anomaly
-// (in detection order), then OnUnit once for the unit.
+// (in detection order), then OnUnit once for the unit. Like Warmup, it
+// discards any windowing state a Run or Feed left behind.
 //
 // The returned StepResult.State is only valid until the next unit is
 // processed (see StepResult).
@@ -434,6 +472,7 @@ func (t *Tiresias) ProcessUnit(u Timeunit) (*StepResult, error) {
 	if !t.warm {
 		return nil, ErrNotWarm
 	}
+	t.win = window{}
 	t.du.Reset()
 	t.du.AddTimeunit(t.tree, u)
 	return t.processDense(&t.du)
@@ -441,7 +480,7 @@ func (t *Tiresias) ProcessUnit(u Timeunit) (*StepResult, error) {
 
 // processDense is ProcessUnit for a timeunit in dense node-ID form
 // (IDs interned into t's shared tree). It is the hot path behind Run
-// and Manager.Feed.
+// and Manager.Feed, reached through advance.
 func (t *Tiresias) processDense(u *algo.DenseUnit) (*StepResult, error) {
 	if !t.warm {
 		return nil, ErrNotWarm
@@ -483,27 +522,6 @@ func (t *Tiresias) emit(st *algo.StepState, anoms []Anomaly, unitStart time.Time
 		}
 		s.OnUnit(ev)
 	}
-}
-
-// ingestUnitDense routes one completed dense timeunit from a bound
-// windower: buffered for warmup until the window fills (nil result),
-// screened for anomalies afterwards. During warmup the unit is
-// converted to its map form (the warm buffer must outlive the pooled
-// unit); once warm it flows to the engine's dense step untouched.
-// first is the wall-clock start of the feed's first unit, used when
-// the buffer triggers Warmup. Shared by Run and Manager so warmup
-// semantics cannot drift between them.
-func (t *Tiresias) ingestUnitDense(u *algo.DenseUnit, warmBuf *[]Timeunit, first time.Time) (*StepResult, error) {
-	if !t.warm {
-		*warmBuf = append(*warmBuf, u.Timeunit(t.tree))
-		if len(*warmBuf) < t.opts.windowLen {
-			return nil, nil
-		}
-		err := t.Warmup(*warmBuf, first)
-		*warmBuf = nil
-		return nil, err
-	}
-	return t.processDense(u)
 }
 
 // HeavyHitters returns the SHHH membership keys of the most recently
