@@ -49,12 +49,6 @@ const (
 	// CodeBadCheckpoint maps tiresias.ErrBadCheckpoint: a checkpoint
 	// that failed to decode (truncation, corruption, version skew).
 	CodeBadCheckpoint = "bad_checkpoint"
-	// CodeNotWarm maps tiresias.ErrNotWarm: detection requested
-	// before warmup completed.
-	CodeNotWarm = "not_warm"
-	// CodeAlreadyWarm maps tiresias.ErrWarm: a warmup call on a
-	// detector that already completed it.
-	CodeAlreadyWarm = "already_warm"
 	// CodeNotPipelined maps tiresias.ErrNotPipelined: an asynchronous
 	// ingest path on a server running without a pipeline.
 	CodeNotPipelined = "not_pipelined"
@@ -127,10 +121,6 @@ func CodeFor(err error, fallback string) string {
 		return CodeNoCheckpoint
 	case errors.Is(err, tiresias.ErrBadCheckpoint):
 		return CodeBadCheckpoint
-	case errors.Is(err, tiresias.ErrNotWarm):
-		return CodeNotWarm
-	case errors.Is(err, tiresias.ErrWarm):
-		return CodeAlreadyWarm
 	case errors.Is(err, tiresias.ErrNotPipelined):
 		return CodeNotPipelined
 	default:
@@ -158,10 +148,6 @@ func sentinelFor(code string) error {
 		return tiresias.ErrNoCheckpoint
 	case CodeBadCheckpoint:
 		return tiresias.ErrBadCheckpoint
-	case CodeNotWarm:
-		return tiresias.ErrNotWarm
-	case CodeAlreadyWarm:
-		return tiresias.ErrWarm
 	case CodeNotPipelined:
 		return tiresias.ErrNotPipelined
 	default:
@@ -184,7 +170,7 @@ func StatusFor(code string) int {
 		return http.StatusServiceUnavailable
 	case CodeUnknownStream, CodeNoCheckpoint:
 		return http.StatusNotFound
-	case CodeCheckpointDisabled, CodeNotWarm, CodeAlreadyWarm, CodeNotPipelined:
+	case CodeCheckpointDisabled, CodeNotPipelined:
 		return http.StatusConflict
 	case CodeBadCheckpoint:
 		return http.StatusUnprocessableEntity

@@ -32,19 +32,21 @@ var ErrBadCheckpoint = checkpoint.ErrBadCheckpoint
 // hierarchy, engine state (series, forecasting models, split-rule
 // statistics, reference series), and clock — to w in the versioned
 // binary checkpoint format. A detector restored from the snapshot
-// resumes ProcessUnit/Run mid-stream and emits bit-identical anomalies
-// to one that never stopped.
+// resumes its Run (or Manager stream) mid-stream and emits
+// bit-identical anomalies to one that never stopped.
 //
 // Snapshot may be called warm or cold (a cold snapshot records the
 // configuration and any partially grown hierarchy), and between any
-// two records: the windowing state — a warm-up buffer, the records of
-// the unit in progress — is part of the detector, so a Run cancelled
-// mid-unit or mid-warm-up resumes after Restore without losing what it
-// read. That state is written (as the STR. section) only when it holds
-// records; otherwise the window position follows from the clock, as it
-// does after a Run that reached the end of its input. Like every other
-// method, Snapshot is not safe to call concurrently with detector use;
-// a Manager checkpoints its streams under their shard locks.
+// two records: the windowing state — the warm-up buffer of a cold
+// detector, the records of the unit in progress — is part of the
+// detector, so a Run cancelled mid-unit or mid-warm-up resumes after
+// Restore without losing what it read. That state is written (as the
+// STR. section, warm-up units as ascending (ID, count) pairs) only when
+// it holds records; otherwise the window position follows from the
+// clock, as it does after a Run that reached the end of its input.
+// Like every other method, Snapshot is not safe to call concurrently
+// with detector use; a Manager checkpoints its streams under their
+// shard locks.
 //
 //tiresias:acquires nothing
 func (t *Tiresias) Snapshot(w io.Writer) error {
@@ -100,9 +102,10 @@ func (t *Tiresias) snapshotState(withWindow bool) (*checkpoint.Snapshot, error) 
 // a detector with different structure must be built fresh with New
 // and re-warmed.
 //
-// Invalid input — truncated, corrupted (per-section CRC), or written
-// by an unknown format version — is rejected with an error wrapping
-// ErrBadCheckpoint.
+// Invalid input — truncated, corrupted (per-section CRC), written by an
+// unknown format version, or holding a windowing state no detector
+// reaches (a warm-up buffer on a warm detector or of a whole window) —
+// is rejected with an error wrapping ErrBadCheckpoint.
 //
 //tiresias:acquires nothing
 func Restore(r io.Reader, opts ...Option) (*Tiresias, error) {

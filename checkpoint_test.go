@@ -13,8 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"tiresias/internal/algo"
+	"tiresias/internal/checkpoint"
 	"tiresias/internal/gen"
-	"tiresias/internal/stream"
 )
 
 // ckptDataset builds a deterministic workload with injected anomalies
@@ -60,18 +61,27 @@ func sameAnomalies(t *testing.T, label string, want, got []Anomaly) {
 	}
 }
 
-// processAll steps det over units, collecting copies of all anomalies.
-func processAll(t *testing.T, det *Tiresias, units []Timeunit) []Anomaly {
+// runAll runs det over recs and returns the anomalies.
+func runAll(t *testing.T, det *Tiresias, recs []Record) []Anomaly {
 	t.Helper()
-	var out []Anomaly
-	for _, u := range units {
-		sr, err := det.ProcessUnit(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, sr.Anomalies...)
+	res, err := det.Run(context.Background(), NewSliceSource(recs))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	return res.Anomalies
+}
+
+// splitRecords cuts a dataset's records at the start of its unit n.
+func splitRecords(ds *gen.Dataset, n int) (before, after []Record) {
+	boundary := ds.Config.Start.Add(time.Duration(n) * ds.Config.Delta)
+	for _, r := range ds.Records {
+		if r.Time.Before(boundary) {
+			before = append(before, r)
+		} else {
+			after = append(after, r)
+		}
+	}
+	return before, after
 }
 
 // checkpointOpts is the option set the round-trip property runs with,
@@ -88,64 +98,25 @@ func checkpointOpts() []Option {
 	}
 }
 
-// preintern inserts every key of the unit stream into the detector's
-// hierarchy in sorted order. Map-form units are inserted in map
-// iteration order during Warmup/Step, so two independent detectors
-// would otherwise grow trees with different sibling orders (and
-// different float summation orders); pinning the insertion order makes
-// the reference and probe runs comparable bit-for-bit. The streaming
-// paths (Run, Manager.Feed) don't need this: they intern in record
-// arrival order, which is deterministic.
-func preintern(det *Tiresias, units []Timeunit) {
-	seen := map[Key]bool{}
-	var keys []string
-	for _, u := range units {
-		for k := range u {
-			if !seen[k] {
-				seen[k] = true
-				keys = append(keys, string(k))
-			}
-		}
-	}
-	sortStrings(keys)
-	for _, k := range keys {
-		det.tree.InsertKey(Key(k))
-	}
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
 // testRoundTrip checks the snapshot → restore → identical-anomaly-
-// stream property for one engine at one split point: the reference
-// detector never stops; the probe detector is snapshotted after
-// splitAt units, restored, and must finish the stream bit-identically.
-func testRoundTrip(t *testing.T, units []Timeunit, startAt time.Time, warmLen, splitAt int) {
+// stream property at one split point: the reference detector never
+// stops; the probe detector runs the records of the first splitAt
+// units, is snapshotted and restored, and must finish the stream
+// bit-identically.
+func testRoundTrip(t *testing.T, ds *gen.Dataset, splitAt int) {
 	t.Helper()
 	ref, err := New(checkpointOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	preintern(ref, units)
-	if err := ref.Warmup(units[:warmLen], startAt); err != nil {
-		t.Fatal(err)
-	}
-	want := processAll(t, ref, units[warmLen:])
+	want := runAll(t, ref, ds.Records)
 
 	det, err := New(checkpointOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	preintern(det, units)
-	if err := det.Warmup(units[:warmLen], startAt); err != nil {
-		t.Fatal(err)
-	}
-	got := processAll(t, det, units[warmLen:splitAt])
+	part1, part2 := splitRecords(ds, splitAt)
+	got := runAll(t, det, part1)
 
 	var buf bytes.Buffer
 	if err := det.Snapshot(&buf); err != nil {
@@ -167,21 +138,17 @@ func testRoundTrip(t *testing.T, units []Timeunit, startAt time.Time, warmLen, s
 	if w, g := fmt.Sprint(det.HeavyHitters()), fmt.Sprint(restored.HeavyHitters()); w != g {
 		t.Fatalf("restored heavy hitters %s, want %s", g, w)
 	}
-	got = append(got, processAll(t, restored, units[splitAt:])...)
+	got = append(got, runAll(t, restored, part2)...)
 	sameAnomalies(t, fmt.Sprintf("split at %d", splitAt), want, got)
 }
 
 func TestCheckpointRoundTripADA(t *testing.T) {
 	ds := ckptDataset(t, 160, 42)
-	units, startAt, err := stream.Collect(stream.NewSliceSource(ds.Records), 15*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmLen := 48
+	warmLen, units := 48, ds.Config.Units
 	// Property across several split points, including immediately
 	// after warmup and right inside an injected anomaly burst.
-	for _, splitAt := range []int{warmLen, warmLen + 7, len(units) / 2, len(units)/2 + 2, len(units) - 1} {
-		testRoundTrip(t, units, startAt, warmLen, splitAt)
+	for _, splitAt := range []int{warmLen, warmLen + 7, units / 2, units/2 + 2, units - 1} {
+		testRoundTrip(t, ds, splitAt)
 	}
 }
 
@@ -190,20 +157,11 @@ func TestCheckpointRoundTripADA(t *testing.T) {
 // combined anomaly stream must match a single uninterrupted Run.
 func TestCheckpointRunResume(t *testing.T) {
 	ds := ckptDataset(t, 140, 44)
-	delta := 15 * time.Minute
-	boundary := ds.Config.Start.Add(time.Duration(90) * delta)
-	var part1, part2 []Record
-	for _, r := range ds.Records {
-		if r.Time.Before(boundary) {
-			part1 = append(part1, r)
-		} else {
-			part2 = append(part2, r)
-		}
-	}
+	part1, part2 := splitRecords(ds, 90)
 	if len(part1) == 0 || len(part2) == 0 {
 		t.Fatal("bad split: one part is empty")
 	}
-	opts := []Option{WithDelta(delta), WithWindowLen(48), WithTheta(8), WithSeasonality(1.0, 24)}
+	opts := []Option{WithDelta(15 * time.Minute), WithWindowLen(48), WithTheta(8), WithSeasonality(1.0, 24)}
 
 	ref, err := New(opts...)
 	if err != nil {
@@ -245,18 +203,12 @@ func TestCheckpointRunResume(t *testing.T) {
 // opts contract.
 func TestRestoreAppliesSinksAndRejectsStructuralChanges(t *testing.T) {
 	ds := ckptDataset(t, 80, 45)
-	units, startAt, err := stream.Collect(stream.NewSliceSource(ds.Records), 15*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
 	det, err := New(WithWindowLen(32), WithTheta(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := det.Warmup(units[:32], startAt); err != nil {
-		t.Fatal(err)
-	}
-	processAll(t, det, units[32:40])
+	part1, part2 := splitRecords(ds, 40)
+	runAll(t, det, part1)
 	var buf bytes.Buffer
 	if err := det.Snapshot(&buf); err != nil {
 		t.Fatal(err)
@@ -276,6 +228,11 @@ func TestRestoreAppliesSinksAndRejectsStructuralChanges(t *testing.T) {
 		}
 	}
 
+	plain, err := Restore(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := runAll(t, plain, part2)
 	var sunk []Anomaly
 	restored, err := Restore(bytes.NewReader(raw), WithSink(SinkFuncs{
 		Anomaly: func(a Anomaly) { sunk = append(sunk, a) },
@@ -283,8 +240,8 @@ func TestRestoreAppliesSinksAndRejectsStructuralChanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := processAll(t, restored, units[40:])
-	sameAnomalies(t, "sink delivery", got, sunk)
+	runAll(t, restored, part2)
+	sameAnomalies(t, "sink delivery", want, sunk)
 	if len(sunk) == 0 {
 		t.Fatal("expected anomalies through the re-attached sink (dataset has injected bursts)")
 	}
@@ -296,18 +253,12 @@ func TestRestoreAppliesSinksAndRejectsStructuralChanges(t *testing.T) {
 // panic.
 func TestRestoreRejectsBadInput(t *testing.T) {
 	ds := ckptDataset(t, 70, 46)
-	units, startAt, err := stream.Collect(stream.NewSliceSource(ds.Records), 15*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
 	det, err := New(WithWindowLen(24), WithTheta(8), WithSeasonality(1.0, 12))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := det.Warmup(units[:24], startAt); err != nil {
-		t.Fatal(err)
-	}
-	processAll(t, det, units[24:30])
+	part1, _ := splitRecords(ds, 30)
+	runAll(t, det, part1)
 	var buf bytes.Buffer
 	if err := det.Snapshot(&buf); err != nil {
 		t.Fatal(err)
@@ -337,6 +288,66 @@ func TestRestoreRejectsBadInput(t *testing.T) {
 	future[8] = 2
 	if _, err := Restore(bytes.NewReader(future)); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("future version: err = %v, want ErrBadCheckpoint", err)
+	}
+}
+
+// TestRestoreRejectsUnreachableWindowState: Restore refuses windowing
+// states no detector reaches, and so no Snapshot writes — a warm-up
+// buffer on a warm detector, a buffer of a whole window (warm-up runs
+// the moment it fills), warm-up pairs not in strictly ascending ID
+// order — rather than resuming a stream that carries them forward.
+func TestRestoreRejectsUnreachableWindowState(t *testing.T) {
+	opts := []Option{WithWindowLen(8), WithTheta(2)}
+	warm, err := New(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepUnits(t, warm, repeat(counts{"a/b": 3, "c": 1}, 9)...)
+	cold, err := New(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepUnits(t, cold, repeat(counts{"a/b": 3, "c": 1}, 5)...)
+	if !warm.Warm() || cold.Warm() || len(cold.win.buf) != 5 {
+		t.Fatalf("warm %v, cold %v with %d buffered units; want a warm and a warming detector", warm.Warm(), cold.Warm(), len(cold.win.buf))
+	}
+	unit := func(ids ...int32) *algo.DenseUnit { return algo.PairsOf(ids, make([]float64, len(ids))) }
+	units := func(n int) []*algo.DenseUnit {
+		out := make([]*algo.DenseUnit, n)
+		for i := range out {
+			out[i] = unit(1, 2)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name string
+		det  *Tiresias
+		buf  []*algo.DenseUnit
+		ok   bool
+	}{
+		{"the warming detector's own buffer", cold, cold.win.buf, true},
+		{"warm detector with a buffer", warm, units(1), false},
+		{"warm detector with a buffer past the window", warm, units(20), false},
+		{"buffer of a whole window", cold, units(8), false},
+		{"unit IDs descending", cold, []*algo.DenseUnit{unit(2, 1)}, false},
+		{"unit ID repeated", cold, []*algo.DenseUnit{unit(1, 1)}, false},
+	} {
+		snap, err := tc.det.snapshotState(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap.Stream.WarmBuf = tc.buf
+		var buf bytes.Buffer
+		if err := checkpoint.Write(&buf, snap); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Restore(&buf)
+		if tc.ok && err != nil {
+			t.Errorf("%s: Restore = %v, want success", tc.name, err)
+		}
+		if !tc.ok && !errors.Is(err, ErrBadCheckpoint) {
+			t.Errorf("%s: Restore = %v, want ErrBadCheckpoint", tc.name, err)
+		}
 	}
 }
 

@@ -9,12 +9,15 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
 
 	"tiresias"
 
+	"tiresias/internal/algo"
+	"tiresias/internal/experiments"
 	"tiresias/internal/gen"
 	"tiresias/internal/hierarchy"
 	"tiresias/internal/refmethod"
@@ -57,12 +60,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	units, start, err := tiresias.Collect(tiresias.NewSliceSource(ds.Records), delta)
+	// The reference chart reads whole timeunits of counts.
+	units, _, err := experiments.Collect(tiresias.NewSliceSource(ds.Records), delta)
 	if err != nil {
 		return err
 	}
 	for len(units) < cfg.Units {
-		units = append(units, tiresias.Timeunit{})
+		units = append(units, algo.Timeunit{})
 	}
 	fmt.Printf("call-center stream: %d calls, %d hourly units, 3 injected incidents\n\n",
 		len(ds.Records), len(units))
@@ -80,17 +84,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := t.Warmup(units[:warm], start); err != nil {
+	// Tiresias reads the calls themselves: the first two weeks warm it
+	// up, every later hour is screened.
+	res, err := t.Run(context.Background(), tiresias.NewSliceSource(ds.Records))
+	if err != nil {
 		return err
 	}
-	var tiresiasAnoms []tiresias.Anomaly
-	for _, u := range units[warm:] {
-		sr, err := t.ProcessUnit(u)
-		if err != nil {
-			return err
-		}
-		tiresiasAnoms = append(tiresiasAnoms, sr.Anomalies...)
-	}
+	tiresiasAnoms := res.Anomalies
 
 	// --- Reference method: 3σ chart on VHO aggregates. ---
 	chart, err := refmethod.New(refmethod.Config{K: 3, Window: warm / 2, MinSigma: 2})

@@ -93,11 +93,7 @@ func run() error {
 				})
 			}
 		}
-		units, err := multidim.SplitUnits(2, recs)
-		if err != nil {
-			return err
-		}
-		inc, err := runner.ProcessUnit(units)
+		inc, err := runner.Step(recs)
 		if err != nil {
 			return err
 		}

@@ -14,11 +14,11 @@ import (
 	"math"
 	"time"
 
-	"tiresias"
-
 	"tiresias/internal/algo"
 	"tiresias/internal/detect"
+	"tiresias/internal/experiments"
 	"tiresias/internal/gen"
+	"tiresias/internal/stream"
 )
 
 func main() {
@@ -54,12 +54,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	units, _, err := tiresias.Collect(tiresias.NewSliceSource(ds.Records), delta)
+	units, _, err := experiments.Collect(stream.NewSliceSource(ds.Records), delta)
 	if err != nil {
 		return err
 	}
 	for len(units) < cfg.Units {
-		units = append(units, tiresias.Timeunit{})
+		units = append(units, algo.Timeunit{})
 	}
 	fmt.Printf("STB crash log: %d crash events, hierarchy of %d leaves\n",
 		len(ds.Records), cfg.Shape.NumLeaves())
@@ -82,10 +82,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if _, err := ada.Init(units[:warm]); err != nil {
+	if _, err := algo.InitTimeunits(ada, units[:warm]); err != nil {
 		return err
 	}
-	if _, err := sta.Init(units[:warm]); err != nil {
+	if _, err := algo.InitTimeunits(sta, units[:warm]); err != nil {
 		return err
 	}
 	det, err := detect.New(detect.Thresholds{RT: 2.0, DT: 15})

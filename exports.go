@@ -2,7 +2,6 @@ package tiresias
 
 import (
 	"io"
-	"time"
 
 	"tiresias/internal/algo"
 	"tiresias/internal/detect"
@@ -23,9 +22,6 @@ type Record = stream.Record
 // Source yields records in non-decreasing time order; Next returns
 // io.EOF after the last record.
 type Source = stream.Source
-
-// Timeunit holds the direct category counts of one timeunit.
-type Timeunit = algo.Timeunit
 
 // Key is an encoded hierarchical category key.
 type Key = hierarchy.Key
@@ -107,10 +103,3 @@ func NewJSONLSource(r io.Reader) Source { return stream.NewJSONLSource(r) }
 // NewCSVishSource reads records in "RFC3339,comp1/comp2/..." form,
 // the compact format emitted by cmd/tiresias-gen.
 func NewCSVishSource(r io.Reader) Source { return stream.NewCSVishSource(r) }
-
-// Collect drains a Source into consecutive timeunits of size delta,
-// returning the units (oldest first) and the start time of the first
-// unit. It buffers the whole stream; prefer Run for online detection.
-func Collect(src Source, delta time.Duration) ([]Timeunit, time.Time, error) {
-	return stream.Collect(src, delta)
-}

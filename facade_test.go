@@ -2,7 +2,8 @@ package tiresias
 
 import (
 	"context"
-	"errors"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +12,65 @@ import (
 )
 
 func start() time.Time { return time.Date(2010, 5, 3, 0, 0, 0, 0, time.UTC) }
+
+// counts is one timeunit's integer category counts, keyed by
+// slash-joined path ("west/sf").
+type counts map[string]int
+
+// repeat returns n copies of one unit's counts.
+func repeat(u counts, n int) []counts {
+	out := make([]counts, n)
+	for i := range out {
+		out[i] = u
+	}
+	return out
+}
+
+// recordsOf expands integer counts into records: unit i's records, in
+// path order, are stamped at at + i·delta.
+func recordsOf(at time.Time, delta time.Duration, units ...counts) []Record {
+	var out []Record
+	for i, u := range units {
+		paths := make([]string, 0, len(u))
+		for p := range u {
+			paths = append(paths, p)
+		}
+		sort.Strings(paths)
+		for _, p := range paths {
+			for n := 0; n < u[p]; n++ {
+				out = append(out, Record{Path: strings.Split(p, "/"), Time: at.Add(time.Duration(i) * delta)})
+			}
+		}
+	}
+	return out
+}
+
+// stepUnits feeds tr whole timeunits of integer counts: each unit's
+// records land at the start of the detector's next unit (start() on a
+// fresh detector), and the unit is flushed. An empty unit is screened
+// when the next unit's records arrive. It returns the result of every
+// unit screened.
+func stepUnits(t testing.TB, tr *Tiresias, units ...counts) []stepResult {
+	t.Helper()
+	var out []stepResult
+	step := func(sr stepResult) { out = append(out, sr) }
+	at := tr.windower().Start()
+	if at.IsZero() {
+		at = start()
+	}
+	for _, u := range units {
+		for _, r := range recordsOf(at, tr.Delta(), u) {
+			if err := tr.ingest(r, step); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tr.flush(step); err != nil {
+			t.Fatal(err)
+		}
+		at = at.Add(tr.Delta())
+	}
+	return out
+}
 
 func TestNewValidation(t *testing.T) {
 	tests := []struct {
@@ -37,65 +97,27 @@ func TestLifecycleGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.ProcessUnit(Timeunit{}); !errors.Is(err, ErrNotWarm) {
-		t.Fatalf("ProcessUnit before Warmup = %v, want ErrNotWarm", err)
+	if tr.Warm() || tr.Engine() != nil || tr.HeavyHitters() != nil {
+		t.Fatal("a fresh detector must be cold, with no engine and no heavy hitters")
 	}
-	units := make([]Timeunit, 8)
-	for i := range units {
-		units[i] = Timeunit{hierarchy.KeyOf([]string{"a"}): 5}
+	if _, err := tr.Run(context.Background(), NewSliceSource(nil)); err == nil {
+		t.Fatal("empty source must fail")
 	}
-	if err := tr.Warmup(units, start()); err != nil {
-		t.Fatal(err)
+	if got := stepUnits(t, tr, repeat(counts{"a": 5}, 7)...); len(got) != 0 || tr.Warm() {
+		t.Fatalf("7 of 8 warm-up units: screened %d, warm %v; want 0, cold", len(got), tr.Warm())
 	}
-	if err := tr.Warmup(units, start()); !errors.Is(err, ErrWarm) {
-		t.Fatalf("second Warmup = %v, want ErrWarm", err)
+	stepUnits(t, tr, counts{"a": 5})
+	if !tr.Warm() {
+		t.Fatal("the 8th unit must complete warm-up")
 	}
 	if tr.Delta() != 15*time.Minute {
 		t.Fatal("default Delta wrong")
 	}
 	if tr.Engine() == nil {
-		t.Fatal("Engine must be available after Warmup")
+		t.Fatal("Engine must be available after warm-up")
 	}
 	if hh := tr.HeavyHitters(); len(hh) == 0 {
 		t.Fatal("warmup SHHH empty")
-	}
-}
-
-func TestResetAllowsRewarm(t *testing.T) {
-	tr, err := New(WithWindowLen(8), WithTheta(3), WithSeasonality(1.0, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	units := make([]Timeunit, 8)
-	for i := range units {
-		units[i] = Timeunit{hierarchy.KeyOf([]string{"a"}): 5}
-	}
-	if err := tr.Warmup(units, start()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.ProcessUnit(units[0]); err != nil {
-		t.Fatal(err)
-	}
-	tr.Reset()
-	if tr.Warm() {
-		t.Fatal("Reset must clear warm state")
-	}
-	if tr.Engine() != nil {
-		t.Fatal("Reset must discard the engine")
-	}
-	if _, err := tr.ProcessUnit(units[0]); !errors.Is(err, ErrNotWarm) {
-		t.Fatalf("ProcessUnit after Reset = %v, want ErrNotWarm", err)
-	}
-	// Re-warm on fresh history and keep detecting.
-	if err := tr.Warmup(units, start().Add(24*time.Hour)); err != nil {
-		t.Fatalf("re-Warmup after Reset: %v", err)
-	}
-	sr, err := tr.ProcessUnit(Timeunit{hierarchy.KeyOf([]string{"a"}): 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sr.Anomalies) == 0 {
-		t.Fatal("re-warmed detector missed an obvious spike")
 	}
 }
 
@@ -203,15 +225,11 @@ func TestAutoSeasonalityPicksDailyPeriod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	units, first, err := Collect(NewSliceSource(d.Records), time.Hour)
+	tr, err := New(WithDelta(time.Hour), WithWindowLen(cfg.Units), WithTheta(5), WithAutoSeasonality())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := New(WithDelta(time.Hour), WithWindowLen(len(units)), WithTheta(5), WithAutoSeasonality())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Warmup(units, first); err != nil {
+	if _, err := tr.Run(context.Background(), NewSliceSource(d.Records)); err != nil {
 		t.Fatal(err)
 	}
 	ps := tr.SeasonalPeriods()
@@ -255,26 +273,23 @@ func TestRunShortStreamStillWarms(t *testing.T) {
 }
 
 func TestShortWarmupKeepsClockHonest(t *testing.T) {
-	// Warm with fewer units than the configured window: processed
-	// units must be stamped from the actual history length, not ℓ.
-	tr, err := New(WithWindowLen(672), WithTheta(1), WithSeasonality(1.0, 4))
+	// A stream shorter than the window warms up on what it carried: the
+	// units screened after it must be stamped from the actual history
+	// length, not ℓ.
+	var starts []time.Time
+	tr, err := New(WithWindowLen(672), WithTheta(1), WithSeasonality(1.0, 4),
+		WithSink(SinkFuncs{Unit: func(ev UnitEvent) { starts = append(starts, ev.Start) }}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	units := make([]Timeunit, 10)
-	for i := range units {
-		units[i] = Timeunit{hierarchy.KeyOf([]string{"a"}): 5}
-	}
-	if err := tr.Warmup(units, start()); err != nil {
+	history := recordsOf(start(), tr.Delta(), repeat(counts{"a": 5}, 10)...)
+	if _, err := tr.Run(context.Background(), NewSliceSource(history)); err != nil {
 		t.Fatal(err)
 	}
-	sr, err := tr.ProcessUnit(Timeunit{hierarchy.KeyOf([]string{"a"}): 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	stepUnits(t, tr, counts{"a": 5})
 	want := start().Add(10 * 15 * time.Minute)
-	if !sr.UnitStart.Equal(want) {
-		t.Fatalf("UnitStart = %v, want %v (short warmup must not skew the clock)", sr.UnitStart, want)
+	if len(starts) != 1 || !starts[0].Equal(want) {
+		t.Fatalf("unit starts = %v, want [%v] (short warmup must not skew the clock)", starts, want)
 	}
 }
 
@@ -297,20 +312,11 @@ func TestConfiguredSmoothingHonoredWithoutSeasonality(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := hierarchy.KeyOf([]string{"a"})
-	units := make([]Timeunit, 12)
-	for i := range units {
-		units[i] = Timeunit{key: 12}
-	}
-	if err := tr.Warmup(units, start()); err != nil {
-		t.Fatal(err)
-	}
+	stepUnits(t, tr, repeat(counts{"a": 12}, 12)...)
 	for unit := 0; unit < 4; unit++ {
-		sr, err := tr.ProcessUnit(Timeunit{key: 200})
-		if err != nil {
-			t.Fatal(err)
-		}
+		sr := stepUnits(t, tr, counts{"a": 200})[0]
 		found := false
-		for _, a := range sr.Anomalies {
+		for _, a := range sr.anomalies {
 			if a.Key == key {
 				found = true
 			}

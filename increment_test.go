@@ -29,18 +29,7 @@ func TestWithIncrementRunsAtFineResolution(t *testing.T) {
 	if tr.Delta() != 15*time.Minute {
 		t.Fatalf("engine delta = %v, want 15m", tr.Delta())
 	}
-	units := make([]Timeunit, 32)
-	for i := range units {
-		units[i] = Timeunit{hierarchy.KeyOf([]string{"a"}): 4}
-	}
-	if err := tr.Warmup(units, time.Date(2010, 5, 3, 0, 0, 0, 0, time.UTC)); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		if _, err := tr.ProcessUnit(Timeunit{hierarchy.KeyOf([]string{"a"}): 4}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	stepUnits(t, tr, repeat(counts{"a": 4}, 32+8)...)
 	ada := tr.Engine()
 	n := ada.Tree().Lookup(hierarchy.KeyOf([]string{"a"}))
 	coarse := ada.MultiScaleOf(n, 1)

@@ -17,6 +17,7 @@ import (
 	"tiresias/internal/algo"
 	"tiresias/internal/detect"
 	"tiresias/internal/evalx"
+	"tiresias/internal/experiments"
 	"tiresias/internal/gen"
 	"tiresias/internal/hierarchy"
 	"tiresias/internal/refmethod"
@@ -134,7 +135,7 @@ func TestADATracksSTAOverLongRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	units, _, err := stream.Collect(stream.NewSliceSource(ds.Records), cfg.Delta)
+	units, _, err := experiments.Collect(stream.NewSliceSource(ds.Records), cfg.Delta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,10 +148,10 @@ func TestADATracksSTAOverLongRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ada.Init(units[:48]); err != nil {
+	if _, err := algo.InitTimeunits(ada, units[:48]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sta.Init(units[:48]); err != nil {
+	if _, err := algo.InitTimeunits(sta, units[:48]); err != nil {
 		t.Fatal(err)
 	}
 	for i, u := range units[48:] {
@@ -206,7 +207,7 @@ func TestReferenceMethodBlindSpot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	units, _, err := stream.Collect(stream.NewSliceSource(ds.Records), cfg.Delta)
+	units, _, err := experiments.Collect(stream.NewSliceSource(ds.Records), cfg.Delta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func TestReferenceMethodBlindSpot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ada.Init(units[:warm]); err != nil {
+	if _, err := algo.InitTimeunits(ada, units[:warm]); err != nil {
 		t.Fatal(err)
 	}
 	tiresiasHit := false

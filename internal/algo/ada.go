@@ -141,33 +141,26 @@ func (a *ADA) grow() {
 
 // Init implements Engine: the first time instance performs the same
 // work as STA (lines 2-5 of Fig. 5), seeding series and models for the
-// initial SHHH set, the root, and the reference nodes.
-func (a *ADA) Init(window []Timeunit) (*StepState, error) {
+// initial SHHH set, the root, and the reference nodes. The window's IDs
+// must be interned into the engine's tree; Init reads the units' (ID,
+// count) pairs and keeps none of them.
+func (a *ADA) Init(window []*DenseUnit) (*StepState, error) {
 	if a.inited {
 		return nil, errState
 	}
 	a.inited = true
 
 	start := now()
-	// Materialize the tree and per-unit counts.
-	units := make([]Timeunit, 0, a.cfg.WindowLen)
-	for _, u := range window {
-		cp := make(Timeunit, len(u))
-		for k, v := range u {
-			cp[k] = v
-			a.tree.InsertKey(k)
-		}
-		units = append(units, cp)
-		if len(units) > a.cfg.WindowLen {
-			units = units[1:]
-		}
+	units := window
+	if len(units) > a.cfg.WindowLen {
+		units = units[len(units)-a.cfg.WindowLen:]
 	}
 	if len(units) == 0 {
-		units = append(units, Timeunit{})
+		units = []*DenseUnit{{}}
 	}
 	a.grow()
 	newest := units[len(units)-1]
-	res := shhh.Compute(a.tree, newest, a.cfg.Theta)
+	res := shhh.ComputeIDsInto(a.tree, newest.ids, newest.vals, a.cfg.Theta, nil)
 	copy(a.weight, res.W)
 	copy(a.rawA, res.A)
 	copy(a.ishh, res.InSet)
@@ -187,7 +180,7 @@ func (a *ADA) Init(window []Timeunit) (*StepState, error) {
 	}
 	var w []float64
 	for _, u := range units {
-		w = shhh.FrozenWeightsInto(a.tree, u, res.InSet, w)
+		w = shhh.FrozenWeightsIDsInto(a.tree, u.ids, u.vals, res.InSet, w)
 		for _, n := range owners {
 			hist[n.ID] = append(hist[n.ID], w[n.ID])
 		}
@@ -222,7 +215,7 @@ func (a *ADA) Init(window []Timeunit) (*StepState, error) {
 	var agg []float64
 	alpha := a.cfg.RuleAlpha
 	for _, u := range units {
-		agg = shhh.AggregateInto(a.tree, u, agg)
+		agg = shhh.AggregateIDsInto(a.tree, u.ids, u.vals, agg)
 		for i, id := range a.refIDs {
 			a.refActual[i].Append(agg[id])
 		}

@@ -211,9 +211,10 @@ type Engine interface {
 	// Name identifies the engine ("STA" or "ADA").
 	Name() string
 	// Init consumes the first time instance: the initial window of
-	// ℓ timeunits (oldest first). Must be called exactly once,
-	// before StepDense.
-	Init(window []Timeunit) (*StepState, error)
+	// ℓ timeunits (oldest first) in dense node-ID form, interned into
+	// the engine's tree (see InitTimeunits for map-form windows). Must
+	// be called exactly once, before StepDense.
+	Init(window []*DenseUnit) (*StepState, error)
 	// StepDense advances one time instance with the newest timeunit
 	// in dense node-ID form. The IDs must have been interned into the
 	// engine's tree (share one via Config.Tree, or see StepTimeunit);

@@ -133,11 +133,11 @@ func TestLemma1HeavyHitterSetsAgree(t *testing.T) {
 			return false
 		}
 		warm := 8
-		stA, err := ada.Init(units[:warm])
+		stA, err := InitTimeunits(ada, units[:warm])
 		if err != nil {
 			return false
 		}
-		stS, err := sta.Init(units[:warm])
+		stS, err := InitTimeunits(sta, units[:warm])
 		if err != nil {
 			return false
 		}
@@ -192,7 +192,7 @@ func TestNewestWeightsMatchDefinition(t *testing.T) {
 			engines = append(engines, s)
 		}
 		for _, e := range engines {
-			if _, err := e.Init(units[:8]); err != nil {
+			if _, err := InitTimeunits(e, units[:8]); err != nil {
 				return false
 			}
 			for _, u := range units[8:] {
@@ -230,7 +230,7 @@ func TestADASplitMovesSeriesDown(t *testing.T) {
 	for i := range warm {
 		warm[i] = Timeunit{key("p", "a"): 3, key("p", "b"): 3}
 	}
-	st, err := ada.Init(warm)
+	st, err := InitTimeunits(ada, warm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestADAMergeFoldsSeriesUp(t *testing.T) {
 	for i := range warm {
 		warm[i] = Timeunit{key("p", "a"): 6, key("p", "b"): 7}
 	}
-	st, err := ada.Init(warm)
+	st, err := InitTimeunits(ada, warm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestADADeepSplitCascades(t *testing.T) {
 			key("g", "c2", "z"): 2,
 		}
 	}
-	st, err := ada.Init(warm)
+	st, err := InitTimeunits(ada, warm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestMassConservationAcrossAdaptation(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if _, err := ada.Init(units[:8]); err != nil {
+		if _, err := InitTimeunits(ada, units[:8]); err != nil {
 			return false
 		}
 		for _, u := range units[8:] {
@@ -421,10 +421,10 @@ func TestADASeriesCloseToSTA(t *testing.T) {
 	cfg := Config{Theta: 6, WindowLen: 12, Rule: LongTermHistory}
 	ada, _ := NewADA(cfg)
 	sta, _ := NewSTA(cfg)
-	if _, err := ada.Init(units[:12]); err != nil {
+	if _, err := InitTimeunits(ada, units[:12]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sta.Init(units[:12]); err != nil {
+	if _, err := InitTimeunits(sta, units[:12]); err != nil {
 		t.Fatal(err)
 	}
 	var sumErr, sumRef float64
@@ -493,10 +493,10 @@ func TestReferenceSeriesReduceSplitError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ada.Init(units[:12]); err != nil {
+		if _, err := InitTimeunits(ada, units[:12]); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sta.Init(units[:12]); err != nil {
+		if _, err := InitTimeunits(sta, units[:12]); err != nil {
 			t.Fatal(err)
 		}
 		var sumErr float64
@@ -532,10 +532,10 @@ func TestMemoryStatsADALessThanSTA(t *testing.T) {
 	cfg := Config{Theta: 6, WindowLen: 24}
 	ada, _ := NewADA(cfg)
 	sta, _ := NewSTA(cfg)
-	if _, err := ada.Init(units[:24]); err != nil {
+	if _, err := InitTimeunits(ada, units[:24]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sta.Init(units[:24]); err != nil {
+	if _, err := InitTimeunits(sta, units[:24]); err != nil {
 		t.Fatal(err)
 	}
 	for _, u := range units[24:] {
@@ -574,7 +574,7 @@ func TestADAMultiScaleTracking(t *testing.T) {
 	for i := range warm {
 		warm[i] = Timeunit{key("a"): 4}
 	}
-	if _, err := ada.Init(warm); err != nil {
+	if _, err := InitTimeunits(ada, warm); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
@@ -600,7 +600,7 @@ func TestADAMultiScaleTracking(t *testing.T) {
 func TestSeriesOfUnknownNode(t *testing.T) {
 	cfg := defaultCfg()
 	ada, _ := NewADA(cfg)
-	if _, err := ada.Init([]Timeunit{{key("a"): 10}}); err != nil {
+	if _, err := InitTimeunits(ada, []Timeunit{{key("a"): 10}}); err != nil {
 		t.Fatal(err)
 	}
 	other := hierarchy.New().Insert([]string{"zzz"})
@@ -615,7 +615,7 @@ func TestHeavyHitterNodesOrdered(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	units := randomStream(rng, 12)
 	ada, _ := NewADA(Config{Theta: 4, WindowLen: 8})
-	if _, err := ada.Init(units[:8]); err != nil {
+	if _, err := InitTimeunits(ada, units[:8]); err != nil {
 		t.Fatal(err)
 	}
 	for _, u := range units[8:] {

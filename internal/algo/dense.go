@@ -1,6 +1,8 @@
 package algo
 
 import (
+	"slices"
+
 	"tiresias/internal/hierarchy"
 )
 
@@ -77,6 +79,30 @@ func (u *DenseUnit) Total() float64 {
 // with the unit; callers must not mutate or retain it past Reset.
 func (u *DenseUnit) IDs() []int32 { return u.ids }
 
+// Values returns the counts aligned with IDs, shared like IDs.
+func (u *DenseUnit) Values() []float64 { return u.vals }
+
+// Pairs returns a copy of the unit's touched (ID, count) pairs in
+// ascending ID order. The copy has no sparse index, so it costs
+// O(touched) however wide the tree is: it is for a unit that outlives
+// its pooled original but is only read through IDs, Values and Total
+// (a warm-up window awaiting Init); Add and ValueAt need the index.
+func (u *DenseUnit) Pairs() *DenseUnit {
+	ids := slices.Clone(u.ids)
+	slices.Sort(ids)
+	vals := make([]float64, len(ids))
+	for i, id := range ids {
+		vals[i] = u.ValueAt(int(id))
+	}
+	return &DenseUnit{ids: ids, vals: vals}
+}
+
+// PairsOf wraps (ID, count) pairs — distinct IDs, as Pairs returns
+// them — as an index-free unit, without copying.
+func PairsOf(ids []int32, vals []float64) *DenseUnit {
+	return &DenseUnit{ids: ids, vals: vals}
+}
+
 // Reset empties the unit for reuse, clearing only the touched entries
 // of the sparse index.
 func (u *DenseUnit) Reset() {
@@ -99,8 +125,8 @@ func (u *DenseUnit) MaxID() int {
 }
 
 // Timeunit converts the unit to its map form, resolving IDs through
-// the tree that interned them. Used when dense units cross into the
-// map-based (warmup / compatibility) paths.
+// the tree that interned them: the bridge to the map-based reference
+// paths (STA, shhh.Compute, experiment harnesses).
 func (u *DenseUnit) Timeunit(t *hierarchy.Tree) Timeunit {
 	out := make(Timeunit, len(u.ids))
 	for i, id := range u.ids {
@@ -118,10 +144,24 @@ func (u *DenseUnit) AddTimeunit(t *hierarchy.Tree, counts Timeunit) {
 	}
 }
 
+// InitTimeunits initializes e with a window of map-form timeunits,
+// whose keys are interned into e's tree. With StepTimeunit it is the
+// one map-form entry to an engine, serving harnesses that build
+// timeunits as maps (experiments, tests); the detector buffers dense
+// units and calls Init.
+func InitTimeunits(e Engine, window []Timeunit) (*StepState, error) {
+	units := make([]*DenseUnit, len(window))
+	for i, u := range window {
+		units[i] = &DenseUnit{}
+		units[i].AddTimeunit(e.Tree(), u)
+	}
+	return e.Init(units)
+}
+
 // StepTimeunit advances e one instance with a map-form timeunit, whose
-// keys are interned into e's tree through a fresh DenseUnit. It serves
-// harnesses that build timeunits as maps (experiments, tests); the
-// streaming front end fills a reused DenseUnit and calls StepDense.
+// keys are interned into e's tree through a fresh DenseUnit; see
+// InitTimeunits. The streaming front end fills a reused DenseUnit and
+// calls StepDense.
 func StepTimeunit(e Engine, u Timeunit) (*StepState, error) {
 	var du DenseUnit
 	du.AddTimeunit(e.Tree(), u)

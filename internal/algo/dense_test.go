@@ -37,6 +37,22 @@ func TestDenseUnitAccumulateReset(t *testing.T) {
 	}
 }
 
+func TestDenseUnitPairs(t *testing.T) {
+	var u DenseUnit
+	u.Add(7, 1)
+	u.Add(3, 2)
+	u.Add(5, 4)
+	u.Add(3, 0.5)
+	p := u.Pairs()
+	u.Reset()
+	if fmt.Sprint(p.IDs(), p.Values()) != "[3 5 7] [2.5 4 1]" || p.Total() != 7.5 {
+		t.Fatalf("Pairs = %v %v (total %v), want ascending IDs [3 5 7] with [2.5 4 1]", p.IDs(), p.Values(), p.Total())
+	}
+	if q := PairsOf(p.IDs(), p.Values()); q.Len() != 3 || q.MaxID() != 7 {
+		t.Fatalf("PairsOf Len/MaxID = %d/%d, want 3/7", q.Len(), q.MaxID())
+	}
+}
+
 func TestDenseUnitTimeunitRoundTrip(t *testing.T) {
 	tree := hierarchy.New()
 	src := Timeunit{
@@ -85,7 +101,7 @@ func TestADADenseLemma1Agreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ada.Init([]Timeunit{{}}); err != nil {
+	if _, err := InitTimeunits(ada, []Timeunit{{}}); err != nil {
 		t.Fatal(err)
 	}
 	var du DenseUnit
@@ -143,10 +159,10 @@ func TestADADenseMatchesMapStep(t *testing.T) {
 		}
 	}
 	warm := []Timeunit{{key("a"): 8}, {key("a"): 7, key("b"): 2}}
-	if _, err := mapEng.Init(warm); err != nil {
+	if _, err := InitTimeunits(mapEng, warm); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := denseEng.Init(warm); err != nil {
+	if _, err := InitTimeunits(denseEng, warm); err != nil {
 		t.Fatal(err)
 	}
 	var du DenseUnit
@@ -209,7 +225,7 @@ func TestADAStepDenseSteadyStateAllocs(t *testing.T) {
 			du.Add(id, 6) // every touched node individually heavy: stable membership
 		}
 	}
-	if _, err := ada.Init([]Timeunit{{}}); err != nil {
+	if _, err := InitTimeunits(ada, []Timeunit{{}}); err != nil {
 		t.Fatal(err)
 	}
 	// Let membership, pools, and scratch capacities settle.

@@ -20,7 +20,7 @@ func TestADASurvivesTotalSilence(t *testing.T) {
 	for i := range warm {
 		warm[i] = Timeunit{key("a", "x"): 7, key("b", "y"): 6}
 	}
-	if _, err := ada.Init(warm); err != nil {
+	if _, err := InitTimeunits(ada, warm); err != nil {
 		t.Fatal(err)
 	}
 	// The stream goes completely dark. All heavy hitters must decay
@@ -55,7 +55,7 @@ func TestADASingleMassiveBurst(t *testing.T) {
 	for i := range warm {
 		warm[i] = Timeunit{key("a"): 1}
 	}
-	if _, err := ada.Init(warm); err != nil {
+	if _, err := InitTimeunits(ada, warm); err != nil {
 		t.Fatal(err)
 	}
 	// One unit with a million records on a brand-new leaf.
@@ -90,7 +90,7 @@ func TestADAGrowingUniverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ada.Init([]Timeunit{{key("seed"): 5}}); err != nil {
+	if _, err := InitTimeunits(ada, []Timeunit{{key("seed"): 5}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
@@ -116,7 +116,7 @@ func TestSTAGrowingUniverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sta.Init([]Timeunit{{key("seed"): 5}}); err != nil {
+	if _, err := InitTimeunits(sta, []Timeunit{{key("seed"): 5}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
@@ -140,7 +140,7 @@ func TestADAFractionalWeights(t *testing.T) {
 	for i := range warm {
 		warm[i] = Timeunit{key("w"): 2.75}
 	}
-	if _, err := ada.Init(warm); err != nil {
+	if _, err := InitTimeunits(ada, warm); err != nil {
 		t.Fatal(err)
 	}
 	st, err := StepTimeunit(ada, Timeunit{key("w"): 3.25})
@@ -162,7 +162,7 @@ func TestADAThetaBoundary(t *testing.T) {
 	for i := range warm {
 		warm[i] = Timeunit{key("e"): 5}
 	}
-	st, err := ada.Init(warm)
+	st, err := InitTimeunits(ada, warm)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1004,7 +1004,7 @@ func TestSparseStepMatchesFullSweepOracle(t *testing.T) {
 						w.sparse(12)
 						window[i] = w.unit.Timeunit(w.tree)
 					}
-					got, err := eng.Init(window)
+					got, err := InitTimeunits(eng, window)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -20,7 +20,7 @@ func TestLemma1Seeds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ada.Init(units[:8]); err != nil {
+		if _, err := InitTimeunits(ada, units[:8]); err != nil {
 			t.Fatal(err)
 		}
 		for step, u := range units[8:] {

@@ -25,7 +25,7 @@ func ruleScenario(t *testing.T, rule SplitRule, alpha float64) (aHist, bHist flo
 	for i := range warm {
 		warm[i] = Timeunit{key("p", "a"): 6, key("p", "b"): 2}
 	}
-	if _, err := ada.Init(warm); err != nil {
+	if _, err := InitTimeunits(ada, warm); err != nil {
 		t.Fatal(err)
 	}
 	// Child a becomes heavy; b stays light. The split distributes
@@ -78,7 +78,7 @@ func TestRuleXValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ada.Init([]Timeunit{{key("n"): 8}}); err != nil {
+	if _, err := InitTimeunits(ada, []Timeunit{{key("n"): 8}}); err != nil {
 		t.Fatal(err)
 	}
 	id := ada.Tree().Lookup(key("n")).ID
@@ -136,10 +136,10 @@ func TestReferenceRepairExactness(t *testing.T) {
 	for i := range warm {
 		warm[i] = Timeunit{key("p", "a"): 6, key("p", "b"): 2}
 	}
-	if _, err := ada.Init(warm); err != nil {
+	if _, err := InitTimeunits(ada, warm); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sta.Init(warm); err != nil {
+	if _, err := InitTimeunits(sta, warm); err != nil {
 		t.Fatal(err)
 	}
 	step := Timeunit{key("p", "a"): 9, key("p", "b"): 2}

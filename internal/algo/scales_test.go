@@ -79,7 +79,7 @@ func TestMapScalesEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fine.Init(fineUnits[:8]); err != nil {
+	if _, err := InitTimeunits(fine, fineUnits[:8]); err != nil {
 		t.Fatal(err)
 	}
 	for _, u := range fineUnits[8:] {
@@ -87,7 +87,7 @@ func TestMapScalesEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := coarse.Init(coarseUnits[:2]); err != nil {
+	if _, err := InitTimeunits(coarse, coarseUnits[:2]); err != nil {
 		t.Fatal(err)
 	}
 	for _, u := range coarseUnits[2:] {

@@ -114,7 +114,7 @@ func TestADAQuietStateHoldsNoSubnormals(t *testing.T) {
 		}
 		window[i] = du.Timeunit(tree)
 	}
-	if _, err := ada.Init(window); err != nil {
+	if _, err := InitTimeunits(ada, window); err != nil {
 		t.Fatal(err)
 	}
 	for unit := 0; unit < 3200; unit++ {
@@ -174,7 +174,7 @@ func TestADASparseStepAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ada.Init([]Timeunit{{}}); err != nil {
+	if _, err := InitTimeunits(ada, []Timeunit{{}}); err != nil {
 		t.Fatal(err)
 	}
 	var du DenseUnit

@@ -67,45 +67,36 @@ func (s *STA) Tree() *hierarchy.Tree { return s.tree }
 
 // Init implements Engine: it ingests the initial window (line 2 of
 // Fig. 4 with κ = ℓ) and runs the first detection pass.
-func (s *STA) Init(window []Timeunit) (*StepState, error) {
+func (s *STA) Init(window []*DenseUnit) (*StepState, error) {
 	if s.inited {
 		return nil, errState
 	}
 	s.inited = true
 	s.window = make([]Timeunit, 0, s.cfg.WindowLen)
 	for _, u := range window {
-		s.ingest(u)
+		s.retain(u)
 	}
 	if len(s.window) == 0 {
-		s.ingest(Timeunit{})
+		s.retain(&DenseUnit{})
 	}
 	return s.process()
 }
 
-// StepDense implements Engine: STA retains map-form timeunits for its
-// window, so the dense unit is converted on entry (the strawman is the
-// baseline, not the hot path).
+// StepDense implements Engine.
 func (s *STA) StepDense(u *DenseUnit) (*StepState, error) {
 	if !s.inited {
 		return nil, errState
 	}
 	s.instance++
-	s.window = append(s.window, u.Timeunit(s.tree))
-	if len(s.window) > s.cfg.WindowLen {
-		s.window = s.window[1:]
-	}
+	s.retain(u)
 	return s.process()
 }
 
-// ingest appends a timeunit, evicting the oldest beyond ℓ, and grows
-// the tree with any unseen categories.
-func (s *STA) ingest(u Timeunit) {
-	cp := make(Timeunit, len(u))
-	for k, v := range u {
-		cp[k] = v
-		s.tree.InsertKey(k)
-	}
-	s.window = append(s.window, cp)
+// retain appends a timeunit to the window, evicting the oldest beyond
+// ℓ. STA retains map-form timeunits, so a dense unit is converted on
+// entry (the strawman is the baseline, not the hot path).
+func (s *STA) retain(u *DenseUnit) {
+	s.window = append(s.window, u.Timeunit(s.tree))
 	if len(s.window) > s.cfg.WindowLen {
 		s.window = s.window[1:]
 	}

@@ -29,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"tiresias/internal/algo"
@@ -113,8 +112,9 @@ type StreamState struct {
 	Name string
 	// Windower is the captured windowing position.
 	Windower stream.WindowerState
-	// WarmBuf holds the buffered warmup units (empty once warm).
-	WarmBuf []algo.Timeunit
+	// WarmBuf holds the buffered warm-up units as (ID, count) pairs in
+	// ascending ID order; fewer than the window, and empty once warm.
+	WarmBuf []*algo.DenseUnit
 	// First is the wall-clock start of the first observed unit;
 	// FirstSeen whether any record was observed.
 	First     time.Time
@@ -137,8 +137,8 @@ type Snapshot struct {
 	Warm bool
 	// Start is the wall-clock start of the first timeunit.
 	Start time.Time
-	// WarmLen and Instance are the detector clock: units ingested by
-	// Warmup and units processed since.
+	// WarmLen and Instance are the detector clock: units the warm-up
+	// window held and units processed since.
 	WarmLen, Instance int
 	// Periods and Xi are the seasonality actually in use.
 	Periods []int
@@ -255,6 +255,11 @@ func Read(r io.Reader) (*Snapshot, error) {
 	}
 	if snap.Warm && snap.Engine == nil {
 		return nil, fmt.Errorf("%w: warm detector without engine state", ErrBadCheckpoint)
+	}
+	// A detector warms up the moment its buffer reaches the window, and
+	// a warm one buffers nothing: no other warm-up buffer was written.
+	if ss := snap.Stream; ss != nil && len(ss.WarmBuf) > 0 && (snap.Warm || len(ss.WarmBuf) >= snap.Config.WindowLen) {
+		return nil, fmt.Errorf("%w: %d buffered warm-up units (warm %v, window %d)", ErrBadCheckpoint, len(ss.WarmBuf), snap.Warm, snap.Config.WindowLen)
 	}
 	return snap, nil
 }
@@ -526,9 +531,9 @@ func decodeEngine(buf []byte) (*algo.EngineState, error) {
 
 // --- Stream section ---
 
-// encodeStream writes the windowing section. Warmup-buffer
-// timeunits are map-form; they are encoded through the hierarchy as
-// sorted (ID, count) pairs, which keeps the bytes deterministic.
+// encodeStream writes the windowing section. Each warm-up unit is
+// written as its (ID, count) pairs, which the detector keeps in
+// ascending ID order, so the bytes are deterministic.
 func encodeStream(s *StreamState, t *hierarchy.Tree) (*payload, error) {
 	p := &payload{}
 	p.putString(s.Name)
@@ -541,21 +546,11 @@ func encodeStream(s *StreamState, t *hierarchy.Tree) (*payload, error) {
 	p.putFloats(w.CurVals)
 	p.putLen(len(s.WarmBuf))
 	for _, u := range s.WarmBuf {
-		ids := make([]int32, 0, len(u))
-		for k := range u {
-			n := t.Lookup(k)
-			if n == nil {
-				return nil, fmt.Errorf("checkpoint: warmup key %q missing from hierarchy", k)
-			}
-			ids = append(ids, int32(n.ID))
+		if id := u.MaxID(); id >= t.Len() {
+			return nil, fmt.Errorf("checkpoint: warmup unit references node %d outside hierarchy of %d nodes", id, t.Len())
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		p.putInt32s(ids)
-		vals := make([]float64, len(ids))
-		for i, id := range ids {
-			vals[i] = u[t.Node(int(id)).Key]
-		}
-		p.putFloats(vals)
+		p.putInt32s(u.IDs())
+		p.putFloats(u.Values())
 	}
 	p.putTime(s.First)
 	p.putBool(s.FirstSeen)
@@ -585,15 +580,16 @@ func decodeStream(buf []byte, t *hierarchy.Tree) (*StreamState, error) {
 		if len(ids) != len(vals) {
 			return nil, fmt.Errorf("%w: warmup unit has %d IDs, %d values", ErrBadCheckpoint, len(ids), len(vals))
 		}
-		u := make(algo.Timeunit, len(ids))
 		for j, id := range ids {
 			if id < 0 || int(id) >= t.Len() {
 				return nil, fmt.Errorf("%w: warmup unit references node %d outside hierarchy of %d nodes",
 					ErrBadCheckpoint, id, t.Len())
 			}
-			u[t.Node(int(id)).Key] += vals[j]
+			if j > 0 && id <= ids[j-1] {
+				return nil, fmt.Errorf("%w: warmup unit IDs not strictly ascending (%d after %d)", ErrBadCheckpoint, id, ids[j-1])
+			}
 		}
-		s.WarmBuf = append(s.WarmBuf, u)
+		s.WarmBuf = append(s.WarmBuf, algo.PairsOf(ids, vals))
 	}
 	s.First = r.getTime()
 	s.FirstSeen = r.getBool()

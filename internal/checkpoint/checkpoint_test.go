@@ -159,13 +159,11 @@ func TestMissingMandatorySection(t *testing.T) {
 // including a partial current unit and a warmup buffer.
 func TestStreamSectionRoundTrip(t *testing.T) {
 	snap := coldSnapshot()
-	k1 := snap.Tree.Node(2).Key // v1/c1
-	k2 := snap.Tree.Node(4).Key // v2
 	snap.Stream = &StreamState{
 		Name: "alpha",
-		WarmBuf: []algo.Timeunit{
-			{k1: 3, k2: 1.5},
-			{k2: 7},
+		WarmBuf: []*algo.DenseUnit{
+			algo.PairsOf([]int32{2, 4}, []float64{3, 1.5}), // v1/c1, v2
+			algo.PairsOf([]int32{4}, []float64{7}),
 		},
 		First:     time.Date(2010, 5, 3, 0, 0, 0, 0, time.UTC),
 		FirstSeen: true,
@@ -198,8 +196,14 @@ func TestStreamSectionRoundTrip(t *testing.T) {
 	if !ss.First.Equal(snap.Stream.First) || !ss.Windower.Start.Equal(snap.Stream.Windower.Start) {
 		t.Fatal("stream clocks mismatch")
 	}
-	if len(ss.WarmBuf) != 2 || ss.WarmBuf[0][k1] != 3 || ss.WarmBuf[0][k2] != 1.5 || ss.WarmBuf[1][k2] != 7 {
-		t.Fatalf("warm buffer mismatch: %+v", ss.WarmBuf)
+	for i, u := range ss.WarmBuf {
+		want := snap.Stream.WarmBuf[i]
+		if !reflect.DeepEqual(u.IDs(), want.IDs()) || !reflect.DeepEqual(u.Values(), want.Values()) {
+			t.Fatalf("warm unit %d = %v %v, want %v %v", i, u.IDs(), u.Values(), want.IDs(), want.Values())
+		}
+	}
+	if len(ss.WarmBuf) != 2 {
+		t.Fatalf("warm buffer holds %d units, want 2", len(ss.WarmBuf))
 	}
 	if len(ss.Windower.CurIDs) != 2 || ss.Windower.CurVals[1] != 9 {
 		t.Fatalf("current unit mismatch: %+v", ss.Windower)

@@ -130,7 +130,7 @@ func AblateScales(p Profile) (*Result, error) {
 		if err != nil {
 			return algo.MemoryStats{}, nil, err
 		}
-		if _, err := ada.Init(w.Units[:p.WarmUnits]); err != nil {
+		if _, err := algo.InitTimeunits(ada, w.Units[:p.WarmUnits]); err != nil {
 			return algo.MemoryStats{}, nil, err
 		}
 		for _, u := range w.Units[p.WarmUnits:] {

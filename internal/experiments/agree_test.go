@@ -38,7 +38,7 @@ func TestSTAandADAAgreeOnAnomalies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	units, _, err := stream.Collect(stream.NewSliceSource(d.Records), delta)
+	units, _, err := Collect(stream.NewSliceSource(d.Records), delta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestSTAandADAAgreeOnAnomalies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Init(units[:warm]); err != nil {
+		if _, err := algo.InitTimeunits(e, units[:warm]); err != nil {
 			t.Fatal(err)
 		}
 		var out []detect.Anomaly

@@ -12,12 +12,15 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
 	"tiresias/internal/algo"
 	"tiresias/internal/gen"
+	"tiresias/internal/hierarchy"
 	"tiresias/internal/stream"
 )
 
@@ -143,7 +146,7 @@ func buildWorkload(cfg gen.Config) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	units, start, err := stream.Collect(stream.NewSliceSource(d.Records), cfg.Delta)
+	units, start, err := Collect(stream.NewSliceSource(d.Records), cfg.Delta)
 	if err != nil {
 		return nil, err
 	}
@@ -152,6 +155,47 @@ func buildWorkload(cfg gen.Config) (*Workload, error) {
 		units = append(units, algo.Timeunit{})
 	}
 	return &Workload{Dataset: d, Units: units, Start: start}, nil
+}
+
+// Collect drains a Source into consecutive timeunits of size delta in
+// map form, returning the units (oldest first) and the start time of
+// the first unit. It windows through a private tree and buffers the
+// whole stream: it feeds the map-form harnesses (STA, shhh.Compute,
+// the 3σ reference method), never a detector.
+func Collect(src stream.Source, delta time.Duration) ([]algo.Timeunit, time.Time, error) {
+	w, err := stream.NewWindower(delta)
+	if err != nil {
+		return nil, time.Time{}, err
+	}
+	tree := hierarchy.New()
+	w.BindTree(tree)
+	var units []algo.Timeunit
+	var first time.Time
+	seen := false
+	for {
+		r, err := src.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			return nil, time.Time{}, err
+		}
+		done, err := w.ObserveDense(r)
+		if err != nil {
+			return nil, time.Time{}, err
+		}
+		if !seen {
+			first = w.Start()
+			seen = true
+		}
+		for _, u := range done {
+			units = append(units, u.Timeunit(tree))
+		}
+	}
+	if seen {
+		units = append(units, w.FlushDense().Timeunit(tree))
+	}
+	return units, first, nil
 }
 
 // engineFor builds an engine for the experiment runs.

@@ -310,7 +310,7 @@ func Fig12(p Profile) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := sta.Init(w.Units[:p.WarmUnits]); err != nil {
+	if _, err := algo.InitTimeunits(sta, w.Units[:p.WarmUnits]); err != nil {
 		return nil, err
 	}
 	// Pre-drive STA and snapshot exact series at the final instance.
@@ -326,7 +326,7 @@ func Fig12(p Profile) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := ada.Init(w.Units[:p.WarmUnits]); err != nil {
+		if _, err := algo.InitTimeunits(ada, w.Units[:p.WarmUnits]); err != nil {
 			return nil, err
 		}
 		for _, u := range w.Units[p.WarmUnits:] {

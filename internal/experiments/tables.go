@@ -99,7 +99,7 @@ func runTimed(e algo.Engine, w *Workload, warm int) (stageRow, error) {
 		return row, err
 	}
 	row.reading = time.Since(startRead)
-	st, err := e.Init(w.Units[:warm])
+	st, err := algo.InitTimeunits(e, w.Units[:warm])
 	if err != nil {
 		return row, err
 	}
@@ -196,7 +196,7 @@ func Table4(p Profile) (*Result, error) {
 		if err != nil {
 			return algo.MemoryStats{}, err
 		}
-		if _, err := e.Init(w.Units[:p.WarmUnits]); err != nil {
+		if _, err := algo.InitTimeunits(e, w.Units[:p.WarmUnits]); err != nil {
 			return algo.MemoryStats{}, err
 		}
 		for _, u := range w.Units[p.WarmUnits:] {
@@ -251,7 +251,7 @@ func runDetect(e algo.Engine, w *Workload, warm int, th detect.Thresholds) (flag
 	if err != nil {
 		return nil, nil, err
 	}
-	if _, err := e.Init(w.Units[:warm]); err != nil {
+	if _, err := algo.InitTimeunits(e, w.Units[:warm]); err != nil {
 		return nil, nil, err
 	}
 	for i, u := range w.Units[warm:] {

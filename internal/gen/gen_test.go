@@ -301,22 +301,33 @@ func TestDatasetFeedsStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	units, first, err := stream.Collect(stream.NewSliceSource(d.Records), cfg.Delta)
+	w, err := stream.NewWindower(cfg.Delta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !first.Equal(cfg.Start) {
-		t.Fatalf("first unit start = %v, want %v", first, cfg.Start)
-	}
-	if len(units) > cfg.Units {
-		t.Fatalf("collected %d units, config had %d", len(units), cfg.Units)
-	}
+	w.BindTree(hierarchy.New())
+	units := 0
 	var total float64
-	for _, u := range units {
-		total += u.Total()
+	for i, r := range d.Records {
+		done, err := w.ObserveDense(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 && !w.Start().Equal(cfg.Start) {
+			t.Fatalf("first unit start = %v, want %v", w.Start(), cfg.Start)
+		}
+		for _, u := range done {
+			units++
+			total += u.Total()
+		}
+	}
+	units++
+	total += w.FlushDense().Total()
+	if units > cfg.Units {
+		t.Fatalf("windowed %d units, config had %d", units, cfg.Units)
 	}
 	if int(total) != len(d.Records) {
-		t.Fatalf("collected %v records, generated %d", total, len(d.Records))
+		t.Fatalf("windowed %v records, generated %d", total, len(d.Records))
 	}
 }
 

@@ -10,16 +10,15 @@
 package multidim
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"tiresias"
 
-	"tiresias/internal/algo"
 	"tiresias/internal/detect"
-	"tiresias/internal/hierarchy"
-	"tiresias/internal/stream"
 )
 
 // DimRecord is one operational record carrying one category per
@@ -35,17 +34,30 @@ type DimRecord struct {
 type Dimension struct {
 	// Name labels the dimension ("trouble", "netpath", ...).
 	Name string
-	// Options configure that dimension's Tiresias instance; the
-	// runner adds nothing, so include window/threshold settings.
+	// Options configure that dimension's Tiresias instance; include
+	// window/threshold settings. The runner adds only a sink of its own
+	// that gathers the dimension's detections.
 	Options []tiresias.Option
 }
 
-// Runner steps one detector per dimension over a shared timeline.
+// Runner steps one detector per dimension over a shared timeline. Each
+// detector windows its dimension's records itself, through Run.
 type Runner struct {
 	dims      []Dimension
 	detectors []*tiresias.Tiresias
-	warm      bool
+	found     []collector
 }
+
+// collector gathers one dimension's detections and the instance of the
+// last unit it screened.
+type collector struct {
+	anoms    []detect.Anomaly
+	instance int
+}
+
+func (c *collector) OnAnomaly(a tiresias.Anomaly) { c.anoms = append(c.anoms, a) }
+
+func (c *collector) OnUnit(ev tiresias.UnitEvent) { c.instance = ev.Instance }
 
 // New creates a Runner. At least one dimension is required, and every
 // dimension's Delta must agree (they share the record timeline).
@@ -53,17 +65,15 @@ func New(dims []Dimension) (*Runner, error) {
 	if len(dims) == 0 {
 		return nil, errors.New("multidim: at least one dimension required")
 	}
-	r := &Runner{dims: dims}
-	var delta time.Duration
+	r := &Runner{dims: dims, found: make([]collector, len(dims))}
 	for i, d := range dims {
-		t, err := tiresias.New(d.Options...)
+		opts := append(append([]tiresias.Option(nil), d.Options...), tiresias.WithSink(&r.found[i]))
+		t, err := tiresias.New(opts...)
 		if err != nil {
 			return nil, fmt.Errorf("multidim: dimension %q: %w", d.Name, err)
 		}
-		if i == 0 {
-			delta = t.Delta()
-		} else if t.Delta() != delta {
-			return nil, fmt.Errorf("multidim: dimension %q delta %v != %v", d.Name, t.Delta(), delta)
+		if i > 0 && t.Delta() != r.detectors[0].Delta() {
+			return nil, fmt.Errorf("multidim: dimension %q delta %v != %v", d.Name, t.Delta(), r.detectors[0].Delta())
 		}
 		r.detectors = append(r.detectors, t)
 	}
@@ -79,47 +89,16 @@ func (r *Runner) Dimensions() []string {
 	return out
 }
 
-// Warmup ingests history records (time-ordered), classifies them per
-// dimension, and initializes every detector. Each dimension windows
-// through a private tree; completed units are kept in map form.
+// Warmup feeds history records (time-ordered) to every dimension's
+// detector, which warms up on the first window of units (or on all of
+// a shorter history); units past the window are screened, and their
+// detections dropped. The trailing partial unit is completed, so the
+// next Step starts a new unit.
 func (r *Runner) Warmup(history []DimRecord) error {
-	if r.warm {
+	if r.detectors[0].Warm() {
 		return errors.New("multidim: Warmup called twice")
 	}
-	windowers := make([]*stream.Windower, len(r.dims))
-	trees := make([]*hierarchy.Tree, len(r.dims))
-	for d, det := range r.detectors {
-		windowers[d], _ = stream.NewWindower(det.Delta()) // tiresias.New validated delta
-		trees[d] = hierarchy.New()
-		windowers[d].BindTree(trees[d])
-	}
-	units := make([][]algo.Timeunit, len(r.dims))
-	var start time.Time
-	for i, rec := range history {
-		if len(rec.Paths) != len(r.dims) {
-			return fmt.Errorf("multidim: record %d has %d paths, want %d", i, len(rec.Paths), len(r.dims))
-		}
-		for d, w := range windowers {
-			done, err := w.ObserveDense(stream.Record{Path: rec.Paths[d], Time: rec.Time})
-			if err != nil {
-				return err
-			}
-			for _, u := range done {
-				units[d] = append(units[d], u.Timeunit(trees[d]))
-			}
-			if i == 0 && d == 0 {
-				start = w.Start()
-			}
-		}
-	}
-	for d, w := range windowers {
-		units[d] = append(units[d], w.FlushDense().Timeunit(trees[d]))
-		if err := r.detectors[d].Warmup(units[d], start); err != nil {
-			return fmt.Errorf("multidim: warmup %q: %w", r.dims[d].Name, err)
-		}
-	}
-	r.warm = true
-	return nil
+	return r.feed(history)
 }
 
 // DimAnomaly tags an anomaly with its dimension.
@@ -150,24 +129,22 @@ func (inc Incident) CrossDimensional() bool {
 	return len(seen) > 1
 }
 
-// ProcessUnit advances all dimensions by one timeunit. units must
-// supply one Timeunit per dimension (as produced by ObserveBatch or
-// caller-side windowing).
-func (r *Runner) ProcessUnit(units []algo.Timeunit) (*Incident, error) {
-	if !r.warm {
-		return nil, tiresias.ErrNotWarm
+// Step advances all dimensions by one timeunit: unit holds that unit's
+// records, each dimension's detector windows and screens them, and the
+// detections are correlated into an incident (nil when none fired).
+// The records must fall in one timeunit at or after the previous one's;
+// quiet units in between are filled in empty.
+func (r *Runner) Step(unit []DimRecord) (*Incident, error) {
+	if !r.detectors[0].Warm() {
+		return nil, errors.New("multidim: Step before Warmup")
 	}
-	if len(units) != len(r.dims) {
-		return nil, fmt.Errorf("multidim: %d units for %d dimensions", len(units), len(r.dims))
+	if err := r.feed(unit); err != nil {
+		return nil, err
 	}
 	inc := &Incident{}
 	for d := range r.dims {
-		res, err := r.detectors[d].ProcessUnit(units[d])
-		if err != nil {
-			return nil, fmt.Errorf("multidim: %q: %w", r.dims[d].Name, err)
-		}
-		inc.Instance = res.State.Instance
-		for _, a := range res.Anomalies {
+		inc.Instance = r.found[d].instance
+		for _, a := range r.found[d].anoms {
 			inc.Anomalies = append(inc.Anomalies, DimAnomaly{Dimension: r.dims[d].Name, Anomaly: a})
 		}
 	}
@@ -177,20 +154,35 @@ func (r *Runner) ProcessUnit(units []algo.Timeunit) (*Incident, error) {
 	return inc, nil
 }
 
-// SplitUnits classifies a batch of records (all within one timeunit)
-// into per-dimension Timeunits.
-func SplitUnits(dims int, recs []DimRecord) ([]algo.Timeunit, error) {
-	units := make([]algo.Timeunit, dims)
-	for d := range units {
-		units[d] = algo.Timeunit{}
-	}
+// feed runs every dimension's detector over its paths of recs,
+// gathering the detections afresh.
+func (r *Runner) feed(recs []DimRecord) error {
 	for i, rec := range recs {
-		if len(rec.Paths) != dims {
-			return nil, fmt.Errorf("multidim: record %d has %d paths, want %d", i, len(rec.Paths), dims)
-		}
-		for d, p := range rec.Paths {
-			units[d][hierarchy.KeyOf(p)]++
+		if len(rec.Paths) != len(r.dims) {
+			return fmt.Errorf("multidim: record %d has %d paths, want %d", i, len(rec.Paths), len(r.dims))
 		}
 	}
-	return units, nil
+	for d, det := range r.detectors {
+		r.found[d].anoms = r.found[d].anoms[:0]
+		if _, err := det.Run(context.Background(), &dimSource{recs: recs, dim: d}); err != nil {
+			return fmt.Errorf("multidim: %q: %w", r.dims[d].Name, err)
+		}
+	}
+	return nil
+}
+
+// dimSource serves one dimension's paths of a record batch.
+type dimSource struct {
+	recs []DimRecord
+	dim  int
+	next int
+}
+
+func (s *dimSource) Next() (tiresias.Record, error) {
+	if s.next == len(s.recs) {
+		return tiresias.Record{}, io.EOF
+	}
+	rec := s.recs[s.next]
+	s.next++
+	return tiresias.Record{Path: rec.Paths[s.dim], Time: rec.Time}, nil
 }

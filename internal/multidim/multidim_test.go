@@ -22,13 +22,13 @@ func dimOptions(window int) []tiresias.Option {
 	}
 }
 
-// makeHistory produces steady two-dimension records: trouble
-// categories and network paths.
-func makeHistory(units, perUnit int, rng *rand.Rand) []DimRecord {
+// makeHistory produces steady two-dimension records — trouble
+// categories and network paths — for units [from, to).
+func makeHistory(from, to, perUnit int, rng *rand.Rand) []DimRecord {
 	troubles := [][]string{{"tv", "nosvc"}, {"net", "slow"}}
 	paths := [][]string{{"vho1", "io1"}, {"vho2", "io1"}}
 	var out []DimRecord
-	for u := 0; u < units; u++ {
+	for u := from; u < to; u++ {
 		base := start().Add(time.Duration(u) * 15 * time.Minute)
 		for i := 0; i < perUnit; i++ {
 			out = append(out, DimRecord{
@@ -77,18 +77,25 @@ func TestRunnerLifecycle(t *testing.T) {
 	if got := r.Dimensions(); len(got) != 2 || got[0] != "trouble" || got[1] != "netpath" {
 		t.Fatalf("Dimensions = %v", got)
 	}
-	if _, err := r.ProcessUnit(nil); err == nil {
-		t.Fatal("ProcessUnit before Warmup must fail")
+	if _, err := r.Step(nil); err == nil {
+		t.Fatal("Step before Warmup must fail")
 	}
 	rng := rand.New(rand.NewSource(1))
-	if err := r.Warmup(makeHistory(8, 12, rng)); err != nil {
+	if err := r.Warmup(makeHistory(0, 8, 12, rng)); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Warmup(nil); err == nil {
 		t.Fatal("second Warmup must fail")
 	}
-	if _, err := r.ProcessUnit(nil); err == nil {
-		t.Fatal("wrong unit count must fail")
+	if _, err := r.Step(nil); err == nil {
+		t.Fatal("a unit without records must fail")
+	}
+	bad := []DimRecord{{Paths: [][]string{{"only-one"}}, Time: start().Add(8 * 15 * time.Minute)}}
+	if _, err := r.Step(bad); err == nil {
+		t.Fatal("record with wrong path count must fail")
+	}
+	if _, err := r.Step(makeHistory(2, 3, 12, rng)); err == nil {
+		t.Fatal("a unit behind the clock must fail")
 	}
 }
 
@@ -103,15 +110,11 @@ func TestWarmupRejectsBadRecords(t *testing.T) {
 func TestCrossDimensionalIncident(t *testing.T) {
 	r := newRunner(t, 8)
 	rng := rand.New(rand.NewSource(2))
-	if err := r.Warmup(makeHistory(8, 12, rng)); err != nil {
+	if err := r.Warmup(makeHistory(0, 8, 12, rng)); err != nil {
 		t.Fatal(err)
 	}
 	// A quiet unit first: no incident.
-	quiet, err := SplitUnits(2, makeHistory(1, 12, rng))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc, err := r.ProcessUnit(quiet)
+	inc, err := r.Step(makeHistory(8, 9, 12, rng))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,16 +130,15 @@ func TestCrossDimensionalIncident(t *testing.T) {
 			Time:  start().Add(9 * 15 * time.Minute),
 		})
 	}
-	burstUnits, err := SplitUnits(2, burst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc, err = r.ProcessUnit(burstUnits)
+	inc, err = r.Step(burst)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if inc == nil {
 		t.Fatal("burst produced no incident")
+	}
+	if inc.Instance != 2 {
+		t.Fatalf("incident instance = %d, want 2 (the second unit after warm-up)", inc.Instance)
 	}
 	if !inc.CrossDimensional() {
 		t.Fatalf("incident not cross-dimensional: %+v", inc)
@@ -147,23 +149,6 @@ func TestCrossDimensionalIncident(t *testing.T) {
 	}
 	if !dims["trouble"] || !dims["netpath"] {
 		t.Fatalf("dimensions fired = %v", dims)
-	}
-}
-
-func TestSplitUnits(t *testing.T) {
-	recs := []DimRecord{
-		{Paths: [][]string{{"a"}, {"x", "y"}}, Time: start()},
-		{Paths: [][]string{{"a"}, {"x", "z"}}, Time: start()},
-	}
-	units, err := SplitUnits(2, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if units[0].Total() != 2 || units[1].Total() != 2 {
-		t.Fatalf("unit totals = %v, %v", units[0].Total(), units[1].Total())
-	}
-	if _, err := SplitUnits(3, recs); err == nil {
-		t.Fatal("dimension mismatch must fail")
 	}
 }
 

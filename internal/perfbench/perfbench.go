@@ -57,7 +57,7 @@ func engineWorkload(b *testing.B) (*algo.ADA, []*algo.DenseUnit) {
 		du.AddTimeunit(tree, u)
 		steps = append(steps, du)
 	}
-	if _, err := e.Init(w.Units[:p.WarmUnits]); err != nil {
+	if _, err := algo.InitTimeunits(e, w.Units[:p.WarmUnits]); err != nil {
 		b.Fatal(err)
 	}
 	return e, steps
@@ -112,7 +112,7 @@ func ADAStepSparse(b *testing.B) {
 			window[i][tree.Node(id).Key] = float64(1 + (id+i)%3)
 		}
 	}
-	if _, err := e.Init(window); err != nil {
+	if _, err := algo.InitTimeunits(e, window); err != nil {
 		b.Fatal(err)
 	}
 	units := make([]*algo.DenseUnit, 64)

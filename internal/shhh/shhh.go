@@ -66,22 +66,49 @@ func Compute(t *hierarchy.Tree, counts Counts, theta float64) *Result {
 //
 //tiresias:hotpath
 func ComputeInto(t *hierarchy.Tree, counts Counts, theta float64, r *Result) *Result {
-	if r == nil {
-		r = &Result{} //tiresias:ignore hotpath escapecheck (nil-r convenience path; steady-state callers pass a reused Result)
-	}
-	n := t.Len()
-	r.Theta = theta
-	r.A = growFloats(r.A, n)        //tiresias:ignore escapecheck (inlined grow path: allocates only when the tree outgrows r's scratch)
-	r.W = growFloats(r.W, n)        //tiresias:ignore escapecheck (inlined grow path: allocates only when the tree outgrows r's scratch)
-	r.InSet = growBools(r.InSet, n) //tiresias:ignore escapecheck (inlined grow path: allocates only when the tree outgrows r's scratch)
-	r.Set = r.Set[:0]
+	r = r.prepare(t.Len(), theta)
 	for k, v := range counts {
 		if nd := t.Lookup(k); nd != nil {
 			r.A[nd.ID] += v
 			r.W[nd.ID] += v
 		}
 	}
-	// Closure-free bottom-up sweep over the flat CSR view.
+	return r.sweep(t)
+}
+
+// ComputeIDsInto is ComputeInto over a timeunit in ID form: vals[i] is
+// the direct count of node ids[i]. IDs outside t are skipped, as
+// ComputeInto skips keys t does not hold.
+func ComputeIDsInto(t *hierarchy.Tree, ids []int32, vals []float64, theta float64, r *Result) *Result {
+	r = r.prepare(t.Len(), theta)
+	for i, id := range ids {
+		if int(id) < len(r.A) {
+			r.A[id] += vals[i]
+			r.W[id] += vals[i]
+		}
+	}
+	return r.sweep(t)
+}
+
+// prepare returns r (a fresh Result when nil) with zeroed per-node
+// scratch for n nodes, ready to be seeded with direct counts.
+func (r *Result) prepare(n int, theta float64) *Result {
+	if r == nil {
+		r = &Result{}
+	}
+	r.Theta = theta
+	r.A = growFloats(r.A, n)
+	r.W = growFloats(r.W, n)
+	r.InSet = growBools(r.InSet, n)
+	r.Set = r.Set[:0]
+	return r
+}
+
+// sweep completes a Result seeded with direct counts: one
+// closure-free bottom-up pass over the flat CSR view.
+//
+//tiresias:hotpath
+func (r *Result) sweep(t *hierarchy.Tree) *Result {
 	csr := t.CSR()
 	for _, id32 := range csr.BottomUp {
 		id := int(id32)
@@ -94,7 +121,7 @@ func ComputeInto(t *hierarchy.Tree, counts Counts, theta float64, r *Result) *Re
 			}
 		}
 		r.A[id], r.W[id] = aw, w
-		if w >= theta {
+		if w >= r.Theta {
 			r.InSet[id] = true
 			r.Set = append(r.Set, t.Node(id))
 		}
@@ -158,16 +185,13 @@ func AggregateInto(t *hierarchy.Tree, counts Counts, dst []float64) []float64 {
 			a[n.ID] += v
 		}
 	}
-	csr := t.CSR()
-	for _, id32 := range csr.BottomUp {
-		id := int(id32)
-		sum := a[id]
-		for j := csr.ChildOff[id]; j < csr.ChildOff[id+1]; j++ {
-			sum += a[csr.ChildIDs[j]]
-		}
-		a[id] = sum
-	}
-	return a
+	return frozenSweep(t, a, nil)
+}
+
+// AggregateIDsInto is AggregateInto over a timeunit in ID form: vals[i]
+// is the direct count of node ids[i]; IDs outside t are skipped.
+func AggregateIDsInto(t *hierarchy.Tree, ids []int32, vals []float64, dst []float64) []float64 {
+	return frozenSweep(t, seedIDs(t, ids, vals, dst), nil)
 }
 
 // FrozenWeights computes, for a single timeunit, the modified weight of
@@ -194,6 +218,34 @@ func FrozenWeightsInto(t *hierarchy.Tree, counts Counts, inSet []bool, dst []flo
 			w[n.ID] += v
 		}
 	}
+	return frozenSweep(t, w, inSet)
+}
+
+// FrozenWeightsIDsInto is FrozenWeightsInto over a timeunit in ID form:
+// vals[i] is the direct count of node ids[i]; IDs outside t are
+// skipped.
+func FrozenWeightsIDsInto(t *hierarchy.Tree, ids []int32, vals []float64, inSet []bool, dst []float64) []float64 {
+	return frozenSweep(t, seedIDs(t, ids, vals, dst), inSet)
+}
+
+// seedIDs returns dst zeroed over t's nodes and seeded with the direct
+// counts of an ID-form timeunit.
+func seedIDs(t *hierarchy.Tree, ids []int32, vals []float64, dst []float64) []float64 {
+	w := growFloats(dst, t.Len())
+	for i, id := range ids {
+		if int(id) < len(w) {
+			w[id] += vals[i]
+		}
+	}
+	return w
+}
+
+// frozenSweep completes seeded direct counts bottom-up: each node adds
+// its children's sums, except those of children in inSet (a nil inSet
+// freezes nothing, which is plain aggregation).
+//
+//tiresias:hotpath
+func frozenSweep(t *hierarchy.Tree, w []float64, inSet []bool) []float64 {
 	csr := t.CSR()
 	for _, id32 := range csr.BottomUp {
 		id := int(id32)

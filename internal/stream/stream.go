@@ -238,7 +238,7 @@ var ErrMaxGap = errors.New("stream: record exceeds the max timeunit gap")
 // counted into pooled algo.DenseUnits: returned units are only valid
 // until the next ObserveDense/FlushDense call, after which they are
 // recycled — the steady state allocates nothing. A caller that keeps a
-// unit converts it with DenseUnit.Timeunit.
+// unit copies it (DenseUnit.Pairs).
 type Windower struct {
 	delta  time.Duration
 	start  time.Time
@@ -396,44 +396,4 @@ func (w *Windower) FlushDense() *algo.DenseUnit {
 	w.start = w.start.Add(w.delta)
 	w.dbuf = append(w.dbuf, u) // recycled on the next dense call
 	return u
-}
-
-// Collect drains a Source into consecutive timeunits of size delta,
-// returning the units (oldest first) and the start time of the first
-// unit. It windows through a private tree and converts each completed
-// unit to its map form.
-func Collect(src Source, delta time.Duration) ([]algo.Timeunit, time.Time, error) {
-	w, err := NewWindower(delta)
-	if err != nil {
-		return nil, time.Time{}, err
-	}
-	tree := hierarchy.New()
-	w.BindTree(tree)
-	var units []algo.Timeunit
-	var first time.Time
-	seen := false
-	for {
-		r, err := src.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, time.Time{}, err
-		}
-		done, err := w.ObserveDense(r)
-		if err != nil {
-			return nil, time.Time{}, err
-		}
-		if !seen {
-			first = w.Start()
-			seen = true
-		}
-		for _, u := range done {
-			units = append(units, u.Timeunit(tree))
-		}
-	}
-	if seen {
-		units = append(units, w.FlushDense().Timeunit(tree))
-	}
-	return units, first, nil
 }

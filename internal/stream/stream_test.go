@@ -175,35 +175,3 @@ func TestWindowerAlignsToDeltaBoundary(t *testing.T) {
 		t.Fatalf("Start = %v, want %v (truncated)", w.Start(), t0())
 	}
 }
-
-func TestCollect(t *testing.T) {
-	src := NewSliceSource([]Record{
-		rec(1*time.Minute, "a"),
-		rec(16*time.Minute, "a"),
-		rec(17*time.Minute, "b"),
-		rec(31*time.Minute, "a"),
-	})
-	units, first, err := Collect(src, 15*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !first.Equal(t0()) {
-		t.Fatalf("first = %v, want %v", first, t0())
-	}
-	if len(units) != 3 {
-		t.Fatalf("units = %d, want 3", len(units))
-	}
-	if units[0].Total() != 1 || units[1].Total() != 2 || units[2].Total() != 1 {
-		t.Fatalf("unit totals = %v %v %v", units[0].Total(), units[1].Total(), units[2].Total())
-	}
-}
-
-func TestCollectEmpty(t *testing.T) {
-	units, _, err := Collect(NewSliceSource(nil), time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(units) != 0 {
-		t.Fatalf("units = %d, want 0", len(units))
-	}
-}

@@ -289,7 +289,7 @@ func (m *Manager) feedLocked(sh *managerShard, streamName string, recs []Record)
 		return nil, 0, quarantineErr(streamName, ms.quarReason)
 	}
 	defer containPanic(streamName, ms, &err)
-	step := func(sr *StepResult) { out = append(out, ms.count(sr)...) }
+	step := func(sr stepResult) { out = append(out, ms.count(sr)...) }
 	for _, r := range recs {
 		if ferr := ms.det.ingest(r, step); ferr != nil {
 			sh.records += uint64(applied)
@@ -322,13 +322,13 @@ func (m *Manager) record(streamName string, anoms []Anomaly) {
 
 // count tallies one screened unit of the stream, reports its stage
 // timings to the step observer, and returns its anomalies.
-func (ms *managedStream) count(sr *StepResult) []Anomaly {
+func (ms *managedStream) count(sr stepResult) []Anomaly {
 	ms.units++
-	ms.anoms += len(sr.Anomalies)
+	ms.anoms += len(sr.anomalies)
 	if ms.stepObs != nil {
-		ms.stepObs(sr.State.Timings)
+		ms.stepObs(sr.state.Timings)
 	}
-	return sr.Anomalies
+	return sr.anomalies
 }
 
 // Flush completes the named stream's current partial timeunit and
@@ -358,7 +358,7 @@ func (m *Manager) Flush(streamName string) (anoms []Anomaly, err error) {
 		return nil, quarantineErr(streamName, ms.quarReason)
 	}
 	defer containPanic(streamName, ms, &err)
-	ferr := ms.det.flush(func(sr *StepResult) { anoms = ms.count(sr) })
+	ferr := ms.det.flush(func(sr stepResult) { anoms = ms.count(sr) })
 	sh.anomalies += uint64(len(anoms))
 	m.record(streamName, anoms)
 	if ferr != nil {
@@ -506,24 +506,4 @@ func (m *Manager) Stream(streamName string) (st StreamStatus, hh []Key, ok bool)
 		return ms.status(streamName), nil, true
 	}
 	return ms.status(streamName), ms.det.HeavyHitters(), true
-}
-
-// HeavyHitters returns the named stream's current SHHH membership
-// keys, reporting whether the stream exists — Stream without the
-// status snapshot. The slice is a copy; nil with ok == true means
-// the stream has not finished warmup or is quarantined. This surfaces per-stream
-// Tiresias.HeavyHitters through the Manager, so embedders can read
-// it without reaching into detectors.
-func (m *Manager) HeavyHitters(streamName string) (keys []Key, ok bool) {
-	sh := m.shardOf(streamName)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ms, ok := sh.streams[streamName]
-	if !ok {
-		return nil, false
-	}
-	if ms.quarantined {
-		return nil, true
-	}
-	return ms.det.HeavyHitters(), true
 }

@@ -266,12 +266,10 @@ func TestManagerStreamAndHeavyHitters(t *testing.T) {
 	if _, _, ok := m.Stream("nope"); ok {
 		t.Fatal("unknown stream must report ok == false")
 	}
-	hh, ok := m.HeavyHitters("tenant-a")
-	if !ok || len(hh) == 0 {
-		t.Fatalf("HeavyHitters = %v, %v (want non-empty on a warm bursty stream)", hh, ok)
-	}
-	if _, ok := m.HeavyHitters("nope"); ok {
-		t.Fatal("unknown stream must report ok == false")
+	// A stream still warming up exists, with no heavy hitters yet.
+	feedUnits(t, m, "tenant-b", 3, 0)
+	if st, hh, ok := m.Stream("tenant-b"); !ok || st.Warm || hh != nil {
+		t.Fatalf("Stream(tenant-b) = %+v, hh %v, %v; want a warming stream with nil heavy hitters", st, hh, ok)
 	}
 }
 

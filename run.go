@@ -62,14 +62,14 @@ func (t *Tiresias) Run(ctx context.Context, src Source) (*RunResult, error) {
 		ctx = context.Background()
 	}
 	res := &RunResult{}
-	step := func(sr *StepResult) {
-		res.AnomalyCount += len(sr.Anomalies)
+	step := func(sr stepResult) {
+		res.AnomalyCount += len(sr.anomalies)
 		if len(t.opts.sinks) == 0 {
-			res.Anomalies = append(res.Anomalies, sr.Anomalies...)
+			res.Anomalies = append(res.Anomalies, sr.anomalies...)
 		}
 		res.Units++
-		res.Timings.Add(sr.State.Timings)
-		res.HeavyHitterCount = len(sr.State.HeavyHitters)
+		res.Timings.Add(sr.state.Timings)
+		res.HeavyHitterCount = len(sr.state.HeavyHitters)
 	}
 	sinceCheck := 0
 	for {
@@ -115,8 +115,9 @@ func (t *Tiresias) Run(ctx context.Context, src Source) (*RunResult, error) {
 type window struct {
 	// w is bound to the detector's tree; nil until first used.
 	w *stream.Windower
-	// buf holds the completed units of a detector still warming up.
-	buf []Timeunit
+	// buf holds the completed units of a detector still warming up, as
+	// (ID, count) pairs: fewer than windowLen, none once warm.
+	buf []*algo.DenseUnit
 	// first is the warm-up start, set by the first record (seen).
 	first time.Time
 	seen  bool
@@ -145,7 +146,7 @@ func (t *Tiresias) windower() *stream.Windower {
 
 // ingest windows one record and advances every unit it completes,
 // handing each screened unit's result to step.
-func (t *Tiresias) ingest(r Record, step func(*StepResult)) error {
+func (t *Tiresias) ingest(r Record, step func(stepResult)) error {
 	w := t.windower()
 	done, err := w.ObserveDense(r)
 	if err != nil {
@@ -166,7 +167,7 @@ func (t *Tiresias) ingest(r Record, step func(*StepResult)) error {
 // flush completes the current partial unit and advances it, when it
 // holds records since the last flush; otherwise it is a no-op, so
 // repeated deadline flushes never fabricate empty units.
-func (t *Tiresias) flush(step func(*StepResult)) error {
+func (t *Tiresias) flush(step func(stepResult)) error {
 	if !t.win.dirty {
 		return nil
 	}
@@ -175,30 +176,23 @@ func (t *Tiresias) flush(step func(*StepResult)) error {
 }
 
 // advance routes one completed dense unit: buffered until the warm-up
-// window fills, screened afterwards. A buffered unit is converted to
-// its map form, since the buffer outlives the pooled unit; once warm,
-// the unit flows to the engine's dense step untouched.
-func (t *Tiresias) advance(u *algo.DenseUnit, step func(*StepResult)) error {
+// window fills, screened afterwards. The buffer outlives the pooled
+// unit, so it keeps a copy of the unit's pairs; once warm, the unit
+// flows to the engine's dense step untouched.
+func (t *Tiresias) advance(u *algo.DenseUnit, step func(stepResult)) error {
 	if !t.warm {
-		t.win.buf = append(t.win.buf, u.Timeunit(t.tree))
+		t.win.buf = append(t.win.buf, u.Pairs())
 		if len(t.win.buf) < t.opts.windowLen {
 			return nil
 		}
 		return t.finishWarmup()
 	}
-	sr, err := t.processDense(u)
+	sr, err := t.screen(u)
 	if err != nil {
 		return err
 	}
 	step(sr)
 	return nil
-}
-
-// finishWarmup warms the detector up on the buffered units.
-func (t *Tiresias) finishWarmup() error {
-	err := t.warmup(t.win.buf, t.win.first)
-	t.win.buf = nil
-	return err
 }
 
 // restoreWindow rebuilds the windowing state from a checkpoint's STR.

@@ -226,20 +226,9 @@ func TestSinkOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := KeyOf([]string{"west", "sf"})
-	units := make([]Timeunit, 8)
-	for i := range units {
-		units[i] = Timeunit{key: 6}
-	}
-	if err := tr.Warmup(units, start()); err != nil {
-		t.Fatal(err)
-	}
+	stepUnits(t, tr, repeat(counts{"west/sf": 6}, 8)...)
 	// quiet, burst, quiet: exactly one anomalous unit.
-	for _, v := range []float64{6, 80, 6} {
-		if _, err := tr.ProcessUnit(Timeunit{key: v}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	stepUnits(t, tr, counts{"west/sf": 6}, counts{"west/sf": 80}, counts{"west/sf": 6})
 	// Unit 1 is quiet, unit 2 bursts, unit 3 is quiet again: the
 	// burst's anomalies must all land between the first and second
 	// OnUnit, i.e. "U (A:…)+ U U".
@@ -266,17 +255,8 @@ func TestMultipleSinksAllDelivered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := KeyOf([]string{"n"})
-	units := make([]Timeunit, 8)
-	for i := range units {
-		units[i] = Timeunit{key: 6}
-	}
-	if err := tr.Warmup(units, start()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.ProcessUnit(Timeunit{key: 90}); err != nil {
-		t.Fatal(err)
-	}
+	stepUnits(t, tr, repeat(counts{"n": 6}, 8)...)
+	stepUnits(t, tr, counts{"n": 90})
 	if a.unitCount() != 1 || b.unitCount() != 1 {
 		t.Fatalf("sink unit counts = %d, %d; want 1, 1", a.unitCount(), b.unitCount())
 	}
@@ -527,55 +507,5 @@ func TestRunResumesAfterCancelMidUnitThroughRestore(t *testing.T) {
 	}
 	for _, restore := range []bool{true, false} {
 		checkCancelledRunResumes(t, opts, ds.Records, cancelAt, true, restore)
-	}
-}
-
-// TestDirectUnitsReanchorWindowing pins that Warmup and ProcessUnit,
-// which move the clock without windowing a record, discard the
-// windowing state a Run left behind: the next Run is anchored at the
-// new clock, not at the stale window position.
-func TestDirectUnitsReanchorWindowing(t *testing.T) {
-	opts := []Option{WithDelta(time.Minute), WithWindowLen(4), WithTheta(0.5), WithSeasonality(1.0, 2)}
-	at := func(u int) Record {
-		return Record{Path: []string{"a"}, Time: start().Add(time.Duration(u) * time.Minute)}
-	}
-	var recs []Record
-	for u := 0; u < 8; u++ {
-		recs = append(recs, at(u))
-	}
-	tr, err := New(opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Run(context.Background(), NewSliceSource(recs)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.ProcessUnit(Timeunit{KeyOf([]string{"a"}): 1}); err != nil {
-		t.Fatal(err)
-	}
-	// ProcessUnit consumed unit 8, so a record in it is out of order.
-	if _, err := tr.Run(context.Background(), NewSliceSource([]Record{at(8)})); !errors.Is(err, ErrOutOfOrder) {
-		t.Fatalf("Run into the unit ProcessUnit consumed: err = %v, want ErrOutOfOrder", err)
-	}
-
-	cold, err := New(opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs[:2] { // a warm-up buffer and a partial unit
-		if err := cold.ingest(r, func(*StepResult) {}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	units := []Timeunit{{KeyOf([]string{"a"}): 1}, {KeyOf([]string{"a"}): 1}, {KeyOf([]string{"a"}): 1}, {KeyOf([]string{"a"}): 1}}
-	if err := cold.Warmup(units, start().Add(100*time.Minute)); err != nil {
-		t.Fatal(err)
-	}
-	res, err := cold.Run(context.Background(), NewSliceSource([]Record{at(104)}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Units != 1 {
-		t.Fatalf("Run after Warmup screened %d units, want 1 (anchored at the new clock)", res.Units)
 	}
 }

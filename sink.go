@@ -57,7 +57,7 @@ func (s SinkFuncs) OnUnit(ev UnitEvent) {
 // NewIndexSink returns a Sink recording every anomaly into a bounded
 // AnomalyIndex under the given stream name — the single-detector
 // counterpart of Manager's WithAnomalyIndex, for wiring a bare
-// Tiresias (Run/ProcessUnit) into the query API.
+// Tiresias (Run) into the query API.
 func NewIndexSink(ix *AnomalyIndex, streamName string) Sink {
 	return SinkFuncs{Anomaly: func(a Anomaly) { ix.Add(streamName, a) }}
 }

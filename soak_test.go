@@ -44,7 +44,7 @@ func TestSoakSpeedupGrowsWithWindow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := e.Init(w.Units[:warm]); err != nil {
+			if _, err := algo.InitTimeunits(e, w.Units[:warm]); err != nil {
 				t.Fatal(err)
 			}
 			var total time.Duration
@@ -118,7 +118,7 @@ func TestSoakStepCostFlatOnQuietWideTree(t *testing.T) {
 			du.Add(leaves[(i%64*8+k)*977%len(leaves)], float64(1+k%3))
 		}
 	}
-	warm := make([]algo.Timeunit, window)
+	warm := make([]*algo.DenseUnit, window)
 	for i := range warm {
 		sparse(i)
 		if i >= window-2 { // the census: every leaf, in the newest units
@@ -126,7 +126,7 @@ func TestSoakStepCostFlatOnQuietWideTree(t *testing.T) {
 				du.Add(id, 1)
 			}
 		}
-		warm[i] = du.Timeunit(tree)
+		warm[i] = du.Pairs()
 	}
 	if _, err := e.Init(warm); err != nil {
 		t.Fatal(err)

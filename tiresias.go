@@ -7,19 +7,21 @@
 // small streaming-first surface:
 //
 //	t, err := tiresias.New(tiresias.WithTheta(10), tiresias.WithDelta(15*time.Minute))
-//	result, err := t.Run(ctx, source)       // incremental: O(windowLen) memory
-//	// or online, one timeunit at a time:
-//	err = t.Warmup(historyUnits, start)
-//	step, err := t.ProcessUnit(unit)
+//	result, err := t.Run(ctx, source) // incremental: O(windowLen) memory
+//	// or many streams, online, one record at a time:
+//	m, err := tiresias.NewManager(tiresias.WithDetectorOptions(opts...))
+//	anoms, err := m.Feed("stream", record)
 //
-// Anomalies can be pushed to Sinks as they are found (WithSink), and a
-// sharded Manager multiplexes many independent streams behind one
-// Feed hot path. At scale the Manager runs pipelined (WithPipeline):
-// per-shard worker goroutines behind bounded queues ingest
-// asynchronously via EnqueueRuns — one job per shard per body — under
-// a configurable backpressure policy, and detections land in a bounded
-// queryable AnomalyIndex (WithAnomalyIndex) instead of vanishing with
-// the return value.
+// Records are the only way into a detector: it windows them into
+// timeunits itself, warms up on the first windowLen units, and screens
+// every unit after. Anomalies can be pushed to Sinks as they are found
+// (WithSink), and a sharded Manager multiplexes many independent
+// streams behind one Feed hot path. At scale the Manager runs
+// pipelined (WithPipeline): per-shard worker goroutines behind bounded
+// queues ingest asynchronously via EnqueueRuns — one job per shard per
+// body — under a configurable backpressure policy, and detections land
+// in a bounded queryable AnomalyIndex (WithAnomalyIndex) instead of
+// vanishing with the return value.
 //
 // Detectors are durable: Snapshot serializes the full warm state to a
 // versioned binary checkpoint and Restore resumes it mid-stream with
@@ -41,7 +43,6 @@
 package tiresias
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -220,7 +221,7 @@ type Tiresias struct {
 	detector *detect.Detector
 	warm     bool
 	start    time.Time // start of the first timeunit
-	warmLen  int       // units actually ingested by Warmup
+	warmLen  int       // units the warm-up window actually held
 	instance int
 
 	// tree is the category hierarchy shared between the engine and
@@ -228,14 +229,11 @@ type Tiresias struct {
 	// node IDs the engine's flat hot path operates on.
 	tree *hierarchy.Tree
 
-	// Seasonality actually in use (filled during Warmup).
+	// Seasonality actually in use (filled at warm-up).
 	periods []int
 	xi      float64
 
 	lastState *algo.StepState
-
-	// du is ProcessUnit's reused dense form of its map-form unit.
-	du algo.DenseUnit
 
 	// win is the Step-1 windowing state Run and Manager.Feed share.
 	win window
@@ -290,46 +288,29 @@ func (t *Tiresias) Delta() time.Duration { return t.opts.delta }
 // timeunits (after any WithIncrement rescaling).
 func (t *Tiresias) WindowLen() int { return t.opts.windowLen }
 
-// Warm reports whether Warmup has completed.
+// Warm reports whether the detector has warmed up: its first
+// WindowLen timeunits are windowed (or Run reached the end of a shorter
+// stream) and every later unit is screened.
 func (t *Tiresias) Warm() bool { return t.warm }
 
-// SeasonalPeriods returns the seasonal periods in use after Warmup
+// SeasonalPeriods returns the seasonal periods in use after warm-up
 // (nil before).
 func (t *Tiresias) SeasonalPeriods() []int {
 	return append([]int(nil), t.periods...)
 }
 
 // Engine exposes the underlying ADA engine (for experiment harnesses;
-// treat as read-only). It is nil until Warmup or a warm Restore.
+// treat as read-only). It is nil until the detector warms up or is
+// restored warm.
 func (t *Tiresias) Engine() *algo.ADA { return t.engine }
 
-// ErrNotWarm is returned by ProcessUnit before Warmup.
-var ErrNotWarm = errors.New("tiresias: Warmup must complete before ProcessUnit")
-
-// ErrWarm is returned by Warmup when the instance is already warm;
-// call Reset first to re-warm.
-var ErrWarm = errors.New("tiresias: already warm (call Reset to re-warm)")
-
-// Warmup ingests the initial history window (oldest first) starting at
-// the given wall-clock time, performs Step-3 seasonality analysis, and
-// initializes the engine. len(units) should be the configured window
-// length; shorter histories work with reduced forecast quality. Any
-// windowing state a Run or Feed left behind is discarded: the next
-// record is windowed from the new clock.
-func (t *Tiresias) Warmup(units []Timeunit, start time.Time) error {
-	if t.warm {
-		return ErrWarm
-	}
-	t.win = window{}
-	return t.warmup(units, start)
-}
-
-// warmup is Warmup without the windowing reset, for the windowing
-// path's own warm-up.
-func (t *Tiresias) warmup(units []Timeunit, start time.Time) error {
-	t.start = start
-
-	// Step 3: seasonality analysis over the total-count series.
+// finishWarmup warms the detector up on its buffered units: Step-3
+// seasonality analysis over their totals, then the engine's first
+// instance.
+func (t *Tiresias) finishWarmup() error {
+	units := t.win.buf
+	t.win.buf = nil
+	t.start = t.win.first
 	if t.opts.autoSeason {
 		t.periods, t.xi = t.analyzeSeasonality(units)
 	} else {
@@ -353,26 +334,9 @@ func (t *Tiresias) warmup(units []Timeunit, start time.Time) error {
 	return nil
 }
 
-// Reset returns the instance to its pre-Warmup state, discarding the
-// engine, learned seasonality, and all counters while keeping the
-// configuration. After Reset, Warmup may be called again — e.g. to
-// re-warm a detector on fresh history after a data outage.
-func (t *Tiresias) Reset() {
-	t.engine = nil
-	t.warm = false
-	t.start = time.Time{}
-	t.warmLen = 0
-	t.instance = 0
-	t.periods = nil
-	t.xi = 0
-	t.lastState = nil
-	t.tree = hierarchy.New()
-	t.win = window{}
-}
-
 // newEngine constructs the ADA engine from the current options and the
 // learned seasonality (t.periods/t.xi must be set first). Shared by
-// Warmup and checkpoint restore so the two paths cannot drift.
+// warm-up and checkpoint restore so the two paths cannot drift.
 func (t *Tiresias) newEngine() (*algo.ADA, error) {
 	cfg := algo.Config{
 		Theta:         t.opts.theta,
@@ -391,7 +355,7 @@ func (t *Tiresias) newEngine() (*algo.ADA, error) {
 // analyzeSeasonality runs FFT + wavelet analysis on the aggregate
 // series and returns up to two seasonal periods (in timeunits) and the
 // combination weight ξ.
-func (t *Tiresias) analyzeSeasonality(units []Timeunit) ([]int, float64) {
+func (t *Tiresias) analyzeSeasonality(units []*algo.DenseUnit) ([]int, float64) {
 	totals := make([]float64, len(units))
 	for i, u := range units {
 		totals[i] = u.Total()
@@ -445,64 +409,30 @@ func (t *Tiresias) factory() algo.ForecasterFactory {
 	}
 }
 
-// StepResult combines the engine state and the anomalies of one
-// processed timeunit.
-type StepResult struct {
-	// State is the engine's step outcome (heavy hitters, timings).
-	// It is engine-owned scratch, reused on the next processed unit
-	// so the steady-state step allocates nothing: read it before
-	// processing further units, or copy what you need to retain.
-	// Anomalies and UnitStart are the caller's to keep.
-	State *algo.StepState
-	// Anomalies lists Definition-4 violations in the newest unit.
-	Anomalies []Anomaly
-	// UnitStart is the wall-clock start of the processed unit.
-	UnitStart time.Time
+// stepResult is one screened timeunit, as Run and Manager tally it.
+type stepResult struct {
+	// state is the engine's step outcome, engine-owned scratch reused
+	// on the next unit; anomalies are the caller's to keep.
+	state     *algo.StepState
+	anomalies []Anomaly
 }
 
-// ProcessUnit advances one timeunit (Step 6's "keep checking for new
-// data" loop body) and returns detected anomalies. Registered sinks
-// are notified before ProcessUnit returns: OnAnomaly once per anomaly
-// (in detection order), then OnUnit once for the unit. Like Warmup, it
-// discards any windowing state a Run or Feed left behind.
-//
-// The returned StepResult.State is only valid until the next unit is
-// processed (see StepResult).
-func (t *Tiresias) ProcessUnit(u Timeunit) (*StepResult, error) {
-	if !t.warm {
-		return nil, ErrNotWarm
-	}
-	t.win = window{}
-	t.du.Reset()
-	t.du.AddTimeunit(t.tree, u)
-	return t.processDense(&t.du)
-}
-
-// processDense is ProcessUnit for a timeunit in dense node-ID form
-// (IDs interned into t's shared tree). It is the hot path behind Run
-// and Manager.Feed, reached through advance.
-func (t *Tiresias) processDense(u *algo.DenseUnit) (*StepResult, error) {
-	if !t.warm {
-		return nil, ErrNotWarm
-	}
+// screen processes one completed unit once warm: the engine's dense
+// step, then clock derivation, Definition-4 screening, and sink
+// notification.
+func (t *Tiresias) screen(u *algo.DenseUnit) (stepResult, error) {
 	st, err := t.engine.StepDense(u)
 	if err != nil {
-		return nil, err
+		return stepResult{}, err
 	}
-	return t.finishStep(st), nil
-}
-
-// finishStep runs the shared post-engine work of one unit: clock
-// derivation, Definition-4 screening, and sink notification.
-func (t *Tiresias) finishStep(st *algo.StepState) *StepResult {
 	t.lastState = st
 	t.instance++
 	// Clock from the units actually warmed, not the configured window:
-	// a short-history warmup must not skew timestamps into the future.
+	// a short-history warm-up must not skew timestamps into the future.
 	unitStart := t.start.Add(time.Duration(t.warmLen+t.instance-1) * t.opts.delta)
 	anoms := t.detector.Scan(st, unitStart)
 	t.emit(st, anoms, unitStart)
-	return &StepResult{State: st, Anomalies: anoms, UnitStart: unitStart}
+	return stepResult{state: st, anomalies: anoms}, nil
 }
 
 // emit pushes one processed unit's events to the registered sinks.
@@ -525,7 +455,7 @@ func (t *Tiresias) emit(st *algo.StepState, anoms []Anomaly, unitStart time.Time
 }
 
 // HeavyHitters returns the SHHH membership keys of the most recently
-// processed timeunit (nil before Warmup).
+// processed timeunit (nil before warm-up).
 func (t *Tiresias) HeavyHitters() []hierarchy.Key {
 	if t.lastState == nil {
 		return nil
