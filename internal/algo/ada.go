@@ -9,12 +9,46 @@ import (
 
 // nodeSeries is the per-heavy-hitter state: the actual and forecast
 // series (n.actual / n.forecast in Fig. 5) plus the live forecasting
-// model and, optionally, the coarser timescales of §V-B6.
+// model and, when Eta > 1, the coarser timescales of §V-B6. Holders are
+// recycled whole through the engine's pool, so every field's memory is
+// reused in place.
 type nodeSeries struct {
 	actual *series.Ring
 	fcast  *series.Ring
 	model  forecast.Linear
-	multi  *series.MultiScale
+	// spare is the model the holder held before its model last changed
+	// shape; it carries no state. A holder alternates between shapes —
+	// a fresh EWMA, then a seasoned refit — and with both at hand it
+	// writes either in place.
+	spare forecast.Linear
+	multi *series.MultiScale
+}
+
+// holdShape makes model whichever of the holder's two models has
+// like's shape, overwriting it with like's state, and reports whether
+// either had. It never allocates.
+//
+//tiresias:hotpath
+func (ns *nodeSeries) holdShape(like forecast.Linear) bool {
+	if ns.model != nil && ns.model.CopyFrom(like) == nil {
+		return true
+	}
+	if ns.spare != nil && ns.spare.CopyFrom(like) == nil {
+		ns.model, ns.spare = ns.spare, ns.model
+		return true
+	}
+	return false
+}
+
+// copyModel sets model to a copy of src's state, in place when either
+// of the holder's models has src's shape. Otherwise (a pool miss) it
+// clones src, and the model it displaces becomes the spare.
+//
+//tiresias:hotpath
+func (ns *nodeSeries) copyModel(src forecast.Linear) {
+	if !ns.holdShape(src) {
+		ns.model, ns.spare = forecast.Clone(src), ns.model
+	}
 }
 
 // ADA is the paper's adaptive engine (§V-B, Figs. 5–8). It maintains a
@@ -31,9 +65,18 @@ type nodeSeries struct {
 // however many categories the stream has ever seen. Work proportional
 // to the tree remains only where the tree itself changes or is
 // (de)serialized: growth (grow, the CSR rebuild), Init, ExportState
-// and ImportState. All scratch — including the returned StepState —
-// is reused across instances, so a steady-state StepDense performs
-// zero allocations.
+// and ImportState.
+//
+// All scratch — including the returned StepState — is reused across
+// instances, and series holders are a slab: a holder leaves the pool
+// with the rings, forecasting model and multi-scale state it last
+// held, and SPLIT's scaled copies, MERGE's refits, fresh series and
+// the §V-B5 reference repair all write into that memory in place. So
+// once the pool and the models in it have reached the shapes a
+// stream's split/merge pattern needs, a StepDense performs zero
+// allocations, splits and merges included. Allocations remain on tree
+// growth and on pool misses: an empty pool, or a holder with no model
+// of the shape to be written.
 type ADA struct {
 	cfg      Config
 	tree     *hierarchy.Tree
@@ -88,13 +131,22 @@ type ADA struct {
 	work idSet
 
 	// Reusable scratch and pools for the steady-state step.
-	snap      StepState     // returned by snapshot, reused every instance
-	freeNS    []*nodeSeries // pooled series holders (rings attached)
-	freeRings []*series.Ring
-	candBuf   []int32   // split candidates
-	xsBuf     []float64 // split ratios
-	valBuf    []float64 // Ring.ValuesInto scratch for model refits
-	stackBuf  []int32   // DFS stack for subtractDescendants
+	snap     StepState     // returned by snapshot, reused every instance
+	freeNS   []*nodeSeries // pooled series holders: the forecaster slab
+	candBuf  []int32       // split candidates
+	xsBuf    []float64     // split ratios
+	valBuf   []float64     // Ring.ValuesInto scratch for model refits
+	stackBuf []int32       // DFS stack for subtractDescendants
+
+	// fresh is the factory's model for an empty history, the template
+	// every fresh series and forecast replay copies; replay is the model
+	// replayed to rebuild forecast rings. lastFit is the model the
+	// factory returned at the latest refit: refits mostly see full
+	// windows and so mostly want its shape, which a refit looks for
+	// among the holder's two models before calling the factory.
+	fresh   forecast.Linear
+	replay  forecast.Linear
+	lastFit forecast.Linear
 }
 
 var _ Engine = (*ADA)(nil)
@@ -108,7 +160,8 @@ func NewADA(cfg Config) (*ADA, error) {
 	if tree == nil {
 		tree = hierarchy.New()
 	}
-	return &ADA{cfg: cfg, tree: tree}, nil
+	fresh := cfg.NewForecaster(nil, nil)
+	return &ADA{cfg: cfg, tree: tree, fresh: fresh, replay: forecast.Clone(fresh)}, nil
 }
 
 // Name implements Engine.
@@ -187,24 +240,14 @@ func (a *ADA) Init(window []*DenseUnit) (*StepState, error) {
 	}
 	for _, n := range owners {
 		ts := hist[n.ID]
-		ns := a.newNodeSeries()
+		ns := a.getSeries()
 		ns.actual.SetValues(ts)
-		ns.model = a.cfg.NewForecaster(ts[:len(ts)-1])
-		// Reconstruct the forecast trajectory by replay so the
-		// forecast ring aligns with the actual ring.
-		replay := a.cfg.NewForecaster(nil)
-		for _, v := range ts {
-			ns.fcast.Append(replay.Forecast())
-			replay.Update(v)
-		}
+		a.refit(ns, ts)
 		if ns.multi != nil {
 			for _, v := range ts {
 				ns.multi.Update(v)
 			}
 		}
-		// Advance the live model over the newest value so state is
-		// "post-instance", matching Step's epilogue.
-		ns.model.Update(ts[len(ts)-1])
 		a.state[n.ID] = ns
 		a.inSHHH[n.ID] = res.IsHH(n)
 	}
@@ -228,10 +271,10 @@ func (a *ADA) Init(window []*DenseUnit) (*StepState, error) {
 	for i, r := range a.refActual {
 		vals := r.Values()
 		if len(vals) == 0 {
-			a.refModel[i] = a.cfg.NewForecaster(nil)
+			a.refModel[i] = a.cfg.NewForecaster(nil, nil)
 			continue
 		}
-		a.refModel[i] = a.cfg.NewForecaster(vals[:len(vals)-1])
+		a.refModel[i] = a.cfg.NewForecaster(nil, vals[:len(vals)-1])
 		a.refModel[i].Update(vals[len(vals)-1])
 	}
 	a.indexState()
@@ -247,22 +290,12 @@ func (a *ADA) Init(window []*DenseUnit) (*StepState, error) {
 	return st, nil
 }
 
-func (a *ADA) newNodeSeries() *nodeSeries {
-	ns := &nodeSeries{
-		actual: series.NewRing(a.cfg.WindowLen),
-		fcast:  series.NewRing(a.cfg.WindowLen),
-	}
-	if a.cfg.Eta > 1 {
-		ms, err := series.NewMultiScale(a.cfg.Lambda, a.cfg.Eta, a.cfg.WindowLen)
-		if err == nil {
-			ns.multi = ms
-		}
-	}
-	return ns
-}
-
-// getSeries returns a series holder with empty rings, reusing a pooled
-// one when available.
+// getSeries returns a series holder with empty rings. A pooled holder
+// keeps the model and multi-scale state it last held, for the caller
+// to overwrite in place; a new one (a pool miss) has no model yet and,
+// when Eta > 1, an empty multi-scale series of the engine's shape.
+//
+//tiresias:hotpath
 func (a *ADA) getSeries() *nodeSeries {
 	if n := len(a.freeNS); n > 0 {
 		ns := a.freeNS[n-1]
@@ -271,40 +304,71 @@ func (a *ADA) getSeries() *nodeSeries {
 		ns.fcast.Reset()
 		return ns
 	}
-	return &nodeSeries{
+	return a.newSeries()
+}
+
+// newSeries allocates a series holder for getSeries' pool miss.
+func (a *ADA) newSeries() *nodeSeries {
+	ns := &nodeSeries{
 		actual: series.NewRing(a.cfg.WindowLen),
 		fcast:  series.NewRing(a.cfg.WindowLen),
 	}
+	if a.cfg.Eta > 1 {
+		// normalize guarantees Lambda >= 2 here, so this cannot fail.
+		ns.multi, _ = series.NewMultiScale(a.cfg.Lambda, a.cfg.Eta, a.cfg.WindowLen)
+	}
+	return ns
 }
 
-// putSeries returns a discarded holder to the pool. The model and
-// multi-scale state are dropped (their shapes vary), the rings are
-// kept.
+// putSeries returns a discarded holder to the pool, whole: its rings,
+// model and multi-scale state are the slab the next getSeries reuses.
+// The pool never outgrows the peak number of live series, since
+// holders are only created when it is empty.
+//
+//tiresias:hotpath
 func (a *ADA) putSeries(ns *nodeSeries) {
 	if ns == nil {
 		return
 	}
-	ns.model = nil
-	ns.multi = nil
 	a.freeNS = append(a.freeNS, ns)
 }
 
-// getRing returns an empty ring of window capacity from the pool.
-func (a *ADA) getRing() *series.Ring {
-	if n := len(a.freeRings); n > 0 {
-		r := a.freeRings[n-1]
-		a.freeRings = a.freeRings[:n-1]
-		r.Reset()
-		return r
+// fitModel sets ns's model to the factory's model for history, built
+// in place in whichever of the holder's two models has the shape of
+// the latest fit (the factory's first guess) or, failing that, in its
+// current model. When the factory allocates instead, the displaced
+// model becomes the spare.
+//
+//tiresias:hotpath
+func (a *ADA) fitModel(ns *nodeSeries, history []float64) {
+	if a.lastFit != nil {
+		ns.holdShape(a.lastFit)
 	}
-	return series.NewRing(a.cfg.WindowLen)
+	m := a.cfg.NewForecaster(ns.model, history)
+	if m != ns.model {
+		ns.spare = ns.model
+	}
+	ns.model, a.lastFit = m, m
 }
 
-// putRing pools a discarded ring.
-func (a *ADA) putRing(r *series.Ring) {
-	if r != nil && r.Cap() == a.cfg.WindowLen {
-		a.freeRings = append(a.freeRings, r)
+// refit re-seeds ns's model from vals (oldest first, non-empty) as if
+// the series had been observed from its start: the model is fitted to
+// all but the newest value and then advanced over it, so its state is
+// "post-instance" as after a step, and the forecast ring is rebuilt by
+// replaying a fresh model over vals so that it aligns with the actual
+// ring. Both models are re-seeded in place when their shapes allow.
+//
+//tiresias:hotpath
+func (a *ADA) refit(ns *nodeSeries, vals []float64) {
+	last := len(vals) - 1
+	a.fitModel(ns, vals[:last])
+	_ = a.replay.CopyFrom(a.fresh)
+	ns.fcast.Reset()
+	for _, v := range vals {
+		ns.fcast.Append(a.replay.Forecast())
+		a.replay.Update(v)
 	}
+	ns.model.Update(vals[last])
 }
 
 // observeRuleStats updates the X_n statistics with the raw weights of
@@ -609,32 +673,36 @@ func (a *ADA) markGotSplit(id int) {
 	}
 }
 
-// freshSeries creates an empty series whose model is seeded from
+// freshSeries returns an empty series whose model is seeded from
 // nothing (EWMA-like behaviour until history accumulates).
+//
+//tiresias:hotpath
 func (a *ADA) freshSeries() *nodeSeries {
 	ns := a.getSeries()
-	ns.model = a.cfg.NewForecaster(nil)
-	if a.cfg.Eta > 1 {
-		ms, err := series.NewMultiScale(a.cfg.Lambda, a.cfg.Eta, a.cfg.WindowLen)
-		if err == nil {
-			ns.multi = ms
-		}
+	ns.copyModel(a.fresh)
+	if ns.multi != nil {
+		ns.multi.Reset()
 	}
 	return ns
 }
 
-// scaledCopy builds a child series holder carrying ratio times the
-// parent's state, drawing rings from the pool instead of cloning.
+// scaledCopy returns a series holder carrying ratio times src's state,
+// copied into a pooled holder's rings, model and multi-scale state.
+// Every holder has a multi-scale series exactly when Eta > 1, all of
+// the engine's shape (ImportState enforces it for restored ones), so
+// that copy cannot fail.
+//
+//tiresias:hotpath
 func (a *ADA) scaledCopy(src *nodeSeries, ratio float64) *nodeSeries {
 	child := a.getSeries()
 	_ = child.actual.CopyFrom(src.actual)
 	child.actual.Scale(ratio)
 	_ = child.fcast.CopyFrom(src.fcast)
 	child.fcast.Scale(ratio)
-	child.model = src.model.Clone()
+	child.copyModel(src.model)
 	child.model.Scale(ratio)
-	if src.multi != nil {
-		child.multi = src.multi.Clone()
+	if child.multi != nil {
+		_ = child.multi.CopyFrom(src.multi)
 		child.multi.Scale(ratio)
 	}
 	return child
@@ -645,6 +713,8 @@ func (a *ADA) scaledCopy(src *nodeSeries, ratio float64) *nodeSeries {
 // whose ratio is zero and whose subtree holds no heavy hitter are
 // skipped (they would receive an all-zero series and immediately merge
 // back); their weight stays accounted at n.
+//
+//tiresias:hotpath
 func (a *ADA) split(id int, csr *hierarchy.CSR) {
 	cands := a.candBuf[:0]
 	eligible := false
@@ -718,6 +788,8 @@ func (a *ADA) split(id int, csr *hierarchy.CSR) {
 // merge implements MERGE(n) (Fig. 8): fold the series of n — and of
 // any sibling members that are also below threshold — into the parent,
 // which becomes a member and is queued for the merge pass in turn.
+//
+//tiresias:hotpath
 func (a *ADA) merge(id int, csr *hierarchy.CSR) {
 	if a.ishh[id] {
 		return
@@ -748,8 +820,8 @@ func (a *ADA) merge(id int, csr *hierarchy.CSR) {
 			} else {
 				// Shape mismatch (fresh EWMA vs seasoned HW):
 				// refit from the merged actual series.
-				a.valBuf = dst.actual.ValuesInto(a.valBuf)
-				dst.model = a.cfg.NewForecaster(a.valBuf)
+				a.valBuf = dst.actual.ValuesInto(a.valBuf) //tiresias:ignore escapecheck (inlined grow path: the scratch reaches the window length once)
+				a.fitModel(dst, a.valBuf)
 			}
 			if dst.multi != nil && src.multi != nil {
 				_ = dst.multi.Add(src.multi)
@@ -769,6 +841,8 @@ func (a *ADA) merge(id int, csr *hierarchy.CSR) {
 // descendants. gotMark lists the split receivers in non-decreasing
 // depth, so — as in the ID-order walk this replaces — an ancestor is
 // repaired before any of its repaired descendants.
+//
+//tiresias:hotpath
 func (a *ADA) repairFromReferences(csr *hierarchy.CSR) {
 	for _, id32 := range a.gotMark {
 		id := int(id32)
@@ -780,23 +854,11 @@ func (a *ADA) repairFromReferences(csr *hierarchy.CSR) {
 		if ri < 0 || ns == nil {
 			continue
 		}
-		repaired := a.getRing()
-		_ = repaired.CopyFrom(a.refActual[ri])
-		a.subtractDescendants(id, repaired, csr)
-		a.putRing(ns.actual)
-		ns.actual = repaired
-		a.valBuf = repaired.ValuesInto(a.valBuf)
-		vals := a.valBuf
-		if len(vals) > 1 {
-			ns.model = a.cfg.NewForecaster(vals[:len(vals)-1])
-			a.putRing(ns.fcast)
-			ns.fcast = a.getRing()
-			replay := a.cfg.NewForecaster(nil)
-			for _, v := range vals {
-				ns.fcast.Append(replay.Forecast())
-				replay.Update(v)
-			}
-			ns.model.Update(vals[len(vals)-1])
+		_ = ns.actual.CopyFrom(a.refActual[ri])
+		a.subtractDescendants(id, ns.actual, csr)
+		a.valBuf = ns.actual.ValuesInto(a.valBuf) //tiresias:ignore escapecheck (inlined grow path: the scratch reaches the window length once)
+		if len(a.valBuf) > 1 {
+			a.refit(ns, a.valBuf)
 		}
 	}
 }
@@ -840,7 +902,7 @@ func (a *ADA) coverRefs(csr *hierarchy.CSR, seed bool) {
 		var m forecast.Linear
 		if seed {
 			r.Append(a.rawA[id])
-			m = a.cfg.NewForecaster(nil)
+			m = a.cfg.NewForecaster(nil, nil)
 			m.Update(a.rawA[id])
 		}
 		a.addRef(id, r, m)

@@ -69,7 +69,14 @@ func (r SplitRule) String() string {
 // historical series (oldest first). Implementations typically return a
 // Holt-Winters model when the history covers two seasonal cycles and
 // fall back to EWMA otherwise.
-type ForecasterFactory func(history []float64) forecast.Linear
+//
+// reuse is a model the caller no longer needs, or nil. When its
+// concrete type and seasonal periods are those history calls for, the
+// factory re-seeds it in place and returns it; otherwise it returns a
+// new model. Either way the result's state is bit-identical to what the
+// factory builds from a nil reuse, so an engine can recycle models
+// without changing a forecast.
+type ForecasterFactory func(reuse forecast.Linear, history []float64) forecast.Linear
 
 // DefaultFactory returns an EWMA(α=0.5) factory.
 func DefaultFactory() ForecasterFactory {
@@ -81,8 +88,8 @@ func DefaultFactory() ForecasterFactory {
 // smoothing constant should prefer this over DefaultFactory so the
 // configured α is honored on the non-seasonal path too.
 func EWMAFactory(alpha float64) ForecasterFactory {
-	return func(history []float64) forecast.Linear {
-		return forecast.NewEWMA(alpha, history...)
+	return func(reuse forecast.Linear, history []float64) forecast.Linear {
+		return reseedEWMA(reuse, alpha, history)
 	}
 }
 
@@ -93,13 +100,11 @@ func EWMAFactory(alpha float64) ForecasterFactory {
 // taken on every short-history refit in ADA's merge — never builds a
 // formatted error.
 func HoltWintersFactory(alpha, beta, gamma float64, period int) ForecasterFactory {
-	return func(history []float64) forecast.Linear {
+	return func(reuse forecast.Linear, history []float64) forecast.Linear {
 		if period >= 1 && len(history) >= 2*period {
-			if hw, err := forecast.NewHoltWinters(alpha, beta, gamma, period, history); err == nil {
-				return hw
-			}
+			return reseedHoltWinters(reuse, alpha, beta, gamma, period, history)
 		}
-		return forecast.NewEWMA(alpha, history...)
+		return reseedEWMA(reuse, alpha, history)
 	}
 }
 
@@ -107,19 +112,49 @@ func HoltWintersFactory(alpha, beta, gamma float64, period int) ForecasterFactor
 // model used for CCD (day + week with weight xi), falling back to
 // single-season and then EWMA as history allows.
 func DualSeasonFactory(alpha, beta, gamma, xi float64, p1, p2 int) ForecasterFactory {
-	return func(history []float64) forecast.Linear {
-		if p2 >= p1 && len(history) >= 2*p2 {
-			if d, err := forecast.NewDualSeason(alpha, beta, gamma, xi, p1, p2, history); err == nil {
-				return d
+	dual := p1 >= 1 && p2 >= p1 && xi >= 0 && xi <= 1 // what NewDualSeason accepts
+	return func(reuse forecast.Linear, history []float64) forecast.Linear {
+		if dual && len(history) >= 2*p2 {
+			if d, ok := reuse.(*forecast.DualSeason); ok {
+				if q1, q2 := d.Periods(); q1 == p1 && q2 == p2 {
+					_ = d.Reseed(alpha, beta, gamma, xi, history)
+					return d
+				}
 			}
+			d, _ := forecast.NewDualSeason(alpha, beta, gamma, xi, p1, p2, history)
+			return d
 		}
 		if p1 >= 1 && len(history) >= 2*p1 {
-			if hw, err := forecast.NewHoltWinters(alpha, beta, gamma, p1, history); err == nil {
-				return hw
-			}
+			return reseedHoltWinters(reuse, alpha, beta, gamma, p1, history)
 		}
-		return forecast.NewEWMA(alpha, history...)
+		return reseedEWMA(reuse, alpha, history)
 	}
+}
+
+// reseedEWMA returns EWMA(alpha) over history, built in reuse when it
+// is an EWMA.
+//
+//tiresias:hotpath
+func reseedEWMA(reuse forecast.Linear, alpha float64, history []float64) forecast.Linear {
+	if e, ok := reuse.(*forecast.EWMA); ok {
+		e.Reseed(alpha, history)
+		return e
+	}
+	return forecast.NewEWMA(alpha, history...) //tiresias:ignore escapecheck (inlined pool miss: reuse was nil or of another shape)
+}
+
+// reseedHoltWinters returns the Holt-Winters model of the given period
+// over history, which must cover two cycles, built in reuse when it is
+// one of that period.
+//
+//tiresias:hotpath
+func reseedHoltWinters(reuse forecast.Linear, alpha, beta, gamma float64, period int, history []float64) forecast.Linear {
+	if hw, ok := reuse.(*forecast.HoltWinters); ok && hw.Period() == period {
+		_ = hw.Reseed(alpha, beta, gamma, history)
+		return hw
+	}
+	hw, _ := forecast.NewHoltWinters(alpha, beta, gamma, period, history)
+	return hw
 }
 
 // HeavyHitter describes one SHHH member at the newest time instance.

@@ -1,12 +1,14 @@
 package algo
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strconv"
 	"testing"
 	"testing/quick"
 
+	"tiresias/internal/forecast"
 	"tiresias/internal/hierarchy"
 	"tiresias/internal/shhh"
 )
@@ -104,6 +106,59 @@ func TestSplitRuleString(t *testing.T) {
 	}
 	if SplitRule(42).String() != "SplitRule(42)" {
 		t.Fatal("unknown rule String wrong")
+	}
+}
+
+// TestFactoryReuseMatchesNil pins the ForecasterFactory contract.
+// Handed a stale model of any kind or seasonal shape, each factory
+// returns state bit-identical to what it builds from a nil reuse, and
+// returns the stale model itself exactly when its kind and periods are
+// the ones the history calls for.
+func TestFactoryReuseMatchesNil(t *testing.T) {
+	factories := []ForecasterFactory{
+		EWMAFactory(0.5),
+		HoltWintersFactory(0.4, 0.05, 0.3, 4),
+		DualSeasonFactory(0.4, 0.05, 0.3, 0.6, 2, 4),
+		HoltWintersFactory(0.4, 0.05, 0.3, 3),
+	}
+	rng := rand.New(rand.NewSource(9))
+	history := make([]float64, 13)
+	for i := range history {
+		history[i] = rng.Float64() * 40
+	}
+	// Stale models of every kind and shape the factories build: each
+	// factory at every history length, moved off phase zero.
+	var stale []forecast.Linear
+	for _, f := range factories {
+		for n := 0; n <= len(history); n++ {
+			m := f(nil, history[len(history)-n:])
+			m.Update(rng.Float64())
+			stale = append(stale, m)
+		}
+	}
+	for fi, f := range factories {
+		for n := 0; n <= len(history); n++ {
+			h := history[:n]
+			want, err := forecast.Capture(f(nil, h))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for si := range stale {
+				reuse := forecast.Clone(stale[si])
+				fits := forecast.Clone(reuse).CopyFrom(f(nil, h)) == nil
+				m := f(reuse, h)
+				got, err := forecast.Capture(m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("factory %d, history %d, stale %d: state %v, from nil %v", fi, n, si, got, want)
+				}
+				if (m == reuse) != fits {
+					t.Fatalf("factory %d, history %d, stale %d (%s): reused %v, shape fits %v", fi, n, si, got.Kind, m == reuse, fits)
+				}
+			}
+		}
 	}
 }
 

@@ -43,6 +43,17 @@ func restoreRing(st RingState, wantCap int) (*series.Ring, error) {
 	return r, nil
 }
 
+// restoreMulti rebuilds a multi-scale series, requiring the engine's
+// shape (λ, η, ℓ): every holder must share it, or a later SPLIT's
+// in-place copy would fail mid-stream.
+func (a *ADA) restoreMulti(st series.MultiScaleState) (*series.MultiScale, error) {
+	if a.cfg.Eta <= 1 || st.Lambda != a.cfg.Lambda || len(st.Scales) != a.cfg.Eta || st.Ell != a.cfg.WindowLen {
+		return nil, fmt.Errorf("algo: multi-scale shape (λ=%d, η=%d, ℓ=%d) in checkpoint, engine is (λ=%d, η=%d, ℓ=%d)",
+			st.Lambda, len(st.Scales), st.Ell, a.cfg.Lambda, a.cfg.Eta, a.cfg.WindowLen)
+	}
+	return series.RestoreMultiScale(st)
+}
+
 // SeriesState is the serializable per-heavy-hitter series bundle of
 // ADA: both rings, the live forecasting model, and the optional
 // multi-timescale structure.
@@ -210,10 +221,12 @@ func (a *ADA) ImportState(st *EngineState) (*StepState, error) {
 		}
 		ns := &nodeSeries{actual: actual, fcast: fcast, model: model}
 		if ss.Multi != nil {
-			ns.multi, err = series.RestoreMultiScale(*ss.Multi)
+			ns.multi, err = a.restoreMulti(*ss.Multi)
 			if err != nil {
 				return nil, fmt.Errorf("algo: node %d: %w", ss.ID, err)
 			}
+		} else if a.cfg.Eta > 1 {
+			return nil, fmt.Errorf("algo: node %d: checkpoint has no multi-scale series, engine keeps %d scales", ss.ID, a.cfg.Eta)
 		}
 		a.state[ss.ID] = ns
 	}

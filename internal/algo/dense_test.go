@@ -199,9 +199,10 @@ func TestADADenseMatchesMapStep(t *testing.T) {
 	}
 }
 
-// TestADAStepDenseSteadyStateAllocs is the allocation guard of the
-// tentpole: once membership has stabilized, a StepDense performs zero
-// allocations.
+// TestADAStepDenseSteadyStateAllocs pins the step without membership
+// changes at zero allocations: every touched node stays individually
+// heavy, so no unit splits or merges. TestADASplitMergeCycleAllocatesNothing
+// covers the steps that do.
 func TestADAStepDenseSteadyStateAllocs(t *testing.T) {
 	tree := hierarchy.New()
 	ada, err := NewADA(Config{Theta: 4, WindowLen: 32, RefLevels: 2, Tree: tree})
@@ -247,5 +248,82 @@ func TestADAStepDenseSteadyStateAllocs(t *testing.T) {
 	// Sanity: the engine is actually tracking the heavy hitters.
 	if got := len(ada.HeavyHitterNodes()); got == 0 {
 		t.Fatal("steady state has no heavy hitters; guard is vacuous")
+	}
+}
+
+// TestADASplitMergeCycleAllocatesNothing pins SPLIT and MERGE at zero
+// allocations once the engine's holder pool has warmed up: a burst on
+// one leaf splits the root's series down to it, through two levels
+// with reference series, and the next, quiet unit merges it back. Every
+// scaled copy, refit, fresh series and reference repair of that cycle
+// must reuse a recycled holder's model and multi-scale state in place,
+// for every factory and with and without coarse timescales.
+func TestADASplitMergeCycleAllocatesNothing(t *testing.T) {
+	factories := []struct {
+		name string
+		f    ForecasterFactory
+	}{
+		{"ewma", EWMAFactory(0.5)},
+		{"holt-winters", HoltWintersFactory(0.4, 0.05, 0.3, 4)},
+		{"dual-season", DualSeasonFactory(0.4, 0.05, 0.3, 0.6, 2, 4)},
+	}
+	for _, fc := range factories {
+		for _, eta := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/eta%d", fc.name, eta), func(t *testing.T) {
+				tree := hierarchy.New()
+				leaves := wideTree(tree, 3, 3, 4)
+				ada, err := NewADA(Config{
+					Theta: 10, WindowLen: 16, RefLevels: 2, NewForecaster: fc.f,
+					Lambda: 2, Eta: eta, Tree: tree,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var du DenseUnit
+				quiet := func() {
+					du.Reset()
+					for i := 0; i < 6; i++ {
+						du.Add(leaves[5*i+1], 2) // the root is heavy, nothing below it
+					}
+				}
+				window := make([]*DenseUnit, 16)
+				for i := range window {
+					quiet()
+					window[i] = du.Pairs()
+				}
+				if _, err := ada.Init(window); err != nil {
+					t.Fatal(err)
+				}
+				splits := 0
+				cycle := func() {
+					quiet()
+					du.Add(leaves[0], 25)
+					st, err := ada.StepDense(&du)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, hh := range st.HeavyHitters {
+						if hh.Node.ID == leaves[0] {
+							splits++
+						}
+					}
+					quiet()
+					if _, err := ada.StepDense(&du); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := 0; i < 40; i++ {
+					cycle()
+				}
+				allocs := testing.AllocsPerRun(100, cycle)
+				if allocs != 0 {
+					t.Fatalf("a split/merge cycle allocates %.2f per op, want 0", allocs)
+				}
+				if splits == 0 || len(ada.HeavyHitterNodes()) != 1 {
+					t.Fatalf("burst reached the leaf %d times, %d members after the merge; the guard is vacuous",
+						splits, len(ada.HeavyHitterNodes()))
+				}
+			})
+		}
 	}
 }

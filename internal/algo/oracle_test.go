@@ -151,10 +151,10 @@ func (a *oracleADA) Init(window []Timeunit) (*StepState, error) {
 		ts := hist[n.ID]
 		ns := a.newNodeSeries()
 		ns.actual.SetValues(ts)
-		ns.model = a.cfg.NewForecaster(ts[:len(ts)-1])
+		ns.model = a.cfg.NewForecaster(nil, ts[:len(ts)-1])
 		// Reconstruct the forecast trajectory by replay so the
 		// forecast ring aligns with the actual ring.
-		replay := a.cfg.NewForecaster(nil)
+		replay := a.cfg.NewForecaster(nil, nil)
 		for _, v := range ts {
 			ns.fcast.Append(replay.Forecast())
 			replay.Update(v)
@@ -191,10 +191,10 @@ func (a *oracleADA) Init(window []Timeunit) (*StepState, error) {
 	for id, r := range a.refActual {
 		vals := r.Values()
 		if len(vals) == 0 {
-			a.refModel[id] = a.cfg.NewForecaster(nil)
+			a.refModel[id] = a.cfg.NewForecaster(nil, nil)
 			continue
 		}
-		a.refModel[id] = a.cfg.NewForecaster(vals[:len(vals)-1])
+		a.refModel[id] = a.cfg.NewForecaster(nil, vals[:len(vals)-1])
 		a.refModel[id].Update(vals[len(vals)-1])
 	}
 	a.refCovered = a.tree.Len()
@@ -438,7 +438,7 @@ func (a *oracleADA) markGotSplit(id int) {
 // nothing (EWMA-like behaviour until history accumulates).
 func (a *oracleADA) freshSeries() *nodeSeries {
 	ns := a.getSeries()
-	ns.model = a.cfg.NewForecaster(nil)
+	ns.model = a.cfg.NewForecaster(nil, nil)
 	if a.cfg.Eta > 1 {
 		ms, err := series.NewMultiScale(a.cfg.Lambda, a.cfg.Eta, a.cfg.WindowLen)
 		if err == nil {
@@ -449,17 +449,19 @@ func (a *oracleADA) freshSeries() *nodeSeries {
 }
 
 // scaledCopy builds a child series holder carrying ratio times the
-// parent's state, drawing rings from the pool instead of cloning.
+// parent's state, drawing rings from the pool; the model and the
+// multi-scale state are new deep copies, as they were before the
+// engine recycled them.
 func (a *oracleADA) scaledCopy(src *nodeSeries, ratio float64) *nodeSeries {
 	child := a.getSeries()
 	_ = child.actual.CopyFrom(src.actual)
 	child.actual.Scale(ratio)
 	_ = child.fcast.CopyFrom(src.fcast)
 	child.fcast.Scale(ratio)
-	child.model = src.model.Clone()
+	child.model = forecast.Clone(src.model)
 	child.model.Scale(ratio)
 	if src.multi != nil {
-		child.multi = src.multi.Clone()
+		child.multi, _ = series.RestoreMultiScale(src.multi.State())
 		child.multi.Scale(ratio)
 	}
 	return child
@@ -573,7 +575,7 @@ func (a *oracleADA) merge(id int, csr *hierarchy.CSR) {
 				// Shape mismatch (fresh EWMA vs seasoned HW):
 				// refit from the merged actual series.
 				a.valBuf = dst.actual.ValuesInto(a.valBuf)
-				dst.model = a.cfg.NewForecaster(a.valBuf)
+				dst.model = a.cfg.NewForecaster(nil, a.valBuf)
 			}
 			if dst.multi != nil && src.multi != nil {
 				_ = dst.multi.Add(src.multi)
@@ -614,10 +616,10 @@ func (a *oracleADA) repairFromReferences(csr *hierarchy.CSR) {
 		a.valBuf = repaired.ValuesInto(a.valBuf)
 		vals := a.valBuf
 		if len(vals) > 1 {
-			ns.model = a.cfg.NewForecaster(vals[:len(vals)-1])
+			ns.model = a.cfg.NewForecaster(nil, vals[:len(vals)-1])
 			a.putRing(ns.fcast)
 			ns.fcast = a.getRing()
-			replay := a.cfg.NewForecaster(nil)
+			replay := a.cfg.NewForecaster(nil, nil)
 			for _, v := range vals {
 				ns.fcast.Append(replay.Forecast())
 				replay.Update(v)
@@ -666,7 +668,7 @@ func (a *oracleADA) maintainRefCoverage() {
 			r := series.NewRing(a.cfg.WindowLen)
 			r.Append(a.rawA[n.ID])
 			a.refActual[n.ID] = r
-			a.refModel[n.ID] = a.cfg.NewForecaster(nil)
+			a.refModel[n.ID] = a.cfg.NewForecaster(nil, nil)
 			a.refModel[n.ID].Update(a.rawA[n.ID])
 		}
 	}
@@ -959,126 +961,143 @@ func diffExport(eng *ADA, ora *oracleADA) error {
 // mid-stream, bursts that force a split and the merge back, stretches
 // of silence — and requires identical output after every unit and
 // identical exported state throughout, across every split rule, with
-// and without reference levels and coarse timescales. Each run
-// snapshots the engine at a random unit and continues on a restored
-// copy.
+// and without reference levels and coarse timescales, and for every
+// forecaster factory. The oracle builds a new model wherever the engine
+// recycles one, so agreement also pins the engine's in-place copies and
+// refits to fresh construction; the dual-season factory's long period
+// is half the window, so refits of a full window and of one unit less
+// alternate between two seasonal shapes, and the runs of both new
+// factories warm up on fewer units than the window, so early refits
+// see part-filled rings. Each run snapshots the engine at a random unit
+// and continues on a restored copy.
 func TestSparseStepMatchesFullSweepOracle(t *testing.T) {
 	const theta = 10.0
+	factories := []struct {
+		suffix string // of the subtest name; the Holt-Winters runs came first and keep theirs bare
+		f      ForecasterFactory
+		warm   int // units before the first step; fewer than the window leaves early rings part-filled
+	}{
+		{"", HoltWintersFactory(0.4, 0.05, 0.3, 4), 16},
+		{"/ewma", EWMAFactory(0.5), 10},
+		{"/dual", DualSeasonFactory(0.4, 0.05, 0.3, 0.6, 4, 8), 12},
+	}
 	run := 0
-	for _, rule := range []SplitRule{Uniform, LastTimeUnit, LongTermHistory, EWMARule} {
-		for _, refLevels := range []int{0, 2} {
-			for _, eta := range []int{1, 2} {
-				run++
-				seed := int64(1000 + run)
-				// One run per rule is on a tree past 10k nodes, where
-				// an 8-leaf unit touches a thousandth of it.
-				leaves, units := 300, 260
-				if refLevels == 2 && eta == 1 {
-					leaves, units = 9000, 90
-				}
-				name := fmt.Sprintf("%s/ref%d/eta%d/seed%d", rule, refLevels, eta, seed)
-				t.Run(name, func(t *testing.T) {
-					w := &oracleWorld{rng: rand.New(rand.NewSource(seed)), tree: hierarchy.New()}
-					w.growLeaves(leaves, 5)
-					cfg := Config{
-						Theta:         theta,
-						WindowLen:     16,
-						Rule:          rule,
-						RuleAlpha:     []float64{0.4, 0.9}[run%2],
-						RefLevels:     refLevels,
-						NewForecaster: HoltWintersFactory(0.4, 0.05, 0.3, 4),
-						Lambda:        2,
-						Eta:           eta,
-						Tree:          w.tree,
+	for _, fc := range factories {
+		for _, rule := range []SplitRule{Uniform, LastTimeUnit, LongTermHistory, EWMARule} {
+			for _, refLevels := range []int{0, 2} {
+				for _, eta := range []int{1, 2} {
+					run++
+					seed := int64(1000 + run)
+					// One run per rule is on a tree past 10k nodes, where
+					// an 8-leaf unit touches a thousandth of it.
+					leaves, units := 300, 260
+					if refLevels == 2 && eta == 1 {
+						leaves, units = 9000, 90
 					}
-					eng, err := NewADA(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ora, err := newOracleADA(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					window := make([]Timeunit, 16)
-					for i := range window {
-						w.sparse(12)
-						window[i] = w.unit.Timeunit(w.tree)
-					}
-					got, err := InitTimeunits(eng, window)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := ora.Init(window)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := diffStep(got, eng, want, ora); err != nil {
-						t.Fatalf("init: %v", err)
-					}
-					if err := diffExport(eng, ora); err != nil {
-						t.Fatalf("init: %v", err)
-					}
-
-					restoreAt := 20 + w.rng.Intn(units-40)
-					hot := w.leaves[w.rng.Intn(len(w.leaves))]
-					for step := 1; step <= units; step++ {
-						switch phase := step % 40; {
-						case phase == 7 || phase == 8:
-							w.burst(hot, theta) // split down to the leaf …
-						case phase == 9:
-							w.unit.Reset() // … and merge all the way back
-							hot = w.leaves[w.rng.Intn(len(w.leaves))]
-						case phase == 15:
-							w.dense()
-						case phase == 23:
-							// New categories: under existing branches and as
-							// new top-level ones (reference coverage grows).
-							w.growLeaves(20, 5+step/40)
-							w.sparse(8)
-							w.unit.Add(w.leaves[len(w.leaves)-1], 2*theta)
-						case phase >= 30 && phase < 36 && step > units/2:
-							w.unit.Reset() // silence: statistics and models only decay
-						default:
-							w.sparse(8)
+					name := fmt.Sprintf("%s/ref%d/eta%d/seed%d%s", rule, refLevels, eta, seed, fc.suffix)
+					t.Run(name, func(t *testing.T) {
+						w := &oracleWorld{rng: rand.New(rand.NewSource(seed)), tree: hierarchy.New()}
+						w.growLeaves(leaves, 5)
+						cfg := Config{
+							Theta:         theta,
+							WindowLen:     16,
+							Rule:          rule,
+							RuleAlpha:     []float64{0.4, 0.9}[run%2],
+							RefLevels:     refLevels,
+							NewForecaster: fc.f,
+							Lambda:        2,
+							Eta:           eta,
+							Tree:          w.tree,
 						}
-						got, err := eng.StepDense(&w.unit)
+						eng, err := NewADA(cfg)
 						if err != nil {
 							t.Fatal(err)
 						}
-						want, err := ora.stepDense(&w.unit)
+						ora, err := newOracleADA(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						window := make([]Timeunit, fc.warm)
+						for i := range window {
+							w.sparse(12)
+							window[i] = w.unit.Timeunit(w.tree)
+						}
+						got, err := InitTimeunits(eng, window)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := ora.Init(window)
 						if err != nil {
 							t.Fatal(err)
 						}
 						if err := diffStep(got, eng, want, ora); err != nil {
-							t.Fatalf("step %d: %v", step, err)
+							t.Fatalf("init: %v", err)
 						}
-						if step%9 == 0 || step == units {
-							if err := diffExport(eng, ora); err != nil {
-								t.Fatalf("step %d: %v", step, err)
+						if err := diffExport(eng, ora); err != nil {
+							t.Fatalf("init: %v", err)
+						}
+
+						restoreAt := 20 + w.rng.Intn(units-40)
+						hot := w.leaves[w.rng.Intn(len(w.leaves))]
+						for step := 1; step <= units; step++ {
+							switch phase := step % 40; {
+							case phase == 7 || phase == 8:
+								w.burst(hot, theta) // split down to the leaf …
+							case phase == 9:
+								w.unit.Reset() // … and merge all the way back
+								hot = w.leaves[w.rng.Intn(len(w.leaves))]
+							case phase == 15:
+								w.dense()
+							case phase == 23:
+								// New categories: under existing branches and as
+								// new top-level ones (reference coverage grows).
+								w.growLeaves(20, 5+step/40)
+								w.sparse(8)
+								w.unit.Add(w.leaves[len(w.leaves)-1], 2*theta)
+							case phase >= 30 && phase < 36 && step > units/2:
+								w.unit.Reset() // silence: statistics and models only decay
+							default:
+								w.sparse(8)
 							}
-						}
-						if step == restoreAt {
-							st, err := eng.ExportState()
+							got, err := eng.StepDense(&w.unit)
 							if err != nil {
 								t.Fatal(err)
 							}
-							eng, err = NewADA(cfg)
-							if err != nil {
-								t.Fatal(err)
-							}
-							got, err := eng.ImportState(st)
+							want, err := ora.stepDense(&w.unit)
 							if err != nil {
 								t.Fatal(err)
 							}
 							if err := diffStep(got, eng, want, ora); err != nil {
-								t.Fatalf("restored at step %d: %v", step, err)
+								t.Fatalf("step %d: %v", step, err)
+							}
+							if step%9 == 0 || step == units {
+								if err := diffExport(eng, ora); err != nil {
+									t.Fatalf("step %d: %v", step, err)
+								}
+							}
+							if step == restoreAt {
+								st, err := eng.ExportState()
+								if err != nil {
+									t.Fatal(err)
+								}
+								eng, err = NewADA(cfg)
+								if err != nil {
+									t.Fatal(err)
+								}
+								got, err := eng.ImportState(st)
+								if err != nil {
+									t.Fatal(err)
+								}
+								if err := diffStep(got, eng, want, ora); err != nil {
+									t.Fatalf("restored at step %d: %v", step, err)
+								}
 							}
 						}
-					}
-					if err := w.tree.Validate(); err != nil {
-						t.Fatal(err)
-					}
-				})
+						if err := w.tree.Validate(); err != nil {
+							t.Fatal(err)
+						}
+					})
+				}
 			}
 		}
 	}

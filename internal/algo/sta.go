@@ -142,7 +142,7 @@ func (s *STA) process() (*StepState, error) {
 	for _, n := range hhs {
 		ts := seriesOf[n.ID]
 		hist := ts[:len(ts)-1]
-		model := s.cfg.NewForecaster(hist)
+		model := s.cfg.NewForecaster(nil, hist)
 		fc := model.Forecast()
 		state.HeavyHitters = append(state.HeavyHitters, HeavyHitter{
 			Node:     n,
@@ -153,7 +153,7 @@ func (s *STA) process() (*StepState, error) {
 		// Reconstruct the forecast trajectory for analysis: replay
 		// the model over the history.
 		fseries := s.getSlice(len(ts))
-		replay := s.cfg.NewForecaster(nil)
+		replay := s.cfg.NewForecaster(nil, nil)
 		for _, v := range ts {
 			fseries = append(fseries, replay.Forecast())
 			replay.Update(v)

@@ -35,7 +35,7 @@ func ExampleHoltWinters_linearity() {
 	hb, _ := forecast.NewHoltWinters(0.5, 0.1, 0.3, 2, b)
 	hs, _ := forecast.NewHoltWinters(0.5, 0.1, 0.3, 2, sum)
 
-	merged := ha.Clone()
+	merged := forecast.Clone(ha)
 	if err := merged.Add(hb); err != nil {
 		fmt.Println("error:", err)
 		return

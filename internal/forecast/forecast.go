@@ -7,13 +7,16 @@
 // All models are *linear* in the observed series (Lemma 2 of the
 // paper). The Linear interface exposes that structure: ADA's SPLIT
 // hands each child a scaled copy of the parent's model, and MERGE sums
-// children's models into the parent — no refitting required.
+// children's models into the parent — no refitting required. Copies
+// and refits are made in place (CopyFrom, Reseed), so an engine that
+// recycles its models allocates none of them in the steady state.
 package forecast
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ErrIncompatible is returned when two models that cannot be summed
@@ -64,8 +67,30 @@ type Linear interface {
 	// Add folds other's state into the receiver (merge). The other
 	// model must have the same shape (same seasonal periods).
 	Add(other Linear) error
-	// Clone returns an independent deep copy.
-	Clone() Linear
+	// CopyFrom overwrites the receiver with src's state, reusing the
+	// receiver's memory. It returns ErrIncompatible and leaves the
+	// receiver unchanged unless src has the receiver's concrete type
+	// and seasonal periods.
+	CopyFrom(src Linear) error
+}
+
+// Clone returns an independent deep copy of m, one of this package's
+// Linear models (nil for any other).
+func Clone(m Linear) Linear {
+	switch x := m.(type) {
+	case *EWMA:
+		c := *x
+		return &c
+	case *HoltWinters:
+		c := *x
+		c.season = slices.Clone(x.season)
+		return &c
+	case *DualSeason:
+		c := *x
+		c.s1, c.s2 = slices.Clone(x.s1), slices.Clone(x.s2)
+		return &c
+	}
+	return nil
 }
 
 // Compatible reports whether a.Add(b) would succeed: same concrete
@@ -100,11 +125,20 @@ var _ Linear = (*EWMA)(nil)
 // NewEWMA returns an EWMA model with the given smoothing rate,
 // optionally primed with history (oldest first).
 func NewEWMA(alpha float64, history ...float64) *EWMA {
-	e := &EWMA{Alpha: alpha}
+	e := &EWMA{}
+	e.Reseed(alpha, history)
+	return e
+}
+
+// Reseed re-initializes e in place to the state NewEWMA(alpha,
+// history...) returns.
+//
+//tiresias:hotpath
+func (e *EWMA) Reseed(alpha float64, history []float64) {
+	*e = EWMA{Alpha: alpha}
 	for _, v := range history {
 		e.Update(v)
 	}
-	return e
 }
 
 // Forecast implements Forecaster.
@@ -134,10 +168,16 @@ func (e *EWMA) Add(other Linear) error {
 	return nil
 }
 
-// Clone implements Linear.
-func (e *EWMA) Clone() Linear {
-	c := *e
-	return &c
+// CopyFrom implements Linear.
+//
+//tiresias:hotpath
+func (e *EWMA) CopyFrom(src Linear) error {
+	s, ok := src.(*EWMA)
+	if !ok {
+		return ErrIncompatible
+	}
+	*e = *s
+	return nil
 }
 
 // Bias injects an additive forecast bias ξ. It exists for the split
@@ -173,27 +213,31 @@ func NewHoltWinters(alpha, beta, gamma float64, period int, history []float64) (
 		return nil, fmt.Errorf("%w: need %d samples for period %d, have %d",
 			ErrHistory, 2*period, period, len(history))
 	}
-	hw := &HoltWinters{
-		alpha:  alpha,
-		beta:   beta,
-		gamma:  gamma,
-		period: period,
-		season: make([]float64, period),
-	}
-	hw.initFrom(history)
+	hw := &HoltWinters{period: period, season: make([]float64, period)}
+	_ = hw.Reseed(alpha, beta, gamma, history)
 	return hw, nil
 }
 
-// initFrom seeds level, trend and the seasonal ring from the last 2υ
-// samples of history, per the paper's initialization:
+// Reseed re-initializes hw in place to the state NewHoltWinters(alpha,
+// beta, gamma, hw.Period(), history) returns. It returns ErrHistory and
+// leaves hw unchanged when history covers fewer than two cycles.
+//
+// Level, trend and the seasonal ring come from the last 2υ samples of
+// history, per the paper's initialization:
 //
 //	L = (1/2υ) Σ last 2υ samples
 //	B = (1/2υ)(Σ newest υ − Σ previous υ)
 //	S[t−j] = T[t−j] − L,   j = 1..υ (the newest cycle seeds the ring)
 //
 // Each formula is linear in the history, preserving Lemma 2.
-func (hw *HoltWinters) initFrom(history []float64) {
+//
+//tiresias:hotpath
+func (hw *HoltWinters) Reseed(alpha, beta, gamma float64, history []float64) error {
 	u := hw.period
+	if len(history) < 2*u {
+		return ErrHistory
+	}
+	hw.alpha, hw.beta, hw.gamma = alpha, beta, gamma
 	tail := history[len(history)-2*u:]
 	var sumAll, sumNew, sumOld float64
 	for i, v := range tail {
@@ -211,6 +255,7 @@ func (hw *HoltWinters) initFrom(history []float64) {
 		hw.season[j] = v - hw.level
 	}
 	hw.idx = 0 // the slot seeded from the oldest sample of the newest cycle
+	return nil
 }
 
 // Period returns the seasonal period υ.
@@ -261,12 +306,19 @@ func (hw *HoltWinters) Add(other Linear) error {
 	return nil
 }
 
-// Clone implements Linear.
-func (hw *HoltWinters) Clone() Linear {
-	c := *hw
-	c.season = make([]float64, len(hw.season))
-	copy(c.season, hw.season)
-	return &c
+// CopyFrom implements Linear.
+//
+//tiresias:hotpath
+func (hw *HoltWinters) CopyFrom(src Linear) error {
+	s, ok := src.(*HoltWinters)
+	if !ok || s.period != hw.period {
+		return ErrIncompatible
+	}
+	season := hw.season
+	*hw = *s
+	hw.season = season
+	copy(hw.season, s.season)
+	return nil
 }
 
 // DualSeason is the CCD variant of §VII: two seasonal factors (e.g.
@@ -297,12 +349,26 @@ func NewDualSeason(alpha, beta, gamma, xi float64, p1, p2 int, history []float64
 	if len(history) < 2*p2 {
 		return nil, fmt.Errorf("%w: need %d samples, have %d", ErrHistory, 2*p2, len(history))
 	}
-	d := &DualSeason{
-		alpha: alpha, beta: beta, gamma: gamma, xi: xi,
-		p1: p1, p2: p2,
-		s1: make([]float64, p1),
-		s2: make([]float64, p2),
+	d := &DualSeason{p1: p1, p2: p2, s1: make([]float64, p1), s2: make([]float64, p2)}
+	_ = d.Reseed(alpha, beta, gamma, xi, history)
+	return d, nil
+}
+
+// Periods returns the short and long seasonal periods υ1 and υ2.
+func (d *DualSeason) Periods() (p1, p2 int) { return d.p1, d.p2 }
+
+// Reseed re-initializes d in place to the state NewDualSeason(alpha,
+// beta, gamma, xi, p1, p2, history) returns for d's periods; xi must
+// lie in [0, 1], as NewDualSeason requires. It returns ErrHistory and
+// leaves d unchanged when history covers fewer than two long cycles.
+//
+//tiresias:hotpath
+func (d *DualSeason) Reseed(alpha, beta, gamma, xi float64, history []float64) error {
+	p1, p2 := d.p1, d.p2
+	if len(history) < 2*p2 {
+		return ErrHistory
 	}
+	d.alpha, d.beta, d.gamma, d.xi = alpha, beta, gamma, xi
 	// Level/trend from the last two long cycles, like HoltWinters.
 	tail := history[len(history)-2*p2:]
 	var sumAll, sumNew, sumOld float64
@@ -317,22 +383,25 @@ func NewDualSeason(alpha, beta, gamma, xi float64, p1, p2 int, history []float64
 	d.level = sumAll / float64(2*p2)
 	d.trend = (sumNew - sumOld) / float64(2*p2)
 	// Seed the long season from the newest long cycle and the short
-	// season by averaging residuals across aligned short cycles.
+	// season by averaging residuals across aligned short cycles: slot j
+	// of the short season sees p2/p1 of them, one more when j < p2%p1.
 	newest := tail[p2:]
 	for j, v := range newest {
 		d.s2[j] = (1 - xi) * (v - d.level)
 	}
-	counts := make([]int, p1)
+	clear(d.s1)
 	for j, v := range newest {
 		d.s1[j%p1] += xi * (v - d.level)
-		counts[j%p1]++
 	}
 	for j := range d.s1 {
-		if counts[j] > 0 {
-			d.s1[j] /= float64(counts[j])
+		count := p2 / p1
+		if j < p2%p1 {
+			count++
 		}
+		d.s1[j] /= float64(count)
 	}
-	return d, nil
+	d.i1, d.i2 = 0, 0
+	return nil
 }
 
 func (d *DualSeason) combined() float64 {
@@ -389,14 +458,20 @@ func (d *DualSeason) Add(other Linear) error {
 	return nil
 }
 
-// Clone implements Linear.
-func (d *DualSeason) Clone() Linear {
-	c := *d
-	c.s1 = make([]float64, len(d.s1))
-	copy(c.s1, d.s1)
-	c.s2 = make([]float64, len(d.s2))
-	copy(c.s2, d.s2)
-	return &c
+// CopyFrom implements Linear.
+//
+//tiresias:hotpath
+func (d *DualSeason) CopyFrom(src Linear) error {
+	s, ok := src.(*DualSeason)
+	if !ok || s.p1 != d.p1 || s.p2 != d.p2 {
+		return ErrIncompatible
+	}
+	s1, s2 := d.s1, d.s2
+	*d = *s
+	d.s1, d.s2 = s1, s2
+	copy(d.s1, s.s1)
+	copy(d.s2, s.s2)
+	return nil
 }
 
 // SplitErrorCurve reproduces the analysis of §V-B4 (Fig. 9): after a

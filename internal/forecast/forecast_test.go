@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -186,7 +187,7 @@ func TestHoltWintersAddEqualsSumModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged := h1.Clone()
+	merged := Clone(h1)
 	if err := merged.Add(h2); err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestHoltWintersScaleHalvesForecast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	half := full.Clone()
+	half := Clone(full)
 	half.Scale(0.5)
 	for i := 2 * p; i < len(series); i++ {
 		if !almostEq(half.Forecast(), full.Forecast()/2, 1e-9) {
@@ -226,7 +227,7 @@ func TestHoltWintersAddPhaseMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2 := h1.Clone()
+	h2 := Clone(h1)
 	h2.Update(1) // advance phase
 	if err := h1.Add(h2); !errors.Is(err, ErrIncompatible) {
 		t.Fatalf("phase-mismatched Add = %v, want ErrIncompatible", err)
@@ -354,7 +355,7 @@ func TestDualSeasonLinearity(t *testing.T) {
 		ds.Update(sum[i])
 	}
 	// Scale/Add round trip.
-	c := d1.Clone()
+	c := Clone(d1)
 	c.Scale(2)
 	if err := c.Add(d1); err != nil {
 		t.Fatal(err)
@@ -404,5 +405,113 @@ func TestEWMABias(t *testing.T) {
 	e.Bias(2)
 	if e.Forecast() != 3 {
 		t.Fatalf("after Bias(2): %v, want 3", e.Forecast())
+	}
+}
+
+// sameState reports whether two models capture to bit-identical state.
+func sameState(a, b Linear) bool {
+	sa, errA := Capture(a)
+	sb, errB := Capture(b)
+	if errA != nil || errB != nil || sa.Kind != sb.Kind || !slices.Equal(sa.Ints, sb.Ints) || len(sa.Floats) != len(sb.Floats) {
+		return false
+	}
+	for i := range sa.Floats {
+		if math.Float64bits(sa.Floats[i]) != math.Float64bits(sb.Floats[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestInPlaceMatchesFreshConstruction is the property behind an
+// engine's recycled models. Re-seeding a stale model of any kind and
+// shape leaves exactly the state its constructor builds from the same
+// history, and CopyFrom leaves exactly Clone's state, sharing no memory
+// with the source. A copy across kinds or seasonal periods, or a
+// re-seed from too short a history, is refused and changes nothing.
+func TestInPlaceMatchesFreshConstruction(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		p1 := 1 + rng.Intn(5)
+		p2 := p1 + rng.Intn(8)
+		draw := func(n int) []float64 {
+			out := make([]float64, n)
+			for i := range out {
+				out[i] = rng.NormFloat64() * 50
+			}
+			return out
+		}
+		param := func() float64 { return 0.05 + 0.9*rng.Float64() }
+		a, b, g, xi := param(), param(), param(), rng.Float64()
+		// stale builds models of the three kinds from unrelated
+		// parameters and history, then moves them off phase zero.
+		stale := func() (*EWMA, *HoltWinters, *DualSeason) {
+			h := draw(2*p2 + rng.Intn(9))
+			e := NewEWMA(param(), h...)
+			hw, err1 := NewHoltWinters(param(), param(), param(), p1, h)
+			d, err2 := NewDualSeason(param(), param(), param(), rng.Float64(), p1, p2, h)
+			if err1 != nil || err2 != nil {
+				t.Fatal(err1, err2)
+			}
+			for _, v := range draw(rng.Intn(2 * p2)) {
+				e.Update(v)
+				hw.Update(v)
+				d.Update(v)
+			}
+			return e, hw, d
+		}
+		history := draw(2*p2 + rng.Intn(9))
+		e, hw, d := stale()
+		freshE := NewEWMA(a, history...)
+		freshHW, err1 := NewHoltWinters(a, b, g, p1, history)
+		freshD, err2 := NewDualSeason(a, b, g, xi, p1, p2, history)
+		if err1 != nil || err2 != nil {
+			t.Fatal(err1, err2)
+		}
+		e.Reseed(a, history)
+		if hw.Reseed(a, b, g, history) != nil || d.Reseed(a, b, g, xi, history) != nil {
+			return false
+		}
+		if !sameState(e, freshE) || !sameState(hw, freshHW) || !sameState(d, freshD) {
+			return false
+		}
+
+		// CopyFrom into stale models of the same shape equals Clone, and
+		// the copy shares no memory with its source.
+		srcE, srcHW, srcD := stale()
+		for _, pair := range [][2]Linear{{e, srcE}, {hw, srcHW}, {d, srcD}} {
+			dst, src := pair[0], pair[1]
+			want := Clone(src)
+			if dst.CopyFrom(src) != nil || !sameState(dst, want) {
+				return false
+			}
+			dst.Update(1e6)
+			dst.Scale(3)
+			if !sameState(src, want) {
+				return false
+			}
+		}
+
+		// Refusals leave the receiver untouched.
+		other, err := NewHoltWinters(a, b, g, p1+1, draw(2*p1+2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		otherD, err := NewDualSeason(a, b, g, xi, p1, p2+1, draw(2*p2+2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := []Linear{Clone(e), Clone(hw), Clone(d)}
+		refused := errors.Is(e.CopyFrom(hw), ErrIncompatible) &&
+			errors.Is(hw.CopyFrom(other), ErrIncompatible) &&
+			errors.Is(hw.CopyFrom(d), ErrIncompatible) &&
+			errors.Is(d.CopyFrom(otherD), ErrIncompatible) &&
+			errors.Is(d.CopyFrom(e), ErrIncompatible) &&
+			errors.Is(hw.Reseed(a, b, g, history[:2*p1-1]), ErrHistory) &&
+			errors.Is(d.Reseed(a, b, g, xi, history[:2*p2-1]), ErrHistory)
+		return refused && sameState(e, before[0]) && sameState(hw, before[1]) && sameState(d, before[2])
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(2))}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -79,7 +79,7 @@ func TestAdditiveSplitsExactlyMultiplicativeDoesNot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addHalf := add.Clone()
+	addHalf := Clone(add)
 	addHalf.Scale(0.5)
 	wantHalf, err := NewHoltWinters(0.4, 0.05, 0.3, p, half[:2*p])
 	if err != nil {

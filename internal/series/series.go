@@ -303,11 +303,16 @@ func (m *MultiScale) Add(other *MultiScale) error {
 	}
 	for i := range m.scales {
 		a, b := m.scales[i], other.scales[i]
-		if len(b) > len(a) {
-			grown := make([]float64, len(b))
-			copy(grown[len(b)-len(a):], a)
-			m.scales[i] = grown
-			a = grown
+		if n := len(a); len(b) > n {
+			// Grow with leading zeros, within capacity when it allows.
+			if cap(a) < len(b) {
+				a = make([]float64, len(b))
+			} else {
+				a = a[:len(b)]
+			}
+			copy(a[len(b)-n:], m.scales[i])
+			clear(a[:len(b)-n])
+			m.scales[i] = a
 		}
 		for j := 0; j < len(b); j++ {
 			a[len(a)-1-j] += b[len(b)-1-j]
@@ -316,17 +321,29 @@ func (m *MultiScale) Add(other *MultiScale) error {
 	return nil
 }
 
-// Clone returns an independent deep copy.
-func (m *MultiScale) Clone() *MultiScale {
-	c := &MultiScale{
-		lambda: m.lambda,
-		ell:    m.ell,
-		scales: make([][]float64, len(m.scales)),
-		fills:  make([]int, len(m.fills)),
+// CopyFrom overwrites the receiver with other's samples and cascade
+// counters, reusing the receiver's memory. It returns ErrShape and
+// leaves the receiver unchanged unless the shapes (λ, η, ℓ) match.
+//
+//tiresias:hotpath
+func (m *MultiScale) CopyFrom(other *MultiScale) error {
+	if m.lambda != other.lambda || m.ell != other.ell || len(m.scales) != len(other.scales) {
+		return ErrShape
 	}
-	copy(c.fills, m.fills)
-	for i, s := range m.scales {
-		c.scales[i] = append([]float64(nil), s...)
+	copy(m.fills, other.fills)
+	for i, s := range other.scales {
+		m.scales[i] = append(m.scales[i][:0], s...)
 	}
-	return c
+	return nil
+}
+
+// Reset empties every scale in place, keeping the shape and capacity:
+// the receiver becomes what NewMultiScale returns for its shape.
+//
+//tiresias:hotpath
+func (m *MultiScale) Reset() {
+	for i := range m.scales {
+		m.scales[i] = m.scales[i][:0]
+		m.fills[i] = 0
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -280,5 +281,57 @@ func TestMultiScaleSeriesOutOfRange(t *testing.T) {
 	}
 	if m.Series(-1) != nil || m.Series(1) != nil {
 		t.Fatal("out-of-range Series must return nil")
+	}
+}
+
+// TestMultiScaleInPlace pins the in-place operations an engine recycles
+// multi-scale series with: CopyFrom leaves the source's state in the
+// receiver's memory and refuses another shape, Reset leaves what
+// NewMultiScale builds, and Add into a reset series grows within the
+// capacity it kept, allocating nothing.
+func TestMultiScaleInPlace(t *testing.T) {
+	filled := func(lambda, eta, ell, n int) *MultiScale {
+		m, err := NewMultiScale(lambda, eta, ell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			m.Update(float64(i%7) + 0.5)
+		}
+		return m
+	}
+	src, dst := filled(2, 3, 8, 37), filled(2, 3, 8, 11)
+	want := src.State()
+	if err := dst.CopyFrom(src); err != nil || !reflect.DeepEqual(dst.State(), want) {
+		t.Fatalf("CopyFrom = %v, state %v, want %v", err, dst.State(), want)
+	}
+	dst.Update(100)
+	dst.Scale(2)
+	if !reflect.DeepEqual(src.State(), want) {
+		t.Fatal("CopyFrom shares memory with its source")
+	}
+	for _, other := range []*MultiScale{filled(3, 3, 8, 5), filled(2, 2, 8, 5), filled(2, 3, 9, 5)} {
+		before := dst.State()
+		if err := dst.CopyFrom(other); !errors.Is(err, ErrShape) || !reflect.DeepEqual(dst.State(), before) {
+			t.Fatalf("CopyFrom across shapes = %v, state changed %v", err, !reflect.DeepEqual(dst.State(), before))
+		}
+	}
+
+	fresh := filled(2, 3, 8, 0)
+	dst.Reset()
+	if !reflect.DeepEqual(dst.State(), fresh.State()) {
+		t.Fatalf("Reset state %v, NewMultiScale %v", dst.State(), fresh.State())
+	}
+	if err := fresh.Add(src); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		dst.Reset()
+		if err := dst.Add(src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 || !reflect.DeepEqual(dst.State(), fresh.State()) {
+		t.Fatalf("Add into a reset series: %.0f allocs, state %v, want %v", allocs, dst.State(), fresh.State())
 	}
 }
