@@ -247,7 +247,17 @@ type LaggedEvent struct {
 // wildcard: such a cursor matches any index. Treat tokens as opaque;
 // the format may change within /v2.
 func Cursor(epoch, seq uint64) string {
-	return "c" + strconv.FormatUint(epoch, 36) + "." + strconv.FormatUint(seq, 36)
+	var b [1 + 2*13 + 1]byte // "c", two base-36 uint64s, "."
+	return string(AppendCursor(b[:0], epoch, seq))
+}
+
+// AppendCursor appends the Cursor token of (epoch, seq) to b and
+// returns the extended buffer; it allocates only if b lacks room.
+func AppendCursor(b []byte, epoch, seq uint64) []byte {
+	b = append(b, 'c')
+	b = strconv.AppendUint(b, epoch, 36)
+	b = append(b, '.')
+	return strconv.AppendUint(b, seq, 36)
 }
 
 // ParseCursor decodes a wire cursor token produced by Cursor. The

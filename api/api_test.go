@@ -16,6 +16,9 @@ func TestCursorRoundTrip(t *testing.T) {
 			}
 		}
 	}
+	if got := string(AppendCursor([]byte("x="), 7, 36)); got != "x="+Cursor(7, 36) {
+		t.Fatalf("AppendCursor = %q, want the Cursor token after the prefix", got)
+	}
 	if ge, gs, err := ParseCursor(""); err != nil || ge != 0 || gs != 0 {
 		t.Fatalf("empty cursor = (%d,%d), %v", ge, gs, err)
 	}

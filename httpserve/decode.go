@@ -103,6 +103,10 @@ type decoder struct {
 	recs  []tiresias.Record
 	runs  []tiresias.StreamRun
 
+	// lim caps readBody's reads; kept here so a body costs no
+	// LimitReader allocation.
+	lim io.LimitedReader
+
 	// rec and name hold the record object last tokenized; emit commits
 	// them. name is the raw decoded stream ("" selects the default).
 	rec  tiresias.Record
@@ -139,12 +143,12 @@ func (d *decoder) readBody(r io.Reader, declared, limit int64) error {
 	if need := max(int(min(declared, limit))+1, bytes.MinRead); cap(d.body) < need {
 		d.body = make([]byte, 0, need)
 	}
-	r = io.LimitReader(r, limit+1)
+	d.lim = io.LimitedReader{R: r, N: limit + 1}
 	for {
 		if len(d.body) == cap(d.body) {
 			d.body = append(d.body, 0)[:len(d.body)]
 		}
-		n, err := r.Read(d.body[len(d.body):cap(d.body)])
+		n, err := d.lim.Read(d.body[len(d.body):cap(d.body)])
 		d.body = d.body[:len(d.body)+n]
 		if int64(len(d.body)) > limit {
 			return errBodyTooLarge

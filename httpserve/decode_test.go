@@ -410,10 +410,10 @@ func denseBody(n int, array bool) []byte {
 	return b.Bytes()
 }
 
-// TestWarmDecodeAllocatesPerBodyNotPerRecord pins the decode's
-// allocation count once the caches hold the body's spans and the
-// pooled record array has grown to the body: nothing, per body or per
-// record.
+// TestWarmDecodeAllocatesPerBodyNotPerRecord pins the body read's and
+// the decode's allocation count once the caches hold the body's spans
+// and the pooled body and record arrays have grown to the body:
+// nothing, per body or per record.
 func TestWarmDecodeAllocatesPerBodyNotPerRecord(t *testing.T) {
 	s, err := New(testConfig())
 	if err != nil {
@@ -428,8 +428,14 @@ func TestWarmDecodeAllocatesPerBodyNotPerRecord(t *testing.T) {
 		{"1000-record NDJSON", 1000, false},
 		{"100-record array", 100, true},
 	} {
-		d := &decoder{cache: s.cache, body: denseBody(tc.records, tc.array)}
+		body := denseBody(tc.records, tc.array)
+		var r bytes.Reader
+		d := &decoder{cache: s.cache}
 		decode := func() {
+			r.Reset(body)
+			if err := d.readBody(&r, int64(len(body)), s.cfg.MaxBodyBytes); err != nil {
+				t.Fatal(err)
+			}
 			if we := s.decodeIngest(d, !tc.array); we != nil {
 				t.Fatal(we.message)
 			}

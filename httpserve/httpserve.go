@@ -165,7 +165,9 @@ type Server struct {
 	handler   http.Handler
 	pipelined bool
 	metrics   *serverMetrics
-	log       *slog.Logger
+	// log is Config.Logger with component=http bound once, for the
+	// request and handler-panic lines.
+	log *slog.Logger
 	// cache and decoders are the ingest decode state (decode.go): the
 	// server-wide span caches and the pooled per-request decoders.
 	cache    *spanCache
@@ -190,13 +192,14 @@ func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	history := cfg.History
 	cfg.History = nil // the index owns it now; do not pin the slice
+	ix := tiresias.NewAnomalyIndex(cfg.IndexCap)
 	s := &Server{
 		cfg:       cfg,
-		ix:        tiresias.NewAnomalyIndex(cfg.IndexCap),
-		hub:       newHub(),
+		ix:        ix,
+		hub:       newHub(ix.Epoch()),
 		pipelined: cfg.QueueDepth > 0,
 		metrics:   newServerMetrics(cfg.Shards),
-		log:       cfg.Logger,
+		log:       cfg.Logger.With(slog.String("component", "http")),
 		cache:     newSpanCache(pathCacheCap, streamCacheCap),
 	}
 	s.decoders.New = func() any { return &decoder{cache: s.cache} }
@@ -286,7 +289,6 @@ func (s *Server) contain(next http.Handler) http.Handler {
 			// so it is counted but not timed.
 			s.metrics.observeRequest(status, d, r.URL.Path != "/v2/anomalies/watch")
 			s.log.LogAttrs(r.Context(), slog.LevelInfo, "request",
-				slog.String("component", "http"),
 				slog.String("method", r.Method),
 				slog.String("path", r.URL.Path),
 				slog.Int("status", status),
@@ -298,7 +300,6 @@ func (s *Server) contain(next http.Handler) http.Handler {
 			if p := recover(); p != nil {
 				s.panics.Add(1)
 				s.log.LogAttrs(r.Context(), slog.LevelError, "handler panic",
-					slog.String("component", "http"),
 					slog.String("method", r.Method),
 					slog.String("path", r.URL.Path),
 					slog.Any("err", p),
@@ -507,6 +508,7 @@ func (s *Server) bodyTooLarge() *wireError {
 // grown past MaxBodyBytes, or a record array past maxPooledRecords, is
 // left to the collector rather than pinned.
 func (s *Server) putDecoder(d *decoder) {
+	d.lim.R = nil // do not pin the request body in the pool
 	if int64(cap(d.body)) <= s.cfg.MaxBodyBytes && cap(d.recs) <= maxPooledRecords {
 		s.decoders.Put(d)
 	}

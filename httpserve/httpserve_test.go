@@ -753,7 +753,7 @@ func TestWatchReplaysFromCursor(t *testing.T) {
 }
 
 func TestHubLaggedDisconnectAccounting(t *testing.T) {
-	h := newHub()
+	h := newHub(1)
 	fast := h.subscribe(8)
 	slow := h.subscribe(1)
 	entries := func(n int, from uint64) []tiresias.AnomalyEntry {
@@ -772,16 +772,16 @@ func TestHubLaggedDisconnectAccounting(t *testing.T) {
 		t.Fatalf("delivered = %d, want 5", st.Delivered)
 	}
 	// The lagged subscriber's channel is closed with the flag set.
-	if e := <-slow.ch; e.Seq != 1 {
-		t.Fatalf("slow first = %+v", e)
+	if ev := <-slow.ch; ev.entry.Seq != 1 {
+		t.Fatalf("slow first = %+v", ev.entry)
 	}
 	if _, open := <-slow.ch; open || !slow.lagged || slow.dropped != 3 {
 		t.Fatalf("slow end state: open=%v lagged=%v dropped=%d", open, slow.lagged, slow.dropped)
 	}
 	// The fast subscriber got everything.
 	for i := uint64(1); i <= 4; i++ {
-		if e := <-fast.ch; e.Seq != i {
-			t.Fatalf("fast got %+v, want seq %d", e, i)
+		if ev := <-fast.ch; ev.entry.Seq != i {
+			t.Fatalf("fast got %+v, want seq %d", ev.entry, i)
 		}
 	}
 	// Double-unsubscribe of a lagged subscriber is a no-op.

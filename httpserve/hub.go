@@ -21,10 +21,25 @@ import (
 // up to the index's retention horizon, which the replay reports
 // honestly via Missed.
 
-// subscriber is one attached watcher: a bounded entry buffer plus its
+// frameChunk is the size of the shared buffer the hub carves frames
+// from. Frames are never rewritten, so a chunk is collected once every
+// watcher has written its last frame; one refill serves about a
+// hundred entries, whatever the number of watchers.
+const frameChunk = 32 << 10
+
+// liveEvent is one published entry as a subscriber receives it: the
+// entry (for the watcher's filter and replay-horizon checks) and its
+// complete SSE frame, shared read-only by every subscriber. frame is
+// nil when the entry could not be encoded.
+type liveEvent struct {
+	entry tiresias.AnomalyEntry
+	frame []byte
+}
+
+// subscriber is one attached watcher: a bounded event buffer plus its
 // lag accounting.
 type subscriber struct {
-	ch chan tiresias.AnomalyEntry
+	ch chan liveEvent
 	// lagged is set (under the hub lock, before ch is closed) when
 	// the hub disconnected this subscriber for falling behind;
 	// dropped counts the entries it missed. Readers may access both
@@ -33,53 +48,84 @@ type subscriber struct {
 	dropped uint64
 }
 
-// hub fans indexed anomaly entries out to all subscribers.
+// hub fans indexed anomaly entries out to all subscribers, each entry
+// encoded once under the index epoch.
 type hub struct {
+	epoch     uint64 // immutable: the index epoch every cursor carries
 	mu        sync.Mutex
 	subs      map[*subscriber]struct{} // guarded by mu
+	chunk     []byte                   // guarded by mu: frame arena, append-only
 	delivered uint64                   // guarded by mu
 	dropped   uint64                   // guarded by mu
 	lagged    uint64                   // guarded by mu
 	closed    bool                     // guarded by mu
 }
 
-func newHub() *hub {
-	return &hub{subs: make(map[*subscriber]struct{})}
+func newHub(epoch uint64) *hub {
+	return &hub{epoch: epoch, subs: make(map[*subscriber]struct{})}
 }
 
 // publish delivers entries to every subscriber without blocking: it
 // runs on the detecting goroutine under a Manager shard lock, so a
 // full subscriber buffer disconnects that subscriber (drops counted)
-// instead of stalling detection.
+// instead of stalling detection. Each entry is rendered once, and
+// only while someone is watching.
+//
+//tiresias:hotpath
 func (h *hub) publish(entries []tiresias.AnomalyEntry) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for s := range h.subs {
-		h.deliver(s, entries)
-	}
-}
-
-// deliver buffers entries for one subscriber, disconnecting it on the
-// first full-buffer drop. The hub lock must be held.
-func (h *hub) deliver(s *subscriber, entries []tiresias.AnomalyEntry) {
-	for i, e := range entries {
-		select {
-		case s.ch <- e:
-			h.delivered++
-		default:
-			n := uint64(len(entries) - i)
-			s.dropped += n
-			h.dropped += n
-			h.lagged++
-			s.lagged = true
-			close(s.ch)
-			delete(h.subs, s)
+	for i := range entries {
+		if len(h.subs) == 0 {
 			return
+		}
+		ev := liveEvent{entry: entries[i], frame: h.render(&entries[i])}
+		for s := range h.subs {
+			h.deliver(s, ev, len(entries)-i)
 		}
 	}
 }
 
-// subscribe attaches a new watcher with a buffer of buf entries.
+// render encodes e's SSE frame into the shared chunk and returns it,
+// capped so no holder can append into the chunk; nil when e cannot be
+// encoded. The hub lock must be held.
+//
+//tiresias:hotpath
+func (h *hub) render(e *tiresias.AnomalyEntry) []byte {
+	if need := frameBound(e); cap(h.chunk)-len(h.chunk) < need {
+		//tiresias:ignore hotpath escapecheck (chunk refill: one allocation per frameChunk bytes of frames)
+		h.chunk = make([]byte, 0, max(frameChunk, need))
+	}
+	start := len(h.chunk)
+	b, err := appendFrame(h.chunk, h.epoch, e)
+	if err != nil {
+		return nil
+	}
+	h.chunk = b
+	return b[start:len(b):len(b)]
+}
+
+// deliver buffers ev for one subscriber, disconnecting it if its
+// buffer is full; ev and the pending-1 entries published after it in
+// the same batch count as dropped. The hub lock must be held.
+//
+//tiresias:hotpath
+func (h *hub) deliver(s *subscriber, ev liveEvent, pending int) {
+	select {
+	case s.ch <- ev:
+		h.delivered++
+	default:
+		n := uint64(pending)
+		s.dropped += n
+		h.dropped += n
+		h.lagged++
+		s.lagged = true
+		close(s.ch)
+		delete(h.subs, s)
+	}
+}
+
+// subscribe attaches a new watcher with a buffer of buf events.
 // Returns nil when the hub is already closed (server shutting down).
 func (h *hub) subscribe(buf int) *subscriber {
 	h.mu.Lock()
@@ -87,7 +133,7 @@ func (h *hub) subscribe(buf int) *subscriber {
 	if h.closed {
 		return nil
 	}
-	s := &subscriber{ch: make(chan tiresias.AnomalyEntry, buf)}
+	s := &subscriber{ch: make(chan liveEvent, buf)}
 	h.subs[s] = struct{}{}
 	return s
 }
@@ -127,20 +173,19 @@ func (h *hub) stats() api.WatchStats {
 	}
 }
 
-// sseWriter renders SSE frames and flushes after each one.
+// sseWriter writes SSE frames, flushing after each event and comment
+// it renders itself; anomaly frames come pre-rendered (appendFrame)
+// and are flushed per burst by the caller.
 type sseWriter struct {
 	w http.ResponseWriter
 	f http.Flusher
 }
 
-// event writes one SSE frame: optional id, event name, JSON data.
-func (s sseWriter) event(id, name string, data any) error {
+// event writes one id-less SSE frame: event name, JSON data.
+func (s sseWriter) event(name string, data any) error {
 	raw, err := json.Marshal(data)
 	if err != nil {
 		return err
-	}
-	if id != "" {
-		fmt.Fprintf(s.w, "id: %s\n", id)
 	}
 	_, err = fmt.Fprintf(s.w, "event: %s\ndata: %s\n\n", name, raw)
 	s.f.Flush()
@@ -215,6 +260,7 @@ func (s *Server) watch(w http.ResponseWriter, r *http.Request) {
 		// re-receiving or missing entries.
 		sse.comment("cursor_reset: cursor from a previous index epoch")
 	}
+	var frame []byte // the replay's frame buffer, reused per entry
 	for {
 		p := s.ix.PageAfter(q)
 		if p.Missed > 0 {
@@ -222,11 +268,16 @@ func (s *Server) watch(w http.ResponseWriter, r *http.Request) {
 			// instead of silently starting later.
 			sse.comment(fmt.Sprintf("missed=%d evicted before cursor", p.Missed))
 		}
-		for _, e := range p.Entries {
-			if err := sse.event(s.cursor(e.Seq), api.EventAnomaly, e); err != nil {
+		for i := range p.Entries {
+			var err error
+			if frame, err = appendFrame(frame[:0], s.hub.epoch, &p.Entries[i]); err != nil {
+				return
+			}
+			if _, err = w.Write(frame); err != nil {
 				return
 			}
 		}
+		flusher.Flush()
 		q.Since = p.Next
 		if !p.More {
 			break
@@ -242,29 +293,42 @@ func (s *Server) watch(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 			return
-		case e, open := <-sub.ch:
+		case ev, open := <-sub.ch:
 			if !open {
 				if sub.lagged {
 					// Tell the client it fell behind and where to
 					// resume; dropping silently would turn slowness
 					// into data loss.
-					_ = sse.event("", api.EventLagged, api.LaggedEvent{
+					_ = sse.event(api.EventLagged, api.LaggedEvent{
 						Dropped: sub.dropped,
 						Cursor:  s.cursor(last),
 					})
 				}
 				return
 			}
-			if e.Seq <= replayed {
-				continue // already sent by the replay
+			// Write this event and every one already buffered behind
+			// it, then flush once: a burst costs one flush, not one
+			// per event. Only this loop receives, so a non-empty
+			// buffer always yields an event.
+			for {
+				if ev.entry.Seq > replayed && liveFilter.Matches(ev.entry) {
+					if ev.frame == nil {
+						// The entry cannot be encoded: end the
+						// stream, as a failed json.Marshal of it
+						// always has.
+						return
+					}
+					if _, err := w.Write(ev.frame); err != nil {
+						return
+					}
+					last = ev.entry.Seq
+				}
+				if len(sub.ch) == 0 {
+					break
+				}
+				ev = <-sub.ch
 			}
-			if !liveFilter.Matches(e) {
-				continue
-			}
-			if err := sse.event(s.cursor(e.Seq), api.EventAnomaly, e); err != nil {
-				return
-			}
-			last = e.Seq
+			flusher.Flush()
 		case <-heartbeat.C:
 			sse.comment("hb")
 		}

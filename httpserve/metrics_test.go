@@ -5,6 +5,8 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/http/httptest"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -208,5 +210,28 @@ func TestMetricsCheckpointAge(t *testing.T) {
 	}
 	if series["tiresias_checkpoint_duration_seconds"] < 0 {
 		t.Fatalf("negative checkpoint duration")
+	}
+}
+
+// TestRequestLogLine pins the request log line's bytes: the JSON
+// handler renders the same line whether component=http is bound once
+// on the logger or passed with every request.
+func TestRequestLogLine(t *testing.T) {
+	var buf bytes.Buffer
+	cfg := testConfig()
+	cfg.Logger = slog.New(slog.NewJSONHandler(&buf, nil))
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/v2/healthz", nil))
+
+	// Time and duration vary per run; every other byte is fixed.
+	line := regexp.MustCompile(`"time":"[^"]*"`).ReplaceAllString(buf.String(), `"time":"T"`)
+	line = regexp.MustCompile(`"duration_ms":[0-9.e+-]+`).ReplaceAllString(line, `"duration_ms":D`)
+	const want = `{"time":"T","level":"INFO","msg":"request","component":"http","method":"GET","path":"/v2/healthz","status":200,"duration_ms":D,"remote":"192.0.2.1:1234"}` + "\n"
+	if line != want {
+		t.Fatalf("request log line:\ngot  %s\nwant %s", line, want)
 	}
 }
