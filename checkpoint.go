@@ -290,6 +290,7 @@ func (m *Manager) Checkpoint(dir string) (int, error) {
 	var wg sync.WaitGroup
 	errs := make([]error, len(m.shards))
 	counts := make([]int, len(m.shards))
+	sizes := make([]int64, len(m.shards))
 	for i := range m.shards {
 		wg.Add(1)
 		go func(i int) {
@@ -314,11 +315,13 @@ func (m *Manager) Checkpoint(dir string) (int, error) {
 				}
 				path := filepath.Join(staging, fmt.Sprintf("s%04d-%04d%s", i, seq, checkpointExt))
 				seq++
-				if err := writeStreamFile(fsys, path, name, ms); err != nil {
+				n, err := writeStreamFile(fsys, path, name, ms)
+				if err != nil {
 					errs[i] = fmt.Errorf("tiresias: checkpoint stream %q: %w", name, err)
 					return
 				}
 				counts[i]++
+				sizes[i] += n
 			}
 		}(i)
 	}
@@ -327,9 +330,10 @@ func (m *Manager) Checkpoint(dir string) (int, error) {
 		fsys.RemoveAll(staging)
 		return 0, err
 	}
-	total := 0
-	for _, n := range counts {
+	total, size := 0, int64(0)
+	for i, n := range counts {
 		total += n
+		size += sizes[i]
 	}
 	// Make the staged files durable before any rename references them.
 	if err := syncDir(fsys, staging); err != nil {
@@ -351,6 +355,7 @@ func (m *Manager) Checkpoint(dir string) (int, error) {
 		Checkpoints:         m.ckptStats.Checkpoints + 1,
 		Generation:          gen,
 		LastStreams:         total,
+		LastBytes:           size,
 		LastDurationSeconds: time.Since(start).Seconds(),
 		LastAt:              time.Now(),
 	}
@@ -442,27 +447,41 @@ func pruneGenerations(fsys fault.FS, dir, keep string) error {
 }
 
 // writeStreamFile writes one managed stream's checkpoint into the
-// staging directory (whole-directory staging provides the atomicity).
-// The caller holds the stream's shard lock.
-func writeStreamFile(fsys fault.FS, path, name string, ms *managedStream) error {
+// staging directory (whole-directory staging provides the atomicity)
+// and returns the file's size. The caller holds the stream's shard
+// lock.
+func writeStreamFile(fsys fault.FS, path, name string, ms *managedStream) (int64, error) {
 	snap, err := ms.det.snapshotState(true)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	snap.Stream.Name, snap.Stream.Units, snap.Stream.Anoms = name, ms.units, ms.anoms
 	f, err := fsys.Create(path)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if err := checkpoint.Write(f, snap); err != nil {
+	w := &countingWriter{w: f}
+	if err := checkpoint.Write(w, snap); err != nil {
 		f.Close()
-		return err
+		return 0, err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return err
+		return 0, err
 	}
-	return f.Close()
+	return w.n, f.Close()
+}
+
+// countingWriter counts the bytes written through it.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // ManagerFromCheckpoint rebuilds a Manager from a directory written by

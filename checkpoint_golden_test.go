@@ -23,7 +23,13 @@ var writeGoldenCkpt = flag.Bool("write-golden-ckpt", false,
 // hierarchy) committed so a format or engine change that stops old
 // checkpoints from restoring, or from resuming bit-identically, fails
 // here instead of in production.
-const goldenCkptPath = "testdata/ada_w16.ckpt"
+const goldenCkptPath = "testdata/v2/ada_w16.ckpt"
+
+// goldenV1CkptPath is the same checkpoint in format version 1 (dense
+// float slices), kept byte for byte as the old-form reader's test: it
+// must restore, resume bit-identically, and re-encode to
+// goldenCkptPath.
+const goldenV1CkptPath = "testdata/ada_w16.ckpt"
 
 // goldenSplitUnit is the timeunit boundary the golden checkpoint was
 // taken at: part one (units before it) was Run, then snapshotted.
@@ -67,8 +73,9 @@ func goldenWorkload(t *testing.T) (opts []Option, part1, part2 []Record) {
 
 // TestGoldenADACheckpoint restores the committed checkpoint and checks
 // that (a) the current code writes the same bytes for the same input,
-// and (b) the restored detector's next units detect exactly what an
-// uninterrupted run detects.
+// (b) the restored detector's next units detect exactly what an
+// uninterrupted run detects, from either format version, and (c) the
+// version-1 file re-encodes to the current golden.
 func TestGoldenADACheckpoint(t *testing.T) {
 	opts, part1, part2 := goldenWorkload(t)
 	det, err := New(opts...)
@@ -112,15 +119,39 @@ func TestGoldenADACheckpoint(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("the uninterrupted run detects nothing after the split; the workload no longer exercises the restore")
 	}
-	restored, err := Restore(bytes.NewReader(golden))
+	v1, err := os.ReadFile(goldenV1CkptPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := restored.Run(context.Background(), NewSliceSource(part2))
+	for _, file := range [][]byte{golden, v1} {
+		restored, err := Restore(bytes.NewReader(file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := restored.Run(context.Background(), NewSliceSource(part2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAnomalies(t, "golden resume", want, res.Anomalies)
+	}
+	sameReencoding(t, goldenV1CkptPath, v1, golden)
+}
+
+// sameReencoding requires checkpoint.Read of an old-form file followed
+// by checkpoint.Write to give exactly the current golden bytes.
+func sameReencoding(t *testing.T, name string, old, golden []byte) {
+	t.Helper()
+	snap, err := checkpoint.Read(bytes.NewReader(old))
 	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	var buf bytes.Buffer
+	if err := checkpoint.Write(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
-	sameAnomalies(t, "golden resume", want, res.Anomalies)
+	if !bytes.Equal(buf.Bytes(), golden) {
+		t.Fatalf("%s re-encodes to %d bytes that differ from the current golden (%d bytes)", name, buf.Len(), len(golden))
+	}
 }
 
 // TestRestoreRejectsNonADACheckpoints covers the engine selectors a
@@ -154,9 +185,10 @@ func TestRestoreRejectsNonADACheckpoints(t *testing.T) {
 	}
 
 	// The writer cannot express a retained window any more, so splice
-	// one unit ({node 0: 2}) into the engine section's trailing empty
-	// list and re-checksum the section.
-	window := []byte{1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0x40}
+	// one unit ({node 0: 2}, its value one run of no zeros and one
+	// literal) into the engine section's trailing empty list and
+	// re-checksum the section.
+	window := []byte{1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0x40}
 	withWindow := rewriteSection(t, golden, "ENG.", func(p []byte) []byte {
 		if p[len(p)-1] != 0 {
 			t.Fatalf("engine section ends in %#x, want an empty window", p[len(p)-1])
@@ -199,7 +231,11 @@ var writeGoldenManager = flag.Bool("write-golden-manager", false,
 // <stream>.ckpt file per stream, written with window 16 over the golden
 // workload: stream "warming" mid-warm-up, stream "partial" warm with a
 // partial unit. It pins the stream-file bytes, STR. section included.
-const goldenManagerDir = "testdata/manager_w16"
+const goldenManagerDir = "testdata/v2/manager_w16"
+
+// goldenV1ManagerDir is the same Manager checkpoint in format version
+// 1, kept byte for byte as the old-form reader's test.
+const goldenV1ManagerDir = "testdata/manager_w16"
 
 // goldenManagerFeed returns the golden Manager's detector options and
 // each stream's records before and after the checkpoint. Both cuts
@@ -230,9 +266,10 @@ func goldenManagerFeed(t *testing.T) (opts []Option, head, tail map[string][]Rec
 }
 
 // TestGoldenManagerCheckpoint checks that (a) Manager.Checkpoint of the
-// golden feed writes the committed stream files byte for byte, and (b)
-// a Manager restored from them detects exactly what an uninterrupted
-// one does.
+// golden feed writes the committed stream files byte for byte, (b) a
+// Manager restored from them, or from their version-1 forms, detects
+// exactly what an uninterrupted one does, and (c) each version-1 file
+// re-encodes to its current golden.
 func TestGoldenManagerCheckpoint(t *testing.T) {
 	opts, head, tail := goldenManagerFeed(t)
 	newMgr := func() *Manager {
@@ -284,35 +321,45 @@ func TestGoldenManagerCheckpoint(t *testing.T) {
 			t.Fatalf("stream %q: Checkpoint wrote %d bytes that differ from %s (%d bytes): the stream-file encoding changed",
 				snap.Stream.Name, len(fresh), golden, len(want))
 		}
+		old := filepath.Join(goldenV1ManagerDir, filepath.Base(golden))
+		v1, err := os.ReadFile(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameReencoding(t, old, v1, want)
 	}
 
 	ref := newMgr()
-	restored, err := ManagerFromCheckpoint(goldenManagerDir, WithDetectorOptions(opts...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := restored.Streams(); len(st) != 2 || st[0].Name != "partial" || !st[0].Warm || st[1].Warm || st[1].PendingWarmup != 9 {
-		t.Fatalf("restored statuses %+v, want partial warm and warming 9 units into warm-up", st)
-	}
+	want := map[string][]Anomaly{}
 	for _, name := range []string{"warming", "partial"} {
 		refHead, _, err := ref.FeedBatch(name, head[name])
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := ref.FeedBatch(name, tail[name])
-		if err != nil {
+		if want[name], _, err = ref.FeedBatch(name, tail[name]); err != nil {
 			t.Fatal(err)
 		}
 		if len(refHead) != 0 && name == "warming" {
 			t.Fatalf("stream %q detected during warm-up", name)
 		}
-		got, _, err := restored.FeedBatch(name, tail[name])
+		if len(want[name]) == 0 {
+			t.Fatalf("stream %q: the uninterrupted Manager detects nothing after the cut; the workload no longer exercises the restore", name)
+		}
+	}
+	for _, dir := range []string{goldenManagerDir, goldenV1ManagerDir} {
+		restored, err := ManagerFromCheckpoint(dir, WithDetectorOptions(opts...))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(want) == 0 {
-			t.Fatalf("stream %q: the uninterrupted Manager detects nothing after the cut; the workload no longer exercises the restore", name)
+		if st := restored.Streams(); len(st) != 2 || st[0].Name != "partial" || !st[0].Warm || st[1].Warm || st[1].PendingWarmup != 9 {
+			t.Fatalf("%s: restored statuses %+v, want partial warm and warming 9 units into warm-up", dir, st)
 		}
-		sameAnomalies(t, "golden manager "+name, want, got)
+		for _, name := range []string{"warming", "partial"} {
+			got, _, err := restored.FeedBatch(name, tail[name])
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameAnomalies(t, "golden manager "+dir+" "+name, want[name], got)
+		}
 	}
 }

@@ -282,10 +282,10 @@ func TestRestoreRejectsBadInput(t *testing.T) {
 	}
 	// A checkpoint from a future format version must be refused.
 	future := append([]byte(nil), raw...)
-	if future[8] != 1 {
-		t.Fatalf("expected version byte 1 at offset 8, got %d", future[8])
+	if future[8] != checkpoint.Version {
+		t.Fatalf("expected version byte %d at offset 8, got %d", checkpoint.Version, future[8])
 	}
-	future[8] = 2
+	future[8] = checkpoint.Version + 1
 	if _, err := Restore(bytes.NewReader(future)); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("future version: err = %v, want ErrBadCheckpoint", err)
 	}

@@ -63,6 +63,7 @@ type serverMetrics struct {
 	ckptAge          *metrics.Gauge
 	ckptGeneration   *metrics.Gauge
 	ckptStreams      *metrics.Gauge
+	ckptBytes        *metrics.Gauge
 }
 
 // engineStageNames label the engine_stage_seconds histograms, in the
@@ -151,6 +152,8 @@ func newServerMetrics(shards int) *serverMetrics {
 		"Generation number of the last committed checkpoint.")
 	m.ckptStreams = r.Gauge("tiresias_checkpoint_streams",
 		"Streams the last committed checkpoint wrote.")
+	m.ckptBytes = r.Gauge("tiresias_checkpoint_bytes",
+		"Bytes of stream files the last committed checkpoint wrote.")
 	return m
 }
 
@@ -218,6 +221,7 @@ func (m *serverMetrics) refresh(st api.StatsResponse) {
 		m.ckptAge.Set(time.Since(cs.LastAt).Seconds())
 		m.ckptGeneration.Set(float64(cs.Generation))
 		m.ckptStreams.Set(float64(cs.LastStreams))
+		m.ckptBytes.Set(float64(cs.LastBytes))
 	}
 }
 

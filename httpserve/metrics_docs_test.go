@@ -34,8 +34,8 @@ func TestMetricsDocumented(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if n := len(s.MetricNames()); n != 34 {
-		t.Errorf("server registers %d metric families, want 34", n)
+	if n := len(s.MetricNames()); n != 35 {
+		t.Errorf("server registers %d metric families, want 35", n)
 	}
 	for _, name := range s.MetricNames() {
 		if !documented[name] {

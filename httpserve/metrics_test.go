@@ -113,6 +113,9 @@ func TestMetricsEndpointCoversTheSurface(t *testing.T) {
 	if series[`tiresias_http_requests_total{code="2xx"}`] == 0 {
 		t.Error("http request counter saw no 2xx")
 	}
+	if series["tiresias_checkpoint_bytes"] <= 0 {
+		t.Errorf("checkpoint bytes = %v after a checkpoint, want > 0", series["tiresias_checkpoint_bytes"])
+	}
 	if series["tiresias_ingest_bytes_total"] < float64(len(body)) {
 		t.Errorf("ingest bytes = %v, want >= %d", series["tiresias_ingest_bytes_total"], len(body))
 	}

@@ -15,13 +15,26 @@
 //	section := tag[4] | uvarint payloadLen | payload | crc32(payload)
 //
 // Sections appear in a fixed order (CFG., TRE., DET., ENG., STR.,
-// END.) but readers locate them by tag and skip unknown tags, so new
-// sections can be added without a version bump. Integers are varints,
-// floats are little-endian IEEE-754 bits — float state round-trips
-// bit-exactly, which is what makes a restored detector emit anomalies
-// identical to one that never restarted. Every decoding failure —
-// truncation, a flipped byte (caught by the per-section CRC32), an
-// unknown version — is reported as an error wrapping ErrBadCheckpoint.
+// END.) and readers skip unknown tags, so new sections can be added
+// without a version bump. CFG., TRE. and DET. must precede ENG. and
+// TRE. must precede STR.: they bound what the later sections decode.
+// Integers are varints, single floats little-endian IEEE-754 bits.
+// Float slices are run-coded (version 2): a uvarint length, then runs
+// of
+//
+//	uvarint zeros | uvarint k | k × float64 bits
+//
+// covering the length, where a zero is a value whose bits are all zero
+// (-0.0 and NaNs are literals). Engine state is mostly zeros — §V-B5
+// reference rings of quiet nodes, per-node arrays of nodes outside the
+// heavy-hitter set — so a checkpoint scales with live state, and float
+// state still round-trips bit-exactly, which is what makes a restored
+// detector emit anomalies identical to one that never restarted.
+// Version 1 wrote every float slice densely; Read still accepts it.
+// Every decoding failure — truncation, a flipped byte (caught by the
+// per-section CRC32), an unknown version, a float slice longer than
+// the structure it mirrors — is reported as an error wrapping
+// ErrBadCheckpoint.
 package checkpoint
 
 import (
@@ -41,10 +54,10 @@ import (
 // magic identifies a Tiresias checkpoint stream.
 const magic = "TIRESCKP"
 
-// Version is the current checkpoint format version. Read rejects
-// checkpoints written by a newer (or otherwise unknown) version with
-// ErrBadCheckpoint.
-const Version = 1
+// Version is the checkpoint format version Write emits. Read also
+// accepts version 1, which differs only in writing float slices
+// densely, and rejects any other version with ErrBadCheckpoint.
+const Version = 2
 
 // Section tags.
 const (
@@ -206,10 +219,11 @@ func Read(r io.Reader) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: truncated version", ErrBadCheckpoint)
 	}
-	if version != Version {
-		return nil, fmt.Errorf("%w: format version %d, this build reads version %d",
+	if version != 1 && version != Version {
+		return nil, fmt.Errorf("%w: format version %d, this build reads versions 1 to %d",
 			ErrBadCheckpoint, version, Version)
 	}
+	runs := version >= 2
 	snap := &Snapshot{}
 	seen := map[string]bool{}
 	for {
@@ -235,12 +249,15 @@ func Read(r io.Reader) (*Snapshot, error) {
 		case tagDetector:
 			err = decodeDetector(buf, snap)
 		case tagEngine:
-			snap.Engine, err = decodeEngine(buf)
+			if !seen[tagConfig] || !seen[tagTree] || !seen[tagDetector] {
+				return nil, fmt.Errorf("%w: engine section before configuration, hierarchy or detector", ErrBadCheckpoint)
+			}
+			snap.Engine, err = decodeEngine(buf, runs, engineBoundsOf(snap))
 		case tagStream:
 			if !seen[tagTree] {
 				return nil, fmt.Errorf("%w: stream section before hierarchy", ErrBadCheckpoint)
 			}
-			snap.Stream, err = decodeStream(buf, snap.Tree)
+			snap.Stream, err = decodeStream(buf, runs, snap.Tree)
 		default:
 			// Unknown section from a future writer of the same
 			// version: skippable by construction (framing carries the
@@ -351,8 +368,6 @@ func decodeTree(buf []byte) (*hierarchy.Tree, error) {
 		return nil, fmt.Errorf("%w: hierarchy claims %d nodes", ErrBadCheckpoint, n)
 	}
 	t := hierarchy.New()
-	paths := make([][]string, 1, n)
-	paths[0] = nil // root
 	for id := 1; id < n; id++ {
 		parent := r.getInt()
 		label := r.getString()
@@ -362,14 +377,9 @@ func decodeTree(buf []byte) (*hierarchy.Tree, error) {
 		if parent < 0 || parent >= id {
 			return nil, fmt.Errorf("%w: node %d has parent %d (IDs are insertion-ordered)", ErrBadCheckpoint, id, parent)
 		}
-		path := make([]string, len(paths[parent])+1)
-		copy(path, paths[parent])
-		path[len(path)-1] = label
-		node := t.Insert(path)
-		if node.ID != id {
+		if node, added := t.AddChild(parent, label); !added {
 			return nil, fmt.Errorf("%w: duplicate node %q", ErrBadCheckpoint, node.Key)
 		}
-		paths = append(paths, path)
 	}
 	if err := r.done(tagTree); err != nil {
 		return nil, err
@@ -415,8 +425,8 @@ func putModel(p *payload, m forecast.State) {
 	p.putFloats(m.Floats)
 }
 
-func getModel(r *reader) forecast.State {
-	return forecast.State{Kind: r.getString(), Ints: r.getInts(), Floats: r.getFloats()}
+func getModel(r *reader, b engineBounds) forecast.State {
+	return forecast.State{Kind: r.getString(), Ints: r.getInts(), Floats: r.getFloats(b.model)}
 }
 
 func putRing(p *payload, rs algo.RingState) {
@@ -424,8 +434,8 @@ func putRing(p *payload, rs algo.RingState) {
 	p.putFloats(rs.Values)
 }
 
-func getRing(r *reader) algo.RingState {
-	return algo.RingState{Cap: r.getInt(), Values: r.getFloats()}
+func getRing(r *reader, b engineBounds) algo.RingState {
+	return algo.RingState{Cap: r.getInt(), Values: r.getFloats(b.window)}
 }
 
 func putMulti(p *payload, ms *series.MultiScaleState) {
@@ -442,7 +452,7 @@ func putMulti(p *payload, ms *series.MultiScaleState) {
 	}
 }
 
-func getMulti(r *reader) *series.MultiScaleState {
+func getMulti(r *reader, b engineBounds) *series.MultiScaleState {
 	if !r.getBool() {
 		return nil
 	}
@@ -454,7 +464,7 @@ func getMulti(r *reader) *series.MultiScaleState {
 	n := r.getLen()
 	ms.Scales = make([][]float64, 0, n)
 	for i := 0; i < n && r.err == nil; i++ {
-		ms.Scales = append(ms.Scales, r.getFloats())
+		ms.Scales = append(ms.Scales, r.getFloats(b.window))
 	}
 	return ms
 }
@@ -491,32 +501,64 @@ func encodeEngine(e *algo.EngineState) *payload {
 	return p
 }
 
-func decodeEngine(buf []byte) (*algo.EngineState, error) {
-	r := &reader{buf: buf}
+// engineBounds caps each float slice of the engine section at the
+// length of the structure it mirrors in a restorable engine. They are
+// what bounds the run coding's allocations.
+type engineBounds struct {
+	// nodes bounds the per-node arrays: the hierarchy's size.
+	nodes int
+	// window bounds rings (capacity ℓ) and multi-scale scales (at most
+	// ℓ+λ samples): ℓ+λ.
+	window int
+	// model bounds a forecasting model's floats: 6 plus the seasonal
+	// periods in use (Holt-Winters keeps 5+p, dual seasonality 6+p1+p2,
+	// EWMA 2).
+	model int
+}
+
+// engineBoundsOf derives the engine bounds from the configuration,
+// hierarchy and detector sections.
+func engineBoundsOf(s *Snapshot) engineBounds {
+	bound := func(terms ...int) int {
+		sum := 0
+		for _, v := range terms {
+			sum += min(max(v, 0), maxSliceLen)
+		}
+		return min(sum, maxSliceLen)
+	}
+	return engineBounds{
+		nodes:  s.Tree.Len(),
+		window: bound(s.Config.WindowLen, s.Config.Lambda),
+		model:  bound(append([]int{6}, s.Periods...)...),
+	}
+}
+
+func decodeEngine(buf []byte, runs bool, b engineBounds) (*algo.EngineState, error) {
+	r := &reader{buf: buf, runs: runs}
 	e := &algo.EngineState{}
 	e.Kind = r.getString()
 	e.Instance = r.getInt()
 	e.InSHHH = r.getBools()
 	e.Ishh = r.getBools()
-	e.Weight = r.getFloats()
-	e.RawA = r.getFloats()
-	e.PrevA = r.getFloats()
-	e.CumA = r.getFloats()
-	e.EwmaA = r.getFloats()
+	e.Weight = r.getFloats(b.nodes)
+	e.RawA = r.getFloats(b.nodes)
+	e.PrevA = r.getFloats(b.nodes)
+	e.CumA = r.getFloats(b.nodes)
+	e.EwmaA = r.getFloats(b.nodes)
 	n := r.getLen()
 	for i := 0; i < n && r.err == nil; i++ {
 		ss := algo.SeriesState{ID: r.getInt()}
-		ss.Actual = getRing(r)
-		ss.Fcast = getRing(r)
-		ss.Model = getModel(r)
-		ss.Multi = getMulti(r)
+		ss.Actual = getRing(r, b)
+		ss.Fcast = getRing(r, b)
+		ss.Model = getModel(r, b)
+		ss.Multi = getMulti(r, b)
 		e.Series = append(e.Series, ss)
 	}
 	n = r.getLen()
 	for i := 0; i < n && r.err == nil; i++ {
 		rs := algo.RefState{ID: r.getInt()}
-		rs.Ring = getRing(r)
-		rs.Model = getModel(r)
+		rs.Ring = getRing(r, b)
+		rs.Model = getModel(r, b)
 		e.Refs = append(e.Refs, rs)
 	}
 	e.RefCovered = r.getInt()
@@ -560,8 +602,10 @@ func encodeStream(s *StreamState, t *hierarchy.Tree) (*payload, error) {
 	return p, nil
 }
 
-func decodeStream(buf []byte, t *hierarchy.Tree) (*StreamState, error) {
-	r := &reader{buf: buf}
+// decodeStream bounds the partial unit and each warm-up unit by the
+// hierarchy: they hold at most one value per node.
+func decodeStream(buf []byte, runs bool, t *hierarchy.Tree) (*StreamState, error) {
+	r := &reader{buf: buf, runs: runs}
 	s := &StreamState{}
 	s.Name = r.getString()
 	s.Windower.Delta = time.Duration(r.getVarint())
@@ -569,11 +613,11 @@ func decodeStream(buf []byte, t *hierarchy.Tree) (*StreamState, error) {
 	s.Windower.Began = r.getBool()
 	s.Windower.MaxGap = r.getInt()
 	s.Windower.CurIDs = r.getInt32s()
-	s.Windower.CurVals = r.getFloats()
+	s.Windower.CurVals = r.getFloats(t.Len())
 	n := r.getLen()
 	for i := 0; i < n && r.err == nil; i++ {
 		ids := r.getInt32s()
-		vals := r.getFloats()
+		vals := r.getFloats(t.Len())
 		if r.err != nil {
 			break
 		}

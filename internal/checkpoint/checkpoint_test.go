@@ -4,7 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -218,14 +223,170 @@ func TestEngineSectionRejectsRetainedWindow(t *testing.T) {
 	if last := p.buf[len(p.buf)-1]; last != 0 {
 		t.Fatalf("engine section ends in %#x, want an empty window (0)", last)
 	}
-	if _, err := decodeEngine(p.buf); err != nil {
+	if _, err := decodeEngine(p.buf, true, engineBounds{}); err != nil {
 		t.Fatalf("empty window: %v", err)
 	}
 	p.buf = p.buf[:len(p.buf)-1]
 	p.putLen(1)
 	p.putInt32s([]int32{0})
 	p.putFloats([]float64{2})
-	if _, err := decodeEngine(p.buf); !errors.Is(err, ErrBadCheckpoint) {
+	if _, err := decodeEngine(p.buf, true, engineBounds{}); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("one-unit window: err = %v, want ErrBadCheckpoint", err)
+	}
+}
+
+// zeroRunBombSeed is the committed FuzzCheckpointRead seed holding the
+// checkpoint zeroRunBomb builds.
+var zeroRunBombSeed = filepath.Join("testdata", "fuzz", "FuzzCheckpointRead", "zero-run-bomb")
+
+// zeroRunBomb returns a version-2 checkpoint whose engine section, a
+// few bytes long, claims a 2^28-float zero run for the per-node
+// weights of a five-node hierarchy.
+func zeroRunBomb(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Write(&buf, coldSnapshot()); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	eng := &payload{}
+	eng.putString("ADA")
+	eng.putInt(0)
+	eng.putBools(nil)
+	eng.putBools(nil)
+	eng.putUvarint(1 << 28) // Weight: 2^28 floats,
+	eng.putUvarint(1 << 28) // all of them zeros,
+	eng.putUvarint(0)       // and no literal.
+	if len(eng.buf) >= 64 {
+		t.Fatalf("engine section is %d bytes, want under 64", len(eng.buf))
+	}
+	endLen := 4 + 1 + 4
+	var out bytes.Buffer
+	out.Write(raw[:len(raw)-endLen])
+	if err := writeSection(&out, tagEngine, eng); err != nil {
+		t.Fatal(err)
+	}
+	out.Write(raw[len(raw)-endLen:])
+	return out.Bytes()
+}
+
+// TestZeroRunBombRejected: a run-coded float slice is bounded by the
+// structure it mirrors, not by its bytes, so a tiny engine section
+// claiming a huge zero run fails fast instead of allocating it.
+func TestZeroRunBombRejected(t *testing.T) {
+	bomb := zeroRunBomb(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(bomb))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadCheckpoint) {
+		t.Fatalf("err = %v, want ErrBadCheckpoint", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("Read allocated %d bytes refusing a %d-byte checkpoint, want under 1 MiB", d, len(bomb))
+	}
+	seed, err := os.ReadFile(zeroRunBombSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("go test fuzz v1\n[]byte(%+q)\n", bomb); string(seed) != want {
+		t.Fatalf("%s is stale; it should read:\n%s", zeroRunBombSeed, want)
+	}
+}
+
+// TestEngineSectionNeedsItsBounds: the engine section is decoded
+// against the configuration, hierarchy and detector sections, so it
+// must follow them.
+func TestEngineSectionNeedsItsBounds(t *testing.T) {
+	snap := coldSnapshot()
+	var buf bytes.Buffer
+	var hdr payload
+	hdr.buf = append(hdr.buf, magic...)
+	hdr.putUvarint(Version)
+	buf.Write(hdr.buf)
+	for _, s := range []struct {
+		tag string
+		p   *payload
+	}{
+		{tagConfig, encodeConfig(&snap.Config)},
+		{tagTree, encodeTree(snap.Tree)},
+		{tagEngine, encodeEngine(&algo.EngineState{Kind: "ADA"})},
+		{tagDetector, encodeDetector(snap)},
+		{tagEnd, &payload{}},
+	} {
+		if err := writeSection(&buf, s.tag, s.p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := Read(&buf); !errors.Is(err, ErrBadCheckpoint) {
+		t.Fatalf("engine before detector: err = %v, want ErrBadCheckpoint", err)
+	}
+}
+
+// TestTreeDecodeMatchesPathReplay pins the hierarchy decode, which
+// appends each node under its parent ID, to a replay of every node's
+// full path through Insert: a valid tree with the same IDs, keys and
+// depths.
+func TestTreeDecodeMatchesPathReplay(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	tree := hierarchy.New()
+	for i := 0; i < 400; i++ {
+		path := make([]string, rng.Intn(5)+1)
+		for d := range path {
+			path[d] = fmt.Sprintf("n%d", rng.Intn(6))
+		}
+		tree.Insert(path)
+	}
+	got, err := decodeTree(encodeTree(tree).buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	want := hierarchy.New()
+	for _, n := range tree.Nodes() {
+		want.Insert(n.Key.Path())
+	}
+	if got.Len() != want.Len() {
+		t.Fatalf("decoded %d nodes, want %d", got.Len(), want.Len())
+	}
+	for _, w := range want.Nodes() {
+		if g := got.Node(w.ID); g.Key != w.Key || g.Depth != w.Depth {
+			t.Fatalf("node %d decoded as %q (depth %d), want %q (depth %d)", w.ID, g.Key, g.Depth, w.Key, w.Depth)
+		}
+	}
+
+	// A node repeated under the same parent is refused.
+	dup := &payload{}
+	dup.putInt(3)
+	for range 2 {
+		dup.putInt(0)
+		dup.putString("a")
+	}
+	if _, err := decodeTree(dup.buf); !errors.Is(err, ErrBadCheckpoint) {
+		t.Fatalf("duplicate node: err = %v, want ErrBadCheckpoint", err)
+	}
+}
+
+// BenchmarkDecodeTree decodes the hierarchy section of a 12k-node,
+// four-level tree, the shape of a wide served stream.
+func BenchmarkDecodeTree(b *testing.B) {
+	tree := hierarchy.New()
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 12; j++ {
+			for k := 0; k < 15; k++ {
+				for l := 0; l < 16; l++ {
+					tree.Insert([]string{fmt.Sprintf("sho%d", i), fmt.Sprintf("vho%d", j), fmt.Sprintf("io%d", k), fmt.Sprintf("co%d", l)})
+				}
+			}
+		}
+	}
+	buf := encodeTree(tree).buf
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := decodeTree(buf); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

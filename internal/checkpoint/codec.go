@@ -1,12 +1,12 @@
 package checkpoint
 
 // Low-level binary codec: little-endian varint/float primitives over a
-// byte buffer, plus the section framing (tag + length + payload +
-// CRC32) that Write and Read build the checkpoint format from. Every
-// decoding failure — short buffer, overflow, bad checksum — surfaces
-// as an error wrapping ErrBadCheckpoint, never as a panic: checkpoint
-// files cross process boundaries and must be treated as untrusted
-// input.
+// byte buffer, the zero-run coding of float slices, plus the section
+// framing (tag + length + payload + CRC32) that Write and Read build
+// the checkpoint format from. Every decoding failure — short buffer,
+// overflow, bad checksum — surfaces as an error wrapping
+// ErrBadCheckpoint, never as a panic: checkpoint files cross process
+// boundaries and must be treated as untrusted input.
 
 import (
 	"encoding/binary"
@@ -50,10 +50,30 @@ func (p *payload) putString(s string) {
 	p.buf = append(p.buf, s...)
 }
 
+// putFloats writes a float slice in the run coding of format version
+// 2: the length, then runs of (uvarint zeros, uvarint k, k literal
+// floats) that together cover it. A zero is a value whose bits are all
+// zero, so -0.0 and every NaN are literals and decoding is bit-exact.
+// Each run's zeros and literals are maximal, which makes the coding
+// canonical: only the first run starts without zeros, and only the
+// last run may hold no literal.
 func (p *payload) putFloats(vs []float64) {
 	p.putUvarint(uint64(len(vs)))
-	for _, v := range vs {
-		p.putF64(v)
+	for i := 0; i < len(vs); {
+		lit := i
+		for lit < len(vs) && math.Float64bits(vs[lit]) == 0 {
+			lit++
+		}
+		end := lit
+		for end < len(vs) && math.Float64bits(vs[end]) != 0 {
+			end++
+		}
+		p.putUvarint(uint64(lit - i))
+		p.putUvarint(uint64(end - lit))
+		for _, v := range vs[lit:end] {
+			p.putF64(v)
+		}
+		i = end
 	}
 }
 
@@ -97,6 +117,9 @@ type reader struct {
 	buf []byte
 	off int
 	err error
+	// runs selects how float slices are coded: zero runs (version 2)
+	// or dense, eight bytes per element (version 1).
+	runs bool
 }
 
 func (r *reader) fail(format string, args ...any) {
@@ -188,18 +211,60 @@ func (r *reader) getString() string {
 	return s
 }
 
-func (r *reader) getFloats() []float64 {
-	n := r.getLen()
-	if r.err != nil || n == 0 {
+// getFloats reads a float slice of at most limit elements. The caller
+// derives limit from the structure the slice mirrors (node count,
+// window, seasonal periods); it is what bounds the allocation of the
+// run coding, where a few bytes can claim any number of zeros. A
+// version-1 slice is further bounded by its eight bytes per element.
+func (r *reader) getFloats(limit int) []float64 {
+	v := r.getUvarint()
+	if r.err != nil {
 		return nil
 	}
-	if r.off+8*n > len(r.buf) {
+	if v > uint64(limit) {
+		r.fail("float slice of %d elements at offset %d, this section holds at most %d", v, r.off, limit)
+		return nil
+	}
+	n := int(v)
+	if n == 0 {
+		return nil
+	}
+	if !r.runs && n > (len(r.buf)-r.off)/8 {
 		r.fail("truncated float slice at offset %d", r.off)
 		return nil
 	}
 	out := make([]float64, n)
-	for i := range out {
-		out[i] = r.getF64()
+	if !r.runs {
+		for i := range out {
+			out[i] = r.getF64()
+		}
+		return out
+	}
+	for i := 0; i < n; {
+		first := i == 0
+		zeros, k := r.getUvarint(), r.getUvarint()
+		if r.err != nil {
+			return nil
+		}
+		rest := uint64(n - i)
+		if zeros > rest || k > rest-zeros || k > uint64(len(r.buf)-r.off)/8 {
+			r.fail("float run (%d zeros, %d literals) overruns its slice at offset %d", zeros, k, r.off)
+			return nil
+		}
+		i += int(zeros)
+		if (zeros == 0 && !first) || (k == 0 && i < n) {
+			r.fail("non-canonical float run (%d zeros, %d literals) at offset %d", zeros, k, r.off)
+			return nil
+		}
+		for end := i + int(k); i < end; i++ {
+			bits := binary.LittleEndian.Uint64(r.buf[r.off:])
+			if bits == 0 {
+				r.fail("zero literal in a float run at offset %d", r.off)
+				return nil
+			}
+			out[i] = math.Float64frombits(bits)
+			r.off += 8
+		}
 	}
 	return out
 }

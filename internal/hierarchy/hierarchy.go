@@ -196,12 +196,11 @@ func (t *Tree) newNode(parent *Node, label string) *Node {
 		depth = parent.Depth + 1
 	}
 	n := &Node{
-		ID:       len(t.nodes),
-		Label:    label,
-		Key:      key,
-		Depth:    depth,
-		parent:   parent,
-		children: make(map[string]*Node),
+		ID:     len(t.nodes),
+		Label:  label,
+		Key:    key,
+		Depth:  depth,
+		parent: parent,
 	}
 	t.nodes = append(t.nodes, n)
 	t.byKey[key] = n
@@ -210,6 +209,11 @@ func (t *Tree) newNode(parent *Node, label string) *Node {
 	}
 	t.levels[depth] = append(t.levels[depth], n)
 	if parent != nil {
+		// Most nodes are leaves: a node's map is made for its first
+		// child.
+		if parent.children == nil {
+			parent.children = make(map[string]*Node)
+		}
 		parent.children[label] = n
 		parent.ordered = append(parent.ordered, n)
 	}
@@ -244,6 +248,18 @@ func (t *Tree) Insert(path []string) *Node {
 		n = c
 	}
 	return n
+}
+
+// AddChild returns the child labeled label of the node with ID
+// parentID, creating it when absent; added reports whether it was
+// created. It is Insert for a caller that already holds the parent,
+// such as a checkpoint restore replaying nodes in ID order.
+func (t *Tree) AddChild(parentID int, label string) (n *Node, added bool) {
+	p := t.nodes[parentID]
+	if c := p.children[label]; c != nil {
+		return c, false
+	}
+	return t.newNode(p, label), true
 }
 
 // InsertKey is Insert for an already-encoded Key.

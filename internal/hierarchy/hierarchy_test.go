@@ -215,3 +215,31 @@ func TestNodeAccessors(t *testing.T) {
 		t.Fatalf("Height() = %d, want 3", tr.Height())
 	}
 }
+
+// TestAddChild: AddChild under a known parent ID builds the same tree
+// as Insert of the full path, and reports an existing child as not
+// added.
+func TestAddChild(t *testing.T) {
+	tr, want := New(), New()
+	for _, path := range [][]string{{"a"}, {"a", "x"}, {"b"}, {"a", "y"}, {"b", "x"}, {"a", "x", "z"}} {
+		parent := want.Lookup(KeyOf(path[:len(path)-1]))
+		n, added := tr.AddChild(parent.ID, path[len(path)-1])
+		if w := want.Insert(path); !added || n.ID != w.ID || n.Key != w.Key || n.Depth != w.Depth {
+			t.Fatalf("AddChild(%d, %q) = node %d %q depth %d (added %v), want node %d %q depth %d",
+				parent.ID, path[len(path)-1], n.ID, n.Key, n.Depth, added, w.ID, w.Key, w.Depth)
+		}
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	x := tr.Lookup(KeyOf([]string{"a", "x"}))
+	if n, added := tr.AddChild(x.Parent().ID, "x"); added || n != x {
+		t.Fatalf("AddChild of an existing child = %v (added %v), want %v", n, added, x)
+	}
+	if leaf := tr.Lookup(KeyOf([]string{"b", "x"})); leaf.Child("none") != nil || tr.Insert([]string{"b", "x", "c"}).Parent() != leaf {
+		t.Fatal("a leaf must gain its first child through Insert")
+	}
+	if tr.Len() != want.Len()+1 {
+		t.Fatalf("tree has %d nodes, want %d", tr.Len(), want.Len()+1)
+	}
+}

@@ -1,6 +1,8 @@
 package tiresias
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -55,6 +57,14 @@ func TestStepObserverSeesEveryStep(t *testing.T) {
 	st = m.Stats()
 	if st.Checkpoint.Checkpoints != 2 || st.Checkpoint.Generation != 2 {
 		t.Fatalf("checkpoint stats after second checkpoint = %+v", st.Checkpoint)
+	}
+	// LastBytes is the size of the stream files the generation holds.
+	files, err := filepath.Glob(filepath.Join(dir, "ckpt-00000002", "*"+checkpointExt))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("generation 2 stream files %v (err %v), want 1", files, err)
+	}
+	if fi, err := os.Stat(files[0]); err != nil || st.Checkpoint.LastBytes != fi.Size() {
+		t.Fatalf("LastBytes = %d, stream file %v (err %v)", st.Checkpoint.LastBytes, fi, err)
 	}
 
 	// A restored Manager re-attaches the observer to restored streams.

@@ -649,6 +649,9 @@ type CheckpointStats struct {
 	Generation int `json:"generation"`
 	// LastStreams is the number of streams the last checkpoint wrote.
 	LastStreams int `json:"lastStreams"`
+	// LastBytes is the total size of the stream files the last
+	// checkpoint wrote.
+	LastBytes int64 `json:"lastBytes"`
 	// LastDurationSeconds is the wall-clock cost of the last
 	// checkpoint, drain included.
 	LastDurationSeconds float64 `json:"lastDurationSeconds"`
