@@ -32,6 +32,28 @@ func TestCursorRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzParseCursor: every (epoch, seq) survives Cursor → ParseCursor;
+// every token ParseCursor accepts, whatever its spelling (upper-case
+// digits, leading zeros, the "" and "0" zero forms), re-encodes with
+// AppendCursor to a token that parses to the same pair; and no input
+// panics.
+func FuzzParseCursor(f *testing.F) {
+	f.Add("c7.10", uint64(7), uint64(36))
+	f.Fuzz(func(t *testing.T, token string, epoch, seq uint64) {
+		if ge, gs, err := ParseCursor(Cursor(epoch, seq)); err != nil || ge != epoch || gs != seq {
+			t.Fatalf("round trip (%d,%d) -> %q -> (%d,%d), %v", epoch, seq, Cursor(epoch, seq), ge, gs, err)
+		}
+		e, s, err := ParseCursor(token)
+		if err != nil {
+			return
+		}
+		again := AppendCursor(nil, e, s)
+		if ge, gs, err := ParseCursor(string(again)); err != nil || ge != e || gs != s {
+			t.Fatalf("%q -> (%d,%d) -> %q -> (%d,%d), %v", token, e, s, again, ge, gs, err)
+		}
+	})
+}
+
 func TestErrorSentinelRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		sentinel error

@@ -16,7 +16,8 @@ const (
 	// CodeBadRequest marks a malformed body or query parameter.
 	CodeBadRequest = "bad_request"
 	// CodeInvalidRecord marks a record failing validation (empty
-	// path, missing time); details carry the record index.
+	// path, a path component empty or holding U+001F, missing time);
+	// details carry the record index.
 	CodeInvalidRecord = "invalid_record"
 	// CodeBodyTooLarge marks an ingest body over the server limit.
 	CodeBodyTooLarge = "body_too_large"

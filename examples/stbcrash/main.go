@@ -111,8 +111,8 @@ func run() error {
 		}
 		// Accumulate ADA-vs-STA series error over heavy hitters.
 		for _, hh := range stA.HeavyHitters {
-			exact := sta.SeriesOf(sta.Tree().Lookup(hh.Node.Key))
-			approx := ada.SeriesOf(hh.Node)
+			exact := sta.SeriesOf(sta.Tree().Lookup(hh.Key))
+			approx := ada.SeriesOf(hh.ID)
 			n := min(len(exact), len(approx))
 			for j := 1; j <= n; j++ {
 				errSum += math.Abs(exact[len(exact)-j] - approx[len(approx)-j])

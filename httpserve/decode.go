@@ -31,6 +31,7 @@ import (
 
 	"tiresias"
 	"tiresias/api"
+	"tiresias/internal/hierarchy"
 )
 
 const (
@@ -130,6 +131,10 @@ type decoder struct {
 
 	// pathHits and pathMisses count the last body's path lookups.
 	pathHits, pathMisses uint64
+	// badPath is the index of the body's first record whose path
+	// names no node (see hierarchy.ValidLabel), -1 for none. Such a
+	// path is never cached, so only a cache miss needs the check.
+	badPath int
 }
 
 // errBodyTooLarge marks an ingest body over Config.MaxBodyBytes.
@@ -172,7 +177,7 @@ const ndjsonHint = " (send one record per line with Content-Type: application/x-
 // JSON object. Nothing of the body is retained.
 func (d *decoder) decode(ndjson bool) error {
 	d.recs, d.runs, d.streamSpan = d.recs[:0], d.runs[:0], nil
-	d.pathHits, d.pathMisses = 0, 0
+	d.pathHits, d.pathMisses, d.badPath = 0, 0, -1
 	d.cache.mu.RLock()
 	err := d.scan(d.body, ndjson)
 	d.cache.mu.RUnlock()
@@ -225,7 +230,7 @@ func (d *decoder) reserve(n int) {
 	if cap(d.recs) < n {
 		d.recs = make([]tiresias.Record, 0, n)
 	}
-	d.recs = d.recs[:0]
+	d.recs, d.badPath = d.recs[:0], -1
 }
 
 // recordBound sizes the record array from the count of a byte every
@@ -267,8 +272,14 @@ func (d *decoder) scanLines(raw []byte) error {
 	return nil
 }
 
-// emitDecoded commits a record encoding/json decoded (the fallback).
+// emitDecoded commits a record encoding/json decoded (the fallback),
+// checking its path afresh: a mark the scanner left on the same record
+// before handing it over is replaced.
 func (d *decoder) emitDecoded(r api.Record) {
+	if d.badPath == len(d.recs) {
+		d.badPath = -1
+	}
+	d.markPath(r.Path)
 	d.rec, d.name = tiresias.Record{Path: r.Path, Time: r.Time}, r.Stream
 	d.emit()
 }
@@ -513,7 +524,7 @@ func (d *decoder) path(span, bracketed []byte) bool {
 }
 
 // pathMiss decodes a path the cache does not hold, through
-// encoding/json, and keeps it for the cache.
+// encoding/json, and keeps it for the cache unless it names no node.
 func (d *decoder) pathMiss(span, bracketed []byte) ([]string, bool) {
 	if p, ok := d.newPaths[string(span)]; ok {
 		d.pathHits++
@@ -525,13 +536,27 @@ func (d *decoder) pathMiss(span, bracketed []byte) ([]string, bool) {
 	}
 	d.pathMisses++
 	p = p[:len(p):len(p)]
-	if len(span) <= maxCachedSpan {
+	if !d.markPath(p) && len(span) <= maxCachedSpan {
 		if d.newPaths == nil {
 			d.newPaths = make(map[string][]string)
 		}
 		d.newPaths[string(span)] = p
 	}
 	return p, true
+}
+
+// markPath records the record being decoded as the body's first with
+// a path that names no node, when it is, and reports whether it is.
+func (d *decoder) markPath(p []string) bool {
+	for _, label := range p {
+		if !hierarchy.ValidLabel(label) {
+			if d.badPath < 0 {
+				d.badPath = len(d.recs)
+			}
+			return true
+		}
+	}
+	return false
 }
 
 // time resolves a "time" value: span is the text between the quotes,

@@ -76,6 +76,8 @@ func oracleIngest(raw []byte, ndjson bool) ([]oracleGroup, *wireError) {
 		switch {
 		case len(rec.Path) == 0:
 			what = "empty path"
+		case slices.ContainsFunc(rec.Path, func(l string) bool { return l == "" || strings.Contains(l, "\x1f") }):
+			what = "path component empty or containing U+001F"
 		case rec.Time.IsZero():
 			what = "missing time"
 		default:
@@ -331,6 +333,47 @@ func TestNDJSONErrorCases(t *testing.T) {
 	}
 	if st := s.Manager().Stats(); st.Records != 0 || st.Streams != 0 {
 		t.Fatalf("a rejected batch fed records: %+v", st)
+	}
+}
+
+// TestIngestRejectsBadPathComponents: a path component that is empty
+// or holds the Key separator U+001F would give two categories one Key
+// (or a category the root's), so the batch is refused as an invalid
+// record naming its index, in every framing, every time it is sent
+// (such a path is never cached), and nothing of it is fed. A scanner
+// mark on a record encoding/json then decodes differently does not
+// stick.
+func TestIngestRejectsBadPathComponents(t *testing.T) {
+	s, ts := newTestServer(t, testConfig())
+	const good = `{"path":["a","b"],"time":"2010-09-14T00:00:00Z"}`
+	for _, tc := range []struct {
+		name, ctype, body string
+		record            float64
+	}{
+		{"array empty component", "application/json", `[` + good + `,{"path":["a",""],"time":"2010-09-14T00:00:00Z"}]`, 1},
+		{"array separator", "application/json", `[` + good + `,` + good + `,{"path":["a\u001fb"],"time":"2010-09-14T00:00:00Z"}]`, 2},
+		{"array separator again", "application/json", `[{"path":["a\u001fb"],"time":"2010-09-14T00:00:00Z"}]`, 0},
+		{"single object", "application/json", `{"path":[""],"time":"2010-09-14T00:00:00Z"}`, 0},
+		{"ndjson", "application/x-ndjson", good + "\n\n" + `{"path":["x","","y"],"time":"2010-09-14T00:00:00Z"}`, 1},
+		{"fallback", "application/json", `[` + good + `,{"path":["a","b"],"time":"2010-09-14T00:00:00Z","extra":1},{"path":[""],"time":"2010-09-14T00:00:00Z"}]`, 2},
+	} {
+		resp := post(t, ts.URL+"/v2/records", tc.ctype, tc.body, nil)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400", tc.name, resp.StatusCode)
+		}
+		e := decodeError(t, resp)
+		if e.Code != api.CodeInvalidRecord || e.Details["record"] != tc.record || !strings.Contains(e.Message, "U+001F") {
+			t.Fatalf("%s: error = %+v, want %s for record %v", tc.name, e, api.CodeInvalidRecord, tc.record)
+		}
+	}
+	if st := s.Manager().Stats(); st.Records != 0 || st.Streams != 0 {
+		t.Fatalf("a rejected batch fed records: %+v", st)
+	}
+	// Duplicate keys send the record to encoding/json, which keeps the
+	// last path: a valid one.
+	dup := `{"path":[""],"path":["a","c"],"time":"2010-09-14T00:00:00Z"}`
+	if resp := post(t, ts.URL+"/v2/records", "application/json", dup, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("duplicate path keys: status = %d, error %+v", resp.StatusCode, decodeError(t, resp))
 	}
 }
 

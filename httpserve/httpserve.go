@@ -533,6 +533,8 @@ func (s *Server) decodeIngest(d *decoder, ndjson bool) *wireError {
 		switch {
 		case len(rec.Path) == 0:
 			what = "empty path"
+		case i == d.badPath:
+			what = "path component empty or containing U+001F"
 		case rec.Time.IsZero():
 			what = "missing time"
 		default:

@@ -170,15 +170,15 @@ func TestADATracksSTAOverLongRun(t *testing.T) {
 		// category key.
 		byKey := make(map[hierarchy.Key]float64, len(stS.HeavyHitters))
 		for _, s := range stS.HeavyHitters {
-			byKey[s.Node.Key] = s.Actual
+			byKey[s.Key] = s.Actual
 		}
 		for _, a := range stA.HeavyHitters {
-			want, ok := byKey[a.Node.Key]
+			want, ok := byKey[a.Key]
 			if !ok {
-				t.Fatalf("instance %d: %v in ADA set but not STA set", i, a.Node.Key)
+				t.Fatalf("instance %d: %v in ADA set but not STA set", i, a.Key)
 			}
 			if math.Abs(a.Actual-want) > 1e-9 {
-				t.Fatalf("instance %d: newest value for %v: %v vs %v", i, a.Node.Key, a.Actual, want)
+				t.Fatalf("instance %d: newest value for %v: %v vs %v", i, a.Key, a.Actual, want)
 			}
 		}
 	}

@@ -63,9 +63,8 @@ func (ns *nodeSeries) copyModel(src forecast.Linear) {
 // closure, the current SHHH members and the reference nodes, each in
 // level order: O(|closure(touched)| + |SHHH| + |refs|) per instance,
 // however many categories the stream has ever seen. Work proportional
-// to the tree remains only where the tree itself changes or is
-// (de)serialized: growth (grow, the CSR rebuild), Init, ExportState
-// and ImportState.
+// to the tree remains only where it is (de)serialized: Init,
+// ExportState and ImportState. Growth costs O(new nodes).
 //
 // All scratch — including the returned StepState — is reused across
 // instances, and series holders are a slab: a holder leaves the pool
@@ -126,9 +125,11 @@ type ADA struct {
 	// members is its ascending listing as of the last snapshot.
 	memberSet idSet
 	members   []int32
-	// work orders node ranks: it sorts the closure and queues the merge
-	// pass. Empty between passes.
-	work idSet
+	// work holds one set of node IDs per depth, so that draining it
+	// shallow to deep lists nodes in level order (ascending ID within a
+	// level): it sorts the closure and queues the merge pass. Empty
+	// between passes.
+	work []idSet
 
 	// Reusable scratch and pools for the steady-state step.
 	snap     StepState     // returned by snapshot, reused every instance
@@ -189,7 +190,12 @@ func (a *ADA) grow() {
 		a.refIdx = append(a.refIdx, -1)
 	}
 	a.memberSet.grow(n)
-	a.work.grow(n)
+	for len(a.work) < a.tree.Height() {
+		a.work = append(a.work, idSet{})
+	}
+	for d := range a.work {
+		a.work[d].grow(n)
+	}
 }
 
 // Init implements Engine: the first time instance performs the same
@@ -223,23 +229,23 @@ func (a *ADA) Init(window []*DenseUnit) (*StepState, error) {
 	// (the root always holds the residual series so that it can
 	// re-enter SHHH without information loss).
 	start = now()
-	owners := append([]*hierarchy.Node(nil), res.Set...)
-	if !res.IsHH(a.tree.Root()) {
-		owners = append(owners, a.tree.Root())
+	owners := append([]int32(nil), res.Set...)
+	if !res.IsHH(hierarchy.Root) {
+		owners = append(owners, hierarchy.Root)
 	}
-	hist := make(map[int][]float64, len(owners))
-	for _, n := range owners {
-		hist[n.ID] = make([]float64, 0, len(units))
+	hist := make(map[int32][]float64, len(owners))
+	for _, id := range owners {
+		hist[id] = make([]float64, 0, len(units))
 	}
 	var w []float64
 	for _, u := range units {
 		w = shhh.FrozenWeightsIDsInto(a.tree, u.ids, u.vals, res.InSet, w)
-		for _, n := range owners {
-			hist[n.ID] = append(hist[n.ID], w[n.ID])
+		for _, id := range owners {
+			hist[id] = append(hist[id], w[id])
 		}
 	}
-	for _, n := range owners {
-		ts := hist[n.ID]
+	for _, id := range owners {
+		ts := hist[id]
 		ns := a.getSeries()
 		ns.actual.SetValues(ts)
 		a.refit(ns, ts)
@@ -248,13 +254,13 @@ func (a *ADA) Init(window []*DenseUnit) (*StepState, error) {
 				ns.multi.Update(v)
 			}
 		}
-		a.state[n.ID] = ns
-		a.inSHHH[n.ID] = res.IsHH(n)
+		a.state[id] = ns
+		a.inSHHH[id] = res.IsHH(int(id))
 	}
 
 	// Reference series for the top h levels (§V-B5, raw weights A_n)
 	// and split-rule statistics, seeded in one pass over the window.
-	a.coverRefs(a.tree.CSR(), false)
+	a.coverRefs(false)
 	var agg []float64
 	alpha := a.cfg.RuleAlpha
 	for _, u := range units {
@@ -484,7 +490,6 @@ func (a *ADA) stepDense(u *DenseUnit) (*StepState, error) {
 	// --- Initialization stage (lines 6-12). ---
 	start := now()
 	a.grow()
-	csr := a.tree.CSR()
 	for _, id := range a.splitMark {
 		a.tosplit[id] = false
 	}
@@ -493,21 +498,20 @@ func (a *ADA) stepDense(u *DenseUnit) (*StepState, error) {
 		a.gotSplit[id] = false
 	}
 	a.gotMark = a.gotMark[:0]
-	a.updateWeights(u, csr)
+	a.updateWeights(u)
 	tUpdate := now().Sub(start)
 
 	// --- SHHH and time-series adaptation (lines 13-25). ---
 	start = now()
-	a.adaptMembership(csr)
+	a.adaptMembership()
 	// Repair split-induced bias with reference series (§V-B5).
 	if a.cfg.RefLevels > 0 {
-		a.repairFromReferences(csr)
+		a.repairFromReferences()
 	}
 	// Append the new weights to every member's series (lines 26-29);
 	// the root keeps its residual series whether or not it is a member.
-	rootID := a.tree.Root().ID
-	if !a.inSHHH[rootID] {
-		a.appendNewest(rootID)
+	if !a.inSHHH[hierarchy.Root] {
+		a.appendNewest(hierarchy.Root)
 	}
 	for _, id := range a.members {
 		a.appendNewest(int(id))
@@ -518,7 +522,7 @@ func (a *ADA) stepDense(u *DenseUnit) (*StepState, error) {
 		a.refModel[i].Update(a.rawA[id])
 	}
 	if a.refCovered != a.tree.Len() {
-		a.coverRefs(csr, true)
+		a.coverRefs(true)
 	}
 	a.observeRuleStats()
 	tSeries := now().Sub(start)
@@ -541,41 +545,40 @@ func (a *ADA) stepDense(u *DenseUnit) (*StepState, error) {
 // the previous closure is zeroed and the rest of the tree is left
 // alone. Each level is visited in ascending ID order and pushes into
 // its parents, so a parent sums its direct count and then its children
-// in ChildIDs order — the order, and therefore the floating-point
+// in ascending ID order — the order, and therefore the floating-point
 // result, of a full bottom-up sweep.
 //
 //tiresias:hotpath
-func (a *ADA) updateWeights(u *DenseUnit, csr *hierarchy.CSR) {
+func (a *ADA) updateWeights(u *DenseUnit) {
 	a.closure, a.prevClosure = a.prevClosure[:0], a.closure
 	for _, id := range a.prevClosure {
 		a.rawA[id], a.weight[id], a.ishh[id] = 0, 0, false
 	}
-	parent, rank, depth := csr.Parent, csr.Rank, csr.Depth
+	t := a.tree
 	for _, id := range u.IDs() {
-		if int(id) >= len(rank) {
+		if int(id) >= t.Len() {
 			continue // not in this engine's tree: no node to weigh
 		}
-		for x := id; x >= 0 && a.work.add(rank[x]); x = parent[x] {
+		for x := int(id); x >= 0 && a.work[t.Depth(x)].add(int32(x)); x = t.Parent(x) {
 		}
 	}
-	// Draining the ranks in ascending order is level order; map each
-	// back to its ID in place.
-	a.closure = a.work.appendTo(a.closure, true)
-	for i, r := range a.closure {
-		id := csr.TopDown[r]
-		a.closure[i] = id
+	// Draining the levels shallow to deep is level order.
+	for d := range a.work {
+		a.closure = a.work[d].appendTo(a.closure, true)
+	}
+	for _, id := range a.closure {
 		v := u.ValueAt(int(id))
 		a.rawA[id], a.weight[id] = v, v
 	}
 	theta := a.cfg.Theta
 	for hi := len(a.closure); hi > 0; {
 		lo := hi - 1
-		for d := depth[a.closure[lo]]; lo > 0 && depth[a.closure[lo-1]] == d; lo-- {
+		for d := t.Depth(int(a.closure[lo])); lo > 0 && t.Depth(int(a.closure[lo-1])) == d; lo-- {
 		}
 		for _, id := range a.closure[lo:hi] {
 			heavy := a.weight[id] >= theta
 			a.ishh[id] = heavy
-			if p := parent[id]; p >= 0 {
+			if p := t.Parent(int(id)); p >= 0 {
 				a.rawA[p] += a.rawA[id]
 				if !heavy {
 					a.weight[p] += a.weight[id]
@@ -590,42 +593,44 @@ func (a *ADA) updateWeights(u *DenseUnit, csr *hierarchy.CSR) {
 // new heavy-hitter positions (lines 13-25) and refreshes members.
 //
 //tiresias:hotpath
-func (a *ADA) adaptMembership(csr *hierarchy.CSR) {
+func (a *ADA) adaptMembership() {
+	t := a.tree
 	// Mark ancestors of newly heavy nodes for splitting (lines 13-17),
 	// deepest level first. Only closure nodes can be heavy, and marks
 	// land on their parents, which the closure contains.
 	for i := len(a.closure) - 1; i >= 0; i-- {
 		id := a.closure[i]
 		if (a.ishh[id] || a.tosplit[id]) && !a.inSHHH[id] {
-			if p := csr.Parent[id]; p >= 0 {
-				a.markSplit(int(p))
+			if p := t.Parent(int(id)); p >= 0 {
+				a.markSplit(p)
 			}
 		}
 	}
 	// Top-down split pass (lines 18-20; the root is always eligible).
 	for _, id := range a.closure {
-		if a.tosplit[id] && (a.inSHHH[id] || csr.Parent[id] < 0) {
-			a.split(int(id), csr)
+		if a.tosplit[id] && (a.inSHHH[id] || id == hierarchy.Root) {
+			a.split(int(id))
 		}
 	}
 	// Bottom-up merge pass (lines 21-23) over the members, deepest
-	// first; a merge queues the parent it made a member.
+	// level first and descending ID within a level; a merge queues the
+	// parent it made a member, one level up.
 	a.members = a.memberSet.appendTo(a.members[:0], false)
 	for _, id := range a.members {
-		a.work.add(csr.Rank[id])
+		a.work[t.Depth(int(id))].add(id)
 	}
-	for r := a.work.popMax(); r >= 0; r = a.work.popMax() {
-		id := int(csr.TopDown[r])
-		if a.inSHHH[id] && !a.ishh[id] {
-			a.merge(id, csr)
+	for d := len(a.work) - 1; d >= 0; d-- {
+		for id := a.work[d].popMax(); id >= 0; id = a.work[d].popMax() {
+			if a.inSHHH[id] && !a.ishh[id] {
+				a.merge(int(id))
+			}
 		}
 	}
 	// Root membership (lines 24-25). The root keeps its residual
 	// series either way.
-	rootID := a.tree.Root().ID
-	a.setMember(rootID, a.ishh[rootID])
-	if a.state[rootID] == nil {
-		a.state[rootID] = a.freshSeries()
+	a.setMember(hierarchy.Root, a.ishh[hierarchy.Root])
+	if a.state[hierarchy.Root] == nil {
+		a.state[hierarchy.Root] = a.freshSeries()
 	}
 	a.members = a.memberSet.appendTo(a.members[:0], false)
 }
@@ -715,11 +720,10 @@ func (a *ADA) scaledCopy(src *nodeSeries, ratio float64) *nodeSeries {
 // back); their weight stays accounted at n.
 //
 //tiresias:hotpath
-func (a *ADA) split(id int, csr *hierarchy.CSR) {
+func (a *ADA) split(id int) {
 	cands := a.candBuf[:0]
 	eligible := false
-	for j := csr.ChildOff[id]; j < csr.ChildOff[id+1]; j++ {
-		c := int(csr.ChildIDs[j])
+	for c := a.tree.FirstChild(id); c >= 0; c = a.tree.NextSibling(c) {
 		if a.inSHHH[c] {
 			continue
 		}
@@ -778,7 +782,7 @@ func (a *ADA) split(id int, csr *hierarchy.CSR) {
 		// returned). If n is light it will merge upward normally.
 		a.state[id] = a.scaledCopy(parent, 0)
 		a.setMember(id, true)
-	} else if csr.Parent[id] < 0 {
+	} else if id == hierarchy.Root {
 		// The root must keep a (now empty) residual series holder.
 		a.state[id] = a.freshSeries()
 	}
@@ -790,22 +794,20 @@ func (a *ADA) split(id int, csr *hierarchy.CSR) {
 // which becomes a member and is queued for the merge pass in turn.
 //
 //tiresias:hotpath
-func (a *ADA) merge(id int, csr *hierarchy.CSR) {
+func (a *ADA) merge(id int) {
 	if a.ishh[id] {
 		return
 	}
-	p := csr.Parent[id]
-	if p < 0 {
+	pid := a.tree.Parent(id)
+	if pid < 0 {
 		return // root handled by the membership rule
 	}
-	pid := int(p)
 	dst := a.state[pid]
 	if dst == nil {
 		dst = a.freshSeries()
 		a.state[pid] = dst
 	}
-	for j := csr.ChildOff[pid]; j < csr.ChildOff[pid+1]; j++ {
-		c := int(csr.ChildIDs[j])
+	for c := a.tree.FirstChild(pid); c >= 0; c = a.tree.NextSibling(c) {
 		if !a.inSHHH[c] || a.ishh[c] {
 			continue
 		}
@@ -832,7 +834,7 @@ func (a *ADA) merge(id int, csr *hierarchy.CSR) {
 		a.setMember(c, false)
 	}
 	a.setMember(pid, true)
-	a.work.add(csr.Rank[pid])
+	a.work[a.tree.Depth(pid)].add(int32(pid))
 }
 
 // repairFromReferences implements §V-B5: for every node that received
@@ -843,7 +845,7 @@ func (a *ADA) merge(id int, csr *hierarchy.CSR) {
 // repaired before any of its repaired descendants.
 //
 //tiresias:hotpath
-func (a *ADA) repairFromReferences(csr *hierarchy.CSR) {
+func (a *ADA) repairFromReferences() {
 	for _, id32 := range a.gotMark {
 		id := int(id32)
 		if !a.inSHHH[id] {
@@ -855,7 +857,7 @@ func (a *ADA) repairFromReferences(csr *hierarchy.CSR) {
 			continue
 		}
 		_ = ns.actual.CopyFrom(a.refActual[ri])
-		a.subtractDescendants(id, ns.actual, csr)
+		a.subtractDescendants(id, ns.actual)
 		a.valBuf = ns.actual.ValuesInto(a.valBuf) //tiresias:ignore escapecheck (inlined grow path: the scratch reaches the window length once)
 		if len(a.valBuf) > 1 {
 			a.refit(ns, a.valBuf)
@@ -866,23 +868,24 @@ func (a *ADA) repairFromReferences(csr *hierarchy.CSR) {
 // subtractDescendants subtracts from r the actual series of every
 // heavy-hitter descendant of id (excluding id itself), stopping
 // descent at each member (deeper members are already discounted from
-// it). The explicit stack pushes children in reverse so pop order
-// matches the recursive preorder walk exactly.
-func (a *ADA) subtractDescendants(id int, r *series.Ring, csr *hierarchy.CSR) {
-	stack := a.stackBuf[:0]
-	for j := csr.ChildOff[id+1] - 1; j >= csr.ChildOff[id]; j-- {
-		stack = append(stack, csr.ChildIDs[j])
-	}
+// it). The explicit stack holds, above each visited node's next
+// sibling, its first child, so pop order is the recursive preorder
+// walk exactly.
+func (a *ADA) subtractDescendants(id int, r *series.Ring) {
+	t := a.tree
+	stack := append(a.stackBuf[:0], int32(t.FirstChild(id)))
 	for len(stack) > 0 {
 		c := int(stack[len(stack)-1])
 		stack = stack[:len(stack)-1]
+		if c < 0 {
+			continue
+		}
+		stack = append(stack, int32(t.NextSibling(c)))
 		if a.inSHHH[c] && a.state[c] != nil {
 			_ = r.SubRing(a.state[c].actual)
 			continue
 		}
-		for j := csr.ChildOff[c+1] - 1; j >= csr.ChildOff[c]; j-- {
-			stack = append(stack, csr.ChildIDs[j])
-		}
+		stack = append(stack, int32(t.FirstChild(c)))
 	}
 	a.stackBuf = stack[:0]
 }
@@ -893,9 +896,9 @@ func (a *ADA) subtractDescendants(id int, r *series.Ring, csr *hierarchy.CSR) {
 // refCovered on, and appending them keeps the reference slices in
 // ascending ID order. With seed set a new entry starts from the node's
 // current raw weight; Init instead fills the entries from its window.
-func (a *ADA) coverRefs(csr *hierarchy.CSR, seed bool) {
+func (a *ADA) coverRefs(seed bool) {
 	for id := a.refCovered; id < a.tree.Len(); id++ {
-		if d := int(csr.Depth[id]); d < 1 || d > a.cfg.RefLevels {
+		if d := a.tree.Depth(id); d < 1 || d > a.cfg.RefLevels {
 			continue
 		}
 		r := series.NewRing(a.cfg.WindowLen)
@@ -937,49 +940,45 @@ func (a *ADA) snapshot() *StepState {
 				fc = v
 			}
 		}
-		st.HeavyHitters = append(st.HeavyHitters, HeavyHitter{Node: a.tree.Node(int(id)), Actual: actual, Forecast: fc})
+		st.HeavyHitters = append(st.HeavyHitters, HeavyHitter{ID: int(id), Key: a.tree.Key(int(id)), Actual: actual, Forecast: fc})
 	}
 	return st
 }
 
 // SeriesOf implements Engine.
-func (a *ADA) SeriesOf(n *hierarchy.Node) []float64 {
-	if n.ID >= len(a.state) || a.state[n.ID] == nil {
+func (a *ADA) SeriesOf(id int) []float64 {
+	if id < 0 || id >= len(a.state) || a.state[id] == nil {
 		return nil
 	}
-	return a.state[n.ID].actual.Values()
+	return a.state[id].actual.Values()
 }
 
 // ForecastSeriesOf implements Engine.
-func (a *ADA) ForecastSeriesOf(n *hierarchy.Node) []float64 {
-	if n.ID >= len(a.state) || a.state[n.ID] == nil {
+func (a *ADA) ForecastSeriesOf(id int) []float64 {
+	if id < 0 || id >= len(a.state) || a.state[id] == nil {
 		return nil
 	}
-	return a.state[n.ID].fcast.Values()
+	return a.state[id].fcast.Values()
 }
 
 // MultiScaleOf returns the node's coarse-timescale series at scale i
 // (0 = base), or nil when multi-scale tracking is disabled or the node
 // holds no series.
-func (a *ADA) MultiScaleOf(n *hierarchy.Node, i int) []float64 {
-	if n.ID >= len(a.state) || a.state[n.ID] == nil || a.state[n.ID].multi == nil {
+func (a *ADA) MultiScaleOf(id, i int) []float64 {
+	if id < 0 || id >= len(a.state) || a.state[id] == nil || a.state[id].multi == nil {
 		return nil
 	}
-	return append([]float64(nil), a.state[n.ID].multi.Series(i)...)
+	return append([]float64(nil), a.state[id].multi.Series(i)...)
 }
 
-// HeavyHitterNodes returns the current SHHH members in node-ID order,
-// served from the incrementally maintained member list (no full-tree
-// scan).
-func (a *ADA) HeavyHitterNodes() []*hierarchy.Node {
+// HeavyHitterIDs returns the current SHHH member IDs in ascending
+// order, served from the incrementally maintained member list (no
+// full-tree scan).
+func (a *ADA) HeavyHitterIDs() []int32 {
 	if len(a.members) == 0 {
 		return nil
 	}
-	out := make([]*hierarchy.Node, len(a.members))
-	for i, id := range a.members {
-		out[i] = a.tree.Node(int(id))
-	}
-	return out
+	return append([]int32(nil), a.members...)
 }
 
 // Memory implements Engine.

@@ -159,8 +159,9 @@ func reseedHoltWinters(reuse forecast.Linear, alpha, beta, gamma float64, period
 
 // HeavyHitter describes one SHHH member at the newest time instance.
 type HeavyHitter struct {
-	// Node is the category holding the series.
-	Node *hierarchy.Node
+	// ID is the node holding the series; Key its category.
+	ID  int
+	Key hierarchy.Key
 	// Actual is the newest modified weight W_n.
 	Actual float64
 	// Forecast is the model's prediction for the newest timeunit,
@@ -259,10 +260,10 @@ type Engine interface {
 	Tree() *hierarchy.Tree
 	// SeriesOf returns a copy of the retained actual series (oldest
 	// first) for the node, or nil when the node holds no series.
-	SeriesOf(n *hierarchy.Node) []float64
+	SeriesOf(id int) []float64
 	// ForecastSeriesOf returns a copy of the retained forecast
 	// series aligned with SeriesOf, or nil.
-	ForecastSeriesOf(n *hierarchy.Node) []float64
+	ForecastSeriesOf(id int) []float64
 	// Memory reports current memory statistics.
 	Memory() MemoryStats
 }

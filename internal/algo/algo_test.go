@@ -166,7 +166,7 @@ func TestFactoryReuseMatchesNil(t *testing.T) {
 func hhKeys(st *StepState) map[hierarchy.Key]bool {
 	out := make(map[hierarchy.Key]bool, len(st.HeavyHitters))
 	for _, hh := range st.HeavyHitters {
-		out[hh.Node.Key] = true
+		out[hh.Key] = true
 	}
 	return out
 }
@@ -257,7 +257,7 @@ func TestNewestWeightsMatchDefinition(t *testing.T) {
 				}
 				ref := shhh.Compute(e.Tree(), u, cfg.Theta)
 				for _, hh := range st.HeavyHitters {
-					if math.Abs(hh.Actual-ref.W[hh.Node.ID]) > 1e-9 {
+					if math.Abs(hh.Actual-ref.W[hh.ID]) > 1e-9 {
 						return false
 					}
 				}
@@ -437,9 +437,8 @@ func TestMassConservationAcrossAdaptation(t *testing.T) {
 			for _, hh := range st.HeavyHitters {
 				got += hh.Actual
 			}
-			root := ada.Tree().Root()
-			if !hhKeys(st)[root.Key] {
-				ts := ada.SeriesOf(root)
+			if !hhKeys(st)[hierarchy.KeyOf(nil)] {
+				ts := ada.SeriesOf(hierarchy.Root)
 				if len(ts) > 0 {
 					got += ts[len(ts)-1]
 				}
@@ -492,8 +491,8 @@ func TestADASeriesCloseToSTA(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, hh := range stA.HeavyHitters {
-			exact := sta.SeriesOf(sta.Tree().Lookup(hh.Node.Key))
-			approx := ada.SeriesOf(hh.Node)
+			exact := sta.SeriesOf(sta.Tree().Lookup(hh.Key))
+			approx := ada.SeriesOf(hh.ID)
 			if exact == nil || approx == nil {
 				continue
 			}
@@ -564,8 +563,8 @@ func TestReferenceSeriesReduceSplitError(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, hh := range stA.HeavyHitters {
-				exact := sta.SeriesOf(sta.Tree().Lookup(hh.Node.Key))
-				approx := ada.SeriesOf(hh.Node)
+				exact := sta.SeriesOf(sta.Tree().Lookup(hh.Key))
+				approx := ada.SeriesOf(hh.ID)
 				n := min(len(exact), len(approx))
 				for i := 1; i <= n; i++ {
 					sumErr += math.Abs(exact[len(exact)-i] - approx[len(approx)-i])
@@ -658,11 +657,12 @@ func TestSeriesOfUnknownNode(t *testing.T) {
 	if _, err := InitTimeunits(ada, []Timeunit{{key("a"): 10}}); err != nil {
 		t.Fatal(err)
 	}
-	other := hierarchy.New().Insert([]string{"zzz"})
-	if ada.SeriesOf(other) == nil {
-		// Node IDs from a foreign tree may accidentally collide;
-		// the contract is only "no panic". Nothing to assert.
-		return
+	// An ID outside the tree, such as Lookup's -1 for an absent key,
+	// holds no series.
+	for _, id := range []int{-1, ada.Tree().Lookup(key("zzz")), 1 << 20} {
+		if ada.SeriesOf(id) != nil || ada.ForecastSeriesOf(id) != nil || ada.MultiScaleOf(id, 0) != nil {
+			t.Fatalf("node %d outside the tree has a series", id)
+		}
 	}
 }
 
@@ -678,10 +678,10 @@ func TestHeavyHitterNodesOrdered(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	hhs := ada.HeavyHitterNodes()
+	hhs := ada.HeavyHitterIDs()
 	for i := 1; i < len(hhs); i++ {
-		if hhs[i].ID <= hhs[i-1].ID {
-			t.Fatal("HeavyHitterNodes not ordered by ID")
+		if hhs[i] <= hhs[i-1] {
+			t.Fatal("HeavyHitterIDs not in ascending order")
 		}
 	}
 }

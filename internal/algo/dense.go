@@ -130,17 +130,18 @@ func (u *DenseUnit) MaxID() int {
 func (u *DenseUnit) Timeunit(t *hierarchy.Tree) Timeunit {
 	out := make(Timeunit, len(u.ids))
 	for i, id := range u.ids {
-		out[t.Node(int(id)).Key] += u.vals[i]
+		out[t.Key(int(id))] += u.vals[i]
 	}
 	return out
 }
 
 // AddTimeunit accumulates a map-form timeunit into the dense unit,
-// interning unseen keys into the tree. It is the bridge from map-form
+// interning unseen keys into the tree; every key's labels must be
+// valid (hierarchy.ValidLabel). It is the bridge from map-form
 // timeunits to the engines' dense step.
 func (u *DenseUnit) AddTimeunit(t *hierarchy.Tree, counts Timeunit) {
 	for k, v := range counts {
-		u.Add(t.InsertKey(k).ID, v)
+		u.Add(t.Intern(k.Path()), v)
 	}
 }
 

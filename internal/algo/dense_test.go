@@ -117,12 +117,12 @@ func TestADADenseLemma1Agreement(t *testing.T) {
 			t.Fatalf("step %d: |SHHH| = %d, reference %d", step, len(st.HeavyHitters), len(ref.Set))
 		}
 		for _, hh := range st.HeavyHitters {
-			if !ref.IsHH(hh.Node) {
-				t.Fatalf("step %d: %v in ADA set but not reference", step, hh.Node)
+			if !ref.IsHH(hh.ID) {
+				t.Fatalf("step %d: %v in ADA set but not reference", step, hh.Key)
 			}
-			if want := ref.W[hh.Node.ID]; hh.Actual != want {
+			if want := ref.W[hh.ID]; hh.Actual != want {
 				t.Fatalf("step %d: %v weight %v, reference %v (must be bit-identical)",
-					step, hh.Node, hh.Actual, want)
+					step, hh.Key, hh.Actual, want)
 			}
 		}
 	}
@@ -154,7 +154,7 @@ func TestADADenseMatchesMapStep(t *testing.T) {
 	for p := 0; p < 3; p++ {
 		for c := 0; c < 4; c++ {
 			path := []string{fmt.Sprintf("p%d", p), fmt.Sprintf("c%d", c)}
-			mapEng.Tree().Insert(path)
+			mapEng.Tree().Intern(path)
 			denseTree.Intern(path)
 		}
 	}
@@ -188,12 +188,12 @@ func TestADADenseMatchesMapStep(t *testing.T) {
 		}
 		for i := range stM.HeavyHitters {
 			hm, hd := stM.HeavyHitters[i], stD.HeavyHitters[i]
-			if hm.Node.Key != hd.Node.Key {
-				t.Fatalf("step %d: member %d is %v vs %v", step, i, hm.Node, hd.Node)
+			if hm.Key != hd.Key {
+				t.Fatalf("step %d: member %d is %v vs %v", step, i, hm.Key, hd.Key)
 			}
 			if hm.Actual != hd.Actual || hm.Forecast != hd.Forecast {
 				t.Fatalf("step %d: %v map (%v, %v) vs dense (%v, %v)",
-					step, hm.Node, hm.Actual, hm.Forecast, hd.Actual, hd.Forecast)
+					step, hm.Key, hm.Actual, hm.Forecast, hd.Actual, hd.Forecast)
 			}
 		}
 	}
@@ -246,7 +246,7 @@ func TestADAStepDenseSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state StepDense allocates %.2f per op, want 0", allocs)
 	}
 	// Sanity: the engine is actually tracking the heavy hitters.
-	if got := len(ada.HeavyHitterNodes()); got == 0 {
+	if got := len(ada.HeavyHitterIDs()); got == 0 {
 		t.Fatal("steady state has no heavy hitters; guard is vacuous")
 	}
 }
@@ -303,7 +303,7 @@ func TestADASplitMergeCycleAllocatesNothing(t *testing.T) {
 						t.Fatal(err)
 					}
 					for _, hh := range st.HeavyHitters {
-						if hh.Node.ID == leaves[0] {
+						if hh.ID == leaves[0] {
 							splits++
 						}
 					}
@@ -319,9 +319,9 @@ func TestADASplitMergeCycleAllocatesNothing(t *testing.T) {
 				if allocs != 0 {
 					t.Fatalf("a split/merge cycle allocates %.2f per op, want 0", allocs)
 				}
-				if splits == 0 || len(ada.HeavyHitterNodes()) != 1 {
+				if splits == 0 || len(ada.HeavyHitterIDs()) != 1 {
 					t.Fatalf("burst reached the leaf %d times, %d members after the merge; the guard is vacuous",
-						splits, len(ada.HeavyHitterNodes()))
+						splits, len(ada.HeavyHitterIDs()))
 				}
 			})
 		}

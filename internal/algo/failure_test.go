@@ -65,7 +65,7 @@ func TestADASingleMassiveBurst(t *testing.T) {
 	}
 	found := false
 	for _, hh := range st.HeavyHitters {
-		if hh.Node.Key == key("z", "deep", "leaf") {
+		if hh.Key == key("z", "deep", "leaf") {
 			found = true
 			if hh.Actual != 1e6 {
 				t.Fatalf("burst actual = %v", hh.Actual)
@@ -175,7 +175,7 @@ func TestADAThetaBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, hh := range st.HeavyHitters {
-		if hh.Node.Key == key("e") {
+		if hh.Key == key("e") {
 			t.Fatal("weight < theta must not be a member")
 		}
 	}

@@ -5,9 +5,10 @@ import "math/bits"
 // idSet is an ordered set of small non-negative integers: a 64-ary
 // bitmap trie in which bit i of level l+1 is set iff word i of level l
 // is non-zero, topped by a single word. Add, remove and popMax cost
-// O(levels) and an ascending walk costs O(size·levels), so putting k
-// node ranks in level order is O(k) — independent of how many nodes the
-// tree holds, and without a comparison sort when k is the whole tree.
+// O(levels) and an ascending walk costs O(size·levels), so with one
+// set per depth putting k node IDs in level order is O(k) — independent
+// of how many nodes the tree holds, and without a comparison sort when
+// k is the whole tree.
 //
 // The zero value is an empty set of capacity 0; grow before adding.
 type idSet struct {

@@ -61,7 +61,6 @@ type oracleADA struct {
 	candBuf   []int32   // split candidates
 	xsBuf     []float64 // split ratios
 	valBuf    []float64 // Ring.ValuesInto scratch for model refits
-	stackBuf  []int32   // DFS stack for subtractDescendants
 }
 
 func newOracleADA(cfg Config) (*oracleADA, error) {
@@ -110,7 +109,7 @@ func (a *oracleADA) Init(window []Timeunit) (*StepState, error) {
 		cp := make(Timeunit, len(u))
 		for k, v := range u {
 			cp[k] = v
-			a.tree.InsertKey(k)
+			a.tree.Intern(k.Path())
 		}
 		units = append(units, cp)
 		if len(units) > a.cfg.WindowLen {
@@ -132,23 +131,23 @@ func (a *oracleADA) Init(window []Timeunit) (*StepState, error) {
 	// (the root always holds the residual series so that it can
 	// re-enter SHHH without information loss).
 	start = now()
-	owners := append([]*hierarchy.Node(nil), res.Set...)
-	if !res.IsHH(a.tree.Root()) {
-		owners = append(owners, a.tree.Root())
+	owners := append([]int32(nil), res.Set...)
+	if !res.IsHH(hierarchy.Root) {
+		owners = append(owners, hierarchy.Root)
 	}
-	hist := make(map[int][]float64, len(owners))
+	hist := make(map[int32][]float64, len(owners))
 	for _, n := range owners {
-		hist[n.ID] = make([]float64, 0, len(units))
+		hist[n] = make([]float64, 0, len(units))
 	}
 	var w []float64
 	for _, u := range units {
 		w = shhh.FrozenWeightsInto(a.tree, u, res.InSet, w)
 		for _, n := range owners {
-			hist[n.ID] = append(hist[n.ID], w[n.ID])
+			hist[n] = append(hist[n], w[n])
 		}
 	}
 	for _, n := range owners {
-		ts := hist[n.ID]
+		ts := hist[n]
 		ns := a.newNodeSeries()
 		ns.actual.SetValues(ts)
 		ns.model = a.cfg.NewForecaster(nil, ts[:len(ts)-1])
@@ -167,15 +166,15 @@ func (a *oracleADA) Init(window []Timeunit) (*StepState, error) {
 		// Advance the live model over the newest value so state is
 		// "post-instance", matching Step's epilogue.
 		ns.model.Update(ts[len(ts)-1])
-		a.state[n.ID] = ns
-		a.inSHHH[n.ID] = res.IsHH(n)
+		a.state[n] = ns
+		a.inSHHH[n] = res.IsHH(int(n))
 	}
 
 	// Reference series for the top h levels (§V-B5, raw weights A_n)
 	// and split-rule statistics, seeded in one pass over the window.
 	for depth := 1; depth <= a.cfg.RefLevels; depth++ {
-		for _, n := range a.tree.AtDepth(depth) {
-			a.refActual[n.ID] = series.NewRing(a.cfg.WindowLen)
+		for _, n := range a.tree.Level(depth) {
+			a.refActual[int(n)] = series.NewRing(a.cfg.WindowLen)
 		}
 	}
 	var agg []float64
@@ -292,9 +291,11 @@ func (a *oracleADA) ruleX(id int) float64 {
 	}
 }
 
-// stepDense is the flat per-instance core. Every traversal is a loop
-// over the tree's CSR ID orders; in the steady state (no tree growth,
-// no membership change) it allocates nothing.
+// stepDense is the flat per-instance core. Every traversal is a full
+// sweep over the tree's levels: bottom-up is deepest level first, top-
+// down root first, ascending ID within a level either way; in the
+// steady state (no tree growth, no membership change) it allocates
+// nothing.
 //
 //tiresias:hotpath
 func (a *oracleADA) stepDense(u *DenseUnit) (*StepState, error) {
@@ -303,8 +304,7 @@ func (a *oracleADA) stepDense(u *DenseUnit) (*StepState, error) {
 	// --- Initialization stage (lines 6-12). ---
 	start := now()
 	a.grow()
-	csr := a.tree.CSR()
-	childOff, childIDs := csr.ChildOff, csr.ChildIDs
+	t := a.tree
 	for _, id := range a.splitMark {
 		a.tosplit[id] = false
 	}
@@ -318,57 +318,64 @@ func (a *oracleADA) stepDense(u *DenseUnit) (*StepState, error) {
 	// form: direct counts come from the dense unit in O(1), so no
 	// per-instance clearing of the weight arrays is needed.
 	theta := a.cfg.Theta
-	for _, id32 := range csr.BottomUp {
-		id := int(id32)
-		v := u.ValueAt(id)
-		aw, w := v, v
-		for j := childOff[id]; j < childOff[id+1]; j++ {
-			c := childIDs[j]
-			aw += a.rawA[c]
-			if !a.ishh[c] {
-				w += a.weight[c]
+	for d := t.Height() - 1; d >= 0; d-- {
+		for _, id32 := range t.Level(d) {
+			id := int(id32)
+			v := u.ValueAt(id)
+			aw, w := v, v
+			for c := t.FirstChild(id); c >= 0; c = t.NextSibling(c) {
+				aw += a.rawA[c]
+				if !a.ishh[c] {
+					w += a.weight[c]
+				}
 			}
+			a.rawA[id], a.weight[id] = aw, w
+			a.ishh[id] = w >= theta
 		}
-		a.rawA[id], a.weight[id] = aw, w
-		a.ishh[id] = w >= theta
 	}
 	tUpdate := now().Sub(start)
 
 	// --- SHHH and time-series adaptation (lines 13-25). ---
 	start = now()
 	// Mark ancestors of newly heavy nodes for splitting (lines 13-17).
-	for _, id32 := range csr.BottomUp {
-		id := int(id32)
-		if (a.ishh[id] || a.tosplit[id]) && !a.inSHHH[id] {
-			if p := csr.Parent[id]; p >= 0 {
-				a.markSplit(int(p))
+	for d := t.Height() - 1; d >= 0; d-- {
+		for _, id32 := range t.Level(d) {
+			id := int(id32)
+			if (a.ishh[id] || a.tosplit[id]) && !a.inSHHH[id] {
+				if p := t.Parent(id); p >= 0 {
+					a.markSplit(p)
+				}
 			}
 		}
 	}
 	// Top-down split pass (lines 18-20; the root is always eligible).
-	for _, id32 := range csr.TopDown {
-		id := int(id32)
-		if a.tosplit[id] && (a.inSHHH[id] || csr.Parent[id] < 0) {
-			a.split(id, csr)
+	for d := 0; d < t.Height(); d++ {
+		for _, id32 := range t.Level(d) {
+			id := int(id32)
+			if a.tosplit[id] && (a.inSHHH[id] || id == hierarchy.Root) {
+				a.split(id)
+			}
 		}
 	}
 	// Bottom-up merge pass (lines 21-23).
-	for _, id32 := range csr.BottomUp {
-		id := int(id32)
-		if a.inSHHH[id] && !a.ishh[id] {
-			a.merge(id, csr)
+	for d := t.Height() - 1; d >= 0; d-- {
+		for _, id32 := range t.Level(d) {
+			id := int(id32)
+			if a.inSHHH[id] && !a.ishh[id] {
+				a.merge(id)
+			}
 		}
 	}
 	// Root membership (lines 24-25). The root keeps its residual
 	// series either way.
-	rootID := a.tree.Root().ID
+	rootID := hierarchy.Root
 	a.inSHHH[rootID] = a.ishh[rootID]
 	if a.state[rootID] == nil {
 		a.state[rootID] = a.freshSeries()
 	}
 	// Repair split-induced bias with reference series (§V-B5).
 	if a.cfg.RefLevels > 0 {
-		a.repairFromReferences(csr)
+		a.repairFromReferences()
 	}
 	// Append the new weights to every member's series (lines 26-29).
 	for id := range a.state {
@@ -472,11 +479,10 @@ func (a *oracleADA) scaledCopy(src *nodeSeries, ratio float64) *nodeSeries {
 // whose ratio is zero and whose subtree holds no heavy hitter are
 // skipped (they would receive an all-zero series and immediately merge
 // back); their weight stays accounted at n.
-func (a *oracleADA) split(id int, csr *hierarchy.CSR) {
+func (a *oracleADA) split(id int) {
 	cands := a.candBuf[:0]
 	eligible := false
-	for j := csr.ChildOff[id]; j < csr.ChildOff[id+1]; j++ {
-		c := int(csr.ChildIDs[j])
+	for c := a.tree.FirstChild(id); c >= 0; c = a.tree.NextSibling(c) {
 		if a.inSHHH[c] {
 			continue
 		}
@@ -535,7 +541,7 @@ func (a *oracleADA) split(id int, csr *hierarchy.CSR) {
 		// returned). If n is light it will merge upward normally.
 		a.state[id] = a.scaledCopy(parent, 0)
 		a.inSHHH[id] = true
-	} else if csr.Parent[id] < 0 {
+	} else if id == hierarchy.Root {
 		// The root must keep a (now empty) residual series holder.
 		a.state[id] = a.freshSeries()
 	}
@@ -544,22 +550,20 @@ func (a *oracleADA) split(id int, csr *hierarchy.CSR) {
 
 // merge implements MERGE(n) (Fig. 8): fold the series of n — and of
 // any sibling members that are also below threshold — into the parent.
-func (a *oracleADA) merge(id int, csr *hierarchy.CSR) {
+func (a *oracleADA) merge(id int) {
 	if a.ishh[id] {
 		return
 	}
-	p := csr.Parent[id]
-	if p < 0 {
+	pid := a.tree.Parent(id)
+	if pid < 0 {
 		return // root handled by the membership rule
 	}
-	pid := int(p)
 	dst := a.state[pid]
 	if dst == nil {
 		dst = a.freshSeries()
 		a.state[pid] = dst
 	}
-	for j := csr.ChildOff[pid]; j < csr.ChildOff[pid+1]; j++ {
-		c := int(csr.ChildIDs[j])
+	for c := a.tree.FirstChild(pid); c >= 0; c = a.tree.NextSibling(c) {
 		if !a.inSHHH[c] || a.ishh[c] {
 			continue
 		}
@@ -594,7 +598,7 @@ func (a *oracleADA) merge(id int, csr *hierarchy.CSR) {
 // descendants. gotMark lists the split receivers in non-decreasing
 // depth, so — as in the ID-order walk this replaces — an ancestor is
 // repaired before any of its repaired descendants.
-func (a *oracleADA) repairFromReferences(csr *hierarchy.CSR) {
+func (a *oracleADA) repairFromReferences() {
 	for _, id32 := range a.gotMark {
 		id := int(id32)
 		if !a.inSHHH[id] {
@@ -610,7 +614,7 @@ func (a *oracleADA) repairFromReferences(csr *hierarchy.CSR) {
 		}
 		repaired := a.getRing()
 		_ = repaired.CopyFrom(ref)
-		a.subtractDescendants(id, repaired, csr)
+		a.subtractDescendants(id, repaired)
 		a.putRing(ns.actual)
 		ns.actual = repaired
 		a.valBuf = repaired.ValuesInto(a.valBuf)
@@ -632,25 +636,15 @@ func (a *oracleADA) repairFromReferences(csr *hierarchy.CSR) {
 // subtractDescendants subtracts from r the actual series of every
 // heavy-hitter descendant of id (excluding id itself), stopping
 // descent at each member (deeper members are already discounted from
-// it). The explicit stack pushes children in reverse so pop order
-// matches the recursive preorder walk exactly.
-func (a *oracleADA) subtractDescendants(id int, r *series.Ring, csr *hierarchy.CSR) {
-	stack := a.stackBuf[:0]
-	for j := csr.ChildOff[id+1] - 1; j >= csr.ChildOff[id]; j-- {
-		stack = append(stack, csr.ChildIDs[j])
-	}
-	for len(stack) > 0 {
-		c := int(stack[len(stack)-1])
-		stack = stack[:len(stack)-1]
+// it), in recursive preorder.
+func (a *oracleADA) subtractDescendants(id int, r *series.Ring) {
+	for c := a.tree.FirstChild(id); c >= 0; c = a.tree.NextSibling(c) {
 		if a.inSHHH[c] && a.state[c] != nil {
 			_ = r.SubRing(a.state[c].actual)
 			continue
 		}
-		for j := csr.ChildOff[c+1] - 1; j >= csr.ChildOff[c]; j-- {
-			stack = append(stack, csr.ChildIDs[j])
-		}
+		a.subtractDescendants(c, r)
 	}
-	a.stackBuf = stack[:0]
 }
 
 // maintainRefCoverage creates reference series for nodes that newly
@@ -661,15 +655,16 @@ func (a *oracleADA) maintainRefCoverage() {
 		return
 	}
 	for depth := 1; depth <= a.cfg.RefLevels; depth++ {
-		for _, n := range a.tree.AtDepth(depth) {
-			if _, ok := a.refActual[n.ID]; ok {
+		for _, n32 := range a.tree.Level(depth) {
+			n := int(n32)
+			if _, ok := a.refActual[n]; ok {
 				continue
 			}
 			r := series.NewRing(a.cfg.WindowLen)
-			r.Append(a.rawA[n.ID])
-			a.refActual[n.ID] = r
-			a.refModel[n.ID] = a.cfg.NewForecaster(nil, nil)
-			a.refModel[n.ID].Update(a.rawA[n.ID])
+			r.Append(a.rawA[n])
+			a.refActual[n] = r
+			a.refModel[n] = a.cfg.NewForecaster(nil, nil)
+			a.refModel[n].Update(a.rawA[n])
 		}
 	}
 	a.refCovered = a.tree.Len()
@@ -683,8 +678,7 @@ func (a *oracleADA) snapshot() *StepState {
 	st.Instance = a.instance
 	st.HeavyHitters = st.HeavyHitters[:0]
 	a.members = a.members[:0]
-	for _, n := range a.tree.Nodes() {
-		id := n.ID
+	for id := 0; id < a.tree.Len(); id++ {
 		if !a.inSHHH[id] {
 			continue
 		}
@@ -699,25 +693,25 @@ func (a *oracleADA) snapshot() *StepState {
 				fc = v
 			}
 		}
-		st.HeavyHitters = append(st.HeavyHitters, HeavyHitter{Node: n, Actual: actual, Forecast: fc})
+		st.HeavyHitters = append(st.HeavyHitters, HeavyHitter{ID: id, Key: a.tree.Key(id), Actual: actual, Forecast: fc})
 	}
 	return st
 }
 
 // SeriesOf implements Engine.
-func (a *oracleADA) SeriesOf(n *hierarchy.Node) []float64 {
-	if n.ID >= len(a.state) || a.state[n.ID] == nil {
+func (a *oracleADA) SeriesOf(id int) []float64 {
+	if id < 0 || id >= len(a.state) || a.state[id] == nil {
 		return nil
 	}
-	return a.state[n.ID].actual.Values()
+	return a.state[id].actual.Values()
 }
 
 // ForecastSeriesOf implements Engine.
-func (a *oracleADA) ForecastSeriesOf(n *hierarchy.Node) []float64 {
-	if n.ID >= len(a.state) || a.state[n.ID] == nil {
+func (a *oracleADA) ForecastSeriesOf(id int) []float64 {
+	if id < 0 || id >= len(a.state) || a.state[id] == nil {
 		return nil
 	}
-	return a.state[n.ID].fcast.Values()
+	return a.state[id].fcast.Values()
 }
 
 // ExportState implements Engine. The returned state deep-copies every
@@ -881,17 +875,17 @@ func diffStep(got *StepState, eng *ADA, want *StepState, ora *oracleADA) error {
 	}
 	for i, g := range got.HeavyHitters {
 		o := want.HeavyHitters[i]
-		if g.Node != o.Node {
-			return fmt.Errorf("member %d is %v, oracle %v", i, g.Node, o.Node)
+		if g.ID != o.ID || g.Key != o.Key {
+			return fmt.Errorf("member %d is %d %v, oracle %d %v", i, g.ID, g.Key, o.ID, o.Key)
 		}
 		if math.Float64bits(g.Actual) != math.Float64bits(o.Actual) || math.Float64bits(g.Forecast) != math.Float64bits(o.Forecast) {
-			return fmt.Errorf("%v: (actual, forecast) = (%v, %v), oracle (%v, %v)", g.Node, g.Actual, g.Forecast, o.Actual, o.Forecast)
+			return fmt.Errorf("%v: (actual, forecast) = (%v, %v), oracle (%v, %v)", g.Key, g.Actual, g.Forecast, o.Actual, o.Forecast)
 		}
-		if !sameFloats(eng.SeriesOf(g.Node), ora.SeriesOf(g.Node)) {
-			return fmt.Errorf("%v: actual series differs from oracle", g.Node)
+		if !sameFloats(eng.SeriesOf(g.ID), ora.SeriesOf(g.ID)) {
+			return fmt.Errorf("%v: actual series differs from oracle", g.Key)
 		}
-		if !sameFloats(eng.ForecastSeriesOf(g.Node), ora.ForecastSeriesOf(g.Node)) {
-			return fmt.Errorf("%v: forecast series differs from oracle", g.Node)
+		if !sameFloats(eng.ForecastSeriesOf(g.ID), ora.ForecastSeriesOf(g.ID)) {
+			return fmt.Errorf("%v: forecast series differs from oracle", g.Key)
 		}
 	}
 	return nil

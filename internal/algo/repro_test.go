@@ -31,15 +31,15 @@ func TestLemma1Seeds(t *testing.T) {
 			ref := shhh.Compute(ada.Tree(), u, cfg.Theta)
 			got := make(map[hierarchy.Key]bool)
 			for _, hh := range st.HeavyHitters {
-				got[hh.Node.Key] = true
+				got[hh.Key] = true
 			}
 			want := make(map[hierarchy.Key]bool)
 			for _, n := range ref.Set {
-				want[n.Key] = true
+				want[ada.Tree().Key(int(n))] = true
 			}
 			for k := range want {
 				if !got[k] {
-					t.Errorf("seed %d step %d: missing member %v (W=%v)", seed, step, k, ref.W[ada.Tree().Lookup(k).ID])
+					t.Errorf("seed %d step %d: missing member %v (W=%v)", seed, step, k, ref.W[ada.Tree().Lookup(k)])
 				}
 			}
 			for k := range got {

@@ -3,6 +3,8 @@ package algo
 import (
 	"math"
 	"testing"
+
+	"tiresias/internal/hierarchy"
 )
 
 // ruleScenario drives a parent to heavy-hitter status with two
@@ -47,7 +49,7 @@ func ruleScenario(t *testing.T, rule SplitRule, alpha float64) (aHist, bHist flo
 		bHist = tsB[0]
 	} else if tsP := ada.SeriesOf(ada.Tree().Lookup(key("p"))); len(tsP) >= 2 {
 		bHist = tsP[0]
-	} else if tsR := ada.SeriesOf(ada.Tree().Root()); len(tsR) >= 2 {
+	} else if tsR := ada.SeriesOf(hierarchy.Root); len(tsR) >= 2 {
 		bHist = tsR[0]
 	}
 	return aHist, bHist
@@ -81,7 +83,7 @@ func TestRuleXValues(t *testing.T) {
 	if _, err := InitTimeunits(ada, []Timeunit{{key("n"): 8}}); err != nil {
 		t.Fatal(err)
 	}
-	id := ada.Tree().Lookup(key("n")).ID
+	id := ada.Tree().Lookup(key("n"))
 	if ada.prevA[id] != 8 {
 		t.Fatalf("prevA = %v, want 8", ada.prevA[id])
 	}

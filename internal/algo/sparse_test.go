@@ -85,6 +85,78 @@ func wideTree(tree *hierarchy.Tree, tops, mids, leaves int) []int {
 	return ids
 }
 
+// BenchmarkADAStepGrowingTree times a step whose unit adds 8 new
+// leaves (and touches 8 old ones) to a 5k- and a 50k-node tree: the
+// cost of growth must follow the nodes added, not the tree's size, so
+// the two sub-benchmarks should report about the same ns/op. Every
+// 1024 steps the tree and engine are rebuilt off the clock, so a tree
+// never grows by more than 8192 nodes.
+func BenchmarkADAStepGrowingTree(b *testing.B) {
+	const segment, perStep = 1024, 8
+	for _, shape := range []struct {
+		name               string
+		tops, mids, leaves int
+	}{{"nodes=5k", 5, 10, 100}, {"nodes=50k", 10, 50, 100}} {
+		b.Run(shape.name, func(b *testing.B) {
+			var paths [][]string
+			for t := 0; t < shape.tops; t++ {
+				for m := 0; m < shape.mids; m++ {
+					for l := 0; l < shape.leaves; l++ {
+						paths = append(paths, []string{fmt.Sprintf("t%d", t), fmt.Sprintf("m%d", m), fmt.Sprintf("l%d", l)})
+					}
+				}
+			}
+			leaves := make([]int, len(paths))
+			grown := make([][]string, segment*perStep)
+			for i := range grown {
+				grown[i] = []string{fmt.Sprintf("t%d", i%shape.tops), fmt.Sprintf("m%d", i/perStep%shape.mids), fmt.Sprintf("g%d", i)}
+			}
+			var tree *hierarchy.Tree
+			var ada *ADA
+			var du DenseUnit
+			fresh := func() {
+				tree = hierarchy.New()
+				for i, p := range paths {
+					leaves[i] = tree.Intern(p)
+				}
+				var err error
+				if ada, err = NewADA(Config{Theta: 10, WindowLen: 8, RefLevels: 2, Tree: tree}); err != nil {
+					b.Fatal(err)
+				}
+				window := make([]*DenseUnit, 8)
+				for i := range window {
+					window[i] = &DenseUnit{}
+					for j := 0; j < 64; j++ {
+						window[i].Add(leaves[(i*64+j)%len(leaves)], 1)
+					}
+				}
+				if _, err := ada.Init(window); err != nil {
+					b.Fatal(err)
+				}
+			}
+			fresh()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step := i % segment
+				if step == 0 && i > 0 {
+					b.StopTimer()
+					fresh()
+					b.StartTimer()
+				}
+				du.Reset()
+				for j := 0; j < perStep; j++ {
+					du.Add(tree.Intern(grown[step*perStep+j]), 1)
+					du.Add(leaves[(i*perStep+j)%len(leaves)], 1)
+				}
+				if _, err := ada.StepDense(&du); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // TestADAQuietStateHoldsNoSubnormals is the regression test for the
 // stuck-denormal decay: after every leaf has carried traffic, thousands
 // of units that touch only a few of them must leave no subnormal value
@@ -202,7 +274,7 @@ func TestADASparseStepAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("sparse StepDense on a %d-node tree allocates %.2f per op, want 0", tree.Len(), allocs)
 	}
-	if len(ada.HeavyHitterNodes()) == 0 {
+	if len(ada.HeavyHitterIDs()) == 0 {
 		t.Fatal("no heavy hitters; the guard is vacuous")
 	}
 }

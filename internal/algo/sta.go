@@ -121,14 +121,14 @@ func (s *STA) process() (*StepState, error) {
 	start = now()
 	s.recycleLast()
 	hhs := res.Set
-	seriesOf := make(map[int][]float64, len(hhs))
-	for _, n := range hhs {
-		seriesOf[n.ID] = s.getSlice(len(s.window))
+	seriesOf := make(map[int32][]float64, len(hhs))
+	for _, id := range hhs {
+		seriesOf[id] = s.getSlice(len(s.window))
 	}
 	for _, u := range s.window {
 		s.wScratch = shhh.FrozenWeightsInto(s.tree, u, res.InSet, s.wScratch)
-		for _, n := range hhs {
-			seriesOf[n.ID] = append(seriesOf[n.ID], s.wScratch[n.ID])
+		for _, id := range hhs {
+			seriesOf[id] = append(seriesOf[id], s.wScratch[id])
 		}
 	}
 	tSeries := now().Sub(start)
@@ -139,17 +139,19 @@ func (s *STA) process() (*StepState, error) {
 	state := &s.snap
 	state.Instance = s.instance
 	state.HeavyHitters = state.HeavyHitters[:0]
-	for _, n := range hhs {
-		ts := seriesOf[n.ID]
+	for _, n32 := range hhs {
+		n := int(n32)
+		ts := seriesOf[n32]
 		hist := ts[:len(ts)-1]
 		model := s.cfg.NewForecaster(nil, hist)
 		fc := model.Forecast()
 		state.HeavyHitters = append(state.HeavyHitters, HeavyHitter{
-			Node:     n,
+			ID:       n,
+			Key:      s.tree.Key(n),
 			Actual:   ts[len(ts)-1],
 			Forecast: fc,
 		})
-		s.lastSeries[n.ID] = ts
+		s.lastSeries[n] = ts
 		// Reconstruct the forecast trajectory for analysis: replay
 		// the model over the history.
 		fseries := s.getSlice(len(ts))
@@ -158,7 +160,7 @@ func (s *STA) process() (*StepState, error) {
 			fseries = append(fseries, replay.Forecast())
 			replay.Update(v)
 		}
-		s.lastFcast[n.ID] = fseries
+		s.lastFcast[n] = fseries
 	}
 	sortHHs(state.HeavyHitters)
 	state.Timings = StageTimings{
@@ -196,8 +198,8 @@ func (s *STA) getSlice(capacity int) []float64 {
 }
 
 // SeriesOf implements Engine.
-func (s *STA) SeriesOf(n *hierarchy.Node) []float64 {
-	ts, ok := s.lastSeries[n.ID]
+func (s *STA) SeriesOf(id int) []float64 {
+	ts, ok := s.lastSeries[id]
 	if !ok {
 		return nil
 	}
@@ -205,8 +207,8 @@ func (s *STA) SeriesOf(n *hierarchy.Node) []float64 {
 }
 
 // ForecastSeriesOf implements Engine.
-func (s *STA) ForecastSeriesOf(n *hierarchy.Node) []float64 {
-	ts, ok := s.lastFcast[n.ID]
+func (s *STA) ForecastSeriesOf(id int) []float64 {
+	ts, ok := s.lastFcast[id]
 	if !ok {
 		return nil
 	}
@@ -235,7 +237,7 @@ func (s *STA) Memory() MemoryStats {
 // sortHHs orders heavy hitters by node ID for determinism.
 func sortHHs(hhs []HeavyHitter) {
 	for i := 1; i < len(hhs); i++ {
-		for j := i; j > 0 && hhs[j].Node.ID < hhs[j-1].Node.ID; j-- {
+		for j := i; j > 0 && hhs[j].ID < hhs[j-1].ID; j-- {
 			hhs[j], hhs[j-1] = hhs[j-1], hhs[j]
 		}
 	}

@@ -345,11 +345,10 @@ func decodeConfig(buf []byte, c *Config) error {
 // other section depends on.
 func encodeTree(t *hierarchy.Tree) *payload {
 	p := &payload{}
-	nodes := t.Nodes()
-	p.putInt(len(nodes))
-	for _, n := range nodes[1:] {
-		p.putInt(n.Parent().ID)
-		p.putString(n.Label)
+	p.putInt(t.Len())
+	for id := 1; id < t.Len(); id++ {
+		p.putInt(t.Parent(id))
+		p.putString(t.Label(id))
 	}
 	return p
 }
@@ -377,8 +376,10 @@ func decodeTree(buf []byte) (*hierarchy.Tree, error) {
 		if parent < 0 || parent >= id {
 			return nil, fmt.Errorf("%w: node %d has parent %d (IDs are insertion-ordered)", ErrBadCheckpoint, id, parent)
 		}
-		if node, added := t.AddChild(parent, label); !added {
-			return nil, fmt.Errorf("%w: duplicate node %q", ErrBadCheckpoint, node.Key)
+		if c, added := t.AddChild(parent, label); c < 0 {
+			return nil, fmt.Errorf("%w: node %d has label %q", ErrBadCheckpoint, id, label)
+		} else if !added {
+			return nil, fmt.Errorf("%w: duplicate node %q", ErrBadCheckpoint, t.Key(c))
 		}
 	}
 	if err := r.done(tagTree); err != nil {

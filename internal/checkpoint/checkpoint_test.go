@@ -20,9 +20,9 @@ import (
 // coldSnapshot builds a minimal non-warm snapshot with a small tree.
 func coldSnapshot() *Snapshot {
 	tree := hierarchy.New()
-	tree.Insert([]string{"v1", "c1"})
-	tree.Insert([]string{"v1", "c2"})
-	tree.Insert([]string{"v2"})
+	tree.Intern([]string{"v1", "c1"})
+	tree.Intern([]string{"v1", "c2"})
+	tree.Intern([]string{"v2"})
 	return &Snapshot{
 		Config: Config{
 			Delta:     15 * time.Minute,
@@ -58,10 +58,9 @@ func TestColdSnapshotRoundTrip(t *testing.T) {
 	if got.Tree.Len() != snap.Tree.Len() {
 		t.Fatalf("tree has %d nodes, want %d", got.Tree.Len(), snap.Tree.Len())
 	}
-	for _, n := range snap.Tree.Nodes() {
-		g := got.Tree.Node(n.ID)
-		if g.Key != n.Key || g.Depth != n.Depth {
-			t.Fatalf("node %d decoded as %q, want %q", n.ID, g.Key, n.Key)
+	for id := 0; id < snap.Tree.Len(); id++ {
+		if g, w := got.Tree.Key(id), snap.Tree.Key(id); g != w || got.Tree.Depth(id) != snap.Tree.Depth(id) {
+			t.Fatalf("node %d decoded as %q, want %q", id, g, w)
 		}
 	}
 	if err := got.Tree.Validate(); err != nil {
@@ -325,7 +324,7 @@ func TestEngineSectionNeedsItsBounds(t *testing.T) {
 
 // TestTreeDecodeMatchesPathReplay pins the hierarchy decode, which
 // appends each node under its parent ID, to a replay of every node's
-// full path through Insert: a valid tree with the same IDs, keys and
+// full path through Intern: a valid tree with the same IDs, keys and
 // depths.
 func TestTreeDecodeMatchesPathReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -335,7 +334,7 @@ func TestTreeDecodeMatchesPathReplay(t *testing.T) {
 		for d := range path {
 			path[d] = fmt.Sprintf("n%d", rng.Intn(6))
 		}
-		tree.Insert(path)
+		tree.Intern(path)
 	}
 	got, err := decodeTree(encodeTree(tree).buf)
 	if err != nil {
@@ -345,15 +344,15 @@ func TestTreeDecodeMatchesPathReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := hierarchy.New()
-	for _, n := range tree.Nodes() {
-		want.Insert(n.Key.Path())
+	for id := 0; id < tree.Len(); id++ {
+		want.Intern(tree.Key(id).Path())
 	}
 	if got.Len() != want.Len() {
 		t.Fatalf("decoded %d nodes, want %d", got.Len(), want.Len())
 	}
-	for _, w := range want.Nodes() {
-		if g := got.Node(w.ID); g.Key != w.Key || g.Depth != w.Depth {
-			t.Fatalf("node %d decoded as %q (depth %d), want %q (depth %d)", w.ID, g.Key, g.Depth, w.Key, w.Depth)
+	for id := 0; id < want.Len(); id++ {
+		if got.Key(id) != want.Key(id) || got.Depth(id) != want.Depth(id) {
+			t.Fatalf("node %d decoded as %q (depth %d), want %q (depth %d)", id, got.Key(id), got.Depth(id), want.Key(id), want.Depth(id))
 		}
 	}
 
@@ -367,6 +366,16 @@ func TestTreeDecodeMatchesPathReplay(t *testing.T) {
 	if _, err := decodeTree(dup.buf); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("duplicate node: err = %v, want ErrBadCheckpoint", err)
 	}
+	// So is a label no path could have interned.
+	for _, label := range []string{"", "a\x1fb"} {
+		bad := &payload{}
+		bad.putInt(2)
+		bad.putInt(0)
+		bad.putString(label)
+		if _, err := decodeTree(bad.buf); !errors.Is(err, ErrBadCheckpoint) {
+			t.Fatalf("label %q: err = %v, want ErrBadCheckpoint", label, err)
+		}
+	}
 }
 
 // BenchmarkDecodeTree decodes the hierarchy section of a 12k-node,
@@ -377,7 +386,7 @@ func BenchmarkDecodeTree(b *testing.B) {
 		for j := 0; j < 12; j++ {
 			for k := 0; k < 15; k++ {
 				for l := 0; l < 16; l++ {
-					tree.Insert([]string{fmt.Sprintf("sho%d", i), fmt.Sprintf("vho%d", j), fmt.Sprintf("io%d", k), fmt.Sprintf("co%d", l)})
+					tree.Intern([]string{fmt.Sprintf("sho%d", i), fmt.Sprintf("vho%d", j), fmt.Sprintf("io%d", k), fmt.Sprintf("co%d", l)})
 				}
 			}
 		}

@@ -110,8 +110,8 @@ func (d *Detector) Scan(st *algo.StepState, unitStart time.Time) []Anomaly {
 	for _, hh := range st.HeavyHitters {
 		if d.th.Exceeds(hh.Actual, hh.Forecast) {
 			out = append(out, Anomaly{
-				Key:      hh.Node.Key,
-				Depth:    hh.Node.Depth,
+				Key:      hh.Key,
+				Depth:    hh.Key.Depth(),
 				Instance: st.Instance,
 				Time:     unitStart,
 				Actual:   hh.Actual,

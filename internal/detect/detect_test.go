@@ -78,9 +78,9 @@ func mkState(vals ...[3]float64) *algo.StepState {
 	tr := hierarchy.New()
 	st := &algo.StepState{Instance: 7}
 	for i, v := range vals {
-		n := tr.Insert([]string{"n", string(rune('a' + i))})
+		n := tr.Intern([]string{"n", string(rune('a' + i))})
 		st.HeavyHitters = append(st.HeavyHitters, algo.HeavyHitter{
-			Node: n, Actual: v[0], Forecast: v[1],
+			ID: n, Key: tr.Key(n), Actual: v[0], Forecast: v[1],
 		})
 	}
 	return st

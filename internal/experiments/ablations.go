@@ -156,9 +156,9 @@ func AblateScales(p Profile) (*Result, error) {
 	t.addRow("λ=4, η=3", fmt.Sprintf("%d", multi.SeriesFloats), f2(multi.Normalized()))
 	// Consistency: coarse scale sums λ base buckets.
 	consistent := 1.0
-	for _, n := range ada.HeavyHitterNodes() {
-		baseS := ada.MultiScaleOf(n, 0)
-		coarse := ada.MultiScaleOf(n, 1)
+	for _, n := range ada.HeavyHitterIDs() {
+		baseS := ada.MultiScaleOf(int(n), 0)
+		coarse := ada.MultiScaleOf(int(n), 1)
 		if len(coarse) == 0 || len(baseS) < 4 {
 			continue
 		}

@@ -89,15 +89,15 @@ func levelSeries(w *Workload, maxDepth int) (*hierarchy.Tree, map[int][]float64)
 	tr := hierarchy.New()
 	for _, u := range w.Units {
 		for k := range u {
-			tr.InsertKey(k)
+			tr.Intern(k.Path())
 		}
 	}
 	perLevel := make(map[int][]float64, maxDepth)
 	for _, u := range w.Units {
 		agg := shhh.Aggregate(tr, u)
 		for depth := 1; depth <= maxDepth; depth++ {
-			for _, n := range tr.AtDepth(depth) {
-				perLevel[depth] = append(perLevel[depth], agg[n.ID])
+			for _, id := range tr.Level(depth) {
+				perLevel[depth] = append(perLevel[depth], agg[id])
 			}
 		}
 	}
@@ -337,9 +337,9 @@ func Fig12(p Profile) (*Result, error) {
 		var all, newest, oldest []float64
 		depthErr := make(map[int][]float64)
 		for _, hh := range lastSTA.HeavyHitters {
-			exact := sta.SeriesOf(hh.Node)
-			node := ada.Tree().Lookup(hh.Node.Key)
-			if node == nil {
+			exact := sta.SeriesOf(hh.ID)
+			node := ada.Tree().Lookup(hh.Key)
+			if node < 0 {
 				continue
 			}
 			approx := ada.SeriesOf(node)
@@ -361,7 +361,7 @@ func Fig12(p Profile) (*Result, error) {
 				if i > n-5 {
 					oldest = append(oldest, rel)
 				}
-				depthErr[hh.Node.Depth] = append(depthErr[hh.Node.Depth], rel)
+				depthErr[hh.Key.Depth()] = append(depthErr[hh.Key.Depth()], rel)
 			}
 		}
 		depthStr := ""

@@ -267,7 +267,7 @@ func runDetect(e algo.Engine, w *Workload, warm int, th detect.Thresholds) (flag
 			flaggedSet[ev] = true
 		}
 		for _, hh := range st.HeavyHitters {
-			ev := evalx.Event{Key: hh.Node.Key, Instance: i}
+			ev := evalx.Event{Key: hh.Key, Instance: i}
 			if !flaggedSet[ev] {
 				screened = append(screened, ev)
 			}

@@ -19,6 +19,7 @@ import (
 
 	"tiresias/internal/algo"
 	"tiresias/internal/hierarchy"
+	"tiresias/internal/shhh"
 )
 
 // Detector accumulates counts in the cash-register model and answers
@@ -28,7 +29,7 @@ import (
 type Detector struct {
 	phi    float64
 	tree   *hierarchy.Tree
-	counts map[hierarchy.Key]float64
+	counts shhh.Counts
 	total  float64
 }
 
@@ -40,7 +41,7 @@ func New(phi float64) (*Detector, error) {
 	return &Detector{
 		phi:    phi,
 		tree:   hierarchy.New(),
-		counts: make(map[hierarchy.Key]float64),
+		counts: make(shhh.Counts),
 	}, nil
 }
 
@@ -50,7 +51,7 @@ func (d *Detector) Observe(u algo.Timeunit) {
 		if v < 0 {
 			continue // cash-register model: no deletions
 		}
-		d.tree.InsertKey(k)
+		d.tree.Intern(k.Path())
 		d.counts[k] += v
 		d.total += v
 	}
@@ -75,30 +76,15 @@ func (d *Detector) Query() []HeavyHitter {
 	if d.total == 0 {
 		return nil
 	}
-	theta := d.phi * d.total
-	w := make([]float64, d.tree.Len())
-	inSet := make([]bool, d.tree.Len())
-	for k, v := range d.counts {
-		if n := d.tree.Lookup(k); n != nil {
-			w[n.ID] += v
-		}
+	r := shhh.Compute(d.tree, d.counts, d.phi*d.total)
+	out := make([]HeavyHitter, 0, len(r.Set))
+	for _, id := range r.Set {
+		out = append(out, HeavyHitter{
+			Key:      d.tree.Key(int(id)),
+			Weight:   r.W[id],
+			Fraction: r.W[id] / d.total,
+		})
 	}
-	var out []HeavyHitter
-	d.tree.WalkBottomUp(func(n *hierarchy.Node) {
-		for _, c := range n.Children() {
-			if !inSet[c.ID] {
-				w[n.ID] += w[c.ID]
-			}
-		}
-		if w[n.ID] >= theta {
-			inSet[n.ID] = true
-			out = append(out, HeavyHitter{
-				Key:      n.Key,
-				Weight:   w[n.ID],
-				Fraction: w[n.ID] / d.total,
-			})
-		}
-	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Weight > out[j].Weight })
 	return out
 }

@@ -8,32 +8,30 @@
 // dynamically as unseen categories arrive, which matches the online
 // setting: the category universe is not known up front.
 //
-// # Flat (CSR) representation
+// # Representation
 //
-// Alongside the pointer-linked Node objects, Tree maintains a flat
-// CSR-style view of the topology for the per-timeunit hot path:
+// A node is a dense int ID, assigned in insertion order (the root is
+// ID 0), and the tree is a set of append-only arrays indexed by it:
 //
-//   - Parent[id] is the parent's node ID (-1 for the root);
-//   - the children of id are ChildIDs[ChildOff[id]:ChildOff[id+1]],
-//     in insertion order;
-//   - TopDown lists every node ID in level order (root first, and in
-//     insertion order within a level), BottomUp in inverse level order
-//     (deepest level first, root last);
-//   - Depth[id] is the node's depth and Rank[id] its position in
-//     TopDown, so a caller holding a few IDs can put them in level
-//     order (ascending ID within a level) by ordering their ranks,
-//     without walking TopDown.
+//   - Parent(id) is the parent's ID (-1 for the root), Depth(id) the
+//     distance from the root, Label(id) the last path component and
+//     Key(id) the full encoded path;
+//   - the children of id are FirstChild(id), then NextSibling of each
+//     in turn, in ascending ID (insertion) order;
+//   - Level(d) lists the IDs at depth d in ascending order, so walking
+//     the levels from the deepest up is a bottom-up sweep in which
+//     every child precedes its parent.
 //
-// The arrays are rebuilt lazily — CSR() reuses the cached build until
-// the tree has grown — so steady-state traffic, where the category
-// universe has stabilized, walks plain int32 slices with no pointer
-// chasing and no per-node closure calls. Invariants (ID-indexed
-// arrays, offsets summing to Len()-1 edges, both orders being
-// depth-consistent permutations, Depth and Rank agreeing with the
-// nodes and with TopDown) are checked by Validate.
+// Adding a node appends to each array and links it after its parent's
+// last child: O(1), and nothing derived is ever rebuilt. Each node
+// with children keeps a map from label to child ID, made for its first
+// child, through which Intern, Lookup and Child resolve paths. The
+// invariants are checked by Validate.
 //
-// Record paths can skip the string Key encoding entirely: Intern maps
-// a path directly to its node ID, creating nodes on first sight.
+// A label must be non-empty and free of the Key separator U+001F, so
+// that every node's Key is distinct from every other's and Key.Path
+// recovers the labels (see ValidLabel). Intern and AddChild refuse a
+// path that would create a node with any other label.
 package hierarchy
 
 import (
@@ -106,279 +104,200 @@ func (k Key) IsAncestorOf(other Key) bool {
 	return strings.HasPrefix(string(other), string(k)+keySep)
 }
 
-// Node is a single category in the hierarchy. Exported fields are
-// read-only for callers; mutation goes through Tree.
-type Node struct {
-	// ID is a dense index assigned in insertion order. Algorithm
-	// packages use it to attach per-node state in flat slices.
-	ID int
-	// Label is the last path component ("" for the root).
-	Label string
-	// Key is the full encoded path.
-	Key Key
-	// Depth is the distance from the root (root = 0).
-	Depth int
-
-	parent   *Node
-	children map[string]*Node
-	ordered  []*Node // children in insertion order, for deterministic walks
+// ValidLabel reports whether label may name a node: it is non-empty
+// and does not contain the Key separator U+001F. Any other label would
+// give its node the Key of another path (or of the root).
+func ValidLabel(label string) bool {
+	return label != "" && !strings.Contains(label, keySep)
 }
 
-// Parent returns the parent node, or nil for the root.
-func (n *Node) Parent() *Node { return n.parent }
-
-// Children returns the node's children in insertion order. The
-// returned slice is shared; callers must not mutate it.
-func (n *Node) Children() []*Node { return n.ordered }
-
-// Child returns the child with the given label, or nil.
-func (n *Node) Child(label string) *Node { return n.children[label] }
-
-// IsLeaf reports whether the node currently has no children.
-func (n *Node) IsLeaf() bool { return len(n.ordered) == 0 }
-
-// Degree returns the number of children.
-func (n *Node) Degree() int { return len(n.ordered) }
-
-// String implements fmt.Stringer.
-func (n *Node) String() string { return n.Key.String() }
+// Root is the root node's ID.
+const Root = 0
 
 // Tree is a dynamically growing category hierarchy. The zero value is
 // not usable; construct with New.
 type Tree struct {
-	root   *Node
-	nodes  []*Node       // all nodes, indexed by ID
-	byKey  map[Key]*Node // key → node
-	levels [][]*Node     // nodes grouped by depth, insertion order
-
-	// flat is the cached CSR view, valid while flatLen == len(nodes).
-	flat    CSR
-	flatLen int
-}
-
-// CSR is the flat, dense-ID view of the tree topology (see the package
-// doc). The slices are owned by the Tree and valid until the next
-// insertion; callers must not mutate or retain them across growth.
-type CSR struct {
-	// Parent maps node ID → parent ID; Parent[root] = -1.
-	Parent []int32
-	// ChildOff/ChildIDs encode children adjacency: the children of id
-	// are ChildIDs[ChildOff[id]:ChildOff[id+1]], in insertion order.
-	ChildOff []int32
-	ChildIDs []int32
-	// TopDown holds every node ID in level order (root first); BottomUp
-	// in inverse level order (deepest first, root last). Within a
-	// level both use insertion order, matching WalkTopDown/WalkBottomUp.
-	TopDown  []int32
-	BottomUp []int32
-	// Depth maps node ID → depth (root = 0). Rank maps node ID → its
-	// index in TopDown: ranks order nodes by depth, then by ID.
-	Depth []int32
-	Rank  []int32
+	parent []int32
+	depth  []int32
+	label  []string
+	key    []Key
+	// first and last are a node's first and last child, next its next
+	// sibling; -1 for none.
+	first, last, next []int32
+	// kids maps a node's child labels to their IDs; nil for a leaf.
+	kids   []map[string]int32
+	levels [][]int32 // node IDs grouped by depth, ascending
 }
 
 // New returns an empty tree containing only the root node.
 func New() *Tree {
-	t := &Tree{byKey: make(map[Key]*Node)}
-	t.root = t.newNode(nil, "")
+	t := &Tree{}
+	t.add(-1, "", "")
 	return t
 }
 
-func (t *Tree) newNode(parent *Node, label string) *Node {
-	var key Key
-	depth := 0
-	if parent != nil {
-		if parent.Key == "" {
-			key = Key(label)
+// add appends a node under parent (-1 for the root) with the given
+// label and key, linking it after the parent's last child.
+func (t *Tree) add(parent int32, label string, key Key) int32 {
+	id := int32(len(t.parent))
+	d := int32(0)
+	if parent >= 0 {
+		d = t.depth[parent] + 1
+		if t.kids[parent] == nil {
+			// Most nodes are leaves: a node's map is made for its
+			// first child.
+			t.kids[parent] = make(map[string]int32)
+			t.first[parent] = id
 		} else {
-			key = Key(string(parent.Key) + keySep + label)
+			t.next[t.last[parent]] = id
 		}
-		depth = parent.Depth + 1
+		t.kids[parent][label] = id
+		t.last[parent] = id
 	}
-	n := &Node{
-		ID:     len(t.nodes),
-		Label:  label,
-		Key:    key,
-		Depth:  depth,
-		parent: parent,
-	}
-	t.nodes = append(t.nodes, n)
-	t.byKey[key] = n
-	for len(t.levels) <= depth {
+	t.parent = append(t.parent, parent)
+	t.depth = append(t.depth, d)
+	t.label = append(t.label, label)
+	t.key = append(t.key, key)
+	t.first = append(t.first, -1)
+	t.last = append(t.last, -1)
+	t.next = append(t.next, -1)
+	t.kids = append(t.kids, nil)
+	if int(d) == len(t.levels) {
 		t.levels = append(t.levels, nil)
 	}
-	t.levels[depth] = append(t.levels[depth], n)
-	if parent != nil {
-		// Most nodes are leaves: a node's map is made for its first
-		// child.
-		if parent.children == nil {
-			parent.children = make(map[string]*Node)
-		}
-		parent.children[label] = n
-		parent.ordered = append(parent.ordered, n)
-	}
-	return n
+	t.levels[d] = append(t.levels[d], id)
+	return id
 }
 
-// Root returns the root node.
-func (t *Tree) Root() *Node { return t.root }
+// addChild creates the child of parent labeled label, which must be
+// valid and absent. The child map keeps the caller's label string: a
+// record path that interned a node is usually the one (from a decoder
+// cache) that looks it up again, and a string comparison against the
+// same pointer is cheaper than against a copy.
+func (t *Tree) addChild(parent int32, label string) int32 {
+	key := Key(label)
+	if parent != Root {
+		key = t.key[parent] + keySep + Key(label)
+	}
+	return t.add(parent, label, key)
+}
 
 // Len returns the total number of nodes including the root.
-func (t *Tree) Len() int { return len(t.nodes) }
+func (t *Tree) Len() int { return len(t.parent) }
 
 // Height returns the number of levels (root-only tree has height 1).
 func (t *Tree) Height() int { return len(t.levels) }
 
-// Node returns the node with the given ID.
-func (t *Tree) Node(id int) *Node { return t.nodes[id] }
+// Parent returns the ID of id's parent, or -1 for the root.
+func (t *Tree) Parent(id int) int { return int(t.parent[id]) }
 
-// Lookup returns the node for a Key, or nil if it has never been
-// inserted.
-func (t *Tree) Lookup(k Key) *Node { return t.byKey[k] }
+// Depth returns id's distance from the root (root = 0).
+func (t *Tree) Depth(id int) int { return int(t.depth[id]) }
 
-// Insert returns the node for the given path, creating it and any
-// missing ancestors. An empty path returns the root.
-func (t *Tree) Insert(path []string) *Node {
-	n := t.root
-	for _, label := range path {
-		c := n.children[label]
-		if c == nil {
-			c = t.newNode(n, label)
+// Label returns id's last path component ("" for the root).
+func (t *Tree) Label(id int) string { return t.label[id] }
+
+// Key returns id's full encoded path.
+func (t *Tree) Key(id int) Key { return t.key[id] }
+
+// FirstChild returns id's lowest-ID child, or -1 for a leaf.
+//
+//tiresias:hotpath
+func (t *Tree) FirstChild(id int) int { return int(t.first[id]) }
+
+// NextSibling returns the next-higher-ID child of id's parent, or -1
+// when id is its parent's last child.
+//
+//tiresias:hotpath
+func (t *Tree) NextSibling(id int) int { return int(t.next[id]) }
+
+// Degree returns the number of children of id.
+func (t *Tree) Degree(id int) int { return len(t.kids[id]) }
+
+// Child returns the ID of id's child labeled label, or -1.
+//
+//tiresias:hotpath
+func (t *Tree) Child(id int, label string) int {
+	if c, ok := t.kids[id][label]; ok {
+		return int(c)
+	}
+	return -1
+}
+
+// Level returns the IDs at depth d in ascending order, or nil when the
+// tree has no such level. The slice is shared; callers must not mutate
+// it.
+func (t *Tree) Level(d int) []int32 {
+	if d < 0 || d >= len(t.levels) {
+		return nil
+	}
+	return t.levels[d]
+}
+
+// Lookup returns the ID of the node with Key k, or -1 if it has never
+// been inserted. It walks k's components through the child maps
+// without decoding the Key.
+func (t *Tree) Lookup(k Key) int {
+	id, rest := int32(Root), string(k)
+	for more := k != ""; more; {
+		var label string
+		label, rest, more = strings.Cut(rest, keySep)
+		c, ok := t.kids[id][label]
+		if !ok {
+			return -1
 		}
-		n = c
+		id = c
 	}
-	return n
+	return int(id)
 }
 
-// AddChild returns the child labeled label of the node with ID
-// parentID, creating it when absent; added reports whether it was
-// created. It is Insert for a caller that already holds the parent,
-// such as a checkpoint restore replaying nodes in ID order.
-func (t *Tree) AddChild(parentID int, label string) (n *Node, added bool) {
-	p := t.nodes[parentID]
-	if c := p.children[label]; c != nil {
-		return c, false
-	}
-	return t.newNode(p, label), true
-}
-
-// InsertKey is Insert for an already-encoded Key.
-func (t *Tree) InsertKey(k Key) *Node {
-	if n := t.byKey[k]; n != nil {
-		return n
-	}
-	return t.Insert(k.Path())
-}
-
-// Intern maps a category path directly to its node ID, creating the
-// node (and missing ancestors) on first sight. In the steady state —
-// every component already known — it performs one map lookup per
-// component and allocates nothing, so record ingestion never touches
-// the string Key encoding.
+// Intern maps a category path to its node ID, creating the node and
+// any missing ancestors on first sight; the empty path is the root. It
+// returns -1, creating nothing, when a component it would create is
+// not a ValidLabel. In the steady state — every component already
+// known — it performs one map lookup per component, checks no label
+// and allocates nothing.
 //
 //tiresias:hotpath
 func (t *Tree) Intern(path []string) int {
-	return t.Insert(path).ID
-}
-
-// CSR returns the flat traversal view of the tree, rebuilding the
-// cached arrays only when the tree has grown since the last call. The
-// returned value is shared and valid until the next insertion.
-//
-//tiresias:hotpath
-func (t *Tree) CSR() *CSR {
-	if t.flatLen != len(t.nodes) {
-		t.rebuildCSR()
-	}
-	return &t.flat
-}
-
-// rebuildCSR materializes the CSR arrays from the node objects in
-// O(Len()) time and with at most one allocation per array (amortized
-// zero once capacities stabilize).
-func (t *Tree) rebuildCSR() {
-	n := len(t.nodes)
-	f := &t.flat
-	f.Parent = growInt32(f.Parent, n)
-	f.ChildOff = growInt32(f.ChildOff, n+1)
-	f.ChildIDs = growInt32(f.ChildIDs, n-1)
-	f.TopDown = growInt32(f.TopDown, n)
-	f.BottomUp = growInt32(f.BottomUp, n)
-	f.Depth = growInt32(f.Depth, n)
-	f.Rank = growInt32(f.Rank, n)
-
-	off := int32(0)
-	for id, node := range t.nodes {
-		f.Depth[id] = int32(node.Depth)
-		if node.parent == nil {
-			f.Parent[id] = -1
-		} else {
-			f.Parent[id] = int32(node.parent.ID)
+	id := int32(Root)
+	for i, label := range path {
+		c, ok := t.kids[id][label]
+		if !ok {
+			return t.grow(id, path[i:])
 		}
-		f.ChildOff[id] = off
-		for _, c := range node.ordered {
-			f.ChildIDs[off] = int32(c.ID)
-			off++
+		id = c
+	}
+	return int(id)
+}
+
+// grow is Intern's miss path: it creates rest under id once every
+// label in it has been checked.
+func (t *Tree) grow(id int32, rest []string) int {
+	for _, label := range rest {
+		if !ValidLabel(label) {
+			return -1
 		}
 	}
-	f.ChildOff[n] = off
-
-	i, j := 0, n
-	for _, level := range t.levels {
-		j -= len(level)
-		for k, node := range level {
-			f.TopDown[i] = int32(node.ID)
-			f.BottomUp[j+k] = int32(node.ID)
-			f.Rank[node.ID] = int32(i)
-			i++
-		}
+	for _, label := range rest {
+		id = t.addChild(id, label)
 	}
-	t.flatLen = n
+	return int(id)
 }
 
-// growInt32 returns a slice of exactly length n, reusing s's backing
-// array when it is large enough.
-func growInt32(s []int32, n int) []int32 {
-	if n < 0 {
-		n = 0
+// AddChild returns the ID of the child labeled label of the node with
+// ID parent, creating it when absent; added reports whether it was
+// created. An invalid label returns -1, false. It is Intern for a
+// caller that already holds the parent, such as a checkpoint restore
+// replaying nodes in ID order.
+func (t *Tree) AddChild(parent int, label string) (id int, added bool) {
+	if c := t.Child(parent, label); c >= 0 {
+		return c, false
 	}
-	if cap(s) >= n {
-		return s[:n]
+	if !ValidLabel(label) {
+		return -1, false
 	}
-	return make([]int32, n, n+n/2+8)
-}
-
-// AtDepth returns all nodes at the given depth in insertion order. The
-// returned slice is shared; callers must not mutate it.
-func (t *Tree) AtDepth(depth int) []*Node {
-	if depth < 0 || depth >= len(t.levels) {
-		return nil
-	}
-	return t.levels[depth]
-}
-
-// Nodes returns all nodes in ID (insertion) order. The returned slice
-// is shared; callers must not mutate it.
-func (t *Tree) Nodes() []*Node { return t.nodes }
-
-// WalkBottomUp visits every node in inverse level order: deepest level
-// first, root last. Within a level, nodes are visited in insertion
-// order. This is the traversal used by the SHHH computation and by
-// ADA's merge pass. It iterates the materialized BottomUp ID order, so
-// the visit order is by construction identical to the flat CSR walk.
-func (t *Tree) WalkBottomUp(fn func(n *Node)) {
-	for _, id := range t.CSR().BottomUp {
-		fn(t.nodes[id])
-	}
-}
-
-// WalkTopDown visits every node in level order: root first. This is
-// the traversal used by ADA's split pass. It iterates the materialized
-// TopDown ID order.
-func (t *Tree) WalkTopDown(fn func(n *Node)) {
-	for _, id := range t.CSR().TopDown {
-		fn(t.nodes[id])
-	}
+	return int(t.addChild(int32(parent), label)), true
 }
 
 // TypicalDegrees reports, per level k (1-based as in Table II of the
@@ -388,9 +307,9 @@ func (t *Tree) TypicalDegrees() []int {
 	out := make([]int, 0, len(t.levels))
 	for d := 0; d < len(t.levels)-1; d++ {
 		degs := make([]int, 0, len(t.levels[d]))
-		for _, n := range t.levels[d] {
-			if n.Degree() > 0 {
-				degs = append(degs, n.Degree())
+		for _, id := range t.levels[d] {
+			if deg := t.Degree(int(id)); deg > 0 {
+				degs = append(degs, deg)
 			}
 		}
 		if len(degs) == 0 {
@@ -402,115 +321,63 @@ func (t *Tree) TypicalDegrees() []int {
 	return out
 }
 
-// Validate checks internal invariants (parent/child symmetry, key
-// uniqueness, level bookkeeping). It is used by tests and returns a
-// descriptive error on the first violation found.
+// Validate checks the invariants: every array covers every node; each
+// non-root node has a lower-ID parent, a valid label its parent's child
+// map resolves to it, its parent's depth plus one and its parent's Key
+// extended by its label; each node's sibling chain lists exactly its
+// children, in ascending ID order, ending at its last child; and the
+// levels partition the nodes by depth, in ascending ID order. It is
+// used by tests and returns a descriptive error on the first violation
+// found.
 func (t *Tree) Validate() error {
-	if t.root == nil {
-		return fmt.Errorf("hierarchy: nil root")
+	n := len(t.parent)
+	for _, l := range []int{len(t.depth), len(t.label), len(t.key), len(t.first), len(t.last), len(t.next), len(t.kids)} {
+		if l != n {
+			return fmt.Errorf("hierarchy: arrays sized %d, tree has %d nodes", l, n)
+		}
 	}
-	seen := make(map[Key]bool, len(t.nodes))
-	for id, n := range t.nodes {
-		if n.ID != id {
-			return fmt.Errorf("hierarchy: node %q has ID %d at index %d", n.Key, n.ID, id)
+	if n == 0 || t.parent[Root] != -1 || t.depth[Root] != 0 || t.key[Root] != "" {
+		return fmt.Errorf("hierarchy: bad root")
+	}
+	for id := 1; id < n; id++ {
+		p, label, k := t.parent[id], t.label[id], t.key[id]
+		switch {
+		case p < 0 || int(p) >= id:
+			return fmt.Errorf("hierarchy: node %d has parent %d", id, p)
+		case !ValidLabel(label):
+			return fmt.Errorf("hierarchy: node %d has label %q", id, label)
+		case t.Child(int(p), label) != id:
+			return fmt.Errorf("hierarchy: parent of %q does not link back", k)
+		case t.depth[id] != t.depth[p]+1:
+			return fmt.Errorf("hierarchy: node %q depth %d, parent depth %d", k, t.depth[id], t.depth[p])
+		case k != KeyOf(append(t.key[p].Path(), label)):
+			return fmt.Errorf("hierarchy: node %d has key %q under parent %q", id, k, t.key[p])
 		}
-		if seen[n.Key] {
-			return fmt.Errorf("hierarchy: duplicate key %q", n.Key)
-		}
-		seen[n.Key] = true
-		if n.parent == nil {
-			if n != t.root {
-				return fmt.Errorf("hierarchy: non-root node %q has nil parent", n.Key)
+	}
+	for id := 0; id < n; id++ {
+		count, prev := 0, int32(-1)
+		for c := t.first[id]; c >= 0; c = t.next[c] {
+			if c <= prev || int(c) >= n || int(t.parent[c]) != id {
+				return fmt.Errorf("hierarchy: child list of node %d holds %d after %d", id, c, prev)
 			}
-			continue
+			count, prev = count+1, c
 		}
-		if n.parent.children[n.Label] != n {
-			return fmt.Errorf("hierarchy: parent of %q does not link back", n.Key)
-		}
-		if n.Depth != n.parent.Depth+1 {
-			return fmt.Errorf("hierarchy: node %q depth %d, parent depth %d", n.Key, n.Depth, n.parent.Depth)
-		}
-		if got, ok := n.Key.Parent(); !ok || got != n.parent.Key {
-			return fmt.Errorf("hierarchy: key parent of %q mismatch", n.Key)
+		if count != len(t.kids[id]) || t.last[id] != prev {
+			return fmt.Errorf("hierarchy: node %d lists %d children ending at %d, has %d ending at %d",
+				id, count, prev, len(t.kids[id]), t.last[id])
 		}
 	}
 	total := 0
 	for d, level := range t.levels {
-		for _, n := range level {
-			if n.Depth != d {
-				return fmt.Errorf("hierarchy: node %q at level %d has depth %d", n.Key, d, n.Depth)
+		for i, id := range level {
+			if int(id) >= n || int(t.depth[id]) != d || (i > 0 && id <= level[i-1]) {
+				return fmt.Errorf("hierarchy: level %d holds node %d at %d out of order or depth", d, id, i)
 			}
 		}
 		total += len(level)
 	}
-	if total != len(t.nodes) {
-		return fmt.Errorf("hierarchy: levels hold %d nodes, tree has %d", total, len(t.nodes))
-	}
-	return t.validateCSR()
-}
-
-// validateCSR checks the flat-view invariants documented on CSR: array
-// lengths, parent links, child ranges mirroring Node.Children, and the
-// two traversal orders being depth-consistent permutations.
-func (t *Tree) validateCSR() error {
-	f := t.CSR()
-	n := len(t.nodes)
-	if len(f.Parent) != n || len(f.TopDown) != n || len(f.BottomUp) != n || len(f.Depth) != n || len(f.Rank) != n {
-		return fmt.Errorf("hierarchy: CSR arrays sized %d/%d/%d/%d/%d, tree has %d nodes",
-			len(f.Parent), len(f.TopDown), len(f.BottomUp), len(f.Depth), len(f.Rank), n)
-	}
-	if len(f.ChildOff) != n+1 || len(f.ChildIDs) != n-1 {
-		return fmt.Errorf("hierarchy: CSR adjacency sized off=%d ids=%d, want %d/%d",
-			len(f.ChildOff), len(f.ChildIDs), n+1, n-1)
-	}
-	for id, node := range t.nodes {
-		switch {
-		case node.parent == nil && f.Parent[id] != -1:
-			return fmt.Errorf("hierarchy: CSR parent of root %q is %d, want -1", node.Key, f.Parent[id])
-		case node.parent != nil && int(f.Parent[id]) != node.parent.ID:
-			return fmt.Errorf("hierarchy: CSR parent of %q is %d, want %d", node.Key, f.Parent[id], node.parent.ID)
-		}
-		if int(f.Depth[id]) != node.Depth {
-			return fmt.Errorf("hierarchy: CSR depth of %q is %d, want %d", node.Key, f.Depth[id], node.Depth)
-		}
-		lo, hi := f.ChildOff[id], f.ChildOff[id+1]
-		if int(hi-lo) != len(node.ordered) {
-			return fmt.Errorf("hierarchy: CSR child range of %q holds %d IDs, node has %d children",
-				node.Key, hi-lo, len(node.ordered))
-		}
-		for i, c := range node.ordered {
-			if int(f.ChildIDs[lo+int32(i)]) != c.ID {
-				return fmt.Errorf("hierarchy: CSR child %d of %q is %d, want %d",
-					i, node.Key, f.ChildIDs[lo+int32(i)], c.ID)
-			}
-		}
-	}
-	for name, order := range map[string][]int32{"TopDown": f.TopDown, "BottomUp": f.BottomUp} {
-		seen := make([]bool, n)
-		for _, id := range order {
-			if id < 0 || int(id) >= n || seen[id] {
-				return fmt.Errorf("hierarchy: CSR %s is not a permutation (id %d)", name, id)
-			}
-			seen[id] = true
-		}
-	}
-	for i, id := range f.TopDown {
-		if int(f.Rank[id]) != i {
-			return fmt.Errorf("hierarchy: CSR rank of node %d is %d, TopDown holds it at %d", id, f.Rank[id], i)
-		}
-	}
-	for i := 1; i < n; i++ {
-		if t.nodes[f.TopDown[i]].Depth < t.nodes[f.TopDown[i-1]].Depth {
-			return fmt.Errorf("hierarchy: CSR TopDown not in level order at %d", i)
-		}
-		if t.nodes[f.BottomUp[i]].Depth > t.nodes[f.BottomUp[i-1]].Depth {
-			return fmt.Errorf("hierarchy: CSR BottomUp not in inverse level order at %d", i)
-		}
-		// Ascending ID within a level is what makes rank order visit a
-		// node's children in ChildIDs order.
-		if f.Depth[f.TopDown[i]] == f.Depth[f.TopDown[i-1]] && f.TopDown[i] < f.TopDown[i-1] {
-			return fmt.Errorf("hierarchy: CSR TopDown not in ascending ID order within level at %d", i)
-		}
+	if total != n {
+		return fmt.Errorf("hierarchy: levels hold %d nodes, tree has %d", total, n)
 	}
 	return nil
 }

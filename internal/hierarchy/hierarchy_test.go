@@ -78,20 +78,79 @@ func TestKeyIsAncestorOf(t *testing.T) {
 
 func TestInsertCreatesAncestors(t *testing.T) {
 	tr := New()
-	n := tr.Insert([]string{"a", "b", "c"})
-	if n.Depth != 3 {
-		t.Fatalf("depth = %d, want 3", n.Depth)
+	n := tr.Intern([]string{"a", "b", "c"})
+	if tr.Depth(n) != 3 {
+		t.Fatalf("depth = %d, want 3", tr.Depth(n))
 	}
 	if tr.Len() != 4 { // root, a, a/b, a/b/c
 		t.Fatalf("Len() = %d, want 4", tr.Len())
 	}
-	if tr.Lookup(KeyOf([]string{"a", "b"})) == nil {
+	if tr.Lookup(KeyOf([]string{"a", "b"})) < 0 {
 		t.Fatal("intermediate node a/b missing")
 	}
 	// Re-insert is idempotent.
-	n2 := tr.Insert([]string{"a", "b", "c"})
-	if n2 != n || tr.Len() != 4 {
-		t.Fatal("Insert is not idempotent")
+	if n2 := tr.Intern([]string{"a", "b", "c"}); n2 != n || tr.Len() != 4 {
+		t.Fatal("Intern is not idempotent")
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestInternMatchesInsert checks that Intern, Lookup and AddChild agree
+// on IDs, and that Intern allocates nothing once nodes exist.
+func TestInternMatchesInsert(t *testing.T) {
+	tr, byChild := New(), New()
+	paths := [][]string{
+		{"a"}, {"a", "b"}, {"a", "b", "c"}, {"d"}, {"d", "e"}, {},
+	}
+	for _, p := range paths {
+		id := tr.Intern(p)
+		if got := tr.Lookup(KeyOf(p)); got != id {
+			t.Fatalf("Intern(%v) = %d, Lookup = %d", p, id, got)
+		}
+		c := Root
+		for _, label := range p {
+			c, _ = byChild.AddChild(c, label)
+		}
+		if c != id {
+			t.Fatalf("Intern(%v) = %d, AddChild walk = %d", p, id, c)
+		}
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	warm := [][]string{{"a", "b", "c"}, {"d", "e"}, {"a"}}
+	allocs := testing.AllocsPerRun(200, func() {
+		for _, p := range warm {
+			tr.Intern(p)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state Intern allocates %.1f per run, want 0", allocs)
+	}
+}
+
+// TestInvalidLabels: a path component that is empty or holds the Key
+// separator would give two nodes one Key (or a node the root's); Intern
+// and AddChild refuse it and leave the tree unchanged, and Lookup keeps
+// resolving the root and real paths.
+func TestInvalidLabels(t *testing.T) {
+	tr := New()
+	ab := tr.Intern([]string{"a", "b"})
+	for _, p := range [][]string{{""}, {"a\x1fb"}, {"a", ""}, {"x", "y\x1f"}, {"x", "", "z"}} {
+		if id := tr.Intern(p); id != -1 {
+			t.Fatalf("Intern(%q) = %d, want -1", p, id)
+		}
+	}
+	if id, added := tr.AddChild(Root, ""); id != -1 || added {
+		t.Fatalf("AddChild(root, \"\") = %d, %v; want -1, false", id, added)
+	}
+	if tr.Len() != 3 {
+		t.Fatalf("refused paths grew the tree to %d nodes", tr.Len())
+	}
+	if tr.Lookup("") != Root || tr.Lookup(KeyOf([]string{"a", "b"})) != ab || tr.Lookup("a\x1f") != -1 {
+		t.Fatal("Lookup disturbed by refused paths")
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
@@ -100,44 +159,55 @@ func TestInsertCreatesAncestors(t *testing.T) {
 
 func TestWalkOrders(t *testing.T) {
 	tr := New()
-	tr.Insert([]string{"a", "x"})
-	tr.Insert([]string{"a", "y"})
-	tr.Insert([]string{"b"})
+	tr.Intern([]string{"a", "x"})
+	tr.Intern([]string{"b"})
+	tr.Intern([]string{"a", "y"})
 
-	var bottomUp []int
-	tr.WalkBottomUp(func(n *Node) { bottomUp = append(bottomUp, n.Depth) })
-	for i := 1; i < len(bottomUp); i++ {
-		if bottomUp[i] > bottomUp[i-1] {
-			t.Fatalf("bottom-up walk not monotonically non-increasing in depth: %v", bottomUp)
+	// Levels, deepest first, are a bottom-up sweep: every child comes
+	// before its parent.
+	seen := make([]bool, tr.Len())
+	visited := 0
+	for d := tr.Height() - 1; d >= 0; d-- {
+		for _, id := range tr.Level(d) {
+			for c := tr.FirstChild(int(id)); c >= 0; c = tr.NextSibling(c) {
+				if !seen[c] {
+					t.Fatalf("node %d visited before its child %d", id, c)
+				}
+			}
+			seen[id] = true
+			visited++
 		}
 	}
-	var topDown []int
-	tr.WalkTopDown(func(n *Node) { topDown = append(topDown, n.Depth) })
-	for i := 1; i < len(topDown); i++ {
-		if topDown[i] < topDown[i-1] {
-			t.Fatalf("top-down walk not monotonically non-decreasing in depth: %v", topDown)
-		}
+	if visited != tr.Len() {
+		t.Fatalf("levels hold %d nodes, want %d", visited, tr.Len())
 	}
-	if len(bottomUp) != tr.Len() || len(topDown) != tr.Len() {
-		t.Fatalf("walks visited %d/%d nodes, want %d", len(bottomUp), len(topDown), tr.Len())
+	// Children come in ascending ID order: a's children are x then y,
+	// although b was inserted between them.
+	a := tr.Lookup("a")
+	x, y := tr.FirstChild(a), -1
+	if x >= 0 {
+		y = tr.NextSibling(x)
+	}
+	if tr.Label(x) != "x" || tr.Label(y) != "y" || tr.NextSibling(y) != -1 || x > y {
+		t.Fatalf("children of a: %d %d", x, y)
 	}
 }
 
 func TestAtDepth(t *testing.T) {
 	tr := New()
-	tr.Insert([]string{"a", "x"})
-	tr.Insert([]string{"b", "y"})
-	if got := len(tr.AtDepth(0)); got != 1 {
-		t.Fatalf("AtDepth(0) = %d nodes, want 1", got)
+	tr.Intern([]string{"a", "x"})
+	tr.Intern([]string{"b", "y"})
+	if got := len(tr.Level(0)); got != 1 {
+		t.Fatalf("Level(0) = %d nodes, want 1", got)
 	}
-	if got := len(tr.AtDepth(1)); got != 2 {
-		t.Fatalf("AtDepth(1) = %d nodes, want 2", got)
+	if got := len(tr.Level(1)); got != 2 {
+		t.Fatalf("Level(1) = %d nodes, want 2", got)
 	}
-	if got := tr.AtDepth(99); got != nil {
-		t.Fatalf("AtDepth(99) = %v, want nil", got)
+	if got := tr.Level(99); got != nil {
+		t.Fatalf("Level(99) = %v, want nil", got)
 	}
-	if got := tr.AtDepth(-1); got != nil {
-		t.Fatalf("AtDepth(-1) = %v, want nil", got)
+	if got := tr.Level(-1); got != nil {
+		t.Fatalf("Level(-1) = %v, want nil", got)
 	}
 }
 
@@ -146,7 +216,7 @@ func TestTypicalDegrees(t *testing.T) {
 	// Build a regular 3 x 2 tree.
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 2; j++ {
-			tr.Insert([]string{"l1-" + strconv.Itoa(i), "l2-" + strconv.Itoa(j)})
+			tr.Intern([]string{"l1-" + strconv.Itoa(i), "l2-" + strconv.Itoa(j)})
 		}
 	}
 	degs := tr.TypicalDegrees()
@@ -168,11 +238,8 @@ func TestRandomTreeInvariants(t *testing.T) {
 			for d := range path {
 				path[d] = "n" + strconv.Itoa(rng.Intn(4))
 			}
-			node := tr.Insert(path)
-			if node.Key != KeyOf(path) {
-				return false
-			}
-			if tr.Lookup(KeyOf(path)) != node {
+			id := tr.Intern(path)
+			if tr.Key(id) != KeyOf(path) || tr.Lookup(KeyOf(path)) != id {
 				return false
 			}
 		}
@@ -185,31 +252,28 @@ func TestRandomTreeInvariants(t *testing.T) {
 
 func TestNodeAccessors(t *testing.T) {
 	tr := New()
-	leaf := tr.Insert([]string{"p", "q"})
+	leaf := tr.Intern([]string{"p", "q"})
 	p := tr.Lookup(KeyOf([]string{"p"}))
-	if leaf.Parent() != p {
+	if tr.Parent(leaf) != p || tr.Parent(Root) != -1 {
 		t.Fatal("Parent() wrong")
 	}
-	if p.Child("q") != leaf {
+	if tr.Child(p, "q") != leaf || tr.Child(p, "none") != -1 || tr.Child(leaf, "q") != -1 {
 		t.Fatal("Child() wrong")
 	}
-	if !leaf.IsLeaf() || p.IsLeaf() {
-		t.Fatal("IsLeaf() wrong")
+	if tr.FirstChild(leaf) != -1 || tr.FirstChild(p) != leaf {
+		t.Fatal("FirstChild() wrong")
 	}
-	if p.Degree() != 1 {
-		t.Fatalf("Degree() = %d, want 1", p.Degree())
+	if tr.Degree(p) != 1 || tr.Degree(leaf) != 0 {
+		t.Fatalf("Degree() = %d, want 1", tr.Degree(p))
 	}
-	if tr.Root().String() != "<root>" {
-		t.Fatalf("root String() = %q", tr.Root().String())
+	if tr.Key(Root).String() != "<root>" || tr.Label(Root) != "" {
+		t.Fatalf("root Key() = %q", tr.Key(Root))
 	}
-	if leaf.String() != "p/q" {
-		t.Fatalf("leaf String() = %q", leaf.String())
+	if tr.Key(leaf).String() != "p/q" || tr.Label(leaf) != "q" || tr.Depth(leaf) != 2 {
+		t.Fatalf("leaf Key() = %q, Label() = %q", tr.Key(leaf), tr.Label(leaf))
 	}
-	if tr.Node(leaf.ID) != leaf {
-		t.Fatal("Node(id) wrong")
-	}
-	if got := len(tr.Nodes()); got != tr.Len() {
-		t.Fatalf("Nodes() len %d != Len() %d", got, tr.Len())
+	if tr.Lookup("p\x1fq\x1fr") != -1 || tr.Lookup("z") != -1 {
+		t.Fatal("Lookup of an absent key must be -1")
 	}
 	if tr.Height() != 3 {
 		t.Fatalf("Height() = %d, want 3", tr.Height())
@@ -217,27 +281,27 @@ func TestNodeAccessors(t *testing.T) {
 }
 
 // TestAddChild: AddChild under a known parent ID builds the same tree
-// as Insert of the full path, and reports an existing child as not
+// as Intern of the full path, and reports an existing child as not
 // added.
 func TestAddChild(t *testing.T) {
 	tr, want := New(), New()
 	for _, path := range [][]string{{"a"}, {"a", "x"}, {"b"}, {"a", "y"}, {"b", "x"}, {"a", "x", "z"}} {
 		parent := want.Lookup(KeyOf(path[:len(path)-1]))
-		n, added := tr.AddChild(parent.ID, path[len(path)-1])
-		if w := want.Insert(path); !added || n.ID != w.ID || n.Key != w.Key || n.Depth != w.Depth {
+		n, added := tr.AddChild(parent, path[len(path)-1])
+		if w := want.Intern(path); !added || n != w || tr.Key(n) != want.Key(w) || tr.Depth(n) != want.Depth(w) {
 			t.Fatalf("AddChild(%d, %q) = node %d %q depth %d (added %v), want node %d %q depth %d",
-				parent.ID, path[len(path)-1], n.ID, n.Key, n.Depth, added, w.ID, w.Key, w.Depth)
+				parent, path[len(path)-1], n, tr.Key(n), tr.Depth(n), added, w, want.Key(w), want.Depth(w))
 		}
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	x := tr.Lookup(KeyOf([]string{"a", "x"}))
-	if n, added := tr.AddChild(x.Parent().ID, "x"); added || n != x {
+	if n, added := tr.AddChild(tr.Parent(x), "x"); added || n != x {
 		t.Fatalf("AddChild of an existing child = %v (added %v), want %v", n, added, x)
 	}
-	if leaf := tr.Lookup(KeyOf([]string{"b", "x"})); leaf.Child("none") != nil || tr.Insert([]string{"b", "x", "c"}).Parent() != leaf {
-		t.Fatal("a leaf must gain its first child through Insert")
+	if leaf := tr.Lookup(KeyOf([]string{"b", "x"})); tr.Child(leaf, "none") != -1 || tr.Parent(tr.Intern([]string{"b", "x", "c"})) != leaf {
+		t.Fatal("a leaf must gain its first child through Intern")
 	}
 	if tr.Len() != want.Len()+1 {
 		t.Fatalf("tree has %d nodes, want %d", tr.Len(), want.Len()+1)

@@ -109,7 +109,7 @@ func ADAStepSparse(b *testing.B) {
 	for i := range window {
 		window[i] = make(algo.Timeunit, len(leaves))
 		for _, id := range leaves {
-			window[i][tree.Node(id).Key] = float64(1 + (id+i)%3)
+			window[i][tree.Key(id)] = float64(1 + (id+i)%3)
 		}
 	}
 	if _, err := algo.InitTimeunits(e, window); err != nil {

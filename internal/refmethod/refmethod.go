@@ -85,13 +85,14 @@ func New(cfg Config) (*Chart, error) {
 func (c *Chart) Observe(u algo.Timeunit) []Alarm {
 	defer func() { c.instance++ }()
 	for k := range u {
-		c.tree.InsertKey(k)
+		c.tree.Intern(k.Path())
 	}
 	agg := shhh.Aggregate(c.tree, u)
 	var alarms []Alarm
-	for _, n := range c.tree.AtDepth(1) {
-		v := agg[n.ID]
-		h := c.history[n.ID]
+	for _, n32 := range c.tree.Level(1) {
+		n := int(n32)
+		v := agg[n]
+		h := c.history[n]
 		if len(h) >= c.cfg.Window {
 			mean, sigma := stats(h)
 			if sigma < c.cfg.MinSigma {
@@ -99,7 +100,7 @@ func (c *Chart) Observe(u algo.Timeunit) []Alarm {
 			}
 			if v > mean+c.cfg.K*sigma {
 				alarms = append(alarms, Alarm{
-					Key:      n.Key,
+					Key:      c.tree.Key(n),
 					Instance: c.instance,
 					Value:    v,
 					Mean:     mean,
@@ -111,7 +112,7 @@ func (c *Chart) Observe(u algo.Timeunit) []Alarm {
 		if len(h) > c.cfg.Window {
 			h = h[1:]
 		}
-		c.history[n.ID] = h
+		c.history[n] = h
 	}
 	return alarms
 }

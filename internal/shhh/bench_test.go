@@ -17,7 +17,7 @@ func benchSetup(degrees []int, fill float64) (*hierarchy.Tree, Counts) {
 	var walk func(prefix []string, depth int)
 	walk = func(prefix []string, depth int) {
 		if depth == len(degrees) {
-			t.Insert(prefix)
+			t.Intern(prefix)
 			if rng.Float64() < fill {
 				counts[hierarchy.KeyOf(prefix)] = float64(rng.Intn(20))
 			}

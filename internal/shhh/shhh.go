@@ -42,19 +42,19 @@ type Result struct {
 	W []float64
 	// InSet[id] reports whether the node is in the SHHH set.
 	InSet []bool
-	// Set lists the SHHH members in bottom-up discovery order.
-	Set []*hierarchy.Node
+	// Set lists the SHHH member IDs in bottom-up discovery order.
+	Set []int32
 }
 
-// IsHH reports SHHH membership for a node.
-func (r *Result) IsHH(n *hierarchy.Node) bool {
-	return n.ID < len(r.InSet) && r.InSet[n.ID]
+// IsHH reports SHHH membership for a node ID.
+func (r *Result) IsHH(id int) bool {
+	return id < len(r.InSet) && r.InSet[id]
 }
 
 // Compute derives the SHHH set for one timeunit by a bottom-up
 // traversal (the paper notes this yields the unique fixed point of
 // Definition 2). Nodes must already exist in the tree for every key in
-// counts; use Tree.InsertKey beforehand.
+// counts; use Tree.Intern beforehand.
 func Compute(t *hierarchy.Tree, counts Counts, theta float64) *Result {
 	return ComputeInto(t, counts, theta, nil)
 }
@@ -68,9 +68,9 @@ func Compute(t *hierarchy.Tree, counts Counts, theta float64) *Result {
 func ComputeInto(t *hierarchy.Tree, counts Counts, theta float64, r *Result) *Result {
 	r = r.prepare(t.Len(), theta)
 	for k, v := range counts {
-		if nd := t.Lookup(k); nd != nil {
-			r.A[nd.ID] += v
-			r.W[nd.ID] += v
+		if id := t.Lookup(k); id >= 0 {
+			r.A[id] += v
+			r.W[id] += v
 		}
 	}
 	return r.sweep(t)
@@ -105,25 +105,24 @@ func (r *Result) prepare(n int, theta float64) *Result {
 }
 
 // sweep completes a Result seeded with direct counts: one
-// closure-free bottom-up pass over the flat CSR view.
+// closure-free bottom-up pass over the tree's levels, deepest first.
 //
 //tiresias:hotpath
 func (r *Result) sweep(t *hierarchy.Tree) *Result {
-	csr := t.CSR()
-	for _, id32 := range csr.BottomUp {
-		id := int(id32)
-		aw, w := r.A[id], r.W[id]
-		for j := csr.ChildOff[id]; j < csr.ChildOff[id+1]; j++ {
-			c := csr.ChildIDs[j]
-			aw += r.A[c]
-			if !r.InSet[c] {
-				w += r.W[c]
+	for d := t.Height() - 1; d >= 0; d-- {
+		for _, id := range t.Level(d) {
+			aw, w := r.A[id], r.W[id]
+			for c := t.FirstChild(int(id)); c >= 0; c = t.NextSibling(c) {
+				aw += r.A[c]
+				if !r.InSet[c] {
+					w += r.W[c]
+				}
 			}
-		}
-		r.A[id], r.W[id] = aw, w
-		if w >= r.Theta {
-			r.InSet[id] = true
-			r.Set = append(r.Set, t.Node(id))
+			r.A[id], r.W[id] = aw, w
+			if w >= r.Theta {
+				r.InSet[id] = true
+				r.Set = append(r.Set, id)
+			}
 		}
 	}
 	return r
@@ -156,15 +155,18 @@ func growBools(s []bool, n int) []bool {
 }
 
 // ComputeHHH derives the plain (non-succinct) HHH set of Definition 1:
-// all nodes whose raw aggregated weight is at least theta.
-func ComputeHHH(t *hierarchy.Tree, counts Counts, theta float64) []*hierarchy.Node {
+// the IDs of all nodes whose raw aggregated weight is at least theta,
+// deepest level first.
+func ComputeHHH(t *hierarchy.Tree, counts Counts, theta float64) []int32 {
 	agg := Aggregate(t, counts)
-	var set []*hierarchy.Node
-	t.WalkBottomUp(func(n *hierarchy.Node) {
-		if agg[n.ID] >= theta {
-			set = append(set, n)
+	var set []int32
+	for d := t.Height() - 1; d >= 0; d-- {
+		for _, id := range t.Level(d) {
+			if agg[id] >= theta {
+				set = append(set, id)
+			}
 		}
-	})
+	}
 	return set
 }
 
@@ -181,8 +183,8 @@ func Aggregate(t *hierarchy.Tree, counts Counts) []float64 {
 func AggregateInto(t *hierarchy.Tree, counts Counts, dst []float64) []float64 {
 	a := growFloats(dst, t.Len()) //tiresias:ignore escapecheck (inlined grow path: allocates only when the tree outgrows dst)
 	for k, v := range counts {
-		if n := t.Lookup(k); n != nil {
-			a[n.ID] += v
+		if id := t.Lookup(k); id >= 0 {
+			a[id] += v
 		}
 	}
 	return frozenSweep(t, a, nil)
@@ -214,8 +216,8 @@ func FrozenWeights(t *hierarchy.Tree, counts Counts, inSet []bool) []float64 {
 func FrozenWeightsInto(t *hierarchy.Tree, counts Counts, inSet []bool, dst []float64) []float64 {
 	w := growFloats(dst, t.Len()) //tiresias:ignore escapecheck (inlined grow path: allocates only when the tree outgrows dst)
 	for k, v := range counts {
-		if n := t.Lookup(k); n != nil {
-			w[n.ID] += v
+		if id := t.Lookup(k); id >= 0 {
+			w[id] += v
 		}
 	}
 	return frozenSweep(t, w, inSet)
@@ -246,17 +248,16 @@ func seedIDs(t *hierarchy.Tree, ids []int32, vals []float64, dst []float64) []fl
 //
 //tiresias:hotpath
 func frozenSweep(t *hierarchy.Tree, w []float64, inSet []bool) []float64 {
-	csr := t.CSR()
-	for _, id32 := range csr.BottomUp {
-		id := int(id32)
-		sum := w[id]
-		for j := csr.ChildOff[id]; j < csr.ChildOff[id+1]; j++ {
-			c := int(csr.ChildIDs[j])
-			if c >= len(inSet) || !inSet[c] {
-				sum += w[c]
+	for d := t.Height() - 1; d >= 0; d-- {
+		for _, id := range t.Level(d) {
+			sum := w[id]
+			for c := t.FirstChild(int(id)); c >= 0; c = t.NextSibling(c) {
+				if c >= len(inSet) || !inSet[c] {
+					sum += w[c]
+				}
 			}
+			w[id] = sum
 		}
-		w[id] = sum
 	}
 	return w
 }

@@ -14,7 +14,7 @@ import (
 func buildTree(paths ...[]string) *hierarchy.Tree {
 	t := hierarchy.New()
 	for _, p := range paths {
-		t.Insert(p)
+		t.Intern(p)
 	}
 	return t
 }
@@ -34,14 +34,14 @@ func TestComputePaperExample(t *testing.T) {
 	if !r.IsHH(a) || !r.IsHH(b) {
 		t.Fatal("both heavy children must be SHHH")
 	}
-	if r.IsHH(tr.Root()) {
+	if r.IsHH(hierarchy.Root) {
 		t.Fatal("root must be discounted to zero and excluded")
 	}
-	if r.W[tr.Root().ID] != 0 {
-		t.Fatalf("root W = %v, want 0", r.W[tr.Root().ID])
+	if r.W[hierarchy.Root] != 0 {
+		t.Fatalf("root W = %v, want 0", r.W[hierarchy.Root])
 	}
-	if r.A[tr.Root().ID] != 22 {
-		t.Fatalf("root A = %v, want 22", r.A[tr.Root().ID])
+	if r.A[hierarchy.Root] != 22 {
+		t.Fatalf("root A = %v, want 22", r.A[hierarchy.Root])
 	}
 }
 
@@ -62,8 +62,8 @@ func TestComputeLightChildrenAggregateUp(t *testing.T) {
 	if !r.IsHH(p) {
 		t.Fatal("parent aggregating 12 must be SHHH at theta=5")
 	}
-	if r.W[p.ID] != 12 {
-		t.Fatalf("parent W = %v, want 12", r.W[p.ID])
+	if r.W[p] != 12 {
+		t.Fatalf("parent W = %v, want 12", r.W[p])
 	}
 	for _, pth := range paths {
 		n := tr.Lookup(hierarchy.KeyOf(pth))
@@ -95,17 +95,17 @@ func TestComputeMixedDepths(t *testing.T) {
 		t.Fatal("g must be SHHH")
 	}
 	if r.IsHH(c) {
-		t.Fatalf("c W=%v must not be SHHH (only the light sibling remains)", r.W[c.ID])
+		t.Fatalf("c W=%v must not be SHHH (only the light sibling remains)", r.W[c])
 	}
-	if r.W[c.ID] != 1 {
-		t.Fatalf("c W = %v, want 1", r.W[c.ID])
+	if r.W[c] != 1 {
+		t.Fatalf("c W = %v, want 1", r.W[c])
 	}
 	// x sees W(c)=1 + W(d)=1 = 2 < 5: not heavy.
 	if r.IsHH(x) {
-		t.Fatalf("x W=%v must not be SHHH", r.W[x.ID])
+		t.Fatalf("x W=%v must not be SHHH", r.W[x])
 	}
-	if r.W[x.ID] != 2 {
-		t.Fatalf("x W = %v, want 2", r.W[x.ID])
+	if r.W[x] != 2 {
+		t.Fatalf("x W = %v, want 2", r.W[x])
 	}
 }
 
@@ -116,10 +116,10 @@ func TestComputeRootMembership(t *testing.T) {
 		hierarchy.KeyOf([]string{"b"}): 3,
 	}
 	r := Compute(tr, counts, 5)
-	if !r.IsHH(tr.Root()) {
+	if !r.IsHH(hierarchy.Root) {
 		t.Fatal("root aggregating two light children (6 >= 5) must be SHHH")
 	}
-	if len(r.Set) != 1 || r.Set[0] != tr.Root() {
+	if len(r.Set) != 1 || r.Set[0] != hierarchy.Root {
 		t.Fatalf("Set = %v, want just the root", r.Set)
 	}
 }
@@ -135,7 +135,7 @@ func randomCounts(rng *rand.Rand) (*hierarchy.Tree, Counts) {
 		for d := range path {
 			path[d] = "n" + strconv.Itoa(rng.Intn(3))
 		}
-		tr.Insert(path)
+		tr.Intern(path)
 		counts[hierarchy.KeyOf(path)] += float64(rng.Intn(8))
 	}
 	return tr, counts
@@ -152,20 +152,20 @@ func TestDefinitionTwoFixedPoint(t *testing.T) {
 		tr, counts := randomCounts(rng)
 		r := Compute(tr, counts, theta)
 		ok := true
-		tr.WalkBottomUp(func(n *hierarchy.Node) {
-			want := counts[n.Key]
-			for _, c := range n.Children() {
-				if !r.InSet[c.ID] {
-					want += r.W[c.ID]
+		for n := 0; n < tr.Len(); n++ {
+			want := counts[tr.Key(n)]
+			for c := tr.FirstChild(n); c >= 0; c = tr.NextSibling(c) {
+				if !r.InSet[c] {
+					want += r.W[c]
 				}
 			}
-			if math.Abs(want-r.W[n.ID]) > 1e-9 {
+			if math.Abs(want-r.W[n]) > 1e-9 {
 				ok = false
 			}
-			if r.InSet[n.ID] != (r.W[n.ID] >= theta) {
+			if r.InSet[n] != (r.W[n] >= theta) {
 				ok = false
 			}
-		})
+		}
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80, Rand: rand.New(rand.NewSource(1))}); err != nil {
@@ -185,10 +185,10 @@ func TestMassConservation(t *testing.T) {
 		r := Compute(tr, counts, theta)
 		var sum float64
 		for _, n := range r.Set {
-			sum += r.W[n.ID]
+			sum += r.W[n]
 		}
-		if !r.InSet[tr.Root().ID] {
-			sum += r.W[tr.Root().ID]
+		if !r.InSet[hierarchy.Root] {
+			sum += r.W[hierarchy.Root]
 		}
 		return math.Abs(sum-counts.Total()) < 1e-6
 	}
@@ -206,12 +206,12 @@ func TestSHHHSubsetOfHHH(t *testing.T) {
 		tr, counts := randomCounts(rng)
 		r := Compute(tr, counts, theta)
 		hhh := ComputeHHH(tr, counts, theta)
-		inHHH := make(map[int]bool, len(hhh))
+		inHHH := make(map[int32]bool, len(hhh))
 		for _, n := range hhh {
-			inHHH[n.ID] = true
+			inHHH[n] = true
 		}
 		for _, n := range r.Set {
-			if !inHHH[n.ID] {
+			if !inHHH[n] {
 				return false
 			}
 		}
@@ -237,11 +237,11 @@ func TestAggregateMatchesManualSum(t *testing.T) {
 	}
 	a := Aggregate(tr, counts)
 	nA := tr.Lookup(hierarchy.KeyOf([]string{"a"}))
-	if a[nA.ID] != 11 {
-		t.Fatalf("A(a) = %v, want 11", a[nA.ID])
+	if a[nA] != 11 {
+		t.Fatalf("A(a) = %v, want 11", a[nA])
 	}
-	if a[tr.Root().ID] != 11 {
-		t.Fatalf("A(root) = %v, want 11", a[tr.Root().ID])
+	if a[hierarchy.Root] != 11 {
+		t.Fatalf("A(root) = %v, want 11", a[hierarchy.Root])
 	}
 }
 
@@ -253,19 +253,19 @@ func TestFrozenWeights(t *testing.T) {
 		hierarchy.KeyOf([]string{"a", "c"}): 6,
 	}
 	frozen := make([]bool, tr.Len())
-	frozen[b.ID] = true // b is a frozen heavy hitter
+	frozen[b] = true // b is a frozen heavy hitter
 	w := FrozenWeights(tr, counts, frozen)
 	nA := tr.Lookup(hierarchy.KeyOf([]string{"a"}))
-	if w[nA.ID] != 6 {
-		t.Fatalf("frozen W(a) = %v, want 6 (b discounted)", w[nA.ID])
+	if w[nA] != 6 {
+		t.Fatalf("frozen W(a) = %v, want 6 (b discounted)", w[nA])
 	}
-	if w[b.ID] != 4 {
-		t.Fatalf("frozen W(b) = %v, want 4", w[b.ID])
+	if w[b] != 4 {
+		t.Fatalf("frozen W(b) = %v, want 4", w[b])
 	}
 	// Shorter inSet slice than the tree must behave as "not frozen".
 	w2 := FrozenWeights(tr, counts, nil)
-	if w2[tr.Root().ID] != 10 {
-		t.Fatalf("frozen W(root) with nil set = %v, want 10", w2[tr.Root().ID])
+	if w2[hierarchy.Root] != 10 {
+		t.Fatalf("frozen W(root) with nil set = %v, want 10", w2[hierarchy.Root])
 	}
 }
 

@@ -18,8 +18,8 @@ func denseStart() time.Time {
 // mapWindower is the reference model of Windower: map-form windowing,
 // one algo.Timeunit per Δ, each record counted under its path's Key.
 // It is written from the definition (Step 1 of Fig. 3 plus the
-// out-of-order and gap-bound rules), not from the dense code, so the
-// tests below check the dense path against it.
+// out-of-order, gap-bound and path-label rules), not from the dense
+// code, so the tests below check the dense path against it.
 type mapWindower struct {
 	delta  time.Duration
 	start  time.Time
@@ -44,6 +44,11 @@ func (m *mapWindower) observe(r Record) ([]algo.Timeunit, error) {
 	}
 	if m.maxGap > 0 && r.Time.Sub(start)/m.delta > time.Duration(m.maxGap) {
 		return nil, ErrMaxGap
+	}
+	for _, label := range r.Path {
+		if label == "" || strings.Contains(label, "\x1f") {
+			return nil, errors.New("path names no node")
+		}
 	}
 	m.start, m.began = start, true
 	var done []algo.Timeunit
@@ -268,10 +273,11 @@ func TestWindowerMaxGapDisabled(t *testing.T) {
 // FuzzWindowerObserveDense holds the Windower to the map model on
 // generated feeds. Each 3-byte op is a flush or a record whose time
 // steps forwards, backwards (out-of-order) or far past the gap bound,
-// on a path of depth 0–3. The properties: the same completed units,
-// the same ErrOutOfOrder/ErrMaxGap rejections with no state change on
-// rejection, and a State → RestoreWindower round trip at the cut op
-// that continues with the same remaining units.
+// on a path of depth 0–3 whose labels may be empty. The properties:
+// the same completed units, the same rejections (ErrOutOfOrder,
+// ErrMaxGap, a path naming no node) with no change to the state or
+// the tree on rejection, and a State → RestoreWindower round trip at
+// the cut op that continues with the same remaining units.
 func FuzzWindowerObserveDense(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte, maxGap int16, deltaSec uint16, cut uint8) {
 		if len(ops) > 3*256 {
@@ -320,10 +326,10 @@ func checkWindower(t *testing.T, ops []byte, maxGap int, delta time.Duration, cu
 		}
 		path := make([]string, shape%4)
 		for d := range path {
-			path[d] = string(rune('a' + (int(shape>>2)+d)%3))
+			path[d] = []string{"a", "b", "c", ""}[(int(shape>>2)+d)%4]
 		}
 		r := Record{Path: path, Time: next}
-		before := w.State()
+		before, nodes := w.State(), tree.Len()
 		want, merr := model.observe(r)
 		got, err := w.ObserveDense(r)
 		for _, sentinel := range []error{ErrOutOfOrder, ErrMaxGap} {
@@ -335,8 +341,9 @@ func checkWindower(t *testing.T, ops []byte, maxGap int, delta time.Duration, cu
 			t.Fatalf("%s at %v: error %v, model %v", label, next, err, merr)
 		}
 		if err != nil {
-			if after := w.State(); fmt.Sprint(after) != fmt.Sprint(before) {
-				t.Fatalf("%s: rejected record changed the state:\n%+v\n%+v", label, before, after)
+			if after := w.State(); fmt.Sprint(after) != fmt.Sprint(before) || tree.Len() != nodes {
+				t.Fatalf("%s: rejected record changed the state or grew the tree from %d to %d nodes:\n%+v\n%+v",
+					label, nodes, tree.Len(), before, after)
 			}
 			continue
 		}

@@ -212,7 +212,13 @@ func (s *CSVishSource) Next() (Record, error) {
 			s.lastTS = append(s.lastTS[:0], tsb...)
 			s.lastTime = ts
 		}
-		return Record{Time: ts, Path: strings.Split(string(line[comma+1:]), "/")}, nil
+		path := strings.Split(string(line[comma+1:]), "/")
+		for _, label := range path {
+			if !hierarchy.ValidLabel(label) {
+				return Record{}, fmt.Errorf("stream: line %d: path %q has an empty component or one containing U+001F", s.lr.line, line[comma+1:])
+			}
+		}
+		return Record{Time: ts, Path: path}, nil
 	}
 }
 
@@ -286,34 +292,37 @@ func (w *Windower) Start() time.Time { return w.start }
 func (w *Windower) SetMaxGap(n int) { w.maxGap = n }
 
 // checkGap rejects a record whose timestamp is more than MaxGap
-// timeunits past the current unit's start, without mutating any
-// windowing state (the stream stays usable at sane timestamps).
-func (w *Windower) checkGap(at time.Time) error {
+// timeunits past start, the current unit's start (the stream stays
+// usable at sane timestamps).
+func (w *Windower) checkGap(start, at time.Time) error {
 	if w.maxGap <= 0 {
 		return nil
 	}
 	// Compare in units (gap/delta), not nanoseconds: maxGap*delta can
 	// overflow a Duration for large timeunit sizes.
-	if gap := at.Sub(w.start); gap/w.delta > time.Duration(w.maxGap) {
+	if gap := at.Sub(start); gap/w.delta > time.Duration(w.maxGap) {
 		return fmt.Errorf("%w: record at %v is %d timeunits past the current unit start %v (MaxGap %d)",
-			ErrMaxGap, at, int(gap/w.delta), w.start, w.maxGap)
+			ErrMaxGap, at, int(gap/w.delta), start, w.maxGap)
 	}
 	return nil
 }
 
-// anchor starts windowing at the first observed record and validates
-// time order and the gap bound for every one, mutating no state on
-// rejection.
-func (w *Windower) anchor(at time.Time) error {
+// anchor returns the start of the current unit for a record at at —
+// the record's own unit when it is the first observed — after
+// validating time order and the gap bound. It mutates nothing.
+func (w *Windower) anchor(at time.Time) (time.Time, error) {
+	start := w.start
 	if !w.began {
-		w.start = at.Truncate(w.delta)
-		w.began = true
+		start = at.Truncate(w.delta)
 	}
-	if at.Before(w.start) {
-		return fmt.Errorf("%w: %v < %v", ErrOutOfOrder, at, w.start)
+	if at.Before(start) {
+		return start, fmt.Errorf("%w: %v < %v", ErrOutOfOrder, at, start)
 	}
-	return w.checkGap(at)
+	return start, w.checkGap(start, at)
 }
+
+// errBadPath is ObserveDense's error for a path the tree refuses.
+var errBadPath = errors.New("stream: record path has an empty component or one containing U+001F")
 
 // BindTree sets the hierarchy record paths are interned into; it must
 // be the tree the consuming engine operates on (see algo.Config.Tree).
@@ -356,9 +365,12 @@ func (w *Windower) nextDense() *algo.DenseUnit {
 // strictly before the record's own unit (empty units are included so
 // seasonal indexing stays aligned). The record's path is interned
 // straight to a node ID (no Key string is built) and counted into a
-// pooled DenseUnit. The returned units are valid until the next
-// ObserveDense/FlushDense call; in the steady state the call performs
-// zero allocations. BindTree must have been called.
+// pooled DenseUnit. A record out of time order, past the gap bound, or
+// whose path the tree refuses (see hierarchy.ValidLabel) is rejected
+// with neither the windowing position nor the tree changed. The
+// returned units are valid until the next ObserveDense/FlushDense
+// call; in the steady state the call performs zero allocations.
+// BindTree must have been called.
 //
 //tiresias:hotpath
 func (w *Windower) ObserveDense(r Record) ([]*algo.DenseUnit, error) {
@@ -366,9 +378,15 @@ func (w *Windower) ObserveDense(r Record) ([]*algo.DenseUnit, error) {
 		return nil, errors.New("stream: ObserveDense before BindTree") //tiresias:ignore escapecheck (cold misuse guard, unreachable after BindTree)
 	}
 	w.reclaimDense()
-	if err := w.anchor(r.Time); err != nil {
+	start, err := w.anchor(r.Time)
+	if err != nil {
 		return nil, err
 	}
+	id := w.tree.Intern(r.Path)
+	if id < 0 {
+		return nil, errBadPath
+	}
+	w.start, w.began = start, true
 	if w.dcur == nil {
 		w.dcur = w.nextDense() //tiresias:ignore escapecheck (inlined pool miss: the steady state recycles from w.free)
 	}
@@ -377,7 +395,7 @@ func (w *Windower) ObserveDense(r Record) ([]*algo.DenseUnit, error) {
 		w.dcur = w.nextDense() //tiresias:ignore escapecheck (inlined pool miss: the steady state recycles from w.free)
 		w.start = w.start.Add(w.delta)
 	}
-	w.dcur.Add(w.tree.Intern(r.Path), 1)
+	w.dcur.Add(id, 1)
 	return w.dbuf, nil
 }
 

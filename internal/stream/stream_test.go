@@ -93,6 +93,18 @@ func TestCSVishSourceErrors(t *testing.T) {
 	if _, err := NewCSVishSource(strings.NewReader("notatime,a/b\n")).Next(); err == nil {
 		t.Fatal("bad time must error")
 	}
+	// A path component that is empty or holds the Key separator cannot
+	// name a node; the error names the line.
+	for _, path := range []string{"", "a//b", "a/", "/a", "a\x1fb/c"} {
+		in := "2012-06-18T10:00:00Z,ok\n\n2012-06-18T10:00:00Z," + path + "\n"
+		src := NewCSVishSource(strings.NewReader(in))
+		if _, err := src.Next(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := src.Next(); err == nil || !strings.Contains(err.Error(), "line 3") {
+			t.Fatalf("path %q: err = %v, want a line 3 error", path, err)
+		}
+	}
 }
 
 func TestWindowerValidation(t *testing.T) {
@@ -162,6 +174,37 @@ func TestWindowerRejectsOutOfOrder(t *testing.T) {
 	}
 	// Same-unit earlier timestamps are fine (floor is the unit start).
 	if _, err := w.ObserveDense(rec(21*time.Minute, "c")); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWindowerRejectsBadPath: a record whose path the tree refuses —
+// an empty component, or one holding the Key separator, which would
+// give two nodes one Key — is rejected before the windowing position
+// or the tree changes, even as a stream's first record.
+func TestWindowerRejectsBadPath(t *testing.T) {
+	w, tree := newBound(t, 10*time.Minute)
+	for _, path := range [][]string{{""}, {"a\x1fb"}, {"a", ""}, {"new", "", "x"}} {
+		r := Record{Path: path, Time: t0().Add(25 * time.Minute)}
+		if done, err := w.ObserveDense(r); err == nil || len(done) != 0 {
+			t.Fatalf("path %q: err = %v, %d units; want an error", path, err, len(done))
+		}
+	}
+	if !w.Start().IsZero() || tree.Len() != 1 {
+		t.Fatalf("refused records moved the window to %v and grew the tree to %d nodes", w.Start(), tree.Len())
+	}
+	for _, r := range []Record{rec(3*time.Minute, "a"), rec(4*time.Minute, "a", "b")} {
+		if _, err := w.ObserveDense(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := w.ObserveDense(Record{Path: []string{"a", "b\x1fc"}, Time: t0().Add(25 * time.Minute)}); err == nil {
+		t.Fatal("a refused path under a known prefix must error")
+	}
+	if !w.Start().Equal(t0()) || tree.Len() != 3 {
+		t.Fatalf("window at %v with %d nodes, want %v and 3", w.Start(), tree.Len(), t0())
+	}
+	if err := tree.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -462,7 +462,7 @@ func (t *Tiresias) HeavyHitters() []hierarchy.Key {
 	}
 	out := make([]hierarchy.Key, 0, len(t.lastState.HeavyHitters))
 	for _, hh := range t.lastState.HeavyHitters {
-		out = append(out, hh.Node.Key)
+		out = append(out, hh.Key)
 	}
 	return out
 }
