@@ -8,7 +8,8 @@
 //	    -store anomalies.jsonl
 //
 // Input is either the CSVish format of tiresias-gen ("time,path") or
-// JSON lines ({"path":[...],"time":"..."}) selected with -format. The
+// JSON lines ({"path":[...],"time":"..."}, each line held to the
+// record rule /v2/records applies) selected with -format. The
 // stream is processed incrementally (O(window) memory) and stops
 // cleanly on SIGINT/SIGTERM. -store streams each anomaly to its file
 // as JSON lines the moment it is detected (tiresias.ReadAnomalies
@@ -79,7 +80,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("tiresias", flag.ContinueOnError)
 	var (
 		in      = fs.String("in", "-", "input file (- for stdin)")
-		format  = fs.String("format", "csv", "input format: csv | jsonl")
+		format  = fs.String("format", "csv", "input format: csv (\"time,path\" lines) | jsonl (one {\"path\":[...],\"time\":\"...\"} record a line)")
 		delta   = fs.Duration("delta", 15*time.Minute, "timeunit size Δ")
 		window  = fs.Int("window", 672, "sliding window length ℓ in timeunits")
 		theta   = fs.Float64("theta", 10, "heavy-hitter threshold θ")

@@ -97,7 +97,11 @@ var ErrMaxGap = stream.ErrMaxGap
 // NewSliceSource copies records (sorting by time) into a Source.
 func NewSliceSource(records []Record) Source { return stream.NewSliceSource(records) }
 
-// NewJSONLSource reads one JSON-encoded Record per line.
+// NewJSONLSource reads one JSON-encoded Record per line, decoded as
+// the server decodes request bodies. A line that fails to decode, or
+// whose record has no path, a path label that is empty or holds
+// U+001F, or no time, is an error naming the line. A "stream" key must
+// be a string and is ignored; each returned Path is a fresh slice.
 func NewJSONLSource(r io.Reader) Source { return stream.NewJSONLSource(r) }
 
 // NewCSVishSource reads records in "RFC3339,comp1/comp2/..." form,

@@ -16,6 +16,7 @@ import (
 
 	"tiresias"
 	"tiresias/api"
+	"tiresias/internal/wirerec"
 )
 
 // The oracle: the ingest decode as it was before the span scanner —
@@ -66,21 +67,28 @@ func oracleParse(raw []byte, ndjson bool) ([]api.Record, error) {
 	return []api.Record{rec}, nil
 }
 
+// oracleInvalid is the record rule: why rec is refused, "" if it is
+// not.
+func oracleInvalid(rec api.Record) string {
+	switch {
+	case len(rec.Path) == 0:
+		return "empty path"
+	case slices.ContainsFunc(rec.Path, func(l string) bool { return l == "" || strings.Contains(l, "\x1f") }):
+		return "path component empty or containing U+001F"
+	case rec.Time.IsZero():
+		return "missing time"
+	}
+	return ""
+}
+
 func oracleIngest(raw []byte, ndjson bool) ([]oracleGroup, *wireError) {
 	recs, err := oracleParse(raw, ndjson)
 	if err != nil {
 		return nil, &wireError{status: http.StatusBadRequest, code: api.CodeBadRequest, message: err.Error()}
 	}
 	for i, rec := range recs {
-		var what string
-		switch {
-		case len(rec.Path) == 0:
-			what = "empty path"
-		case slices.ContainsFunc(rec.Path, func(l string) bool { return l == "" || strings.Contains(l, "\x1f") }):
-			what = "path component empty or containing U+001F"
-		case rec.Time.IsZero():
-			what = "missing time"
-		default:
+		what := oracleInvalid(rec)
+		if what == "" {
 			continue
 		}
 		return nil, &wireError{
@@ -160,10 +168,61 @@ func sameOutcome(got []oracleGroup, gotErr *wireError, want []oracleGroup, wantE
 	return nil
 }
 
+// oracleFile is the file framing's reference: JSON lines decoded by
+// json.Unmarshal into api.Record and held to the record rule as they
+// are read, so the first line that fails either ends the file. It
+// returns the records before that line and the line's number (0 for
+// none).
+func oracleFile(raw []byte) ([]tiresias.Record, int) {
+	var recs []tiresias.Record
+	for n, line := range bytes.Split(raw, []byte("\n")) {
+		if line = bytes.TrimSpace(line); len(line) == 0 {
+			continue
+		}
+		var rec api.Record
+		if json.Unmarshal(line, &rec) != nil || oracleInvalid(rec) != "" {
+			return recs, n + 1
+		}
+		recs = append(recs, tiresias.Record{Path: rec.Path, Time: rec.Time})
+	}
+	return recs, 0
+}
+
+// checkFileAgainstOracle reads raw as a JSON-lines file through
+// tiresias.NewJSONLSource, and then raw twice over (the second copy
+// through a warm cache), and holds both to oracleFile: the same
+// (path, time) sequence, then an error naming the same line or EOF.
+func checkFileAgainstOracle(t *testing.T, raw []byte) {
+	t.Helper()
+	for _, body := range [][]byte{raw, slices.Concat(raw, []byte("\n"), raw)} {
+		want, line := oracleFile(body)
+		src := tiresias.NewJSONLSource(bytes.NewReader(body))
+		for i, w := range want {
+			r, err := src.Next()
+			if err != nil {
+				t.Fatalf("file %q: record %d: %v", body, i, err)
+			}
+			_, off := r.Time.Zone()
+			_, woff := w.Time.Zone()
+			if !reflect.DeepEqual(r.Path, w.Path) || !r.Time.Equal(w.Time) || off != woff {
+				t.Fatalf("file %q: record %d = %q at %v, oracle %q at %v", body, i, r.Path, r.Time, w.Path, w.Time)
+			}
+		}
+		_, err := src.Next()
+		if wantErr := fmt.Sprintf("stream: line %d: ", line); line == 0 && err != io.EOF || line > 0 && (err == nil || !strings.HasPrefix(err.Error(), wantErr)) {
+			t.Fatalf("file %q: after %d records err = %v, oracle fails line %d", body, len(want), err, line)
+		}
+	}
+}
+
 // checkAgainstOracle decodes raw on a cold server and again with the
-// caches it warmed, and holds both to the oracle.
+// caches it warmed, and holds both to the oracle; an NDJSON body is
+// also read as a file.
 func checkAgainstOracle(t *testing.T, raw []byte, ndjson bool) {
 	t.Helper()
+	if ndjson {
+		checkFileAgainstOracle(t, raw)
+	}
 	s, err := New(testConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -180,8 +239,14 @@ func checkAgainstOracle(t *testing.T, raw []byte, ndjson bool) {
 
 // FuzzIngestDecode is the differential target: the span scanner must
 // agree with the json.Unmarshal-into-api.Record oracle on every body,
-// in both framings, cold and warm.
+// in both framings, cold and warm, and on every NDJSON body read as a
+// JSON-lines file. The seeds below take a file through a line longer
+// than the line reader's 64 KiB starting buffer and through a last
+// line with no newline.
 func FuzzIngestDecode(f *testing.F) {
+	const good = `{"path":["x","y"],"time":"2010-09-14T00:00:01Z"}`
+	f.Add([]byte(`{"path":["`+strings.Repeat("x", 70<<10)+`"],"time":"2010-09-14T00:00:01Z"}`+"\n"+good+"\n"), true)
+	f.Add([]byte(good+"\n\n"+`{"stream":"b","path":["x"],"time":"2010-09-14T00:00:02Z"}`), true)
 	f.Fuzz(func(t *testing.T, raw []byte, ndjson bool) {
 		checkAgainstOracle(t, raw, ndjson)
 	})
@@ -406,12 +471,12 @@ func TestOversizedContentLengthIs413BeforeReading(t *testing.T) {
 	}
 	// A buffer that grew past the limit is not pooled, nor a record
 	// array past maxPooledRecords.
-	d := &decoder{cache: s.cache, body: make([]byte, 0, 65)}
+	d := &decoder{sc: wirerec.Scanner{Cache: s.cache}, body: make([]byte, 0, 65)}
 	s.putDecoder(d)
 	if got := s.decoders.Get().(*decoder); got == d {
 		t.Fatal("a buffer larger than MaxBodyBytes went back to the pool")
 	}
-	d = &decoder{cache: s.cache, recs: make([]tiresias.Record, 0, maxPooledRecords+1)}
+	d = &decoder{sc: wirerec.Scanner{Cache: s.cache}, recs: make([]tiresias.Record, 0, maxPooledRecords+1)}
 	s.putDecoder(d)
 	if got := s.decoders.Get().(*decoder); got == d {
 		t.Fatal("a record array larger than maxPooledRecords went back to the pool")
@@ -473,7 +538,7 @@ func TestWarmDecodeAllocatesPerBodyNotPerRecord(t *testing.T) {
 	} {
 		body := denseBody(tc.records, tc.array)
 		var r bytes.Reader
-		d := &decoder{cache: s.cache}
+		d := &decoder{sc: wirerec.Scanner{Cache: s.cache}}
 		decode := func() {
 			r.Reset(body)
 			if err := d.readBody(&r, int64(len(body)), s.cfg.MaxBodyBytes); err != nil {
@@ -533,29 +598,35 @@ func TestConcurrentIngestSharesReadOnlyPaths(t *testing.T) {
 	}
 	wg.Wait()
 	s.Manager().Drain()
-	s.cache.mu.RLock()
-	defer s.cache.mu.RUnlock()
-	if len(s.cache.paths) == 0 {
-		t.Fatal("path cache is empty after ingest")
+	// A warm decode hands out the cached slices themselves: each must
+	// still hold what its span says, with clipped capacity.
+	for _, array := range []bool{false, true} {
+		groups, we := decodeGroups(s, denseBody(200, array), !array)
+		if we != nil {
+			t.Fatal(we.message)
+		}
+		for _, g := range groups {
+			for i, r := range g.recs {
+				want := []string{fmt.Sprintf("vho%d", i%3), fmt.Sprintf("io%d", i%5), fmt.Sprintf("co%d", i%7), fmt.Sprintf("dslam%d", i%11)}
+				if !reflect.DeepEqual(r.Path, want) || cap(r.Path) != len(r.Path) {
+					t.Fatalf("cached path of record %d = %q (cap %d), want %q with clipped capacity", i, r.Path, cap(r.Path), want)
+				}
+			}
+		}
 	}
-	for span, p := range s.cache.paths {
-		var want []string
-		if err := json.Unmarshal([]byte("["+span+"]"), &want); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(p, want) || cap(p) != len(p) {
-			t.Fatalf("cached path for %s = %q (cap %d), want %q with clipped capacity", span, p, cap(p), want)
-		}
+	if hits := scrape(t, ts.URL)["tiresias_ingest_path_cache_hits_total"]; hits == 0 {
+		t.Fatal("no path cache hits after ingest")
 	}
 }
 
 // TestCacheFullClearsAndRewarms drives more distinct spans through a
-// tiny cache than it holds: the cache stays bounded, clears and
-// re-warms, and the detections equal those of an uncrowded server.
+// tiny cache than it holds: the detections equal those of an
+// uncrowded server, and every body misses the paths the cache lost.
+// (That the cache stays bounded is wirerec's TestCacheStaysBounded.)
 func TestCacheFullClearsAndRewarms(t *testing.T) {
-	detect := func(pathCap, streamCap int) ([]tiresias.Anomaly, *Server, map[string]float64) {
+	detect := func(pathCap, streamCap int) ([]tiresias.Anomaly, map[string]float64) {
 		s, ts := newTestServer(t, testConfig())
-		s.cache = newSpanCache(pathCap, streamCap)
+		s.cache = wirerec.NewCache(pathCap, streamCap)
 		var out []tiresias.Anomaly
 		for _, stream := range []string{"a", "b", "c", "d", "e", "f"} {
 			// 51 distinct paths a body (one of them the stream's own),
@@ -568,15 +639,12 @@ func TestCacheFullClearsAndRewarms(t *testing.T) {
 			}
 			out = append(out, ing.Anomalies...)
 		}
-		return out, s, scrape(t, ts.URL)
+		return out, scrape(t, ts.URL)
 	}
-	want, _, _ := detect(pathCacheCap, streamCacheCap)
-	got, s, series := detect(4, 1)
+	want, _ := detect(wirerec.PathCacheCap, wirerec.StreamCacheCap)
+	got, series := detect(4, 1)
 	if len(want) == 0 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("detections through a crowded cache differ: %d, want %d", len(got), len(want))
-	}
-	if np, ns := len(s.cache.paths), len(s.cache.streams); np == 0 || np > 4 || ns != 1 {
-		t.Fatalf("cache holds %d paths and %d streams, want 1–4 and 1", np, ns)
 	}
 	if hits, misses := series["tiresias_ingest_path_cache_hits_total"], series["tiresias_ingest_path_cache_misses_total"]; hits == 0 || misses < 6*47 {
 		t.Fatalf("path cache hits = %v, misses = %v; want hits, and every body missing all but the 4 paths the cache can hold", hits, misses)

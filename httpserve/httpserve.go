@@ -29,6 +29,7 @@ import (
 
 	"tiresias"
 	"tiresias/api"
+	"tiresias/internal/wirerec"
 )
 
 // Config assembles a Server. The zero value of every field selects a
@@ -170,7 +171,7 @@ type Server struct {
 	log *slog.Logger
 	// cache and decoders are the ingest decode state (decode.go): the
 	// server-wide span caches and the pooled per-request decoders.
-	cache    *spanCache
+	cache    *wirerec.Cache
 	decoders sync.Pool
 
 	// panics counts handler panics the recovery middleware contained,
@@ -200,9 +201,9 @@ func New(cfg Config) (*Server, error) {
 		pipelined: cfg.QueueDepth > 0,
 		metrics:   newServerMetrics(cfg.Shards),
 		log:       cfg.Logger.With(slog.String("component", "http")),
-		cache:     newSpanCache(pathCacheCap, streamCacheCap),
+		cache:     wirerec.NewCache(wirerec.PathCacheCap, wirerec.StreamCacheCap),
 	}
-	s.decoders.New = func() any { return &decoder{cache: s.cache} }
+	s.decoders.New = func() any { return &decoder{sc: wirerec.Scanner{Cache: s.cache}} }
 	s.ix.Add(HistoryStream, history...)
 	liveOpts := append([]tiresias.Option{
 		tiresias.WithDelta(cfg.Delta),
@@ -523,28 +524,17 @@ func (s *Server) decodeIngest(d *decoder, ndjson bool) *wireError {
 	begin := time.Now()
 	err := d.decode(ndjson)
 	s.metrics.ingestDecode.Observe(time.Since(begin).Seconds())
-	s.metrics.pathCacheHits.Add(d.pathHits)
-	s.metrics.pathCacheMisses.Add(d.pathMisses)
+	s.metrics.pathCacheHits.Add(d.sc.PathHits)
+	s.metrics.pathCacheMisses.Add(d.sc.PathMisses)
 	if err != nil {
 		return &wireError{status: http.StatusBadRequest, code: api.CodeBadRequest, message: err.Error()}
 	}
-	for i, rec := range d.recs {
-		var what string
-		switch {
-		case len(rec.Path) == 0:
-			what = "empty path"
-		case i == d.badPath:
-			what = "path component empty or containing U+001F"
-		case rec.Time.IsZero():
-			what = "missing time"
-		default:
-			continue
-		}
+	if d.bad >= 0 {
 		return &wireError{
 			status:  http.StatusBadRequest,
 			code:    api.CodeInvalidRecord,
-			message: fmt.Sprintf("record %d: %s", i, what),
-			details: map[string]any{"record": i},
+			message: fmt.Sprintf("record %d: %s", d.bad, d.why),
+			details: map[string]any{"record": d.bad},
 		}
 	}
 	// Counted only once the body has both passed the size limit and

@@ -1,26 +1,24 @@
 // Package stream models the input side of Tiresias (§III and Step 1
 // of Fig. 3): a stream of operational-data records, each carrying a
 // hierarchical category and a timestamp, classified into timeunits of
-// size Δ inside a sliding window.
+// size Δ inside a sliding window. JSON-lines records are decoded by
+// internal/wirerec, the server's record decoder.
 package stream
 
 import (
 	"bufio"
 	"bytes"
-
-	// The JSONL source is a cold ingestion-format adapter, not the
-	// per-record hot path (which is CSVish + ObserveDense); the dense
-	// windowing code below never touches encoding/json.
-	"encoding/json" //tiresias:ignore forbidimport (JSONL source parsing is off the hot path)
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"tiresias/internal/algo"
 	"tiresias/internal/hierarchy"
+	"tiresias/internal/wirerec"
 )
 
 // Record is a single operational data item s_i = (k_i, t_i): a
@@ -67,102 +65,76 @@ func (s *SliceSource) Next() (Record, error) {
 	return r, nil
 }
 
-// maxLineLen bounds a single input line, matching the limit the
-// previous bufio.Scanner configuration enforced.
+// maxLineLen bounds a single input line.
 const maxLineLen = 4 * 1024 * 1024
 
-// lineReader yields one line at a time as a byte slice that is only
-// valid until the next call — the common case returns a window into
-// the bufio.Reader's internal buffer, so reading a line allocates
-// nothing (unlike Scanner.Text(), which copies every line into a new
-// string).
+// lineReader yields the lines of a record file, numbered from 1, each
+// a window into the scanner's buffer that is valid until the next
+// call: reading a line allocates nothing.
 type lineReader struct {
-	br   *bufio.Reader
-	line int    // 1-based number of the line most recently returned
-	buf  []byte // spill buffer for lines longer than the reader buffer
-	fail error  // sticky: an oversized line poisons the stream
+	sc   *bufio.Scanner
+	line int   // number of the line most recently returned
+	fail error // sticky: a scanner that failed would go on returning data
 }
 
 func newLineReader(r io.Reader) lineReader {
-	return lineReader{br: bufio.NewReaderSize(r, 64*1024)}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 64*1024), maxLineLen)
+	return lineReader{sc: sc}
 }
 
-// next returns the next line (without the trailing newline) or io.EOF.
-// An oversized-line error is sticky — the tail of the bad line must
-// not be re-parsed as fresh records (matching the latched-error
-// behavior of the bufio.Scanner this replaces).
-func (l *lineReader) next() ([]byte, error) {
-	if l.fail != nil {
-		return nil, l.fail
-	}
-	chunk, err := l.br.ReadSlice('\n')
-	switch {
-	case err == nil:
+// record returns the next line that is neither blank nor, when
+// comments is set, a '#' comment, with surrounding space trimmed; then
+// io.EOF. A read error, or a line over maxLineLen, ends the input.
+func (l *lineReader) record(comments bool) ([]byte, error) {
+	for l.fail == nil && l.sc.Scan() {
 		l.line++
-		return chunk[:len(chunk)-1], nil
-	case err == io.EOF:
-		if len(chunk) == 0 {
+		if line := bytes.TrimSpace(l.sc.Bytes()); len(line) > 0 && !(comments && line[0] == '#') {
+			return line, nil
+		}
+	}
+	if l.fail == nil {
+		if l.fail = l.sc.Err(); l.fail == nil {
 			return nil, io.EOF
 		}
-		l.line++
-		return chunk, nil
-	case err != bufio.ErrBufferFull:
-		return nil, err
+		l.fail = fmt.Errorf("stream: line %d: %w", l.line+1, l.fail)
 	}
-	// Rare: the line exceeds the reader buffer; accumulate in spill.
-	l.buf = append(l.buf[:0], chunk...)
-	for {
-		chunk, err = l.br.ReadSlice('\n')
-		l.buf = append(l.buf, chunk...)
-		if len(l.buf) > maxLineLen {
-			l.fail = fmt.Errorf("stream: line %d longer than %d bytes", l.line+1, maxLineLen)
-			return nil, l.fail
-		}
-		switch {
-		case err == nil:
-			l.line++
-			return l.buf[:len(l.buf)-1], nil
-		case err == io.EOF:
-			l.line++
-			return l.buf, nil
-		case err != bufio.ErrBufferFull:
-			return nil, err
-		}
-	}
+	return nil, l.fail
 }
 
-// JSONLSource reads one JSON-encoded Record per line.
+// JSONLSource reads one wire record per line through the span scanner
+// of request bodies (internal/wirerec), with a cache of its own.
 type JSONLSource struct {
 	lr lineReader
+	sc wirerec.Scanner
 }
 
 var _ Source = (*JSONLSource)(nil)
 
 // NewJSONLSource wraps a reader producing JSON-lines records.
 func NewJSONLSource(r io.Reader) *JSONLSource {
-	return &JSONLSource{lr: newLineReader(r)}
+	cache := wirerec.NewCache(wirerec.PathCacheCap, wirerec.StreamCacheCap)
+	return &JSONLSource{lr: newLineReader(r), sc: wirerec.Scanner{Cache: cache}}
 }
 
-// Next implements Source.
+// Next implements Source. A line that is not a record, or breaks the
+// record rule (see wirerec.Scanner.Invalid), is an error naming the
+// line. The stream name is discarded; the Path is a fresh slice.
 func (s *JSONLSource) Next() (Record, error) {
-	for {
-		line, err := s.lr.next()
-		if err == io.EOF {
-			return Record{}, io.EOF
-		}
-		if err != nil {
-			return Record{}, fmt.Errorf("stream: scan: %w", err)
-		}
-		line = bytes.TrimSpace(line)
-		if len(line) == 0 {
-			continue
-		}
-		var r Record
-		if err := json.Unmarshal(line, &r); err != nil {
-			return Record{}, fmt.Errorf("stream: line %d: %w", s.lr.line, err)
-		}
-		return r, nil
+	line, err := s.lr.record(false)
+	if err != nil {
+		return Record{}, err
 	}
+	s.sc.Begin()
+	err = wirerec.Decode[wirerec.Record](&s.sc, line)
+	s.sc.End()
+	if err != nil {
+		return Record{}, fmt.Errorf("stream: line %d: %w", s.lr.line, err)
+	}
+	if why := s.sc.Invalid(); why != "" {
+		return Record{}, fmt.Errorf("stream: line %d: %s", s.lr.line, why)
+	}
+	return Record{Path: slices.Clone(s.sc.Rec.Path), Time: s.sc.Rec.Time}, nil
 }
 
 // CSVishSource reads records in "RFC3339,comp1/comp2/..." form, the
@@ -184,42 +156,33 @@ func NewCSVishSource(r io.Reader) *CSVishSource {
 
 // Next implements Source.
 func (s *CSVishSource) Next() (Record, error) {
-	for {
-		raw, err := s.lr.next()
-		if err == io.EOF {
-			return Record{}, io.EOF
-		}
-		if err != nil {
-			return Record{}, fmt.Errorf("stream: scan: %w", err)
-		}
-		line := bytes.TrimSpace(raw)
-		if len(line) == 0 || line[0] == '#' {
-			continue
-		}
-		comma := bytes.IndexByte(line, ',')
-		if comma < 0 {
-			return Record{}, fmt.Errorf("stream: line %d: missing comma", s.lr.line)
-		}
-		tsb := line[:comma]
-		var ts time.Time
-		if len(tsb) > 0 && bytes.Equal(tsb, s.lastTS) {
-			ts = s.lastTime
-		} else {
-			ts, err = time.Parse(time.RFC3339, string(tsb))
-			if err != nil {
-				return Record{}, fmt.Errorf("stream: line %d: %w", s.lr.line, err)
-			}
-			s.lastTS = append(s.lastTS[:0], tsb...)
-			s.lastTime = ts
-		}
-		path := strings.Split(string(line[comma+1:]), "/")
-		for _, label := range path {
-			if !hierarchy.ValidLabel(label) {
-				return Record{}, fmt.Errorf("stream: line %d: path %q has an empty component or one containing U+001F", s.lr.line, line[comma+1:])
-			}
-		}
-		return Record{Time: ts, Path: path}, nil
+	line, err := s.lr.record(true)
+	if err != nil {
+		return Record{}, err
 	}
+	comma := bytes.IndexByte(line, ',')
+	if comma < 0 {
+		return Record{}, fmt.Errorf("stream: line %d: missing comma", s.lr.line)
+	}
+	tsb := line[:comma]
+	var ts time.Time
+	if len(tsb) > 0 && bytes.Equal(tsb, s.lastTS) {
+		ts = s.lastTime
+	} else {
+		ts, err = time.Parse(time.RFC3339, string(tsb))
+		if err != nil {
+			return Record{}, fmt.Errorf("stream: line %d: %w", s.lr.line, err)
+		}
+		s.lastTS = append(s.lastTS[:0], tsb...)
+		s.lastTime = ts
+	}
+	path := strings.Split(string(line[comma+1:]), "/")
+	for _, label := range path {
+		if !hierarchy.ValidLabel(label) {
+			return Record{}, fmt.Errorf("stream: line %d: path %q has an empty component or one containing U+001F", s.lr.line, line[comma+1:])
+		}
+	}
+	return Record{Time: ts, Path: path}, nil
 }
 
 // MarshalCSVish renders a record in the CSVish line format.

@@ -1,0 +1,471 @@
+// Package wirerec decodes the wire record, {"stream": name, "path":
+// [label, ...], "time": RFC 3339}, for request bodies (httpserve) and
+// JSON-lines files (internal/stream) alike; the framing is the
+// caller's.
+//
+// A span scanner sits in front of encoding/json and only tokenizes. It
+// finds the raw key and value spans of the canonical record shape — an
+// object whose keys are exactly "stream", "path" and "time", in any
+// order, each at most once — and resolves the value spans through
+// caches keyed by their raw bytes. A cache miss hands the span to the
+// code the wire contract is defined by (json.Unmarshal,
+// time.Time.UnmarshalJSON); input off the canonical shape goes to
+// Unmarshal whole. encoding/json therefore stays the single source of
+// wire semantics and error text: the scanner never unescapes, never
+// repairs UTF-8 and never formats a decode error of its own.
+//
+// Why a span that json accepted on its own decodes the same inside its
+// record: JSON values are prefix-free, so if json accepts b[lo:hi] as
+// one complete string or array, the parser reading the whole record
+// sees that value end at hi too; and a field of a fresh record is
+// decoded by the same code as a fresh variable of the field's type.
+package wirerec
+
+import (
+	"bytes"
+	"encoding/json"
+	"sync"
+	"time"
+
+	"tiresias/internal/hierarchy"
+)
+
+// A Cache is bounded by entry count, and by entry size through
+// maxCachedSpan (a longer span is decoded on every sight): ≈25 MB at
+// most under hostile cardinality. A full cache is cleared, not evicted
+// from — a real fleet's working set re-warms in one pass, and a clear
+// cannot be gamed into keeping hostile entries.
+const (
+	// PathCacheCap is the default bound on cached paths.
+	PathCacheCap = 1 << 16
+	// StreamCacheCap is the default bound on cached stream names.
+	StreamCacheCap = 1 << 12
+	maxCachedSpan  = 256
+)
+
+// Record is the wire record, field for field and tag for tag api.Record.
+type Record struct {
+	Stream string    `json:"stream,omitempty"`
+	Path   []string  `json:"path"`
+	Time   time.Time `json:"time"`
+}
+
+// Shape is the wire record's struct type: Record's, and api.Record's,
+// which this package cannot import. A fallback decodes into its
+// caller's type, the one json's error text names ("api.Record").
+type Shape interface {
+	~struct {
+		Stream string    `json:"stream,omitempty"`
+		Path   []string  `json:"path"`
+		Time   time.Time `json:"time"`
+	}
+}
+
+// Unmarshal is the fallback for input off the canonical shape:
+// encoding/json decodes raw into v, one record or an array of them.
+func Unmarshal[T Shape, P *T | *[]T](raw []byte, v P) error { return json.Unmarshal(raw, v) }
+
+// Cache is a raw-span-keyed value cache, shared by the Scanners of one
+// owner.
+type Cache struct {
+	mu sync.RWMutex
+	// paths maps the text between '[' and ']' of a "path" value to its
+	// decoded segments. The slices are shared by every record (and
+	// goroutine) that names the path: read-only, capacity clipped.
+	paths map[string][]string // guarded by mu
+	// streams maps the text between the quotes of a "stream" value to
+	// its decoded name.
+	streams   map[string]string // guarded by mu
+	pathCap   int
+	streamCap int
+}
+
+// NewCache returns an empty cache of at most pathCap paths and
+// streamCap stream names.
+func NewCache(pathCap, streamCap int) *Cache {
+	return &Cache{
+		paths:     make(map[string][]string),
+		streams:   make(map[string]string),
+		pathCap:   pathCap,
+		streamCap: streamCap,
+	}
+}
+
+// add inserts the spans one pass missed, clearing a map that is full.
+func (c *Cache) add(paths map[string][]string, streams map[string]string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for span, p := range paths {
+		if len(c.paths) >= c.pathCap {
+			clear(c.paths)
+		}
+		c.paths[span] = p
+	}
+	for span, name := range streams {
+		if len(c.streams) >= c.streamCap {
+			clear(c.streams)
+		}
+		c.streams[span] = name
+	}
+}
+
+// Scanner decodes records through a Cache in passes, from Begin to
+// End: a pass holds the cache's read lock and adds what it missed in
+// one write at End. A Scanner is not safe for concurrent use.
+type Scanner struct {
+	Cache *Cache // where spans resolve; set before the first pass
+	// Rec is the record last decoded. A Path from the cache is shared:
+	// read-only, capacity clipped.
+	Rec Record
+	// PathHits and PathMisses count the pass's path lookups.
+	PathHits, PathMisses uint64
+
+	// badLabel marks Rec's path as naming no node (hierarchy.ValidLabel);
+	// such a path is never cached, so only a miss sets it.
+	badLabel bool
+
+	// streamSpan/streamName shortcut the stream cache for consecutive
+	// records of one stream; streamSpan aliases the pass's input.
+	streamSpan []byte
+	streamName string
+	// minute/minuteBase cache the last "YYYY-MM-DDTHH:MM:" prefix of a
+	// UTC timestamp and the instant of its second 00. The mapping is a
+	// pure function of the bytes, so it survives across passes.
+	minute     [17]byte
+	minuteBase time.Time
+
+	// newPaths and newStreams hold the spans this pass decoded on a
+	// cache miss, until End adds them to the cache.
+	newPaths   map[string][]string
+	newStreams map[string]string
+}
+
+// Begin starts a pass.
+func (s *Scanner) Begin() {
+	s.PathHits, s.PathMisses, s.streamSpan = 0, 0, nil
+	s.Cache.mu.RLock()
+}
+
+// End finishes a pass.
+func (s *Scanner) End() {
+	s.Cache.mu.RUnlock()
+	if len(s.newPaths) > 0 || len(s.newStreams) > 0 {
+		s.Cache.add(s.newPaths, s.newStreams)
+		s.newPaths, s.newStreams = nil, nil
+	}
+}
+
+// Decode decodes b, one record object with no space around it, into
+// s.Rec: through the span scanner, or off the canonical shape through
+// Unmarshal into a T. The error is encoding/json's.
+func Decode[T Shape](s *Scanner, b []byte) error {
+	if end, ok := s.Object(b, 0); ok && end == len(b) {
+		return nil
+	}
+	var r T
+	err := Unmarshal[T](b, &r)
+	s.Set(Record(r)) // on an error, Rec is unspecified
+	return err
+}
+
+// Set makes r, a record Unmarshal decoded, the record last decoded.
+func (s *Scanner) Set(r Record) { s.Rec, s.badLabel = r, !validPath(r.Path) }
+
+// Invalid returns why Rec breaks the record rule — a non-empty path of
+// labels that each name a node, a non-zero time — or "" if it keeps it.
+//
+//tiresias:hotpath
+func (s *Scanner) Invalid() string {
+	switch {
+	case len(s.Rec.Path) == 0:
+		return "empty path"
+	case s.badLabel:
+		return "path component empty or containing U+001F"
+	case s.Rec.Time.IsZero():
+		return "missing time"
+	}
+	return ""
+}
+
+// validPath reports whether every label of p names a node.
+func validPath(p []string) bool {
+	for _, label := range p {
+		if !hierarchy.ValidLabel(label) {
+			return false
+		}
+	}
+	return true
+}
+
+// Object tokenizes one record object starting at b[i] into Rec and
+// returns the index after its '}'. false means the object is off the
+// canonical shape, or one of its spans was refused by the code that
+// defines it; the caller then lets Unmarshal decide.
+//
+//tiresias:hotpath
+func (s *Scanner) Object(b []byte, i int) (int, bool) {
+	if i >= len(b) || b[i] != '{' {
+		return i, false
+	}
+	s.Rec, s.badLabel = Record{}, false
+	i = SkipSpace(b, i+1)
+	if i < len(b) && b[i] == '}' {
+		return i + 1, true
+	}
+	var seen uint8
+	for {
+		key, j, ok := rawString(b, i)
+		if !ok {
+			return i, false
+		}
+		i = SkipSpace(b, j)
+		if i >= len(b) || b[i] != ':' {
+			return i, false
+		}
+		i = SkipSpace(b, i+1)
+		if i >= len(b) {
+			return i, false
+		}
+		var bit uint8
+		//tiresias:ignore hotpath (the compiler elides the copy in a switch on string(bytes))
+		switch string(key) {
+		case "stream":
+			bit = 1
+			span, j, ok := rawString(b, i)
+			if !ok || !s.stream(span, b[i:j]) {
+				return i, false
+			}
+			i = j
+		case "path":
+			bit = 2
+			if b[i] != '[' {
+				return i, false
+			}
+			j, ok := arrayEnd(b, i+1)
+			if !ok || !s.path(b[i+1:j], b[i:j+1]) {
+				return i, false
+			}
+			i = j + 1
+		case "time":
+			bit = 4
+			span, j, ok := rawString(b, i)
+			if !ok || !s.time(span, b[i:j]) {
+				return i, false
+			}
+			i = j
+		default:
+			return i, false
+		}
+		if seen&bit != 0 {
+			return i, false
+		}
+		seen |= bit
+		i = SkipSpace(b, i)
+		if i >= len(b) {
+			return i, false
+		}
+		switch b[i] {
+		case ',':
+			i = SkipSpace(b, i+1)
+		case '}':
+			return i + 1, true
+		default:
+			return i, false
+		}
+	}
+}
+
+// SkipSpace returns the index of the first byte at or after i that is
+// not JSON whitespace.
+//
+//tiresias:hotpath
+func SkipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\n' || b[i] == '\t' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// rawString returns the bytes between the quotes of the string literal
+// starting at b[i] and the index after its closing quote. It steps
+// over escapes without reading them.
+//
+//tiresias:hotpath
+func rawString(b []byte, i int) ([]byte, int, bool) {
+	if i >= len(b) || b[i] != '"' {
+		return nil, i, false
+	}
+	for j := i + 1; j < len(b); j++ {
+		switch b[j] {
+		case '"':
+			return b[i+1 : j], j + 1, true
+		case '\\':
+			j++
+		}
+	}
+	return nil, i, false
+}
+
+// arrayEnd returns the index of the ']' closing a flat array whose
+// elements start at b[i]; a nested value is off the canonical shape.
+//
+//tiresias:hotpath
+func arrayEnd(b []byte, i int) (int, bool) {
+	for i < len(b) {
+		switch b[i] {
+		case ']':
+			return i, true
+		case '"':
+			_, j, ok := rawString(b, i)
+			if !ok {
+				return i, false
+			}
+			i = j
+		case '[', '{':
+			return i, false
+		default:
+			i++
+		}
+	}
+	return i, false
+}
+
+// stream resolves a "stream" value: span is the text between the
+// quotes, quoted the literal with them. The caller holds Cache.mu.
+//
+//tiresias:hotpath
+func (s *Scanner) stream(span, quoted []byte) bool {
+	if s.streamSpan != nil && bytes.Equal(span, s.streamSpan) {
+		s.Rec.Stream = s.streamName
+		return true
+	}
+	//tiresias:ignore hotpath (the compiler elides the copy in a map index by string(bytes))
+	name, ok := s.Cache.streams[string(span)]
+	if !ok {
+		if name, ok = s.streamMiss(span, quoted); !ok {
+			return false
+		}
+	}
+	s.Rec.Stream, s.streamSpan, s.streamName = name, span, name
+	return true
+}
+
+// streamMiss decodes a stream name the cache does not hold, through
+// encoding/json, and keeps it for the cache.
+func (s *Scanner) streamMiss(span, quoted []byte) (string, bool) {
+	if name, ok := s.newStreams[string(span)]; ok {
+		return name, true
+	}
+	var name string
+	if json.Unmarshal(quoted, &name) != nil {
+		return "", false
+	}
+	if len(span) <= maxCachedSpan {
+		if s.newStreams == nil {
+			s.newStreams = make(map[string]string)
+		}
+		s.newStreams[string(span)] = name
+	}
+	return name, true
+}
+
+// path resolves a "path" value: span is the text between the brackets,
+// bracketed the array with them. The caller holds Cache.mu.
+//
+//tiresias:hotpath
+func (s *Scanner) path(span, bracketed []byte) bool {
+	//tiresias:ignore hotpath (the compiler elides the copy in a map index by string(bytes))
+	p, ok := s.Cache.paths[string(span)]
+	if ok {
+		s.PathHits++
+	} else if p, ok = s.pathMiss(span, bracketed); !ok {
+		return false
+	}
+	s.Rec.Path = p
+	return true
+}
+
+// pathMiss decodes a path the cache does not hold, through
+// encoding/json, and keeps it for the cache unless it names no node.
+func (s *Scanner) pathMiss(span, bracketed []byte) ([]string, bool) {
+	if p, ok := s.newPaths[string(span)]; ok {
+		s.PathHits++
+		return p, true
+	}
+	var p []string
+	if json.Unmarshal(bracketed, &p) != nil {
+		return nil, false
+	}
+	s.PathMisses++
+	p = p[:len(p):len(p)]
+	if s.badLabel = !validPath(p); !s.badLabel && len(span) <= maxCachedSpan {
+		if s.newPaths == nil {
+			s.newPaths = make(map[string][]string)
+		}
+		s.newPaths[string(span)] = p
+	}
+	return p, true
+}
+
+// time resolves a "time" value: span is the text between the quotes,
+// quoted the literal with them. A UTC timestamp of the shape
+// YYYY-MM-DDTHH:MM:SS[.f{1,9}]Z is the instant of its minute — parsed
+// by time.Time.UnmarshalJSON, cached — plus its seconds; any other
+// shape goes to UnmarshalJSON whole. (Zone offsets are left out of the
+// minute cache because UnmarshalJSON picks their Location per
+// instant.)
+//
+//tiresias:hotpath
+func (s *Scanner) time(span, quoted []byte) bool {
+	past, ok := pastMinute(span)
+	if !ok {
+		return s.Rec.Time.UnmarshalJSON(quoted) == nil
+	}
+	if !bytes.Equal(span[:17], s.minute[:]) && !s.minuteMiss(span[:17]) {
+		return false
+	}
+	s.Rec.Time = s.minuteBase.Add(past)
+	return true
+}
+
+// pastMinute reads what follows the minute of a UTC timestamp: span
+// must end :SS[.f{1,9}]Z from byte 16 on, SS below 60 (UnmarshalJSON
+// refuses a leap second, so one must reach it). The 16 bytes before
+// are the minute cache's to judge.
+//
+//tiresias:hotpath
+func pastMinute(span []byte) (time.Duration, bool) {
+	n := len(span)
+	if n < 20 || n > 30 || n == 21 || span[n-1] != 'Z' || span[16] != ':' || (n > 20 && span[19] != '.') {
+		return 0, false
+	}
+	past, unit := time.Duration(0), 10*time.Second
+	for k := 17; k < n-1; k++ {
+		c := span[k]
+		if k == 19 {
+			continue
+		}
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		past += time.Duration(c-'0') * unit
+		unit /= 10
+	}
+	return past, past < time.Minute
+}
+
+// minuteMiss parses second 00 of a minute prefix through
+// time.Time.UnmarshalJSON and makes it the cached minute.
+func (s *Scanner) minuteMiss(prefix []byte) bool {
+	var lit [22]byte
+	lit[0] = '"'
+	copy(lit[1:], prefix)
+	copy(lit[18:], `00Z"`)
+	var t time.Time
+	if t.UnmarshalJSON(lit[:]) != nil {
+		return false
+	}
+	copy(s.minute[:], prefix)
+	s.minuteBase = t
+	return true
+}
