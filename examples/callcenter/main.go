@@ -16,7 +16,6 @@ import (
 
 	"tiresias"
 
-	"tiresias/internal/algo"
 	"tiresias/internal/experiments"
 	"tiresias/internal/gen"
 	"tiresias/internal/hierarchy"
@@ -61,15 +60,12 @@ func run() error {
 		return err
 	}
 	// The reference chart reads whole timeunits of counts.
-	units, _, err := experiments.Collect(tiresias.NewSliceSource(ds.Records), delta)
+	w, err := experiments.Collect(tiresias.NewSliceSource(ds.Records), delta, cfg.Units)
 	if err != nil {
 		return err
 	}
-	for len(units) < cfg.Units {
-		units = append(units, algo.Timeunit{})
-	}
 	fmt.Printf("call-center stream: %d calls, %d hourly units, 3 injected incidents\n\n",
-		len(ds.Records), len(units))
+		len(ds.Records), len(w.Units))
 
 	// --- Tiresias (ADA, dual seasonality day+week). ---
 	t, err := tiresias.New(
@@ -93,12 +89,12 @@ func run() error {
 	tiresiasAnoms := res.Anomalies
 
 	// --- Reference method: 3σ chart on VHO aggregates. ---
-	chart, err := refmethod.New(refmethod.Config{K: 3, Window: warm / 2, MinSigma: 2})
+	chart, err := refmethod.New(refmethod.Config{K: 3, Window: warm / 2, MinSigma: 2}, w.Tree)
 	if err != nil {
 		return err
 	}
 	var refAlarms []refmethod.Alarm
-	for i, u := range units {
+	for i, u := range w.Units {
 		for _, al := range chart.Observe(u) {
 			if i >= warm {
 				al.Instance = i - warm

@@ -54,38 +54,33 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	units, _, err := experiments.Collect(stream.NewSliceSource(ds.Records), delta)
+	w, err := experiments.Collect(stream.NewSliceSource(ds.Records), delta, cfg.Units)
 	if err != nil {
 		return err
-	}
-	for len(units) < cfg.Units {
-		units = append(units, algo.Timeunit{})
 	}
 	fmt.Printf("STB crash log: %d crash events, hierarchy of %d leaves\n",
 		len(ds.Records), cfg.Shape.NumLeaves())
 
 	// Run ADA and STA side by side to show the SCD accuracy claim.
-	mk := func(name string) (algo.Engine, error) {
-		return newEngine(name, algo.Config{
-			Theta:         10,
-			WindowLen:     warm,
-			Rule:          algo.LongTermHistory,
-			RefLevels:     1,
-			NewForecaster: algo.HoltWintersFactory(0.4, 0.05, 0.3, 24),
-		})
+	// ADA's tree grows as categories appear (experiments.Replay);
+	// STA, exact whatever its tree holds, runs on the collected one.
+	engCfg := algo.Config{
+		Theta:         10,
+		WindowLen:     warm,
+		Rule:          algo.LongTermHistory,
+		RefLevels:     1,
+		NewForecaster: algo.HoltWintersFactory(0.4, 0.05, 0.3, 24),
 	}
-	ada, err := mk("ADA")
+	ada, err := algo.NewADA(engCfg)
 	if err != nil {
 		return err
 	}
-	sta, err := mk("STA")
+	engCfg.Tree = w.Tree
+	sta, err := algo.NewSTA(engCfg)
 	if err != nil {
 		return err
 	}
-	if _, err := algo.InitTimeunits(ada, units[:warm]); err != nil {
-		return err
-	}
-	if _, err := algo.InitTimeunits(sta, units[:warm]); err != nil {
+	if _, err := sta.Init(w.Units[:warm]); err != nil {
 		return err
 	}
 	det, err := detect.New(detect.Thresholds{RT: 2.0, DT: 15})
@@ -94,12 +89,12 @@ func run() error {
 	}
 	var found bool
 	var errSum, refSum float64
-	for i, u := range units[warm:] {
-		stA, err := algo.StepTimeunit(ada, u)
-		if err != nil {
-			return err
+	err = experiments.Replay(ada, w.Tree, w.Units, warm, func(stA *algo.StepState) error {
+		if stA.Instance == 0 {
+			return nil
 		}
-		if _, err := algo.StepTimeunit(sta, u); err != nil {
+		i := stA.Instance - 1
+		if _, err := sta.StepDense(w.Units[warm+i]); err != nil {
 			return err
 		}
 		for _, a := range det.Scan(stA, time.Time{}) {
@@ -109,9 +104,10 @@ func run() error {
 				found = true
 			}
 		}
-		// Accumulate ADA-vs-STA series error over heavy hitters.
+		// Accumulate ADA-vs-STA series error over heavy hitters; both
+		// engines number nodes as the collected tree does.
 		for _, hh := range stA.HeavyHitters {
-			exact := sta.SeriesOf(sta.Tree().Lookup(hh.Key))
+			exact := sta.SeriesOf(hh.ID)
 			approx := ada.SeriesOf(hh.ID)
 			n := min(len(exact), len(approx))
 			for j := 1; j <= n; j++ {
@@ -119,6 +115,10 @@ func run() error {
 				refSum += math.Abs(exact[len(exact)-j])
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	if refSum > 0 {
 		fmt.Printf("\nADA vs STA mean series error: %.2f%% (paper reports ~0.8%% for SCD)\n",
@@ -129,11 +129,4 @@ func run() error {
 	}
 	fmt.Println("the DSLAM-level crash storm was detected and localized below the CO level")
 	return nil
-}
-
-func newEngine(name string, cfg algo.Config) (algo.Engine, error) {
-	if name == "STA" {
-		return algo.NewSTA(cfg)
-	}
-	return algo.NewADA(cfg)
 }

@@ -135,39 +135,37 @@ func TestADATracksSTAOverLongRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	units, _, err := experiments.Collect(stream.NewSliceSource(ds.Records), cfg.Delta)
+	w, err := experiments.Collect(stream.NewSliceSource(ds.Records), cfg.Delta, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// ADA's tree grows as categories appear; STA, exact whatever its
+	// tree holds, runs on the collected one.
 	acfg := algo.Config{Theta: 8, WindowLen: 48, Rule: algo.EWMARule, RefLevels: 1}
 	ada, err := algo.NewADA(acfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	acfg.Tree = w.Tree
 	sta, err := algo.NewSTA(acfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := algo.InitTimeunits(ada, units[:48]); err != nil {
+	if _, err := sta.Init(w.Units[:48]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := algo.InitTimeunits(sta, units[:48]); err != nil {
-		t.Fatal(err)
-	}
-	for i, u := range units[48:] {
-		stA, err := algo.StepTimeunit(ada, u)
-		if err != nil {
-			t.Fatal(err)
+	err = experiments.Replay(ada, w.Tree, w.Units, 48, func(stA *algo.StepState) error {
+		if stA.Instance == 0 {
+			return nil
 		}
-		stS, err := algo.StepTimeunit(sta, u)
+		i := stA.Instance - 1
+		stS, err := sta.StepDense(w.Units[48+i])
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
 		if len(stA.HeavyHitters) != len(stS.HeavyHitters) {
 			t.Fatalf("instance %d: |SHHH| %d vs %d", i, len(stA.HeavyHitters), len(stS.HeavyHitters))
 		}
-		// Node IDs are engine-local (insertion order), so compare by
-		// category key.
 		byKey := make(map[hierarchy.Key]float64, len(stS.HeavyHitters))
 		for _, s := range stS.HeavyHitters {
 			byKey[s.Key] = s.Actual
@@ -181,6 +179,10 @@ func TestADATracksSTAOverLongRun(t *testing.T) {
 				t.Fatalf("instance %d: newest value for %v: %v vs %v", i, a.Key, a.Actual, want)
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -207,20 +209,17 @@ func TestReferenceMethodBlindSpot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	units, _, err := experiments.Collect(stream.NewSliceSource(ds.Records), cfg.Delta)
+	w, err := experiments.Collect(stream.NewSliceSource(ds.Records), cfg.Delta, cfg.Units)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for len(units) < cfg.Units {
-		units = append(units, algo.Timeunit{})
-	}
 
-	chart, err := refmethod.New(refmethod.Config{K: 3, Window: warm / 2, MinSigma: 2})
+	chart, err := refmethod.New(refmethod.Config{K: 3, Window: warm / 2, MinSigma: 2}, w.Tree)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var chartHits int
-	for i, u := range units {
+	for i, u := range w.Units {
 		for _, al := range chart.Observe(u) {
 			if i >= warm+11 && i <= warm+16 && al.Key.IsAncestorOf(deep.Key()) {
 				chartHits++
@@ -240,20 +239,21 @@ func TestReferenceMethodBlindSpot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := algo.InitTimeunits(ada, units[:warm]); err != nil {
-		t.Fatal(err)
-	}
 	tiresiasHit := false
-	for i, u := range units[warm:] {
-		st, err := algo.StepTimeunit(ada, u)
-		if err != nil {
-			t.Fatal(err)
+	err = experiments.Replay(ada, w.Tree, w.Units, warm, func(st *algo.StepState) error {
+		if st.Instance == 0 {
+			return nil
 		}
+		i := st.Instance - 1
 		for _, a := range det.Scan(st, time.Time{}) {
 			if i >= 11 && i <= 16 && deep.Key().IsAncestorOf(a.Key) {
 				tiresiasHit = true
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if chartHits > 0 {
 		t.Fatalf("the VHO chart saw the deep incident (%d hits); workload not deep enough", chartHits)

@@ -219,7 +219,7 @@ func (a *ADA) Init(window []*DenseUnit) (*StepState, error) {
 	}
 	a.grow()
 	newest := units[len(units)-1]
-	res := shhh.ComputeIDsInto(a.tree, newest.ids, newest.vals, a.cfg.Theta, nil)
+	res := shhh.ComputeInto(a.tree, newest.ids, newest.vals, a.cfg.Theta, nil)
 	copy(a.weight, res.W)
 	copy(a.rawA, res.A)
 	copy(a.ishh, res.InSet)
@@ -239,7 +239,7 @@ func (a *ADA) Init(window []*DenseUnit) (*StepState, error) {
 	}
 	var w []float64
 	for _, u := range units {
-		w = shhh.FrozenWeightsIDsInto(a.tree, u.ids, u.vals, res.InSet, w)
+		w = shhh.FrozenWeightsInto(a.tree, u.ids, u.vals, res.InSet, w)
 		for _, id := range owners {
 			hist[id] = append(hist[id], w[id])
 		}
@@ -264,7 +264,7 @@ func (a *ADA) Init(window []*DenseUnit) (*StepState, error) {
 	var agg []float64
 	alpha := a.cfg.RuleAlpha
 	for _, u := range units {
-		agg = shhh.AggregateIDsInto(a.tree, u.ids, u.vals, agg)
+		agg = shhh.AggregateInto(a.tree, u.ids, u.vals, agg)
 		for i, id := range a.refIDs {
 			a.refActual[i].Append(agg[id])
 		}

@@ -13,8 +13,10 @@
 //     ancestor closure of the categories the timeunit saw; O(|tree|)
 //     work remains only on tree growth, Init and state export/import.
 //
-// Both produce, per time instance, the SHHH set together with each
-// member's newest modified weight and its one-step-ahead forecast.
+// Both read timeunits in one form, DenseUnit — direct counts keyed by
+// node ID of the engine's tree — and produce, per time instance, the
+// SHHH set together with each member's newest modified weight and its
+// one-step-ahead forecast.
 package algo
 
 import (
@@ -24,11 +26,7 @@ import (
 
 	"tiresias/internal/forecast"
 	"tiresias/internal/hierarchy"
-	"tiresias/internal/shhh"
 )
-
-// Timeunit holds the direct category counts of one timeunit.
-type Timeunit = shhh.Counts
 
 // SplitRule selects how ADA's SPLIT apportions a parent's time series
 // among its children (§V-B4). The ratio for child c within the split
@@ -247,14 +245,15 @@ type Engine interface {
 	// Name identifies the engine ("STA" or "ADA").
 	Name() string
 	// Init consumes the first time instance: the initial window of
-	// ℓ timeunits (oldest first) in dense node-ID form, interned into
-	// the engine's tree (see InitTimeunits for map-form windows). Must
-	// be called exactly once, before StepDense.
+	// ℓ timeunits (oldest first) in dense node-ID form, whose IDs
+	// must already be nodes of the engine's tree. Must be called
+	// exactly once, before StepDense.
 	Init(window []*DenseUnit) (*StepState, error)
 	// StepDense advances one time instance with the newest timeunit
 	// in dense node-ID form. The IDs must have been interned into the
-	// engine's tree (share one via Config.Tree, or see StepTimeunit);
-	// the caller keeps ownership of u and may reset it after the call.
+	// engine's tree (share one via Config.Tree, or add the nodes to
+	// Tree() first); the caller keeps ownership of u and may reset it
+	// after the call.
 	StepDense(u *DenseUnit) (*StepState, error)
 	// Tree exposes the engine's hierarchy (grown dynamically).
 	Tree() *hierarchy.Tree

@@ -16,10 +16,51 @@ import (
 // key is a test helper building a Key from components.
 func key(parts ...string) hierarchy.Key { return hierarchy.KeyOf(parts) }
 
+// tu is a test timeunit: (category, count) pairs interned into an
+// engine's tree in slice order, so node IDs and summation orders are
+// the same on every run. A category may repeat; its counts add up.
+type tu []kc
+
+// kc is one (category, count) pair of a tu.
+type kc struct {
+	k hierarchy.Key
+	v float64
+}
+
+// dense interns u into tree, in order, and returns it as a DenseUnit.
+func (u tu) dense(tree *hierarchy.Tree) *DenseUnit {
+	d := &DenseUnit{}
+	for _, p := range u {
+		d.Add(tree.Intern(p.k.Path()), p.v)
+	}
+	return d
+}
+
+// initUnits initializes e with a window of test timeunits.
+func initUnits(e Engine, window []tu) (*StepState, error) {
+	units := make([]*DenseUnit, len(window))
+	for i, u := range window {
+		units[i] = u.dense(e.Tree())
+	}
+	return e.Init(units)
+}
+
+// stepUnit advances e one instance with a test timeunit.
+func stepUnit(e Engine, u tu) (*StepState, error) {
+	return e.StepDense(u.dense(e.Tree()))
+}
+
+// refSHHH is the reference SHHH computation over a test timeunit,
+// interning it into tree.
+func refSHHH(tree *hierarchy.Tree, u tu, theta float64) *shhh.Result {
+	d := u.dense(tree)
+	return shhh.ComputeInto(tree, d.IDs(), d.Values(), theta, nil)
+}
+
 // randomStream produces nUnits timeunits over a random 3-level
 // universe, with bursty node popularity that shifts over time so heavy
 // hitters move around the hierarchy (the regime ADA must survive).
-func randomStream(rng *rand.Rand, nUnits int) []Timeunit {
+func randomStream(rng *rand.Rand, nUnits int) []tu {
 	nTop := rng.Intn(3) + 2
 	nMid := rng.Intn(3) + 2
 	nLeaf := rng.Intn(3) + 2
@@ -31,18 +72,18 @@ func randomStream(rng *rand.Rand, nUnits int) []Timeunit {
 			}
 		}
 	}
-	units := make([]Timeunit, nUnits)
+	units := make([]tu, nUnits)
 	hot := rng.Intn(len(leaves))
 	for t := range units {
-		u := Timeunit{}
+		u := tu{}
 		if rng.Intn(4) == 0 { // heavy hitters move
 			hot = rng.Intn(len(leaves))
 		}
 		n := rng.Intn(12)
 		for i := 0; i < n; i++ {
-			u[leaves[rng.Intn(len(leaves))]]++
+			u = append(u, kc{leaves[rng.Intn(len(leaves))], 1})
 		}
-		u[leaves[hot]] += float64(rng.Intn(15))
+		u = append(u, kc{leaves[hot], float64(rng.Intn(15))})
 		units[t] = u
 	}
 	return units
@@ -84,7 +125,7 @@ func TestEngineLifecycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := StepTimeunit(e, Timeunit{}); err == nil {
+		if _, err := stepUnit(e, tu{}); err == nil {
 			t.Fatalf("%s: Step before Init must fail", e.Name())
 		}
 		if _, err := e.Init(nil); err != nil {
@@ -93,7 +134,7 @@ func TestEngineLifecycle(t *testing.T) {
 		if _, err := e.Init(nil); err == nil {
 			t.Fatalf("%s: second Init must fail", e.Name())
 		}
-		if _, err := StepTimeunit(e, Timeunit{}); err != nil {
+		if _, err := stepUnit(e, tu{}); err != nil {
 			t.Fatalf("%s: Step after Init: %v", e.Name(), err)
 		}
 	}
@@ -188,11 +229,11 @@ func TestLemma1HeavyHitterSetsAgree(t *testing.T) {
 			return false
 		}
 		warm := 8
-		stA, err := InitTimeunits(ada, units[:warm])
+		stA, err := initUnits(ada, units[:warm])
 		if err != nil {
 			return false
 		}
-		stS, err := InitTimeunits(sta, units[:warm])
+		stS, err := initUnits(sta, units[:warm])
 		if err != nil {
 			return false
 		}
@@ -200,11 +241,11 @@ func TestLemma1HeavyHitterSetsAgree(t *testing.T) {
 			return false
 		}
 		for _, u := range units[warm:] {
-			stA, err = StepTimeunit(ada, u)
+			stA, err = stepUnit(ada, u)
 			if err != nil {
 				return false
 			}
-			stS, err = StepTimeunit(sta, u)
+			stS, err = stepUnit(sta, u)
 			if err != nil {
 				return false
 			}
@@ -247,15 +288,15 @@ func TestNewestWeightsMatchDefinition(t *testing.T) {
 			engines = append(engines, s)
 		}
 		for _, e := range engines {
-			if _, err := InitTimeunits(e, units[:8]); err != nil {
+			if _, err := initUnits(e, units[:8]); err != nil {
 				return false
 			}
 			for _, u := range units[8:] {
-				st, err := StepTimeunit(e, u)
+				st, err := stepUnit(e, u)
 				if err != nil {
 					return false
 				}
-				ref := shhh.Compute(e.Tree(), u, cfg.Theta)
+				ref := refSHHH(e.Tree(), u, cfg.Theta)
 				for _, hh := range st.HeavyHitters {
 					if math.Abs(hh.Actual-ref.W[hh.ID]) > 1e-9 {
 						return false
@@ -281,11 +322,11 @@ func TestADASplitMovesSeriesDown(t *testing.T) {
 	}
 	// Two children under p, each contributing 3 per unit: p
 	// aggregates 6 >= θ, children stay light.
-	warm := make([]Timeunit, 6)
+	warm := make([]tu, 6)
 	for i := range warm {
-		warm[i] = Timeunit{key("p", "a"): 3, key("p", "b"): 3}
+		warm[i] = tu{{key("p", "a"), 3}, {key("p", "b"), 3}}
 	}
-	st, err := InitTimeunits(ada, warm)
+	st, err := initUnits(ada, warm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +336,7 @@ func TestADASplitMovesSeriesDown(t *testing.T) {
 	}
 	// Child a spikes to 9: a becomes heavy, p drops to 3 < θ and its
 	// residual merges into the root.
-	st, err = StepTimeunit(ada, Timeunit{key("p", "a"): 9, key("p", "b"): 3})
+	st, err = stepUnit(ada, tu{{key("p", "a"), 9}, {key("p", "b"), 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,11 +372,11 @@ func TestADAMergeFoldsSeriesUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := make([]Timeunit, 6)
+	warm := make([]tu, 6)
 	for i := range warm {
-		warm[i] = Timeunit{key("p", "a"): 6, key("p", "b"): 7}
+		warm[i] = tu{{key("p", "a"), 6}, {key("p", "b"), 7}}
 	}
-	st, err := InitTimeunits(ada, warm)
+	st, err := initUnits(ada, warm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +385,7 @@ func TestADAMergeFoldsSeriesUp(t *testing.T) {
 		t.Fatalf("warmup SHHH = %v, want both children", keys)
 	}
 	// Both children drop to 3: p aggregates 6 >= θ.
-	st, err = StepTimeunit(ada, Timeunit{key("p", "a"): 3, key("p", "b"): 3})
+	st, err = stepUnit(ada, tu{{key("p", "a"), 3}, {key("p", "b"), 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,15 +418,11 @@ func TestADADeepSplitCascades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := make([]Timeunit, 6)
+	warm := make([]tu, 6)
 	for i := range warm {
-		warm[i] = Timeunit{
-			key("g", "c1", "x"): 2,
-			key("g", "c1", "y"): 2,
-			key("g", "c2", "z"): 2,
-		}
+		warm[i] = tu{{key("g", "c1", "x"), 2}, {key("g", "c1", "y"), 2}, {key("g", "c2", "z"), 2}}
 	}
-	st, err := InitTimeunits(ada, warm)
+	st, err := initUnits(ada, warm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,11 +430,7 @@ func TestADADeepSplitCascades(t *testing.T) {
 		t.Fatalf("warmup SHHH = %v, want {g}", keys)
 	}
 	// Grandchild x spikes; c1's residual (2) and c2 (2) stay light.
-	st, err = StepTimeunit(ada, Timeunit{
-		key("g", "c1", "x"): 9,
-		key("g", "c1", "y"): 2,
-		key("g", "c2", "z"): 2,
-	})
+	st, err = stepUnit(ada, tu{{key("g", "c1", "x"), 9}, {key("g", "c1", "y"), 2}, {key("g", "c2", "z"), 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,11 +458,11 @@ func TestMassConservationAcrossAdaptation(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if _, err := InitTimeunits(ada, units[:8]); err != nil {
+		if _, err := initUnits(ada, units[:8]); err != nil {
 			return false
 		}
 		for _, u := range units[8:] {
-			st, err := StepTimeunit(ada, u)
+			st, err := stepUnit(ada, u)
 			if err != nil {
 				return false
 			}
@@ -443,7 +476,7 @@ func TestMassConservationAcrossAdaptation(t *testing.T) {
 					got += ts[len(ts)-1]
 				}
 			}
-			if math.Abs(got-u.Total()) > 1e-6 {
+			if math.Abs(got-u.dense(ada.Tree()).Total()) > 1e-6 {
 				return false
 			}
 		}
@@ -459,35 +492,35 @@ func TestMassConservationAcrossAdaptation(t *testing.T) {
 // exact reconstruction.
 func TestADASeriesCloseToSTA(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	units := make([]Timeunit, 40)
+	units := make([]tu, 40)
 	// Stable background with one migrating hot leaf.
 	leaves := []hierarchy.Key{
 		key("v1", "a"), key("v1", "b"), key("v2", "a"), key("v2", "b"),
 	}
 	for t := range units {
-		u := Timeunit{}
+		u := tu{}
 		for _, l := range leaves {
-			u[l] = 2 + float64(rng.Intn(2))
+			u = append(u, kc{l, 2 + float64(rng.Intn(2))})
 		}
-		u[leaves[(t/10)%len(leaves)]] += 8
+		u = append(u, kc{leaves[(t/10)%len(leaves)], 8})
 		units[t] = u
 	}
 	cfg := Config{Theta: 6, WindowLen: 12, Rule: LongTermHistory}
 	ada, _ := NewADA(cfg)
 	sta, _ := NewSTA(cfg)
-	if _, err := InitTimeunits(ada, units[:12]); err != nil {
+	if _, err := initUnits(ada, units[:12]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := InitTimeunits(sta, units[:12]); err != nil {
+	if _, err := initUnits(sta, units[:12]); err != nil {
 		t.Fatal(err)
 	}
 	var sumErr, sumRef float64
 	for _, u := range units[12:] {
-		stA, err := StepTimeunit(ada, u)
+		stA, err := stepUnit(ada, u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := StepTimeunit(sta, u); err != nil {
+		if _, err := stepUnit(sta, u); err != nil {
 			t.Fatal(err)
 		}
 		for _, hh := range stA.HeavyHitters {
@@ -516,22 +549,20 @@ func TestADASeriesCloseToSTA(t *testing.T) {
 // a workload engineered to make splits biased: the reference-equipped
 // run must be at least as accurate (§V-B5, Fig. 12).
 func TestReferenceSeriesReduceSplitError(t *testing.T) {
-	mkUnits := func() []Timeunit {
+	mkUnits := func() []tu {
 		rng := rand.New(rand.NewSource(5))
-		units := make([]Timeunit, 36)
+		units := make([]tu, 36)
 		for t := range units {
-			u := Timeunit{}
+			var u tu
 			// Asymmetric children whose shares differ wildly from
 			// what any split rule would guess right after a regime
 			// change.
 			if t < 18 {
-				u[key("v", "a")] = 1
-				u[key("v", "b")] = 7
+				u = tu{{key("v", "a"), 1}, {key("v", "b"), 7}}
 			} else {
-				u[key("v", "a")] = 9
-				u[key("v", "b")] = 1
+				u = tu{{key("v", "a"), 9}, {key("v", "b"), 1}}
 			}
-			u[key("w")] = float64(rng.Intn(2))
+			u = append(u, kc{key("w"), float64(rng.Intn(2))})
 			units[t] = u
 		}
 		return units
@@ -547,19 +578,19 @@ func TestReferenceSeriesReduceSplitError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := InitTimeunits(ada, units[:12]); err != nil {
+		if _, err := initUnits(ada, units[:12]); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := InitTimeunits(sta, units[:12]); err != nil {
+		if _, err := initUnits(sta, units[:12]); err != nil {
 			t.Fatal(err)
 		}
 		var sumErr float64
 		for _, u := range units[12:] {
-			stA, err := StepTimeunit(ada, u)
+			stA, err := stepUnit(ada, u)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := StepTimeunit(sta, u); err != nil {
+			if _, err := stepUnit(sta, u); err != nil {
 				t.Fatal(err)
 			}
 			for _, hh := range stA.HeavyHitters {
@@ -586,17 +617,17 @@ func TestMemoryStatsADALessThanSTA(t *testing.T) {
 	cfg := Config{Theta: 6, WindowLen: 24}
 	ada, _ := NewADA(cfg)
 	sta, _ := NewSTA(cfg)
-	if _, err := InitTimeunits(ada, units[:24]); err != nil {
+	if _, err := initUnits(ada, units[:24]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := InitTimeunits(sta, units[:24]); err != nil {
+	if _, err := initUnits(sta, units[:24]); err != nil {
 		t.Fatal(err)
 	}
 	for _, u := range units[24:] {
-		if _, err := StepTimeunit(ada, u); err != nil {
+		if _, err := stepUnit(ada, u); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := StepTimeunit(sta, u); err != nil {
+		if _, err := stepUnit(sta, u); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -624,15 +655,15 @@ func TestADAMultiScaleTracking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := make([]Timeunit, 8)
+	warm := make([]tu, 8)
 	for i := range warm {
-		warm[i] = Timeunit{key("a"): 4}
+		warm[i] = tu{{key("a"), 4}}
 	}
-	if _, err := InitTimeunits(ada, warm); err != nil {
+	if _, err := initUnits(ada, warm); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		if _, err := StepTimeunit(ada, Timeunit{key("a"): 4}); err != nil {
+		if _, err := stepUnit(ada, tu{{key("a"), 4}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -654,7 +685,7 @@ func TestADAMultiScaleTracking(t *testing.T) {
 func TestSeriesOfUnknownNode(t *testing.T) {
 	cfg := defaultCfg()
 	ada, _ := NewADA(cfg)
-	if _, err := InitTimeunits(ada, []Timeunit{{key("a"): 10}}); err != nil {
+	if _, err := initUnits(ada, []tu{{{key("a"), 10}}}); err != nil {
 		t.Fatal(err)
 	}
 	// An ID outside the tree, such as Lookup's -1 for an absent key,
@@ -670,11 +701,11 @@ func TestHeavyHitterNodesOrdered(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	units := randomStream(rng, 12)
 	ada, _ := NewADA(Config{Theta: 4, WindowLen: 8})
-	if _, err := InitTimeunits(ada, units[:8]); err != nil {
+	if _, err := initUnits(ada, units[:8]); err != nil {
 		t.Fatal(err)
 	}
 	for _, u := range units[8:] {
-		if _, err := StepTimeunit(ada, u); err != nil {
+		if _, err := stepUnit(ada, u); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,17 +1,14 @@
 package algo
 
-import (
-	"slices"
+import "slices"
 
-	"tiresias/internal/hierarchy"
-)
-
-// DenseUnit is the flat, ID-addressed form of a Timeunit: direct
-// category counts keyed by dense node ID instead of string Key. It is
-// the internal timeunit representation of the hot path — the windower
-// fills one directly from interned record paths, and the engines read
-// it back with O(1) per-ID lookups — so steady-state ingestion never
-// joins or splits path strings and never walks a map.
+// DenseUnit is a timeunit: direct category counts keyed by the dense
+// node ID of a hierarchy.Tree. It is the one timeunit representation
+// of the module — the windower fills one directly from interned record
+// paths, the engines read it back with O(1) per-ID lookups, and the
+// reference code (STA, package shhh, the experiment harnesses) reads
+// its IDs and Values — so ingestion never joins or splits path strings
+// and never walks a map.
 //
 // A DenseUnit records the touched IDs in insertion order next to their
 // accumulated values, plus a sparse position index for accumulation;
@@ -85,16 +82,19 @@ func (u *DenseUnit) Values() []float64 { return u.vals }
 // Pairs returns a copy of the unit's touched (ID, count) pairs in
 // ascending ID order. The copy has no sparse index, so it costs
 // O(touched) however wide the tree is: it is for a unit that outlives
-// its pooled original but is only read through IDs, Values and Total
-// (a warm-up window awaiting Init); Add and ValueAt need the index.
+// its pooled original but is only read through IDs, Values, Total,
+// MaxID and Pairs (a warm-up window awaiting Init, STA's retained
+// window, a collected stream); Add and ValueAt need the index. A unit
+// whose IDs already ascend — a Pairs copy among them — is copied as is.
 func (u *DenseUnit) Pairs() *DenseUnit {
-	ids := slices.Clone(u.ids)
-	slices.Sort(ids)
-	vals := make([]float64, len(ids))
-	for i, id := range ids {
-		vals[i] = u.ValueAt(int(id))
+	p := &DenseUnit{ids: slices.Clone(u.ids), vals: slices.Clone(u.vals)}
+	if !slices.IsSorted(p.ids) {
+		slices.Sort(p.ids)
+		for i, id := range p.ids {
+			p.vals[i] = u.ValueAt(int(id))
+		}
 	}
-	return &DenseUnit{ids: ids, vals: vals}
+	return p
 }
 
 // PairsOf wraps (ID, count) pairs — distinct IDs, as Pairs returns
@@ -122,49 +122,4 @@ func (u *DenseUnit) MaxID() int {
 		}
 	}
 	return max
-}
-
-// Timeunit converts the unit to its map form, resolving IDs through
-// the tree that interned them: the bridge to the map-based reference
-// paths (STA, shhh.Compute, experiment harnesses).
-func (u *DenseUnit) Timeunit(t *hierarchy.Tree) Timeunit {
-	out := make(Timeunit, len(u.ids))
-	for i, id := range u.ids {
-		out[t.Key(int(id))] += u.vals[i]
-	}
-	return out
-}
-
-// AddTimeunit accumulates a map-form timeunit into the dense unit,
-// interning unseen keys into the tree; every key's labels must be
-// valid (hierarchy.ValidLabel). It is the bridge from map-form
-// timeunits to the engines' dense step.
-func (u *DenseUnit) AddTimeunit(t *hierarchy.Tree, counts Timeunit) {
-	for k, v := range counts {
-		u.Add(t.Intern(k.Path()), v)
-	}
-}
-
-// InitTimeunits initializes e with a window of map-form timeunits,
-// whose keys are interned into e's tree. With StepTimeunit it is the
-// one map-form entry to an engine, serving harnesses that build
-// timeunits as maps (experiments, tests); the detector buffers dense
-// units and calls Init.
-func InitTimeunits(e Engine, window []Timeunit) (*StepState, error) {
-	units := make([]*DenseUnit, len(window))
-	for i, u := range window {
-		units[i] = &DenseUnit{}
-		units[i].AddTimeunit(e.Tree(), u)
-	}
-	return e.Init(units)
-}
-
-// StepTimeunit advances e one instance with a map-form timeunit, whose
-// keys are interned into e's tree through a fresh DenseUnit; see
-// InitTimeunits. The streaming front end fills a reused DenseUnit and
-// calls StepDense.
-func StepTimeunit(e Engine, u Timeunit) (*StepState, error) {
-	var du DenseUnit
-	du.AddTimeunit(e.Tree(), u)
-	return e.StepDense(&du)
 }

@@ -51,49 +51,29 @@ func TestDenseUnitPairs(t *testing.T) {
 	if q := PairsOf(p.IDs(), p.Values()); q.Len() != 3 || q.MaxID() != 7 {
 		t.Fatalf("PairsOf Len/MaxID = %d/%d, want 3/7", q.Len(), q.MaxID())
 	}
-}
-
-func TestDenseUnitTimeunitRoundTrip(t *testing.T) {
-	tree := hierarchy.New()
-	src := Timeunit{
-		key("a", "x"): 3,
-		key("a", "y"): 1,
-		key("b"):      2,
-	}
-	var u DenseUnit
-	u.AddTimeunit(tree, src)
-	back := u.Timeunit(tree)
-	if len(back) != len(src) {
-		t.Fatalf("round trip has %d keys, want %d", len(back), len(src))
-	}
-	for k, v := range src {
-		if back[k] != v {
-			t.Fatalf("round trip %q = %v, want %v", k, back[k], v)
-		}
+	// A copy of a copy, which has no index, keeps its counts.
+	if q := p.Pairs(); fmt.Sprint(q.IDs(), q.Values()) != "[3 5 7] [2.5 4 1]" {
+		t.Fatalf("Pairs of Pairs = %v %v, want [3 5 7] [2.5 4 1]", q.IDs(), q.Values())
 	}
 }
 
-// denseFromRandom draws a random timeunit over a fixed leaf universe,
-// filling both forms against the shared tree.
-func denseFromRandom(rng *rand.Rand, tree *hierarchy.Tree, u *DenseUnit) Timeunit {
-	m := Timeunit{}
+// denseFromRandom fills u with a random timeunit over a fixed leaf
+// universe, interned into the shared tree.
+func denseFromRandom(rng *rand.Rand, tree *hierarchy.Tree, u *DenseUnit) {
 	for i := 0; i < 1+rng.Intn(12); i++ {
 		path := []string{
 			fmt.Sprintf("g%d", rng.Intn(3)),
 			fmt.Sprintf("m%d", rng.Intn(4)),
 			fmt.Sprintf("l%d", rng.Intn(5)),
 		}
-		v := float64(1 + rng.Intn(9))
-		m[hierarchy.KeyOf(path)] += v
-		u.Add(tree.Intern(path), v)
+		u.Add(tree.Intern(path), float64(1+rng.Intn(9)))
 	}
-	return m
 }
 
 // TestADADenseLemma1Agreement is the Lemma-1 check on the dense path:
 // after every StepDense, ADA's SHHH membership and newest modified
-// weights must agree exactly with the reference shhh.Compute over the
-// same counts.
+// weights must agree exactly with the reference shhh.ComputeInto over
+// the same counts.
 func TestADADenseLemma1Agreement(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	tree := hierarchy.New()
@@ -101,18 +81,18 @@ func TestADADenseLemma1Agreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := InitTimeunits(ada, []Timeunit{{}}); err != nil {
+	if _, err := initUnits(ada, []tu{{}}); err != nil {
 		t.Fatal(err)
 	}
 	var du DenseUnit
 	for step := 0; step < 300; step++ {
 		du.Reset()
-		m := denseFromRandom(rng, tree, &du)
+		denseFromRandom(rng, tree, &du)
 		st, err := ada.StepDense(&du)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := shhh.Compute(tree, m, 6)
+		ref := shhh.ComputeInto(tree, du.IDs(), du.Values(), 6, nil)
 		if len(st.HeavyHitters) != len(ref.Set) {
 			t.Fatalf("step %d: |SHHH| = %d, reference %d", step, len(st.HeavyHitters), len(ref.Set))
 		}
@@ -123,77 +103,6 @@ func TestADADenseLemma1Agreement(t *testing.T) {
 			if want := ref.W[hh.ID]; hh.Actual != want {
 				t.Fatalf("step %d: %v weight %v, reference %v (must be bit-identical)",
 					step, hh.Key, hh.Actual, want)
-			}
-		}
-	}
-}
-
-// TestADADenseMatchesMapStep feeds the identical unit stream through
-// StepDense and through the map-form StepTimeunit on two engines with
-// the same configuration, asserting bit-identical heavy hitters, actuals, and
-// forecasts — the dense path is a representation change, not an
-// algorithm change.
-func TestADADenseMatchesMapStep(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	cfg := Config{Theta: 5, WindowLen: 12, RefLevels: 2, Rule: LongTermHistory}
-	mapEng, err := NewADA(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	denseTree := hierarchy.New()
-	cfgDense := cfg
-	cfgDense.Tree = denseTree
-	denseEng, err := NewADA(cfgDense)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Intern the full category universe into both trees in the same
-	// deterministic order, so node IDs — and with them every
-	// traversal and summation order — coincide and results can be
-	// compared bit for bit.
-	for p := 0; p < 3; p++ {
-		for c := 0; c < 4; c++ {
-			path := []string{fmt.Sprintf("p%d", p), fmt.Sprintf("c%d", c)}
-			mapEng.Tree().Intern(path)
-			denseTree.Intern(path)
-		}
-	}
-	warm := []Timeunit{{key("a"): 8}, {key("a"): 7, key("b"): 2}}
-	if _, err := InitTimeunits(mapEng, warm); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := InitTimeunits(denseEng, warm); err != nil {
-		t.Fatal(err)
-	}
-	var du DenseUnit
-	for step := 0; step < 200; step++ {
-		du.Reset()
-		m := Timeunit{}
-		for i := 0; i < 1+rng.Intn(8); i++ {
-			path := []string{fmt.Sprintf("p%d", rng.Intn(3)), fmt.Sprintf("c%d", rng.Intn(4))}
-			v := float64(1 + rng.Intn(7))
-			m[hierarchy.KeyOf(path)] += v
-		}
-		du.AddTimeunit(denseTree, m)
-		stM, err := StepTimeunit(mapEng, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stD, err := denseEng.StepDense(&du)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(stM.HeavyHitters) != len(stD.HeavyHitters) {
-			t.Fatalf("step %d: |SHHH| map %d vs dense %d", step, len(stM.HeavyHitters), len(stD.HeavyHitters))
-		}
-		for i := range stM.HeavyHitters {
-			hm, hd := stM.HeavyHitters[i], stD.HeavyHitters[i]
-			if hm.Key != hd.Key {
-				t.Fatalf("step %d: member %d is %v vs %v", step, i, hm.Key, hd.Key)
-			}
-			if hm.Actual != hd.Actual || hm.Forecast != hd.Forecast {
-				t.Fatalf("step %d: %v map (%v, %v) vs dense (%v, %v)",
-					step, hm.Key, hm.Actual, hm.Forecast, hd.Actual, hd.Forecast)
 			}
 		}
 	}
@@ -226,7 +135,7 @@ func TestADAStepDenseSteadyStateAllocs(t *testing.T) {
 			du.Add(id, 6) // every touched node individually heavy: stable membership
 		}
 	}
-	if _, err := InitTimeunits(ada, []Timeunit{{}}); err != nil {
+	if _, err := initUnits(ada, []tu{{}}); err != nil {
 		t.Fatal(err)
 	}
 	// Let membership, pools, and scratch capacities settle.

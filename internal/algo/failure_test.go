@@ -3,8 +3,6 @@ package algo
 import (
 	"math"
 	"testing"
-
-	"tiresias/internal/shhh"
 )
 
 // Failure-injection tests: regimes that stress the adaptation logic —
@@ -16,11 +14,11 @@ func TestADASurvivesTotalSilence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := make([]Timeunit, 8)
+	warm := make([]tu, 8)
 	for i := range warm {
-		warm[i] = Timeunit{key("a", "x"): 7, key("b", "y"): 6}
+		warm[i] = tu{{key("a", "x"), 7}, {key("b", "y"), 6}}
 	}
-	if _, err := InitTimeunits(ada, warm); err != nil {
+	if _, err := initUnits(ada, warm); err != nil {
 		t.Fatal(err)
 	}
 	// The stream goes completely dark. All heavy hitters must decay
@@ -28,7 +26,7 @@ func TestADASurvivesTotalSilence(t *testing.T) {
 	// end empty.
 	var last *StepState
 	for i := 0; i < 12; i++ {
-		last, err = StepTimeunit(ada, Timeunit{})
+		last, err = stepUnit(ada, tu{})
 		if err != nil {
 			t.Fatalf("silent step %d: %v", i, err)
 		}
@@ -37,7 +35,7 @@ func TestADASurvivesTotalSilence(t *testing.T) {
 		t.Fatalf("SHHH after silence = %d members, want 0", len(last.HeavyHitters))
 	}
 	// Traffic returns: detection must resume.
-	st, err := StepTimeunit(ada, Timeunit{key("a", "x"): 9})
+	st, err := stepUnit(ada, tu{{key("a", "x"), 9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,15 +49,15 @@ func TestADASingleMassiveBurst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := make([]Timeunit, 8)
+	warm := make([]tu, 8)
 	for i := range warm {
-		warm[i] = Timeunit{key("a"): 1}
+		warm[i] = tu{{key("a"), 1}}
 	}
-	if _, err := InitTimeunits(ada, warm); err != nil {
+	if _, err := initUnits(ada, warm); err != nil {
 		t.Fatal(err)
 	}
 	// One unit with a million records on a brand-new leaf.
-	st, err := StepTimeunit(ada, Timeunit{key("z", "deep", "leaf"): 1e6})
+	st, err := stepUnit(ada, tu{{key("z", "deep", "leaf"), 1e6}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +75,7 @@ func TestADASingleMassiveBurst(t *testing.T) {
 	}
 	// And it must decay cleanly.
 	for i := 0; i < 3; i++ {
-		if _, err := StepTimeunit(ada, Timeunit{}); err != nil {
+		if _, err := stepUnit(ada, tu{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -90,18 +88,16 @@ func TestADAGrowingUniverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := InitTimeunits(ada, []Timeunit{{key("seed"): 5}}); err != nil {
+	if _, err := initUnits(ada, []tu{{{key("seed"), 5}}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
-		u := Timeunit{
-			key("gen", string(rune('a'+i%26)), string(rune('a'+(i/26)%26))): 6,
-		}
-		st, err := StepTimeunit(ada, u)
+		u := tu{{key("gen", string(rune('a'+i%26)), string(rune('a'+(i/26)%26))), 6}}
+		st, err := stepUnit(ada, u)
 		if err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
-		ref := shhh.Compute(ada.Tree(), u, 4)
+		ref := refSHHH(ada.Tree(), u, 4)
 		if len(st.HeavyHitters) != len(ref.Set) {
 			t.Fatalf("step %d: |SHHH| %d vs reference %d", i, len(st.HeavyHitters), len(ref.Set))
 		}
@@ -116,12 +112,12 @@ func TestSTAGrowingUniverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := InitTimeunits(sta, []Timeunit{{key("seed"): 5}}); err != nil {
+	if _, err := initUnits(sta, []tu{{{key("seed"), 5}}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		u := Timeunit{key("n", string(rune('a'+i%26))): 6}
-		if _, err := StepTimeunit(sta, u); err != nil {
+		u := tu{{key("n", string(rune('a'+i%26))), 6}}
+		if _, err := stepUnit(sta, u); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
 	}
@@ -136,14 +132,14 @@ func TestADAFractionalWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := make([]Timeunit, 4)
+	warm := make([]tu, 4)
 	for i := range warm {
-		warm[i] = Timeunit{key("w"): 2.75}
+		warm[i] = tu{{key("w"), 2.75}}
 	}
-	if _, err := InitTimeunits(ada, warm); err != nil {
+	if _, err := initUnits(ada, warm); err != nil {
 		t.Fatal(err)
 	}
-	st, err := StepTimeunit(ada, Timeunit{key("w"): 3.25})
+	st, err := stepUnit(ada, tu{{key("w"), 3.25}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +154,11 @@ func TestADAThetaBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := make([]Timeunit, 4)
+	warm := make([]tu, 4)
 	for i := range warm {
-		warm[i] = Timeunit{key("e"): 5}
+		warm[i] = tu{{key("e"), 5}}
 	}
-	st, err := InitTimeunits(ada, warm)
+	st, err := initUnits(ada, warm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +166,7 @@ func TestADAThetaBoundary(t *testing.T) {
 		t.Fatal("weight == theta must be a member")
 	}
 	// Just below θ is not.
-	st, err = StepTimeunit(ada, Timeunit{key("e"): 4.999})
+	st, err = stepUnit(ada, tu{{key("e"), 4.999}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,6 @@ type oracleADA struct {
 	refCovered int // tree size when reference coverage was last ensured
 
 	// Reusable scratch and pools for the steady-state step.
-	du        DenseUnit     // dense form of map-based Step input
 	snap      StepState     // returned by snapshot, reused every instance
 	members   []int32       // current SHHH member IDs, ascending
 	freeNS    []*nodeSeries // pooled series holders (rings attached)
@@ -96,32 +95,25 @@ func (a *oracleADA) grow() {
 // Init implements Engine: the first time instance performs the same
 // work as STA (lines 2-5 of Fig. 5), seeding series and models for the
 // initial SHHH set, the root, and the reference nodes.
-func (a *oracleADA) Init(window []Timeunit) (*StepState, error) {
+func (a *oracleADA) Init(window []*DenseUnit) (*StepState, error) {
 	if a.inited {
 		return nil, errState
 	}
 	a.inited = true
 
 	start := now()
-	// Materialize the tree and per-unit counts.
-	units := make([]Timeunit, 0, a.cfg.WindowLen)
-	for _, u := range window {
-		cp := make(Timeunit, len(u))
-		for k, v := range u {
-			cp[k] = v
-			a.tree.Intern(k.Path())
-		}
-		units = append(units, cp)
-		if len(units) > a.cfg.WindowLen {
-			units = units[1:]
-		}
+	// The window's IDs are interned into the tree already; keep the
+	// newest ℓ units.
+	units := window
+	if len(units) > a.cfg.WindowLen {
+		units = units[len(units)-a.cfg.WindowLen:]
 	}
 	if len(units) == 0 {
-		units = append(units, Timeunit{})
+		units = []*DenseUnit{{}}
 	}
 	a.grow()
 	newest := units[len(units)-1]
-	res := shhh.Compute(a.tree, newest, a.cfg.Theta)
+	res := shhh.ComputeInto(a.tree, newest.IDs(), newest.Values(), a.cfg.Theta, nil)
 	copy(a.weight, res.W)
 	copy(a.rawA, res.A)
 	copy(a.ishh, res.InSet)
@@ -141,7 +133,7 @@ func (a *oracleADA) Init(window []Timeunit) (*StepState, error) {
 	}
 	var w []float64
 	for _, u := range units {
-		w = shhh.FrozenWeightsInto(a.tree, u, res.InSet, w)
+		w = shhh.FrozenWeightsInto(a.tree, u.IDs(), u.Values(), res.InSet, w)
 		for _, n := range owners {
 			hist[n] = append(hist[n], w[n])
 		}
@@ -179,7 +171,7 @@ func (a *oracleADA) Init(window []Timeunit) (*StepState, error) {
 	}
 	var agg []float64
 	for _, u := range units {
-		agg = shhh.AggregateInto(a.tree, u, agg)
+		agg = shhh.AggregateInto(a.tree, u.IDs(), u.Values(), agg)
 		for id, r := range a.refActual {
 			r.Append(agg[id])
 		}
@@ -1011,12 +1003,12 @@ func TestSparseStepMatchesFullSweepOracle(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						window := make([]Timeunit, fc.warm)
+						window := make([]*DenseUnit, fc.warm)
 						for i := range window {
 							w.sparse(12)
-							window[i] = w.unit.Timeunit(w.tree)
+							window[i] = w.unit.Pairs()
 						}
-						got, err := InitTimeunits(eng, window)
+						got, err := eng.Init(window)
 						if err != nil {
 							t.Fatal(err)
 						}

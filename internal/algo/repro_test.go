@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"tiresias/internal/hierarchy"
-	"tiresias/internal/shhh"
 )
 
 // TestLemma1Seeds replays specific seeds that have historically
@@ -20,15 +19,15 @@ func TestLemma1Seeds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := InitTimeunits(ada, units[:8]); err != nil {
+		if _, err := initUnits(ada, units[:8]); err != nil {
 			t.Fatal(err)
 		}
 		for step, u := range units[8:] {
-			st, err := StepTimeunit(ada, u)
+			st, err := stepUnit(ada, u)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := shhh.Compute(ada.Tree(), u, cfg.Theta)
+			ref := refSHHH(ada.Tree(), u, cfg.Theta)
 			got := make(map[hierarchy.Key]bool)
 			for _, hh := range st.HeavyHitters {
 				got[hh.Key] = true

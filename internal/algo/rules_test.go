@@ -18,21 +18,21 @@ func ruleScenario(t *testing.T, rule SplitRule, alpha float64) (aHist, bHist flo
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := make([]Timeunit, 8)
+	warm := make([]tu, 8)
 	for i := range warm {
-		warm[i] = Timeunit{key("p", "a"): 4.5, key("p", "b"): 1.5} // parent W = 6 < θ... adjust
+		warm[i] = tu{{key("p", "a"), 4.5}, {key("p", "b"), 1.5}} // parent W = 6 < θ... adjust
 	}
 	// Parent must be the heavy hitter during warmup: total 6 < 7, so
 	// bump to keep the parent heavy.
 	for i := range warm {
-		warm[i] = Timeunit{key("p", "a"): 6, key("p", "b"): 2}
+		warm[i] = tu{{key("p", "a"), 6}, {key("p", "b"), 2}}
 	}
-	if _, err := InitTimeunits(ada, warm); err != nil {
+	if _, err := initUnits(ada, warm); err != nil {
 		t.Fatal(err)
 	}
 	// Child a becomes heavy; b stays light. The split distributes
 	// the parent's history (8 per unit) by the rule's ratios.
-	if _, err := StepTimeunit(ada, Timeunit{key("p", "a"): 9, key("p", "b"): 2}); err != nil {
+	if _, err := stepUnit(ada, tu{{key("p", "a"), 9}, {key("p", "b"), 2}}); err != nil {
 		t.Fatal(err)
 	}
 	nA := ada.Tree().Lookup(key("p", "a"))
@@ -80,14 +80,14 @@ func TestRuleXValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := InitTimeunits(ada, []Timeunit{{key("n"): 8}}); err != nil {
+	if _, err := initUnits(ada, []tu{{{key("n"), 8}}}); err != nil {
 		t.Fatal(err)
 	}
 	id := ada.Tree().Lookup(key("n"))
 	if ada.prevA[id] != 8 {
 		t.Fatalf("prevA = %v, want 8", ada.prevA[id])
 	}
-	if _, err := StepTimeunit(ada, Timeunit{key("n"): 4}); err != nil {
+	if _, err := stepUnit(ada, tu{{key("n"), 4}}); err != nil {
 		t.Fatal(err)
 	}
 	if ada.prevA[id] != 4 {
@@ -134,21 +134,21 @@ func TestReferenceRepairExactness(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Asymmetric children so the Uniform split is maximally wrong.
-	warm := make([]Timeunit, 8)
+	warm := make([]tu, 8)
 	for i := range warm {
-		warm[i] = Timeunit{key("p", "a"): 6, key("p", "b"): 2}
+		warm[i] = tu{{key("p", "a"), 6}, {key("p", "b"), 2}}
 	}
-	if _, err := InitTimeunits(ada, warm); err != nil {
+	if _, err := initUnits(ada, warm); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := InitTimeunits(sta, warm); err != nil {
+	if _, err := initUnits(sta, warm); err != nil {
 		t.Fatal(err)
 	}
-	step := Timeunit{key("p", "a"): 9, key("p", "b"): 2}
-	if _, err := StepTimeunit(ada, step); err != nil {
+	step := tu{{key("p", "a"), 9}, {key("p", "b"), 2}}
+	if _, err := stepUnit(ada, step); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := StepTimeunit(sta, step); err != nil {
+	if _, err := stepUnit(sta, step); err != nil {
 		t.Fatal(err)
 	}
 	nA := ada.Tree().Lookup(key("p", "a"))

@@ -56,18 +56,16 @@ func TestMapScalesEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Build a fine stream: 64 ς-units with a steady node.
-	fineUnits := make([]Timeunit, 64)
+	fineUnits := make([]tu, 64)
 	for i := range fineUnits {
-		fineUnits[i] = Timeunit{key("a"): float64(1 + i%3)}
+		fineUnits[i] = tu{{key("a"), float64(1 + i%3)}}
 	}
 	// Coarse stream: aggregate every λ fine units.
-	var coarseUnits []Timeunit
+	var coarseUnits []tu
 	for i := 0; i+m.Lambda <= len(fineUnits); i += m.Lambda {
-		u := Timeunit{}
+		u := tu{}
 		for j := i; j < i+m.Lambda; j++ {
-			for k, v := range fineUnits[j] {
-				u[k] += v
-			}
+			u = append(u, fineUnits[j]...)
 		}
 		coarseUnits = append(coarseUnits, u)
 	}
@@ -79,19 +77,19 @@ func TestMapScalesEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := InitTimeunits(fine, fineUnits[:8]); err != nil {
+	if _, err := initUnits(fine, fineUnits[:8]); err != nil {
 		t.Fatal(err)
 	}
 	for _, u := range fineUnits[8:] {
-		if _, err := StepTimeunit(fine, u); err != nil {
+		if _, err := stepUnit(fine, u); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := InitTimeunits(coarse, coarseUnits[:2]); err != nil {
+	if _, err := initUnits(coarse, coarseUnits[:2]); err != nil {
 		t.Fatal(err)
 	}
 	for _, u := range coarseUnits[2:] {
-		if _, err := StepTimeunit(coarse, u); err != nil {
+		if _, err := stepUnit(coarse, u); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -178,15 +178,15 @@ func TestADAQuietStateHoldsNoSubnormals(t *testing.T) {
 		t.Fatal(err)
 	}
 	var du DenseUnit
-	window := make([]Timeunit, 16)
+	window := make([]*DenseUnit, 16)
 	for i := range window {
 		du.Reset()
 		for _, id := range leaves {
 			du.Add(id, float64(1+(id+i)%5))
 		}
-		window[i] = du.Timeunit(tree)
+		window[i] = du.Pairs()
 	}
-	if _, err := InitTimeunits(ada, window); err != nil {
+	if _, err := ada.Init(window); err != nil {
 		t.Fatal(err)
 	}
 	for unit := 0; unit < 3200; unit++ {
@@ -246,7 +246,7 @@ func TestADASparseStepAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := InitTimeunits(ada, []Timeunit{{}}); err != nil {
+	if _, err := initUnits(ada, []tu{{}}); err != nil {
 		t.Fatal(err)
 	}
 	var du DenseUnit

@@ -22,7 +22,7 @@ var errState = errors.New("algo: engine used before Init (or Init called twice)"
 type STA struct {
 	cfg      Config
 	tree     *hierarchy.Tree
-	window   []Timeunit // oldest first, length ℓ once warm
+	window   []*DenseUnit // Pairs copies, oldest first, length ℓ once warm
 	instance int
 	inited   bool
 
@@ -72,7 +72,7 @@ func (s *STA) Init(window []*DenseUnit) (*StepState, error) {
 		return nil, errState
 	}
 	s.inited = true
-	s.window = make([]Timeunit, 0, s.cfg.WindowLen)
+	s.window = make([]*DenseUnit, 0, s.cfg.WindowLen)
 	for _, u := range window {
 		s.retain(u)
 	}
@@ -92,11 +92,12 @@ func (s *STA) StepDense(u *DenseUnit) (*StepState, error) {
 	return s.process()
 }
 
-// retain appends a timeunit to the window, evicting the oldest beyond
-// ℓ. STA retains map-form timeunits, so a dense unit is converted on
-// entry (the strawman is the baseline, not the hot path).
+// retain appends a copy of a timeunit to the window, evicting the
+// oldest beyond ℓ. The copy holds only the touched (ID, count) pairs,
+// in ascending ID order (the strawman is the baseline, not the hot
+// path).
 func (s *STA) retain(u *DenseUnit) {
-	s.window = append(s.window, u.Timeunit(s.tree))
+	s.window = append(s.window, u.Pairs())
 	if len(s.window) > s.cfg.WindowLen {
 		s.window = s.window[1:]
 	}
@@ -111,7 +112,7 @@ func (s *STA) process() (*StepState, error) {
 	newest := s.window[len(s.window)-1]
 
 	start := now()
-	s.res = shhh.ComputeInto(s.tree, newest, s.cfg.Theta, s.res)
+	s.res = shhh.ComputeInto(s.tree, newest.ids, newest.vals, s.cfg.Theta, s.res)
 	res := s.res
 	tUpdate := now().Sub(start)
 
@@ -126,7 +127,7 @@ func (s *STA) process() (*StepState, error) {
 		seriesOf[id] = s.getSlice(len(s.window))
 	}
 	for _, u := range s.window {
-		s.wScratch = shhh.FrozenWeightsInto(s.tree, u, res.InSet, s.wScratch)
+		s.wScratch = shhh.FrozenWeightsInto(s.tree, u.ids, u.vals, res.InSet, s.wScratch)
 		for _, id := range hhs {
 			seriesOf[id] = append(seriesOf[id], s.wScratch[id])
 		}
@@ -216,14 +217,14 @@ func (s *STA) ForecastSeriesOf(id int) []float64 {
 }
 
 // Memory implements Engine. STA's state is dominated by the ℓ retained
-// timeunit trees (count maps) plus the newest reconstruction.
+// timeunits plus the newest reconstruction.
 func (s *STA) Memory() MemoryStats {
 	m := MemoryStats{TreeNodes: s.tree.Len()}
 	for _, u := range s.window {
-		// Each retained entry carries a key reference and a count;
+		// Each retained entry carries a node ID and a count;
 		// approximate as 2 float-sized slots, mirroring a tree node
 		// holding a label pointer and a counter.
-		m.AuxFloats += 2 * len(u)
+		m.AuxFloats += 2 * u.Len()
 	}
 	for _, ts := range s.lastSeries {
 		m.SeriesFloats += len(ts)

@@ -30,12 +30,6 @@ type ForbidRule struct {
 // The second rule pins the serving import graph: the experiment,
 // reference, generator and benchmark packages that only tools and
 // examples may link stay out of the wire layer.
-//
-// The third keeps map-form timeunits off the detector path: a detector
-// holds its units in dense node-ID form from windowing through warm-up,
-// checkpoint and step, and the map-form adapters serve only reference
-// harnesses. The algo.Timeunit selector matches both the type and the
-// DenseUnit.Timeunit conversion method.
 var DefaultForbidRules = []ForbidRule{
 	{
 		Packages: []string{"internal/algo", "internal/shhh", "internal/hierarchy", "internal/stream"},
@@ -49,10 +43,6 @@ var DefaultForbidRules = []ForbidRule{
 			"tiresias/internal/experiments", "tiresias/internal/scenario", "tiresias/internal/gen",
 			"tiresias/internal/evalx", "tiresias/internal/perfbench",
 		},
-	},
-	{
-		Packages: []string{"tiresias", "internal/stream", "internal/checkpoint", "internal/multidim"},
-		Calls:    []string{"algo.Timeunit", "algo.StepTimeunit"},
 	},
 }
 

@@ -62,12 +62,6 @@ func TestForbidImportServingDefaults(t *testing.T) {
 	analysistest.Run(t, "httpserve", analysis.NewForbidImport(nil))
 }
 
-func TestForbidImportMapUnitDefaults(t *testing.T) {
-	// The fixture package is named tiresias, the root package the
-	// default rules keep map-form timeunits out of.
-	analysistest.Run(t, "tiresias", analysis.NewForbidImport(nil))
-}
-
 func TestTagSetFingerprintCanonical(t *testing.T) {
 	// The formula is order-insensitive and position-sensitive: the
 	// ckptsec analyzer and the checkpoint package's recorded constant

@@ -130,13 +130,8 @@ func AblateScales(p Profile) (*Result, error) {
 		if err != nil {
 			return algo.MemoryStats{}, nil, err
 		}
-		if _, err := algo.InitTimeunits(ada, w.Units[:p.WarmUnits]); err != nil {
+		if err := Replay(ada, w.Tree, w.Units, p.WarmUnits, nil); err != nil {
 			return algo.MemoryStats{}, nil, err
-		}
-		for _, u := range w.Units[p.WarmUnits:] {
-			if _, err := algo.StepTimeunit(ada, u); err != nil {
-				return algo.MemoryStats{}, nil, err
-			}
 		}
 		return ada.Memory(), ada, nil
 	}
@@ -198,7 +193,7 @@ func AblateHHD(p Profile) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	coldScan, err := hhd.New(0.15)
+	coldScan, err := hhd.New(0.15, base.Tree)
 	if err != nil {
 		return nil, err
 	}
@@ -239,7 +234,7 @@ func AblateHHD(p Profile) (*Result, error) {
 	// is trivially true; the blind spot is temporal — the set before
 	// the spike equals the set after it, and the spike node itself
 	// never becomes a member.
-	lt, err := hhd.New(0.15)
+	lt, err := hhd.New(0.15, w.Tree)
 	if err != nil {
 		return nil, err
 	}

@@ -38,7 +38,7 @@ func TestSTAandADAAgreeOnAnomalies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	units, _, err := Collect(stream.NewSliceSource(d.Records), delta)
+	w, err := Collect(stream.NewSliceSource(d.Records), delta, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,16 +55,15 @@ func TestSTAandADAAgreeOnAnomalies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := algo.InitTimeunits(e, units[:warm]); err != nil {
-			t.Fatal(err)
-		}
 		var out []detect.Anomaly
-		for _, u := range units[warm:] {
-			st, err := algo.StepTimeunit(e, u)
-			if err != nil {
-				t.Fatal(err)
+		err = Replay(e, w.Tree, w.Units, warm, func(st *algo.StepState) error {
+			if st.Instance > 0 {
+				out = append(out, det.Scan(st, time.Time{})...)
 			}
-			out = append(out, det.Scan(st, time.Time{})...)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 		return out
 	}

@@ -18,27 +18,37 @@ func TestCollect(t *testing.T) {
 		rec(17*time.Minute, "b"),
 		rec(31*time.Minute, "a"),
 	})
-	units, first, err := Collect(src, 15*time.Minute)
+	w, err := Collect(src, 15*time.Minute, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !first.Equal(t0) {
-		t.Fatalf("first = %v, want %v", first, t0)
+	if !w.Start.Equal(t0) {
+		t.Fatalf("start = %v, want %v", w.Start, t0)
 	}
-	if len(units) != 3 {
-		t.Fatalf("units = %d, want 3", len(units))
+	units := w.Units
+	if len(units) != 5 {
+		t.Fatalf("units = %d, want 3 collected + 2 padding", len(units))
 	}
-	if units[0].Total() != 1 || units[1].Total() != 2 || units[2].Total() != 1 {
-		t.Fatalf("unit totals = %v %v %v", units[0].Total(), units[1].Total(), units[2].Total())
+	if units[0].Total() != 1 || units[1].Total() != 2 || units[2].Total() != 1 ||
+		units[3].Len() != 0 || units[4].Len() != 0 {
+		t.Fatalf("unit totals = %v %v %v %v %v", units[0].Total(), units[1].Total(),
+			units[2].Total(), units[3].Total(), units[4].Total())
+	}
+	// IDs follow record first sight: a=1, then b=2.
+	if a, b := w.Tree.Lookup("a"), w.Tree.Lookup("b"); a != 1 || b != 2 {
+		t.Fatalf("IDs a=%d b=%d, want 1 2", a, b)
+	}
+	if got := units[1].IDs(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("unit 1 IDs = %v, want [1 2]", got)
 	}
 }
 
 func TestCollectEmpty(t *testing.T) {
-	units, _, err := Collect(stream.NewSliceSource(nil), time.Minute)
+	w, err := Collect(stream.NewSliceSource(nil), time.Minute, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(units) != 0 {
-		t.Fatalf("units = %d, want 0", len(units))
+	if len(w.Units) != 0 || w.Tree.Len() != 1 {
+		t.Fatalf("units = %d, nodes = %d, want 0 and the root", len(w.Units), w.Tree.Len())
 	}
 }

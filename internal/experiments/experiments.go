@@ -76,9 +76,16 @@ func Full() Profile {
 
 // Workload couples generated records with their timeunit grouping.
 type Workload struct {
+	// Dataset is the generated stream; nil for a Collect result.
 	Dataset *gen.Dataset
-	Units   []algo.Timeunit
-	Start   time.Time
+	// Tree holds every category the records named, interned in
+	// record first-sight order, so its IDs are the same on every run.
+	Tree *hierarchy.Tree
+	// Units are the timeunits, oldest first, as DenseUnit.Pairs
+	// copies over Tree.
+	Units []*algo.DenseUnit
+	// Start is the start time of the first unit.
+	Start time.Time
 }
 
 // TotalRecords returns the record count.
@@ -146,31 +153,27 @@ func buildWorkload(cfg gen.Config) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	units, start, err := Collect(stream.NewSliceSource(d.Records), cfg.Delta)
+	w, err := Collect(stream.NewSliceSource(d.Records), cfg.Delta, cfg.Units)
 	if err != nil {
 		return nil, err
 	}
-	// Pad trailing empty units so every run covers cfg.Units.
-	for len(units) < cfg.Units {
-		units = append(units, algo.Timeunit{})
-	}
-	return &Workload{Dataset: d, Units: units, Start: start}, nil
+	w.Dataset = d
+	return w, nil
 }
 
-// Collect drains a Source into consecutive timeunits of size delta in
-// map form, returning the units (oldest first) and the start time of
-// the first unit. It windows through a private tree and buffers the
-// whole stream: it feeds the map-form harnesses (STA, shhh.Compute,
-// the 3σ reference method), never a detector.
-func Collect(src stream.Source, delta time.Duration) ([]algo.Timeunit, time.Time, error) {
-	w, err := stream.NewWindower(delta)
+// Collect drains a Source into consecutive timeunits of size delta,
+// appending empty units until there are at least pad of them, so a run
+// covers the generated span even when its last units saw no record.
+// It windows through a fresh tree, returned as the Workload's Tree,
+// and buffers the whole stream: it feeds the reference harnesses (STA,
+// package shhh, the 3σ reference method, Replay), never a detector.
+func Collect(src stream.Source, delta time.Duration, pad int) (*Workload, error) {
+	win, err := stream.NewWindower(delta)
 	if err != nil {
-		return nil, time.Time{}, err
+		return nil, err
 	}
-	tree := hierarchy.New()
-	w.BindTree(tree)
-	var units []algo.Timeunit
-	var first time.Time
+	w := &Workload{Tree: hierarchy.New()}
+	win.BindTree(w.Tree)
 	seen := false
 	for {
 		r, err := src.Next()
@@ -178,24 +181,83 @@ func Collect(src stream.Source, delta time.Duration) ([]algo.Timeunit, time.Time
 			break
 		}
 		if err != nil {
-			return nil, time.Time{}, err
+			return nil, err
 		}
-		done, err := w.ObserveDense(r)
+		done, err := win.ObserveDense(r)
 		if err != nil {
-			return nil, time.Time{}, err
+			return nil, err
 		}
 		if !seen {
-			first = w.Start()
+			w.Start = win.Start()
 			seen = true
 		}
 		for _, u := range done {
-			units = append(units, u.Timeunit(tree))
+			w.Units = append(w.Units, u.Pairs())
 		}
 	}
 	if seen {
-		units = append(units, w.FlushDense().Timeunit(tree))
+		w.Units = append(w.Units, win.FlushDense().Pairs())
 	}
-	return units, first, nil
+	for len(w.Units) < pad {
+		w.Units = append(w.Units, &algo.DenseUnit{})
+	}
+	return w, nil
+}
+
+// Replay drives e over collected units: Init with units[:warm], then
+// StepDense with every later unit. Before it hands e a unit (or the
+// warm window) it adds to e.Tree() the nodes of tree up to the unit's
+// largest ID, in ID order, so e's node IDs are tree's and its tree
+// grows at the unit that first names a category — as it would under a
+// windower. An engine built on tree itself (Config.Tree) gets nothing
+// added. each, when non-nil, sees every instance's state; instance 0
+// is the warm window, instance k the unit units[warm+k-1].
+func Replay(e algo.Engine, tree *hierarchy.Tree, units []*algo.DenseUnit, warm int, each func(*algo.StepState) error) error {
+	grow := func(last int) error {
+		et := e.Tree()
+		for id := et.Len(); id <= last; id++ {
+			if got, _ := et.AddChild(tree.Parent(id), tree.Label(id)); got != id {
+				return fmt.Errorf("experiments: %s tree diverges from the collected tree at node %d (%s)", e.Name(), id, tree.Key(id))
+			}
+		}
+		return nil
+	}
+	if each == nil {
+		each = func(*algo.StepState) error { return nil }
+	}
+	last := -1
+	for _, u := range units[:warm] {
+		last = max(last, u.MaxID())
+	}
+	if err := grow(last); err != nil {
+		return err
+	}
+	st, err := e.Init(units[:warm])
+	if err != nil {
+		return err
+	}
+	if err := each(st); err != nil {
+		return err
+	}
+	// StepDense reads counts through a unit's sparse index, which
+	// Pairs copies lack: each unit is stepped through an indexed copy.
+	var du algo.DenseUnit
+	for _, u := range units[warm:] {
+		if err := grow(u.MaxID()); err != nil {
+			return err
+		}
+		du.Reset()
+		for i, id := range u.IDs() {
+			du.Add(int(id), u.Values()[i])
+		}
+		if st, err = e.StepDense(&du); err != nil {
+			return err
+		}
+		if err := each(st); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // engineFor builds an engine for the experiment runs.

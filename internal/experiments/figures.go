@@ -9,7 +9,6 @@ import (
 	"tiresias/internal/algo"
 	"tiresias/internal/evalx"
 	"tiresias/internal/forecast"
-	"tiresias/internal/hierarchy"
 	"tiresias/internal/seasonal"
 	"tiresias/internal/shhh"
 )
@@ -27,8 +26,7 @@ func Fig1(p Profile) (*Result, error) {
 	}
 	vals := map[string]float64{}
 	add := func(name string, w *Workload, maxDepth int) {
-		tr, perLevel := levelSeries(w, maxDepth)
-		_ = tr
+		perLevel := levelSeries(w, maxDepth)
 		for depth := 1; depth <= maxDepth; depth++ {
 			values := perLevel[depth]
 			if len(values) == 0 {
@@ -67,7 +65,7 @@ func Fig1(p Profile) (*Result, error) {
 	// Raw CCDF points for re-plotting Fig. 1's log-log curves.
 	plot := map[string]string{}
 	emit := func(name string, w *Workload, maxDepth int) {
-		_, perLevel := levelSeries(w, maxDepth)
+		perLevel := levelSeries(w, maxDepth)
 		var b strings.Builder
 		b.WriteString("level,x,p\n")
 		for depth := 1; depth <= maxDepth; depth++ {
@@ -85,23 +83,18 @@ func Fig1(p Profile) (*Result, error) {
 
 // levelSeries builds, for every hierarchy level, the flattened
 // collection of per-node per-timeunit counts.
-func levelSeries(w *Workload, maxDepth int) (*hierarchy.Tree, map[int][]float64) {
-	tr := hierarchy.New()
-	for _, u := range w.Units {
-		for k := range u {
-			tr.Intern(k.Path())
-		}
-	}
+func levelSeries(w *Workload, maxDepth int) map[int][]float64 {
 	perLevel := make(map[int][]float64, maxDepth)
+	var agg []float64
 	for _, u := range w.Units {
-		agg := shhh.Aggregate(tr, u)
+		agg = shhh.AggregateInto(w.Tree, u.IDs(), u.Values(), agg)
 		for depth := 1; depth <= maxDepth; depth++ {
-			for _, id := range tr.Level(depth) {
+			for _, id := range w.Tree.Level(depth) {
 				perLevel[depth] = append(perLevel[depth], agg[id])
 			}
 		}
 	}
-	return tr, perLevel
+	return perLevel
 }
 
 func ccdfAt(pts []evalx.CCDFPoint, x float64) float64 {
@@ -310,39 +303,30 @@ func Fig12(p Profile) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := algo.InitTimeunits(sta, w.Units[:p.WarmUnits]); err != nil {
-		return nil, err
-	}
 	// Pre-drive STA and snapshot exact series at the final instance.
 	var lastSTA *algo.StepState
-	for _, u := range w.Units[p.WarmUnits:] {
-		lastSTA, err = algo.StepTimeunit(sta, u)
-		if err != nil {
-			return nil, err
-		}
+	err = Replay(sta, w.Tree, w.Units, p.WarmUnits, func(st *algo.StepState) error {
+		lastSTA = st
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	for _, v := range variants {
 		ada, err := engineFor("ADA", p, v.rule, v.h, nil)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := algo.InitTimeunits(ada, w.Units[:p.WarmUnits]); err != nil {
+		if err := Replay(ada, w.Tree, w.Units, p.WarmUnits, nil); err != nil {
 			return nil, err
-		}
-		for _, u := range w.Units[p.WarmUnits:] {
-			if _, err := algo.StepTimeunit(ada, u); err != nil {
-				return nil, err
-			}
 		}
 		var all, newest, oldest []float64
 		depthErr := make(map[int][]float64)
 		for _, hh := range lastSTA.HeavyHitters {
+			// Replay numbers both engines' nodes as the collected
+			// tree does.
 			exact := sta.SeriesOf(hh.ID)
-			node := ada.Tree().Lookup(hh.Key)
-			if node < 0 {
-				continue
-			}
-			approx := ada.SeriesOf(node)
+			approx := ada.SeriesOf(hh.ID)
 			if len(exact) == 0 || len(approx) == 0 {
 				continue
 			}

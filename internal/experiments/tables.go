@@ -99,25 +99,17 @@ func runTimed(e algo.Engine, w *Workload, warm int) (stageRow, error) {
 		return row, err
 	}
 	row.reading = time.Since(startRead)
-	st, err := algo.InitTimeunits(e, w.Units[:warm])
-	if err != nil {
-		return row, err
-	}
-	row.stages.Add(st.Timings)
-	for _, u := range w.Units[warm:] {
-		st, err = algo.StepTimeunit(e, u)
-		if err != nil {
-			return row, err
-		}
+	err = Replay(e, w.Tree, w.Units, warm, func(st *algo.StepState) error {
 		row.stages.Add(st.Timings)
-	}
-	return row, nil
+		return nil
+	})
+	return row, err
 }
 
 func streamCollect(w *Workload) (int, int, error) {
 	n := 0
 	for _, u := range w.Units {
-		n += len(u)
+		n += u.Len()
 	}
 	return n, len(w.Units), nil
 }
@@ -196,13 +188,8 @@ func Table4(p Profile) (*Result, error) {
 		if err != nil {
 			return algo.MemoryStats{}, err
 		}
-		if _, err := algo.InitTimeunits(e, w.Units[:p.WarmUnits]); err != nil {
+		if err := Replay(e, w.Tree, w.Units, p.WarmUnits, nil); err != nil {
 			return algo.MemoryStats{}, err
-		}
-		for _, u := range w.Units[p.WarmUnits:] {
-			if _, err := algo.StepTimeunit(e, u); err != nil {
-				return algo.MemoryStats{}, err
-			}
 		}
 		return e.Memory(), nil
 	}
@@ -251,14 +238,11 @@ func runDetect(e algo.Engine, w *Workload, warm int, th detect.Thresholds) (flag
 	if err != nil {
 		return nil, nil, err
 	}
-	if _, err := algo.InitTimeunits(e, w.Units[:warm]); err != nil {
-		return nil, nil, err
-	}
-	for i, u := range w.Units[warm:] {
-		st, err := algo.StepTimeunit(e, u)
-		if err != nil {
-			return nil, nil, err
+	err = Replay(e, w.Tree, w.Units, warm, func(st *algo.StepState) error {
+		if st.Instance == 0 {
+			return nil
 		}
+		i := st.Instance - 1
 		anoms := det.Scan(st, time.Time{})
 		flaggedSet := make(map[evalx.Event]bool, len(anoms))
 		for _, a := range anoms {
@@ -272,8 +256,9 @@ func runDetect(e algo.Engine, w *Workload, warm int, th detect.Thresholds) (flag
 				screened = append(screened, ev)
 			}
 		}
-	}
-	return flagged, screened, nil
+		return nil
+	})
+	return flagged, screened, err
 }
 
 // Table5 reproduces Table V: anomaly detection accuracy of ADA's split
@@ -341,7 +326,7 @@ func Table6(p Profile) (*Result, error) {
 	}
 	// Reference method over the same timeunits (alarms only count
 	// after its calibration window).
-	chart, err := refmethod.New(refmethod.Config{K: 3, Window: p.WarmUnits / 2, MinSigma: 1})
+	chart, err := refmethod.New(refmethod.Config{K: 3, Window: p.WarmUnits / 2, MinSigma: 1}, w.Tree)
 	if err != nil {
 		return nil, err
 	}

@@ -29,31 +29,28 @@ import (
 type Detector struct {
 	phi    float64
 	tree   *hierarchy.Tree
-	counts shhh.Counts
+	counts algo.DenseUnit // cumulative direct count per node ID
 	total  float64
 }
 
-// New creates a Detector with threshold fraction phi in (0, 1).
-func New(phi float64) (*Detector, error) {
+// New creates a Detector with threshold fraction phi in (0, 1) over
+// the units of tree (the tree a collected stream's IDs name).
+func New(phi float64, tree *hierarchy.Tree) (*Detector, error) {
 	if phi <= 0 || phi >= 1 {
 		return nil, fmt.Errorf("hhd: phi must be in (0,1), got %v", phi)
 	}
-	return &Detector{
-		phi:    phi,
-		tree:   hierarchy.New(),
-		counts: make(shhh.Counts),
-	}, nil
+	return &Detector{phi: phi, tree: tree}, nil
 }
 
 // Observe accumulates one timeunit of counts (insert-only).
-func (d *Detector) Observe(u algo.Timeunit) {
-	for k, v := range u {
-		if v < 0 {
+func (d *Detector) Observe(u *algo.DenseUnit) {
+	vals := u.Values()
+	for i, id := range u.IDs() {
+		if vals[i] < 0 {
 			continue // cash-register model: no deletions
 		}
-		d.tree.Intern(k.Path())
-		d.counts[k] += v
-		d.total += v
+		d.counts.Add(int(id), vals[i])
+		d.total += vals[i]
 	}
 }
 
@@ -76,7 +73,7 @@ func (d *Detector) Query() []HeavyHitter {
 	if d.total == 0 {
 		return nil
 	}
-	r := shhh.Compute(d.tree, d.counts, d.phi*d.total)
+	r := shhh.ComputeInto(d.tree, d.counts.IDs(), d.counts.Values(), d.phi*d.total, nil)
 	out := make([]HeavyHitter, 0, len(r.Set))
 	for _, id := range r.Set {
 		out = append(out, HeavyHitter{

@@ -9,16 +9,33 @@ import (
 
 func key(parts ...string) hierarchy.Key { return hierarchy.KeyOf(parts) }
 
+// pc is one (category, direct count) pair of a test timeunit.
+type pc struct {
+	k hierarchy.Key
+	v float64
+}
+
+// unit builds a timeunit over tree from pairs, interned in the order
+// given.
+func unit(tree *hierarchy.Tree, pairs ...pc) *algo.DenseUnit {
+	u := &algo.DenseUnit{}
+	for _, p := range pairs {
+		u.Add(tree.Intern(p.k.Path()), p.v)
+	}
+	return u
+}
+
 func TestNewValidation(t *testing.T) {
 	for _, phi := range []float64{0, 1, -0.5, 2} {
-		if _, err := New(phi); err == nil {
+		if _, err := New(phi, hierarchy.New()); err == nil {
 			t.Fatalf("phi=%v must be rejected", phi)
 		}
 	}
 }
 
 func TestQueryEmpty(t *testing.T) {
-	d, err := New(0.1)
+	tree := hierarchy.New()
+	d, err := New(0.1, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,17 +48,14 @@ func TestQueryEmpty(t *testing.T) {
 }
 
 func TestLongTermHeavyHitters(t *testing.T) {
-	d, err := New(0.3)
+	tree := hierarchy.New()
+	d, err := New(0.3, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Accumulate: a/x dominates long-term.
 	for i := 0; i < 10; i++ {
-		d.Observe(algo.Timeunit{
-			key("a", "x"): 8,
-			key("a", "y"): 1,
-			key("b", "z"): 1,
-		})
+		d.Observe(unit(tree, pc{key("a", "x"), 8}, pc{key("a", "y"), 1}, pc{key("b", "z"), 1}))
 	}
 	if d.Total() != 100 {
 		t.Fatalf("total = %v", d.Total())
@@ -62,16 +76,14 @@ func TestLongTermHeavyHitters(t *testing.T) {
 }
 
 func TestDiscountingMatchesSHHH(t *testing.T) {
-	d, err := New(0.25)
+	tree := hierarchy.New()
+	d, err := New(0.25, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Two heavy children under one parent: the parent's residual is
 	// zero, so the parent must not be reported.
-	d.Observe(algo.Timeunit{
-		key("p", "a"): 50,
-		key("p", "b"): 50,
-	})
+	d.Observe(unit(tree, pc{key("p", "a"), 50}, pc{key("p", "b"), 50}))
 	hhs := d.Query()
 	for _, hh := range hhs {
 		if hh.Key == key("p") {
@@ -84,11 +96,12 @@ func TestDiscountingMatchesSHHH(t *testing.T) {
 }
 
 func TestNegativeCountsIgnored(t *testing.T) {
-	d, err := New(0.1)
+	tree := hierarchy.New()
+	d, err := New(0.1, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Observe(algo.Timeunit{key("a"): -5, key("b"): 10})
+	d.Observe(unit(tree, pc{key("a"), -5}, pc{key("b"), 10}))
 	if d.Total() != 10 {
 		t.Fatalf("cash-register model must ignore deletions, total = %v", d.Total())
 	}
@@ -98,16 +111,17 @@ func TestNegativeCountsIgnored(t *testing.T) {
 // window: a spike that dominates one timeunit vanishes inside the
 // cumulative stream.
 func TestShortSpikeBlindSpot(t *testing.T) {
-	d, err := New(0.2)
+	tree := hierarchy.New()
+	d, err := New(0.2, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Four weeks of steady background on other nodes.
 	for i := 0; i < 1000; i++ {
-		d.Observe(algo.Timeunit{key("bg", "x"): 5, key("bg", "y"): 5})
+		d.Observe(unit(tree, pc{key("bg", "x"), 5}, pc{key("bg", "y"), 5}))
 	}
 	// One timeunit with a severe localized outage: 100 calls at once.
-	d.Observe(algo.Timeunit{key("victim", "co"): 100})
+	d.Observe(unit(tree, pc{key("victim", "co"), 100}))
 	if d.Covers(key("victim", "co")) {
 		t.Fatal("cumulative HHD should not see a one-unit spike (if it does, the ablation premise is wrong)")
 	}

@@ -28,9 +28,9 @@ func profile() experiments.Profile {
 	return p
 }
 
-// engineWorkload builds a warm ADA on a shared tree plus the step
-// stream in dense form (paths pre-interned, so the steady state is
-// reached immediately).
+// engineWorkload builds a warm ADA on the collected tree plus the
+// step stream in dense form (paths pre-interned, so the steady state
+// is reached immediately).
 func engineWorkload(b *testing.B) (*algo.ADA, []*algo.DenseUnit) {
 	b.Helper()
 	p := profile()
@@ -38,27 +38,30 @@ func engineWorkload(b *testing.B) (*algo.ADA, []*algo.DenseUnit) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tree := hierarchy.New()
 	cfg := algo.Config{
 		Theta:         p.Theta,
 		WindowLen:     p.WarmUnits,
 		Rule:          algo.LongTermHistory,
 		RefLevels:     2,
 		NewForecaster: algo.HoltWintersFactory(0.4, 0.05, 0.3, 24),
-		Tree:          tree,
+		Tree:          w.Tree,
 	}
 	e, err := algo.NewADA(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
+	if _, err := e.Init(w.Units[:p.WarmUnits]); err != nil {
+		b.Fatal(err)
+	}
+	// StepDense reads counts through a unit's sparse index, which the
+	// collected Pairs copies lack.
 	steps := make([]*algo.DenseUnit, 0, len(w.Units)-p.WarmUnits)
 	for _, u := range w.Units[p.WarmUnits:] {
 		du := &algo.DenseUnit{}
-		du.AddTimeunit(tree, u)
+		for i, id := range u.IDs() {
+			du.Add(int(id), u.Values()[i])
+		}
 		steps = append(steps, du)
-	}
-	if _, err := algo.InitTimeunits(e, w.Units[:p.WarmUnits]); err != nil {
-		b.Fatal(err)
 	}
 	return e, steps
 }
@@ -105,14 +108,14 @@ func ADAStepSparse(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	window := make([]algo.Timeunit, warm)
+	window := make([]*algo.DenseUnit, warm)
 	for i := range window {
-		window[i] = make(algo.Timeunit, len(leaves))
+		window[i] = &algo.DenseUnit{}
 		for _, id := range leaves {
-			window[i][tree.Key(id)] = float64(1 + (id+i)%3)
+			window[i].Add(id, float64(1+(id+i)%3))
 		}
 	}
-	if _, err := algo.InitTimeunits(e, window); err != nil {
+	if _, err := e.Init(window); err != nil {
 		b.Fatal(err)
 	}
 	units := make([]*algo.DenseUnit, 64)

@@ -14,7 +14,6 @@ import (
 
 	"tiresias/internal/algo"
 	"tiresias/internal/hierarchy"
-	"tiresias/internal/shhh"
 )
 
 // Alarm is one control-chart violation.
@@ -62,37 +61,57 @@ func (c Config) Validate() error {
 
 // Chart monitors the depth-1 aggregates of a timeunit stream.
 type Chart struct {
-	cfg      Config
-	tree     *hierarchy.Tree
-	history  map[int][]float64 // node ID → trailing values
+	cfg  Config
+	tree *hierarchy.Tree
+	// history holds a depth-1 node's trailing values; a node has an
+	// entry from the first unit that touches it or a descendant.
+	history  map[int][]float64
+	sum      map[int]float64 // the current unit's depth-1 aggregates
 	instance int
 }
 
-// New creates a Chart.
-func New(cfg Config) (*Chart, error) {
+// New creates a Chart over the units of tree (the tree a collected
+// stream's IDs name).
+func New(cfg Config, tree *hierarchy.Tree) (*Chart, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	return &Chart{
 		cfg:     cfg,
-		tree:    hierarchy.New(),
+		tree:    tree,
 		history: make(map[int][]float64),
+		sum:     make(map[int]float64),
 	}, nil
 }
 
-// Observe ingests one timeunit and returns any alarms for it. The
-// first Window units per node are used purely for calibration.
-func (c *Chart) Observe(u algo.Timeunit) []Alarm {
+// Observe ingests one timeunit and returns any alarms for it, in node
+// ID order. The first Window units per node are used purely for
+// calibration.
+func (c *Chart) Observe(u *algo.DenseUnit) []Alarm {
 	defer func() { c.instance++ }()
-	for k := range u {
-		c.tree.Intern(k.Path())
+	clear(c.sum)
+	vals := u.Values()
+	for i, id := range u.IDs() {
+		n := int(id)
+		if c.tree.Depth(n) == 0 {
+			continue
+		}
+		for c.tree.Depth(n) > 1 {
+			n = c.tree.Parent(n)
+		}
+		c.sum[n] += vals[i]
+		if _, ok := c.history[n]; !ok {
+			c.history[n] = nil
+		}
 	}
-	agg := shhh.Aggregate(c.tree, u)
 	var alarms []Alarm
 	for _, n32 := range c.tree.Level(1) {
 		n := int(n32)
-		v := agg[n]
-		h := c.history[n]
+		h, ok := c.history[n]
+		if !ok {
+			continue
+		}
+		v := c.sum[n]
 		if len(h) >= c.cfg.Window {
 			mean, sigma := stats(h)
 			if sigma < c.cfg.MinSigma {

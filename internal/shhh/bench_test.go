@@ -9,17 +9,17 @@ import (
 )
 
 // benchSetup builds a regular tree of the given shape with random leaf
-// counts.
-func benchSetup(degrees []int, fill float64) (*hierarchy.Tree, Counts) {
+// counts in ID form.
+func benchSetup(degrees []int, fill float64) (t *hierarchy.Tree, ids []int32, vals []float64) {
 	rng := rand.New(rand.NewSource(1))
-	t := hierarchy.New()
-	counts := Counts{}
+	t = hierarchy.New()
 	var walk func(prefix []string, depth int)
 	walk = func(prefix []string, depth int) {
 		if depth == len(degrees) {
-			t.Intern(prefix)
+			id := t.Intern(prefix)
 			if rng.Float64() < fill {
-				counts[hierarchy.KeyOf(prefix)] = float64(rng.Intn(20))
+				ids = append(ids, int32(id))
+				vals = append(vals, float64(rng.Intn(20)))
 			}
 			return
 		}
@@ -28,49 +28,49 @@ func benchSetup(degrees []int, fill float64) (*hierarchy.Tree, Counts) {
 		}
 	}
 	walk(nil, 0)
-	return t, counts
+	return t, ids, vals
 }
 
 // BenchmarkComputeCCDShape measures one SHHH pass over the CCD trouble
 // hierarchy shape (9x6x3x5 = 810 leaves).
 func BenchmarkComputeCCDShape(b *testing.B) {
-	t, counts := benchSetup([]int{9, 6, 3, 5}, 0.3)
+	t, ids, vals := benchSetup([]int{9, 6, 3, 5}, 0.3)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Compute(t, counts, 10)
+		ComputeInto(t, ids, vals, 10, nil)
 	}
 }
 
 // BenchmarkComputeWideShape measures SHHH over a wide SCD-like shape.
 func BenchmarkComputeWideShape(b *testing.B) {
-	t, counts := benchSetup([]int{200, 30}, 0.05)
+	t, ids, vals := benchSetup([]int{200, 30}, 0.05)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Compute(t, counts, 10)
+		ComputeInto(t, ids, vals, 10, nil)
 	}
 }
 
 // BenchmarkFrozenWeights measures the per-timeunit reconstruction STA
 // performs ℓ times per instance.
 func BenchmarkFrozenWeights(b *testing.B) {
-	t, counts := benchSetup([]int{9, 6, 3, 5}, 0.3)
-	r := Compute(t, counts, 10)
+	t, ids, vals := benchSetup([]int{9, 6, 3, 5}, 0.3)
+	r := ComputeInto(t, ids, vals, 10, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		FrozenWeights(t, counts, r.InSet)
+		FrozenWeightsInto(t, ids, vals, r.InSet, nil)
 	}
 }
 
 // BenchmarkAggregate measures the raw-weight pass used by reference
 // series and split-rule statistics.
 func BenchmarkAggregate(b *testing.B) {
-	t, counts := benchSetup([]int{9, 6, 3, 5}, 0.3)
+	t, ids, vals := benchSetup([]int{9, 6, 3, 5}, 0.3)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Aggregate(t, counts)
+		AggregateInto(t, ids, vals, nil)
 	}
 }

@@ -8,26 +8,17 @@
 // by construction. The strawman STA engine uses it directly; the
 // adaptive ADA engine (package algo) must agree with it — Lemma 1 of
 // the paper, which the test suite checks as a property.
+//
+// A timeunit is given in ID form, the one form of the whole module: a
+// slice of node IDs of a hierarchy.Tree and a slice of their direct
+// counts (algo.DenseUnit's IDs and Values). In the paper's model only
+// leaf categories receive direct counts, but interior nodes are
+// accepted too (they behave like an implicit extra child).
 package shhh
 
 import (
 	"tiresias/internal/hierarchy"
 )
-
-// Counts holds per-category direct counts for one timeunit, keyed by
-// category Key. In the paper's model only leaf categories receive
-// direct counts, but interior keys are accepted too (they behave like
-// an implicit extra child).
-type Counts map[hierarchy.Key]float64
-
-// Total returns the sum of all direct counts.
-func (c Counts) Total() float64 {
-	var s float64
-	for _, v := range c {
-		s += v
-	}
-	return s
-}
 
 // Result is the outcome of an SHHH computation over one timeunit.
 type Result struct {
@@ -51,35 +42,16 @@ func (r *Result) IsHH(id int) bool {
 	return id < len(r.InSet) && r.InSet[id]
 }
 
-// Compute derives the SHHH set for one timeunit by a bottom-up
+// ComputeInto derives the SHHH set for one timeunit by a bottom-up
 // traversal (the paper notes this yields the unique fixed point of
-// Definition 2). Nodes must already exist in the tree for every key in
-// counts; use Tree.Intern beforehand.
-func Compute(t *hierarchy.Tree, counts Counts, theta float64) *Result {
-	return ComputeInto(t, counts, theta, nil)
-}
-
-// ComputeInto is Compute reusing r's slices as scratch (r may be nil,
-// which allocates a fresh Result). Repeated calls with the same Result
-// and a stable tree are allocation-free; the previous contents of r
-// are overwritten.
+// Definition 2). The timeunit is in ID form: vals[i] is the direct
+// count of node ids[i]; IDs outside t are skipped. r's slices are
+// reused as scratch (r may be nil, which allocates a fresh Result), so
+// repeated calls with the same Result and a stable tree are
+// allocation-free; the previous contents of r are overwritten.
 //
 //tiresias:hotpath
-func ComputeInto(t *hierarchy.Tree, counts Counts, theta float64, r *Result) *Result {
-	r = r.prepare(t.Len(), theta)
-	for k, v := range counts {
-		if id := t.Lookup(k); id >= 0 {
-			r.A[id] += v
-			r.W[id] += v
-		}
-	}
-	return r.sweep(t)
-}
-
-// ComputeIDsInto is ComputeInto over a timeunit in ID form: vals[i] is
-// the direct count of node ids[i]. IDs outside t are skipped, as
-// ComputeInto skips keys t does not hold.
-func ComputeIDsInto(t *hierarchy.Tree, ids []int32, vals []float64, theta float64, r *Result) *Result {
+func ComputeInto(t *hierarchy.Tree, ids []int32, vals []float64, theta float64, r *Result) *Result {
 	r = r.prepare(t.Len(), theta)
 	for i, id := range ids {
 		if int(id) < len(r.A) {
@@ -154,11 +126,11 @@ func growBools(s []bool, n int) []bool {
 	return s
 }
 
-// ComputeHHH derives the plain (non-succinct) HHH set of Definition 1:
-// the IDs of all nodes whose raw aggregated weight is at least theta,
-// deepest level first.
-func ComputeHHH(t *hierarchy.Tree, counts Counts, theta float64) []int32 {
-	agg := Aggregate(t, counts)
+// ComputeHHH derives the plain (non-succinct) HHH set of Definition 1
+// for an ID-form timeunit: the IDs of all nodes whose raw aggregated
+// weight is at least theta, deepest level first.
+func ComputeHHH(t *hierarchy.Tree, ids []int32, vals []float64, theta float64) []int32 {
+	agg := AggregateInto(t, ids, vals, nil)
 	var set []int32
 	for d := t.Height() - 1; d >= 0; d-- {
 		for _, id := range t.Level(d) {
@@ -170,64 +142,30 @@ func ComputeHHH(t *hierarchy.Tree, counts Counts, theta float64) []int32 {
 	return set
 }
 
-// Aggregate computes the raw weight An for every node: direct count
-// plus descendant counts.
-func Aggregate(t *hierarchy.Tree, counts Counts) []float64 {
-	return AggregateInto(t, counts, nil)
-}
-
-// AggregateInto is Aggregate writing into dst, reusing its backing
-// array when it is large enough.
+// AggregateInto computes the raw weight An for every node — direct
+// count plus descendant counts — of an ID-form timeunit (vals[i] is the
+// direct count of node ids[i]; IDs outside t are skipped), writing into
+// dst and reusing its backing array when it is large enough.
 //
 //tiresias:hotpath
-func AggregateInto(t *hierarchy.Tree, counts Counts, dst []float64) []float64 {
-	a := growFloats(dst, t.Len()) //tiresias:ignore escapecheck (inlined grow path: allocates only when the tree outgrows dst)
-	for k, v := range counts {
-		if id := t.Lookup(k); id >= 0 {
-			a[id] += v
-		}
-	}
-	return frozenSweep(t, a, nil)
+func AggregateInto(t *hierarchy.Tree, ids []int32, vals []float64, dst []float64) []float64 {
+	return frozenSweep(t, seedIDs(t, ids, vals, dst), nil) //tiresias:ignore escapecheck (inlined grow path: allocates only when the tree outgrows dst)
 }
 
-// AggregateIDsInto is AggregateInto over a timeunit in ID form: vals[i]
-// is the direct count of node ids[i]; IDs outside t are skipped.
-func AggregateIDsInto(t *hierarchy.Tree, ids []int32, vals []float64, dst []float64) []float64 {
-	return frozenSweep(t, seedIDs(t, ids, vals, dst), nil)
-}
-
-// FrozenWeights computes, for a single timeunit, the modified weight of
-// every node given a *frozen* SHHH membership (from some other
-// timeunit). This realizes Definition 3: the time series of a heavy
-// hitter at historical timeunit t is its weight after discounting the
-// weights of descendants that are frozen members. inSet is indexed by
-// node ID and may be shorter than the tree (new nodes default to not
-// in the set).
-func FrozenWeights(t *hierarchy.Tree, counts Counts, inSet []bool) []float64 {
-	return FrozenWeightsInto(t, counts, inSet, nil)
-}
-
-// FrozenWeightsInto is FrozenWeights writing into dst, reusing its
-// backing array when it is large enough. STA calls this once per
-// retained timeunit per instance, so scratch reuse removes its
-// dominant allocation source.
+// FrozenWeightsInto computes, for a single ID-form timeunit, the
+// modified weight of every node given a *frozen* SHHH membership (from
+// some other timeunit), writing into dst and reusing its backing array
+// when it is large enough. This realizes Definition 3: the time series
+// of a heavy hitter at historical timeunit t is its weight after
+// discounting the weights of descendants that are frozen members.
+// inSet is indexed by node ID and may be shorter than the tree (new
+// nodes default to not in the set). STA calls this once per retained
+// timeunit per instance, so scratch reuse removes its dominant
+// allocation source.
 //
 //tiresias:hotpath
-func FrozenWeightsInto(t *hierarchy.Tree, counts Counts, inSet []bool, dst []float64) []float64 {
-	w := growFloats(dst, t.Len()) //tiresias:ignore escapecheck (inlined grow path: allocates only when the tree outgrows dst)
-	for k, v := range counts {
-		if id := t.Lookup(k); id >= 0 {
-			w[id] += v
-		}
-	}
-	return frozenSweep(t, w, inSet)
-}
-
-// FrozenWeightsIDsInto is FrozenWeightsInto over a timeunit in ID form:
-// vals[i] is the direct count of node ids[i]; IDs outside t are
-// skipped.
-func FrozenWeightsIDsInto(t *hierarchy.Tree, ids []int32, vals []float64, inSet []bool, dst []float64) []float64 {
-	return frozenSweep(t, seedIDs(t, ids, vals, dst), inSet)
+func FrozenWeightsInto(t *hierarchy.Tree, ids []int32, vals []float64, inSet []bool, dst []float64) []float64 {
+	return frozenSweep(t, seedIDs(t, ids, vals, dst), inSet) //tiresias:ignore escapecheck (inlined grow path: allocates only when the tree outgrows dst)
 }
 
 // seedIDs returns dst zeroed over t's nodes and seeded with the direct

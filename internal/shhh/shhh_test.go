@@ -19,15 +19,28 @@ func buildTree(paths ...[]string) *hierarchy.Tree {
 	return t
 }
 
+// pc is one (path, direct count) pair of a test timeunit.
+type pc struct {
+	path []string
+	v    float64
+}
+
+// unit is a test timeunit in ID form: its pairs interned into tr in
+// the order given.
+func unit(tr *hierarchy.Tree, pairs ...pc) (ids []int32, vals []float64) {
+	for _, p := range pairs {
+		ids = append(ids, int32(tr.Intern(p.path)))
+		vals = append(vals, p.v)
+	}
+	return ids, vals
+}
+
 func TestComputePaperExample(t *testing.T) {
 	// Root with two children; both children heavy. The root's
 	// modified weight discounts both, so it drops out of the set.
 	tr := buildTree([]string{"a"}, []string{"b"})
-	counts := Counts{
-		hierarchy.KeyOf([]string{"a"}): 10,
-		hierarchy.KeyOf([]string{"b"}): 12,
-	}
-	r := Compute(tr, counts, 5)
+	ids, vals := unit(tr, pc{[]string{"a"}, 10}, pc{[]string{"b"}, 12})
+	r := ComputeInto(tr, ids, vals, 5, nil)
 
 	a := tr.Lookup(hierarchy.KeyOf([]string{"a"}))
 	b := tr.Lookup(hierarchy.KeyOf([]string{"b"}))
@@ -53,11 +66,12 @@ func TestComputeLightChildrenAggregateUp(t *testing.T) {
 		paths[i] = []string{"p", "leaf" + strconv.Itoa(i)}
 	}
 	tr := buildTree(paths...)
-	counts := Counts{}
+	var pairs []pc
 	for _, p := range paths {
-		counts[hierarchy.KeyOf(p)] = 2
+		pairs = append(pairs, pc{p, 2})
 	}
-	r := Compute(tr, counts, 5)
+	ids, vals := unit(tr, pairs...)
+	r := ComputeInto(tr, ids, vals, 5, nil)
 	p := tr.Lookup(hierarchy.KeyOf([]string{"p"}))
 	if !r.IsHH(p) {
 		t.Fatal("parent aggregating 12 must be SHHH at theta=5")
@@ -81,12 +95,12 @@ func TestComputeMixedDepths(t *testing.T) {
 		[]string{"x", "c", "h"},
 		[]string{"x", "d"},
 	)
-	counts := Counts{
-		hierarchy.KeyOf([]string{"x", "c", "g"}): 9, // heavy
-		hierarchy.KeyOf([]string{"x", "c", "h"}): 1,
-		hierarchy.KeyOf([]string{"x", "d"}):      1,
-	}
-	r := Compute(tr, counts, 5)
+	ids, vals := unit(tr,
+		pc{[]string{"x", "c", "g"}, 9}, // heavy
+		pc{[]string{"x", "c", "h"}, 1},
+		pc{[]string{"x", "d"}, 1},
+	)
+	r := ComputeInto(tr, ids, vals, 5, nil)
 
 	g := tr.Lookup(hierarchy.KeyOf([]string{"x", "c", "g"}))
 	c := tr.Lookup(hierarchy.KeyOf([]string{"x", "c"}))
@@ -111,11 +125,8 @@ func TestComputeMixedDepths(t *testing.T) {
 
 func TestComputeRootMembership(t *testing.T) {
 	tr := buildTree([]string{"a"}, []string{"b"})
-	counts := Counts{
-		hierarchy.KeyOf([]string{"a"}): 3,
-		hierarchy.KeyOf([]string{"b"}): 3,
-	}
-	r := Compute(tr, counts, 5)
+	ids, vals := unit(tr, pc{[]string{"a"}, 3}, pc{[]string{"b"}, 3})
+	r := ComputeInto(tr, ids, vals, 5, nil)
 	if !r.IsHH(hierarchy.Root) {
 		t.Fatal("root aggregating two light children (6 >= 5) must be SHHH")
 	}
@@ -124,10 +135,11 @@ func TestComputeRootMembership(t *testing.T) {
 	}
 }
 
-// randomCounts builds a random tree and random leaf counts.
-func randomCounts(rng *rand.Rand) (*hierarchy.Tree, Counts) {
+// randomCounts builds a random tree and random counts in ID form; a
+// node may appear more than once, its counts adding up.
+func randomCounts(rng *rand.Rand) (*hierarchy.Tree, []int32, []float64) {
 	tr := hierarchy.New()
-	counts := Counts{}
+	var pairs []pc
 	n := rng.Intn(40) + 1
 	for i := 0; i < n; i++ {
 		depth := rng.Intn(4) + 1
@@ -135,10 +147,10 @@ func randomCounts(rng *rand.Rand) (*hierarchy.Tree, Counts) {
 		for d := range path {
 			path[d] = "n" + strconv.Itoa(rng.Intn(3))
 		}
-		tr.Intern(path)
-		counts[hierarchy.KeyOf(path)] += float64(rng.Intn(8))
+		pairs = append(pairs, pc{path, float64(rng.Intn(8))})
 	}
-	return tr, counts
+	ids, vals := unit(tr, pairs...)
+	return tr, ids, vals
 }
 
 // TestDefinitionTwoFixedPoint checks that the computed result
@@ -149,11 +161,15 @@ func TestDefinitionTwoFixedPoint(t *testing.T) {
 	f := func(seed int64, thetaRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		theta := float64(thetaRaw%20) + 1
-		tr, counts := randomCounts(rng)
-		r := Compute(tr, counts, theta)
+		tr, ids, vals := randomCounts(rng)
+		r := ComputeInto(tr, ids, vals, theta, nil)
+		direct := make([]float64, tr.Len())
+		for i, id := range ids {
+			direct[id] += vals[i]
+		}
 		ok := true
 		for n := 0; n < tr.Len(); n++ {
-			want := counts[tr.Key(n)]
+			want := direct[n]
 			for c := tr.FirstChild(n); c >= 0; c = tr.NextSibling(c) {
 				if !r.InSet[c] {
 					want += r.W[c]
@@ -181,8 +197,8 @@ func TestMassConservation(t *testing.T) {
 	f := func(seed int64, thetaRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		theta := float64(thetaRaw%20) + 1
-		tr, counts := randomCounts(rng)
-		r := Compute(tr, counts, theta)
+		tr, ids, vals := randomCounts(rng)
+		r := ComputeInto(tr, ids, vals, theta, nil)
 		var sum float64
 		for _, n := range r.Set {
 			sum += r.W[n]
@@ -190,7 +206,11 @@ func TestMassConservation(t *testing.T) {
 		if !r.InSet[hierarchy.Root] {
 			sum += r.W[hierarchy.Root]
 		}
-		return math.Abs(sum-counts.Total()) < 1e-6
+		var total float64
+		for _, v := range vals {
+			total += v
+		}
+		return math.Abs(sum-total) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
@@ -203,9 +223,9 @@ func TestSHHHSubsetOfHHH(t *testing.T) {
 	f := func(seed int64, thetaRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		theta := float64(thetaRaw%20) + 1
-		tr, counts := randomCounts(rng)
-		r := Compute(tr, counts, theta)
-		hhh := ComputeHHH(tr, counts, theta)
+		tr, ids, vals := randomCounts(rng)
+		r := ComputeInto(tr, ids, vals, theta, nil)
+		hhh := ComputeHHH(tr, ids, vals, theta)
 		inHHH := make(map[int32]bool, len(hhh))
 		for _, n := range hhh {
 			inHHH[n] = true
@@ -230,12 +250,12 @@ func TestSHHHSubsetOfHHH(t *testing.T) {
 
 func TestAggregateMatchesManualSum(t *testing.T) {
 	tr := buildTree([]string{"a", "b"}, []string{"a", "c"})
-	counts := Counts{
-		hierarchy.KeyOf([]string{"a", "b"}): 4,
-		hierarchy.KeyOf([]string{"a", "c"}): 6,
-		hierarchy.KeyOf([]string{"a"}):      1, // interior direct count allowed
-	}
-	a := Aggregate(tr, counts)
+	ids, vals := unit(tr,
+		pc{[]string{"a", "b"}, 4},
+		pc{[]string{"a", "c"}, 6},
+		pc{[]string{"a"}, 1}, // interior direct count allowed
+	)
+	a := AggregateInto(tr, ids, vals, nil)
 	nA := tr.Lookup(hierarchy.KeyOf([]string{"a"}))
 	if a[nA] != 11 {
 		t.Fatalf("A(a) = %v, want 11", a[nA])
@@ -248,13 +268,10 @@ func TestAggregateMatchesManualSum(t *testing.T) {
 func TestFrozenWeights(t *testing.T) {
 	tr := buildTree([]string{"a", "b"}, []string{"a", "c"})
 	b := tr.Lookup(hierarchy.KeyOf([]string{"a", "b"}))
-	counts := Counts{
-		hierarchy.KeyOf([]string{"a", "b"}): 4,
-		hierarchy.KeyOf([]string{"a", "c"}): 6,
-	}
+	ids, vals := unit(tr, pc{[]string{"a", "b"}, 4}, pc{[]string{"a", "c"}, 6})
 	frozen := make([]bool, tr.Len())
 	frozen[b] = true // b is a frozen heavy hitter
-	w := FrozenWeights(tr, counts, frozen)
+	w := FrozenWeightsInto(tr, ids, vals, frozen, nil)
 	nA := tr.Lookup(hierarchy.KeyOf([]string{"a"}))
 	if w[nA] != 6 {
 		t.Fatalf("frozen W(a) = %v, want 6 (b discounted)", w[nA])
@@ -263,18 +280,8 @@ func TestFrozenWeights(t *testing.T) {
 		t.Fatalf("frozen W(b) = %v, want 4", w[b])
 	}
 	// Shorter inSet slice than the tree must behave as "not frozen".
-	w2 := FrozenWeights(tr, counts, nil)
+	w2 := FrozenWeightsInto(tr, ids, vals, nil, nil)
 	if w2[hierarchy.Root] != 10 {
 		t.Fatalf("frozen W(root) with nil set = %v, want 10", w2[hierarchy.Root])
-	}
-}
-
-func TestCountsTotal(t *testing.T) {
-	c := Counts{
-		hierarchy.KeyOf([]string{"a"}): 1.5,
-		hierarchy.KeyOf([]string{"b"}): 2.5,
-	}
-	if got := c.Total(); got != 4 {
-		t.Fatalf("Total() = %v, want 4", got)
 	}
 }

@@ -15,8 +15,21 @@ func denseStart() time.Time {
 	return time.Date(2012, 6, 18, 0, 0, 0, 0, time.UTC)
 }
 
+// keyed is a timeunit rendered as counts per category Key, the form
+// the model below builds and the assertions compare.
+type keyed map[hierarchy.Key]float64
+
+// keyedOf renders a dense unit over tree as keyed counts.
+func keyedOf(tree *hierarchy.Tree, u *algo.DenseUnit) keyed {
+	out := make(keyed, u.Len())
+	for i, id := range u.IDs() {
+		out[tree.Key(int(id))] += u.Values()[i]
+	}
+	return out
+}
+
 // mapWindower is the reference model of Windower: map-form windowing,
-// one algo.Timeunit per Δ, each record counted under its path's Key.
+// one keyed unit per Δ, each record counted under its path's Key.
 // It is written from the definition (Step 1 of Fig. 3 plus the
 // out-of-order, gap-bound and path-label rules), not from the dense
 // code, so the tests below check the dense path against it.
@@ -25,16 +38,16 @@ type mapWindower struct {
 	start  time.Time
 	began  bool
 	maxGap int
-	cur    algo.Timeunit
+	cur    keyed
 }
 
 func newMapWindower(delta time.Duration, maxGap int) *mapWindower {
-	return &mapWindower{delta: delta, maxGap: maxGap, cur: algo.Timeunit{}}
+	return &mapWindower{delta: delta, maxGap: maxGap, cur: keyed{}}
 }
 
 // observe returns every unit completed strictly before r's own unit;
 // a rejected record changes nothing.
-func (m *mapWindower) observe(r Record) ([]algo.Timeunit, error) {
+func (m *mapWindower) observe(r Record) ([]keyed, error) {
 	start := m.start
 	if !m.began {
 		start = r.Time.Truncate(m.delta)
@@ -51,10 +64,10 @@ func (m *mapWindower) observe(r Record) ([]algo.Timeunit, error) {
 		}
 	}
 	m.start, m.began = start, true
-	var done []algo.Timeunit
+	var done []keyed
 	for !r.Time.Before(m.start.Add(m.delta)) {
 		done = append(done, m.cur)
-		m.cur = algo.Timeunit{}
+		m.cur = keyed{}
 		m.start = m.start.Add(m.delta)
 	}
 	m.cur[hierarchy.KeyOf(r.Path)]++
@@ -62,9 +75,9 @@ func (m *mapWindower) observe(r Record) ([]algo.Timeunit, error) {
 }
 
 // flush completes and returns the current unit.
-func (m *mapWindower) flush() algo.Timeunit {
+func (m *mapWindower) flush() keyed {
 	u := m.cur
-	m.cur = algo.Timeunit{}
+	m.cur = keyed{}
 	m.start = m.start.Add(m.delta)
 	return u
 }
@@ -83,17 +96,17 @@ func newBound(t testing.TB, delta time.Duration) (*Windower, *hierarchy.Tree) {
 
 // sameUnits fails unless the dense units hold exactly the model's
 // counts, unit by unit.
-func sameUnits(t testing.TB, label string, tree *hierarchy.Tree, got []*algo.DenseUnit, want []algo.Timeunit) {
+func sameUnits(t testing.TB, label string, tree *hierarchy.Tree, got []*algo.DenseUnit, want []keyed) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d dense units, model has %d", label, len(got), len(want))
 	}
 	for i := range want {
-		sameUnit(t, label, got[i].Timeunit(tree), want[i])
+		sameUnit(t, label, keyedOf(tree, got[i]), want[i])
 	}
 }
 
-func sameUnit(t testing.TB, label string, got, want algo.Timeunit) {
+func sameUnit(t testing.TB, label string, got, want keyed) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d keys, model has %d (%v vs %v)", label, len(got), len(want), got, want)
@@ -129,7 +142,7 @@ func TestObserveDenseMatchesObserve(t *testing.T) {
 		}
 		sameUnits(t, r.Time.String(), tree, got, want)
 	}
-	sameUnit(t, "flush", wd.FlushDense().Timeunit(tree), model.flush())
+	sameUnit(t, "flush", keyedOf(tree, wd.FlushDense()), model.flush())
 }
 
 // TestObserveDenseRecycles checks emitted units are pooled: after the
@@ -316,7 +329,7 @@ func checkWindower(t *testing.T, ops []byte, maxGap int, delta time.Duration, cu
 		kind, step, shape := ops[i], int8(ops[i+1]), ops[i+2]
 		if kind%8 == 0 {
 			if model.began {
-				sameUnit(t, label+" flush", w.FlushDense().Timeunit(tree), model.flush())
+				sameUnit(t, label+" flush", keyedOf(tree, w.FlushDense()), model.flush())
 			}
 			continue
 		}

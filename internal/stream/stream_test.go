@@ -136,11 +136,11 @@ func TestWindowerGroupsByDelta(t *testing.T) {
 	if len(done) != 1 {
 		t.Fatalf("completed units = %d, want 1", len(done))
 	}
-	u := done[0].Timeunit(tree)
+	u := keyedOf(tree, done[0])
 	if u[hierarchy.KeyOf([]string{"a"})] != 2 || u[hierarchy.KeyOf([]string{"b"})] != 1 {
 		t.Fatalf("unit counts = %v", u)
 	}
-	last := w.FlushDense().Timeunit(tree)
+	last := keyedOf(tree, w.FlushDense())
 	if last[hierarchy.KeyOf([]string{"a"})] != 1 {
 		t.Fatalf("flushed unit = %v", last)
 	}

@@ -44,16 +44,15 @@ func TestSoakSpeedupGrowsWithWindow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := algo.InitTimeunits(e, w.Units[:warm]); err != nil {
-				t.Fatal(err)
-			}
 			var total time.Duration
-			for _, u := range w.Units[warm:] {
-				st, err := algo.StepTimeunit(e, u)
-				if err != nil {
-					t.Fatal(err)
+			err := experiments.Replay(e, w.Tree, w.Units, warm, func(st *algo.StepState) error {
+				if st.Instance > 0 {
+					total += st.Timings.Total()
 				}
-				total += st.Timings.Total()
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
 			return total
 		}
