@@ -38,7 +38,7 @@ const goldenSplitUnit = 30
 // goldenWorkload returns the golden run's options and its records split
 // at goldenSplitUnit. An injected burst after the split gives the
 // resumed half real detections to compare.
-func goldenWorkload(t *testing.T) (opts []Option, part1, part2 []Record) {
+func goldenWorkload(t testing.TB) (opts []Option, part1, part2 []Record) {
 	t.Helper()
 	delta := 15 * time.Minute
 	start := time.Date(2011, 3, 7, 0, 0, 0, 0, time.UTC)

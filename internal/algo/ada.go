@@ -82,15 +82,8 @@ type ADA struct {
 	instance int
 	inited   bool
 
-	// Per-node state, indexed by node ID and grown with the tree.
-	// weight, rawA and ishh are zero/false outside closure.
-	state    []*nodeSeries // non-nil iff the node is in SHHH (plus the root)
-	inSHHH   []bool
-	weight   []float64 // modified weight W_n of the current instance
-	rawA     []float64 // raw aggregated weight A_n of the current instance
-	ishh     []bool
-	tosplit  []bool
-	gotSplit []bool // received a split series this instance (for §V-B5 repair)
+	// The per-node state, declared in columns.go.
+	nodeCols
 
 	// closure is the ancestor closure of the current instance's touched
 	// IDs in level order (ascending ID within a level); prevClosure is
@@ -99,32 +92,22 @@ type ADA struct {
 	closure     []int32
 	prevClosure []int32
 
-	// Touched-ID lists for tosplit/gotSplit, so each instance clears
-	// only what the previous instance marked.
-	splitMark []int32
-	gotMark   []int32
-
-	// Split-rule statistics (X_n), per node. ewmaA[id] is current
-	// through instance ewmaAt[id]; ewmaThrough applies the decay of the
-	// quiet instances since, when the value is read.
-	prevA  []float64 // raw weight in the previous timeunit
-	cumA   []float64 // cumulative raw weight over all timeunits
-	ewmaA  []float64 // exponentially smoothed raw weight
-	ewmaAt []int
+	// gotMark lists the nodes flagged in gotSplit, for the next
+	// instance to clear. It is in marking order, which is non-decreasing
+	// depth: repairFromReferences relies on that, so unlike the split
+	// marks it is not an ID-ordered set.
+	gotMark []int32
 
 	// Reference series for nodes in the top h levels (§V-B5), as
 	// parallel slices in ascending node-ID order; refIdx maps a node ID
-	// to its position, -1 for nodes without one.
+	// to its position.
 	refIDs     []int32
 	refActual  []*series.Ring
 	refModel   []forecast.Linear
-	refIdx     []int32
 	refCovered int // tree size when reference coverage was last ensured
 
-	// memberSet holds the SHHH member IDs (the set form of inSHHH);
-	// members is its ascending listing as of the last snapshot.
-	memberSet idSet
-	members   []int32
+	// members is memberSet's ascending listing as of the last snapshot.
+	members []int32
 	// work holds one set of node IDs per depth, so that draining it
 	// shallow to deep lists nodes in level order (ascending ID within a
 	// level): it sorts the closure and queues the merge pass. Empty
@@ -134,7 +117,7 @@ type ADA struct {
 	// Reusable scratch and pools for the steady-state step.
 	snap     StepState     // returned by snapshot, reused every instance
 	freeNS   []*nodeSeries // pooled series holders: the forecaster slab
-	candBuf  []int32       // split candidates
+	candBuf  []int32       // split candidates; drains the split marks
 	xsBuf    []float64     // split ratios
 	valBuf   []float64     // Ring.ValuesInto scratch for model refits
 	stackBuf []int32       // DFS stack for subtractDescendants
@@ -171,25 +154,10 @@ func (a *ADA) Name() string { return "ADA" }
 // Tree implements Engine.
 func (a *ADA) Tree() *hierarchy.Tree { return a.tree }
 
-// grow extends the per-node state slices to cover newly inserted
-// nodes.
+// grow extends the per-node state to cover newly inserted nodes.
 func (a *ADA) grow() {
 	n := a.tree.Len()
-	for len(a.state) < n {
-		a.state = append(a.state, nil)
-		a.inSHHH = append(a.inSHHH, false)
-		a.weight = append(a.weight, 0)
-		a.rawA = append(a.rawA, 0)
-		a.ishh = append(a.ishh, false)
-		a.tosplit = append(a.tosplit, false)
-		a.gotSplit = append(a.gotSplit, false)
-		a.prevA = append(a.prevA, 0)
-		a.cumA = append(a.cumA, 0)
-		a.ewmaA = append(a.ewmaA, 0)
-		a.ewmaAt = append(a.ewmaAt, a.instance)
-		a.refIdx = append(a.refIdx, -1)
-	}
-	a.memberSet.grow(n)
+	a.nodeCols.grow(n, a.instance)
 	for len(a.work) < a.tree.Height() {
 		a.work = append(a.work, idSet{})
 	}
@@ -255,7 +223,7 @@ func (a *ADA) Init(window []*DenseUnit) (*StepState, error) {
 			}
 		}
 		a.state[id] = ns
-		a.inSHHH[id] = res.IsHH(int(id))
+		a.setMember(int(id), res.IsHH(int(id)))
 	}
 
 	// Reference series for the top h levels (§V-B5, raw weights A_n)
@@ -439,10 +407,6 @@ func (a *ADA) ruleX(id int) float64 {
 //
 //tiresias:hotpath
 func (a *ADA) setMember(id int, in bool) {
-	if a.inSHHH[id] == in {
-		return
-	}
-	a.inSHHH[id] = in
 	if in {
 		a.memberSet.add(int32(id))
 	} else {
@@ -450,19 +414,15 @@ func (a *ADA) setMember(id int, in bool) {
 	}
 }
 
-// indexState rebuilds the sparse indexes — closure, memberSet, members
-// — from the dense per-node arrays, after Init or ImportState filled
-// them. Any node with a non-zero weight, flag or prevA is listed in
-// closure, so the next step zeroes and re-observes it whatever the
-// arrays held.
+// indexState rebuilds the sparse indexes — closure and members — from
+// the per-node state, after Init or ImportState filled it. Any node
+// with a non-zero weight, flag or prevA is listed in closure, so the
+// next step zeroes and re-observes it whatever the arrays held.
 func (a *ADA) indexState() {
 	a.closure = a.closure[:0]
 	for id := range a.rawA {
 		if a.rawA[id] != 0 || a.weight[id] != 0 || a.ishh[id] || a.prevA[id] != 0 {
 			a.closure = append(a.closure, int32(id))
-		}
-		if a.inSHHH[id] {
-			a.memberSet.add(int32(id))
 		}
 	}
 	a.members = a.memberSet.appendTo(a.members[:0], false)
@@ -490,10 +450,7 @@ func (a *ADA) stepDense(u *DenseUnit) (*StepState, error) {
 	// --- Initialization stage (lines 6-12). ---
 	start := now()
 	a.grow()
-	for _, id := range a.splitMark {
-		a.tosplit[id] = false
-	}
-	a.splitMark = a.splitMark[:0]
+	a.candBuf = a.splits.appendTo(a.candBuf[:0], true)[:0] // clears the split marks
 	for _, id := range a.gotMark {
 		a.gotSplit[id] = false
 	}
@@ -510,7 +467,7 @@ func (a *ADA) stepDense(u *DenseUnit) (*StepState, error) {
 	}
 	// Append the new weights to every member's series (lines 26-29);
 	// the root keeps its residual series whether or not it is a member.
-	if !a.inSHHH[hierarchy.Root] {
+	if !a.memberSet.has(hierarchy.Root) {
 		a.appendNewest(hierarchy.Root)
 	}
 	for _, id := range a.members {
@@ -600,15 +557,15 @@ func (a *ADA) adaptMembership() {
 	// land on their parents, which the closure contains.
 	for i := len(a.closure) - 1; i >= 0; i-- {
 		id := a.closure[i]
-		if (a.ishh[id] || a.tosplit[id]) && !a.inSHHH[id] {
+		if (a.ishh[id] || a.splits.has(id)) && !a.memberSet.has(id) {
 			if p := t.Parent(int(id)); p >= 0 {
-				a.markSplit(p)
+				a.splits.add(int32(p))
 			}
 		}
 	}
 	// Top-down split pass (lines 18-20; the root is always eligible).
 	for _, id := range a.closure {
-		if a.tosplit[id] && (a.inSHHH[id] || id == hierarchy.Root) {
+		if a.splits.has(id) && (a.memberSet.has(id) || id == hierarchy.Root) {
 			a.split(int(id))
 		}
 	}
@@ -621,7 +578,7 @@ func (a *ADA) adaptMembership() {
 	}
 	for d := len(a.work) - 1; d >= 0; d-- {
 		for id := a.work[d].popMax(); id >= 0; id = a.work[d].popMax() {
-			if a.inSHHH[id] && !a.ishh[id] {
+			if a.memberSet.has(id) && !a.ishh[id] {
 				a.merge(int(id))
 			}
 		}
@@ -653,17 +610,6 @@ func (a *ADA) appendNewest(id int) {
 	ns.model.Update(a.weight[id])
 	if ns.multi != nil {
 		ns.multi.Update(a.weight[id])
-	}
-}
-
-// markSplit flags a node for the split pass, recording it for the
-// next instance's O(touched) clear.
-//
-//tiresias:hotpath
-func (a *ADA) markSplit(id int) {
-	if !a.tosplit[id] {
-		a.tosplit[id] = true
-		a.splitMark = append(a.splitMark, int32(id))
 	}
 }
 
@@ -724,11 +670,11 @@ func (a *ADA) split(id int) {
 	cands := a.candBuf[:0]
 	eligible := false
 	for c := a.tree.FirstChild(id); c >= 0; c = a.tree.NextSibling(c) {
-		if a.inSHHH[c] {
+		if a.memberSet.has(int32(c)) {
 			continue
 		}
 		cands = append(cands, int32(c))
-		if a.weight[c] >= a.cfg.Theta || a.tosplit[c] {
+		if a.weight[c] >= a.cfg.Theta || a.splits.has(int32(c)) {
 			eligible = true
 		}
 	}
@@ -761,7 +707,7 @@ func (a *ADA) split(id int) {
 	for i, c32 := range cands {
 		c := int(c32)
 		ratio := xs[i] / sumX
-		needsSeries := a.weight[c] >= a.cfg.Theta || a.tosplit[c]
+		needsSeries := a.weight[c] >= a.cfg.Theta || a.splits.has(c32)
 		if ratio == 0 && !needsSeries {
 			// In the paper this child would receive a zero-scaled
 			// series and immediately merge back into n; short-
@@ -808,7 +754,7 @@ func (a *ADA) merge(id int) {
 		a.state[pid] = dst
 	}
 	for c := a.tree.FirstChild(pid); c >= 0; c = a.tree.NextSibling(c) {
-		if !a.inSHHH[c] || a.ishh[c] {
+		if !a.memberSet.has(int32(c)) || a.ishh[c] {
 			continue
 		}
 		src := a.state[c]
@@ -848,7 +794,7 @@ func (a *ADA) merge(id int) {
 func (a *ADA) repairFromReferences() {
 	for _, id32 := range a.gotMark {
 		id := int(id32)
-		if !a.inSHHH[id] {
+		if !a.memberSet.has(id32) {
 			continue
 		}
 		ri := a.refIdx[id]
@@ -881,7 +827,7 @@ func (a *ADA) subtractDescendants(id int, r *series.Ring) {
 			continue
 		}
 		stack = append(stack, int32(t.NextSibling(c)))
-		if a.inSHHH[c] && a.state[c] != nil {
+		if a.memberSet.has(int32(c)) && a.state[c] != nil {
 			_ = r.SubRing(a.state[c].actual)
 			continue
 		}

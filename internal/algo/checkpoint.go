@@ -28,15 +28,15 @@ func captureRing(r *series.Ring) RingState {
 	return RingState{Cap: r.Cap(), Values: r.Values()}
 }
 
-// restoreRing rebuilds a ring, requiring the stated capacity to match
-// wantCap (engine rings must share the window length or later
-// AddRing/CopyFrom calls would fail mid-stream).
-func restoreRing(st RingState, wantCap int) (*series.Ring, error) {
+// restoreRing rebuilds the ring held in the named field, requiring the
+// stated capacity to match wantCap (engine rings must share the window
+// length or later AddRing/CopyFrom calls would fail mid-stream).
+func restoreRing(field string, st RingState, wantCap int) (*series.Ring, error) {
 	if st.Cap != wantCap {
-		return nil, fmt.Errorf("algo: ring capacity %d in checkpoint, engine window is %d", st.Cap, wantCap)
+		return nil, fmt.Errorf("algo: checkpoint %s ring capacity %d, engine window is %d", field, st.Cap, wantCap)
 	}
 	if len(st.Values) > st.Cap {
-		return nil, fmt.Errorf("algo: ring holds %d samples over capacity %d", len(st.Values), st.Cap)
+		return nil, fmt.Errorf("algo: checkpoint %s ring holds %d samples over capacity %d", field, len(st.Values), st.Cap)
 	}
 	r := series.NewRing(st.Cap)
 	r.SetValues(st.Values)
@@ -92,7 +92,9 @@ type EngineState struct {
 	Instance int
 
 	// ADA per-node arrays, indexed by dense node ID (length = tree
-	// size at export).
+	// size at export): the exported columns of its per-node state, in
+	// declaration order (see Columns). InSHHH is written from the SHHH
+	// member set.
 	InSHHH []bool
 	Ishh   []bool
 	Weight []float64
@@ -126,18 +128,8 @@ func (a *ADA) ExportState() (*EngineState, error) {
 	for id := 0; id < n; id++ {
 		a.ewmaThrough(id, a.instance)
 	}
-	st := &EngineState{
-		Kind:       a.Name(),
-		Instance:   a.instance,
-		InSHHH:     append([]bool(nil), a.inSHHH[:n]...),
-		Ishh:       append([]bool(nil), a.ishh[:n]...),
-		Weight:     append([]float64(nil), a.weight[:n]...),
-		RawA:       append([]float64(nil), a.rawA[:n]...),
-		PrevA:      append([]float64(nil), a.prevA[:n]...),
-		CumA:       append([]float64(nil), a.cumA[:n]...),
-		EwmaA:      append([]float64(nil), a.ewmaA[:n]...),
-		RefCovered: a.refCovered,
-	}
+	st := &EngineState{Kind: a.Name(), Instance: a.instance, RefCovered: a.refCovered}
+	a.export(st, n)
 	for id, ns := range a.state {
 		if ns == nil {
 			continue
@@ -177,41 +169,31 @@ func (a *ADA) ImportState(st *EngineState) (*StepState, error) {
 		return nil, errState
 	}
 	if st.Kind != a.Name() {
-		return nil, fmt.Errorf("algo: checkpoint holds %s state, engine is %s", st.Kind, a.Name())
+		return nil, fmt.Errorf("algo: checkpoint Kind is %s, engine is %s", st.Kind, a.Name())
 	}
 	n := a.tree.Len()
-	if len(st.InSHHH) != n || len(st.Ishh) != n || len(st.Weight) != n || len(st.RawA) != n ||
-		len(st.PrevA) != n || len(st.CumA) != n || len(st.EwmaA) != n {
-		return nil, fmt.Errorf("algo: checkpoint arrays cover %d nodes, hierarchy has %d", len(st.InSHHH), n)
+	if err := a.covers(st, n); err != nil {
+		return nil, err
 	}
 	if st.RefCovered < 0 || st.RefCovered > n {
 		return nil, fmt.Errorf("algo: checkpoint RefCovered %d out of range [0,%d]", st.RefCovered, n)
 	}
 	if st.Instance < 0 {
-		return nil, fmt.Errorf("algo: checkpoint instance %d is negative", st.Instance)
+		return nil, fmt.Errorf("algo: checkpoint Instance %d is negative", st.Instance)
 	}
 	a.inited = true
 	a.instance = st.Instance
 	a.grow()
-	copy(a.inSHHH, st.InSHHH)
-	copy(a.ishh, st.Ishh)
-	copy(a.weight, st.Weight)
-	copy(a.rawA, st.RawA)
-	copy(a.prevA, st.PrevA)
-	copy(a.cumA, st.CumA)
-	copy(a.ewmaA, st.EwmaA)
+	a.load(st)
 	for _, ss := range st.Series {
-		if ss.ID < 0 || ss.ID >= n {
-			return nil, fmt.Errorf("algo: series for node %d outside hierarchy of %d nodes", ss.ID, n)
+		if ss.ID < 0 || ss.ID >= n || a.state[ss.ID] != nil {
+			return nil, fmt.Errorf("algo: checkpoint Series ID %d duplicated or outside hierarchy of %d nodes", ss.ID, n)
 		}
-		if a.state[ss.ID] != nil {
-			return nil, fmt.Errorf("algo: duplicate series for node %d", ss.ID)
-		}
-		actual, err := restoreRing(ss.Actual, a.cfg.WindowLen)
+		actual, err := restoreRing("Series.Actual", ss.Actual, a.cfg.WindowLen)
 		if err != nil {
 			return nil, err
 		}
-		fcast, err := restoreRing(ss.Fcast, a.cfg.WindowLen)
+		fcast, err := restoreRing("Series.Fcast", ss.Fcast, a.cfg.WindowLen)
 		if err != nil {
 			return nil, err
 		}
@@ -226,18 +208,15 @@ func (a *ADA) ImportState(st *EngineState) (*StepState, error) {
 				return nil, fmt.Errorf("algo: node %d: %w", ss.ID, err)
 			}
 		} else if a.cfg.Eta > 1 {
-			return nil, fmt.Errorf("algo: node %d: checkpoint has no multi-scale series, engine keeps %d scales", ss.ID, a.cfg.Eta)
+			return nil, fmt.Errorf("algo: checkpoint Series ID %d has no Multi state, engine keeps %d scales", ss.ID, a.cfg.Eta)
 		}
 		a.state[ss.ID] = ns
 	}
 	for _, rs := range st.Refs {
-		if rs.ID < 0 || rs.ID >= n {
-			return nil, fmt.Errorf("algo: reference for node %d outside hierarchy of %d nodes", rs.ID, n)
+		if k := len(a.refIDs); rs.ID < 0 || rs.ID >= n || k > 0 && rs.ID <= int(a.refIDs[k-1]) {
+			return nil, fmt.Errorf("algo: checkpoint Refs ID %d duplicated, out of ID order or outside hierarchy of %d nodes", rs.ID, n)
 		}
-		if k := len(a.refIDs); k > 0 && rs.ID <= int(a.refIDs[k-1]) {
-			return nil, fmt.Errorf("algo: reference series for node %d duplicated or out of ID order", rs.ID)
-		}
-		ring, err := restoreRing(rs.Ring, a.cfg.WindowLen)
+		ring, err := restoreRing("Refs.Ring", rs.Ring, a.cfg.WindowLen)
 		if err != nil {
 			return nil, err
 		}

@@ -81,6 +81,14 @@ func (s *idSet) remove(i int32) {
 	}
 }
 
+// has reports whether i, which must be below the grown capacity, is a
+// member.
+//
+//tiresias:hotpath
+func (s *idSet) has(i int32) bool {
+	return s.levels[0][i>>6]&(1<<(i&63)) != 0
+}
+
 // popMax removes and returns the largest member, or -1 when the set is
 // empty.
 //

@@ -27,25 +27,20 @@ type oracleADA struct {
 	instance int
 	inited   bool
 
-	// Per-node state, indexed by node ID and grown with the tree.
-	state    []*nodeSeries // non-nil iff the node is in SHHH (plus the root)
-	inSHHH   []bool
-	weight   []float64 // modified weight W_n of the current instance
-	rawA     []float64 // raw aggregated weight A_n of the current instance
-	ishh     []bool
-	tosplit  []bool
-	gotSplit []bool // received a split series this instance (for §V-B5 repair)
+	// Per-node state: ADA's columns, grown and exported through their
+	// declaration. The step logic keeps SHHH membership and the split
+	// marks in the flag slices below instead of the declared sets — the
+	// representation ADA had before it kept them as sets — and export
+	// reads membership from inSHHH.
+	nodeCols
+	inSHHH  []bool
+	tosplit []bool
 
 	// Touched-ID lists for tosplit/gotSplit, so each instance clears
 	// only what the previous instance marked instead of memsetting
 	// O(|tree|) flags.
 	splitMark []int32
 	gotMark   []int32
-
-	// Split-rule statistics (X_n), per node.
-	prevA []float64 // raw weight in the previous timeunit
-	cumA  []float64 // cumulative raw weight over all timeunits
-	ewmaA []float64 // exponentially smoothed raw weight
 
 	// Reference series for nodes in the top h levels (§V-B5).
 	refActual  map[int]*series.Ring
@@ -78,18 +73,9 @@ func newOracleADA(cfg Config) (*oracleADA, error) {
 // nodes.
 func (a *oracleADA) grow() {
 	n := a.tree.Len()
-	for len(a.state) < n {
-		a.state = append(a.state, nil)
-		a.inSHHH = append(a.inSHHH, false)
-		a.weight = append(a.weight, 0)
-		a.rawA = append(a.rawA, 0)
-		a.ishh = append(a.ishh, false)
-		a.tosplit = append(a.tosplit, false)
-		a.gotSplit = append(a.gotSplit, false)
-		a.prevA = append(a.prevA, 0)
-		a.cumA = append(a.cumA, 0)
-		a.ewmaA = append(a.ewmaA, 0)
-	}
+	a.nodeCols.grow(n, a.instance)
+	extend(&a.inSHHH, n, false)
+	extend(&a.tosplit, n, false)
 }
 
 // Init implements Engine: the first time instance performs the same
@@ -717,18 +703,14 @@ func (a *oracleADA) ExportState() (*EngineState, error) {
 	// the exported hierarchy.
 	a.grow()
 	n := a.tree.Len()
-	st := &EngineState{
-		Kind:       "ADA",
-		Instance:   a.instance,
-		InSHHH:     append([]bool(nil), a.inSHHH[:n]...),
-		Ishh:       append([]bool(nil), a.ishh[:n]...),
-		Weight:     append([]float64(nil), a.weight[:n]...),
-		RawA:       append([]float64(nil), a.rawA[:n]...),
-		PrevA:      append([]float64(nil), a.prevA[:n]...),
-		CumA:       append([]float64(nil), a.cumA[:n]...),
-		EwmaA:      append([]float64(nil), a.ewmaA[:n]...),
-		RefCovered: a.refCovered,
+	a.memberSet.appendTo(nil, true)
+	for id, in := range a.inSHHH {
+		if in {
+			a.memberSet.add(int32(id))
+		}
 	}
+	st := &EngineState{Kind: "ADA", Instance: a.instance, RefCovered: a.refCovered}
+	a.export(st, n)
 	for id, ns := range a.state {
 		if ns == nil {
 			continue
@@ -883,6 +865,19 @@ func diffStep(got *StepState, eng *ADA, want *StepState, ora *oracleADA) error {
 	return nil
 }
 
+// diffColumn compares one exported per-node column with the oracle's.
+func diffColumn[T any](name string, g, o []T, same func(x, y T) bool) error {
+	if len(g) != len(o) {
+		return fmt.Errorf("%s covers %d nodes, oracle %d", name, len(g), len(o))
+	}
+	for id := range g {
+		if !same(g[id], o[id]) {
+			return fmt.Errorf("%s[%d] = %v, oracle %v", name, id, g[id], o[id])
+		}
+	}
+	return nil
+}
+
 // diffExport compares the two engines' full exported state.
 func diffExport(eng *ADA, ora *oracleADA) error {
 	g, err := eng.ExportState()
@@ -896,25 +891,16 @@ func diffExport(eng *ADA, ora *oracleADA) error {
 	if g.Instance != o.Instance || g.RefCovered != o.RefCovered {
 		return fmt.Errorf("instance/refCovered %d/%d, oracle %d/%d", g.Instance, g.RefCovered, o.Instance, o.RefCovered)
 	}
-	if len(g.InSHHH) != len(o.InSHHH) {
-		return fmt.Errorf("arrays cover %d nodes, oracle %d", len(g.InSHHH), len(o.InSHHH))
-	}
-	for id := range g.InSHHH {
-		if g.InSHHH[id] != o.InSHHH[id] || g.Ishh[id] != o.Ishh[id] {
-			return fmt.Errorf("node %d: inSHHH/ishh %v/%v, oracle %v/%v", id, g.InSHHH[id], g.Ishh[id], o.InSHHH[id], o.Ishh[id])
+	var c nodeCols
+	ofl, ofs := o.Columns()
+	for i, col := range c.flags(g) {
+		if err := diffColumn(col.name, *col.out, *ofl[i], func(x, y bool) bool { return x == y }); err != nil {
+			return err
 		}
 	}
-	for _, arr := range []struct {
-		name string
-		g, o []float64
-	}{
-		{"Weight", g.Weight, o.Weight}, {"RawA", g.RawA, o.RawA}, {"PrevA", g.PrevA, o.PrevA},
-		{"CumA", g.CumA, o.CumA}, {"EwmaA", g.EwmaA, o.EwmaA},
-	} {
-		for id := range arr.g {
-			if !sameFloat(arr.g[id], arr.o[id]) {
-				return fmt.Errorf("%s[%d] = %v, oracle %v", arr.name, id, arr.g[id], arr.o[id])
-			}
+	for i, col := range c.floats(g) {
+		if err := diffColumn(col.name, *col.out, *ofs[i], sameFloat); err != nil {
+			return err
 		}
 	}
 	if len(g.Series) != len(o.Series) {

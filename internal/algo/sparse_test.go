@@ -12,7 +12,8 @@ import (
 
 // TestIDSetMatchesSortedReference checks idSet against a map on random
 // operations, growing the capacity across every level boundary with
-// members in place.
+// members in place: the ascending walk and has for every value at each
+// capacity, then popMax and the drain walk.
 func TestIDSetMatchesSortedReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var s idSet
@@ -34,6 +35,11 @@ func TestIDSetMatchesSortedReference(t *testing.T) {
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("capacity %d: member %d is %d, want %d", n, i, got[i], want[i])
+			}
+		}
+		for v := int32(0); v < int32(n); v++ {
+			if s.has(v) != ref[v] {
+				t.Fatalf("capacity %d: has(%d) = %v, want %v", n, v, s.has(v), ref[v])
 			}
 		}
 	}
@@ -68,6 +74,24 @@ func TestIDSetMatchesSortedReference(t *testing.T) {
 	}
 	if s.popMax() != -1 {
 		t.Fatal("set not empty after drain")
+	}
+	// The drain walk that clears ADA's split marks empties the set at
+	// every capacity step, and the set is usable after it.
+	for _, n := range []int{1, 64, 65, 4096, 4097, 300000} {
+		for op := 0; op < 200; op++ {
+			v := int32(rng.Intn(n))
+			s.add(v)
+			ref[v] = true
+		}
+		check(n)
+		if got := s.appendTo(nil, true); len(got) != len(ref) {
+			t.Fatalf("capacity %d: drain listed %d members, want %d", n, len(got), len(ref))
+		}
+		clear(ref)
+		check(n)
+		if s.popMax() != -1 {
+			t.Fatalf("capacity %d: set not empty after drain", n)
+		}
 	}
 }
 

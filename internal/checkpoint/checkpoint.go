@@ -474,13 +474,13 @@ func encodeEngine(e *algo.EngineState) *payload {
 	p := &payload{}
 	p.putString(e.Kind)
 	p.putInt(e.Instance)
-	p.putBools(e.InSHHH)
-	p.putBools(e.Ishh)
-	p.putFloats(e.Weight)
-	p.putFloats(e.RawA)
-	p.putFloats(e.PrevA)
-	p.putFloats(e.CumA)
-	p.putFloats(e.EwmaA)
+	flags, floats := e.Columns()
+	for _, col := range flags {
+		p.putBools(*col)
+	}
+	for _, col := range floats {
+		p.putFloats(*col)
+	}
 	p.putLen(len(e.Series))
 	for _, ss := range e.Series {
 		p.putInt(ss.ID)
@@ -539,13 +539,13 @@ func decodeEngine(buf []byte, runs bool, b engineBounds) (*algo.EngineState, err
 	e := &algo.EngineState{}
 	e.Kind = r.getString()
 	e.Instance = r.getInt()
-	e.InSHHH = r.getBools()
-	e.Ishh = r.getBools()
-	e.Weight = r.getFloats(b.nodes)
-	e.RawA = r.getFloats(b.nodes)
-	e.PrevA = r.getFloats(b.nodes)
-	e.CumA = r.getFloats(b.nodes)
-	e.EwmaA = r.getFloats(b.nodes)
+	flags, floats := e.Columns()
+	for _, col := range flags {
+		*col = r.getBools()
+	}
+	for _, col := range floats {
+		*col = r.getFloats(b.nodes)
+	}
 	n := r.getLen()
 	for i := 0; i < n && r.err == nil; i++ {
 		ss := algo.SeriesState{ID: r.getInt()}
