@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -149,6 +150,58 @@ func TestCheckpointRoundTripADA(t *testing.T) {
 	// after warmup and right inside an injected anomaly burst.
 	for _, splitAt := range []int{warmLen, warmLen + 7, units / 2, units/2 + 2, units - 1} {
 		testRoundTrip(t, ds, splitAt)
+	}
+}
+
+// TestSplitEWMAAlpha: WithSplitEWMAAlpha reaches the EWMA split rule,
+// so α = 0.9 and the default 0.4 leave different series after the
+// workload's splits, and a checkpoint carries it: a restored α = 0.9
+// detector finishes the stream in the byte-identical state of the run
+// that never stopped.
+func TestSplitEWMAAlpha(t *testing.T) {
+	ds := ckptDataset(t, 160, 42)
+	newDet := func(alpha float64) *Tiresias {
+		t.Helper()
+		det, err := New(append(checkpointOpts(), WithSplitRule(EWMARule), WithSplitEWMAAlpha(alpha))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return det
+	}
+	snapshot := func(det *Tiresias) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := det.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	series := func(det *Tiresias) []algo.SeriesState {
+		t.Helper()
+		st, err := det.Engine().ExportState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Series
+	}
+
+	ref, def := newDet(0.9), newDet(0.4)
+	runAll(t, ref, ds.Records)
+	runAll(t, def, ds.Records)
+	if reflect.DeepEqual(series(ref), series(def)) {
+		t.Fatal("α = 0.9 and α = 0.4 left the same series: the rate does not reach the split rule")
+	}
+
+	det := newDet(0.9)
+	part1, part2 := splitRecords(ds, 100)
+	runAll(t, det, part1)
+	restored, err := Restore(bytes.NewReader(snapshot(det)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runAll(t, restored, part2)
+	if !bytes.Equal(snapshot(restored), snapshot(ref)) {
+		t.Fatal("restored α = 0.9 detector diverged from the uninterrupted run")
 	}
 }
 

@@ -1,6 +1,6 @@
 // Command tiresias-acc runs the adversarial scenario suite and scores
 // detection quality against the injected ground truth — the accuracy
-// sibling of tiresias-bench's perf gate.
+// sibling of the `go run ./bench -compare` perf gate.
 //
 // Usage:
 //

@@ -1,6 +1,5 @@
 // Command tiresias-bench regenerates the paper's tables and figures
-// on synthetic workloads, and records the hot-path micro-benchmark
-// trajectory.
+// on synthetic workloads.
 //
 // Usage:
 //
@@ -8,16 +7,14 @@
 //	tiresias-bench -profile full   # paper-scale dimensions
 //	tiresias-bench -exp table3     # a single experiment
 //	tiresias-bench -list           # list experiment identifiers
-//	tiresias-bench -json FILE      # run the hot-path micro-benchmarks
-//	                               # and write BENCH_*.json ("-" = stdout)
-//	tiresias-bench -compare old.json new.json -tolerance 0.15
-//	                               # perf-regression gate: exit non-zero
-//	                               # when a hot-path benchmark in new
-//	                               # regressed beyond tolerance vs old
+//	tiresias-bench -seed 7         # override the profile seed
+//	tiresias-bench -data DIR       # also write raw figure point data (CSV)
+//
+// The served system's cost is measured by `go run ./bench`; the hot
+// paths have `go test -bench` benchmarks in the repository root.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -27,7 +24,6 @@ import (
 	"time"
 
 	"tiresias/internal/experiments"
-	"tiresias/internal/perfbench"
 )
 
 func main() {
@@ -40,43 +36,20 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("tiresias-bench", flag.ContinueOnError)
 	var (
-		profile   = fs.String("profile", "quick", "workload profile: quick | full")
-		exp       = fs.String("exp", "", "run a single experiment (see -list)")
-		list      = fs.Bool("list", false, "list experiment identifiers and exit")
-		seed      = fs.Int64("seed", 0, "override the profile seed (0 keeps default)")
-		dataDir   = fs.String("data", "", "write raw figure point data (CSV) into this directory")
-		jsonPath  = fs.String("json", "", "run the hot-path micro-benchmarks and write them as JSON to this file (\"-\" = stdout)")
-		compare   = fs.Bool("compare", false, "compare two BENCH_*.json files (old new); exit non-zero on regression")
-		tolerance = fs.Float64("tolerance", 0.15, "relative regression tolerance for -compare (0.15 = 15%)")
+		profile = fs.String("profile", "quick", "workload profile: quick | full")
+		exp     = fs.String("exp", "", "run a single experiment (see -list)")
+		list    = fs.Bool("list", false, "list experiment identifiers and exit")
+		seed    = fs.Int64("seed", 0, "override the profile seed (0 keeps default)")
+		dataDir = fs.String("data", "", "write raw figure point data (CSV) into this directory")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *compare {
-		rest := fs.Args()
-		if len(rest) < 2 {
-			return fmt.Errorf("-compare needs two files: old.json new.json")
-		}
-		oldPath, newPath := rest[0], rest[1]
-		if len(rest) > 2 {
-			// Support trailing flags after the positional files
-			// (`-compare old.json new.json -tolerance 0.15`): the
-			// first non-flag argument stops the initial Parse, so
-			// re-parse the remainder.
-			if err := fs.Parse(rest[2:]); err != nil {
-				return err
-			}
-		}
-		return runCompare(oldPath, newPath, *tolerance, stdout)
 	}
 	if *list {
 		for _, id := range experiments.IDs() {
 			fmt.Fprintln(stdout, id)
 		}
 		return nil
-	}
-	if *jsonPath != "" {
-		return runMicro(*jsonPath, stdout)
 	}
 	var p experiments.Profile
 	switch *profile {
@@ -115,87 +88,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// runMicro executes the tracked hot-path micro-benchmarks (the same
-// bodies as `go test -bench` via internal/perfbench) and writes the
-// BENCH_*.json report.
-func runMicro(path string, stdout io.Writer) error {
-	rep, err := perfbench.RunAll()
-	if err != nil {
-		return err
-	}
-	for _, b := range rep.Benchmarks {
-		fmt.Fprintf(stdout, "%-18s %10d iters  %12.1f ns/op  %6d B/op  %4d allocs/op\n",
-			b.Name, b.N, b.NsPerOp, b.BytesPerOp, b.AllocsPerOp)
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if path == "-" {
-		_, err = stdout.Write(out)
-		return err
-	}
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "wrote %s\n", path)
-	return nil
-}
-
-// runCompare loads two BENCH_*.json reports and applies the
-// perf-regression gate: an error (non-zero exit) when any benchmark
-// present in both regressed beyond the tolerance on time or
-// allocations.
-func runCompare(oldPath, newPath string, tolerance float64, stdout io.Writer) error {
-	if tolerance < 0 {
-		return fmt.Errorf("tolerance must be >= 0, got %g", tolerance)
-	}
-	oldRep, err := loadReport(oldPath)
-	if err != nil {
-		return err
-	}
-	newRep, err := loadReport(newPath)
-	if err != nil {
-		return err
-	}
-	res := perfbench.Compare(oldRep, newRep, tolerance)
-	fmt.Fprintf(stdout, "comparing %s (%s) -> %s (%s), tolerance %.0f%%\n",
-		oldPath, oldRep.GoVersion, newPath, newRep.GoVersion, tolerance*100)
-	for _, c := range res.Comparisons {
-		verdict := "ok"
-		if c.Regressed {
-			verdict = "REGRESSED: " + c.Reason
-		}
-		fmt.Fprintf(stdout, "%-22s %12.1f -> %12.1f ns/op (x%.2f)  %4d -> %4d allocs/op  %s\n",
-			c.Name, c.OldNs, c.NewNs, c.Ratio, c.OldAllocs, c.NewAllocs, verdict)
-	}
-	for _, name := range res.OnlyOld {
-		fmt.Fprintf(stdout, "%-22s only in %s (retired or renamed; not gated)\n", name, oldPath)
-	}
-	for _, name := range res.OnlyNew {
-		fmt.Fprintf(stdout, "%-22s only in %s (new; not gated)\n", name, newPath)
-	}
-	if res.Regressed {
-		return fmt.Errorf("performance regression beyond %.0f%% tolerance", tolerance*100)
-	}
-	fmt.Fprintln(stdout, "no regressions")
-	return nil
-}
-
-// loadReport reads one BENCH_*.json file.
-func loadReport(path string) (perfbench.Report, error) {
-	var rep perfbench.Report
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return rep, err
-	}
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		return rep, fmt.Errorf("%s: %w", path, err)
-	}
-	return rep, nil
 }
 
 // writePlotData dumps a result's raw CSV point series under dir.

@@ -2,9 +2,6 @@ package main
 
 import (
 	"bytes"
-	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -38,85 +35,5 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-exp", "nope"}, &out); err == nil {
 		t.Fatal("unknown experiment must fail")
-	}
-}
-
-// writeBench writes a minimal BENCH_*.json fixture.
-func writeBench(t *testing.T, dir, name string, adaNs float64, adaAllocs int64) string {
-	t.Helper()
-	path := filepath.Join(dir, name)
-	body := fmt.Sprintf(`{"go_version":"go-test","goos":"linux","goarch":"amd64","benchmarks":[
-		{"name":"ADAStep","n":100,"ns_per_op":%g,"allocs_per_op":%d,"bytes_per_op":0},
-		{"name":"WindowerObserve","n":100,"ns_per_op":150,"allocs_per_op":1,"bytes_per_op":81}]}`,
-		adaNs, adaAllocs)
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestCompareGatePasses(t *testing.T) {
-	dir := t.TempDir()
-	oldPath := writeBench(t, dir, "old.json", 1000, 10)
-	newPath := writeBench(t, dir, "new.json", 1100, 10) // +10% < 15%
-	var out bytes.Buffer
-	if err := run([]string{"-compare", oldPath, newPath, "-tolerance", "0.15"}, &out); err != nil {
-		t.Fatalf("within-tolerance compare failed: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "no regressions") {
-		t.Fatalf("missing verdict:\n%s", out.String())
-	}
-}
-
-func TestCompareGateFailsOnRegression(t *testing.T) {
-	dir := t.TempDir()
-	oldPath := writeBench(t, dir, "old.json", 1000, 10)
-	newPath := writeBench(t, dir, "new.json", 1300, 10) // +30% > 15%
-	var out bytes.Buffer
-	if err := run([]string{"-compare", oldPath, newPath, "-tolerance", "0.15"}, &out); err == nil {
-		t.Fatalf("30%% regression passed the 15%% gate:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "REGRESSED") {
-		t.Fatalf("missing regression marker:\n%s", out.String())
-	}
-	// The trailing -tolerance flag is honored: loosen it and pass.
-	if err := run([]string{"-compare", oldPath, newPath, "-tolerance", "0.5"}, &out); err != nil {
-		t.Fatalf("50%% tolerance still failed: %v", err)
-	}
-	// Flag-first order works too.
-	if err := run([]string{"-tolerance", "0.5", "-compare", oldPath, newPath}, &out); err != nil {
-		t.Fatalf("flag-first order failed: %v", err)
-	}
-}
-
-func TestCompareGateAllocRegression(t *testing.T) {
-	dir := t.TempDir()
-	oldPath := writeBench(t, dir, "old.json", 1000, 10)
-	newPath := writeBench(t, dir, "new.json", 1000, 20) // 2x allocs
-	var out bytes.Buffer
-	if err := run([]string{"-compare", oldPath, newPath}, &out); err == nil {
-		t.Fatalf("alloc regression passed:\n%s", out.String())
-	}
-}
-
-func TestCompareErrors(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-compare", "only-one.json"}, &out); err == nil {
-		t.Fatal("-compare with one file must fail")
-	}
-	if err := run([]string{"-compare", "/does/not/exist.json", "/neither.json"}, &out); err == nil {
-		t.Fatal("-compare with missing files must fail")
-	}
-	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte("{"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	good := writeBench(t, dir, "good.json", 1, 1)
-	if err := run([]string{"-compare", bad, good}, &out); err == nil {
-		t.Fatal("-compare with corrupt JSON must fail")
-	}
-	if err := run([]string{"-compare", good, good, "-tolerance", "-1"}, &out); err == nil {
-		t.Fatal("negative tolerance must fail")
 	}
 }

@@ -2,6 +2,7 @@ package tiresias
 
 import (
 	"context"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -72,21 +73,40 @@ func stepUnits(t testing.TB, tr *Tiresias, units ...counts) []stepResult {
 	return out
 }
 
+// TestNewValidation: New refuses every option value outside its range,
+// with an error that names the setting, instead of accepting it and
+// failing a window later at warm-up.
 func TestNewValidation(t *testing.T) {
 	tests := []struct {
 		name string
 		opts []Option
+		want string // in the error
 	}{
-		{name: "bad delta", opts: []Option{WithDelta(0)}},
-		{name: "bad window", opts: []Option{WithWindowLen(1)}},
-		{name: "too many periods", opts: []Option{WithSeasonality(0.5, 2, 3, 4)}},
-		{name: "bad period", opts: []Option{WithSeasonality(0.5, 0)}},
-		{name: "bad thresholds", opts: []Option{WithThresholds(Thresholds{})}},
+		{name: "bad delta", opts: []Option{WithDelta(0)}, want: "delta"},
+		{name: "bad window", opts: []Option{WithWindowLen(1)}, want: "window length"},
+		{name: "too many periods", opts: []Option{WithSeasonality(0.5, 2, 3, 4)}, want: "seasonal periods"},
+		{name: "bad period", opts: []Option{WithSeasonality(0.5, 0)}, want: "seasonal period"},
+		{name: "bad thresholds", opts: []Option{WithThresholds(Thresholds{})}, want: "RT"},
+		{name: "zero theta", opts: []Option{WithTheta(0)}, want: "WithTheta"},
+		{name: "NaN theta", opts: []Option{WithTheta(math.NaN())}, want: "WithTheta"},
+		{name: "negative reference levels", opts: []Option{WithReferenceLevels(-1)}, want: "WithReferenceLevels"},
+		{name: "unknown split rule", opts: []Option{WithSplitRule(SplitRule(9))}, want: "WithSplitRule"},
+		{name: "zero split rule", opts: []Option{WithSplitRule(0)}, want: "WithSplitRule"},
+		{name: "multi-scale base 1", opts: []Option{WithMultiScale(1, 3)}, want: "WithMultiScale"},
+		{name: "zero EWMA alpha", opts: []Option{WithSplitEWMAAlpha(0)}, want: "WithSplitEWMAAlpha"},
+		{name: "EWMA alpha above 1", opts: []Option{WithSplitEWMAAlpha(1.5)}, want: "WithSplitEWMAAlpha"},
+		{name: "negative Holt-Winters alpha", opts: []Option{WithHoltWinters(-0.1, 0.05, 0.3)}, want: "WithHoltWinters"},
+		{name: "Holt-Winters beta above 1", opts: []Option{WithHoltWinters(0.4, 1.5, 0.3)}, want: "WithHoltWinters"},
+		{name: "NaN Holt-Winters gamma", opts: []Option{WithHoltWinters(0.4, 0.05, math.NaN())}, want: "WithHoltWinters"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := New(tt.opts...); err == nil {
+			_, err := New(tt.opts...)
+			if err == nil {
 				t.Fatal("New must fail")
+			}
+			if !strings.Contains(err.Error(), tt.want) {
+				t.Fatalf("error %q does not name %s", err, tt.want)
 			}
 		})
 	}

@@ -45,6 +45,17 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
+// TestNewRefusesBadDetectorOptions: a detector option outside its
+// range fails New, not the first stream's warm-up a window later.
+func TestNewRefusesBadDetectorOptions(t *testing.T) {
+	if s, err := New(Config{Theta: -1}); err == nil {
+		_ = s.Close()
+		t.Fatal("New accepted theta -1")
+	} else if !strings.Contains(err.Error(), "WithTheta") {
+		t.Fatalf("error %q does not name the option", err)
+	}
+}
+
 // ndjsonBody renders records as NDJSON: warmupUnits steady minutes on
 // one stream, a 50-record burst, and a boundary-crossing closer.
 func ndjsonBody(streamName string, warmupUnits int) string {

@@ -276,7 +276,8 @@ type Config struct {
 	WindowLen int
 	// Rule selects ADA's split rule; defaults to LongTermHistory.
 	Rule SplitRule
-	// RuleAlpha is the smoothing rate for EWMARule (default 0.4).
+	// RuleAlpha is the smoothing rate for EWMARule, in (0, 1]
+	// (default 0.4).
 	RuleAlpha float64
 	// RefLevels is h, the number of top hierarchy levels (excluding
 	// the root) that maintain reference time series (§V-B5).
@@ -294,30 +295,53 @@ type Config struct {
 	Tree *hierarchy.Tree
 }
 
+// normalize fills the defaults of zero fields, then checks the
+// result with Validate.
 func (c *Config) normalize() error {
-	if c.Theta <= 0 {
-		return fmt.Errorf("algo: Theta must be > 0, got %v", c.Theta)
-	}
-	if c.WindowLen < 2 {
-		return fmt.Errorf("algo: WindowLen must be >= 2, got %d", c.WindowLen)
-	}
 	if c.Rule == 0 {
 		c.Rule = LongTermHistory
 	}
-	if c.Rule < Uniform || c.Rule > EWMARule {
-		return fmt.Errorf("algo: unknown split rule %d", c.Rule)
-	}
-	if c.RuleAlpha <= 0 || c.RuleAlpha > 1 {
+	if c.RuleAlpha == 0 {
 		c.RuleAlpha = 0.4
-	}
-	if c.RefLevels < 0 {
-		return fmt.Errorf("algo: RefLevels must be >= 0, got %d", c.RefLevels)
 	}
 	if c.NewForecaster == nil {
 		c.NewForecaster = DefaultFactory()
 	}
-	if c.Eta > 1 && c.Lambda < 2 {
-		return fmt.Errorf("algo: Eta > 1 requires Lambda >= 2, got %d", c.Lambda)
+	return c.Validate()
+}
+
+// A ConfigError is a Config field outside its range.
+type ConfigError struct {
+	// Field names the Config field, e.g. "Theta".
+	Field string
+	// Want is the field's range, e.g. "> 0".
+	Want string
+	// Got is the refused value.
+	Got any
+}
+
+// Error reports the field, its range and its value.
+func (e *ConfigError) Error() string {
+	return fmt.Sprint("algo: ", e.Field, " must be ", e.Want, ", got ", e.Got)
+}
+
+// Validate checks every field against its range, with no defaults
+// filled in: a zero Rule or RuleAlpha is refused here, and accepted by
+// NewADA, which defaults it first. The error is a *ConfigError.
+func (c *Config) Validate() error {
+	switch {
+	case !(c.Theta > 0):
+		return &ConfigError{"Theta", "> 0", c.Theta}
+	case c.WindowLen < 2:
+		return &ConfigError{"WindowLen", ">= 2", c.WindowLen}
+	case c.Rule < Uniform || c.Rule > EWMARule:
+		return &ConfigError{"Rule", "a known split rule", c.Rule}
+	case !(c.RuleAlpha > 0 && c.RuleAlpha <= 1):
+		return &ConfigError{"RuleAlpha", "in (0, 1]", c.RuleAlpha}
+	case c.RefLevels < 0:
+		return &ConfigError{"RefLevels", ">= 0", c.RefLevels}
+	case c.Eta > 1 && c.Lambda < 2:
+		return &ConfigError{"Lambda", ">= 2 when Eta > 1", c.Lambda}
 	}
 	return nil
 }

@@ -28,7 +28,7 @@ type ForbidRule struct {
 // bit-exact; wall-clock reads belong to the windowing layer's inputs).
 //
 // The second rule pins the serving import graph: the experiment,
-// reference, generator and benchmark packages that only tools and
+// reference, generator and scoring packages that only tools and
 // examples may link stay out of the wire layer.
 var DefaultForbidRules = []ForbidRule{
 	{
@@ -41,7 +41,7 @@ var DefaultForbidRules = []ForbidRule{
 		Imports: []string{
 			"tiresias/internal/hhd", "tiresias/internal/multidim", "tiresias/internal/refmethod",
 			"tiresias/internal/experiments", "tiresias/internal/scenario", "tiresias/internal/gen",
-			"tiresias/internal/evalx", "tiresias/internal/perfbench",
+			"tiresias/internal/evalx",
 		},
 	},
 }

@@ -1,7 +1,7 @@
 // Package scenario is the detection-quality lab: adversarial
 // synthetic workloads with injected, labeled ground truth, driven
 // through the full public stack and scored against the labels with
-// the evalx metrics. Where the perf gate (tiresias-bench) locks in
+// the evalx metrics. Where the perf gate (go run ./bench) locks in
 // speed and the chaos suites lock in crash-safety, this package locks
 // in detection quality — a future hot-path or pipeline PR that
 // silently trades recall for throughput fails the accuracy gate.

@@ -39,7 +39,7 @@ type Score struct {
 
 // Scorecard is the machine-readable accuracy record a run emits and
 // the gate compares — the detection-quality sibling of the perf
-// gate's BENCH_*.json.
+// gate's `go run ./bench` report.
 type Scorecard struct {
 	// Version is the scorecard schema version.
 	Version int `json:"version"`

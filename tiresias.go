@@ -110,7 +110,8 @@ func WithSplitRule(r SplitRule) Option {
 	return optionFunc(func(o *options) { o.rule = r })
 }
 
-// WithSplitEWMAAlpha sets the smoothing rate for the EWMA split rule.
+// WithSplitEWMAAlpha sets the smoothing rate for the EWMA split rule,
+// in (0, 1] (default 0.4).
 func WithSplitEWMAAlpha(alpha float64) Option {
 	return optionFunc(func(o *options) { o.ruleAlpha = alpha })
 }
@@ -135,7 +136,8 @@ func WithIncrement(increment time.Duration) Option {
 	return optionFunc(func(o *options) { o.increment = increment })
 }
 
-// WithHoltWinters sets the forecasting smoothing parameters.
+// WithHoltWinters sets the forecasting smoothing parameters, each in
+// [0, 1] (default 0.4, 0.05, 0.3).
 func WithHoltWinters(alpha, beta, gamma float64) Option {
 	return optionFunc(func(o *options) { o.hwAlpha, o.hwBeta, o.hwGamma = alpha, beta, gamma })
 }
@@ -239,7 +241,9 @@ type Tiresias struct {
 	win window
 }
 
-// New constructs a Tiresias instance.
+// New constructs a Tiresias instance. It refuses option values
+// outside their ranges, so a bad configuration fails here and not a
+// window later at warm-up.
 func New(opts ...Option) (*Tiresias, error) {
 	o := defaultOptions()
 	for _, op := range opts {
@@ -272,6 +276,17 @@ func New(opts ...Option) (*Tiresias, error) {
 	for _, p := range o.seasonPeriods {
 		if p < 1 {
 			return nil, fmt.Errorf("tiresias: seasonal period must be >= 1, got %d", p)
+		}
+	}
+	// The engine is built only at warm-up, a window in; check what it
+	// will be given now.
+	cfg := o.engineConfig()
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("tiresias: %s: %w", optionOf[err.(*algo.ConfigError).Field], err)
+	}
+	for _, v := range [...]float64{o.hwAlpha, o.hwBeta, o.hwGamma} {
+		if !(v >= 0 && v <= 1) {
+			return nil, fmt.Errorf("tiresias: WithHoltWinters: alpha, beta and gamma must be in [0, 1], got %v, %v, %v", o.hwAlpha, o.hwBeta, o.hwGamma)
 		}
 	}
 	det, err := detect.New(o.thresholds)
@@ -338,18 +353,34 @@ func (t *Tiresias) finishWarmup() error {
 // learned seasonality (t.periods/t.xi must be set first). Shared by
 // warm-up and checkpoint restore so the two paths cannot drift.
 func (t *Tiresias) newEngine() (*algo.ADA, error) {
-	cfg := algo.Config{
-		Theta:         t.opts.theta,
-		WindowLen:     t.opts.windowLen,
-		Rule:          t.opts.rule,
-		RuleAlpha:     t.opts.ruleAlpha,
-		RefLevels:     t.opts.refLevels,
-		NewForecaster: t.factory(),
-		Lambda:        t.opts.lambda,
-		Eta:           t.opts.eta,
-		Tree:          t.tree,
-	}
+	cfg := t.opts.engineConfig()
+	cfg.NewForecaster, cfg.Tree = t.factory(), t.tree
 	return algo.NewADA(cfg)
+}
+
+// engineConfig is the engine configuration the options select, short
+// of the forecaster factory and tree, which newEngine supplies.
+func (o *options) engineConfig() algo.Config {
+	return algo.Config{
+		Theta:     o.theta,
+		WindowLen: o.windowLen,
+		Rule:      o.rule,
+		RuleAlpha: o.ruleAlpha,
+		RefLevels: o.refLevels,
+		Lambda:    o.lambda,
+		Eta:       o.eta,
+	}
+}
+
+// optionOf names the Option that sets each algo.Config field New
+// validates.
+var optionOf = map[string]string{
+	"Theta":     "WithTheta",
+	"WindowLen": "WithWindowLen",
+	"Rule":      "WithSplitRule",
+	"RuleAlpha": "WithSplitEWMAAlpha",
+	"RefLevels": "WithReferenceLevels",
+	"Lambda":    "WithMultiScale",
 }
 
 // analyzeSeasonality runs FFT + wavelet analysis on the aggregate
