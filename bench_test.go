@@ -1,10 +1,10 @@
 // Package tiresias_test holds the repository-level benchmarks: one
 // testing.B benchmark per table and figure of the paper, each driving
 // the same experiment code as cmd/tiresias-bench, plus micro-
-// benchmarks for the hot paths (per-timeunit engine steps, record
-// windowing, the forecasting update, Manager ingest and the HTTP
-// ingest handler). The end-to-end cost of the served system is
-// measured by `go run ./bench` instead.
+// benchmarks for the hot paths (per-timeunit engine steps, path
+// interning, record windowing, the forecasting update, Manager ingest
+// and the HTTP ingest handler). The end-to-end cost of the served
+// system is measured by `go run ./bench` instead.
 //
 // Run everything with:
 //
@@ -18,6 +18,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -27,6 +28,7 @@ import (
 	"tiresias/internal/algo"
 	"tiresias/internal/experiments"
 	"tiresias/internal/forecast"
+	"tiresias/internal/gen"
 	"tiresias/internal/hierarchy"
 	"tiresias/internal/stream"
 )
@@ -227,12 +229,23 @@ func BenchmarkADAStepSparse(b *testing.B) {
 
 // BenchmarkWindowerObserve measures Step-1 record classification on
 // the dense path (path interning plus pooled dense units).
-func BenchmarkWindowerObserve(b *testing.B) {
+func BenchmarkWindowerObserve(b *testing.B) { benchWindowerObserve(b, false) }
+
+// BenchmarkWindowerObserveCached is BenchmarkWindowerObserve on
+// records as the server's decoder emits them: each distinct path one
+// shared slice with a cache handle, resolved through the windower's
+// memo instead of Tree.Intern.
+func BenchmarkWindowerObserveCached(b *testing.B) { benchWindowerObserve(b, true) }
+
+func benchWindowerObserve(b *testing.B, cached bool) {
 	w, err := experiments.CCDNetWorkload(benchProfile(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	recs := w.Dataset.Records
+	if cached {
+		recs = cachedRecords(recs)
+	}
 	tree := hierarchy.New()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -249,6 +262,55 @@ func BenchmarkWindowerObserve(b *testing.B) {
 		}
 		if _, err := win.ObserveDense(recs[i%len(recs)]); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// cachedRecords gives recs the paths a decoder cache would: one
+// clipped slice per distinct path, with handles in first-sight order.
+func cachedRecords(recs []stream.Record) []stream.Record {
+	type entry struct {
+		path []string
+		ref  uint32
+	}
+	seen := map[hierarchy.Key]entry{}
+	out := make([]stream.Record, len(recs))
+	for i, r := range recs {
+		e, ok := seen[r.Key()]
+		if !ok {
+			e = entry{slices.Clip(slices.Clone(r.Path)), uint32(len(seen) + 1)}
+			seen[r.Key()] = e
+		}
+		out[i] = stream.CachedRecord(e.path, r.Time, e.ref)
+	}
+	return out
+}
+
+// BenchmarkTreeIntern measures Tree.Intern of known paths across a
+// fleet: 64 trees over mixed_fleet's shape, each grown in its own
+// random leaf order, interned in a random (tree, leaf) order, with the
+// leaf slices shared by every tree as a decoder cache shares them.
+func BenchmarkTreeIntern(b *testing.B) {
+	const trees, picks = 64, 1 << 16
+	leaves := gen.CCDNetworkShape(0.1).Leaves()
+	rng := rand.New(rand.NewSource(1))
+	fleet := make([]*hierarchy.Tree, trees)
+	for i := range fleet {
+		fleet[i] = hierarchy.New()
+		for _, k := range rng.Perm(len(leaves)) {
+			fleet[i].Intern(leaves[k])
+		}
+	}
+	var tree, leaf [picks]int32
+	for k := range tree {
+		tree[k], leaf[k] = int32(rng.Intn(trees)), int32(rng.Intn(len(leaves)))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % picks
+		if fleet[tree[k]].Intern(leaves[leaf[k]]) < 0 {
+			b.Fatal("a known path did not intern")
 		}
 	}
 }

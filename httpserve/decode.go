@@ -8,6 +8,7 @@ import (
 
 	"tiresias"
 	"tiresias/api"
+	"tiresias/internal/stream"
 	"tiresias/internal/wirerec"
 )
 
@@ -146,8 +147,9 @@ func (d *decoder) scanLines(raw []byte) error {
 	return nil
 }
 
-// emit appends the record d.sc decoded last, extends or opens its run
-// and notes it when it is the body's first to break the record rule.
+// emit appends the record d.sc decoded last, with its path's cache
+// handle, extends or opens its run and notes it when it is the body's
+// first to break the record rule.
 //
 //tiresias:hotpath
 func (d *decoder) emit() {
@@ -159,7 +161,7 @@ func (d *decoder) emit() {
 	if name == "" {
 		name = api.DefaultStream
 	}
-	d.recs = append(d.recs, tiresias.Record{Path: r.Path, Time: r.Time})
+	d.recs = append(d.recs, stream.CachedRecord(r.Path, r.Time, d.sc.Ref))
 	if n := len(d.runs); n > 0 && d.runs[n-1].Stream == name {
 		d.runs[n-1].End = len(d.recs)
 		return

@@ -212,11 +212,6 @@ func New(cfg Config) (*Server, error) {
 		tiresias.WithThresholds(cfg.Thresholds),
 		tiresias.WithMaxGap(cfg.MaxGap),
 	}, cfg.DetectorOptions...)
-	// The Manager builds detectors lazily on first Feed; probe the
-	// configuration now so bad options fail at construction.
-	if _, err := tiresias.New(liveOpts...); err != nil {
-		return nil, err
-	}
 	mgrOpts := []tiresias.ManagerOption{
 		tiresias.WithShards(cfg.Shards),
 		tiresias.WithDetectorOptions(liveOpts...),

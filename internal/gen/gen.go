@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -384,9 +385,7 @@ func Generate(cfg Config) (*Dataset, error) {
 			}
 		}
 	}
-	sort.SliceStable(ds.Records, func(i, j int) bool {
-		return ds.Records[i].Time.Before(ds.Records[j].Time)
-	})
+	slices.SortStableFunc(ds.Records, func(a, b stream.Record) int { return a.Time.Compare(b.Time) })
 	return ds, nil
 }
 

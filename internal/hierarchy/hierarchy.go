@@ -23,10 +23,16 @@
 //     every child precedes its parent.
 //
 // Adding a node appends to each array and links it after its parent's
-// last child: O(1), and nothing derived is ever rebuilt. Each node
-// with children keeps a map from label to child ID, made for its first
-// child, through which Intern, Lookup and Child resolve paths. The
-// invariants are checked by Validate.
+// last child: O(1) amortized. Paths resolve through one path table per
+// tree: each node keeps a path hash — its parent's hash mixed with the
+// per-tree-seeded maphash of its label — and one open-addressed table,
+// at most half full, holds every non-root node's ID slotted by that
+// hash. Intern hashes a whole path and makes one probe, verifying a
+// hit by depth and by its label/parent walk; Child, Lookup and
+// AddChild probe with the parent's hash plus one label. The seed is
+// random per tree, so no input can aim collisions, and nothing of it
+// reaches a Key or a checkpoint. The invariants are checked by
+// Validate.
 //
 // A label must be non-empty and free of the Key separator U+001F, so
 // that every node's Key is distinct from every other's and Key.Path
@@ -36,6 +42,8 @@ package hierarchy
 
 import (
 	"fmt"
+	"hash/maphash"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -124,34 +132,51 @@ type Tree struct {
 	// first and last are a node's first and last child, next its next
 	// sibling; -1 for none.
 	first, last, next []int32
-	// kids maps a node's child labels to their IDs; nil for a leaf.
-	kids   []map[string]int32
+	degree            []int32 // a node's number of children
+	// hash is a node's path hash (0 for the root; see step); table is
+	// the path table: every non-root node's ID, at the slot its hash's
+	// top bits pick or linearly after it, with 0 for an empty slot. It
+	// is never more than half full.
+	hash   []uint64
+	table  []int32
+	shift  uint8 // 64 - log2(len(table))
+	seed   maphash.Seed
 	levels [][]int32 // node IDs grouped by depth, ascending
 }
 
+// minTable is the path table's initial size.
+const minTable = 8
+
 // New returns an empty tree containing only the root node.
 func New() *Tree {
-	t := &Tree{}
+	t := &Tree{seed: maphash.MakeSeed()}
+	t.rehash(minTable)
 	t.add(-1, "", "")
 	return t
+}
+
+// step extends the path hash h by one label: a multiplicative mix
+// whose top bits, the ones that pick a slot, depend on every bit of h
+// and of the label's hash.
+//
+//tiresias:hotpath
+func (t *Tree) step(h uint64, label string) uint64 {
+	return (h ^ maphash.String(t.seed, label)) * 0x9e3779b97f4a7c15
 }
 
 // add appends a node under parent (-1 for the root) with the given
 // label and key, linking it after the parent's last child.
 func (t *Tree) add(parent int32, label string, key Key) int32 {
 	id := int32(len(t.parent))
-	d := int32(0)
+	d, h := int32(0), uint64(0)
 	if parent >= 0 {
-		d = t.depth[parent] + 1
-		if t.kids[parent] == nil {
-			// Most nodes are leaves: a node's map is made for its
-			// first child.
-			t.kids[parent] = make(map[string]int32)
+		d, h = t.depth[parent]+1, t.step(t.hash[parent], label)
+		if t.degree[parent] == 0 {
 			t.first[parent] = id
 		} else {
 			t.next[t.last[parent]] = id
 		}
-		t.kids[parent][label] = id
+		t.degree[parent]++
 		t.last[parent] = id
 	}
 	t.parent = append(t.parent, parent)
@@ -161,7 +186,15 @@ func (t *Tree) add(parent int32, label string, key Key) int32 {
 	t.first = append(t.first, -1)
 	t.last = append(t.last, -1)
 	t.next = append(t.next, -1)
-	t.kids = append(t.kids, nil)
+	t.degree = append(t.degree, 0)
+	t.hash = append(t.hash, h)
+	switch {
+	case parent < 0:
+	case 2*int(id) > len(t.table):
+		t.rehash(2 * len(t.table)) // places id with the rest
+	default:
+		t.place(id)
+	}
 	if int(d) == len(t.levels) {
 		t.levels = append(t.levels, nil)
 	}
@@ -169,8 +202,28 @@ func (t *Tree) add(parent int32, label string, key Key) int32 {
 	return id
 }
 
+// place puts id in the first empty slot of its probe sequence.
+func (t *Tree) place(id int32) {
+	mask := uint64(len(t.table) - 1)
+	i := t.hash[id] >> t.shift
+	for t.table[i] != 0 {
+		i = (i + 1) & mask
+	}
+	t.table[i] = id
+}
+
+// rehash replaces the path table with an empty one of n slots, a power
+// of two, and places every non-root node in it.
+func (t *Tree) rehash(n int) {
+	t.table = make([]int32, n)
+	t.shift = uint8(64 - bits.TrailingZeros(uint(n)))
+	for id := int32(1); id < int32(len(t.parent)); id++ {
+		t.place(id)
+	}
+}
+
 // addChild creates the child of parent labeled label, which must be
-// valid and absent. The child map keeps the caller's label string: a
+// valid and absent. The label array keeps the caller's string: a
 // record path that interned a node is usually the one (from a decoder
 // cache) that looks it up again, and a string comparison against the
 // same pointer is cheaper than against a copy.
@@ -212,16 +265,23 @@ func (t *Tree) FirstChild(id int) int { return int(t.first[id]) }
 func (t *Tree) NextSibling(id int) int { return int(t.next[id]) }
 
 // Degree returns the number of children of id.
-func (t *Tree) Degree(id int) int { return len(t.kids[id]) }
+func (t *Tree) Degree(id int) int { return int(t.degree[id]) }
 
 // Child returns the ID of id's child labeled label, or -1.
 //
 //tiresias:hotpath
 func (t *Tree) Child(id int, label string) int {
-	if c, ok := t.kids[id][label]; ok {
-		return int(c)
+	h := t.step(t.hash[id], label)
+	mask := uint64(len(t.table) - 1)
+	for i := h >> t.shift; ; i = (i + 1) & mask {
+		c := t.table[i]
+		if c == 0 {
+			return -1
+		}
+		if t.hash[c] == h && int(t.parent[c]) == id && t.label[c] == label {
+			return int(c)
+		}
 	}
-	return -1
 }
 
 // Level returns the IDs at depth d in ascending order, or nil when the
@@ -235,54 +295,83 @@ func (t *Tree) Level(d int) []int32 {
 }
 
 // Lookup returns the ID of the node with Key k, or -1 if it has never
-// been inserted. It walks k's components through the child maps
-// without decoding the Key.
+// been inserted. It walks k's components through Child without
+// decoding the Key.
 func (t *Tree) Lookup(k Key) int {
-	id, rest := int32(Root), string(k)
-	for more := k != ""; more; {
+	id, rest := Root, string(k)
+	for more := k != ""; more && id >= 0; {
 		var label string
 		label, rest, more = strings.Cut(rest, keySep)
-		c, ok := t.kids[id][label]
-		if !ok {
-			return -1
-		}
-		id = c
+		id = t.Child(id, label)
 	}
-	return int(id)
+	return id
 }
 
 // Intern maps a category path to its node ID, creating the node and
 // any missing ancestors on first sight; the empty path is the root. It
 // returns -1, creating nothing, when a component it would create is
 // not a ValidLabel. In the steady state — every component already
-// known — it performs one map lookup per component, checks no label
-// and allocates nothing.
+// known — it hashes each label once, makes one probe of the path
+// table, checks no label's validity and allocates nothing.
 //
 //tiresias:hotpath
 func (t *Tree) Intern(path []string) int {
-	id := int32(Root)
-	for i, label := range path {
-		c, ok := t.kids[id][label]
-		if !ok {
-			return t.grow(id, path[i:])
+	if len(path) == 0 {
+		return Root
+	}
+	h := uint64(0)
+	for _, label := range path {
+		h = t.step(h, label)
+	}
+	mask := uint64(len(t.table) - 1)
+	for i := h >> t.shift; ; i = (i + 1) & mask {
+		c := t.table[i]
+		if c == 0 {
+			return t.grow(path)
+		}
+		if t.hash[c] == h && t.is(c, path) {
+			return int(c)
+		}
+	}
+}
+
+// is reports whether node id's path is path: the same depth, and the
+// same label at every level of its parent walk.
+//
+//tiresias:hotpath
+func (t *Tree) is(id int32, path []string) bool {
+	if int(t.depth[id]) != len(path) {
+		return false
+	}
+	for i := len(path) - 1; i >= 0; i-- {
+		if t.label[id] != path[i] {
+			return false
+		}
+		id = t.parent[id]
+	}
+	return true
+}
+
+// grow is Intern's miss path: it walks path's known prefix, then
+// creates the rest once every label in it has been checked.
+func (t *Tree) grow(path []string) int {
+	id, i := Root, 0
+	for ; i < len(path); i++ {
+		c := t.Child(id, path[i])
+		if c < 0 {
+			break
 		}
 		id = c
 	}
-	return int(id)
-}
-
-// grow is Intern's miss path: it creates rest under id once every
-// label in it has been checked.
-func (t *Tree) grow(id int32, rest []string) int {
-	for _, label := range rest {
+	for _, label := range path[i:] {
 		if !ValidLabel(label) {
 			return -1
 		}
 	}
-	for _, label := range rest {
-		id = t.addChild(id, label)
+	for _, label := range path[i:] {
+		id = int(t.addChild(int32(id), label))
 	}
-	return int(id)
+	return id
 }
 
 // AddChild returns the ID of the child labeled label of the node with
@@ -322,21 +411,24 @@ func (t *Tree) TypicalDegrees() []int {
 }
 
 // Validate checks the invariants: every array covers every node; each
-// non-root node has a lower-ID parent, a valid label its parent's child
-// map resolves to it, its parent's depth plus one and its parent's Key
+// non-root node has a lower-ID parent, a valid label, a path hash that
+// is its parent's mixed with its label, a path-table entry Child
+// resolves to it, its parent's depth plus one and its parent's Key
 // extended by its label; each node's sibling chain lists exactly its
-// children, in ascending ID order, ending at its last child; and the
-// levels partition the nodes by depth, in ascending ID order. It is
+// children, in ascending ID order, ending at its last child, and is as
+// long as its Degree; the path table holds each non-root node once and
+// is at most half full; and the levels partition the nodes by depth,
+// in ascending ID order. It is
 // used by tests and returns a descriptive error on the first violation
 // found.
 func (t *Tree) Validate() error {
 	n := len(t.parent)
-	for _, l := range []int{len(t.depth), len(t.label), len(t.key), len(t.first), len(t.last), len(t.next), len(t.kids)} {
+	for _, l := range []int{len(t.depth), len(t.label), len(t.key), len(t.first), len(t.last), len(t.next), len(t.degree), len(t.hash)} {
 		if l != n {
 			return fmt.Errorf("hierarchy: arrays sized %d, tree has %d nodes", l, n)
 		}
 	}
-	if n == 0 || t.parent[Root] != -1 || t.depth[Root] != 0 || t.key[Root] != "" {
+	if n == 0 || t.parent[Root] != -1 || t.depth[Root] != 0 || t.key[Root] != "" || t.hash[Root] != 0 {
 		return fmt.Errorf("hierarchy: bad root")
 	}
 	for id := 1; id < n; id++ {
@@ -346,6 +438,8 @@ func (t *Tree) Validate() error {
 			return fmt.Errorf("hierarchy: node %d has parent %d", id, p)
 		case !ValidLabel(label):
 			return fmt.Errorf("hierarchy: node %d has label %q", id, label)
+		case t.hash[id] != t.step(t.hash[p], label):
+			return fmt.Errorf("hierarchy: node %q hash is not its parent's mixed with its label", k)
 		case t.Child(int(p), label) != id:
 			return fmt.Errorf("hierarchy: parent of %q does not link back", k)
 		case t.depth[id] != t.depth[p]+1:
@@ -362,10 +456,13 @@ func (t *Tree) Validate() error {
 			}
 			count, prev = count+1, c
 		}
-		if count != len(t.kids[id]) || t.last[id] != prev {
-			return fmt.Errorf("hierarchy: node %d lists %d children ending at %d, has %d ending at %d",
-				id, count, prev, len(t.kids[id]), t.last[id])
+		if count != int(t.degree[id]) || t.last[id] != prev {
+			return fmt.Errorf("hierarchy: node %d lists %d children ending at %d, has degree %d ending at %d",
+				id, count, prev, t.degree[id], t.last[id])
 		}
+	}
+	if err := t.validateTable(); err != nil {
+		return err
 	}
 	total := 0
 	for d, level := range t.levels {
@@ -378,6 +475,34 @@ func (t *Tree) Validate() error {
 	}
 	if total != n {
 		return fmt.Errorf("hierarchy: levels hold %d nodes, tree has %d", total, n)
+	}
+	return nil
+}
+
+// validateTable checks the path table: a power-of-two size its shift
+// matches, at most half full, and holding each non-root node exactly
+// once (so, with the Child check of every node in Validate, each entry
+// is reachable from its slot).
+func (t *Tree) validateTable() error {
+	n := len(t.table)
+	if n < minTable || n&(n-1) != 0 || int(t.shift) != 64-bits.TrailingZeros(uint(n)) {
+		return fmt.Errorf("hierarchy: path table of %d slots with shift %d", n, t.shift)
+	}
+	seen := make([]bool, len(t.parent))
+	entries := 0
+	for _, id := range t.table {
+		if id == 0 {
+			continue
+		}
+		if id < 0 || int(id) >= len(t.parent) || seen[id] {
+			return fmt.Errorf("hierarchy: path table holds node %d twice or out of range", id)
+		}
+		seen[id] = true
+		entries++
+	}
+	if entries != len(t.parent)-1 || 2*entries > n {
+		return fmt.Errorf("hierarchy: path table holds %d entries in %d slots, tree has %d non-root nodes",
+			entries, n, len(t.parent)-1)
 	}
 	return nil
 }

@@ -3,12 +3,14 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"tiresias/internal/algo"
 	"tiresias/internal/hierarchy"
+	"tiresias/internal/wirerec"
 )
 
 func denseStart() time.Time {
@@ -181,28 +183,116 @@ func TestObserveDenseRecycles(t *testing.T) {
 }
 
 // TestObserveDenseSteadyStateAllocs is the windowing allocation guard:
-// once the pools are warm, classifying a record — including boundary
-// crossings — allocates nothing.
+// once the pools are warm, classifying a record — plain or cached,
+// including boundary crossings — allocates nothing.
 func TestObserveDenseSteadyStateAllocs(t *testing.T) {
-	w, _ := newBound(t, time.Minute)
-	paths := [][]string{{"a", "x"}, {"a", "y"}, {"b"}}
-	at := denseStart()
-	step := 0
-	observe := func() {
-		at = at.Add(7 * time.Second) // crosses a boundary every ~9 records
-		r := Record{Path: paths[step%len(paths)], Time: at}
-		step++
-		if _, err := w.ObserveDense(r); err != nil {
-			t.Fatal(err)
+	for _, cached := range []bool{false, true} {
+		w, _ := newBound(t, time.Minute)
+		var feed cachedFeed
+		paths := [][]string{{"a", "x"}, {"a", "y"}, {"b"}}
+		recs := make([]Record, len(paths))
+		for i, p := range paths {
+			recs[i] = Record{Path: p}
+			if cached {
+				recs[i] = feed.record(p, time.Time{})
+			}
+		}
+		at := denseStart()
+		step := 0
+		observe := func() {
+			at = at.Add(7 * time.Second) // crosses a boundary every ~9 records
+			r := recs[step%len(recs)]
+			r.Time = at
+			step++
+			if _, err := w.ObserveDense(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 100; i++ {
+			observe() // warm the pools and intern the paths
+		}
+		if allocs := testing.AllocsPerRun(500, observe); allocs != 0 {
+			t.Fatalf("steady-state ObserveDense (cached %v) allocates %.2f per op, want 0", cached, allocs)
 		}
 	}
-	for i := 0; i < 100; i++ {
-		observe() // warm the pools and intern the paths
+}
+
+// observeLikeModel feeds r to w and to the model and fails unless
+// both complete the same units.
+func observeLikeModel(t *testing.T, w *Windower, tree *hierarchy.Tree, model *mapWindower, r Record) {
+	t.Helper()
+	label := fmt.Sprintf("%q at %v", r.Path, r.Time)
+	want, err := model.observe(r)
+	if err != nil {
+		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(500, observe)
-	if allocs != 0 {
-		t.Fatalf("steady-state ObserveDense allocates %.2f per op, want 0", allocs)
+	got, err := w.ObserveDense(r)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
+	sameUnits(t, label, tree, got, want)
+}
+
+// TestObserveDenseReusedBuffer: a plain record is never memoized, so a
+// caller that rewrites one path buffer between records gets each
+// record's own leaf, also while cached records of the same paths fill
+// the memo.
+func TestObserveDenseReusedBuffer(t *testing.T) {
+	w, tree := newBound(t, time.Minute)
+	model := newMapWindower(time.Minute, 0)
+	var feed cachedFeed
+	buf := make([]string, 2)
+	labels := []string{"a", "b", "c"}
+	at := denseStart()
+	for i := 0; i < 90; i++ {
+		at = at.Add(5 * time.Second)
+		buf[0], buf[1] = labels[i%3], labels[(i/3)%3]
+		r := Record{Path: buf, Time: at}
+		if i%4 == 3 {
+			r = feed.record(buf, at)
+		}
+		observeLikeModel(t, w, tree, model, r)
+	}
+	sameUnit(t, "flush", keyedOf(tree, w.FlushDense()), model.flush())
+}
+
+// TestObserveDenseTwoCaches: two decoder caches give their first paths
+// the same handle; records from both, fed to one windower, each count
+// under their own path.
+func TestObserveDenseTwoCaches(t *testing.T) {
+	decode := func(c *wirerec.Cache, line string) Record {
+		t.Helper()
+		sc := wirerec.Scanner{Cache: c}
+		for pass := 0; pass < 2; pass++ { // the first pass misses and fills the cache
+			sc.Begin()
+			err := wirerec.Decode[wirerec.Record](&sc, []byte(line))
+			sc.End()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return CachedRecord(sc.Rec.Path, sc.Rec.Time, sc.Ref)
+	}
+	c1 := wirerec.NewCache(wirerec.PathCacheCap, wirerec.StreamCacheCap)
+	c2 := wirerec.NewCache(wirerec.PathCacheCap, wirerec.StreamCacheCap)
+	r1 := decode(c1, `{"path":["a","x"],"time":"2012-06-18T00:00:05Z"}`)
+	r2 := decode(c2, `{"path":["b","y"],"time":"2012-06-18T00:00:05Z"}`)
+	if r1.ref == 0 || r1.ref != r2.ref {
+		t.Fatalf("handles %d and %d, want one non-zero handle from both caches", r1.ref, r2.ref)
+	}
+	w, tree := newBound(t, time.Minute)
+	model := newMapWindower(time.Minute, 0)
+	at := denseStart()
+	for i := 0; i < 40; i++ {
+		at = at.Add(7 * time.Second)
+		r := r1
+		if i%3 != 0 {
+			r = r2
+		}
+		r.Time = at
+		observeLikeModel(t, w, tree, model, r)
+	}
+	sameUnit(t, "flush", keyedOf(tree, w.FlushDense()), model.flush())
 }
 
 // TestObserveDenseRequiresBind checks the windower guards its
@@ -290,7 +380,9 @@ func TestWindowerMaxGapDisabled(t *testing.T) {
 // the same completed units, the same rejections (ErrOutOfOrder,
 // ErrMaxGap, a path naming no node) with no change to the state or
 // the tree on rejection, and a State → RestoreWindower round trip at
-// the cut op that continues with the same remaining units.
+// the cut op that continues with the same remaining units. A second
+// windower is fed the same ops as cached records (see cachedFeed) and
+// must agree with the first on every unit, rejection and node.
 func FuzzWindowerObserveDense(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte, maxGap int16, deltaSec uint16, cut uint8) {
 		if len(ops) > 3*256 {
@@ -305,6 +397,9 @@ func checkWindower(t *testing.T, ops []byte, maxGap int, delta time.Duration, cu
 	t.Helper()
 	w, tree := newBound(t, delta)
 	w.SetMaxGap(maxGap)
+	cw, ctree := newBound(t, delta)
+	cw.SetMaxGap(maxGap)
+	var feed cachedFeed
 	model := newMapWindower(delta, maxGap)
 	// The far-future step exceeds a positive bound by a few units; with
 	// the bound disabled it stays small enough to gap-fill cheaply.
@@ -325,11 +420,19 @@ func checkWindower(t *testing.T, ops []byte, maxGap int, delta time.Duration, cu
 				t.Fatalf("%s: restored state %+v, captured %+v", label, got, st)
 			}
 			w = rw
+			if cw, err = RestoreWindower(cw.State(), ctree); err != nil {
+				t.Fatalf("%s: restore of the cached windower: %v", label, err)
+			}
+		}
+		if i/3 == len(ops)/6 {
+			feed.clear()
 		}
 		kind, step, shape := ops[i], int8(ops[i+1]), ops[i+2]
 		if kind%8 == 0 {
 			if model.began {
-				sameUnit(t, label+" flush", keyedOf(tree, w.FlushDense()), model.flush())
+				want := model.flush()
+				sameUnit(t, label+" flush", keyedOf(tree, w.FlushDense()), want)
+				sameUnit(t, label+" cached flush", keyedOf(ctree, cw.FlushDense()), want)
 			}
 			continue
 		}
@@ -345,13 +448,17 @@ func checkWindower(t *testing.T, ops []byte, maxGap int, delta time.Duration, cu
 		before, nodes := w.State(), tree.Len()
 		want, merr := model.observe(r)
 		got, err := w.ObserveDense(r)
+		cgot, cerr := cw.ObserveDense(feed.record(path, next))
 		for _, sentinel := range []error{ErrOutOfOrder, ErrMaxGap} {
-			if errors.Is(err, sentinel) != errors.Is(merr, sentinel) {
-				t.Fatalf("%s at %v: error %v, model %v", label, next, err, merr)
+			if errors.Is(err, sentinel) != errors.Is(merr, sentinel) || errors.Is(cerr, sentinel) != errors.Is(merr, sentinel) {
+				t.Fatalf("%s at %v: error %v, cached %v, model %v", label, next, err, cerr, merr)
 			}
 		}
-		if (err == nil) != (merr == nil) {
-			t.Fatalf("%s at %v: error %v, model %v", label, next, err, merr)
+		if (err == nil) != (merr == nil) || (cerr == nil) != (merr == nil) {
+			t.Fatalf("%s at %v: error %v, cached %v, model %v", label, next, err, cerr, merr)
+		}
+		if merr == nil {
+			sameUnits(t, label+" cached", ctree, cgot, want)
 		}
 		if err != nil {
 			if after := w.State(); fmt.Sprint(after) != fmt.Sprint(before) || tree.Len() != nodes {
@@ -363,4 +470,49 @@ func checkWindower(t *testing.T, ops []byte, maxGap int, delta time.Duration, cu
 		at = next
 		sameUnits(t, label, tree, got, want)
 	}
+	if ctree.Len() != tree.Len() {
+		t.Fatalf("cached windower's tree has %d nodes, plain %d", ctree.Len(), tree.Len())
+	}
+	for id := 0; id < tree.Len(); id++ {
+		if ctree.Key(id) != tree.Key(id) {
+			t.Fatalf("node %d: cached windower's tree has %q, plain %q", id, ctree.Key(id), tree.Key(id))
+		}
+	}
 }
+
+// cachedFeed stands in for a decoder cache: it hands out one shared,
+// never-written slice per distinct path, with a handle from {0, 1, 2}
+// given in first-sight order, so distinct slices share a handle. A new
+// path that prefixes a pooled one gets that slice's prefix and handle:
+// the same first element under a different length. clear starts a new
+// pool, as a full cache is cleared.
+type cachedFeed struct {
+	pool []Record
+}
+
+func (f *cachedFeed) record(path []string, at time.Time) Record {
+	r, ok := f.find(path, slices.Equal[[]string])
+	if !ok {
+		r, ok = f.find(path, func(long, p []string) bool { return len(long) > len(p) && slices.Equal(long[:len(p)], p) })
+		if ok && len(path) > 0 {
+			r.Path = r.Path[:len(path)]
+		} else {
+			r = CachedRecord(slices.Clone(path), time.Time{}, uint32(len(f.pool)%3))
+		}
+		f.pool = append(f.pool, r)
+	}
+	r.Time = at
+	return r
+}
+
+// find returns the first pooled record whose path matches path.
+func (f *cachedFeed) find(path []string, match func(pooled, path []string) bool) (Record, bool) {
+	for _, r := range f.pool {
+		if match(r.Path, path) {
+			return r, true
+		}
+	}
+	return Record{}, false
+}
+
+func (f *cachedFeed) clear() { f.pool = nil }

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -28,6 +29,19 @@ type Record struct {
 	Path []string `json:"path"`
 	// Time is the recorded date and time.
 	Time time.Time `json:"time"`
+
+	// ref is the decoder cache's handle for Path; 0 for none. Only
+	// CachedRecord sets it.
+	ref uint32
+}
+
+// CachedRecord returns the record (path, t) for a path a decoder cache
+// handed out under handle ref (wirerec.Scanner.Ref): path must be the
+// cache's own slice, which nothing ever writes to. A Windower then
+// resolves a path it has seen before by the handle and the slice's
+// identity instead of interning it again. ref 0 makes a plain record.
+func CachedRecord(path []string, t time.Time, ref uint32) Record {
+	return Record{Path: path, Time: t, ref: ref}
 }
 
 // Key returns the encoded category key.
@@ -208,6 +222,20 @@ var ErrMaxGap = errors.New("stream: record exceeds the max timeunit gap")
 // until the next ObserveDense/FlushDense call, after which they are
 // recycled — the steady state allocates nothing. A caller that keeps a
 // unit copies it (DenseUnit.Pairs).
+//
+// A record from CachedRecord skips the tree: the Windower keeps a
+// direct-mapped memo, indexed by the record's handle, of the leaf each
+// cached path slice interned to, and a slot whose slice has the
+// record's first element and length is that leaf. That is sound
+// because a cached slice is never written to and the slot's pointer
+// keeps its array alive, so no other slice can start at its address;
+// and because the tree only grows, an interned path keeps its ID. A
+// handle that two caches, or a cache across a clear, gave different
+// slices fails the pointer check and interns. The memo is derived
+// state: it is sized from the tree (a power of two at least Len(),
+// capped at wirerec.PathCacheCap), rebuilt empty when the tree
+// outgrows it, cleared by BindTree, and pins at most one cached slice
+// per slot.
 type Windower struct {
 	delta  time.Duration
 	start  time.Time
@@ -215,6 +243,7 @@ type Windower struct {
 	maxGap int
 
 	tree *hierarchy.Tree
+	memo []memoSlot        // indexed by handle & (len(memo)-1); nil until a cached record
 	dcur *algo.DenseUnit   // unit currently being filled
 	dbuf []*algo.DenseUnit // units emitted by the last dense call
 	free []*algo.DenseUnit // recycled units
@@ -289,7 +318,44 @@ var errBadPath = errors.New("stream: record path has an empty component or one c
 
 // BindTree sets the hierarchy record paths are interned into; it must
 // be the tree the consuming engine operates on (see algo.Config.Tree).
-func (w *Windower) BindTree(t *hierarchy.Tree) { w.tree = t }
+func (w *Windower) BindTree(t *hierarchy.Tree) { w.tree, w.memo = t, nil }
+
+// memoSlot is one entry of the path memo: a cached path slice, by its
+// first element and length, and the leaf it interned to.
+type memoSlot struct {
+	first *string
+	n     int32
+	id    int32
+}
+
+// leaf returns the node ID r's path interns to, or -1 for a path the
+// tree refuses: from the memo when r is a cached record whose slice
+// the handle's slot holds, by Tree.Intern otherwise.
+//
+//tiresias:hotpath
+func (w *Windower) leaf(r Record) int {
+	if r.ref != 0 && len(r.Path) > 0 && len(w.memo) > 0 {
+		s := &w.memo[r.ref&uint32(len(w.memo)-1)]
+		if s.first == &r.Path[0] && int(s.n) == len(r.Path) {
+			return int(s.id)
+		}
+	}
+	return w.intern(r)
+}
+
+// intern is leaf's miss path: Tree.Intern, then the memo slot of a
+// cached record, after fitting the memo to the tree.
+func (w *Windower) intern(r Record) int {
+	id := w.tree.Intern(r.Path)
+	if id < 0 || r.ref == 0 || len(r.Path) == 0 {
+		return id
+	}
+	if n := min(w.tree.Len(), wirerec.PathCacheCap); len(w.memo) < n {
+		w.memo = make([]memoSlot, 1<<bits.Len(uint(n-1)))
+	}
+	w.memo[r.ref&uint32(len(w.memo)-1)] = memoSlot{&r.Path[0], int32(len(r.Path)), int32(id)}
+	return id
+}
 
 // maxDensePool bounds the recycle pool and the emission buffer's
 // retained capacity: the steady state needs one or two units in
@@ -326,9 +392,10 @@ func (w *Windower) nextDense() *algo.DenseUnit {
 
 // ObserveDense adds a record, returning every timeunit completed
 // strictly before the record's own unit (empty units are included so
-// seasonal indexing stays aligned). The record's path is interned
-// straight to a node ID (no Key string is built) and counted into a
-// pooled DenseUnit. A record out of time order, past the gap bound, or
+// seasonal indexing stays aligned). The record's path resolves
+// straight to a node ID — through the memo for a cached record, by
+// Tree.Intern otherwise; no Key string is built — and is counted into
+// a pooled DenseUnit. A record out of time order, past the gap bound, or
 // whose path the tree refuses (see hierarchy.ValidLabel) is rejected
 // with neither the windowing position nor the tree changed. The
 // returned units are valid until the next ObserveDense/FlushDense
@@ -345,7 +412,7 @@ func (w *Windower) ObserveDense(r Record) ([]*algo.DenseUnit, error) {
 	if err != nil {
 		return nil, err
 	}
-	id := w.tree.Intern(r.Path)
+	id := w.leaf(r)
 	if id < 0 {
 		return nil, errBadPath
 	}

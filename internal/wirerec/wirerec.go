@@ -70,21 +70,32 @@ func Unmarshal[T Shape, P *T | *[]T](raw []byte, v P) error { return json.Unmars
 type Cache struct {
 	mu sync.RWMutex
 	// paths maps the text between '[' and ']' of a "path" value to its
-	// decoded segments. The slices are shared by every record (and
-	// goroutine) that names the path: read-only, capacity clipped.
-	paths map[string][]string // guarded by mu
+	// decoded segments and their handle. The slices are shared by every
+	// record (and goroutine) that names the path: read-only, capacity
+	// clipped.
+	paths map[string]cachedPath // guarded by mu
 	// streams maps the text between the quotes of a "stream" value to
 	// its decoded name.
 	streams   map[string]string // guarded by mu
 	pathCap   int
 	streamCap int
+	// lastRef is the handle add gave last. It counts on across clears
+	// (skipping 0 when it wraps), so a handle is a hint that may repeat,
+	// never a name: see Scanner.Ref.
+	lastRef uint32 // guarded by mu
+}
+
+// cachedPath is a cached path and its handle, non-zero.
+type cachedPath struct {
+	path []string
+	ref  uint32
 }
 
 // NewCache returns an empty cache of at most pathCap paths and
 // streamCap stream names.
 func NewCache(pathCap, streamCap int) *Cache {
 	return &Cache{
-		paths:     make(map[string][]string),
+		paths:     make(map[string]cachedPath),
 		streams:   make(map[string]string),
 		pathCap:   pathCap,
 		streamCap: streamCap,
@@ -99,7 +110,10 @@ func (c *Cache) add(paths map[string][]string, streams map[string]string) {
 		if len(c.paths) >= c.pathCap {
 			clear(c.paths)
 		}
-		c.paths[span] = p
+		if c.lastRef++; c.lastRef == 0 {
+			c.lastRef = 1
+		}
+		c.paths[span] = cachedPath{p, c.lastRef}
 	}
 	for span, name := range streams {
 		if len(c.streams) >= c.streamCap {
@@ -117,6 +131,14 @@ type Scanner struct {
 	// Rec is the record last decoded. A Path from the cache is shared:
 	// read-only, capacity clipped.
 	Rec Record
+	// Ref is the cache's handle for Rec.Path when the path came from
+	// the cache's table, which only holds read-only slices; 0 when it
+	// did not (a miss in the current pass, Set, or the encoding/json
+	// fallback). The same slice always carries the same handle, but
+	// two caches, or one cache across a clear, may give one handle to
+	// different slices: a consumer that keys on it must confirm the
+	// slice (stream.CachedRecord).
+	Ref uint32
 	// PathHits and PathMisses count the pass's path lookups.
 	PathHits, PathMisses uint64
 
@@ -169,7 +191,7 @@ func Decode[T Shape](s *Scanner, b []byte) error {
 }
 
 // Set makes r, a record Unmarshal decoded, the record last decoded.
-func (s *Scanner) Set(r Record) { s.Rec, s.badLabel = r, !validPath(r.Path) }
+func (s *Scanner) Set(r Record) { s.Rec, s.Ref, s.badLabel = r, 0, !validPath(r.Path) }
 
 // Invalid returns why Rec breaks the record rule — a non-empty path of
 // labels that each name a node, a non-zero time — or "" if it keeps it.
@@ -207,7 +229,7 @@ func (s *Scanner) Object(b []byte, i int) (int, bool) {
 	if i >= len(b) || b[i] != '{' {
 		return i, false
 	}
-	s.Rec, s.badLabel = Record{}, false
+	s.Rec, s.Ref, s.badLabel = Record{}, 0, false
 	i = SkipSpace(b, i+1)
 	if i < len(b) && b[i] == '}' {
 		return i + 1, true
@@ -375,14 +397,14 @@ func (s *Scanner) streamMiss(span, quoted []byte) (string, bool) {
 //tiresias:hotpath
 func (s *Scanner) path(span, bracketed []byte) bool {
 	//tiresias:ignore hotpath (the compiler elides the copy in a map index by string(bytes))
-	p, ok := s.Cache.paths[string(span)]
-	if ok {
+	if c, ok := s.Cache.paths[string(span)]; ok {
 		s.PathHits++
-	} else if p, ok = s.pathMiss(span, bracketed); !ok {
-		return false
+		s.Rec.Path, s.Ref = c.path, c.ref
+		return true
 	}
+	p, ok := s.pathMiss(span, bracketed)
 	s.Rec.Path = p
-	return true
+	return ok
 }
 
 // pathMiss decodes a path the cache does not hold, through

@@ -173,7 +173,8 @@ func WithDetectorOptions(opts ...Option) ManagerOption {
 }
 
 // NewManager builds an empty sharded Manager. Without a factory,
-// detectors use the package defaults.
+// detectors use the package defaults. An Option set given through
+// WithDetectorOptions is checked here, as New checks it.
 func NewManager(opts ...ManagerOption) (*Manager, error) {
 	o := managerOptions{shards: 16}
 	for _, op := range opts {
@@ -184,6 +185,13 @@ func NewManager(opts ...ManagerOption) (*Manager, error) {
 	}
 	if o.factory == nil {
 		o.factory = func(string) (*Tiresias, error) { return New() }
+	}
+	// Detectors are built on a stream's first record; probe the shared
+	// Option set now, so a bad one fails here and not at the first Feed.
+	if o.detectorOpts != nil {
+		if _, err := New(o.detectorOpts...); err != nil {
+			return nil, err
+		}
 	}
 	if o.pipelined && o.queueDepth < 1 {
 		return nil, fmt.Errorf("tiresias: pipeline queue depth must be >= 1, got %d", o.queueDepth)

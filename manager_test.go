@@ -3,6 +3,7 @@ package tiresias
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -318,5 +319,21 @@ func TestManagerAnomalyObserver(t *testing.T) {
 func TestManagerObserverRequiresIndex(t *testing.T) {
 	if _, err := NewManager(WithAnomalyObserver(func([]AnomalyEntry) {})); err == nil {
 		t.Fatal("observer without index must fail NewManager")
+	}
+}
+
+// TestManagerValidatesDetectorOptions: an Option set New refuses fails
+// NewManager, and ManagerFromCheckpoint through it, instead of every
+// stream's first Feed.
+func TestManagerValidatesDetectorOptions(t *testing.T) {
+	bad := WithDetectorOptions(WithWindowLen(96), WithTheta(0))
+	if _, err := NewManager(bad); err == nil || !strings.Contains(err.Error(), "WithTheta") {
+		t.Fatalf("NewManager with theta 0: error %v, want one naming WithTheta", err)
+	}
+	if _, err := ManagerFromCheckpoint(t.TempDir(), bad); err == nil || !strings.Contains(err.Error(), "WithTheta") {
+		t.Fatalf("ManagerFromCheckpoint with theta 0: error %v, want one naming WithTheta", err)
+	}
+	if _, err := NewManager(WithDetectorOptions(WithWindowLen(96), WithTheta(1))); err != nil {
+		t.Fatalf("a valid Option set: %v", err)
 	}
 }
