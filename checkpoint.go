@@ -62,7 +62,7 @@ func (t *Tiresias) Snapshot(w io.Writer) error {
 // (a Manager stream file always carries it).
 func (t *Tiresias) snapshotState(withWindow bool) (*checkpoint.Snapshot, error) {
 	snap := &checkpoint.Snapshot{
-		Config:   configOf(&t.opts),
+		Config:   t.opts.Config,
 		Tree:     t.tree,
 		Warm:     t.warm,
 		Start:    t.start,
@@ -116,80 +116,27 @@ func Restore(r io.Reader, opts ...Option) (*Tiresias, error) {
 	return restoreFromSnapshot(snap, opts...)
 }
 
-// configOf maps the (post-normalization) options onto the serializable
-// configuration. Sinks are deliberately absent: they hold live
-// resources and are re-attached through Restore's opts.
-func configOf(o *options) checkpoint.Config {
-	return checkpoint.Config{
-		Delta:         o.delta,
-		Increment:     o.increment,
-		WindowLen:     o.windowLen,
-		Theta:         o.theta,
-		RT:            o.thresholds.RT,
-		DT:            o.thresholds.DT,
-		Algorithm:     adaAlgorithm,
-		Rule:          int(o.rule),
-		RuleAlpha:     o.ruleAlpha,
-		RefLevels:     o.refLevels,
-		Lambda:        o.lambda,
-		Eta:           o.eta,
-		HWAlpha:       o.hwAlpha,
-		HWBeta:        o.hwBeta,
-		HWGamma:       o.hwGamma,
-		AutoSeason:    o.autoSeason,
-		SeasonPeriods: o.seasonPeriods,
-		SeasonXi:      o.seasonXi,
-		MaxGap:        o.maxGap,
-	}
-}
-
 // adaAlgorithm is the engine selector every checkpoint carries in
 // Config.Algorithm: ADA, the only engine a detector runs.
 const adaAlgorithm = 1
 
-// optionsFrom is the inverse of configOf. The values are already
-// normalized (New's WithIncrement rescaling ran before the snapshot),
-// so no derivation is re-applied.
-func optionsFrom(c checkpoint.Config) options {
-	return options{
-		delta:         c.Delta,
-		increment:     c.Increment,
-		windowLen:     c.WindowLen,
-		theta:         c.Theta,
-		thresholds:    detect.Thresholds{RT: c.RT, DT: c.DT},
-		rule:          SplitRule(c.Rule),
-		ruleAlpha:     c.RuleAlpha,
-		refLevels:     c.RefLevels,
-		lambda:        c.Lambda,
-		eta:           c.Eta,
-		hwAlpha:       c.HWAlpha,
-		hwBeta:        c.HWBeta,
-		hwGamma:       c.HWGamma,
-		autoSeason:    c.AutoSeason,
-		seasonPeriods: c.SeasonPeriods,
-		seasonXi:      c.SeasonXi,
-		maxGap:        c.MaxGap,
-	}
-}
-
 // restoreFromSnapshot rebuilds a detector from decoded checkpoint
 // state, shared by Restore and ManagerFromCheckpoint.
 func restoreFromSnapshot(snap *checkpoint.Snapshot, opts ...Option) (*Tiresias, error) {
-	o := optionsFrom(snap.Config)
-	base := o
+	o := options{Config: snap.Config}
 	for _, op := range opts {
 		op.apply(&o)
 	}
-	if o.delta != base.delta || o.windowLen != base.windowLen || o.increment != base.increment {
+	if o.Delta != snap.Config.Delta || o.WindowLen != snap.Config.WindowLen || o.Increment != snap.Config.Increment {
 		return nil, errors.New("tiresias: Restore cannot change structural options (delta, window length, increment); build a fresh detector with New and re-warm instead")
 	}
-	if o.delta <= 0 || o.windowLen < 2 {
-		return nil, fmt.Errorf("%w: configuration (delta %v, window %d)", ErrBadCheckpoint, o.delta, o.windowLen)
+	if o.Delta <= 0 || o.WindowLen < 2 {
+		return nil, fmt.Errorf("%w: configuration (delta %v, window %d)", ErrBadCheckpoint, o.Delta, o.WindowLen)
 	}
-	if snap.Config.Algorithm != adaAlgorithm {
-		return nil, fmt.Errorf("%w: engine selector %d (only ADA, %d, restores)", ErrBadCheckpoint, snap.Config.Algorithm, adaAlgorithm)
+	if o.Algorithm != adaAlgorithm {
+		return nil, fmt.Errorf("%w: engine selector %d (only ADA, %d, restores)", ErrBadCheckpoint, o.Algorithm, adaAlgorithm)
 	}
-	det, err := detect.New(o.thresholds)
+	det, err := detect.New(o.Thresholds)
 	if err != nil {
 		return nil, err
 	}
@@ -495,8 +442,7 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // to every restored detector (the way Restore applies them), which is
 // how sinks are re-attached after a restart and how a new WithMaxGap
 // bound takes effect (without one, each stream keeps its checkpointed
-// bound); a factory given through WithDetectorFactory only serves
-// streams created after the restore.
+// bound).
 func ManagerFromCheckpoint(dir string, opts ...ManagerOption) (*Manager, error) {
 	m, err := NewManager(opts...)
 	if err != nil {
@@ -559,7 +505,7 @@ func (m *Manager) restoreStream(path string) error {
 	if err != nil {
 		return err
 	}
-	ms := &managedStream{det: det, units: ss.Units, anoms: ss.Anoms, stepObs: m.stepObs}
+	ms := &managedStream{det: det, units: ss.Units, anoms: ss.Anoms}
 	sh := m.shardOf(ss.Name)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()

@@ -300,6 +300,50 @@ func TestRestoreAppliesSinksAndRejectsStructuralChanges(t *testing.T) {
 	}
 }
 
+// TestSnapshotCarriesEveryOption builds a detector with every Option
+// off its default and requires Snapshot → Restore to bring back the
+// same configuration. Every Config field but the engine selector must
+// differ from the default, so a field added without an Option here, or
+// without its codec pair, fails the test.
+func TestSnapshotCarriesEveryOption(t *testing.T) {
+	det, err := New(
+		WithDelta(10*time.Minute),
+		WithIncrement(5*time.Minute),
+		WithWindowLen(48),
+		WithTheta(3),
+		WithThresholds(Thresholds{RT: 2, DT: 6}),
+		WithSplitRule(EWMARule),
+		WithSplitEWMAAlpha(0.25),
+		WithReferenceLevels(3),
+		WithMultiScale(3, 3),
+		WithHoltWinters(0.5, 0.1, 0.2),
+		WithSeasonality(0.6, 12, 48),
+		WithMaxGap(500),
+		WithSink(SinkFuncs{}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, def := reflect.ValueOf(det.opts.Config), reflect.ValueOf(defaultOptions().Config)
+	for i := 0; i < got.NumField(); i++ {
+		name := got.Type().Field(i).Name
+		if name != "Algorithm" && reflect.DeepEqual(got.Field(i).Interface(), def.Field(i).Interface()) {
+			t.Errorf("Config.%s = %v, the default; set it off its default here", name, got.Field(i))
+		}
+	}
+	var buf bytes.Buffer
+	if err := det.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Restore(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(restored.opts.Config, det.opts.Config) {
+		t.Fatalf("restored config\n %+v\nwant\n %+v", restored.opts.Config, det.opts.Config)
+	}
+}
+
 // TestRestoreRejectsBadInput fuzzes the decoder with every truncation
 // and every single-byte corruption of a real checkpoint, plus a
 // version bump: all must fail with ErrBadCheckpoint and none may

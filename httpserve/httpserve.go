@@ -211,13 +211,13 @@ func New(cfg Config) (*Server, error) {
 		tiresias.WithTheta(cfg.Theta),
 		tiresias.WithThresholds(cfg.Thresholds),
 		tiresias.WithMaxGap(cfg.MaxGap),
+		tiresias.WithSink(tiresias.SinkFuncs{Unit: s.metrics.observeStep}),
 	}, cfg.DetectorOptions...)
 	mgrOpts := []tiresias.ManagerOption{
 		tiresias.WithShards(cfg.Shards),
 		tiresias.WithDetectorOptions(liveOpts...),
 		tiresias.WithAnomalyIndex(s.ix),
 		tiresias.WithAnomalyObserver(s.hub.publish),
-		tiresias.WithStepObserver(s.metrics.observeStep),
 	}
 	if s.pipelined {
 		mgrOpts = append(mgrOpts, tiresias.WithPipeline(cfg.QueueDepth, cfg.Backpressure))

@@ -176,10 +176,11 @@ func (m *serverMetrics) observeRequest(status int, d time.Duration, timed bool) 
 	}
 }
 
-// observeStep is the Manager's WithStepObserver hook: it feeds the
-// engine latency histograms. Runs under a shard lock; everything here
-// is lock-free.
-func (m *serverMetrics) observeStep(t tiresias.StageTimings) {
+// observeStep is every live detector's unit sink: it feeds the engine
+// latency histograms from the unit's stage timings. Runs under a shard
+// lock; everything here is lock-free.
+func (m *serverMetrics) observeStep(ev tiresias.UnitEvent) {
+	t := ev.Timings
 	m.engineStep.Observe(t.Total().Seconds())
 	m.engineStages[0].Observe(t.UpdatingHierarchies.Seconds())
 	m.engineStages[1].Observe(t.CreatingTimeSeries.Seconds())

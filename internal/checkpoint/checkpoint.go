@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"tiresias/internal/algo"
+	"tiresias/internal/detect"
 	"tiresias/internal/forecast"
 	"tiresias/internal/hierarchy"
 	"tiresias/internal/series"
@@ -82,9 +83,12 @@ const tagSetFingerprint = "fnv1a:cb88d35f"
 // structurally inconsistent state. Callers test with errors.Is.
 var ErrBadCheckpoint = errors.New("checkpoint: bad or incompatible checkpoint")
 
-// Config carries the detector configuration needed to reconstruct an
-// equivalent engine. Values are post-normalization (after any
-// WithIncrement rescaling), so restore never re-applies derivations.
+// Config is a detector's configuration: the options a detector runs
+// with are this struct (the root package embeds it), and the CFG.
+// section is its encoding, so a restored detector resumes with exactly
+// the settings it was checkpointed with. Values are post-normalization
+// (after any WithIncrement rescaling), so restore never re-applies
+// derivations.
 type Config struct {
 	// Delta is the timeunit size Δ; Increment the configured ς.
 	Delta, Increment time.Duration
@@ -92,13 +96,13 @@ type Config struct {
 	WindowLen int
 	// Theta is the heavy-hitter threshold θ.
 	Theta float64
-	// RT and DT are the Definition-4 sensitivity thresholds.
-	RT, DT float64
+	// Thresholds are the Definition-4 sensitivity thresholds RT, DT.
+	Thresholds detect.Thresholds
 	// Algorithm is the engine selector. Only ADA (1) is written or
 	// restored; the field keeps the format's bytes unchanged.
 	Algorithm int
 	// Rule is the ADA split rule; RuleAlpha the EWMA-rule rate.
-	Rule      int
+	Rule      algo.SplitRule
 	RuleAlpha float64
 	// RefLevels is h, the reference time-series depth.
 	RefLevels int
@@ -295,10 +299,10 @@ func encodeConfig(c *Config) *payload {
 	p.putVarint(int64(c.Increment))
 	p.putInt(c.WindowLen)
 	p.putF64(c.Theta)
-	p.putF64(c.RT)
-	p.putF64(c.DT)
+	p.putF64(c.Thresholds.RT)
+	p.putF64(c.Thresholds.DT)
 	p.putInt(c.Algorithm)
-	p.putInt(c.Rule)
+	p.putInt(int(c.Rule))
 	p.putF64(c.RuleAlpha)
 	p.putInt(c.RefLevels)
 	p.putInt(c.Lambda)
@@ -319,10 +323,10 @@ func decodeConfig(buf []byte, c *Config) error {
 	c.Increment = time.Duration(r.getVarint())
 	c.WindowLen = r.getInt()
 	c.Theta = r.getF64()
-	c.RT = r.getF64()
-	c.DT = r.getF64()
+	c.Thresholds.RT = r.getF64()
+	c.Thresholds.DT = r.getF64()
 	c.Algorithm = r.getInt()
-	c.Rule = r.getInt()
+	c.Rule = algo.SplitRule(r.getInt())
 	c.RuleAlpha = r.getF64()
 	c.RefLevels = r.getInt()
 	c.Lambda = r.getInt()

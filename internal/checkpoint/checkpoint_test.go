@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"tiresias/internal/algo"
+	"tiresias/internal/detect"
 	"tiresias/internal/hierarchy"
 )
 
@@ -25,11 +26,11 @@ func coldSnapshot() *Snapshot {
 	tree.Intern([]string{"v2"})
 	return &Snapshot{
 		Config: Config{
-			Delta:     15 * time.Minute,
-			WindowLen: 96,
-			Theta:     10,
-			RT:        2.8, DT: 8,
-			Algorithm: 1, Rule: 3, RuleAlpha: 0.4,
+			Delta:      15 * time.Minute,
+			WindowLen:  96,
+			Theta:      10,
+			Thresholds: detect.Thresholds{RT: 2.8, DT: 8},
+			Algorithm:  1, Rule: algo.LongTermHistory, RuleAlpha: 0.4,
 			RefLevels: 2,
 			HWAlpha:   0.4, HWBeta: 0.05, HWGamma: 0.3,
 			AutoSeason: true, SeasonXi: 0.76,
@@ -41,6 +42,28 @@ func coldSnapshot() *Snapshot {
 
 func TestColdSnapshotRoundTrip(t *testing.T) {
 	snap := coldSnapshot()
+	// Every field holds a distinct non-zero value, so a codec that
+	// drops or swaps a field fails the round trip.
+	snap.Config = Config{
+		Delta:         15 * time.Minute,
+		Increment:     5 * time.Minute,
+		WindowLen:     96,
+		Theta:         10,
+		Thresholds:    detect.Thresholds{RT: 2.8, DT: 8},
+		Algorithm:     1,
+		Rule:          algo.LongTermHistory,
+		RuleAlpha:     0.35,
+		RefLevels:     2,
+		Lambda:        6,
+		Eta:           4,
+		HWAlpha:       0.4,
+		HWBeta:        0.05,
+		HWGamma:       0.3,
+		AutoSeason:    true,
+		SeasonPeriods: []int{24, 168},
+		SeasonXi:      0.76,
+		MaxGap:        100000,
+	}
 	var buf bytes.Buffer
 	if err := Write(&buf, snap); err != nil {
 		t.Fatal(err)
@@ -52,7 +75,7 @@ func TestColdSnapshotRoundTrip(t *testing.T) {
 	if got.Warm || got.Engine != nil || got.Stream != nil {
 		t.Fatal("cold snapshot decoded as warm")
 	}
-	if !reflect.DeepEqual(snapConfigComparable(got.Config), snapConfigComparable(snap.Config)) {
+	if !reflect.DeepEqual(got.Config, snap.Config) {
 		t.Fatalf("config mismatch:\n got %+v\nwant %+v", got.Config, snap.Config)
 	}
 	if got.Tree.Len() != snap.Tree.Len() {
@@ -66,13 +89,6 @@ func TestColdSnapshotRoundTrip(t *testing.T) {
 	if err := got.Tree.Validate(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// snapConfigComparable strips slice fields (nil vs empty) so the
-// struct compares with ==.
-func snapConfigComparable(c Config) Config {
-	c.SeasonPeriods = nil
-	return c
 }
 
 // TestUnknownSectionSkipped verifies forward compatibility: a reader

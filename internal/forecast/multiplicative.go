@@ -16,7 +16,8 @@ import (
 // *additive* model (§VI): the multiplicative recurrences are not
 // linear in the observed series, so ADA's split and merge operations
 // cannot manipulate its state exactly — it implements only Forecaster,
-// not Linear. The ablation benchmark quantifies the resulting split
+// not Linear. No detector or benchmark runs it; its tests
+// (TestAdditiveSplitsExactlyMultiplicativeDoesNot) show the split
 // error against the additive model's exact zero.
 type MultiplicativeHW struct {
 	alpha, beta, gamma float64

@@ -30,14 +30,8 @@ type Manager struct {
 
 	// detectorOpts is the raw Option set given via WithDetectorOptions,
 	// retained so ManagerFromCheckpoint can re-apply it (sinks, ...) to
-	// restored detectors; nil when a bare factory was supplied.
+	// restored detectors.
 	detectorOpts []Option
-
-	// stepObs is the engine-step instrumentation hook (nil unless
-	// built with WithStepObserver); it is copied onto each managed
-	// stream at creation and restore so the hot path reads it without
-	// touching the Manager.
-	stepObs func(StageTimings)
 
 	// ckptStatsMu guards ckptStats; a dedicated mutex so Stats never
 	// blocks behind an in-flight Checkpoint (which holds ckptMu for
@@ -88,7 +82,7 @@ func (sh *managerShard) getOrCreate(m *Manager, streamName string) (*managedStre
 	if err != nil {
 		return nil, fmt.Errorf("tiresias: stream %q: %w", streamName, err)
 	}
-	ms := &managedStream{det: det, stepObs: m.stepObs}
+	ms := &managedStream{det: det}
 	sh.streams[streamName] = ms
 	return ms, nil
 }
@@ -109,11 +103,6 @@ type managedStream struct {
 	// retires it. See quarantine.go.
 	quarantined bool
 	quarReason  string
-
-	// stepObs, when non-nil, receives the engine stage timings of
-	// every completed detection step (copied from the Manager's
-	// WithStepObserver hook). Called under the shard lock.
-	stepObs func(StageTimings)
 }
 
 // managerOptions collects Manager configuration.
@@ -126,7 +115,6 @@ type managerOptions struct {
 	policy       BackpressurePolicy
 	index        *AnomalyIndex
 	observer     func([]AnomalyEntry)
-	stepObs      func(StageTimings)
 	fsys         fault.FS
 }
 
@@ -154,17 +142,16 @@ func WithShards(n int) ManagerOption {
 	return managerOptionFunc(func(o *managerOptions) { o.shards = n })
 }
 
-// WithDetectorFactory supplies the constructor invoked for each new
-// stream name; use it when streams need heterogeneous configuration.
-func WithDetectorFactory(f func(stream string) (*Tiresias, error)) ManagerOption {
+// withFactory supplies the constructor invoked for each new stream
+// name. Deliberately unexported: the tests use it to give streams
+// heterogeneous detectors or a failing constructor.
+func withFactory(f func(stream string) (*Tiresias, error)) ManagerOption {
 	return managerOptionFunc(func(o *managerOptions) { o.factory = f })
 }
 
 // WithDetectorOptions configures every stream's detector with the same
-// Option set — the common homogeneous-fleet case. Unlike a bare
-// WithDetectorFactory, the Option set is also re-applied to detectors
-// restored by ManagerFromCheckpoint (re-attaching sinks after a
-// restart).
+// Option set. The Option set is also re-applied to detectors restored
+// by ManagerFromCheckpoint (re-attaching sinks after a restart).
 func WithDetectorOptions(opts ...Option) ManagerOption {
 	return managerOptionFunc(func(o *managerOptions) {
 		o.detectorOpts = opts
@@ -172,9 +159,9 @@ func WithDetectorOptions(opts ...Option) ManagerOption {
 	})
 }
 
-// NewManager builds an empty sharded Manager. Without a factory,
-// detectors use the package defaults. An Option set given through
-// WithDetectorOptions is checked here, as New checks it.
+// NewManager builds an empty sharded Manager. Without
+// WithDetectorOptions, detectors use the package defaults; an Option
+// set given through it is checked here, as New checks it.
 func NewManager(opts ...ManagerOption) (*Manager, error) {
 	o := managerOptions{shards: 16}
 	for _, op := range opts {
@@ -213,7 +200,6 @@ func NewManager(opts ...ManagerOption) (*Manager, error) {
 		detectorOpts: o.detectorOpts,
 		index:        o.index,
 		observer:     o.observer,
-		stepObs:      o.stepObs,
 		fsys:         o.fsys,
 	}
 	for i := range m.shards {
@@ -328,14 +314,11 @@ func (m *Manager) record(streamName string, anoms []Anomaly) {
 	}
 }
 
-// count tallies one screened unit of the stream, reports its stage
-// timings to the step observer, and returns its anomalies.
+// count tallies one screened unit of the stream and returns its
+// anomalies.
 func (ms *managedStream) count(sr stepResult) []Anomaly {
 	ms.units++
 	ms.anoms += len(sr.anomalies)
-	if ms.stepObs != nil {
-		ms.stepObs(sr.state.Timings)
-	}
 	return sr.anomalies
 }
 

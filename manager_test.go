@@ -144,7 +144,7 @@ func TestManagerOutOfOrderRecord(t *testing.T) {
 
 func TestManagerFactoryError(t *testing.T) {
 	bad := errors.New("nope")
-	m, err := NewManager(WithDetectorFactory(func(string) (*Tiresias, error) { return nil, bad }))
+	m, err := NewManager(withFactory(func(string) (*Tiresias, error) { return nil, bad }))
 	if err != nil {
 		t.Fatal(err)
 	}

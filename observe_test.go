@@ -7,34 +7,43 @@ import (
 	"time"
 )
 
-// TestStepObserverSeesEveryStep verifies WithStepObserver fires once
-// per completed detection step on the synchronous path and survives a
-// checkpoint/restore cycle.
+// TestStepObserverSeesEveryStep verifies a unit sink given through
+// WithDetectorOptions observes the stage timings of every completed
+// detection step on the synchronous path, and is re-attached to the
+// streams a checkpoint/restore cycle brings back.
 func TestStepObserverSeesEveryStep(t *testing.T) {
-	steps := 0
-	m, err := NewManager(
-		WithShards(2),
-		WithStepObserver(func(StageTimings) { steps++ }),
-		WithDetectorOptions(
+	steps, timed := 0, 0
+	stepSink := func(n *int) Option {
+		return WithSink(SinkFuncs{Unit: func(ev UnitEvent) {
+			*n++
+			if ev.Timings.Total() > 0 {
+				timed++
+			}
+		}})
+	}
+	detOpts := func(extra Option) []Option {
+		return []Option{
 			WithDelta(time.Minute),
 			WithWindowLen(8),
 			WithTheta(0.5),
 			WithSeasonality(1.0, 4),
 			WithThresholds(Thresholds{RT: 2.0, DT: 5}),
-		),
-	)
+			extra,
+		}
+	}
+	m, err := NewManager(WithShards(2), WithDetectorOptions(detOpts(stepSink(&steps))...))
 	if err != nil {
 		t.Fatal(err)
 	}
 	feedUnits(t, m, "obs", 40, 20)
-	if steps == 0 {
-		t.Fatal("step observer never fired")
-	}
 	// Warmup units are buffered, not stepped; every post-warmup unit
-	// must be observed. 40 records complete 39 units; the first 8 warm
-	// the window (the warmup replay steps them too).
-	if steps < 20 {
-		t.Fatalf("step observer fired %d times, want >= 20", steps)
+	// is observed, once: 40 records complete 39 units, the first 8
+	// warm the window.
+	if steps != 31 {
+		t.Fatalf("unit sink fired %d times, want 31", steps)
+	}
+	if timed == 0 {
+		t.Fatal("no unit event carried stage timings")
 	}
 
 	dir := t.TempDir()
@@ -67,19 +76,9 @@ func TestStepObserverSeesEveryStep(t *testing.T) {
 		t.Fatalf("LastBytes = %d, stream file %v (err %v)", st.Checkpoint.LastBytes, fi, err)
 	}
 
-	// A restored Manager re-attaches the observer to restored streams.
+	// A restored Manager re-attaches the sink to restored streams.
 	restoredSteps := 0
-	m2, err := ManagerFromCheckpoint(dir,
-		WithShards(2),
-		WithStepObserver(func(StageTimings) { restoredSteps++ }),
-		WithDetectorOptions(
-			WithDelta(time.Minute),
-			WithWindowLen(8),
-			WithTheta(0.5),
-			WithSeasonality(1.0, 4),
-			WithThresholds(Thresholds{RT: 2.0, DT: 5}),
-		),
-	)
+	m2, err := ManagerFromCheckpoint(dir, WithShards(2), WithDetectorOptions(detOpts(stepSink(&restoredSteps))...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,6 +92,6 @@ func TestStepObserverSeesEveryStep(t *testing.T) {
 		}
 	}
 	if restoredSteps == 0 {
-		t.Fatal("step observer not re-attached to restored stream")
+		t.Fatal("unit sink not re-attached to restored stream")
 	}
 }

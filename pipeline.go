@@ -97,20 +97,6 @@ func WithAnomalyObserver(f func(entries []AnomalyEntry)) ManagerOption {
 	return managerOptionFunc(func(o *managerOptions) { o.observer = f })
 }
 
-// WithStepObserver registers an engine-step instrumentation hook: f
-// receives the StageTimings of every completed detection step on any
-// ingestion path (Feed, FeedBatch, Flush, pipeline workers), for all
-// streams — the feed behind the serving layer's engine-latency
-// histograms. To keep metric cardinality bounded the hook is
-// deliberately anonymous: it carries no stream name.
-//
-// f runs on the detecting goroutine under its shard lock, so it must
-// return quickly and must never block; lock-free counters and
-// histograms are the intended consumers.
-func WithStepObserver(f func(timings StageTimings)) ManagerOption {
-	return managerOptionFunc(func(o *managerOptions) { o.stepObs = f })
-}
-
 // ErrQueueFull is returned by EnqueueRuns and EnqueueBatch under the
 // ErrorWhenFull policy when a target shard's queue is full.
 var ErrQueueFull = errors.New("tiresias: pipeline queue full")

@@ -25,7 +25,7 @@ func panickingManager(t *testing.T, shards int, trig *fault.Panic, mopts ...Mana
 	}
 	opts := append([]ManagerOption{
 		WithShards(shards),
-		WithDetectorFactory(func(name string) (*Tiresias, error) {
+		withFactory(func(name string) (*Tiresias, error) {
 			if name == "bad" {
 				return New(detOpts(WithSink(SinkFuncs{Unit: func(UnitEvent) { trig.Poke() }}))...)
 			}

@@ -134,11 +134,11 @@ func (t *Tiresias) windower() *stream.Windower {
 	}
 	var w *stream.Windower
 	if t.warm {
-		w, _ = stream.NewWindowerAt(t.opts.delta, t.start.Add(time.Duration(t.warmLen+t.instance)*t.opts.delta))
+		w, _ = stream.NewWindowerAt(t.opts.Delta, t.start.Add(time.Duration(t.warmLen+t.instance)*t.opts.Delta))
 	} else {
-		w, _ = stream.NewWindower(t.opts.delta)
+		w, _ = stream.NewWindower(t.opts.Delta)
 	}
-	w.SetMaxGap(t.opts.maxGap)
+	w.SetMaxGap(t.opts.MaxGap)
 	w.BindTree(t.tree)
 	t.win.w = w
 	return w
@@ -182,7 +182,7 @@ func (t *Tiresias) flush(step func(stepResult)) error {
 func (t *Tiresias) advance(u *algo.DenseUnit, step func(stepResult)) error {
 	if !t.warm {
 		t.win.buf = append(t.win.buf, u.Pairs())
-		if len(t.win.buf) < t.opts.windowLen {
+		if len(t.win.buf) < t.opts.WindowLen {
 			return nil
 		}
 		return t.finishWarmup()
@@ -199,14 +199,14 @@ func (t *Tiresias) advance(u *algo.DenseUnit, step func(stepResult)) error {
 // section. The detector's own gap bound applies, not the one frozen in
 // the section.
 func (t *Tiresias) restoreWindow(ss *checkpoint.StreamState) error {
-	if ss.Windower.Delta != t.opts.delta {
-		return fmt.Errorf("%w: windower delta %v, detector delta %v", ErrBadCheckpoint, ss.Windower.Delta, t.opts.delta)
+	if ss.Windower.Delta != t.opts.Delta {
+		return fmt.Errorf("%w: windower delta %v, detector delta %v", ErrBadCheckpoint, ss.Windower.Delta, t.opts.Delta)
 	}
 	w, err := stream.RestoreWindower(ss.Windower, t.tree)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 	}
-	w.SetMaxGap(t.opts.maxGap)
+	w.SetMaxGap(t.opts.MaxGap)
 	t.win = window{w: w, buf: ss.WarmBuf, first: ss.First, seen: ss.FirstSeen, dirty: ss.Dirty}
 	return nil
 }

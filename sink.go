@@ -19,6 +19,8 @@ type UnitEvent struct {
 	HeavyHitters int `json:"heavyHitters"`
 	// Anomalies is the number of detections in the unit.
 	Anomalies int `json:"anomalies"`
+	// Timings is the engine's cost of the unit, stage by stage.
+	Timings StageTimings `json:"-"`
 }
 
 // Sink receives detection events as each timeunit is processed. For a

@@ -47,30 +47,19 @@ import (
 	"time"
 
 	"tiresias/internal/algo"
+	"tiresias/internal/checkpoint"
 	"tiresias/internal/detect"
 	"tiresias/internal/hierarchy"
 	"tiresias/internal/seasonal"
 )
 
-// options collects configuration; adjusted through Option values.
+// options collects configuration; adjusted through Option values. The
+// embedded Config is what a checkpoint carries (Snapshot writes it,
+// Restore starts from it); sinks hold live resources and are
+// re-attached through Restore's opts.
 type options struct {
-	delta         time.Duration
-	increment     time.Duration
-	windowLen     int
-	theta         float64
-	thresholds    detect.Thresholds
-	rule          algo.SplitRule
-	ruleAlpha     float64
-	refLevels     int
-	lambda, eta   int
-	hwAlpha       float64
-	hwBeta        float64
-	hwGamma       float64
-	autoSeason    bool
-	seasonPeriods []int // explicit seasonal periods (timeunits), max 2
-	seasonXi      float64
-	sinks         []Sink
-	maxGap        int
+	checkpoint.Config
+	sinks []Sink
 }
 
 // Option configures New.
@@ -84,48 +73,48 @@ func (f optionFunc) apply(o *options) { f(o) }
 
 // WithDelta sets the timeunit size Δ (default 15 minutes).
 func WithDelta(d time.Duration) Option {
-	return optionFunc(func(o *options) { o.delta = d })
+	return optionFunc(func(o *options) { o.Delta = d })
 }
 
 // WithWindowLen sets ℓ, the sliding-window length in timeunits
 // (default 672 = one week of 15-minute units; the paper's production
 // value is 8064).
 func WithWindowLen(l int) Option {
-	return optionFunc(func(o *options) { o.windowLen = l })
+	return optionFunc(func(o *options) { o.WindowLen = l })
 }
 
 // WithTheta sets the heavy-hitter threshold θ (default 10).
 func WithTheta(theta float64) Option {
-	return optionFunc(func(o *options) { o.theta = theta })
+	return optionFunc(func(o *options) { o.Theta = theta })
 }
 
 // WithThresholds sets the Definition-4 sensitivity thresholds
 // (default RT=2.8, DT=8, the paper's operating point).
 func WithThresholds(th Thresholds) Option {
-	return optionFunc(func(o *options) { o.thresholds = th })
+	return optionFunc(func(o *options) { o.Thresholds = th })
 }
 
 // WithSplitRule selects ADA's split rule (default Long-Term-History).
 func WithSplitRule(r SplitRule) Option {
-	return optionFunc(func(o *options) { o.rule = r })
+	return optionFunc(func(o *options) { o.Rule = r })
 }
 
 // WithSplitEWMAAlpha sets the smoothing rate for the EWMA split rule,
 // in (0, 1] (default 0.4).
 func WithSplitEWMAAlpha(alpha float64) Option {
-	return optionFunc(func(o *options) { o.ruleAlpha = alpha })
+	return optionFunc(func(o *options) { o.RuleAlpha = alpha })
 }
 
 // WithReferenceLevels sets h, the number of top levels maintaining
 // reference time series (default 2, the paper's accuracy/memory sweet
 // spot).
 func WithReferenceLevels(h int) Option {
-	return optionFunc(func(o *options) { o.refLevels = h })
+	return optionFunc(func(o *options) { o.RefLevels = h })
 }
 
 // WithMultiScale enables η geometric timescales with base λ (§V-B6).
 func WithMultiScale(lambda, eta int) Option {
-	return optionFunc(func(o *options) { o.lambda, o.eta = lambda, eta })
+	return optionFunc(func(o *options) { o.Lambda, o.Eta = lambda, eta })
 }
 
 // WithIncrement sets the time increment ς by which the sliding window
@@ -133,13 +122,13 @@ func WithMultiScale(lambda, eta int) Option {
 // a λ = Δ/ς multi-timescale series, per the paper's reduction; ς must
 // divide Δ. ς >= Δ (or zero) keeps the plain per-Δ stepping.
 func WithIncrement(increment time.Duration) Option {
-	return optionFunc(func(o *options) { o.increment = increment })
+	return optionFunc(func(o *options) { o.Increment = increment })
 }
 
 // WithHoltWinters sets the forecasting smoothing parameters, each in
 // [0, 1] (default 0.4, 0.05, 0.3).
 func WithHoltWinters(alpha, beta, gamma float64) Option {
-	return optionFunc(func(o *options) { o.hwAlpha, o.hwBeta, o.hwGamma = alpha, beta, gamma })
+	return optionFunc(func(o *options) { o.HWAlpha, o.HWBeta, o.HWGamma = alpha, beta, gamma })
 }
 
 // WithSeasonality fixes the seasonal periods explicitly (in timeunits;
@@ -147,16 +136,16 @@ func WithHoltWinters(alpha, beta, gamma float64) Option {
 // (ignored otherwise). Disables automatic seasonality analysis.
 func WithSeasonality(xi float64, periods ...int) Option {
 	return optionFunc(func(o *options) {
-		o.autoSeason = false
-		o.seasonPeriods = periods
-		o.seasonXi = xi
+		o.AutoSeason = false
+		o.SeasonPeriods = periods
+		o.SeasonXi = xi
 	})
 }
 
 // WithAutoSeasonality re-enables Step-3 automatic seasonality analysis
 // (FFT + wavelet) over the warmup window; this is the default.
 func WithAutoSeasonality() Option {
-	return optionFunc(func(o *options) { o.autoSeason = true; o.seasonPeriods = nil })
+	return optionFunc(func(o *options) { o.AutoSeason = true; o.SeasonPeriods = nil })
 }
 
 // WithSink registers a Sink to receive anomalies and per-unit events
@@ -193,25 +182,26 @@ const DefaultMaxGap = 100_000
 // bounds Run and Manager.Feed alike (give it to a Manager through
 // WithDetectorOptions) and is carried through every checkpoint.
 func WithMaxGap(n int) Option {
-	return optionFunc(func(o *options) { o.maxGap = n })
+	return optionFunc(func(o *options) { o.MaxGap = n })
 }
 
 func defaultOptions() options {
-	return options{
-		delta:      15 * time.Minute,
-		windowLen:  672,
-		theta:      10,
-		thresholds: detect.DefaultThresholds(),
-		rule:       algo.LongTermHistory,
-		ruleAlpha:  0.4,
-		refLevels:  2,
-		hwAlpha:    0.4,
-		hwBeta:     0.05,
-		hwGamma:    0.3,
-		autoSeason: true,
-		seasonXi:   0.76,
-		maxGap:     DefaultMaxGap,
-	}
+	return options{Config: checkpoint.Config{
+		Delta:      15 * time.Minute,
+		WindowLen:  672,
+		Theta:      10,
+		Thresholds: detect.DefaultThresholds(),
+		Algorithm:  adaAlgorithm,
+		Rule:       algo.LongTermHistory,
+		RuleAlpha:  0.4,
+		RefLevels:  2,
+		HWAlpha:    0.4,
+		HWBeta:     0.05,
+		HWGamma:    0.3,
+		AutoSeason: true,
+		SeasonXi:   0.76,
+		MaxGap:     DefaultMaxGap,
+	}}
 }
 
 // Tiresias is an online anomaly detector over hierarchical operational
@@ -249,31 +239,31 @@ func New(opts ...Option) (*Tiresias, error) {
 	for _, op := range opts {
 		op.apply(&o)
 	}
-	if o.delta <= 0 {
-		return nil, fmt.Errorf("tiresias: delta must be > 0, got %v", o.delta)
+	if o.Delta <= 0 {
+		return nil, fmt.Errorf("tiresias: delta must be > 0, got %v", o.Delta)
 	}
-	if o.windowLen < 2 {
-		return nil, fmt.Errorf("tiresias: window length must be >= 2, got %d", o.windowLen)
+	if o.WindowLen < 2 {
+		return nil, fmt.Errorf("tiresias: window length must be >= 2, got %d", o.WindowLen)
 	}
-	if o.increment != 0 {
-		m, err := algo.MapScales(o.delta, o.increment)
+	if o.Increment != 0 {
+		m, err := algo.MapScales(o.Delta, o.Increment)
 		if err != nil {
 			return nil, err
 		}
 		if !m.Identity() {
 			// Run the engine at the fine resolution; the coarse
 			// scale reconstitutes the original Δ units.
-			o.delta = m.EngineDelta
-			o.windowLen *= m.Lambda
-			if o.lambda == 0 || o.eta < m.Eta {
-				o.lambda, o.eta = m.Lambda, m.Eta
+			o.Delta = m.EngineDelta
+			o.WindowLen *= m.Lambda
+			if o.Lambda == 0 || o.Eta < m.Eta {
+				o.Lambda, o.Eta = m.Lambda, m.Eta
 			}
 		}
 	}
-	if len(o.seasonPeriods) > 2 {
-		return nil, fmt.Errorf("tiresias: at most 2 seasonal periods, got %d", len(o.seasonPeriods))
+	if len(o.SeasonPeriods) > 2 {
+		return nil, fmt.Errorf("tiresias: at most 2 seasonal periods, got %d", len(o.SeasonPeriods))
 	}
-	for _, p := range o.seasonPeriods {
+	for _, p := range o.SeasonPeriods {
 		if p < 1 {
 			return nil, fmt.Errorf("tiresias: seasonal period must be >= 1, got %d", p)
 		}
@@ -284,12 +274,12 @@ func New(opts ...Option) (*Tiresias, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("tiresias: %s: %w", optionOf[err.(*algo.ConfigError).Field], err)
 	}
-	for _, v := range [...]float64{o.hwAlpha, o.hwBeta, o.hwGamma} {
+	for _, v := range [...]float64{o.HWAlpha, o.HWBeta, o.HWGamma} {
 		if !(v >= 0 && v <= 1) {
-			return nil, fmt.Errorf("tiresias: WithHoltWinters: alpha, beta and gamma must be in [0, 1], got %v, %v, %v", o.hwAlpha, o.hwBeta, o.hwGamma)
+			return nil, fmt.Errorf("tiresias: WithHoltWinters: alpha, beta and gamma must be in [0, 1], got %v, %v, %v", o.HWAlpha, o.HWBeta, o.HWGamma)
 		}
 	}
-	det, err := detect.New(o.thresholds)
+	det, err := detect.New(o.Thresholds)
 	if err != nil {
 		return nil, err
 	}
@@ -297,11 +287,11 @@ func New(opts ...Option) (*Tiresias, error) {
 }
 
 // Delta returns the configured timeunit size.
-func (t *Tiresias) Delta() time.Duration { return t.opts.delta }
+func (t *Tiresias) Delta() time.Duration { return t.opts.Delta }
 
 // WindowLen returns the configured sliding-window length ℓ in
 // timeunits (after any WithIncrement rescaling).
-func (t *Tiresias) WindowLen() int { return t.opts.windowLen }
+func (t *Tiresias) WindowLen() int { return t.opts.WindowLen }
 
 // Warm reports whether the detector has warmed up: its first
 // WindowLen timeunits are windowed (or Run reached the end of a shorter
@@ -326,11 +316,11 @@ func (t *Tiresias) finishWarmup() error {
 	units := t.win.buf
 	t.win.buf = nil
 	t.start = t.win.first
-	if t.opts.autoSeason {
+	if t.opts.AutoSeason {
 		t.periods, t.xi = t.analyzeSeasonality(units)
 	} else {
-		t.periods = append([]int(nil), t.opts.seasonPeriods...)
-		t.xi = t.opts.seasonXi
+		t.periods = append([]int(nil), t.opts.SeasonPeriods...)
+		t.xi = t.opts.SeasonXi
 	}
 
 	var err error
@@ -362,13 +352,13 @@ func (t *Tiresias) newEngine() (*algo.ADA, error) {
 // of the forecaster factory and tree, which newEngine supplies.
 func (o *options) engineConfig() algo.Config {
 	return algo.Config{
-		Theta:     o.theta,
-		WindowLen: o.windowLen,
-		Rule:      o.rule,
-		RuleAlpha: o.ruleAlpha,
-		RefLevels: o.refLevels,
-		Lambda:    o.lambda,
-		Eta:       o.eta,
+		Theta:     o.Theta,
+		WindowLen: o.WindowLen,
+		Rule:      o.Rule,
+		RuleAlpha: o.RuleAlpha,
+		RefLevels: o.RefLevels,
+		Lambda:    o.Lambda,
+		Eta:       o.Eta,
 	}
 }
 
@@ -391,7 +381,7 @@ func (t *Tiresias) analyzeSeasonality(units []*algo.DenseUnit) ([]int, float64) 
 	for i, u := range units {
 		totals[i] = u.Total()
 	}
-	peaks := seasonal.DominantPeriods(totals, t.opts.delta, 0.2, 2)
+	peaks := seasonal.DominantPeriods(totals, t.opts.Delta, 0.2, 2)
 	// Cross-check with the wavelet detail energies: keep FFT peaks
 	// only when the decomposition shows real multi-scale structure.
 	if len(totals) >= 8 {
@@ -414,7 +404,7 @@ func (t *Tiresias) analyzeSeasonality(units []*algo.DenseUnit) ([]int, float64) 
 			periods = append(periods, units)
 		}
 	}
-	xi := t.opts.seasonXi
+	xi := t.opts.SeasonXi
 	if len(peaks) >= 2 {
 		xi = seasonal.SeasonWeight(peaks[0].Magnitude, peaks[1].Magnitude)
 	}
@@ -423,7 +413,7 @@ func (t *Tiresias) analyzeSeasonality(units []*algo.DenseUnit) ([]int, float64) 
 
 // factory builds the forecaster factory from the selected seasonality.
 func (t *Tiresias) factory() algo.ForecasterFactory {
-	a, b, g := t.opts.hwAlpha, t.opts.hwBeta, t.opts.hwGamma
+	a, b, g := t.opts.HWAlpha, t.opts.HWBeta, t.opts.HWGamma
 	switch len(t.periods) {
 	case 0:
 		// No seasonality: plain exponential smoothing, honoring the
@@ -460,7 +450,7 @@ func (t *Tiresias) screen(u *algo.DenseUnit) (stepResult, error) {
 	t.instance++
 	// Clock from the units actually warmed, not the configured window:
 	// a short-history warm-up must not skew timestamps into the future.
-	unitStart := t.start.Add(time.Duration(t.warmLen+t.instance-1) * t.opts.delta)
+	unitStart := t.start.Add(time.Duration(t.warmLen+t.instance-1) * t.opts.Delta)
 	anoms := t.detector.Scan(st, unitStart)
 	t.emit(st, anoms, unitStart)
 	return stepResult{state: st, anomalies: anoms}, nil
@@ -476,6 +466,7 @@ func (t *Tiresias) emit(st *algo.StepState, anoms []Anomaly, unitStart time.Time
 		Start:        unitStart,
 		HeavyHitters: len(st.HeavyHitters),
 		Anomalies:    len(anoms),
+		Timings:      st.Timings,
 	}
 	for _, s := range t.opts.sinks {
 		for _, a := range anoms {
