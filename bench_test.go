@@ -37,7 +37,7 @@ import (
 // to a few hundred milliseconds.
 func benchProfile() experiments.Profile {
 	p := experiments.Quick()
-	p.WarmUnits = 64
+	p.WindowLen = 64
 	p.RunUnits = 32
 	p.BaseRate = 100
 	return p
@@ -126,7 +126,7 @@ func engineWorkload(b *testing.B) (*algo.ADA, []*algo.DenseUnit) {
 	}
 	cfg := algo.Config{
 		Theta:         p.Theta,
-		WindowLen:     p.WarmUnits,
+		WindowLen:     p.WindowLen,
 		Rule:          algo.LongTermHistory,
 		RefLevels:     2,
 		NewForecaster: algo.HoltWintersFactory(0.4, 0.05, 0.3, 24),
@@ -136,13 +136,13 @@ func engineWorkload(b *testing.B) (*algo.ADA, []*algo.DenseUnit) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := e.Init(w.Units[:p.WarmUnits]); err != nil {
+	if _, err := e.Init(w.Units[:p.WindowLen]); err != nil {
 		b.Fatal(err)
 	}
 	// StepDense reads counts through a unit's sparse index, which the
 	// collected Pairs copies lack.
-	steps := make([]*algo.DenseUnit, 0, len(w.Units)-p.WarmUnits)
-	for _, u := range w.Units[p.WarmUnits:] {
+	steps := make([]*algo.DenseUnit, 0, len(w.Units)-p.WindowLen)
+	for _, u := range w.Units[p.WindowLen:] {
 		du := &algo.DenseUnit{}
 		for i, id := range u.IDs() {
 			du.Add(int(id), u.Values()[i])

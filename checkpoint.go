@@ -116,10 +116,6 @@ func Restore(r io.Reader, opts ...Option) (*Tiresias, error) {
 	return restoreFromSnapshot(snap, opts...)
 }
 
-// adaAlgorithm is the engine selector every checkpoint carries in
-// Config.Algorithm: ADA, the only engine a detector runs.
-const adaAlgorithm = 1
-
 // restoreFromSnapshot rebuilds a detector from decoded checkpoint
 // state, shared by Restore and ManagerFromCheckpoint.
 func restoreFromSnapshot(snap *checkpoint.Snapshot, opts ...Option) (*Tiresias, error) {
@@ -133,8 +129,8 @@ func restoreFromSnapshot(snap *checkpoint.Snapshot, opts ...Option) (*Tiresias, 
 	if o.Delta <= 0 || o.WindowLen < 2 {
 		return nil, fmt.Errorf("%w: configuration (delta %v, window %d)", ErrBadCheckpoint, o.Delta, o.WindowLen)
 	}
-	if o.Algorithm != adaAlgorithm {
-		return nil, fmt.Errorf("%w: engine selector %d (only ADA, %d, restores)", ErrBadCheckpoint, o.Algorithm, adaAlgorithm)
+	if o.Algorithm != checkpoint.ADA {
+		return nil, fmt.Errorf("%w: engine selector %d (only ADA, %d, restores)", ErrBadCheckpoint, o.Algorithm, checkpoint.ADA)
 	}
 	det, err := detect.New(o.Thresholds)
 	if err != nil {

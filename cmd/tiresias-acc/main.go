@@ -14,6 +14,10 @@
 //	                                   # accuracy-regression gate: exit
 //	                                   # non-zero when any scenario's F1
 //	                                   # dropped beyond tolerance
+//
+// When -json or -md is "-", stdout carries only that document and the
+// summary line and table go to stderr; -json and -md cannot both be
+// "-".
 package main
 
 import (
@@ -32,13 +36,13 @@ import (
 const defaultSeed = 1
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "tiresias-acc:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, stdout io.Writer) error {
+func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("tiresias-acc", flag.ContinueOnError)
 	var (
 		jsonPath  = fs.String("json", "", "write the scorecard JSON to this file (\"-\" = stdout)")
@@ -76,6 +80,13 @@ func run(args []string, stdout io.Writer) error {
 		return nil
 	}
 
+	report := stdout
+	switch {
+	case *jsonPath == "-" && *mdPath == "-":
+		return fmt.Errorf("-json - and -md - would put two documents on stdout; write one to a file")
+	case *jsonPath == "-" || *mdPath == "-":
+		report = stderr
+	}
 	var only []string
 	if *names != "" {
 		only = strings.Split(*names, ",")
@@ -85,29 +96,30 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "tiresias-acc seed=%d (%d scenarios in %v)\n\n",
+	fmt.Fprintf(report, "tiresias-acc seed=%d (%d scenarios in %v)\n\n",
 		card.Seed, len(card.Scores), time.Since(begin).Round(time.Millisecond))
-	fmt.Fprint(stdout, card.Markdown())
+	fmt.Fprint(report, card.Markdown())
 
 	if *jsonPath != "" {
 		raw, err := card.JSON()
 		if err != nil {
 			return err
 		}
-		if err := writeOut(*jsonPath, raw, stdout); err != nil {
+		if err := writeOut(*jsonPath, raw, stdout, report); err != nil {
 			return err
 		}
 	}
 	if *mdPath != "" {
-		if err := writeOut(*mdPath, []byte(card.Markdown()), stdout); err != nil {
+		if err := writeOut(*mdPath, []byte(card.Markdown()), stdout, report); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// writeOut writes data to path, with "-" selecting stdout.
-func writeOut(path string, data []byte, stdout io.Writer) error {
+// writeOut writes data to path, with "-" selecting stdout, and notes
+// a written file on report.
+func writeOut(path string, data []byte, stdout, report io.Writer) error {
 	if path == "-" {
 		_, err := stdout.Write(data)
 		return err
@@ -115,7 +127,7 @@ func writeOut(path string, data []byte, stdout io.Writer) error {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "wrote %s\n", path)
+	fmt.Fprintf(report, "wrote %s\n", path)
 	return nil
 }
 

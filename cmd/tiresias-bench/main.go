@@ -63,8 +63,8 @@ func run(args []string, stdout io.Writer) error {
 	if *seed != 0 {
 		p.Seed = *seed
 	}
-	fmt.Fprintf(stdout, "tiresias-bench profile=%s (netScale=%.2f, ℓ=%d, run=%d units, Δ=%v, θ=%.0f)\n\n",
-		p.Name, p.NetScale, p.WarmUnits, p.RunUnits, p.Delta, p.Theta)
+	fmt.Fprintf(stdout, "tiresias-bench profile=%s (netScale=%.2f, ℓ=%d, run=%d units, Δ=%v, θ=%.0f, %s)\n\n",
+		p.Name, p.NetScale, p.WindowLen, p.RunUnits, p.Delta, p.Theta, forecaster(p))
 	if *exp != "" {
 		start := time.Now()
 		r, err := experiments.ByID(*exp, p)
@@ -88,6 +88,18 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// forecaster names the forecaster the profile's engines run, as
+// checkpoint.Config.Engine chooses it.
+func forecaster(p experiments.Profile) string {
+	switch {
+	case p.AutoSeason:
+		return fmt.Sprintf("periods=auto hw=%g/%g/%g", p.HWAlpha, p.HWBeta, p.HWGamma)
+	case len(p.SeasonPeriods) == 0:
+		return fmt.Sprintf("periods=[] ewma=%g", p.HWAlpha)
+	}
+	return fmt.Sprintf("periods=%v hw=%g/%g/%g", p.SeasonPeriods, p.HWAlpha, p.HWBeta, p.HWGamma)
 }
 
 // writePlotData dumps a result's raw CSV point series under dir.

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"tiresias/internal/algo"
+	"tiresias/internal/checkpoint"
 	"tiresias/internal/detect"
 	"tiresias/internal/experiments"
 	"tiresias/internal/gen"
@@ -61,16 +62,17 @@ func run() error {
 	fmt.Printf("STB crash log: %d crash events, hierarchy of %d leaves\n",
 		len(ds.Records), cfg.Shape.NumLeaves())
 
-	// Run ADA and STA side by side to show the SCD accuracy claim.
-	// ADA's tree grows as categories appear (experiments.Replay);
-	// STA, exact whatever its tree holds, runs on the collected one.
-	engCfg := algo.Config{
-		Theta:         10,
-		WindowLen:     warm,
-		Rule:          algo.LongTermHistory,
-		RefLevels:     1,
-		NewForecaster: algo.HoltWintersFactory(0.4, 0.05, 0.3, 24),
-	}
+	// Run ADA and STA side by side to show the SCD accuracy claim,
+	// both as the server's default detector over an hourly 3-day
+	// window with SCD's single daily season, h = 1 and looser
+	// thresholds. ADA's tree grows as categories appear
+	// (experiments.Replay); STA, exact whatever its tree holds, runs
+	// on the collected one.
+	det := checkpoint.DefaultConfig()
+	det.Delta, det.WindowLen, det.RefLevels = delta, warm, 1
+	det.AutoSeason, det.SeasonPeriods = false, []int{24}
+	det.Thresholds = detect.Thresholds{RT: 2.0, DT: 15}
+	engCfg := det.Engine(det.Seasonality(w.Units[:warm]))
 	ada, err := algo.NewADA(engCfg)
 	if err != nil {
 		return err
@@ -83,7 +85,7 @@ func run() error {
 	if _, err := sta.Init(w.Units[:warm]); err != nil {
 		return err
 	}
-	det, err := detect.New(detect.Thresholds{RT: 2.0, DT: 15})
+	screen, err := detect.New(det.Thresholds)
 	if err != nil {
 		return err
 	}
@@ -97,7 +99,7 @@ func run() error {
 		if _, err := sta.StepDense(w.Units[warm+i]); err != nil {
 			return err
 		}
-		for _, a := range det.Scan(stA, time.Time{}) {
+		for _, a := range screen.Scan(stA, time.Time{}) {
 			fmt.Printf("  unit %2d: crash storm at %s (%.0f vs forecast %.1f)\n",
 				i, a.Key, a.Actual, a.Forecast)
 			if incident.Key().IsAncestorOf(a.Key) && i >= 7 && i <= 13 {

@@ -4,7 +4,9 @@
 // hierarchy, engine state (series rings, forecasting models,
 // split-rule statistics, reference series), detector clock, and the
 // optional windowing state (warm-up buffer, partial current unit) a
-// detector needs to resume mid-unit.
+// detector needs to resume mid-unit. Its Config type also builds the
+// engine: Seasonality and Engine are the one construction of an
+// algo.Config from a detector's settings.
 //
 // # Wire format
 //

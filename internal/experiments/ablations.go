@@ -27,7 +27,7 @@ func Sensitivity(p Profile) (*Result, error) {
 	var truth []evalx.Event
 	for _, a := range anoms {
 		for u := a.StartUnit; u < a.EndUnit; u++ {
-			truth = append(truth, evalx.Event{Key: a.Key(), Instance: u - p.WarmUnits})
+			truth = append(truth, evalx.Event{Key: a.Key(), Instance: u - p.WindowLen})
 		}
 	}
 	t := &table{
@@ -37,11 +37,11 @@ func Sensitivity(p Profile) (*Result, error) {
 	vals := map[string]float64{}
 	for _, rt := range []float64{1.5, 2.8, 5.0} {
 		for _, dt := range []float64{2, 8, 32} {
-			ada, err := engineFor("ADA", p, algo.LongTermHistory, 2, nil)
+			ada, err := engineFor("ADA", p, w, algo.LongTermHistory, 2)
 			if err != nil {
 				return nil, err
 			}
-			flagged, _, err := runDetect(ada, w, p.WarmUnits, detect.Thresholds{RT: rt, DT: dt})
+			flagged, _, err := runDetect(ada, w, p.WindowLen, detect.Thresholds{RT: rt, DT: dt})
 			if err != nil {
 				return nil, err
 			}
@@ -63,7 +63,7 @@ func AblateSeason(p Profile) (*Result, error) {
 	// Build an hourly dual-season workload (day + week).
 	prof := p
 	prof.Delta = time.Hour
-	prof.WarmUnits = 4 * 7 * 24
+	prof.WindowLen = 4 * 7 * 24
 	prof.RunUnits = 7 * 24
 	prof.BaseRate = p.BaseRate / 4
 	w, err := CCDNetWorkload(prof, nil)
@@ -75,8 +75,8 @@ func AblateSeason(p Profile) (*Result, error) {
 		totals[i] = u.Total()
 	}
 	day, week := 24, 7*24
-	hist := totals[:prof.WarmUnits]
-	evalSeries := totals[prof.WarmUnits:]
+	hist := totals[:prof.WindowLen]
+	evalSeries := totals[prof.WindowLen:]
 
 	score := func(f forecast.Forecaster) float64 {
 		var sum float64
@@ -118,22 +118,16 @@ func AblateScales(p Profile) (*Result, error) {
 		return nil, err
 	}
 	run := func(lambda, eta int) (algo.MemoryStats, *algo.ADA, error) {
-		cfg := algo.Config{
-			Theta:         p.Theta,
-			WindowLen:     p.WarmUnits,
-			Rule:          algo.LongTermHistory,
-			NewForecaster: dailyFactory(p),
-			Lambda:        lambda,
-			Eta:           eta,
-		}
-		ada, err := algo.NewADA(cfg)
+		prof := p
+		prof.Lambda, prof.Eta = lambda, eta
+		e, err := engineFor("ADA", prof, w, algo.LongTermHistory, 0)
 		if err != nil {
 			return algo.MemoryStats{}, nil, err
 		}
-		if err := Replay(ada, w.Tree, w.Units, p.WarmUnits, nil); err != nil {
+		if err := Replay(e, w.Tree, w.Units, p.WindowLen, nil); err != nil {
 			return algo.MemoryStats{}, nil, err
 		}
-		return ada.Memory(), ada, nil
+		return e.Memory(), e.(*algo.ADA), nil
 	}
 	base, _, err := run(0, 0)
 	if err != nil {
@@ -221,8 +215,8 @@ func AblateHHD(p Profile) (*Result, error) {
 	}
 	spike := gen.AnomalySpec{
 		Path:         coldPath,
-		StartUnit:    p.WarmUnits + p.RunUnits/2,
-		EndUnit:      p.WarmUnits + p.RunUnits/2 + 2,
+		StartUnit:    p.WindowLen + p.RunUnits/2,
+		EndUnit:      p.WindowLen + p.RunUnits/2 + 2,
 		ExtraPerUnit: p.BaseRate,
 	}
 	w, err := CCDNetWorkload(p, []gen.AnomalySpec{spike})
@@ -253,17 +247,17 @@ func AblateHHD(p Profile) (*Result, error) {
 	hhdSet := lt.Query()
 
 	// Tiresias over the same stream.
-	ada, err := engineFor("ADA", p, algo.LongTermHistory, 2, nil)
+	ada, err := engineFor("ADA", p, w, algo.LongTermHistory, 2)
 	if err != nil {
 		return nil, err
 	}
-	flagged, _, err := runDetect(ada, w, p.WarmUnits, detect.Thresholds{RT: 2.5, DT: p.Theta})
+	flagged, _, err := runDetect(ada, w, p.WindowLen, detect.Thresholds{RT: 2.5, DT: p.Theta})
 	if err != nil {
 		return nil, err
 	}
 	tiresiasSees := false
 	for _, e := range flagged {
-		abs := e.Instance + p.WarmUnits
+		abs := e.Instance + p.WindowLen
 		if abs >= spike.StartUnit-1 && abs <= spike.EndUnit+1 && spike.Key().IsAncestorOf(e.Key) {
 			tiresiasSees = true
 		}

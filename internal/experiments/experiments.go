@@ -19,59 +19,50 @@ import (
 	"time"
 
 	"tiresias/internal/algo"
+	"tiresias/internal/checkpoint"
 	"tiresias/internal/gen"
 	"tiresias/internal/hierarchy"
 	"tiresias/internal/stream"
 )
 
 // Profile scales the experiments: Quick is sized for CI and unit
-// benchmarks, Full approaches the paper's dimensions.
+// benchmarks, Full approaches the paper's dimensions. Every engine an
+// experiment runs is the profile's detector, built by Config.Engine.
 type Profile struct {
+	// Config is the detector: checkpoint.DefaultConfig, the one a
+	// server runs, with the profile's overrides. Its WindowLen is the
+	// history window ℓ the workloads warm up on, its Delta the
+	// timeunit size.
+	checkpoint.Config
 	// Name labels the profile in output.
 	Name string
 	// NetScale scales the CCD/SCD network fan-outs (1 = paper size).
 	NetScale float64
-	// WarmUnits is the history window ℓ used by the engines.
-	WarmUnits int
 	// RunUnits is the number of detection timeunits after warmup.
 	RunUnits int
-	// Delta is the timeunit size.
-	Delta time.Duration
 	// BaseRate is the expected records per timeunit.
 	BaseRate float64
-	// Theta is the heavy-hitter threshold.
-	Theta float64
 	// Seed drives all generation.
 	Seed int64
 }
 
-// Quick returns the CI-sized profile (seconds per experiment).
+// Quick returns the CI-sized profile (seconds per experiment). Two
+// 96-unit days do not fit in its ℓ = 96, so it forecasts with no
+// period: EWMA(0.5).
 func Quick() Profile {
-	return Profile{
-		Name:      "quick",
-		NetScale:  0.08,
-		WarmUnits: 96,
-		RunUnits:  48,
-		Delta:     15 * time.Minute,
-		BaseRate:  120,
-		Theta:     8,
-		Seed:      1,
-	}
+	cfg := checkpoint.DefaultConfig()
+	cfg.WindowLen, cfg.Theta = 96, 8
+	cfg.AutoSeason, cfg.HWAlpha = false, 0.5
+	return Profile{Config: cfg, Name: "quick", NetScale: 0.08, RunUnits: 48, BaseRate: 120, Seed: 1}
 }
 
 // Full returns a profile close to the paper's scale (minutes per
-// experiment).
+// experiment): a one-week window forecasting with a one-day season.
 func Full() Profile {
-	return Profile{
-		Name:      "full",
-		NetScale:  0.5,
-		WarmUnits: 672, // one week of 15-minute units
-		RunUnits:  192, // two days
-		Delta:     15 * time.Minute,
-		BaseRate:  1200,
-		Theta:     15,
-		Seed:      1,
-	}
+	cfg := checkpoint.DefaultConfig()
+	cfg.Theta = 15
+	cfg.AutoSeason, cfg.SeasonPeriods = false, []int{96}
+	return Profile{Config: cfg, Name: "full", NetScale: 0.5, RunUnits: 192, BaseRate: 1200, Seed: 1}
 }
 
 // Workload couples generated records with their timeunit grouping.
@@ -100,7 +91,7 @@ func CCDNetWorkload(p Profile, anoms []gen.AnomalySpec) (*Workload, error) {
 	cfg := gen.Config{
 		Shape:           gen.CCDNetworkShape(p.NetScale),
 		Start:           monday(),
-		Units:           p.WarmUnits + p.RunUnits,
+		Units:           p.WindowLen + p.RunUnits,
 		Delta:           p.Delta,
 		BaseRate:        p.BaseRate,
 		DiurnalStrength: 0.6,
@@ -119,7 +110,7 @@ func CCDTroubleWorkload(p Profile) (*Workload, error) {
 		Shape:           gen.CCDTroubleShape(),
 		Mix:             gen.CCDTicketMix(),
 		Start:           monday(),
-		Units:           p.WarmUnits + p.RunUnits,
+		Units:           p.WindowLen + p.RunUnits,
 		Delta:           p.Delta,
 		BaseRate:        p.BaseRate,
 		DiurnalStrength: 0.6,
@@ -137,7 +128,7 @@ func SCDWorkload(p Profile) (*Workload, error) {
 	cfg := gen.Config{
 		Shape:           gen.SCDNetworkShape(p.NetScale),
 		Start:           monday(),
-		Units:           p.WarmUnits + p.RunUnits,
+		Units:           p.WindowLen + p.RunUnits,
 		Delta:           p.Delta,
 		BaseRate:        p.BaseRate,
 		DiurnalStrength: 0.35,
@@ -260,35 +251,17 @@ func Replay(e algo.Engine, tree *hierarchy.Tree, units []*algo.DenseUnit, warm i
 	return nil
 }
 
-// engineFor builds an engine for the experiment runs.
-func engineFor(name string, p Profile, rule algo.SplitRule, refLevels int, factory algo.ForecasterFactory) (algo.Engine, error) {
-	cfg := algo.Config{
-		Theta:         p.Theta,
-		WindowLen:     p.WarmUnits,
-		Rule:          rule,
-		RefLevels:     refLevels,
-		NewForecaster: factory,
+// engineFor builds the named engine ("STA", or ADA) of p's detector
+// with the given split rule and reference depth, its seasonality taken
+// from w's warm-up window.
+func engineFor(name string, p Profile, w *Workload, rule algo.SplitRule, refLevels int) (algo.Engine, error) {
+	cfg := p.Config
+	cfg.Rule, cfg.RefLevels = rule, refLevels
+	ec := cfg.Engine(cfg.Seasonality(w.Units[:p.WindowLen]))
+	if name == "STA" {
+		return algo.NewSTA(ec)
 	}
-	if factory == nil {
-		cfg.NewForecaster = dailyFactory(p)
-	}
-	switch name {
-	case "STA":
-		return algo.NewSTA(cfg)
-	default:
-		return algo.NewADA(cfg)
-	}
-}
-
-// dailyFactory returns a Holt-Winters factory with a one-day season in
-// the profile's timeunits (falling back to EWMA when the window is too
-// short for two cycles).
-func dailyFactory(p Profile) algo.ForecasterFactory {
-	period := int(24 * time.Hour / p.Delta)
-	if period < 2 || 2*period > p.WarmUnits {
-		return algo.DefaultFactory()
-	}
-	return algo.HoltWintersFactory(0.4, 0.05, 0.3, period)
+	return algo.NewADA(ec)
 }
 
 // table is a tiny text-table renderer shared by all experiments.

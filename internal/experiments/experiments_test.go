@@ -3,30 +3,46 @@ package experiments
 import (
 	"strings"
 	"testing"
-	"time"
+
+	"tiresias/internal/checkpoint"
+	"tiresias/internal/forecast"
 )
 
 // tiny returns a profile small enough that every experiment finishes
 // in well under a second, while keeping the qualitative shapes.
 func tiny() Profile {
-	return Profile{
-		Name:      "tiny",
-		NetScale:  0.05,
-		WarmUnits: 48,
-		RunUnits:  24,
-		Delta:     15 * time.Minute,
-		BaseRate:  60,
-		Theta:     6,
-		Seed:      3,
-	}
+	cfg := checkpoint.DefaultConfig()
+	cfg.WindowLen, cfg.Theta = 48, 6
+	cfg.AutoSeason, cfg.HWAlpha = false, 0.5
+	return Profile{Config: cfg, Name: "tiny", NetScale: 0.05, RunUnits: 24, BaseRate: 60, Seed: 3}
 }
 
 func TestProfiles(t *testing.T) {
 	if Quick().Name != "quick" || Full().Name != "full" {
 		t.Fatal("profile names wrong")
 	}
-	if Full().WarmUnits <= Quick().WarmUnits {
+	if Full().WindowLen <= Quick().WindowLen {
 		t.Fatal("Full must be larger than Quick")
+	}
+}
+
+// TestProfilesPinForecaster pins the forecaster each profile's engines
+// run: Full a one-day Holt-Winters season, Quick (whose ℓ holds no two
+// days) EWMA(0.5). No golden covers Full's tables.
+func TestProfilesPinForecaster(t *testing.T) {
+	history := make([]float64, 2*96)
+	for i := range history {
+		history[i] = float64(10 + i%96)
+	}
+	built := func(p Profile) forecast.Linear {
+		ec := p.Engine(p.Seasonality(nil))
+		return ec.NewForecaster(nil, history)
+	}
+	if hw, ok := built(Full()).(*forecast.HoltWinters); !ok || hw.Period() != 96 {
+		t.Fatalf("Full forecaster = %#v, want a period-96 *forecast.HoltWinters", built(Full()))
+	}
+	if e, ok := built(Quick()).(*forecast.EWMA); !ok || e.Alpha != 0.5 {
+		t.Fatalf("Quick forecaster = %#v, want *forecast.EWMA with alpha 0.5", built(Quick()))
 	}
 }
 

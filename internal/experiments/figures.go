@@ -113,7 +113,7 @@ func ccdfAt(pts []evalx.CCDFPoint, x float64) float64 {
 // structure and the weekend dip.
 func Fig2(p Profile) (*Result, error) {
 	prof := p
-	prof.WarmUnits = 8 * int(24*time.Hour/p.Delta) // 8 days
+	prof.WindowLen = 8 * int(24*time.Hour/p.Delta) // 8 days
 	prof.RunUnits = 0
 	w, err := CCDNetWorkload(prof, nil)
 	if err != nil {
@@ -226,7 +226,7 @@ func Fig9(Profile) (*Result, error) {
 func Fig11(p Profile) (*Result, error) {
 	prof := p
 	prof.Delta = time.Hour
-	prof.WarmUnits = 12 * 7 * 24 // 12 weeks hourly, the paper's window
+	prof.WindowLen = 12 * 7 * 24 // 12 weeks hourly, the paper's window
 	prof.RunUnits = 0
 	prof.BaseRate = p.BaseRate / 4
 
@@ -299,13 +299,13 @@ func Fig12(p Profile) (*Result, error) {
 		header: []string{"Variant", "MeanErr", "Newest5", "Oldest5", "ByDepth(1..4)"},
 	}
 	vals := map[string]float64{}
-	sta, err := engineFor("STA", p, algo.LongTermHistory, 0, nil)
+	sta, err := engineFor("STA", p, w, algo.LongTermHistory, 0)
 	if err != nil {
 		return nil, err
 	}
 	// Pre-drive STA and snapshot exact series at the final instance.
 	var lastSTA *algo.StepState
-	err = Replay(sta, w.Tree, w.Units, p.WarmUnits, func(st *algo.StepState) error {
+	err = Replay(sta, w.Tree, w.Units, p.WindowLen, func(st *algo.StepState) error {
 		lastSTA = st
 		return nil
 	})
@@ -313,11 +313,11 @@ func Fig12(p Profile) (*Result, error) {
 		return nil, err
 	}
 	for _, v := range variants {
-		ada, err := engineFor("ADA", p, v.rule, v.h, nil)
+		ada, err := engineFor("ADA", p, w, v.rule, v.h)
 		if err != nil {
 			return nil, err
 		}
-		if err := Replay(ada, w.Tree, w.Units, p.WarmUnits, nil); err != nil {
+		if err := Replay(ada, w.Tree, w.Units, p.WindowLen, nil); err != nil {
 			return nil, err
 		}
 		var all, newest, oldest []float64

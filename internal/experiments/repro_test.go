@@ -28,7 +28,7 @@ func replayTrace(t *testing.T, sta bool) [][]hhBits {
 	}
 	cfg := algo.Config{
 		Theta:         p.Theta,
-		WindowLen:     p.WarmUnits,
+		WindowLen:     p.WindowLen,
 		Rule:          algo.LongTermHistory,
 		RefLevels:     2,
 		NewForecaster: algo.HoltWintersFactory(0.4, 0.05, 0.3, 24),
@@ -43,7 +43,7 @@ func replayTrace(t *testing.T, sta bool) [][]hhBits {
 		t.Fatal(err)
 	}
 	var trace [][]hhBits
-	err = Replay(e, w.Tree, w.Units, p.WarmUnits, func(st *algo.StepState) error {
+	err = Replay(e, w.Tree, w.Units, p.WindowLen, func(st *algo.StepState) error {
 		row := make([]hhBits, len(st.HeavyHitters))
 		for i, hh := range st.HeavyHitters {
 			row[i] = hhBits{hh.ID, hh.Key, math.Float64bits(hh.Actual), math.Float64bits(hh.Forecast)}
@@ -66,7 +66,7 @@ func alarmTrace(t *testing.T) []refmethod.Alarm {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chart, err := refmethod.New(refmethod.Config{K: 3, Window: p.WarmUnits / 2, MinSigma: 1}, w.Tree)
+	chart, err := refmethod.New(refmethod.Config{K: 3, Window: p.WindowLen / 2, MinSigma: 1}, w.Tree)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,15 +125,14 @@ func Table3(p Profile) (*Result, error) {
 	for _, delta := range []time.Duration{p.Delta, 4 * p.Delta} {
 		prof := p
 		prof.Delta = delta
-		// Keep wall-clock span constant: fewer units at larger Δ.
+		// Keep wall-clock span constant: fewer units at larger Δ, and
+		// each configured season as many units fewer.
 		ratio := int(delta / p.Delta)
-		prof.WarmUnits = p.WarmUnits / ratio
-		if prof.WarmUnits < 4 {
-			prof.WarmUnits = 4
-		}
-		prof.RunUnits = p.RunUnits / ratio
-		if prof.RunUnits < 2 {
-			prof.RunUnits = 2
+		prof.WindowLen = max(p.WindowLen/ratio, 4)
+		prof.RunUnits = max(p.RunUnits/ratio, 2)
+		prof.SeasonPeriods = nil
+		for _, sp := range p.SeasonPeriods {
+			prof.SeasonPeriods = append(prof.SeasonPeriods, sp/ratio)
 		}
 		prof.BaseRate = p.BaseRate * float64(ratio)
 		w, err := CCDNetWorkload(prof, nil)
@@ -142,11 +141,11 @@ func Table3(p Profile) (*Result, error) {
 		}
 		var sums [2]time.Duration
 		for i, name := range []string{"ADA", "STA"} {
-			e, err := engineFor(name, prof, algo.LongTermHistory, 0, nil)
+			e, err := engineFor(name, prof, w, algo.LongTermHistory, 0)
 			if err != nil {
 				return nil, err
 			}
-			row, err := runTimed(e, w, prof.WarmUnits)
+			row, err := runTimed(e, w, prof.WindowLen)
 			if err != nil {
 				return nil, err
 			}
@@ -184,11 +183,11 @@ func Table4(p Profile) (*Result, error) {
 	}
 	vals := map[string]float64{}
 	run := func(name string, h int) (algo.MemoryStats, error) {
-		e, err := engineFor(name, p, algo.LongTermHistory, h, nil)
+		e, err := engineFor(name, p, w, algo.LongTermHistory, h)
 		if err != nil {
 			return algo.MemoryStats{}, err
 		}
-		if err := Replay(e, w.Tree, w.Units, p.WarmUnits, nil); err != nil {
+		if err := Replay(e, w.Tree, w.Units, p.WindowLen, nil); err != nil {
 			return algo.MemoryStats{}, err
 		}
 		return e.Memory(), nil
@@ -219,10 +218,10 @@ func table5Workload(p Profile) (*Workload, []gen.AnomalySpec, error) {
 	shape := gen.CCDNetworkShape(p.NetScale)
 	leaves := shape.Leaves()
 	anoms := []gen.AnomalySpec{
-		{Path: leaves[0][:1], StartUnit: p.WarmUnits + p.RunUnits/6, EndUnit: p.WarmUnits + p.RunUnits/6 + 3, ExtraPerUnit: p.BaseRate},
-		{Path: leaves[len(leaves)/2][:2], StartUnit: p.WarmUnits + p.RunUnits/3, EndUnit: p.WarmUnits + p.RunUnits/3 + 2, ExtraPerUnit: p.BaseRate * 0.8},
-		{Path: leaves[len(leaves)-1][:3], StartUnit: p.WarmUnits + p.RunUnits/2, EndUnit: p.WarmUnits + p.RunUnits/2 + 2, ExtraPerUnit: p.BaseRate * 0.6},
-		{Path: leaves[len(leaves)/3], StartUnit: p.WarmUnits + 2*p.RunUnits/3, EndUnit: p.WarmUnits + 2*p.RunUnits/3 + 2, ExtraPerUnit: p.BaseRate * 0.5},
+		{Path: leaves[0][:1], StartUnit: p.WindowLen + p.RunUnits/6, EndUnit: p.WindowLen + p.RunUnits/6 + 3, ExtraPerUnit: p.BaseRate},
+		{Path: leaves[len(leaves)/2][:2], StartUnit: p.WindowLen + p.RunUnits/3, EndUnit: p.WindowLen + p.RunUnits/3 + 2, ExtraPerUnit: p.BaseRate * 0.8},
+		{Path: leaves[len(leaves)-1][:3], StartUnit: p.WindowLen + p.RunUnits/2, EndUnit: p.WindowLen + p.RunUnits/2 + 2, ExtraPerUnit: p.BaseRate * 0.6},
+		{Path: leaves[len(leaves)/3], StartUnit: p.WindowLen + 2*p.RunUnits/3, EndUnit: p.WindowLen + 2*p.RunUnits/3 + 2, ExtraPerUnit: p.BaseRate * 0.5},
 	}
 	w, err := CCDNetWorkload(p, anoms)
 	if err != nil {
@@ -269,11 +268,11 @@ func Table5(p Profile) (*Result, error) {
 		return nil, err
 	}
 	th := detect.Thresholds{RT: 2.8, DT: p.Theta}
-	sta, err := engineFor("STA", p, algo.LongTermHistory, 0, nil)
+	sta, err := engineFor("STA", p, w, algo.LongTermHistory, 0)
 	if err != nil {
 		return nil, err
 	}
-	truth, truthScreened, err := runDetect(sta, w, p.WarmUnits, th)
+	truth, truthScreened, err := runDetect(sta, w, p.WindowLen, th)
 	if err != nil {
 		return nil, err
 	}
@@ -297,11 +296,11 @@ func Table5(p Profile) (*Result, error) {
 		{rule: algo.Uniform, h: 2},
 	}
 	for _, v := range variants {
-		ada, err := engineFor("ADA", p, v.rule, v.h, nil)
+		ada, err := engineFor("ADA", p, w, v.rule, v.h)
 		if err != nil {
 			return nil, err
 		}
-		pred, _, err := runDetect(ada, w, p.WarmUnits, th)
+		pred, _, err := runDetect(ada, w, p.WindowLen, th)
 		if err != nil {
 			return nil, err
 		}
@@ -326,24 +325,24 @@ func Table6(p Profile) (*Result, error) {
 	}
 	// Reference method over the same timeunits (alarms only count
 	// after its calibration window).
-	chart, err := refmethod.New(refmethod.Config{K: 3, Window: p.WarmUnits / 2, MinSigma: 1}, w.Tree)
+	chart, err := refmethod.New(refmethod.Config{K: 3, Window: p.WindowLen / 2, MinSigma: 1}, w.Tree)
 	if err != nil {
 		return nil, err
 	}
 	var reference []evalx.Event
 	for i, u := range w.Units {
 		for _, al := range chart.Observe(u) {
-			if i >= p.WarmUnits {
-				reference = append(reference, evalx.Event{Key: al.Key, Instance: i - p.WarmUnits})
+			if i >= p.WindowLen {
+				reference = append(reference, evalx.Event{Key: al.Key, Instance: i - p.WindowLen})
 			}
 		}
 	}
-	ada, err := engineFor("ADA", p, algo.LongTermHistory, 2, nil)
+	ada, err := engineFor("ADA", p, w, algo.LongTermHistory, 2)
 	if err != nil {
 		return nil, err
 	}
 	th := detect.Thresholds{RT: 2.8, DT: p.Theta}
-	flagged, screened, err := runDetect(ada, w, p.WarmUnits, th)
+	flagged, screened, err := runDetect(ada, w, p.WindowLen, th)
 	if err != nil {
 		return nil, err
 	}

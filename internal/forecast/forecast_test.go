@@ -220,6 +220,38 @@ func TestHoltWintersScaleHalvesForecast(t *testing.T) {
 	}
 }
 
+// TestHoltWintersSplitMatchesHalfSeriesFit is why the paper's model
+// is additive (§VI): a model scaled by 0.5 and fed the halved series
+// forecasts exactly as a model fitted on the halved series from the
+// start — the exactness ADA's SPLIT relies on. The multiplicative
+// recurrences are not linear in the series, so no such scaling exists
+// for them.
+func TestHoltWintersSplitMatchesHalfSeriesFit(t *testing.T) {
+	p := 12
+	series := seasonalSeries(6*p, p, 80, 0.5, 30, 3, rand.New(rand.NewSource(3)))
+	half := make([]float64, len(series))
+	for i, v := range series {
+		half[i] = v / 2
+	}
+	full, err := NewHoltWinters(0.4, 0.05, 0.3, p, series[:2*p])
+	if err != nil {
+		t.Fatal(err)
+	}
+	split := Clone(full)
+	split.Scale(0.5)
+	fit, err := NewHoltWinters(0.4, 0.05, 0.3, p, half[:2*p])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 2 * p; i < len(series); i++ {
+		if !almostEq(split.Forecast(), fit.Forecast(), 1e-9) {
+			t.Fatalf("step %d: split %v != half-series fit %v", i, split.Forecast(), fit.Forecast())
+		}
+		split.Update(half[i])
+		fit.Update(half[i])
+	}
+}
+
 func TestHoltWintersAddPhaseMismatch(t *testing.T) {
 	p := 4
 	series := seasonalSeries(2*p, p, 40, 0, 10, 0, nil)

@@ -7,6 +7,14 @@ import (
 	"time"
 )
 
+// TestDefaultMaxGapIsTheDefault ties the exported constant to the
+// bound of the default detector, which checkpoint.DefaultConfig spells.
+func TestDefaultMaxGapIsTheDefault(t *testing.T) {
+	if got := defaultOptions().MaxGap; got != DefaultMaxGap {
+		t.Fatalf("default MaxGap = %d, DefaultMaxGap = %d", got, DefaultMaxGap)
+	}
+}
+
 // TestRunMaxGapBound checks the gap bound is enforced on the public
 // Run path: one far-future timestamp aborts the run with a descriptive
 // error instead of fabricating an unbounded string of empty units.

@@ -28,7 +28,7 @@ func TestSoakSpeedupGrowsWithWindow(t *testing.T) {
 
 	measure := func(warm int) float64 {
 		prof := p
-		prof.WarmUnits = warm
+		prof.WindowLen = warm
 		w, err := experiments.CCDNetWorkload(prof, nil)
 		if err != nil {
 			t.Fatal(err)

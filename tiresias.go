@@ -50,7 +50,6 @@ import (
 	"tiresias/internal/checkpoint"
 	"tiresias/internal/detect"
 	"tiresias/internal/hierarchy"
-	"tiresias/internal/seasonal"
 )
 
 // options collects configuration; adjusted through Option values. The
@@ -186,22 +185,7 @@ func WithMaxGap(n int) Option {
 }
 
 func defaultOptions() options {
-	return options{Config: checkpoint.Config{
-		Delta:      15 * time.Minute,
-		WindowLen:  672,
-		Theta:      10,
-		Thresholds: detect.DefaultThresholds(),
-		Algorithm:  adaAlgorithm,
-		Rule:       algo.LongTermHistory,
-		RuleAlpha:  0.4,
-		RefLevels:  2,
-		HWAlpha:    0.4,
-		HWBeta:     0.05,
-		HWGamma:    0.3,
-		AutoSeason: true,
-		SeasonXi:   0.76,
-		MaxGap:     DefaultMaxGap,
-	}}
+	return options{Config: checkpoint.DefaultConfig()}
 }
 
 // Tiresias is an online anomaly detector over hierarchical operational
@@ -270,7 +254,7 @@ func New(opts ...Option) (*Tiresias, error) {
 	}
 	// The engine is built only at warm-up, a window in; check what it
 	// will be given now.
-	cfg := o.engineConfig()
+	cfg := o.Engine(o.SeasonPeriods, o.SeasonXi)
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("tiresias: %s: %w", optionOf[err.(*algo.ConfigError).Field], err)
 	}
@@ -316,13 +300,7 @@ func (t *Tiresias) finishWarmup() error {
 	units := t.win.buf
 	t.win.buf = nil
 	t.start = t.win.first
-	if t.opts.AutoSeason {
-		t.periods, t.xi = t.analyzeSeasonality(units)
-	} else {
-		t.periods = append([]int(nil), t.opts.SeasonPeriods...)
-		t.xi = t.opts.SeasonXi
-	}
-
+	t.periods, t.xi = t.opts.Seasonality(units)
 	var err error
 	t.engine, err = t.newEngine()
 	if err != nil {
@@ -343,23 +321,9 @@ func (t *Tiresias) finishWarmup() error {
 // learned seasonality (t.periods/t.xi must be set first). Shared by
 // warm-up and checkpoint restore so the two paths cannot drift.
 func (t *Tiresias) newEngine() (*algo.ADA, error) {
-	cfg := t.opts.engineConfig()
-	cfg.NewForecaster, cfg.Tree = t.factory(), t.tree
+	cfg := t.opts.Engine(t.periods, t.xi)
+	cfg.Tree = t.tree
 	return algo.NewADA(cfg)
-}
-
-// engineConfig is the engine configuration the options select, short
-// of the forecaster factory and tree, which newEngine supplies.
-func (o *options) engineConfig() algo.Config {
-	return algo.Config{
-		Theta:     o.Theta,
-		WindowLen: o.WindowLen,
-		Rule:      o.Rule,
-		RuleAlpha: o.RuleAlpha,
-		RefLevels: o.RefLevels,
-		Lambda:    o.Lambda,
-		Eta:       o.Eta,
-	}
 }
 
 // optionOf names the Option that sets each algo.Config field New
@@ -371,63 +335,6 @@ var optionOf = map[string]string{
 	"RuleAlpha": "WithSplitEWMAAlpha",
 	"RefLevels": "WithReferenceLevels",
 	"Lambda":    "WithMultiScale",
-}
-
-// analyzeSeasonality runs FFT + wavelet analysis on the aggregate
-// series and returns up to two seasonal periods (in timeunits) and the
-// combination weight ξ.
-func (t *Tiresias) analyzeSeasonality(units []*algo.DenseUnit) ([]int, float64) {
-	totals := make([]float64, len(units))
-	for i, u := range units {
-		totals[i] = u.Total()
-	}
-	peaks := seasonal.DominantPeriods(totals, t.opts.Delta, 0.2, 2)
-	// Cross-check with the wavelet detail energies: keep FFT peaks
-	// only when the decomposition shows real multi-scale structure.
-	if len(totals) >= 8 {
-		levels := 1
-		for (1 << (levels + 1)) < len(totals) {
-			levels++
-		}
-		if levels > 8 {
-			levels = 8
-		}
-		wl := seasonal.Decompose(totals, levels)
-		if _, ok := wl.DominantScale(); !ok {
-			peaks = nil
-		}
-	}
-	var periods []int
-	for _, p := range peaks {
-		units := int(p.PeriodUnits + 0.5)
-		if units >= 2 && 2*units <= len(totals) {
-			periods = append(periods, units)
-		}
-	}
-	xi := t.opts.SeasonXi
-	if len(peaks) >= 2 {
-		xi = seasonal.SeasonWeight(peaks[0].Magnitude, peaks[1].Magnitude)
-	}
-	return periods, xi
-}
-
-// factory builds the forecaster factory from the selected seasonality.
-func (t *Tiresias) factory() algo.ForecasterFactory {
-	a, b, g := t.opts.HWAlpha, t.opts.HWBeta, t.opts.HWGamma
-	switch len(t.periods) {
-	case 0:
-		// No seasonality: plain exponential smoothing, honoring the
-		// configured α rather than DefaultFactory's fixed 0.5.
-		return algo.EWMAFactory(a)
-	case 1:
-		return algo.HoltWintersFactory(a, b, g, t.periods[0])
-	default:
-		p1, p2 := t.periods[0], t.periods[1]
-		if p1 > p2 {
-			p1, p2 = p2, p1
-		}
-		return algo.DualSeasonFactory(a, b, g, t.xi, p1, p2)
-	}
 }
 
 // stepResult is one screened timeunit, as Run and Manager tally it.
