@@ -437,7 +437,7 @@ func warmManager(b *testing.B, opts ...tiresias.ManagerOption) (*tiresias.Manage
 	const warm = 34 // window 32 + slack, so every stream is warm
 	for _, s := range streams {
 		for u := 0; u < warm; u++ {
-			if _, err := m.Feed(s, benchRecord(base, u)); err != nil {
+			if _, _, err := m.FeedBatch(s, []tiresias.Record{benchRecord(base, u)}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -445,8 +445,8 @@ func warmManager(b *testing.B, opts ...tiresias.ManagerOption) (*tiresias.Manage
 	return m, streams, warm
 }
 
-// BenchmarkManagerFeed measures the synchronous single-goroutine Feed
-// hot path across a 4-shard fleet: one record per op, each completing
+// BenchmarkManagerFeed measures the synchronous single-goroutine
+// FeedBatch hot path across a 4-shard fleet: one record per op, each completing
 // a timeunit (windowing + engine step + screening).
 func BenchmarkManagerFeed(b *testing.B) {
 	m, streams, warm := warmManager(b)
@@ -459,7 +459,7 @@ func BenchmarkManagerFeed(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := i % benchShards
-		if _, err := m.Feed(streams[s], benchRecord(base, units[s])); err != nil {
+		if _, _, err := m.FeedBatch(streams[s], []tiresias.Record{benchRecord(base, units[s])}); err != nil {
 			b.Fatal(err)
 		}
 		units[s]++

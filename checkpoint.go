@@ -129,9 +129,6 @@ func restoreFromSnapshot(snap *checkpoint.Snapshot, opts ...Option) (*Tiresias, 
 	if o.Delta <= 0 || o.WindowLen < 2 {
 		return nil, fmt.Errorf("%w: configuration (delta %v, window %d)", ErrBadCheckpoint, o.Delta, o.WindowLen)
 	}
-	if o.Algorithm != checkpoint.ADA {
-		return nil, fmt.Errorf("%w: engine selector %d (only ADA, %d, restores)", ErrBadCheckpoint, o.Algorithm, checkpoint.ADA)
-	}
 	det, err := detect.New(o.Thresholds)
 	if err != nil {
 		return nil, err
@@ -430,7 +427,7 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // ManagerFromCheckpoint rebuilds a Manager from a directory written by
 // Checkpoint: every *.ckpt stream file is restored — detector, warmup
 // buffer, windowing position including the partial current unit — and
-// ingestion resumes exactly where Feed left off, producing the same
+// ingestion resumes exactly where FeedBatch left off, producing the same
 // anomalies an uninterrupted Manager would have.
 //
 // opts configure the rebuilt Manager the same way NewManager does.

@@ -251,7 +251,7 @@ func TestCheckpointSkipsQuarantinedStreams(t *testing.T) {
 	feedAll(t, m, "good", crashRecs(0, 20))
 	base := start()
 	for u := 0; u < 40; u++ {
-		if _, err := m.Feed("bad", Record{Path: []string{"pop", "edge"}, Time: base.Add(time.Duration(u) * time.Minute)}); err != nil {
+		if _, err := feed(m, "bad", Record{Path: []string{"pop", "edge"}, Time: base.Add(time.Duration(u) * time.Minute)}); err != nil {
 			if !errors.Is(err, ErrStreamQuarantined) {
 				t.Fatal(err)
 			}

@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -155,32 +156,47 @@ func sameReencoding(t *testing.T, name string, old, golden []byte) {
 }
 
 // TestRestoreRejectsNonADACheckpoints covers the engine selectors a
-// checkpoint can carry besides ADA's: a Config.Algorithm other than 1,
-// an engine section of another kind, or one holding a retained window.
+// checkpoint can carry besides ADA's: a config-section selector other
+// than 1, an engine section of another kind, or one holding a retained
+// window.
 func TestRestoreRejectsNonADACheckpoints(t *testing.T) {
 	golden, err := os.ReadFile(goldenCkptPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name   string
-		mutate func(*checkpoint.Snapshot)
-	}{
-		{"algorithm 2", func(s *checkpoint.Snapshot) { s.Config.Algorithm = 2 }},
-		{"algorithm 0", func(s *checkpoint.Snapshot) { s.Config.Algorithm = 0 }},
-		{"kind STA", func(s *checkpoint.Snapshot) { s.Engine.Kind = "STA" }},
+	// The config section's engine selector follows Δ, ς and ℓ
+	// (varints) and θ, RT and DT (8 bytes each).
+	selector := func(v int64) []byte {
+		return rewriteSection(t, golden, "CFG.", func(p []byte) []byte {
+			off := 0
+			for range 3 {
+				_, n := binary.Varint(p[off:])
+				off += n
+			}
+			off += 3 * 8
+			_, n := binary.Varint(p[off:])
+			return slices.Concat(p[:off], binary.AppendVarint(nil, v), p[off+n:])
+		})
+	}
+	if !bytes.Equal(selector(1), golden) {
+		t.Fatal("splicing selector 1 changed the golden: the offset misses the selector")
+	}
+	snap, err := checkpoint.Read(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Engine.Kind = "STA"
+	var sta bytes.Buffer
+	if err := checkpoint.Write(&sta, snap); err != nil {
+		t.Fatal(err)
+	}
+	for name, raw := range map[string][]byte{
+		"algorithm 2": selector(2),
+		"algorithm 0": selector(0),
+		"kind STA":    sta.Bytes(),
 	} {
-		snap, err := checkpoint.Read(bytes.NewReader(golden))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tc.mutate(snap)
-		var buf bytes.Buffer
-		if err := checkpoint.Write(&buf, snap); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Restore(&buf); !errors.Is(err, ErrBadCheckpoint) {
-			t.Errorf("%s: Restore error %v, want ErrBadCheckpoint", tc.name, err)
+		if _, err := Restore(bytes.NewReader(raw)); !errors.Is(err, ErrBadCheckpoint) {
+			t.Errorf("%s: Restore error %v, want ErrBadCheckpoint", name, err)
 		}
 	}
 

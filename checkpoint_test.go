@@ -327,7 +327,7 @@ func TestSnapshotCarriesEveryOption(t *testing.T) {
 	got, def := reflect.ValueOf(det.opts.Config), reflect.ValueOf(defaultOptions().Config)
 	for i := 0; i < got.NumField(); i++ {
 		name := got.Type().Field(i).Name
-		if name != "Algorithm" && reflect.DeepEqual(got.Field(i).Interface(), def.Field(i).Interface()) {
+		if reflect.DeepEqual(got.Field(i).Interface(), def.Field(i).Interface()) {
 			t.Errorf("Config.%s = %v, the default; set it off its default here", name, got.Field(i))
 		}
 	}
@@ -453,7 +453,7 @@ func feedAll(t *testing.T, m *Manager, name string, recs []Record) []Anomaly {
 	t.Helper()
 	var out []Anomaly
 	for _, r := range recs {
-		anoms, err := m.Feed(name, r)
+		anoms, err := feed(m, name, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -654,7 +654,7 @@ func TestManagerConcurrentCheckpoint(t *testing.T) {
 			defer wg.Done()
 			name := fmt.Sprintf("stream-%d", i)
 			for _, r := range datasets[i].Records {
-				if _, err := m.Feed(name, r); err != nil {
+				if _, err := feed(m, name, r); err != nil {
 					t.Errorf("feed %s: %v", name, err)
 					return
 				}

@@ -1,10 +1,13 @@
 // Command tiresias-vet is the repo's invariant checker: a multichecker
 // running the internal/analysis suite (hotpath, escapecheck, lockguard,
-// lockorder, goroline, atomiccheck, wireerr, ckptsec, forbidimport)
-// over the given packages. It exits non-zero when any analyzer reports
-// a finding, so CI can run it as a blocking lint step:
+// lockorder, goroline, atomiccheck, wireerr, ckptsec, forbidimport,
+// deadexport) over the given packages. It exits non-zero when any
+// analyzer reports a finding, so CI can run it as a blocking lint step:
 //
 //	go run ./cmd/tiresias-vet ./...
+//
+// deadexport needs that whole-module load, from the module root: on a
+// narrower pattern it reports nothing.
 //
 // Findings are printed one per line as file:line:col: [analyzer]
 // message, or — with -json — as a JSON array of
@@ -142,24 +145,14 @@ func main() {
 // suite assembles the analyzer set, honoring -forbid overrides.
 func suite(forbids forbidFlags) []*analysis.Analyzer {
 	if len(forbids) == 0 {
-		return analysis.Analyzers()
+		return analysis.Analyzers(nil)
 	}
 	rules, err := parseForbidRules(forbids)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tiresias-vet: %v\n", err)
 		os.Exit(2)
 	}
-	return []*analysis.Analyzer{
-		analysis.Hotpath,
-		analysis.Escapecheck,
-		analysis.Lockguard,
-		analysis.Lockorder,
-		analysis.NewGoroline(nil),
-		analysis.Atomiccheck,
-		analysis.Wireerr,
-		analysis.Ckptsec,
-		analysis.NewForbidImport(rules),
-	}
+	return analysis.Analyzers(rules)
 }
 
 // parseForbidRules parses pkg=entry,... flag values into ForbidRules.

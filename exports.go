@@ -83,7 +83,7 @@ type AnomalyPage = store.Page
 // capacity entries (capacity <= 0 selects store.DefaultCapacity).
 func NewAnomalyIndex(capacity int) *AnomalyIndex { return store.New(capacity) }
 
-// ErrOutOfOrder is returned (wrapped) by Run, Feed, and FeedBatch
+// ErrOutOfOrder is returned (wrapped) by Run and FeedBatch
 // when a record's timestamp precedes the current timeunit. Test with
 // errors.Is; the serving layer maps it to a stable wire error code.
 var ErrOutOfOrder = stream.ErrOutOfOrder

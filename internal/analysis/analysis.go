@@ -32,11 +32,15 @@
 //   - forbidimport: packages must not import or select from a
 //     configured denylist (encoding/json, fmt.Sprintf, time.Now on
 //     the hot path; tool-only packages in the serving layer).
+//   - deadexport: every package-level exported func, type, const or
+//     var of an internal/ package must have a non-test use somewhere
+//     in the module. It needs every package of the module loaded
+//     (./... from the module root) and reports nothing otherwise.
 //
 // Analyzers run over parsed, type-checked syntax — per package (Run),
 // or once over every loaded package (RunModule, for inter-procedural
-// checks like lockorder). A finding can be suppressed at its line (or
-// the line above) with a
+// checks like lockorder and module-wide ones like deadexport). A
+// finding can be suppressed at its line (or the line above) with a
 //
 //	//tiresias:ignore [analyzer ...] (justification)
 //

@@ -5,7 +5,7 @@
 //
 // A fixture is one directory of Go files under testdata/src/<name>
 // forming a single package (importing the standard library or this
-// module's packages). Lines that
+// module's packages), or a small module with its own go.mod. Lines that
 // should trigger a finding carry a trailing comment of the form
 //
 //	code() // want `regexp`
@@ -19,15 +19,13 @@
 package analysistest
 
 import (
-	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
 	"tiresias/internal/analysis"
@@ -36,49 +34,39 @@ import (
 // wantRe matches one quoted expectation after "want".
 var wantRe = regexp.MustCompile("^(`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\")")
 
-// exportCache memoizes `go list -export` lookups across fixtures.
-var exportCache sync.Map // importPath → export file path
-
-// Run loads testdata/src/<fixture> as one package, applies the
-// analyzer (with //tiresias:ignore filtering), and matches the
-// findings against the fixture's want comments.
+// Run loads testdata/src/<fixture> with analysis.Load, as
+// tiresias-vet loads packages, applies the analyzer (with
+// //tiresias:ignore filtering), and matches the findings against the
+// fixture's want comments. A fixture with its own go.mod is a small
+// module, loaded whole (./... from its root): that is how module
+// analyzers see uses across packages.
+//
+//tiresias:ignore deadexport (test harness: only _test.go files call it)
 func Run(t *testing.T, fixture string, a *analysis.Analyzer) {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", fixture)
-	fset := token.NewFileSet()
-	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no fixture files in %s (%v)", dir, err)
+	pattern := "./" + filepath.ToSlash(dir)
+	if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+		t.Chdir(dir)
+		pattern = "./..."
 	}
-	var files []*ast.File
-	for _, p := range paths {
-		f, err := parser.ParseFile(fset, p, nil, parser.ParseComments)
-		if err != nil {
-			t.Fatalf("parse %s: %v", p, err)
+	pkgs, err := analysis.Load([]string{pattern})
+	if err != nil {
+		t.Fatalf("loading fixture %s: %v", fixture, err)
+	}
+	var wants []want
+	for _, pkg := range pkgs {
+		for _, e := range pkg.TypeErrors {
+			t.Errorf("fixture %s: type error: %v", fixture, e)
 		}
-		files = append(files, f)
+		wants = append(wants, collectWants(t, pkg.Fset, pkg.Files)...)
 	}
 
-	exports, err := fixtureExports(files)
-	if err != nil {
-		t.Fatalf("resolving fixture imports: %v", err)
-	}
-	absDir, err := filepath.Abs(dir)
-	if err != nil {
-		t.Fatalf("resolving fixture dir: %v", err)
-	}
-	pkg := &analysis.Package{PkgPath: fixture, Dir: absDir, Fset: fset, Files: files}
-	pkg.Types, pkg.TypesInfo, pkg.TypeErrors = analysis.CheckTypes(fset, fixture, files, exports)
-	for _, e := range pkg.TypeErrors {
-		t.Errorf("fixture %s: type error: %v", fixture, e)
-	}
-
-	diags, err := analysis.RunAnalyzers([]*analysis.Package{pkg}, []*analysis.Analyzer{a})
+	diags, err := analysis.RunAnalyzers(pkgs, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("running %s on %s: %v", a.Name, fixture, err)
 	}
 
-	wants := collectWants(t, fset, files)
 	matched := make([]bool, len(wants))
 	for _, d := range diags {
 		ok := false
@@ -148,42 +136,4 @@ func collectWants(t *testing.T, fset *token.FileSet, files []*ast.File) []want {
 		}
 	}
 	return wants
-}
-
-// fixtureExports resolves the imports of the fixture files to
-// export-data files, caching across calls.
-func fixtureExports(files []*ast.File) (map[string]string, error) {
-	need := map[string]bool{}
-	for _, f := range files {
-		for _, imp := range f.Imports {
-			p, err := strconv.Unquote(imp.Path.Value)
-			if err != nil {
-				return nil, fmt.Errorf("bad import %s: %w", imp.Path.Value, err)
-			}
-			need[p] = true
-		}
-	}
-	var missing []string
-	for p := range need {
-		if _, ok := exportCache.Load(p); !ok {
-			missing = append(missing, p)
-		}
-	}
-	if len(missing) > 0 {
-		// ExportData resolves transitively (-deps), so the cache ends
-		// up holding the full closure, not just the direct imports.
-		resolved, err := analysis.ExportData(missing)
-		if err != nil {
-			return nil, err
-		}
-		for p, f := range resolved {
-			exportCache.Store(p, f)
-		}
-	}
-	out := map[string]string{}
-	exportCache.Range(func(k, v any) bool {
-		out[k.(string)] = v.(string)
-		return true
-	})
-	return out, nil
 }

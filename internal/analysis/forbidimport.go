@@ -127,9 +127,9 @@ func runForbidImport(pass *Pass, rules []ForbidRule) error {
 	return nil
 }
 
-// Analyzers returns the full tiresias-vet suite with default
-// configuration, in reporting order.
-func Analyzers() []*Analyzer {
+// Analyzers returns the full tiresias-vet suite in reporting order,
+// with forbidimport enforcing rules (nil selects DefaultForbidRules).
+func Analyzers(rules []ForbidRule) []*Analyzer {
 	return []*Analyzer{
 		Hotpath,
 		Escapecheck,
@@ -139,6 +139,7 @@ func Analyzers() []*Analyzer {
 		Atomiccheck,
 		Wireerr,
 		Ckptsec,
-		NewForbidImport(nil),
+		NewForbidImport(rules),
+		Deadexport,
 	}
 }

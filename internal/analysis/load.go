@@ -118,16 +118,16 @@ func typecheck(lp *listedPackage, exports map[string]string) (*Package, error) {
 		files = append(files, f)
 	}
 	pkg := &Package{PkgPath: lp.ImportPath, Dir: lp.Dir, Fset: fset, Files: files}
-	pkg.Types, pkg.TypesInfo, pkg.TypeErrors = CheckTypes(fset, lp.ImportPath, files, exports)
+	pkg.Types, pkg.TypesInfo, pkg.TypeErrors = checkTypes(fset, lp.ImportPath, files, exports)
 	return pkg, nil
 }
 
-// CheckTypes type-checks the given files as one package, resolving
+// checkTypes type-checks the given files as one package, resolving
 // imports through the export-data file map (import path → compiled
 // export file, as produced by `go list -export`). It returns the
 // package, the resolved type info, and any type errors encountered
 // (the returned package is still usable for best-effort analysis).
-func CheckTypes(fset *token.FileSet, path string, files []*ast.File, exports map[string]string) (*types.Package, *types.Info, []error) {
+func checkTypes(fset *token.FileSet, path string, files []*ast.File, exports map[string]string) (*types.Package, *types.Info, []error) {
 	lookup := func(importPath string) (io.ReadCloser, error) {
 		f, ok := exports[importPath]
 		if !ok {
@@ -150,42 +150,4 @@ func CheckTypes(fset *token.FileSet, path string, files []*ast.File, exports map
 	}
 	tpkg, _ := conf.Check(path, fset, files, info)
 	return tpkg, info, typeErrs
-}
-
-// ExportData runs `go list -deps -export` over the given import paths
-// (typically the std-library imports of a test fixture) and returns
-// the import-path → export-file map. It is the support routine behind
-// the analysistest harness.
-func ExportData(importPaths []string) (map[string]string, error) {
-	if len(importPaths) == 0 {
-		return map[string]string{}, nil
-	}
-	args := append([]string{
-		"list", "-deps", "-export",
-		"-json=ImportPath,Export,Standard,Error",
-		"--",
-	}, importPaths...)
-	cmd := exec.Command("go", args...)
-	cmd.Stderr = os.Stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("analysis: go list %v: %w", importPaths, err)
-	}
-	exports := map[string]string{}
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var lp listedPackage
-		if err := dec.Decode(&lp); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, err
-		}
-		if lp.Error != nil {
-			return nil, fmt.Errorf("analysis: %s: %s", lp.ImportPath, lp.Error.Err)
-		}
-		if lp.Export != "" {
-			exports[lp.ImportPath] = lp.Export
-		}
-	}
-	return exports, nil
 }

@@ -5,7 +5,7 @@ package httpserve
 
 import (
 	"tiresias"
-	"tiresias/internal/gen" // want `import "tiresias/internal/gen" is banned in package httpserve`
+	"tiresias/internal/gen" // want `import "tiresias/internal/gen" is banned in package tiresias/internal/analysis/testdata/src/httpserve`
 	"tiresias/internal/store"
 )
 

@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"path/filepath"
 	"testing"
 
 	"tiresias/internal/analysis"
@@ -45,6 +46,27 @@ func TestWireerr(t *testing.T) {
 
 func TestCkptsec(t *testing.T) {
 	analysistest.Run(t, "ckptsec", analysis.Ckptsec)
+}
+
+func TestDeadexport(t *testing.T) {
+	analysistest.Run(t, "deadexport", analysis.Deadexport)
+}
+
+func TestDeadexportNeedsWholeModule(t *testing.T) {
+	// lib's exports are used from cmd/app, which a load of lib alone
+	// does not see: the analyzer must stay silent, not guess.
+	t.Chdir(filepath.Join("testdata", "src", "deadexport"))
+	pkgs, err := analysis.Load([]string{"./internal/lib"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := analysis.RunAnalyzers(pkgs, []*analysis.Analyzer{analysis.Deadexport})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		t.Errorf("narrow load reported %s", d)
+	}
 }
 
 func TestForbidImport(t *testing.T) {

@@ -100,9 +100,6 @@ type Config struct {
 	Theta float64
 	// Thresholds are the Definition-4 sensitivity thresholds RT, DT.
 	Thresholds detect.Thresholds
-	// Algorithm is the engine selector. Only ADA (1) is written or
-	// restored; the field keeps the format's bytes unchanged.
-	Algorithm int
 	// Rule is the ADA split rule; RuleAlpha the EWMA-rule rate.
 	Rule      algo.SplitRule
 	RuleAlpha float64
@@ -127,7 +124,7 @@ type Config struct {
 // stream name and the bookkeeping counters surfaced by
 // Manager.Streams.
 type StreamState struct {
-	// Name is the stream name given to Feed.
+	// Name is the stream name given to FeedBatch.
 	Name string
 	// Windower is the captured windowing position.
 	Windower stream.WindowerState
@@ -295,6 +292,10 @@ func readUvarint(s *byteScanner) (uint64, error) {
 
 // --- Config section ---
 
+// engineADA is the engine selector the config section carries: ADA,
+// the only engine a detector runs. Any other value is refused.
+const engineADA = 1
+
 func encodeConfig(c *Config) *payload {
 	p := &payload{}
 	p.putVarint(int64(c.Delta))
@@ -303,7 +304,7 @@ func encodeConfig(c *Config) *payload {
 	p.putF64(c.Theta)
 	p.putF64(c.Thresholds.RT)
 	p.putF64(c.Thresholds.DT)
-	p.putInt(c.Algorithm)
+	p.putInt(engineADA)
 	p.putInt(int(c.Rule))
 	p.putF64(c.RuleAlpha)
 	p.putInt(c.RefLevels)
@@ -327,7 +328,9 @@ func decodeConfig(buf []byte, c *Config) error {
 	c.Theta = r.getF64()
 	c.Thresholds.RT = r.getF64()
 	c.Thresholds.DT = r.getF64()
-	c.Algorithm = r.getInt()
+	if sel := r.getInt(); sel != engineADA {
+		r.fail("engine selector %d (only ADA, %d, restores)", sel, engineADA)
+	}
 	c.Rule = algo.SplitRule(r.getInt())
 	c.RuleAlpha = r.getF64()
 	c.RefLevels = r.getInt()

@@ -30,7 +30,7 @@ func coldSnapshot() *Snapshot {
 			WindowLen:  96,
 			Theta:      10,
 			Thresholds: detect.Thresholds{RT: 2.8, DT: 8},
-			Algorithm:  1, Rule: algo.LongTermHistory, RuleAlpha: 0.4,
+			Rule:       algo.LongTermHistory, RuleAlpha: 0.4,
 			RefLevels: 2,
 			HWAlpha:   0.4, HWBeta: 0.05, HWGamma: 0.3,
 			AutoSeason: true, SeasonXi: 0.76,
@@ -50,7 +50,6 @@ func TestColdSnapshotRoundTrip(t *testing.T) {
 		WindowLen:     96,
 		Theta:         10,
 		Thresholds:    detect.Thresholds{RT: 2.8, DT: 8},
-		Algorithm:     1,
 		Rule:          algo.LongTermHistory,
 		RuleAlpha:     0.35,
 		RefLevels:     2,

@@ -8,10 +8,6 @@ import (
 	"tiresias/internal/seasonal"
 )
 
-// ADA is the engine selector Config.Algorithm carries: ADA, the only
-// engine a detector runs.
-const ADA = 1
-
 // DefaultConfig is the detector a server runs when no option changes
 // it: Δ = 15 min, a one-week window, θ = 10, the paper's operating
 // thresholds, Long-Term-History with h = 2, Holt-Winters 0.4/0.05/0.3,
@@ -22,7 +18,6 @@ func DefaultConfig() Config {
 		WindowLen:  672,
 		Theta:      10,
 		Thresholds: detect.DefaultThresholds(),
-		Algorithm:  ADA,
 		Rule:       algo.LongTermHistory,
 		RuleAlpha:  0.4,
 		RefLevels:  2,

@@ -100,9 +100,6 @@ func New(th Thresholds) (*Detector, error) {
 	return &Detector{th: th}, nil
 }
 
-// Thresholds returns the detector's operating point.
-func (d *Detector) Thresholds() Thresholds { return d.th }
-
 // Scan applies Definition 4 to every heavy hitter of a step state.
 // unitStart may be zero when wall-clock anchoring is unavailable.
 func (d *Detector) Scan(st *algo.StepState, unitStart time.Time) []Anomaly {
@@ -117,29 +114,6 @@ func (d *Detector) Scan(st *algo.StepState, unitStart time.Time) []Anomaly {
 				Actual:   hh.Actual,
 				Forecast: hh.Forecast,
 			})
-		}
-	}
-	return out
-}
-
-// Dedupe removes anomalies that are ancestors of another anomaly at
-// the same instance, keeping the most specific locations (the
-// aggregation step applied to "new anomaly" cases in §VII-B).
-func Dedupe(as []Anomaly) []Anomaly {
-	out := make([]Anomaly, 0, len(as))
-	for i, a := range as {
-		shadowed := false
-		for j, b := range as {
-			if i == j || a.Instance != b.Instance {
-				continue
-			}
-			if a.Key != b.Key && a.Key.IsAncestorOf(b.Key) {
-				shadowed = true
-				break
-			}
-		}
-		if !shadowed {
-			out = append(out, a)
 		}
 	}
 	return out

@@ -91,8 +91,8 @@ func TestScanFlagsOnlyAnomalous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Thresholds().RT != 2 {
-		t.Fatal("Thresholds accessor wrong")
+	if d.th.RT != 2 {
+		t.Fatal("operating point wrong")
 	}
 	st := mkState(
 		[3]float64{30, 5},  // anomalous: ratio 6, diff 25
@@ -113,26 +113,5 @@ func TestScanFlagsOnlyAnomalous(t *testing.T) {
 	}
 	if (Anomaly{Actual: 3, Forecast: 0}).Score() != 4 {
 		t.Fatal("zero-forecast Score wrong")
-	}
-}
-
-func TestDedupeRemovesAncestors(t *testing.T) {
-	parent := hierarchy.KeyOf([]string{"vho1"})
-	child := hierarchy.KeyOf([]string{"vho1", "io3"})
-	other := hierarchy.KeyOf([]string{"vho2"})
-	as := []Anomaly{
-		{Key: parent, Instance: 1},
-		{Key: child, Instance: 1},
-		{Key: other, Instance: 1},
-		{Key: parent, Instance: 2}, // different instance: kept
-	}
-	got := Dedupe(as)
-	if len(got) != 3 {
-		t.Fatalf("Dedupe kept %d, want 3: %+v", len(got), got)
-	}
-	for _, a := range got {
-		if a.Key == parent && a.Instance == 1 {
-			t.Fatal("ancestor at same instance must be removed")
-		}
 	}
 }

@@ -6,7 +6,6 @@
 package evalx
 
 import (
-	"math"
 	"sort"
 
 	"tiresias/internal/hierarchy"
@@ -260,27 +259,4 @@ func CCDF(values []float64) []CCDFPoint {
 		i = j
 	}
 	return out
-}
-
-// MeanAbsError returns the mean absolute elementwise difference of two
-// series aligned by their newest samples, as a fraction of the mean
-// absolute reference value (the Fig. 12 metric). Returns 0 when
-// nothing overlaps or the reference is all zero.
-func MeanAbsError(reference, approx []float64) float64 {
-	n := len(reference)
-	if len(approx) < n {
-		n = len(approx)
-	}
-	if n == 0 {
-		return 0
-	}
-	var errSum, refSum float64
-	for i := 1; i <= n; i++ {
-		errSum += math.Abs(reference[len(reference)-i] - approx[len(approx)-i])
-		refSum += math.Abs(reference[len(reference)-i])
-	}
-	if refSum == 0 {
-		return 0
-	}
-	return errSum / refSum
 }

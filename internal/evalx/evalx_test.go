@@ -170,23 +170,3 @@ func TestCCDFMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestMeanAbsError(t *testing.T) {
-	ref := []float64{10, 10, 10, 10}
-	approx := []float64{10, 9, 11, 10}
-	if got := MeanAbsError(ref, approx); math.Abs(got-0.05) > 1e-9 {
-		t.Fatalf("MeanAbsError = %v, want 0.05", got)
-	}
-	// Alignment by newest: a longer reference only compares its tail.
-	ref2 := []float64{99, 10, 10}
-	approx2 := []float64{10, 10}
-	if got := MeanAbsError(ref2, approx2); got != 0 {
-		t.Fatalf("tail-aligned error = %v, want 0", got)
-	}
-	if MeanAbsError(nil, nil) != 0 {
-		t.Fatal("empty series must score 0")
-	}
-	if MeanAbsError([]float64{0, 0}, []float64{1, 1}) != 0 {
-		t.Fatal("zero reference must score 0 (not NaN)")
-	}
-}

@@ -251,7 +251,7 @@ func AblateHHD(p Profile) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	flagged, _, err := runDetect(ada, w, p.WindowLen, detect.Thresholds{RT: 2.5, DT: p.Theta})
+	flagged, _, err := runDetect(ada, w, p.WindowLen, detect.Thresholds{RT: 2.5, DT: p.Thresholds.DT})
 	if err != nil {
 		return nil, err
 	}
@@ -278,24 +278,6 @@ func b2f(b bool) float64 {
 		return 1
 	}
 	return 0
-}
-
-// All runs every experiment in paper order.
-func All(p Profile) ([]*Result, error) {
-	runs := []func(Profile) (*Result, error){
-		Table1, Table2, Fig1, Fig2, Fig9, Fig11, Fig12,
-		Table3, Table4, Table5, Table6,
-		Sensitivity, AblateSeason, AblateScales, AblateHHD,
-	}
-	out := make([]*Result, 0, len(runs))
-	for _, run := range runs {
-		r, err := run(p)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 // ByID dispatches one experiment by identifier.

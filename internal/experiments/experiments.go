@@ -58,9 +58,10 @@ func Quick() Profile {
 
 // Full returns a profile close to the paper's scale (minutes per
 // experiment): a one-week window forecasting with a one-day season.
+// It screens with DT = θ.
 func Full() Profile {
 	cfg := checkpoint.DefaultConfig()
-	cfg.Theta = 15
+	cfg.Theta, cfg.Thresholds.DT = 15, 15
 	cfg.AutoSeason, cfg.SeasonPeriods = false, []int{96}
 	return Profile{Config: cfg, Name: "full", NetScale: 0.5, RunUnits: 192, BaseRate: 1200, Seed: 1}
 }

@@ -12,7 +12,7 @@ import (
 // in well under a second, while keeping the qualitative shapes.
 func tiny() Profile {
 	cfg := checkpoint.DefaultConfig()
-	cfg.WindowLen, cfg.Theta = 48, 6
+	cfg.WindowLen, cfg.Theta, cfg.Thresholds.DT = 48, 6, 6
 	cfg.AutoSeason, cfg.HWAlpha = false, 0.5
 	return Profile{Config: cfg, Name: "tiny", NetScale: 0.05, RunUnits: 24, BaseRate: 60, Seed: 3}
 }
@@ -221,6 +221,31 @@ func TestTable6FindsReferenceAnomalies(t *testing.T) {
 	}
 	if !strings.Contains(r.Text, "Type 2") {
 		t.Fatalf("rendering missing Type 2:\n%s", r.Text)
+	}
+}
+
+// TestTablesScreenWithProfileThresholds: Tables V and VI screen with the
+// profile's thresholds, so a DT no difference reaches flags nothing.
+func TestTablesScreenWithProfileThresholds(t *testing.T) {
+	p := tiny()
+	p.Thresholds.DT = 1e9
+	r5, err := Table5(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range r5.Values {
+		if strings.HasSuffix(name, ":precision") || strings.HasSuffix(name, ":recall") {
+			if v != 0 {
+				t.Errorf("Table V %s = %v with DT = 1e9, want 0 (nothing flagged)", name, v)
+			}
+		}
+	}
+	r6, err := Table6(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ta, na := r6.Values["TA"], r6.Values["NA"]; ta != 0 || na != 0 {
+		t.Errorf("Table VI TA, NA = %v, %v with DT = 1e9, want 0, 0 (nothing flagged)", ta, na)
 	}
 }
 

@@ -267,12 +267,11 @@ func Table5(p Profile) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	th := detect.Thresholds{RT: 2.8, DT: p.Theta}
 	sta, err := engineFor("STA", p, w, algo.LongTermHistory, 0)
 	if err != nil {
 		return nil, err
 	}
-	truth, truthScreened, err := runDetect(sta, w, p.WindowLen, th)
+	truth, truthScreened, err := runDetect(sta, w, p.WindowLen, p.Thresholds)
 	if err != nil {
 		return nil, err
 	}
@@ -300,7 +299,7 @@ func Table5(p Profile) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		pred, _, err := runDetect(ada, w, p.WindowLen, th)
+		pred, _, err := runDetect(ada, w, p.WindowLen, p.Thresholds)
 		if err != nil {
 			return nil, err
 		}
@@ -341,8 +340,7 @@ func Table6(p Profile) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	th := detect.Thresholds{RT: 2.8, DT: p.Theta}
-	flagged, screened, err := runDetect(ada, w, p.WindowLen, th)
+	flagged, screened, err := runDetect(ada, w, p.WindowLen, p.Thresholds)
 	if err != nil {
 		return nil, err
 	}

@@ -110,6 +110,8 @@ type Injector struct {
 
 // NewInjector wraps inner (nil selects OS) with a counting, failable
 // seam.
+//
+//tiresias:ignore deadexport (test seam: the root and cmd/tiresias tests share it)
 func NewInjector(inner FS) *Injector {
 	if inner == nil {
 		inner = OS{}

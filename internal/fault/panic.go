@@ -38,6 +38,8 @@ func (v PanicValue) String() string {
 
 // NewPanic builds a trigger that panics on the nth Poke call (n <= 1
 // fires on the first).
+//
+//tiresias:ignore deadexport (test seam: the root, httpserve and client chaos tests share it)
 func NewPanic(n int64, msg string) *Panic {
 	if n < 1 {
 		n = 1

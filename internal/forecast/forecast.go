@@ -180,10 +180,6 @@ func (e *EWMA) CopyFrom(src Linear) error {
 	return nil
 }
 
-// Bias injects an additive forecast bias ξ. It exists for the split
-// error study of §V-B4 (Fig. 9).
-func (e *EWMA) Bias(xi float64) { e.f += xi }
-
 // HoltWinters is the additive Holt-Winters seasonal model of §VI with
 // a single seasonal period υ:
 //

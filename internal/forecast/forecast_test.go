@@ -432,14 +432,6 @@ func TestSplitErrorCurveDecays(t *testing.T) {
 	}
 }
 
-func TestEWMABias(t *testing.T) {
-	e := NewEWMA(0.5, 1)
-	e.Bias(2)
-	if e.Forecast() != 3 {
-		t.Fatalf("after Bias(2): %v, want 3", e.Forecast())
-	}
-}
-
 // sameState reports whether two models capture to bit-identical state.
 func sameState(a, b Linear) bool {
 	sa, errA := Capture(a)

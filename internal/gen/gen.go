@@ -127,6 +127,7 @@ type AnomalyShape int
 
 const (
 	// ShapeSquare injects a constant extra rate (default).
+	//tiresias:ignore deadexport (the AnomalyShape zero value: selected by leaving Shape unset)
 	ShapeSquare AnomalyShape = iota
 	// ShapeRamp ramps linearly from zero to the full rate over the
 	// span — a slowly escalating outage.

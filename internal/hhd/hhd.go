@@ -54,9 +54,6 @@ func (d *Detector) Observe(u *algo.DenseUnit) {
 	}
 }
 
-// Total returns the cumulative stream mass.
-func (d *Detector) Total() float64 { return d.total }
-
 // HeavyHitter is one long-term SHHH member.
 type HeavyHitter struct {
 	// Key locates the node.
@@ -84,16 +81,4 @@ func (d *Detector) Query() []HeavyHitter {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Weight > out[j].Weight })
 	return out
-}
-
-// Covers reports whether the long-term set contains the key or an
-// ancestor of it — the coarse "is this region hot overall" question
-// HHD answers well.
-func (d *Detector) Covers(k hierarchy.Key) bool {
-	for _, hh := range d.Query() {
-		if hh.Key.IsAncestorOf(k) {
-			return true
-		}
-	}
-	return false
 }

@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math/bits"
-	"sort"
 	"strings"
 )
 
@@ -387,27 +386,6 @@ func (t *Tree) AddChild(parent int, label string) (id int, added bool) {
 		return -1, false
 	}
 	return int(t.addChild(int32(parent), label)), true
-}
-
-// TypicalDegrees reports, per level k (1-based as in Table II of the
-// paper), the median out-degree of nodes at depth k-1 that have
-// children. It reproduces the "typical degree at kth level" rows.
-func (t *Tree) TypicalDegrees() []int {
-	out := make([]int, 0, len(t.levels))
-	for d := 0; d < len(t.levels)-1; d++ {
-		degs := make([]int, 0, len(t.levels[d]))
-		for _, id := range t.levels[d] {
-			if deg := t.Degree(int(id)); deg > 0 {
-				degs = append(degs, deg)
-			}
-		}
-		if len(degs) == 0 {
-			break
-		}
-		sort.Ints(degs)
-		out = append(out, degs[len(degs)/2])
-	}
-	return out
 }
 
 // Validate checks the invariants: every array covers every node; each

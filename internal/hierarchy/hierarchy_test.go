@@ -211,20 +211,6 @@ func TestAtDepth(t *testing.T) {
 	}
 }
 
-func TestTypicalDegrees(t *testing.T) {
-	tr := New()
-	// Build a regular 3 x 2 tree.
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 2; j++ {
-			tr.Intern([]string{"l1-" + strconv.Itoa(i), "l2-" + strconv.Itoa(j)})
-		}
-	}
-	degs := tr.TypicalDegrees()
-	if len(degs) != 2 || degs[0] != 3 || degs[1] != 2 {
-		t.Fatalf("TypicalDegrees() = %v, want [3 2]", degs)
-	}
-}
-
 // TestRandomTreeInvariants inserts random paths and checks structural
 // invariants hold throughout.
 func TestRandomTreeInvariants(t *testing.T) {

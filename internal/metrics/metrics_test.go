@@ -108,8 +108,8 @@ func TestHistogramCumulativeBuckets(t *testing.T) {
 	h.Observe(0.5)
 	h.Observe(1.5)
 	h.Observe(99)
-	if h.Count() != 3 {
-		t.Fatalf("Count = %d", h.Count())
+	if h.count.Load() != 3 {
+		t.Fatalf("Count = %d", h.count.Load())
 	}
 	if h.Sum() != 101 {
 		t.Fatalf("Sum = %v", h.Sum())
@@ -184,7 +184,7 @@ func TestConcurrentUpdatesRaceFree(t *testing.T) {
 	if c.Value() != 8*500 {
 		t.Fatalf("counter = %d, want %d", c.Value(), 8*500)
 	}
-	if h.Count() != 8*500 {
-		t.Fatalf("histogram count = %d", h.Count())
+	if h.count.Load() != 8*500 {
+		t.Fatalf("histogram count = %d", h.count.Load())
 	}
 }

@@ -41,10 +41,6 @@ type Config struct {
 	MinSigma float64
 }
 
-// DefaultConfig returns a 3-sigma chart over a one-day window of
-// 15-minute units.
-func DefaultConfig() Config { return Config{K: 3, Window: 96, MinSigma: 1} }
-
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.K <= 0 {
@@ -135,9 +131,6 @@ func (c *Chart) Observe(u *algo.DenseUnit) []Alarm {
 	}
 	return alarms
 }
-
-// Instance returns the number of timeunits observed so far.
-func (c *Chart) Instance() int { return c.instance }
 
 func stats(h []float64) (mean, sigma float64) {
 	for _, v := range h {

@@ -41,7 +41,7 @@ func TestConfigValidation(t *testing.T) {
 			}
 		})
 	}
-	if err := DefaultConfig().Validate(); err != nil {
+	if err := (Config{K: 3, Window: 96, MinSigma: 1}).Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -74,8 +74,8 @@ func TestChartAlarmsOnSpike(t *testing.T) {
 	if a.Value != 50 || a.Mean != 5 {
 		t.Fatalf("alarm stats = %+v", a)
 	}
-	if c.Instance() != 11 {
-		t.Fatalf("Instance = %d, want 11", c.Instance())
+	if c.instance != 11 {
+		t.Fatalf("Instance = %d, want 11", c.instance)
 	}
 }
 

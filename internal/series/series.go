@@ -160,13 +160,6 @@ func (r *Ring) addScaled(other *Ring, f float64) error {
 	return nil
 }
 
-// Clone returns a deep copy.
-func (r *Ring) Clone() *Ring {
-	c := &Ring{data: make([]float64, len(r.data)), head: r.head, n: r.n}
-	copy(c.data, r.data)
-	return c
-}
-
 // Reset empties the ring in place, keeping its capacity. Used when a
 // pooled ring is reused.
 func (r *Ring) Reset() {
@@ -232,12 +225,6 @@ func NewMultiScale(lambda, eta, ell int) (*MultiScale, error) {
 		fills:  make([]int, eta),
 	}, nil
 }
-
-// Scales returns η, the number of timescales.
-func (m *MultiScale) Scales() int { return len(m.scales) }
-
-// Lambda returns the base spacing λ.
-func (m *MultiScale) Lambda() int { return m.lambda }
 
 // Update appends the newest timeunit weight w at the finest scale and
 // cascades aggregated sums to coarser scales (UPDATE_TS in Fig. 10).

@@ -135,16 +135,6 @@ func TestRingSetValuesTruncates(t *testing.T) {
 	}
 }
 
-func TestRingClone(t *testing.T) {
-	r := NewRing(3)
-	r.Append(1)
-	c := r.Clone()
-	c.Append(2)
-	if r.Len() != 1 || c.Len() != 2 {
-		t.Fatal("Clone must be independent")
-	}
-}
-
 // Property: a Ring behaves exactly like keeping the last Cap() values
 // of an append-only slice.
 func TestRingMatchesSliceModel(t *testing.T) {
@@ -219,7 +209,7 @@ func TestMultiScaleCascade(t *testing.T) {
 			t.Fatalf("scale2 = %v, want all 4", s2)
 		}
 	}
-	if m.Scales() != 3 || m.Lambda() != 2 {
+	if len(m.scales) != 3 || m.lambda != 2 {
 		t.Fatal("accessors wrong")
 	}
 }

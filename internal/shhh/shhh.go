@@ -126,22 +126,6 @@ func growBools(s []bool, n int) []bool {
 	return s
 }
 
-// ComputeHHH derives the plain (non-succinct) HHH set of Definition 1
-// for an ID-form timeunit: the IDs of all nodes whose raw aggregated
-// weight is at least theta, deepest level first.
-func ComputeHHH(t *hierarchy.Tree, ids []int32, vals []float64, theta float64) []int32 {
-	agg := AggregateInto(t, ids, vals, nil)
-	var set []int32
-	for d := t.Height() - 1; d >= 0; d-- {
-		for _, id := range t.Level(d) {
-			if agg[id] >= theta {
-				set = append(set, id)
-			}
-		}
-	}
-	return set
-}
-
 // AggregateInto computes the raw weight An for every node — direct
 // count plus descendant counts — of an ID-form timeunit (vals[i] is the
 // direct count of node ids[i]; IDs outside t are skipped), writing into

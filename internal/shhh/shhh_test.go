@@ -217,6 +217,23 @@ func TestMassConservation(t *testing.T) {
 	}
 }
 
+// computeHHH derives the plain (non-succinct) HHH set of Definition 1
+// for an ID-form timeunit: the IDs of all nodes whose raw aggregated
+// weight is at least theta, deepest level first. It is
+// the oracle TestSHHHSubsetOfHHH holds ComputeInto to.
+func computeHHH(t *hierarchy.Tree, ids []int32, vals []float64, theta float64) []int32 {
+	agg := AggregateInto(t, ids, vals, nil)
+	var set []int32
+	for d := t.Height() - 1; d >= 0; d-- {
+		for _, id := range t.Level(d) {
+			if agg[id] >= theta {
+				set = append(set, id)
+			}
+		}
+	}
+	return set
+}
+
 // TestSHHHSubsetOfHHH: every SHHH member is also a plain HHH member,
 // since W <= A everywhere.
 func TestSHHHSubsetOfHHH(t *testing.T) {
@@ -225,7 +242,7 @@ func TestSHHHSubsetOfHHH(t *testing.T) {
 		theta := float64(thetaRaw%20) + 1
 		tr, ids, vals := randomCounts(rng)
 		r := ComputeInto(tr, ids, vals, theta, nil)
-		hhh := ComputeHHH(tr, ids, vals, theta)
+		hhh := computeHHH(tr, ids, vals, theta)
 		inHHH := make(map[int32]bool, len(hhh))
 		for _, n := range hhh {
 			inHHH[n] = true

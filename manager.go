@@ -11,8 +11,8 @@ import (
 )
 
 // Manager multiplexes many independent record streams, each with its
-// own Tiresias detector, behind one concurrent Feed hot path. Streams
-// are created lazily on first Feed and partitioned across shards by
+// own Tiresias detector, behind one concurrent FeedBatch hot path. Streams
+// are created lazily on first FeedBatch and partitioned across shards by
 // name hash; each shard has its own mutex, so feeders of different
 // shards never contend. Manager is safe for concurrent use.
 type Manager struct {
@@ -57,7 +57,7 @@ type managerShard struct {
 	streams map[string]*managedStream
 
 	// dropped tombstones stream names removed by Drop, so a late
-	// Feed cannot silently respawn a fresh (cold, warmup-restarting)
+	// FeedBatch cannot silently respawn a fresh (cold, warmup-restarting)
 	// detector under a retired name; see ErrStreamDropped. Guarded
 	// by mu.
 	dropped map[string]struct{}
@@ -174,7 +174,7 @@ func NewManager(opts ...ManagerOption) (*Manager, error) {
 		o.factory = func(string) (*Tiresias, error) { return New() }
 	}
 	// Detectors are built on a stream's first record; probe the shared
-	// Option set now, so a bad one fails here and not at the first Feed.
+	// Option set now, so a bad one fails here and not at the first FeedBatch.
 	if o.detectorOpts != nil {
 		if _, err := New(o.detectorOpts...); err != nil {
 			return nil, err
@@ -212,7 +212,7 @@ func NewManager(opts ...ManagerOption) (*Manager, error) {
 }
 
 // shardIndex picks the shard number by FNV-1a of the name, inlined so
-// the Feed hot path allocates nothing.
+// the FeedBatch hot path allocates nothing.
 func (m *Manager) shardIndex(name string) int {
 	const offset32, prime32 = 2166136261, 16777619
 	h := uint32(offset32)
@@ -227,36 +227,24 @@ func (m *Manager) shardOf(name string) *managerShard {
 	return &m.shards[m.shardIndex(name)]
 }
 
-// Feed ingests one record into the named stream, creating the stream's
-// detector on first use. Completed timeunits warm the detector until
-// its window is full and are screened afterwards; anomalies detected
-// by this call are returned (and delivered to the detector's sinks
-// and the Manager's AnomalyIndex, if configured). Records within one
-// stream must arrive in time order; different streams are fully
-// independent. Feeding a stream removed by Drop returns
-// ErrStreamDropped (see Drop for the rationale and Reopen for the
-// escape hatch); feeding a quarantined stream returns
-// ErrStreamQuarantined (see quarantine.go).
+// FeedBatch ingests a batch of records (in time order) into the named
+// stream through one shard lookup and one lock acquisition, creating
+// the stream's detector on first use. Completed timeunits warm the
+// detector until its window is full and are screened afterwards;
+// anomalies of all timeunits completed by this call are returned in
+// order (and delivered to the detector's sinks and the Manager's
+// AnomalyIndex, if configured). Records within one stream must arrive
+// in time order; different streams are fully independent. On a record
+// error the batch stops there; the returned count is the number of
+// records applied, so a caller can resume past the offending record.
+// Feeding a stream removed by Drop returns ErrStreamDropped (see Drop
+// for the rationale and Reopen for the escape hatch); feeding a
+// quarantined stream returns ErrStreamQuarantined (see quarantine.go).
 //
 // A panic escaping the stream's detector, windower, or sinks is
-// contained: the stream is quarantined, Feed returns
+// contained: the stream is quarantined, FeedBatch returns
 // ErrStreamQuarantined, and the process — including every other
 // stream — keeps running.
-//
-// Feed is FeedBatch of one record.
-func (m *Manager) Feed(streamName string, r Record) ([]Anomaly, error) {
-	out, _, err := m.FeedBatch(streamName, []Record{r})
-	return out, err
-}
-
-// FeedBatch ingests a batch of records (in time order) into the named
-// stream through one shard lookup and one lock acquisition — the
-// synchronous fast path for bulk ingest endpoints and replay. It is
-// equivalent to calling Feed per record: anomalies of all completed
-// timeunits are returned in order, and sinks/index delivery is
-// identical. On a record error the batch stops there; the returned
-// count is the number of records applied, so a caller can resume past
-// the offending record.
 func (m *Manager) FeedBatch(streamName string, recs []Record) ([]Anomaly, int, error) {
 	if len(recs) == 0 {
 		return nil, 0, nil
@@ -358,14 +346,14 @@ func (m *Manager) Flush(streamName string) (anoms []Anomaly, err error) {
 	return anoms, nil
 }
 
-// ErrStreamDropped is returned by Feed, FeedBatch, and the pipeline
+// ErrStreamDropped is returned by FeedBatch and the pipeline
 // workers (latched in Stats) when records arrive for a stream removed
 // by Drop. Test with errors.Is.
 var ErrStreamDropped = errors.New("tiresias: stream was dropped")
 
 // Drop removes the named stream and its detector, reporting whether
-// it existed. The name is tombstoned: a later Feed of the same name
-// returns ErrStreamDropped instead of silently respawning a cold
+// it existed. The name is tombstoned: a later FeedBatch of the same
+// name returns ErrStreamDropped instead of silently respawning a cold
 // detector — without the tombstone, one straggler record after a
 // Drop would restart a full warmup window under the retired name and
 // report bogus statuses for weeks. Call Reopen to clear the tombstone
@@ -389,7 +377,7 @@ func (m *Manager) Drop(streamName string) bool {
 // Reopen clears the tombstone Drop left for the named stream, and
 // retires the stream's quarantined state if a panic quarantined it
 // (see ErrStreamQuarantined), reporting whether either existed. After
-// Reopen the next Feed lazily creates a fresh detector (cold, full
+// Reopen the next FeedBatch lazily creates a fresh detector (cold, full
 // warmup) under the name — the quarantined detector's state is
 // discarded, never resumed.
 func (m *Manager) Reopen(streamName string) bool {
@@ -419,7 +407,7 @@ func (m *Manager) Len() int {
 
 // StreamStatus is a point-in-time snapshot of one managed stream.
 type StreamStatus struct {
-	// Name is the stream name given to Feed.
+	// Name is the stream name given to FeedBatch.
 	Name string `json:"name"`
 	// Warm reports whether the detector finished warmup.
 	Warm bool `json:"warm"`

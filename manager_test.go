@@ -9,6 +9,12 @@ import (
 	"time"
 )
 
+// feed ingests one record through FeedBatch.
+func feed(m *Manager, streamName string, r Record) ([]Anomaly, error) {
+	out, _, err := m.FeedBatch(streamName, []Record{r})
+	return out, err
+}
+
 // feedUnits pushes one record per timeunit into a managed stream:
 // steady rate, with a burst at burstUnit (0 = no burst). Returns all
 // anomalies the feeds produced.
@@ -22,7 +28,7 @@ func feedUnits(t *testing.T, m *Manager, streamName string, units int, burstUnit
 			n = 40
 		}
 		for i := 0; i < n; i++ {
-			anoms, err := m.Feed(streamName, Record{
+			anoms, err := feed(m, streamName, Record{
 				Path: []string{"pop", "edge"},
 				Time: base.Add(time.Duration(u) * time.Minute),
 			})
@@ -109,12 +115,12 @@ func TestManagerFlush(t *testing.T) {
 	// still-open unit and only Flush can surface it.
 	base := start()
 	for u := 0; u < 20; u++ {
-		if _, err := m.Feed("s", Record{Path: []string{"pop"}, Time: base.Add(time.Duration(u) * time.Minute)}); err != nil {
+		if _, err := feed(m, "s", Record{Path: []string{"pop"}, Time: base.Add(time.Duration(u) * time.Minute)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 40; i++ {
-		if _, err := m.Feed("s", Record{Path: []string{"pop"}, Time: base.Add(19*time.Minute + 30*time.Second)}); err != nil {
+		if _, err := feed(m, "s", Record{Path: []string{"pop"}, Time: base.Add(19*time.Minute + 30*time.Second)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -134,10 +140,10 @@ func TestManagerFlush(t *testing.T) {
 func TestManagerOutOfOrderRecord(t *testing.T) {
 	m := testManager(t, 2)
 	base := start()
-	if _, err := m.Feed("s", Record{Path: []string{"p"}, Time: base.Add(time.Hour)}); err != nil {
+	if _, err := feed(m, "s", Record{Path: []string{"p"}, Time: base.Add(time.Hour)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Feed("s", Record{Path: []string{"p"}, Time: base}); err == nil {
+	if _, err := feed(m, "s", Record{Path: []string{"p"}, Time: base}); err == nil {
 		t.Fatal("out-of-order record must error")
 	}
 }
@@ -148,7 +154,7 @@ func TestManagerFactoryError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Feed("s", Record{Path: []string{"p"}, Time: start()}); !errors.Is(err, bad) {
+	if _, err := feed(m, "s", Record{Path: []string{"p"}, Time: start()}); !errors.Is(err, bad) {
 		t.Fatalf("Feed with failing factory = %v, want wrapped factory error", err)
 	}
 	if _, err := NewManager(WithShards(0)); err == nil {
@@ -207,20 +213,20 @@ func TestManagerMaxGapBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := start()
-	if _, err := m.Feed("s", Record{Path: []string{"p"}, Time: base}); err != nil {
+	if _, err := feed(m, "s", Record{Path: []string{"p"}, Time: base}); err != nil {
 		t.Fatal(err)
 	}
 	// Within the bound: gap-filling works.
-	if _, err := m.Feed("s", Record{Path: []string{"p"}, Time: base.Add(50 * time.Minute)}); err != nil {
+	if _, err := feed(m, "s", Record{Path: []string{"p"}, Time: base.Add(50 * time.Minute)}); err != nil {
 		t.Fatal(err)
 	}
 	// A timestamp jumping 200 units ahead must be rejected, not
 	// gap-filled (DoS guard for ingest endpoints).
-	if _, err := m.Feed("s", Record{Path: []string{"p"}, Time: base.Add(200 * time.Minute)}); err == nil {
+	if _, err := feed(m, "s", Record{Path: []string{"p"}, Time: base.Add(200 * time.Minute)}); err == nil {
 		t.Fatal("record beyond max gap must be rejected")
 	}
 	// The stream is still usable at sane timestamps.
-	if _, err := m.Feed("s", Record{Path: []string{"p"}, Time: base.Add(51 * time.Minute)}); err != nil {
+	if _, err := feed(m, "s", Record{Path: []string{"p"}, Time: base.Add(51 * time.Minute)}); err != nil {
 		t.Fatalf("stream unusable after rejected record: %v", err)
 	}
 }
@@ -229,7 +235,7 @@ func TestManagerFlushIdempotent(t *testing.T) {
 	m := testManager(t, 1)
 	base := start()
 	for u := 0; u < 20; u++ {
-		if _, err := m.Feed("s", Record{Path: []string{"pop"}, Time: base.Add(time.Duration(u) * time.Minute)}); err != nil {
+		if _, err := feed(m, "s", Record{Path: []string{"pop"}, Time: base.Add(time.Duration(u) * time.Minute)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -252,7 +258,7 @@ func TestManagerFlushIdempotent(t *testing.T) {
 		t.Fatalf("repeat Flush advanced units %d -> %d", unitsAfterFirst, got)
 	}
 	// New records keep flowing after the flushes.
-	if _, err := m.Feed("s", Record{Path: []string{"pop"}, Time: base.Add(25 * time.Minute)}); err != nil {
+	if _, err := feed(m, "s", Record{Path: []string{"pop"}, Time: base.Add(25 * time.Minute)}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -87,7 +87,7 @@ func TestStepObserverSeesEveryStep(t *testing.T) {
 	}
 	base := start()
 	for u := 40; u < 45; u++ {
-		if _, err := m2.Feed("obs", Record{Path: []string{"pop", "edge"}, Time: base.Add(time.Duration(u) * time.Minute)}); err != nil {
+		if _, err := feed(m2, "obs", Record{Path: []string{"pop", "edge"}, Time: base.Add(time.Duration(u) * time.Minute)}); err != nil {
 			t.Fatal(err)
 		}
 	}

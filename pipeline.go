@@ -2,7 +2,7 @@ package tiresias
 
 // Pipelined ingestion: per-shard worker goroutines behind bounded
 // channels, so throughput scales with cores instead of callers. The
-// synchronous Feed/FeedBatch path stays available on the same Manager;
+// synchronous FeedBatch path stays available on the same Manager;
 // the pipeline adds an asynchronous EnqueueRuns path (EnqueueBatch is
 // its one-stream form) with a configurable full-queue policy, drain
 // barriers (Drain, and implicitly Checkpoint and Flush), and graceful
@@ -73,10 +73,10 @@ func WithPipeline(queueDepth int, policy BackpressurePolicy) ManagerOption {
 }
 
 // WithAnomalyIndex attaches a bounded AnomalyIndex to the Manager:
-// every anomaly detected on any path — Feed, FeedBatch, Flush, or the
+// every anomaly detected on any path — FeedBatch, Flush, or the
 // pipeline workers — is recorded there tagged with its stream name,
 // making detections queryable after the fact (time range, subtree,
-// stream) instead of vanishing with the Feed return value.
+// stream) instead of vanishing with the FeedBatch return value.
 func WithAnomalyIndex(ix *AnomalyIndex) ManagerOption {
 	return managerOptionFunc(func(o *managerOptions) { o.index = ix })
 }
@@ -229,7 +229,7 @@ func (p *pipeline) worker(i int) {
 
 // feed feeds one job's stream groups under a single hold of the shard
 // lock: per group one stream lookup, one quarantine check and one
-// panic barrier (feedLocked). Feed errors cannot be returned to the
+// panic barrier (feedLocked). Record errors cannot be returned to the
 // (long gone) enqueuer, so they are counted and latched into the
 // shard's stats instead of lost. A record-level error (out-of-order
 // arrival, gap bound) poisons only that record: the worker resumes the
@@ -500,7 +500,7 @@ func (p *pipeline) close() {
 // EnqueueRuns returns, so the caller may reuse them at once.
 //
 // The body is regrouped by stream, each stream's records kept in body
-// order, so the in-order requirement of Feed carries over per stream;
+// order, so the in-order requirement of FeedBatch carries over per stream;
 // it is queued as one job per shard it touches. A shard's worker feeds
 // the body's streams group by group, in the order each first appears
 // in the body, so the AnomalyIndex cursors of different streams on one
@@ -572,7 +572,7 @@ func (m *Manager) Drain() {
 // are drained through detection, and the worker goroutines exit
 // before Close returns. Close is idempotent and safe to call
 // concurrently with enqueuers. The Manager itself stays usable — the
-// synchronous Feed/FeedBatch/Flush/Checkpoint paths are unaffected.
+// synchronous FeedBatch/Flush/Checkpoint paths are unaffected.
 // Close does not flush partial timeunits; call Flush per stream if
 // stream end is meant.
 func (m *Manager) Close() error {
@@ -614,7 +614,7 @@ type ShardStats struct {
 	// quarantined after a contained panic (see ErrStreamQuarantined).
 	Quarantined int `json:"quarantined,omitempty"`
 	// Records counts records fed through detection on this shard,
-	// from every path (Feed, FeedBatch, pipeline workers).
+	// from every path (FeedBatch, pipeline workers).
 	Records uint64 `json:"records"`
 	// Anomalies counts detections on this shard.
 	Anomalies uint64 `json:"anomalies"`

@@ -58,7 +58,7 @@ func TestFeedBatchMatchesFeed(t *testing.T) {
 	ref := testManager(t, 4)
 	var want []Anomaly
 	for _, r := range recs {
-		anoms, err := ref.Feed("s", r)
+		anoms, err := feed(ref, "s", r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func TestFeedAfterDropReturnsError(t *testing.T) {
 	if !m.Drop("tenant") {
 		t.Fatal("Drop must report existence")
 	}
-	_, err := m.Feed("tenant", Record{Path: []string{"pop"}, Time: start().Add(time.Hour)})
+	_, err := feed(m, "tenant", Record{Path: []string{"pop"}, Time: start().Add(time.Hour)})
 	if !errors.Is(err, ErrStreamDropped) {
 		t.Fatalf("Feed after Drop = %v, want ErrStreamDropped", err)
 	}
@@ -119,14 +119,14 @@ func TestFeedAfterDropReturnsError(t *testing.T) {
 		t.Fatalf("FeedBatch after Drop = %v, want ErrStreamDropped", err)
 	}
 	// Other streams are unaffected; a never-dropped name still works.
-	if _, err := m.Feed("other", Record{Path: []string{"pop"}, Time: start()}); err != nil {
+	if _, err := feed(m, "other", Record{Path: []string{"pop"}, Time: start()}); err != nil {
 		t.Fatal(err)
 	}
 	// Reopen clears the tombstone exactly once; the stream restarts cold.
 	if !m.Reopen("tenant") || m.Reopen("tenant") {
 		t.Fatal("Reopen must clear exactly once")
 	}
-	if _, err := m.Feed("tenant", Record{Path: []string{"pop"}, Time: start().Add(time.Hour)}); err != nil {
+	if _, err := feed(m, "tenant", Record{Path: []string{"pop"}, Time: start().Add(time.Hour)}); err != nil {
 		t.Fatalf("Feed after Reopen = %v", err)
 	}
 	for _, st := range m.Streams() {
@@ -141,7 +141,7 @@ func TestDropUnknownLeavesNoTombstone(t *testing.T) {
 	if m.Drop("ghost") {
 		t.Fatal("Drop of unknown stream must report false")
 	}
-	if _, err := m.Feed("ghost", Record{Path: []string{"pop"}, Time: start()}); err != nil {
+	if _, err := feed(m, "ghost", Record{Path: []string{"pop"}, Time: start()}); err != nil {
 		t.Fatalf("unknown-stream Drop must not tombstone: %v", err)
 	}
 }
@@ -153,7 +153,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	ref := testManager(t, 4)
 	var want []Anomaly
 	for _, r := range recs {
-		anoms, err := ref.Feed("s", r)
+		anoms, err := feed(ref, "s", r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +258,7 @@ func TestPipelineWorkerResumesBatchPastBadRecord(t *testing.T) {
 func TestPipelineWorkerStopsBatchOnTerminalError(t *testing.T) {
 	m := pipelineManager(t, 1, 8, Block, nil)
 	base := start()
-	if _, err := m.Feed("s", Record{Path: []string{"pop"}, Time: base}); err != nil {
+	if _, err := feed(m, "s", Record{Path: []string{"pop"}, Time: base}); err != nil {
 		t.Fatal(err)
 	}
 	m.Drop("s")
@@ -414,7 +414,7 @@ func TestCloseSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Synchronous paths still work after Close.
-	if _, err := m.Feed("s", Record{Path: []string{"pop"}, Time: start().Add(300 * time.Minute)}); err != nil {
+	if _, err := feed(m, "s", Record{Path: []string{"pop"}, Time: start().Add(300 * time.Minute)}); err != nil {
 		t.Fatal(err)
 	}
 	// Drain on a closed pipeline is a no-op, not a hang.

@@ -16,7 +16,7 @@ import (
 	"fmt"
 )
 
-// ErrStreamQuarantined is returned by Feed, FeedBatch, and Flush (and
+// ErrStreamQuarantined is returned by FeedBatch and Flush (and
 // latched in Stats by the pipeline workers) when the target stream
 // has been quarantined: a panic escaped its detector, windower, or
 // sink during an earlier feed, so its in-memory state cannot be

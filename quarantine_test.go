@@ -47,7 +47,7 @@ func feedUntilQuarantine(t *testing.T, m *Manager, streamName string, units int)
 	t.Helper()
 	base := start()
 	for u := 0; u < units; u++ {
-		_, err := m.Feed(streamName, Record{Path: []string{"pop", "edge"}, Time: base.Add(time.Duration(u) * time.Minute)})
+		_, err := feed(m, streamName, Record{Path: []string{"pop", "edge"}, Time: base.Add(time.Duration(u) * time.Minute)})
 		if err != nil {
 			if !errors.Is(err, ErrStreamQuarantined) {
 				t.Fatalf("unit %d: err = %v, want ErrStreamQuarantined", u, err)
@@ -78,7 +78,7 @@ func TestFeedPanicQuarantinesStream(t *testing.T) {
 
 	// The stream now refuses records without touching the detector.
 	pokes := trig.Pokes()
-	if _, err := m.Feed("bad", Record{Path: []string{"pop"}, Time: start().Add(time.Hour)}); !errors.Is(err, ErrStreamQuarantined) {
+	if _, err := feed(m, "bad", Record{Path: []string{"pop"}, Time: start().Add(time.Hour)}); !errors.Is(err, ErrStreamQuarantined) {
 		t.Fatalf("feed of quarantined stream = %v, want ErrStreamQuarantined", err)
 	}
 	if _, _, err := m.FeedBatch("bad", []Record{{Path: []string{"pop"}, Time: start().Add(time.Hour)}}); !errors.Is(err, ErrStreamQuarantined) {
@@ -121,7 +121,7 @@ func TestFeedPanicQuarantinesStream(t *testing.T) {
 	if m.Stats().Quarantined != 0 {
 		t.Fatal("quarantine count must drop after Reopen")
 	}
-	if _, err := m.Feed("bad", Record{Path: []string{"pop"}, Time: start().Add(2 * time.Hour)}); err != nil {
+	if _, err := feed(m, "bad", Record{Path: []string{"pop"}, Time: start().Add(2 * time.Hour)}); err != nil {
 		t.Fatalf("feed after Reopen = %v", err)
 	}
 	for _, s := range m.Streams() {
@@ -164,7 +164,7 @@ func TestFlushPanicQuarantines(t *testing.T) {
 		t.Helper()
 		base := start()
 		for u := 0; u < units; u++ {
-			if _, err := m.Feed("bad", Record{Path: []string{"pop", "edge"}, Time: base.Add(time.Duration(u) * time.Minute)}); err != nil {
+			if _, err := feed(m, "bad", Record{Path: []string{"pop", "edge"}, Time: base.Add(time.Duration(u) * time.Minute)}); err != nil {
 				t.Fatalf("unit %d: %v", u, err)
 			}
 		}

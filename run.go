@@ -109,7 +109,7 @@ func (t *Tiresias) Run(ctx context.Context, src Source) (*RunResult, error) {
 
 // window is a detector's Step-1 state (§III, Fig. 3): the windower
 // that classifies records into Δ-units, and the completed units
-// buffered until the warm-up window of ℓ fills. Run and Manager.Feed
+// buffered until the warm-up window of ℓ fills. Run and Manager.FeedBatch
 // both drive it through ingest and flush, so a stream's partial unit
 // and warm-up buffer live with its detector, and in its checkpoint.
 type window struct {

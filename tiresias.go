@@ -8,15 +8,15 @@
 //
 //	t, err := tiresias.New(tiresias.WithTheta(10), tiresias.WithDelta(15*time.Minute))
 //	result, err := t.Run(ctx, source) // incremental: O(windowLen) memory
-//	// or many streams, online, one record at a time:
+//	// or many streams, online, a batch of records at a time:
 //	m, err := tiresias.NewManager(tiresias.WithDetectorOptions(opts...))
-//	anoms, err := m.Feed("stream", record)
+//	anoms, _, err := m.FeedBatch("stream", records)
 //
 // Records are the only way into a detector: it windows them into
 // timeunits itself, warms up on the first windowLen units, and screens
 // every unit after. Anomalies can be pushed to Sinks as they are found
 // (WithSink), and a sharded Manager multiplexes many independent
-// streams behind one Feed hot path. At scale the Manager runs
+// streams behind one FeedBatch hot path. At scale the Manager runs
 // pipelined (WithPipeline): per-shard worker goroutines behind bounded
 // queues ingest asynchronously via EnqueueRuns — one job per shard per
 // body — under a configurable backpressure policy, and detections land
@@ -163,8 +163,8 @@ func WithSink(s Sink) Option {
 // DefaultMaxGap bounds how many timeunits a single record may
 // force-complete when it jumps past the current unit (gap filling
 // across quiet periods). It caps the work and allocation one
-// bad-timestamp record can trigger — important when Feed is wired to
-// an ingest endpoint. Both Run and Manager.Feed enforce it unless
+// bad-timestamp record can trigger — important when FeedBatch is wired
+// to an ingest endpoint. Both Run and Manager.FeedBatch enforce it unless
 // overridden with WithMaxGap.
 const DefaultMaxGap = 100_000
 
@@ -178,7 +178,7 @@ const DefaultMaxGap = 100_000
 // sane timestamps. n <= 0 disables the bound entirely — acceptable
 // only for trusted feeds, since one bad far-future timestamp then
 // fabricates unbounded empty units. The default is DefaultMaxGap. It
-// bounds Run and Manager.Feed alike (give it to a Manager through
+// bounds Run and Manager.FeedBatch alike (give it to a Manager through
 // WithDetectorOptions) and is carried through every checkpoint.
 func WithMaxGap(n int) Option {
 	return optionFunc(func(o *options) { o.MaxGap = n })
@@ -211,7 +211,7 @@ type Tiresias struct {
 
 	lastState *algo.StepState
 
-	// win is the Step-1 windowing state Run and Manager.Feed share.
+	// win is the Step-1 windowing state Run and Manager.FeedBatch share.
 	win window
 }
 
