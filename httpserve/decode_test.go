@@ -368,6 +368,34 @@ func TestDecodeMatchesOracle(t *testing.T) {
 		checkAgainstOracle(t, []byte(body), false)
 		checkAgainstOracle(t, []byte(body), true)
 	}
+	// The scanner's hit paths, each at its edge: a record that warms a
+	// memo or the cache, then records that almost match it. Each runs
+	// as NDJSON and as an array; the warm pass runs them on hits.
+	const minute = `"time":"2010-09-14T00:00:`
+	for _, recs := range [][]string{
+		// A label holding ']' after its path's prefix was cached.
+		{`{"path":["x","y"],` + minute + `01Z"}`, `{"path":["x","y]"],` + minute + `01Z"}`, `{"path":["x","y]","z"],` + minute + `01Z"}`, `{"path":["x]"],` + minute + `01Z"}`, `{"path":["x"],` + minute + `01Z"}`},
+		// A stream and its one-byte extension, both ways round.
+		{`{"stream":"s","path":["x"],` + minute + `01Z"}`, `{"stream":"s0","path":["x"],` + minute + `01Z"}`, `{"stream":"s","path":["x"],` + minute + `01Z"}`},
+		{`{"stream":"s0","path":["x"],` + minute + `01Z"}`, `{"stream":"s","path":["x"],` + minute + `01Z"}`, `{"stream":"s\"","path":["x"],` + minute + `01Z"}`},
+		// Times in the cached minute, on and just off its rules.
+		{`{"path":["x"],` + minute + `01Z"}`, `{"path":["x"],` + minute + `02Z"}`, `{"path":["x"],` + minute + `02.5Z"}`, `{"path":["x"],` + minute + `02.123456789Z"}`, `{"path":["x"],` + minute + `59.999999999Z"}`},
+		{`{"path":["x"],` + minute + `01Z"}`, `{"path":["x"],` + minute + `02.1234567891Z"}`},
+		{`{"path":["x"],` + minute + `01Z"}`, `{"path":["x"],` + minute + `60Z"}`},
+		{`{"path":["x"],` + minute + `01Z"}`, `{"path":["x"],` + minute + `02.Z"}`},
+		{`{"path":["x"],` + minute + `01Z"}`, `{"path":["x"],` + minute + `02z"}`},
+		{`{"path":["x"],` + minute + `01Z"}`, `{"path":["x"],` + minute + `\"2Z"}`},
+		{`{"path":["x"],` + minute + `01Z"}`, `{"path":["x"],` + minute + `02Z","stream":"a"}`, `{"path":["x"],` + minute + `02Z\""}`},
+		// Before any minute is cached: zero bytes where the minute goes.
+		{"{\"path\":[\"x\"],\"time\":\"" + strings.Repeat("\x00", 17) + "00Z\"}", `{"path":["x"],` + minute + `01Z"}`},
+		// Keys that are not the literal compare's, after ones that are.
+		{`{"stream":"a","path":["x"],` + minute + `01Z"}`, `{"stream" :"a","path" :["x"],"time" :"2010-09-14T00:00:01Z"}`},
+		{`{"stream":"a","path":["x"],` + minute + `01Z"}`, `{"streams":"a","path":["x"],` + minute + `01Z"}`, `{"paths":["x"],` + minute + `01Z"}`},
+		{`{"path":["x"],` + minute + `01Z"}`, `{"p\u0061th":["x"],` + minute + `01Z"}`, `{"path":["x"],"tim\u0065":"2010-09-14T00:00:01Z"}`},
+	} {
+		checkAgainstOracle(t, []byte(strings.Join(recs, "\n")), true)
+		checkAgainstOracle(t, []byte("["+strings.Join(recs, ",")+"]"), false)
+	}
 }
 
 // TestNDJSONErrorCases pins the NDJSON decode errors: lines are
@@ -494,9 +522,10 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// denseBody renders n one-second-apart records of one stream over a
-// small set of paths, in either framing.
-func denseBody(n int, array bool) []byte {
+// denseBody renders n records step apart over a small set of paths, in
+// either framing: all of stream s000, or with run > 0 in runs of run
+// records over four streams.
+func denseBody(n int, array bool, step time.Duration, run int) []byte {
 	base := time.Date(2010, 9, 14, 0, 0, 0, 0, time.UTC)
 	var b bytes.Buffer
 	if array {
@@ -506,8 +535,12 @@ func denseBody(n int, array bool) []byte {
 		if array && i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, `{"stream":"s000","path":["vho%d","io%d","co%d","dslam%d"],"time":%q}`,
-			i%3, i%5, i%7, i%11, base.Add(time.Duration(i)*time.Second).Format(time.RFC3339))
+		stream := 0
+		if run > 0 {
+			stream = i / run % 4
+		}
+		fmt.Fprintf(&b, `{"stream":"s%03d","path":["vho%d","io%d","co%d","dslam%d"],"time":%q}`,
+			stream, i%3, i%5, i%7, i%11, base.Add(time.Duration(i)*step).Format(time.RFC3339Nano))
 		if !array {
 			b.WriteByte('\n')
 		}
@@ -529,14 +562,16 @@ func TestWarmDecodeAllocatesPerBodyNotPerRecord(t *testing.T) {
 	}
 	defer s.Close()
 	for _, tc := range []struct {
-		name    string
-		records int
-		array   bool
+		name          string
+		body          []byte
+		array         bool
+		records, runs int
 	}{
-		{"1000-record NDJSON", 1000, false},
-		{"100-record array", 100, true},
+		{"1000-record NDJSON", denseBody(1000, false, time.Second, 0), false, 1000, 1},
+		{"100-record array", denseBody(100, true, time.Second, 0), true, 100, 1},
+		{"100-record array, switching streams", denseBody(100, true, 250*time.Millisecond, 10), true, 100, 10},
 	} {
-		body := denseBody(tc.records, tc.array)
+		body := tc.body
 		var r bytes.Reader
 		d := &decoder{sc: wirerec.Scanner{Cache: s.cache}}
 		decode := func() {
@@ -547,7 +582,7 @@ func TestWarmDecodeAllocatesPerBodyNotPerRecord(t *testing.T) {
 			if we := s.decodeIngest(d, !tc.array); we != nil {
 				t.Fatal(we.message)
 			}
-			if len(d.recs) != tc.records || len(d.runs) != 1 {
+			if len(d.recs) != tc.records || len(d.runs) != tc.runs {
 				t.Fatalf("%s: %d records in %d runs", tc.name, len(d.recs), len(d.runs))
 			}
 		}
@@ -576,7 +611,7 @@ func TestConcurrentIngestSharesReadOnlyPaths(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				// Every poster names the same paths; streams are
 				// per poster so each stays in time order.
-				body := bytes.ReplaceAll(denseBody(200, r%2 == 1), []byte("s000"), []byte(fmt.Sprintf("s%03d", p)))
+				body := bytes.ReplaceAll(denseBody(200, r%2 == 1, time.Second, 0), []byte("s000"), []byte(fmt.Sprintf("s%03d", p)))
 				ct := "application/x-ndjson"
 				if r%2 == 1 {
 					ct = "application/json"
@@ -601,7 +636,7 @@ func TestConcurrentIngestSharesReadOnlyPaths(t *testing.T) {
 	// A warm decode hands out the cached slices themselves: each must
 	// still hold what its span says, with clipped capacity.
 	for _, array := range []bool{false, true} {
-		groups, we := decodeGroups(s, denseBody(200, array), !array)
+		groups, we := decodeGroups(s, denseBody(200, array, time.Second, 0), !array)
 		if we != nil {
 			t.Fatal(we.message)
 		}
@@ -632,7 +667,7 @@ func TestCacheFullClearsAndRewarms(t *testing.T) {
 			// 51 distinct paths a body (one of them the stream's own),
 			// two streams a body.
 			body := strings.ReplaceAll(ndjsonBody(stream, 30), `"io2"]`, `"io2","x`+stream+`"]`) +
-				strings.ReplaceAll(string(denseBody(50, false)), "s000", "dense-"+stream)
+				strings.ReplaceAll(string(denseBody(50, false, time.Second, 0)), "s000", "dense-"+stream)
 			var ing api.IngestResponse
 			if resp := post(t, ts.URL+"/v2/records", "application/x-ndjson", body, &ing); resp.StatusCode != http.StatusOK {
 				t.Fatalf("stream %s: status %d", stream, resp.StatusCode)

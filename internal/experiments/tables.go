@@ -157,8 +157,8 @@ func Table3(p Profile) (*Result, error) {
 				ms(row.stages.CreatingTimeSeries), ms(row.stages.DetectingAnomalies),
 				ms(sum), "",
 			)
-			vals[fmt.Sprintf("%s:%s:createTS_ms", delta, name)] = float64(row.stages.CreatingTimeSeries.Milliseconds())
-			vals[fmt.Sprintf("%s:%s:sum_ms", delta, name)] = float64(sum.Milliseconds())
+			vals[fmt.Sprintf("%s:%s:createTS_ms", delta, name)] = millis(row.stages.CreatingTimeSeries)
+			vals[fmt.Sprintf("%s:%s:sum_ms", delta, name)] = millis(sum)
 		}
 		speedup := float64(sums[1]) / float64(sums[0])
 		t.addRow(delta.String(), "", "", "", "", "", "", f2(speedup))
@@ -168,7 +168,11 @@ func Table3(p Profile) (*Result, error) {
 	return &Result{ID: "table3", Text: t.Render(), Values: vals}, nil
 }
 
-func ms(d time.Duration) string { return fmt.Sprintf("%.1f", float64(d.Microseconds())/1000) }
+func ms(d time.Duration) string { return fmt.Sprintf("%.1f", millis(d)) }
+
+// millis is d in milliseconds at microsecond resolution: a stage under
+// 1 ms keeps its size, which Duration.Milliseconds would truncate to 0.
+func millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 // Table4 reproduces Table IV: normalized memory cost of STA vs ADA
 // with h = 0, 1, 2 reference levels.

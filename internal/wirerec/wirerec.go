@@ -19,6 +19,15 @@
 // one complete string or array, the parser reading the whole record
 // sees that value end at hi too; and a field of a fresh record is
 // decoded by the same code as a fresh variable of the field's type.
+//
+// Why a hit skips the scan: the scanner reads a string or a flat array
+// left to right, and what it has read decides where it ends. Equal
+// bytes followed by the same terminator therefore scan the same, so
+// bytes that equal a span the scan ended once — the pass's last stream
+// name, a cached path, the cached minute of a timestamp — followed by
+// the byte it ended at are the span the slow scan would return. The hit
+// paths compare those bytes and that terminator in one pass over the
+// record; anything else takes the slow scan.
 package wirerec
 
 import (
@@ -147,14 +156,15 @@ type Scanner struct {
 	badLabel bool
 
 	// streamSpan/streamName shortcut the stream cache for consecutive
-	// records of one stream; streamSpan aliases the pass's input.
+	// records of one stream (streamValue); streamSpan aliases the pass's
+	// input.
 	streamSpan []byte
 	streamName string
-	// minute/minuteBase cache the last "YYYY-MM-DDTHH:MM:" prefix of a
-	// UTC timestamp and the instant of its second 00. The mapping is a
+	// minute/minuteSec cache the last "YYYY-MM-DDTHH:MM:" prefix of a
+	// UTC timestamp and the Unix time of its second 00. The mapping is a
 	// pure function of the bytes, so it survives across passes.
-	minute     [17]byte
-	minuteBase time.Time
+	minute    [17]byte
+	minuteSec int64
 
 	// newPaths and newStreams hold the spans this pass decoded on a
 	// cache miss, until End adds them to the cache.
@@ -236,52 +246,26 @@ func (s *Scanner) Object(b []byte, i int) (int, bool) {
 	}
 	var seen uint8
 	for {
-		key, j, ok := rawString(b, i)
+		k, j := key(b, i)
+		if k == 0 || seen&k != 0 {
+			return i, false
+		}
+		seen |= k
+		if i = SkipSpace(b, j); i >= len(b) {
+			return i, false
+		}
+		ok := false
+		switch k {
+		case keyStream:
+			i, ok = s.streamValue(b, i)
+		case keyPath:
+			i, ok = s.pathValue(b, i)
+		default:
+			i, ok = s.timeValue(b, i)
+		}
 		if !ok {
 			return i, false
 		}
-		i = SkipSpace(b, j)
-		if i >= len(b) || b[i] != ':' {
-			return i, false
-		}
-		i = SkipSpace(b, i+1)
-		if i >= len(b) {
-			return i, false
-		}
-		var bit uint8
-		//tiresias:ignore hotpath (the compiler elides the copy in a switch on string(bytes))
-		switch string(key) {
-		case "stream":
-			bit = 1
-			span, j, ok := rawString(b, i)
-			if !ok || !s.stream(span, b[i:j]) {
-				return i, false
-			}
-			i = j
-		case "path":
-			bit = 2
-			if b[i] != '[' {
-				return i, false
-			}
-			j, ok := arrayEnd(b, i+1)
-			if !ok || !s.path(b[i+1:j], b[i:j+1]) {
-				return i, false
-			}
-			i = j + 1
-		case "time":
-			bit = 4
-			span, j, ok := rawString(b, i)
-			if !ok || !s.time(span, b[i:j]) {
-				return i, false
-			}
-			i = j
-		default:
-			return i, false
-		}
-		if seen&bit != 0 {
-			return i, false
-		}
-		seen |= bit
 		i = SkipSpace(b, i)
 		if i >= len(b) {
 			return i, false
@@ -297,12 +281,59 @@ func (s *Scanner) Object(b []byte, i int) (int, bool) {
 	}
 }
 
+// The canonical keys, one bit each.
+const (
+	keyStream uint8 = 1 << iota
+	keyPath
+	keyTime
+)
+
+// key reads the object key starting at b[i] and the colon after it,
+// and returns which canonical key it is (0: none) and the index after
+// the colon. A canonical key with its colon right after it is a
+// fixed-width compare; any other form (space before the colon, an
+// escape, another key) is scanned and matched by its raw text.
+//
+//tiresias:hotpath
+func key(b []byte, i int) (uint8, int) {
+	r := b[i:]
+	//tiresias:ignore hotpath (a compare with a constant string compiles to word loads; nothing is copied)
+	if len(r) >= 9 && string(r[:9]) == `"stream":` {
+		return keyStream, i + 9
+	}
+	//tiresias:ignore hotpath (a compare with a constant string compiles to word loads; nothing is copied)
+	if len(r) >= 7 && string(r[:7]) == `"path":` {
+		return keyPath, i + 7
+	}
+	//tiresias:ignore hotpath (a compare with a constant string compiles to word loads; nothing is copied)
+	if len(r) >= 7 && string(r[:7]) == `"time":` {
+		return keyTime, i + 7
+	}
+	name, j, ok := rawString(b, i)
+	if !ok {
+		return 0, i
+	}
+	if j = SkipSpace(b, j); j >= len(b) || b[j] != ':' {
+		return 0, j
+	}
+	//tiresias:ignore hotpath (the compiler elides the copy in a switch on string(bytes))
+	switch string(name) {
+	case "stream":
+		return keyStream, j + 1
+	case "path":
+		return keyPath, j + 1
+	case "time":
+		return keyTime, j + 1
+	}
+	return 0, j
+}
+
 // SkipSpace returns the index of the first byte at or after i that is
 // not JSON whitespace.
 //
 //tiresias:hotpath
 func SkipSpace(b []byte, i int) int {
-	for i < len(b) && (b[i] == ' ' || b[i] == '\n' || b[i] == '\t' || b[i] == '\r') {
+	for i < len(b) && b[i] <= ' ' && (b[i] == ' ' || b[i] == '\n' || b[i] == '\t' || b[i] == '\r') {
 		i++
 	}
 	return i
@@ -352,15 +383,29 @@ func arrayEnd(b []byte, i int) (int, bool) {
 	return i, false
 }
 
-// stream resolves a "stream" value: span is the text between the
-// quotes, quoted the literal with them. The caller holds Cache.mu.
+// streamValue resolves the "stream" value starting at b[i] and returns
+// the index after it. The hit path is the pass's last stream span
+// again, closing quote included. The caller holds Cache.mu.
+//
+//tiresias:hotpath
+func (s *Scanner) streamValue(b []byte, i int) (int, bool) {
+	if n := len(s.streamSpan); s.streamSpan != nil && i+n+1 < len(b) && b[i] == '"' && b[i+n+1] == '"' && bytes.Equal(b[i+1:i+n+1], s.streamSpan) {
+		s.Rec.Stream = s.streamName
+		return i + n + 2, true
+	}
+	span, j, ok := rawString(b, i)
+	if !ok || !s.stream(span, b[i:j]) {
+		return i, false
+	}
+	return j, true
+}
+
+// stream resolves a stream span the hit path missed: span is the text
+// between the quotes, quoted the literal with them. The caller holds
+// Cache.mu.
 //
 //tiresias:hotpath
 func (s *Scanner) stream(span, quoted []byte) bool {
-	if s.streamSpan != nil && bytes.Equal(span, s.streamSpan) {
-		s.Rec.Stream = s.streamName
-		return true
-	}
 	//tiresias:ignore hotpath (the compiler elides the copy in a map index by string(bytes))
 	name, ok := s.Cache.streams[string(span)]
 	if !ok {
@@ -391,20 +436,45 @@ func (s *Scanner) streamMiss(span, quoted []byte) (string, bool) {
 	return name, true
 }
 
-// path resolves a "path" value: span is the text between the brackets,
-// bracketed the array with them. The caller holds Cache.mu.
+// pathValue resolves the "path" array starting at b[i] and returns the
+// index after its ']'. The hit path looks up the text before the first
+// ']' in the cache: a cached span is a complete flat array's content,
+// which arrayEnd ended at the ']' after it, so a hit is the array
+// arrayEnd would find. (A longer span is never cached, so the search
+// stops past maxCachedSpan.) On a miss arrayEnd finds the array; only
+// a label holding ']' makes its span differ from the one looked up.
+// The caller holds Cache.mu.
 //
 //tiresias:hotpath
-func (s *Scanner) path(span, bracketed []byte) bool {
-	//tiresias:ignore hotpath (the compiler elides the copy in a map index by string(bytes))
-	if c, ok := s.Cache.paths[string(span)]; ok {
-		s.PathHits++
-		s.Rec.Path, s.Ref = c.path, c.ref
-		return true
+func (s *Scanner) pathValue(b []byte, i int) (int, bool) {
+	if b[i] != '[' {
+		return i, false
 	}
-	p, ok := s.pathMiss(span, bracketed)
-	s.Rec.Path = p
-	return ok
+	var c cachedPath
+	ok := false
+	k := bytes.IndexByte(b[i+1:min(len(b), i+2+maxCachedSpan)], ']')
+	j := i + 1 + k
+	if k >= 0 {
+		//tiresias:ignore hotpath (the compiler elides the copy in a map index by string(bytes))
+		c, ok = s.Cache.paths[string(b[i+1:j])]
+	}
+	if !ok {
+		end, found := arrayEnd(b, i+1)
+		if !found {
+			return i, false
+		}
+		if k >= 0 && end != j {
+			//tiresias:ignore hotpath (the compiler elides the copy in a map index by string(bytes))
+			c, ok = s.Cache.paths[string(b[i+1:end])]
+		}
+		if j = end; !ok {
+			s.Rec.Path, ok = s.pathMiss(b[i+1:j], b[i:j+1])
+			return j + 1, ok
+		}
+	}
+	s.PathHits++
+	s.Rec.Path, s.Ref = c.path, c.ref
+	return j + 1, true
 }
 
 // pathMiss decodes a path the cache does not hold, through
@@ -429,51 +499,88 @@ func (s *Scanner) pathMiss(span, bracketed []byte) ([]string, bool) {
 	return p, true
 }
 
-// time resolves a "time" value: span is the text between the quotes,
-// quoted the literal with them. A UTC timestamp of the shape
-// YYYY-MM-DDTHH:MM:SS[.f{1,9}]Z is the instant of its minute — parsed
-// by time.Time.UnmarshalJSON, cached — plus its seconds; any other
-// shape goes to UnmarshalJSON whole. (Zone offsets are left out of the
-// minute cache because UnmarshalJSON picks their Location per
-// instant.)
+// timeValue resolves the "time" value starting at b[i] and returns the
+// index after it. The hit path is a timestamp in the cached minute: the
+// 17 bytes after the quote equal it, and secondsAt reads the rest. No
+// byte of it is a quote or a backslash (the minute's were accepted by
+// time parsing, and secondsAt accepts none), so rawString would end at
+// the same quote and time read the same.
 //
 //tiresias:hotpath
-func (s *Scanner) time(span, quoted []byte) bool {
-	past, ok := pastMinute(span)
-	if !ok {
+func (s *Scanner) timeValue(b []byte, i int) (int, bool) {
+	if len(b)-i >= 18 && b[i] == '"' && bytes.Equal(b[i+1:i+18], s.minute[:]) {
+		if past, j, ok := secondsAt(b, i+17); ok {
+			s.Rec.Time = s.minuteAt(past)
+			return j, true
+		}
+	}
+	_, j, ok := rawString(b, i)
+	if !ok || !s.time(b[i:j]) {
+		return i, false
+	}
+	return j, true
+}
+
+// minuteAt returns the instant past into the cached minute, in UTC:
+// the value time.Time.UnmarshalJSON gives the minute's second 00 plus
+// past, built without Time.Add's general case.
+//
+//tiresias:hotpath
+func (s *Scanner) minuteAt(past time.Duration) time.Time {
+	return time.Unix(s.minuteSec+int64(past/time.Second), int64(past%time.Second)).UTC()
+}
+
+// time resolves a time literal the hit path missed, quoted with its
+// quotes. A UTC timestamp of the shape YYYY-MM-DDTHH:MM:SS[.f{1,9}]Z
+// is the instant of its minute — parsed by time.Time.UnmarshalJSON,
+// then cached — plus its seconds; any other shape goes to
+// UnmarshalJSON whole. (Zone offsets are left out of the minute cache
+// because UnmarshalJSON picks their Location per instant.)
+//
+//tiresias:hotpath
+func (s *Scanner) time(quoted []byte) bool {
+	past, end, ok := secondsAt(quoted, 17)
+	if !ok || end != len(quoted) {
 		return s.Rec.Time.UnmarshalJSON(quoted) == nil
 	}
-	if !bytes.Equal(span[:17], s.minute[:]) && !s.minuteMiss(span[:17]) {
+	if !s.minuteMiss(quoted[1:18]) {
 		return false
 	}
-	s.Rec.Time = s.minuteBase.Add(past)
+	s.Rec.Time = s.minuteAt(past)
 	return true
 }
 
-// pastMinute reads what follows the minute of a UTC timestamp: span
-// must end :SS[.f{1,9}]Z from byte 16 on, SS below 60 (UnmarshalJSON
-// refuses a leap second, so one must reach it). The 16 bytes before
-// are the minute cache's to judge.
+// secondsAt reads what follows the minute of a UTC timestamp, from its
+// ':' at b[j]: :SS[.f{1,9}]Z and the closing quote, SS below 60
+// (UnmarshalJSON refuses a leap second, so one must reach it). It
+// returns the time past the minute and the index after the quote. It
+// is the one reader of this grammar, for the hit path and the slow
+// path alike; the bytes before b[j] are the minute cache's to judge.
 //
 //tiresias:hotpath
-func pastMinute(span []byte) (time.Duration, bool) {
-	n := len(span)
-	if n < 20 || n > 30 || n == 21 || span[n-1] != 'Z' || span[16] != ':' || (n > 20 && span[19] != '.') {
-		return 0, false
+func secondsAt(b []byte, j int) (time.Duration, int, bool) {
+	if len(b)-j < 4 || b[j] != ':' {
+		return 0, j, false
 	}
-	past, unit := time.Duration(0), 10*time.Second
-	for k := 17; k < n-1; k++ {
-		c := span[k]
-		if k == 19 {
-			continue
-		}
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		past += time.Duration(c-'0') * unit
-		unit /= 10
+	d0, d1 := b[j+1]-'0', b[j+2]-'0'
+	if d0 > 5 || d1 > 9 {
+		return 0, j, false
 	}
-	return past, past < time.Minute
+	past, k := time.Duration(d0*10+d1)*time.Second, j+3
+	if b[k] == '.' {
+		unit := 100 * time.Millisecond
+		for k++; k < len(b) && unit > 0 && b[k]-'0' <= 9; k++ {
+			past += time.Duration(b[k]-'0') * unit
+			unit /= 10
+		}
+		if k == j+4 { // no digit after the '.'
+			return 0, j, false
+		}
+	}
+	if len(b)-k < 2 || b[k] != 'Z' || b[k+1] != '"' {
+		return 0, j, false
+	}
+	return past, k + 2, true
 }
 
 // minuteMiss parses second 00 of a minute prefix through
@@ -488,6 +595,6 @@ func (s *Scanner) minuteMiss(prefix []byte) bool {
 		return false
 	}
 	copy(s.minute[:], prefix)
-	s.minuteBase = t
+	s.minuteSec = t.Unix()
 	return true
 }

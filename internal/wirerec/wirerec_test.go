@@ -1,10 +1,12 @@
 package wirerec
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestCacheStaysBounded drives more distinct spans through a tiny
@@ -75,20 +77,76 @@ func TestFallbackNamesCallerType(t *testing.T) {
 	}
 }
 
-// TestWarmDecodeAllocatesNothing: once the cache holds a record's
-// spans, decoding it allocates nothing.
+// TestWarmDecodeAllocatesNothing: once the cache holds a pass's spans,
+// decoding it allocates nothing, on every hit path: whole-second and
+// fractional times in the cached minute and past it, a stream that
+// switches within the pass, and a label holding ']' (a path found by
+// its second lookup).
 func TestWarmDecodeAllocatesNothing(t *testing.T) {
 	s := Scanner{Cache: NewCache(PathCacheCap, StreamCacheCap)}
-	line := []byte(`{"stream":"s","path":["vho1","io2","co3"],"time":"2010-09-14T00:00:01.5Z"}`)
+	lines := [][]byte{
+		[]byte(`{"stream":"s","path":["vho1","io2","co3"],"time":"2010-09-14T00:00:01.5Z"}`),
+		[]byte(`{"stream":"s","path":["vho1","io2","co4"],"time":"2010-09-14T00:00:02Z"}`),
+		[]byte(`{"stream":"t","path":["vho1","io2","co3"],"time":"2010-09-14T00:00:02.123456789Z"}`),
+		[]byte(`{"stream":"s","path":["vho1","io2"],"time":"2010-09-14T00:01:00Z"}`),
+		[]byte(`{"time":"2010-09-14T00:01:00.25Z","path":["vho1","io2"],"stream":"t"}`),
+		[]byte(`{"stream":"t","path":["vho1","io]2"],"time":"2010-09-14T00:01:00.5Z"}`),
+	}
 	decode := func() {
 		s.Begin()
-		if err := Decode[Record](&s, line); err != nil {
-			t.Fatal(err)
+		for _, line := range lines {
+			if err := Decode[Record](&s, line); err != nil {
+				t.Fatal(err)
+			}
 		}
 		s.End()
 	}
 	decode()
 	if allocs := testing.AllocsPerRun(100, decode); allocs > 0 {
-		t.Fatalf("%.1f allocations per warm record, want 0", allocs)
+		t.Fatalf("%.1f allocations per warm pass of %d records, want 0", allocs, len(lines))
 	}
+	if s.PathHits != uint64(len(lines)) || s.PathMisses != 0 {
+		t.Fatalf("warm pass: %d path hits and %d misses, want %d and 0", s.PathHits, s.PathMisses, len(lines))
+	}
+}
+
+// denseBody renders a dense_ingest-shaped NDJSON body: n records of
+// one stream over the 810 leaves of a four-level tree, four a second.
+func denseBody(n int) []byte {
+	base := time.Date(2010, 9, 14, 0, 0, 0, 0, time.UTC)
+	var b []byte
+	for i := 0; i < n; i++ {
+		b = fmt.Appendf(b, `{"stream":"s000","path":["cat%d","sub%d","sym%d","act%d"],"time":"`, i%9, i/9%6, i/54%3, i/162%5)
+		b = base.Add(time.Duration(i/4)*time.Second).AppendFormat(b, time.RFC3339)
+		b = append(b, "\"}\n"...)
+	}
+	return b
+}
+
+// BenchmarkScannerDecode decodes a warm 1000-line dense_ingest-shaped
+// NDJSON body, one pass per body, line by line as the server's decoder
+// frames it: the decode layer alone. ns/record is the figure to read;
+// B/op and allocs/op are per body.
+func BenchmarkScannerDecode(b *testing.B) {
+	const records = 1000
+	body := denseBody(records)
+	s := Scanner{Cache: NewCache(PathCacheCap, StreamCacheCap)}
+	decode := func() {
+		s.Begin()
+		defer s.End()
+		for raw := body; len(raw) > 0; {
+			k := bytes.IndexByte(raw, '\n')
+			if err := Decode[Record](&s, raw[:k]); err != nil {
+				b.Fatal(err)
+			}
+			raw = raw[k+1:]
+		}
+	}
+	decode()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		decode()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
 }
