@@ -13,10 +13,12 @@ import (
 )
 
 // FuzzImportState holds restore-then-resume to its contract on edited
-// engine states. The fuzz bytes are a list of edits to the engine
-// section of the golden checkpoint (goldenCkptPath), one opcode byte
-// each followed by its argument bytes: flip an InSHHH or Ishh entry,
-// overwrite a float of a per-node array or of a series ring, drop a
+// engine states. The fuzz input picks the golden checkpoint
+// (goldenCkptPath) or its version-1 form (goldenV1CkptPath, whose
+// series carry full forecast rings), and its bytes are a list of edits
+// to the engine section, one opcode byte each followed by its argument
+// bytes: flip an InSHHH or Ishh entry, overwrite a float of a per-node
+// array, of a series' actual ring or a series' held forecast, drop a
 // series or a reference, move RefCovered or Instance. The edited
 // snapshot is written with checkpoint.Write and read back by Restore,
 // which must either refuse it with ErrBadCheckpoint or return a
@@ -24,9 +26,13 @@ import (
 // panicking. With no edit it must resume to exactly the anomalies of
 // the uninterrupted run.
 func FuzzImportState(f *testing.F) {
-	golden, err := os.ReadFile(goldenCkptPath)
-	if err != nil {
-		f.Fatal(err)
+	var files [2][]byte
+	for i, name := range []string{goldenCkptPath, goldenV1CkptPath} {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		files[i] = raw
 	}
 	opts, part1, part2 := goldenWorkload(f)
 	ref, err := New(opts...)
@@ -43,13 +49,22 @@ func FuzzImportState(f *testing.F) {
 			want = append(want, a)
 		}
 	}
-	f.Add([]byte{})
-	f.Add([]byte{0, 3, 1, 0})                               // flip InSHHH[3] and Ishh[0]
-	f.Add([]byte{2, 1, 7, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f})    // RawA[7] = +Inf
-	f.Add([]byte{3, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f}) // a NaN in series 0's actual ring
-	f.Add([]byte{4, 0, 5, 1})                               // drop series 0 and reference 1
-	f.Add([]byte{6, 0xfe, 7, 0x80})                         // RefCovered -= 2, Instance -= 128
-	f.Fuzz(func(t *testing.T, edits []byte) {
+	f.Add(false, []byte{})
+	f.Add(false, []byte{0, 3, 1, 0})                               // flip InSHHH[3] and Ishh[0]
+	f.Add(false, []byte{2, 1, 7, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f})    // RawA[7] = +Inf
+	f.Add(false, []byte{3, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f}) // a NaN in series 0's actual ring
+	f.Add(false, []byte{4, 0, 5, 1})                               // drop series 0 and reference 1
+	f.Add(false, []byte{6, 0xfe, 7, 0x80})                         // RefCovered -= 2, Instance -= 128
+	f.Add(true, []byte{})
+	f.Add(true, []byte{8, 0, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f})                    // series 0's forecast = NaN
+	f.Add(false, []byte{8, 1, 0, 0, 0, 0, 0, 0, 0xf0, 0xff})                   // series 1's forecast = -Inf
+	f.Add(true, []byte{8, 2, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f})                    // series 2's forecast = +Inf
+	f.Add(false, []byte{8, 3, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xef, 0x7f}) // series 3's forecast = MaxFloat64
+	f.Fuzz(func(t *testing.T, v1 bool, edits []byte) {
+		golden := files[0]
+		if v1 {
+			golden = files[1]
+		}
 		snap, err := checkpoint.Read(bytes.NewReader(golden))
 		if err != nil {
 			t.Fatal(err)
@@ -72,10 +87,10 @@ func FuzzImportState(f *testing.F) {
 		}
 		edited := len(edits) > 0
 		for len(edits) > 0 {
-			switch op := next(); op % 8 {
+			switch op := next() % 9; op {
 			case 0, 1: // flip an entry of InSHHH (0) or Ishh (1)
 				flags, _ := e.Columns()
-				if col := flags[op%8]; len(*col) > 0 {
+				if col := flags[op]; len(*col) > 0 {
 					i := next() % len(*col)
 					(*col)[i] = !(*col)[i]
 				}
@@ -106,6 +121,10 @@ func FuzzImportState(f *testing.F) {
 				e.RefCovered += int(int8(next()))
 			case 7:
 				e.Instance += int(int8(next()))
+			case 8: // overwrite a series' held forecast
+				if len(e.Series) > 0 {
+					e.Series[next()%len(e.Series)].Forecast = float()
+				}
 			}
 		}
 		var buf bytes.Buffer

@@ -32,6 +32,13 @@ const goldenCkptPath = "testdata/v2/ada_w16.ckpt"
 // goldenCkptPath.
 const goldenV1CkptPath = "testdata/ada_w16.ckpt"
 
+// goldenRingsCkptPath is the same checkpoint in format version 2 as
+// written while the engine kept each series' forecast as a ring of ℓ
+// samples, kept byte for byte: it must restore, resume bit-identically,
+// and re-encode to goldenCkptPath, whose forecast rings hold only the
+// newest sample.
+const goldenRingsCkptPath = "testdata/v2rings/ada_w16.ckpt"
+
 // goldenSplitUnit is the timeunit boundary the golden checkpoint was
 // taken at: part one (units before it) was Run, then snapshotted.
 const goldenSplitUnit = 30
@@ -75,8 +82,9 @@ func goldenWorkload(t testing.TB) (opts []Option, part1, part2 []Record) {
 // TestGoldenADACheckpoint restores the committed checkpoint and checks
 // that (a) the current code writes the same bytes for the same input,
 // (b) the restored detector's next units detect exactly what an
-// uninterrupted run detects, from either format version, and (c) the
-// version-1 file re-encodes to the current golden.
+// uninterrupted run detects, from the golden and from each older form
+// of it (version 1, and version 2 with full forecast rings), and (c)
+// each older form re-encodes to the current golden.
 func TestGoldenADACheckpoint(t *testing.T) {
 	opts, part1, part2 := goldenWorkload(t)
 	det, err := New(opts...)
@@ -124,7 +132,11 @@ func TestGoldenADACheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, file := range [][]byte{golden, v1} {
+	rings, err := os.ReadFile(goldenRingsCkptPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range [][]byte{golden, v1, rings} {
 		restored, err := Restore(bytes.NewReader(file))
 		if err != nil {
 			t.Fatal(err)
@@ -136,6 +148,7 @@ func TestGoldenADACheckpoint(t *testing.T) {
 		sameAnomalies(t, "golden resume", want, res.Anomalies)
 	}
 	sameReencoding(t, goldenV1CkptPath, v1, golden)
+	sameReencoding(t, goldenRingsCkptPath, rings, golden)
 }
 
 // sameReencoding requires checkpoint.Read of an old-form file followed
@@ -253,6 +266,10 @@ const goldenManagerDir = "testdata/v2/manager_w16"
 // 1, kept byte for byte as the old-form reader's test.
 const goldenV1ManagerDir = "testdata/manager_w16"
 
+// goldenRingsManagerDir is the same Manager checkpoint in format
+// version 2 with full forecast rings (see goldenRingsCkptPath).
+const goldenRingsManagerDir = "testdata/v2rings/manager_w16"
+
 // goldenManagerFeed returns the golden Manager's detector options and
 // each stream's records before and after the checkpoint. Both cuts
 // fall in the middle of a unit.
@@ -283,9 +300,10 @@ func goldenManagerFeed(t *testing.T) (opts []Option, head, tail map[string][]Rec
 
 // TestGoldenManagerCheckpoint checks that (a) Manager.Checkpoint of the
 // golden feed writes the committed stream files byte for byte, (b) a
-// Manager restored from them, or from their version-1 forms, detects
-// exactly what an uninterrupted one does, and (c) each version-1 file
-// re-encodes to its current golden.
+// Manager restored from them, or from their older forms (version 1,
+// and version 2 with full forecast rings), detects exactly what an
+// uninterrupted one does, and (c) each older file re-encodes to its
+// current golden.
 func TestGoldenManagerCheckpoint(t *testing.T) {
 	opts, head, tail := goldenManagerFeed(t)
 	newMgr := func() *Manager {
@@ -337,12 +355,14 @@ func TestGoldenManagerCheckpoint(t *testing.T) {
 			t.Fatalf("stream %q: Checkpoint wrote %d bytes that differ from %s (%d bytes): the stream-file encoding changed",
 				snap.Stream.Name, len(fresh), golden, len(want))
 		}
-		old := filepath.Join(goldenV1ManagerDir, filepath.Base(golden))
-		v1, err := os.ReadFile(old)
-		if err != nil {
-			t.Fatal(err)
+		for _, dir := range []string{goldenV1ManagerDir, goldenRingsManagerDir} {
+			old := filepath.Join(dir, filepath.Base(golden))
+			raw, err := os.ReadFile(old)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameReencoding(t, old, raw, want)
 		}
-		sameReencoding(t, old, v1, want)
 	}
 
 	ref := newMgr()
@@ -362,7 +382,7 @@ func TestGoldenManagerCheckpoint(t *testing.T) {
 			t.Fatalf("stream %q: the uninterrupted Manager detects nothing after the cut; the workload no longer exercises the restore", name)
 		}
 	}
-	for _, dir := range []string{goldenManagerDir, goldenV1ManagerDir} {
+	for _, dir := range []string{goldenManagerDir, goldenV1ManagerDir, goldenRingsManagerDir} {
 		restored, err := ManagerFromCheckpoint(dir, WithDetectorOptions(opts...))
 		if err != nil {
 			t.Fatal(err)

@@ -3,9 +3,10 @@
 #
 # Fails (exit 1) when the total statement coverage of the given Go
 # cover profile is below THRESHOLD percent (default 80). Used by the
-# CI coverage job on the pooled profile of the root tiresias package
-# and the detection-quality packages (internal/scenario, internal/gen,
-# internal/evalx).
+# CI coverage job on the pooled profile of the root tiresias package,
+# the detection-quality packages (internal/scenario, internal/gen,
+# internal/evalx) and the engine and checkpoint codec (internal/algo,
+# internal/checkpoint).
 #
 # Generated code and testdata fixtures are not coverage targets:
 # their profile lines are stripped before totaling, so analyzer

@@ -7,15 +7,18 @@ import (
 	"tiresias/internal/shhh"
 )
 
-// nodeSeries is the per-heavy-hitter state: the actual and forecast
-// series (n.actual / n.forecast in Fig. 5) plus the live forecasting
-// model and, when Eta > 1, the coarser timescales of §V-B6. Holders are
-// recycled whole through the engine's pool, so every field's memory is
-// reused in place.
+// nodeSeries is the per-heavy-hitter state: the actual series
+// (n.actual in Fig. 5), the forecast of its newest value, the live
+// forecasting model and, when Eta > 1, the coarser timescales of §V-B6.
+// Holders are recycled whole through the engine's pool, so every
+// field's memory is reused in place.
 type nodeSeries struct {
 	actual *series.Ring
-	fcast  *series.Ring
-	model  forecast.Linear
+	// forecast is the model's forecast of the newest actual value, made
+	// before the model observed it: F[n,1] of Definition 4, the only
+	// sample of Fig. 5's n.forecast that detection reads.
+	forecast float64
+	model    forecast.Linear
 	// spare is the model the holder held before its model last changed
 	// shape; it carries no state. A holder alternates between shapes —
 	// a fresh EWMA, then a seasoned refit — and with both at hand it
@@ -68,7 +71,7 @@ func (ns *nodeSeries) copyModel(src forecast.Linear) {
 //
 // All scratch — including the returned StepState — is reused across
 // instances, and series holders are a slab: a holder leaves the pool
-// with the rings, forecasting model and multi-scale state it last
+// with the ring, forecasting model and multi-scale state it last
 // held, and SPLIT's scaled copies, MERGE's refits, fresh series and
 // the §V-B5 reference repair all write into that memory in place. So
 // once the pool and the models in it have reached the shapes a
@@ -123,13 +126,11 @@ type ADA struct {
 	stackBuf []int32       // DFS stack for subtractDescendants
 
 	// fresh is the factory's model for an empty history, the template
-	// every fresh series and forecast replay copies; replay is the model
-	// replayed to rebuild forecast rings. lastFit is the model the
-	// factory returned at the latest refit: refits mostly see full
-	// windows and so mostly want its shape, which a refit looks for
-	// among the holder's two models before calling the factory.
+	// every fresh series copies. lastFit is the model the factory
+	// returned at the latest refit: refits mostly see full windows and
+	// so mostly want its shape, which a refit looks for among the
+	// holder's two models before calling the factory.
 	fresh   forecast.Linear
-	replay  forecast.Linear
 	lastFit forecast.Linear
 }
 
@@ -144,8 +145,7 @@ func NewADA(cfg Config) (*ADA, error) {
 	if tree == nil {
 		tree = hierarchy.New()
 	}
-	fresh := cfg.NewForecaster(nil, nil)
-	return &ADA{cfg: cfg, tree: tree, fresh: fresh, replay: forecast.Clone(fresh)}, nil
+	return &ADA{cfg: cfg, tree: tree, fresh: cfg.NewForecaster(nil, nil)}, nil
 }
 
 // Name implements Engine.
@@ -264,7 +264,7 @@ func (a *ADA) Init(window []*DenseUnit) (*StepState, error) {
 	return st, nil
 }
 
-// getSeries returns a series holder with empty rings. A pooled holder
+// getSeries returns a series holder with an empty ring. A pooled holder
 // keeps the model and multi-scale state it last held, for the caller
 // to overwrite in place; a new one (a pool miss) has no model yet and,
 // when Eta > 1, an empty multi-scale series of the engine's shape.
@@ -275,7 +275,6 @@ func (a *ADA) getSeries() *nodeSeries {
 		ns := a.freeNS[n-1]
 		a.freeNS = a.freeNS[:n-1]
 		ns.actual.Reset()
-		ns.fcast.Reset()
 		return ns
 	}
 	return a.newSeries()
@@ -283,10 +282,7 @@ func (a *ADA) getSeries() *nodeSeries {
 
 // newSeries allocates a series holder for getSeries' pool miss.
 func (a *ADA) newSeries() *nodeSeries {
-	ns := &nodeSeries{
-		actual: series.NewRing(a.cfg.WindowLen),
-		fcast:  series.NewRing(a.cfg.WindowLen),
-	}
+	ns := &nodeSeries{actual: series.NewRing(a.cfg.WindowLen)}
 	if a.cfg.Eta > 1 {
 		// normalize guarantees Lambda >= 2 here, so this cannot fail.
 		ns.multi, _ = series.NewMultiScale(a.cfg.Lambda, a.cfg.Eta, a.cfg.WindowLen)
@@ -294,7 +290,7 @@ func (a *ADA) newSeries() *nodeSeries {
 	return ns
 }
 
-// putSeries returns a discarded holder to the pool, whole: its rings,
+// putSeries returns a discarded holder to the pool, whole: its ring,
 // model and multi-scale state are the slab the next getSeries reuses.
 // The pool never outgrows the peak number of live series, since
 // holders are only created when it is empty.
@@ -325,23 +321,19 @@ func (a *ADA) fitModel(ns *nodeSeries, history []float64) {
 	ns.model, a.lastFit = m, m
 }
 
-// refit re-seeds ns's model from vals (oldest first, non-empty) as if
-// the series had been observed from its start: the model is fitted to
-// all but the newest value and then advanced over it, so its state is
-// "post-instance" as after a step, and the forecast ring is rebuilt by
-// replaying a fresh model over vals so that it aligns with the actual
-// ring. Both models are re-seeded in place when their shapes allow.
+// refit re-seeds ns's model from vals (oldest first, non-empty): the
+// factory fits it to all but the newest value, the holder keeps its
+// forecast of that value, and the model then observes it, so its state
+// is "post-instance" as after a step. Only an EWMA is fitted as if the
+// series had been observed from its start: HoltWinters.Reseed and
+// DualSeason.Reseed seed from the last 2υ samples (υ the longest
+// period) and ignore the rest (ROADMAP item 16(b)).
 //
 //tiresias:hotpath
 func (a *ADA) refit(ns *nodeSeries, vals []float64) {
 	last := len(vals) - 1
 	a.fitModel(ns, vals[:last])
-	_ = a.replay.CopyFrom(a.fresh)
-	ns.fcast.Reset()
-	for _, v := range vals {
-		ns.fcast.Append(a.replay.Forecast())
-		a.replay.Update(v)
-	}
+	ns.forecast = ns.model.Forecast()
 	ns.model.Update(vals[last])
 }
 
@@ -592,8 +584,8 @@ func (a *ADA) adaptMembership() {
 	a.members = a.memberSet.appendTo(a.members[:0], false)
 }
 
-// appendNewest appends the instance's weight and forecast to the
-// node's series and advances its model.
+// appendNewest appends the instance's weight to the node's series,
+// keeping the model's forecast of it, and advances the model.
 //
 //tiresias:hotpath
 func (a *ADA) appendNewest(id int) {
@@ -605,7 +597,7 @@ func (a *ADA) appendNewest(id int) {
 		ns = a.freshSeries()
 		a.state[id] = ns
 	}
-	ns.fcast.Append(ns.model.Forecast())
+	ns.forecast = ns.model.Forecast()
 	ns.actual.Append(a.weight[id])
 	ns.model.Update(a.weight[id])
 	if ns.multi != nil {
@@ -638,7 +630,9 @@ func (a *ADA) freshSeries() *nodeSeries {
 }
 
 // scaledCopy returns a series holder carrying ratio times src's state,
-// copied into a pooled holder's rings, model and multi-scale state.
+// copied into a pooled holder's ring, model and multi-scale state. The
+// held forecast is not copied: the step's append overwrites it before
+// anything reads it.
 // Every holder has a multi-scale series exactly when Eta > 1, all of
 // the engine's shape (ImportState enforces it for restored ones), so
 // that copy cannot fail.
@@ -648,8 +642,6 @@ func (a *ADA) scaledCopy(src *nodeSeries, ratio float64) *nodeSeries {
 	child := a.getSeries()
 	_ = child.actual.CopyFrom(src.actual)
 	child.actual.Scale(ratio)
-	_ = child.fcast.CopyFrom(src.fcast)
-	child.fcast.Scale(ratio)
 	child.copyModel(src.model)
 	child.model.Scale(ratio)
 	if child.multi != nil {
@@ -762,7 +754,6 @@ func (a *ADA) merge(id int) {
 			// Series and model addition are exact thanks to
 			// Holt-Winters linearity (Lemma 2).
 			_ = dst.actual.AddRing(src.actual)
-			_ = dst.fcast.AddRing(src.fcast)
 			if forecast.Compatible(dst.model, src.model) {
 				_ = dst.model.Add(src.model)
 			} else {
@@ -882,9 +873,7 @@ func (a *ADA) snapshot() *StepState {
 			if v, ok := ns.actual.Last(); ok {
 				actual = v
 			}
-			if v, ok := ns.fcast.Last(); ok {
-				fc = v
-			}
+			fc = ns.forecast
 		}
 		st.HeavyHitters = append(st.HeavyHitters, HeavyHitter{ID: int(id), Key: a.tree.Key(int(id)), Actual: actual, Forecast: fc})
 	}
@@ -897,14 +886,6 @@ func (a *ADA) SeriesOf(id int) []float64 {
 		return nil
 	}
 	return a.state[id].actual.Values()
-}
-
-// ForecastSeriesOf implements Engine.
-func (a *ADA) ForecastSeriesOf(id int) []float64 {
-	if id < 0 || id >= len(a.state) || a.state[id] == nil {
-		return nil
-	}
-	return a.state[id].fcast.Values()
 }
 
 // MultiScaleOf returns the node's coarse-timescale series at scale i
@@ -934,7 +915,7 @@ func (a *ADA) Memory() MemoryStats {
 		if ns == nil {
 			continue
 		}
-		m.SeriesFloats += ns.actual.Len() + ns.fcast.Len()
+		m.SeriesFloats += ns.actual.Len() + 1 // the held forecast
 		if ns.multi != nil {
 			m.SeriesFloats += ns.multi.Total()
 		}

@@ -210,7 +210,9 @@ type StepState struct {
 type MemoryStats struct {
 	// TreeNodes is the number of nodes in the engine's hierarchy.
 	TreeNodes int
-	// SeriesFloats counts retained actual+forecast series samples.
+	// SeriesFloats counts retained series samples: each series'
+	// actual samples, its one held forecast and, with Eta > 1, its
+	// coarser-scale samples.
 	SeriesFloats int
 	// RefSeriesFloats counts reference-series samples (ADA, §V-B5).
 	RefSeriesFloats int
@@ -260,9 +262,6 @@ type Engine interface {
 	// SeriesOf returns a copy of the retained actual series (oldest
 	// first) for the node, or nil when the node holds no series.
 	SeriesOf(id int) []float64
-	// ForecastSeriesOf returns a copy of the retained forecast
-	// series aligned with SeriesOf, or nil.
-	ForecastSeriesOf(id int) []float64
 	// Memory reports current memory statistics.
 	Memory() MemoryStats
 }

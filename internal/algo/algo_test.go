@@ -691,7 +691,7 @@ func TestSeriesOfUnknownNode(t *testing.T) {
 	// An ID outside the tree, such as Lookup's -1 for an absent key,
 	// holds no series.
 	for _, id := range []int{-1, ada.Tree().Lookup(key("zzz")), 1 << 20} {
-		if ada.SeriesOf(id) != nil || ada.ForecastSeriesOf(id) != nil || ada.MultiScaleOf(id, 0) != nil {
+		if ada.SeriesOf(id) != nil || ada.MultiScaleOf(id, 0) != nil {
 			t.Fatalf("node %d outside the tree has a series", id)
 		}
 	}

@@ -55,13 +55,16 @@ func (a *ADA) restoreMulti(st series.MultiScaleState) (*series.MultiScale, error
 }
 
 // SeriesState is the serializable per-heavy-hitter series bundle of
-// ADA: both rings, the live forecasting model, and the optional
-// multi-timescale structure.
+// ADA: the actual ring, the held forecast, the live forecasting model,
+// and the optional multi-timescale structure.
 type SeriesState struct {
 	// ID is the dense node ID owning the series.
 	ID int
-	// Actual and Fcast mirror nodeSeries.actual / nodeSeries.fcast.
-	Actual, Fcast RingState
+	// Actual mirrors nodeSeries.actual.
+	Actual RingState
+	// Forecast is the model's forecast of Actual's newest sample, made
+	// before the model observed it.
+	Forecast float64
 	// Model is the captured forecasting model.
 	Model forecast.State
 	// Multi is the captured §V-B6 multi-timescale state, nil when
@@ -139,10 +142,10 @@ func (a *ADA) ExportState() (*EngineState, error) {
 			return nil, fmt.Errorf("algo: node %d: %w", id, err)
 		}
 		ss := SeriesState{
-			ID:     id,
-			Actual: captureRing(ns.actual),
-			Fcast:  captureRing(ns.fcast),
-			Model:  model,
+			ID:       id,
+			Actual:   captureRing(ns.actual),
+			Forecast: ns.forecast,
+			Model:    model,
 		}
 		if ns.multi != nil {
 			ms := ns.multi.State()
@@ -193,15 +196,11 @@ func (a *ADA) ImportState(st *EngineState) (*StepState, error) {
 		if err != nil {
 			return nil, err
 		}
-		fcast, err := restoreRing("Series.Fcast", ss.Fcast, a.cfg.WindowLen)
-		if err != nil {
-			return nil, err
-		}
 		model, err := forecast.Restore(ss.Model)
 		if err != nil {
 			return nil, fmt.Errorf("algo: node %d: %w", ss.ID, err)
 		}
-		ns := &nodeSeries{actual: actual, fcast: fcast, model: model}
+		ns := &nodeSeries{actual: actual, forecast: ss.Forecast, model: model}
 		if ss.Multi != nil {
 			ns.multi, err = a.restoreMulti(*ss.Multi)
 			if err != nil {

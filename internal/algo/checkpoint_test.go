@@ -46,7 +46,6 @@ func TestImportStateRefusals(t *testing.T) {
 		{"duplicate reference", "Refs", func(st *EngineState) { st.Refs[1].ID = st.Refs[0].ID }, false},
 		{"references out of ID order", "Refs", func(st *EngineState) { st.Refs[0], st.Refs[1] = st.Refs[1], st.Refs[0] }, false},
 		{"actual ring capacity", "Series.Actual", func(st *EngineState) { st.Series[0].Actual.Cap++ }, false},
-		{"forecast ring capacity", "Series.Fcast", func(st *EngineState) { st.Series[0].Fcast.Cap-- }, false},
 		{"reference ring capacity", "Refs.Ring", func(st *EngineState) { st.Refs[0].Ring.Cap++ }, false},
 		{"missing multi-scale state", "Multi", func(st *EngineState) { st.Series[0].Multi = nil }, false},
 	}

@@ -129,13 +129,7 @@ func (a *oracleADA) Init(window []*DenseUnit) (*StepState, error) {
 		ns := a.newNodeSeries()
 		ns.actual.SetValues(ts)
 		ns.model = a.cfg.NewForecaster(nil, ts[:len(ts)-1])
-		// Reconstruct the forecast trajectory by replay so the
-		// forecast ring aligns with the actual ring.
-		replay := a.cfg.NewForecaster(nil, nil)
-		for _, v := range ts {
-			ns.fcast.Append(replay.Forecast())
-			replay.Update(v)
-		}
+		ns.forecast = ns.model.Forecast()
 		if ns.multi != nil {
 			for _, v := range ts {
 				ns.multi.Update(v)
@@ -188,10 +182,7 @@ func (a *oracleADA) Init(window []*DenseUnit) (*StepState, error) {
 }
 
 func (a *oracleADA) newNodeSeries() *nodeSeries {
-	ns := &nodeSeries{
-		actual: series.NewRing(a.cfg.WindowLen),
-		fcast:  series.NewRing(a.cfg.WindowLen),
-	}
+	ns := &nodeSeries{actual: series.NewRing(a.cfg.WindowLen)}
 	if a.cfg.Eta > 1 {
 		ms, err := series.NewMultiScale(a.cfg.Lambda, a.cfg.Eta, a.cfg.WindowLen)
 		if err == nil {
@@ -201,24 +192,21 @@ func (a *oracleADA) newNodeSeries() *nodeSeries {
 	return ns
 }
 
-// getSeries returns a series holder with empty rings, reusing a pooled
-// one when available.
+// getSeries returns a series holder with an empty ring and no forecast,
+// reusing a pooled one when available.
 func (a *oracleADA) getSeries() *nodeSeries {
 	if n := len(a.freeNS); n > 0 {
 		ns := a.freeNS[n-1]
 		a.freeNS = a.freeNS[:n-1]
 		ns.actual.Reset()
-		ns.fcast.Reset()
+		ns.forecast = 0
 		return ns
 	}
-	return &nodeSeries{
-		actual: series.NewRing(a.cfg.WindowLen),
-		fcast:  series.NewRing(a.cfg.WindowLen),
-	}
+	return &nodeSeries{actual: series.NewRing(a.cfg.WindowLen)}
 }
 
 // putSeries returns a discarded holder to the pool. The model and
-// multi-scale state are dropped (their shapes vary), the rings are
+// multi-scale state are dropped (their shapes vary), the ring is
 // kept.
 func (a *oracleADA) putSeries(ns *nodeSeries) {
 	if ns == nil {
@@ -368,7 +356,7 @@ func (a *oracleADA) stepDense(u *DenseUnit) (*StepState, error) {
 			ns = a.freshSeries()
 			a.state[id] = ns
 		}
-		ns.fcast.Append(ns.model.Forecast())
+		ns.forecast = ns.model.Forecast()
 		ns.actual.Append(a.weight[id])
 		ns.model.Update(a.weight[id])
 		if ns.multi != nil {
@@ -434,15 +422,14 @@ func (a *oracleADA) freshSeries() *nodeSeries {
 }
 
 // scaledCopy builds a child series holder carrying ratio times the
-// parent's state, drawing rings from the pool; the model and the
+// parent's state, drawing the ring from the pool; the model and the
 // multi-scale state are new deep copies, as they were before the
-// engine recycled them.
+// engine recycled them. The held forecast is scaled with the rest.
 func (a *oracleADA) scaledCopy(src *nodeSeries, ratio float64) *nodeSeries {
 	child := a.getSeries()
 	_ = child.actual.CopyFrom(src.actual)
 	child.actual.Scale(ratio)
-	_ = child.fcast.CopyFrom(src.fcast)
-	child.fcast.Scale(ratio)
+	child.forecast = ratio * src.forecast
 	child.model = forecast.Clone(src.model)
 	child.model.Scale(ratio)
 	if src.multi != nil {
@@ -550,7 +537,7 @@ func (a *oracleADA) merge(id int) {
 			// Series and model addition are exact thanks to
 			// Holt-Winters linearity (Lemma 2).
 			_ = dst.actual.AddRing(src.actual)
-			_ = dst.fcast.AddRing(src.fcast)
+			dst.forecast += src.forecast
 			if forecast.Compatible(dst.model, src.model) {
 				_ = dst.model.Add(src.model)
 			} else {
@@ -599,13 +586,7 @@ func (a *oracleADA) repairFromReferences() {
 		vals := a.valBuf
 		if len(vals) > 1 {
 			ns.model = a.cfg.NewForecaster(nil, vals[:len(vals)-1])
-			a.putRing(ns.fcast)
-			ns.fcast = a.getRing()
-			replay := a.cfg.NewForecaster(nil, nil)
-			for _, v := range vals {
-				ns.fcast.Append(replay.Forecast())
-				replay.Update(v)
-			}
+			ns.forecast = ns.model.Forecast()
 			ns.model.Update(vals[len(vals)-1])
 		}
 	}
@@ -667,9 +648,7 @@ func (a *oracleADA) snapshot() *StepState {
 			if v, ok := ns.actual.Last(); ok {
 				actual = v
 			}
-			if v, ok := ns.fcast.Last(); ok {
-				fc = v
-			}
+			fc = ns.forecast
 		}
 		st.HeavyHitters = append(st.HeavyHitters, HeavyHitter{ID: id, Key: a.tree.Key(id), Actual: actual, Forecast: fc})
 	}
@@ -682,14 +661,6 @@ func (a *oracleADA) SeriesOf(id int) []float64 {
 		return nil
 	}
 	return a.state[id].actual.Values()
-}
-
-// ForecastSeriesOf implements Engine.
-func (a *oracleADA) ForecastSeriesOf(id int) []float64 {
-	if id < 0 || id >= len(a.state) || a.state[id] == nil {
-		return nil
-	}
-	return a.state[id].fcast.Values()
 }
 
 // ExportState implements Engine. The returned state deep-copies every
@@ -720,10 +691,10 @@ func (a *oracleADA) ExportState() (*EngineState, error) {
 			return nil, fmt.Errorf("algo: node %d: %w", id, err)
 		}
 		ss := SeriesState{
-			ID:     id,
-			Actual: captureRing(ns.actual),
-			Fcast:  captureRing(ns.fcast),
-			Model:  model,
+			ID:       id,
+			Actual:   captureRing(ns.actual),
+			Forecast: ns.forecast,
+			Model:    model,
 		}
 		if ns.multi != nil {
 			ms := ns.multi.State()
@@ -838,8 +809,8 @@ func sameModel(a, b forecast.State) bool {
 	return sameFloats(a.Floats, b.Floats)
 }
 
-// diffStep compares the step outcome and every member's retained
-// series, bit for bit.
+// diffStep compares the step outcome, whose Forecast is each member's
+// held forecast, and every member's retained series, bit for bit.
 func diffStep(got *StepState, eng *ADA, want *StepState, ora *oracleADA) error {
 	if got.Instance != want.Instance {
 		return fmt.Errorf("instance %d, oracle %d", got.Instance, want.Instance)
@@ -857,9 +828,6 @@ func diffStep(got *StepState, eng *ADA, want *StepState, ora *oracleADA) error {
 		}
 		if !sameFloats(eng.SeriesOf(g.ID), ora.SeriesOf(g.ID)) {
 			return fmt.Errorf("%v: actual series differs from oracle", g.Key)
-		}
-		if !sameFloats(eng.ForecastSeriesOf(g.ID), ora.ForecastSeriesOf(g.ID)) {
-			return fmt.Errorf("%v: forecast series differs from oracle", g.Key)
 		}
 	}
 	return nil
@@ -908,7 +876,7 @@ func diffExport(eng *ADA, ora *oracleADA) error {
 	}
 	for i, gs := range g.Series {
 		os := o.Series[i]
-		if gs.ID != os.ID || !sameFloats(gs.Actual.Values, os.Actual.Values) || !sameFloats(gs.Fcast.Values, os.Fcast.Values) || !sameModel(gs.Model, os.Model) {
+		if gs.ID != os.ID || !sameFloats(gs.Actual.Values, os.Actual.Values) || math.Float64bits(gs.Forecast) != math.Float64bits(os.Forecast) || !sameModel(gs.Model, os.Model) {
 			return fmt.Errorf("series %d (node %d, oracle node %d) differs", i, gs.ID, os.ID)
 		}
 		if (gs.Multi == nil) != (os.Multi == nil) || (gs.Multi != nil && fmt.Sprint(*gs.Multi) != fmt.Sprint(*os.Multi)) {

@@ -29,7 +29,6 @@ type STA struct {
 	// lastSeries caches the newest reconstruction so SeriesOf can
 	// serve Fig.-12-style comparisons; keyed by node ID.
 	lastSeries map[int][]float64
-	lastFcast  map[int][]float64
 
 	// Reusable scratch: the SHHH result, the per-unit frozen-weight
 	// vector, recycled history slices, and the returned StepState.
@@ -51,12 +50,7 @@ func NewSTA(cfg Config) (*STA, error) {
 	if tree == nil {
 		tree = hierarchy.New()
 	}
-	return &STA{
-		cfg:        cfg,
-		tree:       tree,
-		lastSeries: make(map[int][]float64),
-		lastFcast:  make(map[int][]float64),
-	}, nil
+	return &STA{cfg: cfg, tree: tree, lastSeries: make(map[int][]float64)}, nil
 }
 
 // Name implements Engine.
@@ -153,15 +147,6 @@ func (s *STA) process() (*StepState, error) {
 			Forecast: fc,
 		})
 		s.lastSeries[n] = ts
-		// Reconstruct the forecast trajectory for analysis: replay
-		// the model over the history.
-		fseries := s.getSlice(len(ts))
-		replay := s.cfg.NewForecaster(nil, nil)
-		for _, v := range ts {
-			fseries = append(fseries, replay.Forecast())
-			replay.Update(v)
-		}
-		s.lastFcast[n] = fseries
 	}
 	sortHHs(state.HeavyHitters)
 	state.Timings = StageTimings{
@@ -172,16 +157,12 @@ func (s *STA) process() (*StepState, error) {
 	return state, nil
 }
 
-// recycleLast empties the previous reconstruction caches, keeping the
+// recycleLast empties the previous reconstruction cache, keeping the
 // slice backing arrays for reuse.
 func (s *STA) recycleLast() {
 	for id, ts := range s.lastSeries {
 		s.sliceFree = append(s.sliceFree, ts[:0])
 		delete(s.lastSeries, id)
-	}
-	for id, ts := range s.lastFcast {
-		s.sliceFree = append(s.sliceFree, ts[:0])
-		delete(s.lastFcast, id)
 	}
 }
 
@@ -207,17 +188,8 @@ func (s *STA) SeriesOf(id int) []float64 {
 	return append([]float64(nil), ts...)
 }
 
-// ForecastSeriesOf implements Engine.
-func (s *STA) ForecastSeriesOf(id int) []float64 {
-	ts, ok := s.lastFcast[id]
-	if !ok {
-		return nil
-	}
-	return append([]float64(nil), ts...)
-}
-
 // Memory implements Engine. STA's state is dominated by the ℓ retained
-// timeunits plus the newest reconstruction.
+// timeunits plus the newest reconstruction and its forecasts.
 func (s *STA) Memory() MemoryStats {
 	m := MemoryStats{TreeNodes: s.tree.Len()}
 	for _, u := range s.window {
@@ -227,10 +199,7 @@ func (s *STA) Memory() MemoryStats {
 		m.AuxFloats += 2 * u.Len()
 	}
 	for _, ts := range s.lastSeries {
-		m.SeriesFloats += len(ts)
-	}
-	for _, ts := range s.lastFcast {
-		m.SeriesFloats += len(ts)
+		m.SeriesFloats += len(ts) + 1 // the heavy hitter's forecast
 	}
 	return m
 }

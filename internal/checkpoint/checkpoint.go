@@ -494,7 +494,9 @@ func encodeEngine(e *algo.EngineState) *payload {
 	for _, ss := range e.Series {
 		p.putInt(ss.ID)
 		putRing(p, ss.Actual)
-		putRing(p, ss.Fcast)
+		// The forecast ring holds one sample, the held forecast, at the
+		// actual ring's capacity ℓ, which older builds check it against.
+		putRing(p, algo.RingState{Cap: ss.Actual.Cap, Values: []float64{ss.Forecast}})
 		putModel(p, ss.Model)
 		putMulti(p, ss.Multi)
 	}
@@ -559,7 +561,11 @@ func decodeEngine(buf []byte, runs bool, b engineBounds) (*algo.EngineState, err
 	for i := 0; i < n && r.err == nil; i++ {
 		ss := algo.SeriesState{ID: r.getInt()}
 		ss.Actual = getRing(r, b)
-		ss.Fcast = getRing(r, b)
+		// Of a forecast ring only the newest sample is state (an
+		// empty ring holds a zero forecast); its capacity is not read.
+		if fc := getRing(r, b).Values; len(fc) > 0 {
+			ss.Forecast = fc[len(fc)-1]
+		}
 		ss.Model = getModel(r, b)
 		ss.Multi = getMulti(r, b)
 		e.Series = append(e.Series, ss)

@@ -12,11 +12,12 @@ import (
 // goldens are the committed checkpoint files (written by the root
 // package's golden tests): an ADA detector and two Manager stream
 // files, one mid-warm-up and one mid-unit. Each current-format file
-// has its version-1 form next to it.
-var goldens = []struct{ v1, current string }{
-	{"ada_w16.ckpt", filepath.Join("v2", "ada_w16.ckpt")},
-	{filepath.Join("manager_w16", "warming.ckpt"), filepath.Join("v2", "manager_w16", "warming.ckpt")},
-	{filepath.Join("manager_w16", "partial.ckpt"), filepath.Join("v2", "manager_w16", "partial.ckpt")},
+// has two older forms: version 1, and version 2 as written while every
+// series kept a forecast ring of ℓ samples (rings).
+var goldens = []struct{ v1, rings, current string }{
+	{"ada_w16.ckpt", filepath.Join("v2rings", "ada_w16.ckpt"), filepath.Join("v2", "ada_w16.ckpt")},
+	{filepath.Join("manager_w16", "warming.ckpt"), filepath.Join("v2rings", "manager_w16", "warming.ckpt"), filepath.Join("v2", "manager_w16", "warming.ckpt")},
+	{filepath.Join("manager_w16", "partial.ckpt"), filepath.Join("v2rings", "manager_w16", "partial.ckpt"), filepath.Join("v2", "manager_w16", "partial.ckpt")},
 }
 
 // reencode writes snap and reads the bytes back, failing the test when
@@ -44,20 +45,23 @@ func readGolden(f *testing.F, name string) []byte {
 
 // FuzzCheckpointRead holds the decoder to its contract on arbitrary
 // bytes: Read never panics, and whatever it accepts re-encodes to bytes
-// that Read accepts again and that re-encode identically (version-1
-// files, unknown sections and non-canonical varints may normalize on
-// the first pass, never later). The seeds are the committed goldens of
-// both format versions: a current-format file must round-trip byte for
-// byte, and its version-1 form must re-encode to it.
+// that Read accepts again and that re-encode identically. Only the
+// first pass may normalize: version-1 files, unknown sections,
+// non-canonical varints, and a series' forecast ring, which keeps only
+// its newest sample (zero for an empty ring) at the capacity of the
+// series' actual ring. The seeds are the committed goldens in all
+// their forms: a current file must round-trip byte for byte, and its
+// version-1 and full-forecast-ring forms must re-encode to it.
 func FuzzCheckpointRead(f *testing.F) {
 	current := make([][]byte, len(goldens))
 	for i, g := range goldens {
 		current[i] = readGolden(f, g.current)
 		f.Add(readGolden(f, g.v1))
+		f.Add(readGolden(f, g.rings))
 	}
 	for i, g := range goldens {
 		f.Add(current[i])
-		for _, name := range []string{g.v1, g.current} {
+		for _, name := range []string{g.v1, g.rings, g.current} {
 			snap, err := Read(bytes.NewReader(readGolden(f, name)))
 			if err != nil {
 				f.Fatalf("golden %s: %v", name, err)
