@@ -1,8 +1,8 @@
 // Command tiresias-vet is the repo's invariant checker: a multichecker
-// running the internal/analysis suite (hotpath, escapecheck, lockguard,
-// lockorder, goroline, atomiccheck, wireerr, ckptsec, forbidimport,
-// deadexport) over the given packages. It exits non-zero when any
-// analyzer reports a finding, so CI can run it as a blocking lint step:
+// running the internal/analysis suite (hotpath, lockguard, lockorder,
+// goroline, atomiccheck, wireerr, ckptsec, forbidimport, deadexport)
+// over the given packages. It exits non-zero when any analyzer reports
+// a finding, so CI can run it as a blocking lint step:
 //
 //	go run ./cmd/tiresias-vet ./...
 //
@@ -21,10 +21,6 @@
 //
 //	-only name[,name...]   run only the named analyzers
 //	-json                  emit findings as a JSON array on stdout
-//	-forbid pkg=entry,...  replace the forbidimport denylist: entries
-//	                       containing a slash (or no dot) ban imports,
-//	                       entries of the form pkg.Ident ban calls; the
-//	                       flag repeats, one per target package
 //	-list                  print the analyzers and exit
 package main
 
@@ -37,15 +33,6 @@ import (
 
 	"tiresias/internal/analysis"
 )
-
-// forbidFlags accumulates repeated -forbid values.
-type forbidFlags []string
-
-// String implements flag.Value.
-func (f *forbidFlags) String() string { return strings.Join(*f, " ") }
-
-// Set implements flag.Value.
-func (f *forbidFlags) Set(v string) error { *f = append(*f, v); return nil }
 
 // jsonFinding is the machine-readable shape of one diagnostic. Type
 // errors are reported under the pseudo-analyzer "typecheck" so a JSON
@@ -63,13 +50,11 @@ func main() {
 		only     = flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 		list     = flag.Bool("list", false, "list analyzers and exit")
 		jsonOut  = flag.Bool("json", false, "emit findings as a JSON array on stdout")
-		forbids  forbidFlags
 		findings []jsonFinding
 	)
-	flag.Var(&forbids, "forbid", "forbidimport rule pkg=entry[,entry...] (repeatable; replaces the default denylist)")
 	flag.Parse()
 
-	analyzers := suite(forbids)
+	analyzers := analysis.Analyzers()
 	if *list {
 		for _, a := range analyzers {
 			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
@@ -140,46 +125,6 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-}
-
-// suite assembles the analyzer set, honoring -forbid overrides.
-func suite(forbids forbidFlags) []*analysis.Analyzer {
-	if len(forbids) == 0 {
-		return analysis.Analyzers(nil)
-	}
-	rules, err := parseForbidRules(forbids)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tiresias-vet: %v\n", err)
-		os.Exit(2)
-	}
-	return analysis.Analyzers(rules)
-}
-
-// parseForbidRules parses pkg=entry,... flag values into ForbidRules.
-func parseForbidRules(values []string) ([]analysis.ForbidRule, error) {
-	var rules []analysis.ForbidRule
-	for _, v := range values {
-		pkg, entries, ok := strings.Cut(v, "=")
-		if !ok || pkg == "" || entries == "" {
-			return nil, fmt.Errorf("-forbid %q: want pkg=entry[,entry...]", v)
-		}
-		r := analysis.ForbidRule{Packages: []string{pkg}}
-		for _, e := range strings.Split(entries, ",") {
-			e = strings.TrimSpace(e)
-			if e == "" {
-				continue
-			}
-			// "fmt.Sprintf" is a call ban; "encoding/json" (a slash,
-			// or no dot at all, e.g. "unsafe") is an import ban.
-			if !strings.Contains(e, "/") && strings.Contains(e, ".") {
-				r.Calls = append(r.Calls, e)
-			} else {
-				r.Imports = append(r.Imports, e)
-			}
-		}
-		rules = append(rules, r)
-	}
-	return rules, nil
 }
 
 // filterAnalyzers keeps the analyzers whose names appear in names.

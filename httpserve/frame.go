@@ -93,7 +93,7 @@ func appendEntry(b []byte, e *tiresias.AnomalyEntry) ([]byte, error) {
 func appendString(b []byte, s string) ([]byte, error) {
 	for i := 0; i < len(s); i++ {
 		if s[i] >= utf8.RuneSelf {
-			//tiresias:ignore hotpath escapecheck (fallback: encoding/json renders non-ASCII strings)
+			//tiresias:ignore hotpath (fallback: encoding/json renders non-ASCII strings)
 			return appendMarshal(b, s)
 		}
 	}
@@ -136,7 +136,7 @@ func appendString(b []byte, s string) ([]byte, error) {
 func appendTime(b []byte, t time.Time) ([]byte, error) {
 	_, off := t.Zone()
 	if y := t.Year(); y < 0 || y > 9999 || off <= -24*60*60 || off >= 24*60*60 {
-		//tiresias:ignore hotpath escapecheck (fallback: encoding/json reports the error)
+		//tiresias:ignore hotpath (fallback: encoding/json reports the error)
 		return appendMarshal(b, t)
 	}
 	b = append(b, '"')
@@ -152,7 +152,7 @@ func appendTime(b []byte, t time.Time) ([]byte, error) {
 //tiresias:hotpath
 func appendFloat(b []byte, f float64) ([]byte, error) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
-		//tiresias:ignore hotpath escapecheck (fallback: encoding/json reports the error)
+		//tiresias:ignore hotpath (fallback: encoding/json reports the error)
 		return appendMarshal(b, f)
 	}
 	format := byte('f')

@@ -93,7 +93,7 @@ func (h *hub) publish(entries []tiresias.AnomalyEntry) {
 //tiresias:hotpath
 func (h *hub) render(e *tiresias.AnomalyEntry) []byte {
 	if need := frameBound(e); cap(h.chunk)-len(h.chunk) < need {
-		//tiresias:ignore hotpath escapecheck (chunk refill: one allocation per frameChunk bytes of frames)
+		//tiresias:ignore hotpath (chunk refill: one allocation per frameChunk bytes of frames)
 		h.chunk = make([]byte, 0, max(frameChunk, need))
 	}
 	start := len(h.chunk)

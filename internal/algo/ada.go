@@ -759,7 +759,7 @@ func (a *ADA) merge(id int) {
 			} else {
 				// Shape mismatch (fresh EWMA vs seasoned HW):
 				// refit from the merged actual series.
-				a.valBuf = dst.actual.ValuesInto(a.valBuf) //tiresias:ignore escapecheck (inlined grow path: the scratch reaches the window length once)
+				a.valBuf = dst.actual.ValuesInto(a.valBuf) //tiresias:ignore hotpath (inlined grow path: the scratch reaches the window length once)
 				a.fitModel(dst, a.valBuf)
 			}
 			if dst.multi != nil && src.multi != nil {
@@ -795,7 +795,7 @@ func (a *ADA) repairFromReferences() {
 		}
 		_ = ns.actual.CopyFrom(a.refActual[ri])
 		a.subtractDescendants(id, ns.actual)
-		a.valBuf = ns.actual.ValuesInto(a.valBuf) //tiresias:ignore escapecheck (inlined grow path: the scratch reaches the window length once)
+		a.valBuf = ns.actual.ValuesInto(a.valBuf) //tiresias:ignore hotpath (inlined grow path: the scratch reaches the window length once)
 		if len(a.valBuf) > 1 {
 			a.refit(ns, a.valBuf)
 		}

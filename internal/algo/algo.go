@@ -138,7 +138,7 @@ func reseedEWMA(reuse forecast.Linear, alpha float64, history []float64) forecas
 		e.Reseed(alpha, history)
 		return e
 	}
-	return forecast.NewEWMA(alpha, history...) //tiresias:ignore escapecheck (inlined pool miss: reuse was nil or of another shape)
+	return forecast.NewEWMA(alpha, history...) //tiresias:ignore hotpath (inlined pool miss: reuse was nil or of another shape)
 }
 
 // reseedHoltWinters returns the Holt-Winters model of the given period

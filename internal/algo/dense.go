@@ -25,7 +25,7 @@ type DenseUnit struct {
 //tiresias:hotpath
 func (u *DenseUnit) Add(id int, v float64) {
 	if id >= len(u.pos) {
-		u.growPos(id + 1) //tiresias:ignore escapecheck (inlined grow path: allocates only when the ID space outgrows the index)
+		u.growPos(id + 1) //tiresias:ignore hotpath (inlined grow path: allocates only when the ID space outgrows the index)
 	}
 	if p := u.pos[id]; p != 0 {
 		u.vals[p-1] += v

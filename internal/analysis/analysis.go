@@ -4,13 +4,12 @@
 // not depend on) plus the repo-specific analyzers that turn the
 // codebase's load-bearing runtime invariants into compile-time facts:
 //
-//   - hotpath: functions annotated //tiresias:hotpath must avoid
-//     allocation-prone constructs (the fast in-editor pass backing the
-//     AllocsPerRun benchmarks).
-//   - escapecheck: the same annotation, witnessed by the compiler —
-//     `go build -gcflags=-m=2` escape diagnostics landing inside a
-//     hotpath function (including code inlined into it) fail the
-//     build.
+//   - hotpath: functions annotated //tiresias:hotpath must not
+//     allocate. The compiler's `go build -gcflags=-m=2` escape
+//     diagnostics landing inside one (including code inlined into it)
+//     are findings, and syntax rules cover the allocations inside
+//     runtime calls that escape analysis never reports (fmt, string
+//     concatenation and conversions, maps, channels, growing appends).
 //   - lockguard: struct fields documented "guarded by <mu>" may only
 //     be touched while that mutex is held.
 //   - lockorder: the lock-acquisition-order graph, built
@@ -22,8 +21,8 @@
 //     time.After/time.Tick in loops and unbuffered-channel sends under
 //     a mutex are flagged.
 //   - atomiccheck: a field touched through sync/atomic anywhere must
-//     be touched atomically everywhere, and values containing
-//     sync/atomic types must not be copied.
+//     be touched atomically everywhere, and sync/atomic.Value, whose
+//     copies go vet's copylocks check cannot see, is not used.
 //   - wireerr: the api package's sentinel↔code maps must stay
 //     bidirectionally complete, so errors.Is works across the wire.
 //   - ckptsec: every checkpoint section tag must be handled by both
@@ -92,7 +91,7 @@ type Pass struct {
 	TypesInfo *types.Info
 	// Dir is the package's source directory on disk — the working
 	// directory for analyzers that shell out to the go tool
-	// (escapecheck).
+	// (hotpath).
 	Dir string
 
 	diags []Diagnostic

@@ -12,19 +12,19 @@ import (
 //     everywhere — any plain (non-atomic) read or write of the same
 //     object is flagged, because one racy plain access invalidates
 //     every atomic one. (The typed wrappers — atomic.Uint64,
-//     atomic.Value — make this impossible by construction; the check
+//     atomic.Pointer — make this impossible by construction; the check
 //     matters for the legacy pass-by-pointer style.)
-//   - No copies: a value whose type contains a sync/atomic type
-//     (atomic.Value, atomic.Uint64, ...) must not be copied — value
-//     receivers, value assignments from existing values, by-value call
-//     arguments, and range-clause element copies all tear the atomic's
-//     identity, exactly like copying a sync.Mutex.
+//   - No atomic.Value: a copy of a typed atomic tears it, and go vet's
+//     copylocks check reports such copies through the type's noCopy
+//     field. atomic.Value has none, so vet cannot see its copies, and
+//     any use of it is flagged: atomic.Pointer[T] holds the same value
+//     with the copy check.
 //
 // Suppress a deliberate exception with
 // //tiresias:ignore atomiccheck (reason).
 var Atomiccheck = &Analyzer{
 	Name: "atomiccheck",
-	Doc:  "fields touched via sync/atomic must be atomic everywhere; values containing sync/atomic types must not be copied",
+	Doc:  "fields touched via sync/atomic must be atomic everywhere; sync/atomic.Value, whose copies go vet cannot see, is not used",
 	Run:  runAtomiccheck,
 }
 
@@ -32,9 +32,20 @@ func runAtomiccheck(pass *Pass) error {
 	atomicObjs, atomicUses := collectAtomicObjects(pass)
 	for _, f := range pass.Files {
 		checkMixedAccess(pass, f, atomicObjs, atomicUses)
-		checkAtomicCopies(pass, f)
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && isAtomicValue(pass.TypesInfo.Uses[id]) {
+				pass.Reportf(id.Pos(), "sync/atomic.Value has no noCopy field, so go vet cannot see a copy of it: use atomic.Pointer[T] or another typed atomic")
+			}
+			return true
+		})
 	}
 	return nil
+}
+
+// isAtomicValue reports whether obj is the type sync/atomic.Value.
+func isAtomicValue(obj types.Object) bool {
+	tn, ok := obj.(*types.TypeName)
+	return ok && tn.Pkg() != nil && tn.Pkg().Path() == "sync/atomic" && tn.Name() == "Value"
 }
 
 // collectAtomicObjects finds every object (variable or struct field)
@@ -125,116 +136,4 @@ func checkMixedAccess(pass *Pass, f *ast.File, objs map[types.Object]string, ato
 		pass.Reportf(id.Pos(), "plain access of %s, which is accessed atomically elsewhere (via %s): one non-atomic access races with every atomic one", id.Name, via)
 		return true
 	})
-}
-
-// checkAtomicCopies flags copies of values whose types contain
-// sync/atomic types.
-func checkAtomicCopies(pass *Pass, f *ast.File) {
-	// The seen set is per query: it breaks recursive types, not memoizes
-	// (a visited-but-atomic-free marking would poison later queries).
-	hasAtomic := func(t types.Type) bool { return typeContainsAtomic(t, map[types.Type]bool{}) }
-
-	for _, decl := range f.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok {
-			continue
-		}
-		// Value receivers on atomic-bearing types: every call copies.
-		if fd.Recv != nil && len(fd.Recv.List) == 1 {
-			rt := pass.TypesInfo.TypeOf(fd.Recv.List[0].Type)
-			if rt != nil {
-				if _, ptr := rt.(*types.Pointer); !ptr && hasAtomic(rt) {
-					pass.Reportf(fd.Recv.Pos(), "method %s has a value receiver, but %s contains sync/atomic types: every call copies the atomic — use a pointer receiver", fd.Name.Name, rt.String())
-				}
-			}
-		}
-		if fd.Body == nil {
-			continue
-		}
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.AssignStmt:
-				for i, rhs := range x.Rhs {
-					if i >= len(x.Lhs) {
-						break
-					}
-					if copiesAtomicValue(pass, rhs, hasAtomic) {
-						pass.Reportf(rhs.Pos(), "assignment copies %s, which contains sync/atomic types: the copy and the original update independently", copyExprString(rhs))
-					}
-				}
-			case *ast.CallExpr:
-				for _, arg := range x.Args {
-					if copiesAtomicValue(pass, arg, hasAtomic) {
-						pass.Reportf(arg.Pos(), "call passes %s by value, which contains sync/atomic types: the callee gets a torn copy — pass a pointer", copyExprString(arg))
-					}
-				}
-			case *ast.RangeStmt:
-				if x.Value == nil {
-					return true
-				}
-				vt := pass.TypesInfo.TypeOf(x.Value)
-				if vt == nil {
-					return true
-				}
-				if _, ptr := vt.(*types.Pointer); !ptr && hasAtomic(vt) {
-					pass.Reportf(x.Value.Pos(), "range clause copies elements containing sync/atomic types into %s: updates to the copy are lost — range over the index or use pointer elements", exprString(x.Value))
-				}
-			}
-			return true
-		})
-	}
-}
-
-// copyExprString renders a copied expression, keeping the dereference
-// visible (exprString flattens *s to s).
-func copyExprString(e ast.Expr) string {
-	if st, ok := e.(*ast.StarExpr); ok {
-		return "*" + copyExprString(st.X)
-	}
-	return exprString(e)
-}
-
-// copiesAtomicValue reports whether e is a by-value use of an existing
-// atomic-bearing value. Creations (composite literals, calls) are new
-// values, not copies; pointers and addresses never tear.
-func copiesAtomicValue(pass *Pass, e ast.Expr, hasAtomic func(types.Type) bool) bool {
-	switch e.(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr, *ast.ParenExpr:
-	default:
-		return false
-	}
-	t := pass.TypesInfo.TypeOf(e)
-	if t == nil {
-		return false
-	}
-	if _, ptr := t.(*types.Pointer); ptr {
-		return false
-	}
-	return hasAtomic(t)
-}
-
-// typeContainsAtomic reports whether t is, or (through struct fields
-// and array elements) contains, a named sync/atomic type.
-func typeContainsAtomic(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil || seen[t] {
-		return false
-	}
-	seen[t] = true
-	if n, ok := t.(*types.Named); ok {
-		if pkg := n.Obj().Pkg(); pkg != nil && pkg.Path() == "sync/atomic" {
-			return true
-		}
-		return typeContainsAtomic(n.Underlying(), seen)
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if typeContainsAtomic(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return typeContainsAtomic(u.Elem(), seen)
-	}
-	return false
 }

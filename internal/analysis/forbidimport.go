@@ -127,19 +127,17 @@ func runForbidImport(pass *Pass, rules []ForbidRule) error {
 	return nil
 }
 
-// Analyzers returns the full tiresias-vet suite in reporting order,
-// with forbidimport enforcing rules (nil selects DefaultForbidRules).
-func Analyzers(rules []ForbidRule) []*Analyzer {
+// Analyzers returns the full tiresias-vet suite in reporting order.
+func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Hotpath,
-		Escapecheck,
 		Lockguard,
 		Lockorder,
 		NewGoroline(nil),
 		Atomiccheck,
 		Wireerr,
 		Ckptsec,
-		NewForbidImport(rules),
+		NewForbidImport(nil),
 		Deadexport,
 	}
 }

@@ -1,9 +1,16 @@
 package analysis
 
 import (
+	"bufio"
+	"bytes"
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 )
 
@@ -11,41 +18,152 @@ import (
 // allocate; see Hotpath.
 const hotpathDirective = "//tiresias:hotpath"
 
-// Hotpath flags allocation-prone constructs inside functions annotated
+// Hotpath enforces the zero-allocation contract of functions annotated
 // //tiresias:hotpath (the directive goes at the end of the function's
 // doc comment). It is the static backstop for the AllocsPerRun
 // benchmarks: the benchmarks prove today's binary does not allocate,
 // the analyzer stops tomorrow's refactor from reintroducing an
 // allocation the benchmark corpus happens to miss.
 //
-// Flagged constructs: calls into fmt; string concatenation;
-// string↔[]byte/[]rune conversions; map/slice composite literals and
-// &T{...} literals; make and new; closures (func literals); append to
-// a local slice that was never given capacity; and implicit interface
-// boxing of a concrete value at a call site. Value-type struct
-// literals are allowed (they stay on the stack), as is append to
-// fields, parameters, and locals that reuse backing arrays
-// (x = x[:0], make with capacity).
+// The check has two halves:
 //
-// The check is intraprocedural by design: annotate each function on
-// the hot path rather than relying on propagation through calls.
+//   - The compiler's witness. The package is built with
+//     `go build -gcflags=-m=2`, and every "escapes to heap" or
+//     "moved to heap" diagnostic inside an annotated function is a
+//     finding. The gc compiler attributes an inlined callee's escapes
+//     to the inlining call site, so a helper inlined into a hot
+//     function is covered too. Closures, method values, &T{}, new,
+//     make of a slice, slice literals and interface boxing allocate
+//     only when they escape, so this half is their whole check.
+//   - Syntax rules for allocations that happen inside runtime calls,
+//     which escape analysis never reports: calls into fmt; string
+//     concatenation; string↔[]byte/[]rune conversions, except
+//     string(b) of a byte slice used as a map index (not an assigned
+//     one), as a comparison operand or as a switch tag over constant
+//     cases, where gc copies nothing; map literals, make of a map or a
+//     channel; and append to a local slice that never reuses a backing
+//     array (append to fields, parameters, and locals that are
+//     re-sliced or made with capacity is allowed).
+//
+// The syntax rules are intraprocedural by design: annotate each
+// function on the hot path rather than relying on propagation through
+// calls. Grow paths that a reuse check keeps off the steady state
+// (cap(s) < n → make) are real escapes the compiler cannot rule out;
+// exempt them in place with //tiresias:ignore hotpath (reason).
+// Packages with no annotated function are skipped without invoking
+// the compiler, whose diagnostics replay from the build cache on
+// repeated runs.
 var Hotpath = &Analyzer{
 	Name: "hotpath",
-	Doc:  "flag allocation-prone constructs in //tiresias:hotpath functions",
+	Doc:  "fail on heap escapes and runtime-call allocations inside //tiresias:hotpath functions",
 	Run:  runHotpath,
 }
 
+// hotRange is the body extent of one annotated function, in lines of
+// one file.
+type hotRange struct {
+	fn         string
+	start, end int
+}
+
 func runHotpath(pass *Pass) error {
+	// Hot ranges per file basename; basenames are unique within a
+	// package, and the compiler's output paths vary with the build
+	// cache's working directory, so the basename is the stable join
+	// key.
+	hot := map[string][]hotRange{}
+	files := map[string]*token.File{}
 	for _, f := range pass.Files {
+		tf := pass.Fset.File(f.Pos())
+		base := filepath.Base(tf.Name())
+		files[base] = tf
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil || !hasDirective(fd.Doc, hotpathDirective) {
 				continue
 			}
 			checkHotFunc(pass, fd)
+			hot[base] = append(hot[base], hotRange{
+				fn:    fd.Name.Name,
+				start: pass.Fset.Position(fd.Pos()).Line,
+				end:   pass.Fset.Position(fd.Body.End()).Line,
+			})
 		}
 	}
-	return nil
+	if len(hot) == 0 {
+		return nil
+	}
+	return reportEscapes(pass, hot, files)
+}
+
+// escapeDiagRe matches one compiler diagnostic line:
+// path.go:line:col: message.
+var escapeDiagRe = regexp.MustCompile(`^(.*\.go):(\d+):(\d+): (\S.*)$`)
+
+// reportEscapes builds the package with escape diagnostics and reports
+// each heap escape that lands inside a hot range.
+func reportEscapes(pass *Pass, hot map[string][]hotRange, files map[string]*token.File) error {
+	if pass.Dir == "" {
+		return fmt.Errorf("package %s has no source directory", pass.Pkg.Path())
+	}
+	// The go tool resolves the module from the working directory, so
+	// run the build from inside the package itself. -m=2 output is part
+	// of the cache key, so the first run per toolchain pays one compile.
+	cmd := exec.Command("go", "build", "-gcflags=-m=2", ".")
+	cmd.Dir = pass.Dir
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		return fmt.Errorf("go build -gcflags=-m=2 in %s: %v\n%s", pass.Dir, err, out)
+	}
+
+	seen := map[string]bool{}
+	sc := bufio.NewScanner(bytes.NewReader(out))
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		m := escapeDiagRe.FindStringSubmatch(sc.Text())
+		if m == nil {
+			continue
+		}
+		msg := strings.TrimSuffix(m[4], ":")
+		if !strings.HasSuffix(msg, "escapes to heap") && !strings.HasPrefix(msg, "moved to heap") {
+			continue
+		}
+		base := filepath.Base(m[1])
+		line, _ := strconv.Atoi(m[2])
+		col, _ := strconv.Atoi(m[3])
+		var fn string
+		for _, r := range hot[base] {
+			if line >= r.start && line <= r.end {
+				fn = r.fn
+				break
+			}
+		}
+		if fn == "" {
+			continue
+		}
+		key := fmt.Sprintf("%s:%d:%d:%s", base, line, col, msg)
+		if seen[key] {
+			// -m=2 prints each escape twice: once heading its flow
+			// trace, once in the plain -m summary.
+			continue
+		}
+		seen[key] = true
+		pass.Reportf(diagPos(files[base], line, col), "hot path %s: %s (compiler escape analysis)", fn, msg)
+	}
+	return sc.Err()
+}
+
+// diagPos resolves a compiler file/line/col diagnostic to a token.Pos
+// in tf, clamping the column to the line.
+func diagPos(tf *token.File, line, col int) token.Pos {
+	if line < 1 || line > tf.LineCount() {
+		return tf.Pos(0)
+	}
+	p := tf.LineStart(line) + token.Pos(col-1)
+	if int(p) >= tf.Base()+tf.Size() {
+		return tf.LineStart(line)
+	}
+	return p
 }
 
 // hasDirective reports whether the comment group contains the given
@@ -62,93 +180,100 @@ func hasDirective(doc *ast.CommentGroup, directive string) bool {
 	return false
 }
 
-// checkHotFunc walks one annotated function body.
+// checkHotFunc applies the syntax rules to one annotated function
+// body. ast.Inspect visits a parent before its children, so a
+// comparison, map index or switch marks its string(b) operands
+// copy-free before the conversion itself is visited.
 func checkHotFunc(pass *Pass, fd *ast.FuncDecl) {
 	reusable := reusableSlices(pass, fd)
 	name := fd.Name.Name
-	// Selectors in call position are calls, not method values; collect
-	// them so the SelectorExpr case below only sees bindings.
-	callFuns := map[ast.Expr]bool{}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			callFuns[call.Fun] = true
-		}
-		return true
-	})
+	assigned := map[ast.Expr]bool{}
+	copyFree := map[ast.Expr]bool{}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
-		case *ast.FuncLit:
-			pass.Reportf(x.Pos(), "hot path %s: closure literal (captured variables escape to the heap)", name)
-			return false // the closure body is not the hot path
-		case *ast.SelectorExpr:
-			if !callFuns[x] {
-				if s, ok := pass.TypesInfo.Selections[x]; ok && s.Kind() == types.MethodVal {
-					pass.Reportf(x.Pos(), "hot path %s: method value %s allocates a closure binding its receiver", name, exprString(x))
-				}
-			}
 		case *ast.CompositeLit:
-			checkHotComposite(pass, name, x)
-		case *ast.UnaryExpr:
-			if x.Op == token.AND {
-				if _, ok := x.X.(*ast.CompositeLit); ok {
-					pass.Reportf(x.Pos(), "hot path %s: &composite literal allocates", name)
+			if tv, ok := pass.TypesInfo.Types[x]; ok {
+				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
+					pass.Reportf(x.Pos(), "hot path %s: map literal allocates", name)
 				}
 			}
 		case *ast.BinaryExpr:
-			if x.Op == token.ADD && isStringType(pass, x.X) {
-				pass.Reportf(x.Pos(), "hot path %s: string concatenation allocates", name)
+			switch x.Op {
+			case token.ADD:
+				if isStringType(pass, x.X) {
+					pass.Reportf(x.Pos(), "hot path %s: string concatenation allocates", name)
+				}
+			case token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ:
+				copyFree[x.X], copyFree[x.Y] = true, true
 			}
 		case *ast.AssignStmt:
 			if x.Tok == token.ADD_ASSIGN && len(x.Lhs) == 1 && isStringType(pass, x.Lhs[0]) {
 				pass.Reportf(x.Pos(), "hot path %s: string concatenation allocates", name)
 			}
+			for _, lhs := range x.Lhs {
+				assigned[lhs] = true
+			}
+		case *ast.IncDecStmt:
+			assigned[x.X] = true
+		case *ast.IndexExpr:
+			// A map read keys its lookup on the byte slice itself; a map
+			// write stores the key, so it copies.
+			if tv, ok := pass.TypesInfo.Types[x.X]; ok && !assigned[x] {
+				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
+					copyFree[x.Index] = true
+				}
+			}
+		case *ast.SwitchStmt:
+			if x.Tag != nil && constantCases(pass, x) {
+				copyFree[x.Tag] = true
+			}
 		case *ast.CallExpr:
-			checkHotCall(pass, name, x, reusable)
+			checkHotCall(pass, name, x, reusable, copyFree[x])
 		}
 		return true
 	})
 }
 
-// checkHotComposite flags heap-allocating composite literals: maps and
-// slices. Plain value-type struct literals are stack-friendly and
-// allowed; &T{...} is caught by the UnaryExpr case.
-func checkHotComposite(pass *Pass, fn string, lit *ast.CompositeLit) {
-	tv, ok := pass.TypesInfo.Types[lit]
-	if !ok {
-		return
-	}
-	switch tv.Type.Underlying().(type) {
-	case *types.Map:
-		pass.Reportf(lit.Pos(), "hot path %s: map literal allocates", fn)
-	case *types.Slice:
-		if len(lit.Elts) > 0 {
-			pass.Reportf(lit.Pos(), "hot path %s: slice literal allocates", fn)
+// constantCases reports whether every case expression of sw is a
+// constant: only then does gc switch on string(b) without copying.
+func constantCases(pass *Pass, sw *ast.SwitchStmt) bool {
+	for _, s := range sw.Body.List {
+		for _, e := range s.(*ast.CaseClause).List {
+			if pass.TypesInfo.Types[e].Value == nil {
+				return false
+			}
 		}
 	}
+	return true
 }
 
-// checkHotCall flags fmt calls, make/new, string conversions,
-// un-preallocated appends, and interface boxing at call sites.
-func checkHotCall(pass *Pass, fn string, call *ast.CallExpr, reusable map[types.Object]bool) {
+// checkHotCall flags fmt calls, make of a map or channel, string
+// conversions, and un-preallocated appends. copyFree marks a call in a
+// position where gc converts string(b) without copying.
+func checkHotCall(pass *Pass, fn string, call *ast.CallExpr, reusable map[types.Object]bool, copyFree bool) {
 	switch funExpr := call.Fun.(type) {
 	case *ast.Ident:
+		if !isBuiltin(pass, funExpr) {
+			break
+		}
 		switch funExpr.Name {
 		case "make":
-			if isBuiltin(pass, funExpr) {
-				pass.Reportf(call.Pos(), "hot path %s: make allocates", fn)
+			tv, ok := pass.TypesInfo.Types[call]
+			if !ok {
 				return
 			}
-		case "new":
-			if isBuiltin(pass, funExpr) {
-				pass.Reportf(call.Pos(), "hot path %s: new allocates", fn)
-				return
+			switch tv.Type.Underlying().(type) {
+			case *types.Map:
+				pass.Reportf(call.Pos(), "hot path %s: make of a map allocates", fn)
+			case *types.Chan:
+				pass.Reportf(call.Pos(), "hot path %s: make of a channel allocates", fn)
 			}
 		case "append":
-			if isBuiltin(pass, funExpr) {
-				checkHotAppend(pass, fn, call, reusable)
-				return
+			if len(call.Args) > 0 {
+				checkAppendDst(pass, fn, call, call.Args[0], reusable)
 			}
 		}
+		return
 	case *ast.SelectorExpr:
 		if obj, ok := pass.TypesInfo.Uses[funExpr.Sel]; ok && obj.Pkg() != nil && obj.Pkg().Path() == "fmt" {
 			pass.Reportf(call.Pos(), "hot path %s: fmt.%s allocates (formatting state and boxed operands)", fn, funExpr.Sel.Name)
@@ -157,33 +282,25 @@ func checkHotCall(pass *Pass, fn string, call *ast.CallExpr, reusable map[types.
 	}
 
 	// Conversions: string([]byte), []byte(string), []rune(string),
-	// string(rune-slice) all copy into a fresh allocation.
+	// string(rune-slice) all copy into a fresh allocation, except
+	// string(b) of a byte slice in a copy-free position.
 	if tv, ok := pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
 		to, from := tv.Type, pass.TypesInfo.Types[call.Args[0]].Type
-		if isStringByteConversion(to, from) {
+		if from == nil || copyFree && isString(to) && isSliceOf(from, types.Byte) {
+			return
+		}
+		if isString(to) && isByteOrRuneSlice(from) || isByteOrRuneSlice(to) && isString(from) {
 			pass.Reportf(call.Pos(), "hot path %s: string conversion allocates", fn)
 		}
-		return
 	}
-
-	checkHotBoxing(pass, fn, call)
 }
 
-// checkHotAppend allows append when the destination slice reuses a
-// backing array: a struct field, a parameter, or a local that is
-// somewhere re-sliced to zero length or made with capacity. A plain
+// checkAppendDst judges one append destination, allowing it when the
+// slice reuses a backing array: a struct field, a parameter, or a
+// local that is somewhere re-sliced or made with capacity. A plain
 // `var s []T` local that is appended to grows on the heap every call.
-func checkHotAppend(pass *Pass, fn string, call *ast.CallExpr, reusable map[types.Object]bool) {
-	if len(call.Args) == 0 {
-		return
-	}
-	checkAppendDst(pass, fn, call, call.Args[0], reusable)
-}
-
-// checkAppendDst judges one append destination, unwrapping the shapes
-// that do not change the backing array: parenthesization and
-// conversions to named slice types (append(floats(buf), x) appends to
-// buf's array, so buf's reuse status is what matters).
+// Parenthesization and conversions to named slice types
+// (append(floats(buf), x) appends to buf's array) are unwrapped.
 func checkAppendDst(pass *Pass, fn string, call *ast.CallExpr, dst ast.Expr, reusable map[types.Object]bool) {
 	switch d := dst.(type) {
 	case *ast.ParenExpr:
@@ -194,27 +311,19 @@ func checkAppendDst(pass *Pass, fn string, call *ast.CallExpr, dst ast.Expr, reu
 		if tv, ok := pass.TypesInfo.Types[d.Fun]; ok && tv.IsType() && len(d.Args) == 1 {
 			checkAppendDst(pass, fn, call, d.Args[0], reusable)
 		}
-	case *ast.SelectorExpr:
-		return // field access: pooled/reused by convention
-	case *ast.IndexExpr:
-		// s.bufs[i] follows the field convention; locals indexed into
-		// are judged like plain locals.
-		if _, isSel := d.X.(*ast.SelectorExpr); isSel {
+	case *ast.Ident, *ast.IndexExpr:
+		// A field (s.buf, s.bufs[i]) is pooled/reused by convention; a
+		// local, or a local indexed into, must reuse its backing array.
+		id, ok := d.(*ast.Ident)
+		if ix, isIndex := d.(*ast.IndexExpr); isIndex {
+			id, ok = ix.X.(*ast.Ident)
+		}
+		if !ok {
 			return
 		}
-		if id, isIdent := d.X.(*ast.Ident); isIdent {
-			obj := pass.TypesInfo.Uses[id]
-			if obj == nil || reusable[obj] {
-				return
-			}
+		if obj := pass.TypesInfo.Uses[id]; obj != nil && !reusable[obj] {
 			pass.Reportf(call.Pos(), "hot path %s: append to %s, which is never preallocated (use a reused buffer or make with capacity)", fn, exprString(d))
 		}
-	case *ast.Ident:
-		obj := pass.TypesInfo.Uses[d]
-		if obj == nil || reusable[obj] {
-			return
-		}
-		pass.Reportf(call.Pos(), "hot path %s: append to %s, which is never preallocated (use a reused buffer or make with capacity)", fn, d.Name)
 	}
 }
 
@@ -280,45 +389,6 @@ func markUse(pass *Pass, set map[types.Object]bool, id *ast.Ident) {
 	}
 }
 
-// checkHotBoxing flags concrete values passed where the callee takes
-// an interface: the conversion boxes the value on the heap (small
-// pre-boxed values excepted, which the analyzer cannot prove — hence
-// the finding).
-func checkHotBoxing(pass *Pass, fn string, call *ast.CallExpr) {
-	tv, ok := pass.TypesInfo.Types[call.Fun]
-	if !ok {
-		return
-	}
-	sig, ok := tv.Type.Underlying().(*types.Signature)
-	if !ok {
-		return
-	}
-	params := sig.Params()
-	for i, arg := range call.Args {
-		var pt types.Type
-		switch {
-		case sig.Variadic() && i >= params.Len()-1:
-			if call.Ellipsis != token.NoPos && i == params.Len()-1 {
-				pt = params.At(params.Len() - 1).Type() // s... passes the slice itself
-			} else {
-				pt = params.At(params.Len() - 1).Type().(*types.Slice).Elem()
-			}
-		case i < params.Len():
-			pt = params.At(i).Type()
-		default:
-			continue
-		}
-		if !types.IsInterface(pt) {
-			continue
-		}
-		at := pass.TypesInfo.Types[arg]
-		if at.Type == nil || types.IsInterface(at.Type) || at.IsNil() || at.Value != nil {
-			continue // already boxed, nil, or a constant the compiler can intern
-		}
-		pass.Reportf(arg.Pos(), "hot path %s: argument boxes %s into interface %s", fn, at.Type, pt)
-	}
-}
-
 // isBuiltin reports whether id resolves to a universe-scope builtin.
 func isBuiltin(pass *Pass, id *ast.Ident) bool {
 	_, ok := pass.TypesInfo.Uses[id].(*types.Builtin)
@@ -328,20 +398,7 @@ func isBuiltin(pass *Pass, id *ast.Ident) bool {
 // isStringType reports whether e's static type is a string.
 func isStringType(pass *Pass, e ast.Expr) bool {
 	tv, ok := pass.TypesInfo.Types[e]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	b, ok := tv.Type.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsString != 0
-}
-
-// isStringByteConversion reports whether a conversion between to and
-// from crosses the string/byte-slice boundary (which copies).
-func isStringByteConversion(to, from types.Type) bool {
-	if from == nil {
-		return false
-	}
-	return (isString(to) && isByteOrRuneSlice(from)) || (isByteOrRuneSlice(to) && isString(from))
+	return ok && tv.Type != nil && isString(tv.Type)
 }
 
 func isString(t types.Type) bool {
@@ -350,10 +407,15 @@ func isString(t types.Type) bool {
 }
 
 func isByteOrRuneSlice(t types.Type) bool {
+	return isSliceOf(t, types.Byte) || isSliceOf(t, types.Rune)
+}
+
+// isSliceOf reports whether t is a slice of the basic kind elem.
+func isSliceOf(t types.Type, elem types.BasicKind) bool {
 	s, ok := t.Underlying().(*types.Slice)
 	if !ok {
 		return false
 	}
 	b, ok := s.Elem().Underlying().(*types.Basic)
-	return ok && (b.Kind() == types.Byte || b.Kind() == types.Rune)
+	return ok && b.Kind() == elem
 }

@@ -1,6 +1,7 @@
 // Package atomiccheck is a tiresias-vet fixture for the atomics
-// analyzer: mixed plain/atomic access and copies of atomic-bearing
-// values fire; disciplined use stays silent.
+// analyzer: mixed plain/atomic access and sync/atomic.Value fire;
+// disciplined use stays silent. Copies of typed atomics are go vet's
+// copylocks check, not this analyzer's.
 package atomiccheck
 
 import "sync/atomic"
@@ -38,44 +39,14 @@ func mixedIgnored(c *counter) uint64 {
 	return c.n //tiresias:ignore atomiccheck (fixture: pinning the suppression path)
 }
 
-// stats embeds typed atomics: copying it tears them.
+// stats holds typed atomics: vet sees a copy of hits, not of val.
 type stats struct {
 	hits atomic.Uint64
-	val  atomic.Value
-}
-
-// Hits copies the whole struct on every call.
-func (s stats) Hits() uint64 { // want `value receiver`
-	return s.hits.Load()
+	val  atomic.Value // want `sync/atomic\.Value has no noCopy field`
+	last atomic.Pointer[string]
 }
 
 // HitsPtr is the sound form.
 func (s *stats) HitsPtr() uint64 {
 	return s.hits.Load()
-}
-
-// use takes stats by value so pass can demonstrate the by-value call.
-func use(s stats) {}
-
-// copies pins the assignment, call-argument, and suppressed copies.
-func copies(s *stats) {
-	cp := *s // want `assignment copies \*s`
-	_ = cp.hits.Load()
-	use(*s) // want `passes \*s by value`
-	p := s  // no finding: pointer copy
-	_ = p
-	cp2 := *s //tiresias:ignore atomiccheck (fixture: pinning the suppression path)
-	_ = cp2.hits.Load()
-}
-
-// sum pins the range-clause copy and the index foil.
-func sum(all []stats) uint64 {
-	var t uint64
-	for _, s := range all { // want `range clause copies`
-		t += s.hits.Load()
-	}
-	for i := range all { // no finding: index only
-		t += all[i].hits.Load()
-	}
-	return t
 }

@@ -1,6 +1,7 @@
 // Package escapecheck is a tiresias-vet fixture: the compiler's
-// escape analysis witnesses the heap escapes below, and escapecheck
-// reports the ones landing inside //tiresias:hotpath functions.
+// escape analysis witnesses the heap escapes below, and the hotpath
+// analyzer reports the ones landing inside //tiresias:hotpath
+// functions.
 package escapecheck
 
 type node struct {
@@ -32,11 +33,11 @@ func Grow(n int) []int {
 //
 //tiresias:hotpath
 func Suppressed(n int) []int {
-	return make([]int, n) //tiresias:ignore escapecheck (fixture: pinning the suppression path)
+	return make([]int, n) //tiresias:ignore hotpath (fixture: pinning the suppression path)
 }
 
 // cold is unannotated: its escapes are the compiler's business, not
-// escapecheck's.
+// the hotpath analyzer's.
 func cold(n int) []int {
 	return make([]int, n)
 }

@@ -19,12 +19,12 @@ func aboveMultiline() map[string]int {
 }
 
 // multiAnalyzer: one directive names several analyzers; the hotpath
-// finding on the line is suppressed even though escapecheck is listed
-// first.
+// finding on the line is suppressed even though another analyzer is
+// listed first.
 //
 //tiresias:hotpath
 func multiAnalyzer() *buf {
-	return &buf{} //tiresias:ignore escapecheck hotpath (fixture: several analyzers in one directive)
+	return &buf{} //tiresias:ignore lockguard hotpath (fixture: several analyzers in one directive)
 }
 
 // unjustified: a directive without a justification is itself reported
@@ -32,7 +32,7 @@ func multiAnalyzer() *buf {
 //
 //tiresias:hotpath
 func unjustified() *buf {
-	return &buf{} //tiresias:ignore hotpath want `missing its justification` `&composite literal allocates`
+	return &buf{} //tiresias:ignore hotpath want `missing its justification` `&buf{} escapes to heap`
 }
 
 // emptyJustified: "()" is an empty justification, which is no
@@ -40,5 +40,5 @@ func unjustified() *buf {
 //
 //tiresias:hotpath
 func emptyJustified() *buf {
-	return &buf{} //tiresias:ignore hotpath () want `missing its justification` `&composite literal allocates`
+	return &buf{} //tiresias:ignore hotpath () want `missing its justification` `&buf{} escapes to heap`
 }

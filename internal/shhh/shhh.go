@@ -133,7 +133,7 @@ func growBools(s []bool, n int) []bool {
 //
 //tiresias:hotpath
 func AggregateInto(t *hierarchy.Tree, ids []int32, vals []float64, dst []float64) []float64 {
-	return frozenSweep(t, seedIDs(t, ids, vals, dst), nil) //tiresias:ignore escapecheck (inlined grow path: allocates only when the tree outgrows dst)
+	return frozenSweep(t, seedIDs(t, ids, vals, dst), nil) //tiresias:ignore hotpath (inlined grow path: allocates only when the tree outgrows dst)
 }
 
 // FrozenWeightsInto computes, for a single ID-form timeunit, the
@@ -149,7 +149,7 @@ func AggregateInto(t *hierarchy.Tree, ids []int32, vals []float64, dst []float64
 //
 //tiresias:hotpath
 func FrozenWeightsInto(t *hierarchy.Tree, ids []int32, vals []float64, inSet []bool, dst []float64) []float64 {
-	return frozenSweep(t, seedIDs(t, ids, vals, dst), inSet) //tiresias:ignore escapecheck (inlined grow path: allocates only when the tree outgrows dst)
+	return frozenSweep(t, seedIDs(t, ids, vals, dst), inSet) //tiresias:ignore hotpath (inlined grow path: allocates only when the tree outgrows dst)
 }
 
 // seedIDs returns dst zeroed over t's nodes and seeded with the direct

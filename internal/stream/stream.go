@@ -405,7 +405,7 @@ func (w *Windower) nextDense() *algo.DenseUnit {
 //tiresias:hotpath
 func (w *Windower) ObserveDense(r Record) ([]*algo.DenseUnit, error) {
 	if w.tree == nil {
-		return nil, errors.New("stream: ObserveDense before BindTree") //tiresias:ignore escapecheck (cold misuse guard, unreachable after BindTree)
+		return nil, errors.New("stream: ObserveDense before BindTree") //tiresias:ignore hotpath (cold misuse guard, unreachable after BindTree)
 	}
 	w.reclaimDense()
 	start, err := w.anchor(r.Time)
@@ -418,11 +418,11 @@ func (w *Windower) ObserveDense(r Record) ([]*algo.DenseUnit, error) {
 	}
 	w.start, w.began = start, true
 	if w.dcur == nil {
-		w.dcur = w.nextDense() //tiresias:ignore escapecheck (inlined pool miss: the steady state recycles from w.free)
+		w.dcur = w.nextDense() //tiresias:ignore hotpath (inlined pool miss: the steady state recycles from w.free)
 	}
 	for !r.Time.Before(w.start.Add(w.delta)) {
 		w.dbuf = append(w.dbuf, w.dcur)
-		w.dcur = w.nextDense() //tiresias:ignore escapecheck (inlined pool miss: the steady state recycles from w.free)
+		w.dcur = w.nextDense() //tiresias:ignore hotpath (inlined pool miss: the steady state recycles from w.free)
 		w.start = w.start.Add(w.delta)
 	}
 	w.dcur.Add(id, 1)
@@ -438,9 +438,9 @@ func (w *Windower) FlushDense() *algo.DenseUnit {
 	w.reclaimDense()
 	u := w.dcur
 	if u == nil {
-		u = w.nextDense() //tiresias:ignore escapecheck (inlined pool miss: the steady state recycles from w.free)
+		u = w.nextDense() //tiresias:ignore hotpath (inlined pool miss: the steady state recycles from w.free)
 	}
-	w.dcur = w.nextDense() //tiresias:ignore escapecheck (inlined pool miss: the steady state recycles from w.free)
+	w.dcur = w.nextDense() //tiresias:ignore hotpath (inlined pool miss: the steady state recycles from w.free)
 	w.start = w.start.Add(w.delta)
 	w.dbuf = append(w.dbuf, u) // recycled on the next dense call
 	return u

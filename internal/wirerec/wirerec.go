@@ -297,15 +297,12 @@ const (
 //tiresias:hotpath
 func key(b []byte, i int) (uint8, int) {
 	r := b[i:]
-	//tiresias:ignore hotpath (a compare with a constant string compiles to word loads; nothing is copied)
 	if len(r) >= 9 && string(r[:9]) == `"stream":` {
 		return keyStream, i + 9
 	}
-	//tiresias:ignore hotpath (a compare with a constant string compiles to word loads; nothing is copied)
 	if len(r) >= 7 && string(r[:7]) == `"path":` {
 		return keyPath, i + 7
 	}
-	//tiresias:ignore hotpath (a compare with a constant string compiles to word loads; nothing is copied)
 	if len(r) >= 7 && string(r[:7]) == `"time":` {
 		return keyTime, i + 7
 	}
@@ -316,7 +313,6 @@ func key(b []byte, i int) (uint8, int) {
 	if j = SkipSpace(b, j); j >= len(b) || b[j] != ':' {
 		return 0, j
 	}
-	//tiresias:ignore hotpath (the compiler elides the copy in a switch on string(bytes))
 	switch string(name) {
 	case "stream":
 		return keyStream, j + 1
@@ -406,7 +402,6 @@ func (s *Scanner) streamValue(b []byte, i int) (int, bool) {
 //
 //tiresias:hotpath
 func (s *Scanner) stream(span, quoted []byte) bool {
-	//tiresias:ignore hotpath (the compiler elides the copy in a map index by string(bytes))
 	name, ok := s.Cache.streams[string(span)]
 	if !ok {
 		if name, ok = s.streamMiss(span, quoted); !ok {
@@ -455,7 +450,6 @@ func (s *Scanner) pathValue(b []byte, i int) (int, bool) {
 	k := bytes.IndexByte(b[i+1:min(len(b), i+2+maxCachedSpan)], ']')
 	j := i + 1 + k
 	if k >= 0 {
-		//tiresias:ignore hotpath (the compiler elides the copy in a map index by string(bytes))
 		c, ok = s.Cache.paths[string(b[i+1:j])]
 	}
 	if !ok {
@@ -464,7 +458,6 @@ func (s *Scanner) pathValue(b []byte, i int) (int, bool) {
 			return i, false
 		}
 		if k >= 0 && end != j {
-			//tiresias:ignore hotpath (the compiler elides the copy in a map index by string(bytes))
 			c, ok = s.Cache.paths[string(b[i+1:end])]
 		}
 		if j = end; !ok {

@@ -165,11 +165,11 @@ type pipeJob struct {
 // shard's worker.
 type pipeShard struct {
 	ch       chan pipeJob
-	enqueued atomic.Uint64 // records accepted into the queue
-	dropped  atomic.Uint64 // records evicted under DropOldest
-	rejected atomic.Uint64 // records refused under ErrorWhenFull
-	failed   atomic.Uint64 // records a worker feed rejected
-	lastErr  atomic.Value  // string: most recent worker feed error
+	enqueued atomic.Uint64          // records accepted into the queue
+	dropped  atomic.Uint64          // records evicted under DropOldest
+	rejected atomic.Uint64          // records refused under ErrorWhenFull
+	failed   atomic.Uint64          // records a worker feed rejected
+	lastErr  atomic.Pointer[string] // most recent worker feed error
 }
 
 // pipeline is the asynchronous ingestion layer of a Manager: one
@@ -252,7 +252,8 @@ func (p *pipeline) feed(sh *managerShard, ps *pipeShard, job pipeJob) {
 			if err == nil {
 				break
 			}
-			ps.lastErr.Store(err.Error())
+			msg := err.Error()
+			ps.lastErr.Store(&msg)
 			if errors.Is(err, ErrStreamQuarantined) || errors.Is(err, ErrStreamDropped) {
 				ps.failed.Add(uint64(len(recs) - n))
 				break
@@ -705,8 +706,8 @@ func (m *Manager) Stats() ManagerStats {
 				Rejected:   ps.rejected.Load(),
 				Failed:     ps.failed.Load(),
 			}
-			if e, ok := ps.lastErr.Load().(string); ok {
-				pstats.LastError = e
+			if e := ps.lastErr.Load(); e != nil {
+				pstats.LastError = *e
 			}
 			ss.Pipeline = &pstats
 			out.Enqueued += pstats.Enqueued
