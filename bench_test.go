@@ -173,8 +173,15 @@ func BenchmarkADAStep(b *testing.B) {
 // |refs|), not O(|tree|). Timing starts after 1600 such units, past
 // the point (≈1450 units at α = 0.4) where a quiet node's smoothed
 // state used to decay into the subnormal range and make every later
-// step pay a microcoded multiply per node.
+// step pay a microcoded multiply per node. It runs under the default
+// split rule and under EWMA, the one rule whose statistic a quiet node
+// must catch up on when it is next touched (ewmaThrough).
 func BenchmarkADAStepSparse(b *testing.B) {
+	b.Run("rule=LongTermHistory", func(b *testing.B) { benchADAStepSparse(b, algo.LongTermHistory) })
+	b.Run("rule=EWMA", func(b *testing.B) { benchADAStepSparse(b, algo.EWMARule) })
+}
+
+func benchADAStepSparse(b *testing.B, rule algo.SplitRule) {
 	const tops, mids, perMid, warm, quiet = 6, 20, 100, 48, 1600
 	tree := hierarchy.New()
 	leaves := make([]int, 0, tops*mids*perMid)
@@ -188,7 +195,7 @@ func BenchmarkADAStepSparse(b *testing.B) {
 	e, err := algo.NewADA(algo.Config{
 		Theta:         10,
 		WindowLen:     warm,
-		Rule:          algo.LongTermHistory,
+		Rule:          rule,
 		RefLevels:     2,
 		NewForecaster: algo.HoltWintersFactory(0.4, 0.05, 0.3, 24),
 		Tree:          tree,

@@ -98,9 +98,9 @@ func (t *Tiresias) snapshotState(withWindow bool) (*checkpoint.Snapshot, error) 
 // is authoritative; opts are applied on top and exist to re-attach
 // what a checkpoint cannot carry — Sinks, adjusted Thresholds, a
 // different MaxGap. Changing structural options (delta, window length,
-// increment) is rejected: they shape the serialized state itself, so
-// a detector with different structure must be built fresh with New
-// and re-warmed.
+// increment, split rule) is rejected: they shape the serialized state
+// itself, so a detector with different structure must be built fresh
+// with New and re-warmed.
 //
 // Invalid input — truncated, corrupted (per-section CRC), written by an
 // unknown format version, or holding a windowing state no detector
@@ -123,8 +123,8 @@ func restoreFromSnapshot(snap *checkpoint.Snapshot, opts ...Option) (*Tiresias, 
 	for _, op := range opts {
 		op.apply(&o)
 	}
-	if o.Delta != snap.Config.Delta || o.WindowLen != snap.Config.WindowLen || o.Increment != snap.Config.Increment {
-		return nil, errors.New("tiresias: Restore cannot change structural options (delta, window length, increment); build a fresh detector with New and re-warm instead")
+	if o.Delta != snap.Config.Delta || o.WindowLen != snap.Config.WindowLen || o.Increment != snap.Config.Increment || o.Rule != snap.Config.Rule {
+		return nil, errors.New("tiresias: Restore cannot change structural options (delta, window length, increment, split rule); build a fresh detector with New and re-warm instead")
 	}
 	if o.Delta <= 0 || o.WindowLen < 2 {
 		return nil, fmt.Errorf("%w: configuration (delta %v, window %d)", ErrBadCheckpoint, o.Delta, o.WindowLen)

@@ -151,16 +151,29 @@ func TestGoldenADACheckpoint(t *testing.T) {
 	sameReencoding(t, goldenRingsCkptPath, rings, golden)
 }
 
-// sameReencoding requires checkpoint.Read of an old-form file followed
-// by checkpoint.Write to give exactly the current golden bytes.
+// sameReencoding requires an old-form file, restored into a detector
+// and snapshotted again, to give exactly the current golden bytes: the
+// engine, not only the codec, must bring an old file to what a fresh
+// run writes. A stream file keeps its name and counters.
 func sameReencoding(t *testing.T, name string, old, golden []byte) {
 	t.Helper()
 	snap, err := checkpoint.Read(bytes.NewReader(old))
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
+	det, err := restoreFromSnapshot(snap)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	again, err := det.snapshotState(snap.Stream != nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ss := snap.Stream; ss != nil {
+		again.Stream.Name, again.Stream.Units, again.Stream.Anoms = ss.Name, ss.Units, ss.Anoms
+	}
 	var buf bytes.Buffer
-	if err := checkpoint.Write(&buf, snap); err != nil {
+	if err := checkpoint.Write(&buf, again); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), golden) {
@@ -396,6 +409,89 @@ func TestGoldenManagerCheckpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameAnomalies(t, "golden manager "+dir+" "+name, want[name], got)
+		}
+	}
+}
+
+// TestEwmaAOnlyUnderEWMARule: the engine keeps the EWMA split-rule
+// statistic only under the rule that reads it. Under every other rule
+// the exported EwmaA column is all zero after Init and steps, and after
+// restoring goldenRingsCkptPath, whose EwmaA is populated, and resuming
+// from it. Under EWMARule the same run exports a non-zero column.
+func TestEwmaAOnlyUnderEWMARule(t *testing.T) {
+	opts, part1, part2 := goldenWorkload(t)
+	rings, err := os.ReadFile(goldenRingsCkptPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ewmaA := func(det *Tiresias) []float64 {
+		t.Helper()
+		st, err := det.Engine().ExportState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.EwmaA
+	}
+	zero := func(what string, rule SplitRule, col []float64) {
+		t.Helper()
+		if i := slices.IndexFunc(col, func(v float64) bool { return v != 0 }); i >= 0 {
+			t.Errorf("%s: %s exports EwmaA[%d] = %v, want all zero", rule, what, i, col[i])
+		}
+	}
+	for _, rule := range []SplitRule{Uniform, LastTimeUnit, LongTermHistory, EWMARule} {
+		det, err := New(append(slices.Clip(opts), WithSplitRule(rule))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := det.Run(context.Background(), NewSliceSource(part1)); err != nil {
+			t.Fatal(err)
+		}
+		if rule == EWMARule {
+			if !slices.ContainsFunc(ewmaA(det), func(v float64) bool { return v != 0 }) {
+				t.Error("EWMA: the engine exports an all-zero EwmaA")
+			}
+			continue
+		}
+		zero("a fresh run", rule, ewmaA(det))
+
+		snap, err := checkpoint.Read(bytes.NewReader(rings))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.ContainsFunc(snap.Engine.EwmaA, func(v float64) bool { return v != 0 }) {
+			t.Fatalf("%s carries no EwmaA to ignore", goldenRingsCkptPath)
+		}
+		snap.Config.Rule = rule
+		restored, err := restoreFromSnapshot(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zero("a restore", rule, ewmaA(restored))
+		if _, err := restored.Run(context.Background(), NewSliceSource(part2)); err != nil {
+			t.Fatal(err)
+		}
+		zero("a resumed restore", rule, ewmaA(restored))
+	}
+}
+
+// TestRestoreRejectsSplitRuleChange: the split rule decides which
+// statistics the checkpoint carries, so Restore and
+// ManagerFromCheckpoint refuse a different rule and accept the one the
+// checkpoint was written with.
+func TestRestoreRejectsSplitRuleChange(t *testing.T) {
+	opts, _, _ := goldenWorkload(t)
+	golden, err := os.ReadFile(goldenCkptPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rule := range []SplitRule{Uniform, LastTimeUnit, LongTermHistory, EWMARule} {
+		_, err := Restore(bytes.NewReader(golden), WithSplitRule(rule))
+		if same := rule == LongTermHistory; (err == nil) != same {
+			t.Errorf("Restore with %s: error %v, want one only for a rule other than %s", rule, err, LongTermHistory)
+		}
+		_, err = ManagerFromCheckpoint(goldenManagerDir, WithDetectorOptions(append(slices.Clip(opts), WithSplitRule(rule))...))
+		if same := rule == LongTermHistory; (err == nil) != same {
+			t.Errorf("ManagerFromCheckpoint with %s: error %v, want one only for a rule other than %s", rule, err, LongTermHistory)
 		}
 	}
 }

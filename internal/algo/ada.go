@@ -227,10 +227,11 @@ func (a *ADA) Init(window []*DenseUnit) (*StepState, error) {
 	}
 
 	// Reference series for the top h levels (§V-B5, raw weights A_n)
-	// and split-rule statistics, seeded in one pass over the window.
+	// and split-rule statistics, seeded in one pass over the window;
+	// ewmaA only under the rule that reads it.
 	a.coverRefs(false)
 	var agg []float64
-	alpha := a.cfg.RuleAlpha
+	ewma, alpha := a.cfg.Rule == EWMARule, a.cfg.RuleAlpha
 	for _, u := range units {
 		agg = shhh.AggregateInto(a.tree, u.ids, u.vals, agg)
 		for i, id := range a.refIDs {
@@ -239,7 +240,9 @@ func (a *ADA) Init(window []*DenseUnit) (*StepState, error) {
 		for id, v := range agg {
 			a.prevA[id] = v
 			a.cumA[id] += v
-			a.ewmaA[id] = forecast.Flush(alpha*v + (1-alpha)*a.ewmaA[id])
+			if ewma {
+				a.ewmaA[id] = forecast.Flush(alpha*v + (1-alpha)*a.ewmaA[id])
+			}
 		}
 	}
 	for i, r := range a.refActual {
@@ -341,18 +344,25 @@ func (a *ADA) refit(ns *nodeSeries, vals []float64) {
 // the elapsed timeunit. A node outside both closures had and has zero
 // raw weight: its prevA and cumA are unchanged and its ewmaA only
 // decays, which ewmaThrough applies when the value is next read.
+// ewmaA is kept only under EWMARule, the one rule that reads it;
+// under the others it stays zero.
 //
 //tiresias:hotpath
 func (a *ADA) observeRuleStats() {
 	for _, id := range a.prevClosure {
 		a.prevA[id] = a.rawA[id] // zero unless touched again
 	}
-	alpha := a.cfg.RuleAlpha
 	for _, id := range a.closure {
 		v := a.rawA[id]
 		a.prevA[id] = v
 		a.cumA[id] += v
-		a.ewmaA[id] = forecast.Flush(alpha*v + (1-alpha)*a.ewmaThrough(int(id), a.instance-1))
+	}
+	if a.cfg.Rule != EWMARule {
+		return
+	}
+	alpha := a.cfg.RuleAlpha
+	for _, id := range a.closure {
+		a.ewmaA[id] = forecast.Flush(alpha*a.rawA[id] + (1-alpha)*a.ewmaThrough(int(id), a.instance-1))
 		a.ewmaAt[id] = a.instance
 	}
 }
@@ -365,6 +375,7 @@ func (a *ADA) observeRuleStats() {
 // at zero, which Flush makes reachable (about 1360 multiplies from 1 at
 // α = 0.4), so a node costs what its eager updates would have, at most
 // that many, when it is next touched — and nothing while it is quiet.
+// Only an EWMARule engine calls it.
 //
 //tiresias:hotpath
 func (a *ADA) ewmaThrough(id, instance int) float64 {

@@ -128,8 +128,10 @@ func (a *ADA) ExportState() (*EngineState, error) {
 	// the exported hierarchy.
 	a.grow()
 	n := a.tree.Len()
-	for id := 0; id < n; id++ {
-		a.ewmaThrough(id, a.instance)
+	if a.cfg.Rule == EWMARule {
+		for id := 0; id < n; id++ {
+			a.ewmaThrough(id, a.instance)
+		}
 	}
 	st := &EngineState{Kind: a.Name(), Instance: a.instance, RefCovered: a.refCovered}
 	a.export(st, n)
@@ -166,7 +168,8 @@ func (a *ADA) ExportState() (*EngineState, error) {
 // ImportState loads an exported state into a freshly constructed ADA
 // whose Config and hierarchy match the exporting engine, and returns
 // the rebuilt StepState of the last processed instance. The engine
-// must not have been Init-ed.
+// must not have been Init-ed. Under a rule other than EWMARule the
+// EwmaA column is ignored and loaded as zeros.
 func (a *ADA) ImportState(st *EngineState) (*StepState, error) {
 	if a.inited {
 		return nil, errState
@@ -188,6 +191,11 @@ func (a *ADA) ImportState(st *EngineState) (*StepState, error) {
 	a.instance = st.Instance
 	a.grow()
 	a.load(st)
+	if a.cfg.Rule != EWMARule {
+		// A file written before ewmaA was kept only for EWMARule may
+		// carry it; zeroed, the engine matches one that never kept it.
+		clear(a.ewmaA)
+	}
 	for _, ss := range st.Series {
 		if ss.ID < 0 || ss.ID >= n || a.state[ss.ID] != nil {
 			return nil, fmt.Errorf("algo: checkpoint Series ID %d duplicated or outside hierarchy of %d nodes", ss.ID, n)

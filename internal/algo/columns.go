@@ -12,9 +12,11 @@ type nodeCols struct {
 	ishh   []bool
 	weight []float64 // modified weight W_n of the current instance
 	rawA   []float64 // raw aggregated weight A_n of the current instance
-	// Split-rule statistics (X_n). ewmaA[id] is current through instance
-	// ewmaAt[id]; ewmaThrough applies the decay of the quiet instances
-	// since, when the value is read.
+	// Split-rule statistics (X_n). ewmaA is kept only under EWMARule,
+	// the one rule that reads it, and is all zero under the others.
+	// ewmaA[id] is current through instance ewmaAt[id]; ewmaThrough
+	// applies the decay of the quiet instances since, when the value is
+	// read.
 	prevA  []float64 // raw weight in the previous timeunit
 	cumA   []float64 // cumulative raw weight over all timeunits
 	ewmaA  []float64 // exponentially smoothed raw weight

@@ -236,11 +236,13 @@ func (a *oracleADA) putRing(r *series.Ring) {
 }
 
 // observeRuleStats updates X_n statistics with the node's raw weight
-// for the elapsed timeunit.
+// for the elapsed timeunit; ewmaA only under the rule that reads it.
 func (a *oracleADA) observeRuleStats(id int, rawA float64) {
 	a.prevA[id] = rawA
 	a.cumA[id] += rawA
-	a.ewmaA[id] = a.cfg.RuleAlpha*rawA + (1-a.cfg.RuleAlpha)*a.ewmaA[id]
+	if a.cfg.Rule == EWMARule {
+		a.ewmaA[id] = a.cfg.RuleAlpha*rawA + (1-a.cfg.RuleAlpha)*a.ewmaA[id]
+	}
 }
 
 // ruleX returns the split-rule weight X_n for a node.
@@ -369,11 +371,8 @@ func (a *oracleADA) stepDense(u *DenseUnit) (*StepState, error) {
 		a.refModel[id].Update(a.rawA[id])
 	}
 	a.maintainRefCoverage()
-	alpha := a.cfg.RuleAlpha
 	for id, v := range a.rawA {
-		a.prevA[id] = v
-		a.cumA[id] += v
-		a.ewmaA[id] = alpha*v + (1-alpha)*a.ewmaA[id]
+		a.observeRuleStats(id, v)
 	}
 	tSeries := now().Sub(start)
 

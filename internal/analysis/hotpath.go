@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -40,9 +41,11 @@ const hotpathDirective = "//tiresias:hotpath"
 //     concatenation; string↔[]byte/[]rune conversions, except
 //     string(b) of a byte slice used as a map index (not an assigned
 //     one), as a comparison operand or as a switch tag over constant
-//     cases, where gc copies nothing; map literals, make of a map or a
-//     channel; and append to a local slice that never reuses a backing
-//     array (append to fields, parameters, and locals that are
+//     cases, and a []byte(s) the compiler's diagnostics call a
+//     "zero-copy string->[]byte conversion" (read-only and not
+//     escaping), where gc copies nothing; map literals, make of a map
+//     or a channel; and append to a local slice that never reuses a
+//     backing array (append to fields, parameters, and locals that are
 //     re-sliced or made with capacity is allowed).
 //
 // The syntax rules are intraprocedural by design: annotate each
@@ -73,6 +76,7 @@ func runHotpath(pass *Pass) error {
 	// key.
 	hot := map[string][]hotRange{}
 	files := map[string]*token.File{}
+	var fds []*ast.FuncDecl
 	for _, f := range pass.Files {
 		tf := pass.Fset.File(f.Pos())
 		base := filepath.Base(tf.Name())
@@ -82,7 +86,7 @@ func runHotpath(pass *Pass) error {
 			if !ok || fd.Body == nil || !hasDirective(fd.Doc, hotpathDirective) {
 				continue
 			}
-			checkHotFunc(pass, fd)
+			fds = append(fds, fd)
 			hot[base] = append(hot[base], hotRange{
 				fn:    fd.Name.Name,
 				start: pass.Fset.Position(fd.Pos()).Line,
@@ -93,18 +97,30 @@ func runHotpath(pass *Pass) error {
 	if len(hot) == 0 {
 		return nil
 	}
-	return reportEscapes(pass, hot, files)
+	zeroCopy, err := reportEscapes(pass, hot, files)
+	if err != nil {
+		return err
+	}
+	for _, fd := range fds {
+		checkHotFunc(pass, fd, zeroCopy)
+	}
+	return nil
 }
 
 // escapeDiagRe matches one compiler diagnostic line:
 // path.go:line:col: message.
 var escapeDiagRe = regexp.MustCompile(`^(.*\.go):(\d+):(\d+): (\S.*)$`)
 
-// reportEscapes builds the package with escape diagnostics and reports
-// each heap escape that lands inside a hot range.
-func reportEscapes(pass *Pass, hot map[string][]hotRange, files map[string]*token.File) error {
+// zeroCopyMsg is the compiler's diagnostic for a []byte(s) it converts
+// without copying: the slice is only read and does not escape.
+const zeroCopyMsg = "zero-copy string->[]byte conversion"
+
+// reportEscapes builds the package with escape diagnostics, reports
+// each heap escape that lands inside a hot range, and returns the
+// positions of the zero-copy conversions the compiler names.
+func reportEscapes(pass *Pass, hot map[string][]hotRange, files map[string]*token.File) ([]token.Pos, error) {
 	if pass.Dir == "" {
-		return fmt.Errorf("package %s has no source directory", pass.Pkg.Path())
+		return nil, fmt.Errorf("package %s has no source directory", pass.Pkg.Path())
 	}
 	// The go tool resolves the module from the working directory, so
 	// run the build from inside the package itself. -m=2 output is part
@@ -113,9 +129,10 @@ func reportEscapes(pass *Pass, hot map[string][]hotRange, files map[string]*toke
 	cmd.Dir = pass.Dir
 	out, err := cmd.CombinedOutput()
 	if err != nil {
-		return fmt.Errorf("go build -gcflags=-m=2 in %s: %v\n%s", pass.Dir, err, out)
+		return nil, fmt.Errorf("go build -gcflags=-m=2 in %s: %v\n%s", pass.Dir, err, out)
 	}
 
+	var zeroCopy []token.Pos
 	seen := map[string]bool{}
 	sc := bufio.NewScanner(bytes.NewReader(out))
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -125,12 +142,16 @@ func reportEscapes(pass *Pass, hot map[string][]hotRange, files map[string]*toke
 			continue
 		}
 		msg := strings.TrimSuffix(m[4], ":")
-		if !strings.HasSuffix(msg, "escapes to heap") && !strings.HasPrefix(msg, "moved to heap") {
-			continue
-		}
 		base := filepath.Base(m[1])
 		line, _ := strconv.Atoi(m[2])
 		col, _ := strconv.Atoi(m[3])
+		if msg == zeroCopyMsg && files[base] != nil {
+			zeroCopy = append(zeroCopy, diagPos(files[base], line, col))
+			continue
+		}
+		if !strings.HasSuffix(msg, "escapes to heap") && !strings.HasPrefix(msg, "moved to heap") {
+			continue
+		}
 		var fn string
 		for _, r := range hot[base] {
 			if line >= r.start && line <= r.end {
@@ -150,7 +171,7 @@ func reportEscapes(pass *Pass, hot map[string][]hotRange, files map[string]*toke
 		seen[key] = true
 		pass.Reportf(diagPos(files[base], line, col), "hot path %s: %s (compiler escape analysis)", fn, msg)
 	}
-	return sc.Err()
+	return zeroCopy, sc.Err()
 }
 
 // diagPos resolves a compiler file/line/col diagnostic to a token.Pos
@@ -183,8 +204,9 @@ func hasDirective(doc *ast.CommentGroup, directive string) bool {
 // checkHotFunc applies the syntax rules to one annotated function
 // body. ast.Inspect visits a parent before its children, so a
 // comparison, map index or switch marks its string(b) operands
-// copy-free before the conversion itself is visited.
-func checkHotFunc(pass *Pass, fd *ast.FuncDecl) {
+// copy-free before the conversion itself is visited. zeroCopy holds
+// the positions of the compiler's zero-copy []byte(s) conversions.
+func checkHotFunc(pass *Pass, fd *ast.FuncDecl, zeroCopy []token.Pos) {
 	reusable := reusableSlices(pass, fd)
 	name := fd.Name.Name
 	assigned := map[ast.Expr]bool{}
@@ -228,10 +250,20 @@ func checkHotFunc(pass *Pass, fd *ast.FuncDecl) {
 				copyFree[x.Tag] = true
 			}
 		case *ast.CallExpr:
-			checkHotCall(pass, name, x, reusable, copyFree[x])
+			checkHotCall(pass, name, x, reusable, copyFree[x], zeroCopyAt(x, zeroCopy))
 		}
 		return true
 	})
+}
+
+// zeroCopyAt reports whether the compiler named a zero-copy conversion
+// inside call's one argument, where gc places a conversion's position.
+func zeroCopyAt(call *ast.CallExpr, zeroCopy []token.Pos) bool {
+	if len(call.Args) != 1 {
+		return false
+	}
+	arg := call.Args[0]
+	return slices.ContainsFunc(zeroCopy, func(p token.Pos) bool { return p >= arg.Pos() && p < arg.End() })
 }
 
 // constantCases reports whether every case expression of sw is a
@@ -249,8 +281,9 @@ func constantCases(pass *Pass, sw *ast.SwitchStmt) bool {
 
 // checkHotCall flags fmt calls, make of a map or channel, string
 // conversions, and un-preallocated appends. copyFree marks a call in a
-// position where gc converts string(b) without copying.
-func checkHotCall(pass *Pass, fn string, call *ast.CallExpr, reusable map[types.Object]bool, copyFree bool) {
+// position where gc converts string(b) without copying, zeroCopy a call
+// the compiler reports as a zero-copy []byte(s).
+func checkHotCall(pass *Pass, fn string, call *ast.CallExpr, reusable map[types.Object]bool, copyFree, zeroCopy bool) {
 	switch funExpr := call.Fun.(type) {
 	case *ast.Ident:
 		if !isBuiltin(pass, funExpr) {
@@ -283,10 +316,11 @@ func checkHotCall(pass *Pass, fn string, call *ast.CallExpr, reusable map[types.
 
 	// Conversions: string([]byte), []byte(string), []rune(string),
 	// string(rune-slice) all copy into a fresh allocation, except
-	// string(b) of a byte slice in a copy-free position.
+	// string(b) of a byte slice in a copy-free position and a zero-copy
+	// []byte(s).
 	if tv, ok := pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
 		to, from := tv.Type, pass.TypesInfo.Types[call.Args[0]].Type
-		if from == nil || copyFree && isString(to) && isSliceOf(from, types.Byte) {
+		if from == nil || copyFree && isString(to) && isSliceOf(from, types.Byte) || zeroCopy && isSliceOf(to, types.Byte) && isString(from) {
 			return
 		}
 		if isString(to) && isByteOrRuneSlice(from) || isByteOrRuneSlice(to) && isString(from) {

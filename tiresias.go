@@ -94,6 +94,8 @@ func WithThresholds(th Thresholds) Option {
 }
 
 // WithSplitRule selects ADA's split rule (default Long-Term-History).
+// The engine keeps only the statistic its rule reads, so the rule is
+// structural: Restore refuses to change it.
 func WithSplitRule(r SplitRule) Option {
 	return optionFunc(func(o *options) { o.Rule = r })
 }
