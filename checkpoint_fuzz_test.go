@@ -16,10 +16,10 @@ import (
 // engine states. The fuzz input picks the golden checkpoint
 // (goldenCkptPath) or its version-1 form (goldenV1CkptPath, whose
 // series carry full forecast rings), and its bytes are a list of edits
-// to the engine section, one opcode byte each followed by its argument
+// to the engine state, one opcode byte each followed by its argument
 // bytes: flip an InSHHH or Ishh entry, overwrite a float of a per-node
 // array, of a series' actual ring or a series' held forecast, drop a
-// series or a reference, move RefCovered or Instance. The edited
+// series or a reference, move RefCovered or the instance. The edited
 // snapshot is written with checkpoint.Write and read back by Restore,
 // which must either refuse it with ErrBadCheckpoint or return a
 // detector that runs the golden workload's second part without
@@ -54,7 +54,7 @@ func FuzzImportState(f *testing.F) {
 	f.Add(false, []byte{2, 1, 7, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f})    // RawA[7] = +Inf
 	f.Add(false, []byte{3, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f}) // a NaN in series 0's actual ring
 	f.Add(false, []byte{4, 0, 5, 1})                               // drop series 0 and reference 1
-	f.Add(false, []byte{6, 0xfe, 7, 0x80})                         // RefCovered -= 2, Instance -= 128
+	f.Add(false, []byte{6, 0xfe, 7, 0x80})                         // RefCovered -= 2, instance -= 128
 	f.Add(true, []byte{})
 	f.Add(true, []byte{8, 0, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f})                    // series 0's forecast = NaN
 	f.Add(false, []byte{8, 1, 0, 0, 0, 0, 0, 0, 0xf0, 0xff})                   // series 1's forecast = -Inf
@@ -119,8 +119,12 @@ func FuzzImportState(f *testing.F) {
 				}
 			case 6:
 				e.RefCovered += int(int8(next()))
-			case 7:
-				e.Instance += int(int8(next()))
+			case 7: // the instance, which the engine reads from DET.;
+				// the warm-up length moves the other way, so the
+				// detector clock, and the records it accepts, stay put.
+				d := int(int8(next()))
+				snap.Instance += d
+				snap.WarmLen -= d
 			case 8: // overwrite a series' held forecast
 				if len(e.Series) > 0 {
 					e.Series[next()%len(e.Series)].Forecast = float()

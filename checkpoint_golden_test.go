@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"flag"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -18,26 +19,39 @@ import (
 )
 
 var writeGoldenCkpt = flag.Bool("write-golden-ckpt", false,
-	"rewrite "+goldenCkptPath+"; only for a deliberate, versioned checkpoint format change")
+	"write "+goldenCkptPath+"; only for a deliberate, versioned checkpoint format change")
+
+// goldenDir holds the goldens of the format version Write emits, so
+// recording them after a version bump cannot overwrite the pins of an
+// older version.
+var goldenDir = fmt.Sprintf("testdata/v%d", checkpoint.Version)
 
 // goldenCkptPath is a small warm ADA checkpoint (window 16, a 3×2×2
 // hierarchy) committed so a format or engine change that stops old
 // checkpoints from restoring, or from resuming bit-identically, fails
 // here instead of in production.
-const goldenCkptPath = "testdata/v2/ada_w16.ckpt"
+var goldenCkptPath = goldenDir + "/ada_w16.ckpt"
 
 // goldenV1CkptPath is the same checkpoint in format version 1 (dense
 // float slices), kept byte for byte as the old-form reader's test: it
 // must restore, resume bit-identically, and re-encode to
-// goldenCkptPath.
+// goldenCkptPath. So must the other old forms in goldenOldCkptPaths.
 const goldenV1CkptPath = "testdata/ada_w16.ckpt"
 
 // goldenRingsCkptPath is the same checkpoint in format version 2 as
 // written while the engine kept each series' forecast as a ring of ℓ
-// samples, kept byte for byte: it must restore, resume bit-identically,
-// and re-encode to goldenCkptPath, whose forecast rings hold only the
-// newest sample.
+// samples.
 const goldenRingsCkptPath = "testdata/v2rings/ada_w16.ckpt"
+
+// goldenV2CkptPath is the same checkpoint as format version 2 last
+// wrote it: a one-sample forecast ring, an engine selector and kind,
+// the instance twice, a model per reference series and an empty
+// retained-window list.
+const goldenV2CkptPath = "testdata/v2/ada_w16.ckpt"
+
+// goldenOldCkptPaths lists the old forms of goldenCkptPath, oldest
+// first.
+var goldenOldCkptPaths = []string{goldenV1CkptPath, goldenRingsCkptPath, goldenV2CkptPath}
 
 // goldenSplitUnit is the timeunit boundary the golden checkpoint was
 // taken at: part one (units before it) was Run, then snapshotted.
@@ -83,8 +97,8 @@ func goldenWorkload(t testing.TB) (opts []Option, part1, part2 []Record) {
 // that (a) the current code writes the same bytes for the same input,
 // (b) the restored detector's next units detect exactly what an
 // uninterrupted run detects, from the golden and from each older form
-// of it (version 1, and version 2 with full forecast rings), and (c)
-// each older form re-encodes to the current golden.
+// of it (goldenOldCkptPaths), and (c) each older form re-encodes to the
+// current golden.
 func TestGoldenADACheckpoint(t *testing.T) {
 	opts, part1, part2 := goldenWorkload(t)
 	det, err := New(opts...)
@@ -99,6 +113,9 @@ func TestGoldenADACheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	if *writeGoldenCkpt {
+		if err := os.MkdirAll(goldenDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
 		if err := os.WriteFile(goldenCkptPath, fresh.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -128,27 +145,22 @@ func TestGoldenADACheckpoint(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("the uninterrupted run detects nothing after the split; the workload no longer exercises the restore")
 	}
-	v1, err := os.ReadFile(goldenV1CkptPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rings, err := os.ReadFile(goldenRingsCkptPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, file := range [][]byte{golden, v1, rings} {
-		restored, err := Restore(bytes.NewReader(file))
+	for _, path := range append([]string{goldenCkptPath}, goldenOldCkptPaths...) {
+		file, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
+		}
+		restored, err := Restore(bytes.NewReader(file))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
 		}
 		res, err := restored.Run(context.Background(), NewSliceSource(part2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameAnomalies(t, "golden resume", want, res.Anomalies)
+		sameAnomalies(t, "golden resume from "+path, want, res.Anomalies)
+		sameReencoding(t, path, file, golden)
 	}
-	sameReencoding(t, goldenV1CkptPath, v1, golden)
-	sameReencoding(t, goldenRingsCkptPath, rings, golden)
 }
 
 // sameReencoding requires an old-form file, restored into a detector
@@ -181,12 +193,13 @@ func sameReencoding(t *testing.T, name string, old, golden []byte) {
 	}
 }
 
-// TestRestoreRejectsNonADACheckpoints covers the engine selectors a
-// checkpoint can carry besides ADA's: a config-section selector other
-// than 1, an engine section of another kind, or one holding a retained
-// window.
+// TestRestoreRejectsNonADACheckpoints covers what a version-2 file
+// can carry besides ADA state, which only the old-form branches of the
+// decoder read: a config-section selector other than 1, an engine
+// section of another kind, one holding a retained window, and one
+// whose copy of the instance disagrees with the detector section's.
 func TestRestoreRejectsNonADACheckpoints(t *testing.T) {
-	golden, err := os.ReadFile(goldenCkptPath)
+	golden, err := os.ReadFile(goldenV2CkptPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,19 +220,23 @@ func TestRestoreRejectsNonADACheckpoints(t *testing.T) {
 	if !bytes.Equal(selector(1), golden) {
 		t.Fatal("splicing selector 1 changed the golden: the offset misses the selector")
 	}
-	snap, err := checkpoint.Read(bytes.NewReader(golden))
-	if err != nil {
-		t.Fatal(err)
+	// The engine section opens with the kind ("ADA", a length and
+	// three bytes) and the instance (a varint).
+	engine := func(kind string, dInstance int64) []byte {
+		return rewriteSection(t, golden, "ENG.", func(p []byte) []byte {
+			instance, n := binary.Varint(p[4:])
+			return slices.Concat([]byte{byte(len(kind))}, []byte(kind), binary.AppendVarint(nil, instance+dInstance), p[4+n:])
+		})
 	}
-	snap.Engine.Kind = "STA"
-	var sta bytes.Buffer
-	if err := checkpoint.Write(&sta, snap); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(engine("ADA", 0), golden) {
+		t.Fatal("splicing kind ADA changed the golden: the offset misses the kind")
 	}
 	for name, raw := range map[string][]byte{
-		"algorithm 2": selector(2),
-		"algorithm 0": selector(0),
-		"kind STA":    sta.Bytes(),
+		"algorithm 2":  selector(2),
+		"algorithm 0":  selector(0),
+		"kind STA":     engine("STA", 0),
+		"instance + 1": engine("ADA", 1),
+		"instance - 1": engine("ADA", -1),
 	} {
 		if _, err := Restore(bytes.NewReader(raw)); !errors.Is(err, ErrBadCheckpoint) {
 			t.Errorf("%s: Restore error %v, want ErrBadCheckpoint", name, err)
@@ -267,21 +284,18 @@ func rewriteSection(t *testing.T, raw []byte, tag string, edit func([]byte) []by
 }
 
 var writeGoldenManager = flag.Bool("write-golden-manager", false,
-	"rewrite "+goldenManagerDir+"; only for a deliberate, versioned checkpoint format change")
+	"write "+goldenManagerDir+"; only for a deliberate, versioned checkpoint format change")
 
 // goldenManagerDir holds a Manager checkpoint in the flat layout, one
 // <stream>.ckpt file per stream, written with window 16 over the golden
 // workload: stream "warming" mid-warm-up, stream "partial" warm with a
 // partial unit. It pins the stream-file bytes, STR. section included.
-const goldenManagerDir = "testdata/v2/manager_w16"
+var goldenManagerDir = goldenDir + "/manager_w16"
 
-// goldenV1ManagerDir is the same Manager checkpoint in format version
-// 1, kept byte for byte as the old-form reader's test.
-const goldenV1ManagerDir = "testdata/manager_w16"
-
-// goldenRingsManagerDir is the same Manager checkpoint in format
-// version 2 with full forecast rings (see goldenRingsCkptPath).
-const goldenRingsManagerDir = "testdata/v2rings/manager_w16"
+// goldenOldManagerDirs hold the same Manager checkpoint in the old
+// forms of goldenOldCkptPaths, in the same order, kept byte for byte
+// as the old-form reader's test.
+var goldenOldManagerDirs = []string{"testdata/manager_w16", "testdata/v2rings/manager_w16", "testdata/v2/manager_w16"}
 
 // goldenManagerFeed returns the golden Manager's detector options and
 // each stream's records before and after the checkpoint. Both cuts
@@ -313,10 +327,9 @@ func goldenManagerFeed(t *testing.T) (opts []Option, head, tail map[string][]Rec
 
 // TestGoldenManagerCheckpoint checks that (a) Manager.Checkpoint of the
 // golden feed writes the committed stream files byte for byte, (b) a
-// Manager restored from them, or from their older forms (version 1,
-// and version 2 with full forecast rings), detects exactly what an
-// uninterrupted one does, and (c) each older file re-encodes to its
-// current golden.
+// Manager restored from them, or from their older forms
+// (goldenOldManagerDirs), detects exactly what an uninterrupted one
+// does, and (c) each older file re-encodes to its current golden.
 func TestGoldenManagerCheckpoint(t *testing.T) {
 	opts, head, tail := goldenManagerFeed(t)
 	newMgr := func() *Manager {
@@ -368,7 +381,7 @@ func TestGoldenManagerCheckpoint(t *testing.T) {
 			t.Fatalf("stream %q: Checkpoint wrote %d bytes that differ from %s (%d bytes): the stream-file encoding changed",
 				snap.Stream.Name, len(fresh), golden, len(want))
 		}
-		for _, dir := range []string{goldenV1ManagerDir, goldenRingsManagerDir} {
+		for _, dir := range goldenOldManagerDirs {
 			old := filepath.Join(dir, filepath.Base(golden))
 			raw, err := os.ReadFile(old)
 			if err != nil {
@@ -395,7 +408,7 @@ func TestGoldenManagerCheckpoint(t *testing.T) {
 			t.Fatalf("stream %q: the uninterrupted Manager detects nothing after the cut; the workload no longer exercises the restore", name)
 		}
 	}
-	for _, dir := range []string{goldenManagerDir, goldenV1ManagerDir, goldenRingsManagerDir} {
+	for _, dir := range append([]string{goldenManagerDir}, goldenOldManagerDirs...) {
 		restored, err := ManagerFromCheckpoint(dir, WithDetectorOptions(opts...))
 		if err != nil {
 			t.Fatal(err)

@@ -106,7 +106,6 @@ type ADA struct {
 	// to its position.
 	refIDs     []int32
 	refActual  []*series.Ring
-	refModel   []forecast.Linear
 	refCovered int // tree size when reference coverage was last ensured
 
 	// members is memberSet's ascending listing as of the last snapshot.
@@ -168,9 +167,9 @@ func (a *ADA) grow() {
 
 // Init implements Engine: the first time instance performs the same
 // work as STA (lines 2-5 of Fig. 5), seeding series and models for the
-// initial SHHH set, the root, and the reference nodes. The window's IDs
-// must be interned into the engine's tree; Init reads the units' (ID,
-// count) pairs and keeps none of them.
+// initial SHHH set and the root, and series alone for the reference
+// nodes. The window's IDs must be interned into the engine's tree;
+// Init reads the units' (ID, count) pairs and keeps none of them.
 func (a *ADA) Init(window []*DenseUnit) (*StepState, error) {
 	if a.inited {
 		return nil, errState
@@ -244,15 +243,6 @@ func (a *ADA) Init(window []*DenseUnit) (*StepState, error) {
 				a.ewmaA[id] = forecast.Flush(alpha*v + (1-alpha)*a.ewmaA[id])
 			}
 		}
-	}
-	for i, r := range a.refActual {
-		vals := r.Values()
-		if len(vals) == 0 {
-			a.refModel[i] = a.cfg.NewForecaster(nil, nil)
-			continue
-		}
-		a.refModel[i] = a.cfg.NewForecaster(nil, vals[:len(vals)-1])
-		a.refModel[i].Update(vals[len(vals)-1])
 	}
 	a.indexState()
 	tSeries := now().Sub(start)
@@ -479,7 +469,6 @@ func (a *ADA) stepDense(u *DenseUnit) (*StepState, error) {
 	// Reference series and split-rule statistics.
 	for i, id := range a.refIDs {
 		a.refActual[i].Append(a.rawA[id])
-		a.refModel[i].Update(a.rawA[id])
 	}
 	if a.refCovered != a.tree.Len() {
 		a.coverRefs(true)
@@ -850,23 +839,19 @@ func (a *ADA) coverRefs(seed bool) {
 			continue
 		}
 		r := series.NewRing(a.cfg.WindowLen)
-		var m forecast.Linear
 		if seed {
 			r.Append(a.rawA[id])
-			m = a.cfg.NewForecaster(nil, nil)
-			m.Update(a.rawA[id])
 		}
-		a.addRef(id, r, m)
+		a.addRef(id, r)
 	}
 	a.refCovered = a.tree.Len()
 }
 
 // addRef appends a reference entry; callers add IDs in ascending order.
-func (a *ADA) addRef(id int, r *series.Ring, m forecast.Linear) {
+func (a *ADA) addRef(id int, r *series.Ring) {
 	a.refIdx[id] = int32(len(a.refIDs))
 	a.refIDs = append(a.refIDs, int32(id))
 	a.refActual = append(a.refActual, r)
-	a.refModel = append(a.refModel, m)
 }
 
 // snapshot assembles the StepState from the member list, reusing the

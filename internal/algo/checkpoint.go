@@ -78,8 +78,6 @@ type RefState struct {
 	ID int
 	// Ring holds the raw-weight reference series.
 	Ring RingState
-	// Model is the captured reference forecasting model.
-	Model forecast.State
 }
 
 // EngineState is the full dynamic state of an ADA engine, exported by
@@ -89,8 +87,6 @@ type RefState struct {
 // empty/cleared at every step boundary, so omitting them preserves
 // step-for-step equivalence.
 type EngineState struct {
-	// Kind is the engine name ("ADA").
-	Kind string
 	// Instance is the 0-based index of the last processed instance.
 	Instance int
 
@@ -133,7 +129,7 @@ func (a *ADA) ExportState() (*EngineState, error) {
 			a.ewmaThrough(id, a.instance)
 		}
 	}
-	st := &EngineState{Kind: a.Name(), Instance: a.instance, RefCovered: a.refCovered}
+	st := &EngineState{Instance: a.instance, RefCovered: a.refCovered}
 	a.export(st, n)
 	for id, ns := range a.state {
 		if ns == nil {
@@ -156,11 +152,7 @@ func (a *ADA) ExportState() (*EngineState, error) {
 		st.Series = append(st.Series, ss)
 	}
 	for i, id := range a.refIDs {
-		model, err := forecast.Capture(a.refModel[i])
-		if err != nil {
-			return nil, fmt.Errorf("algo: reference %d: %w", id, err)
-		}
-		st.Refs = append(st.Refs, RefState{ID: int(id), Ring: captureRing(a.refActual[i]), Model: model})
+		st.Refs = append(st.Refs, RefState{ID: int(id), Ring: captureRing(a.refActual[i])})
 	}
 	return st, nil
 }
@@ -173,9 +165,6 @@ func (a *ADA) ExportState() (*EngineState, error) {
 func (a *ADA) ImportState(st *EngineState) (*StepState, error) {
 	if a.inited {
 		return nil, errState
-	}
-	if st.Kind != a.Name() {
-		return nil, fmt.Errorf("algo: checkpoint Kind is %s, engine is %s", st.Kind, a.Name())
 	}
 	n := a.tree.Len()
 	if err := a.covers(st, n); err != nil {
@@ -227,11 +216,7 @@ func (a *ADA) ImportState(st *EngineState) (*StepState, error) {
 		if err != nil {
 			return nil, err
 		}
-		model, err := forecast.Restore(rs.Model)
-		if err != nil {
-			return nil, fmt.Errorf("algo: reference %d: %w", rs.ID, err)
-		}
-		a.addRef(rs.ID, ring, model)
+		a.addRef(rs.ID, ring)
 	}
 	a.indexState()
 	a.refCovered = st.RefCovered

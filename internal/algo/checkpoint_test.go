@@ -10,9 +10,9 @@ import (
 // branch, each in a state that is otherwise a valid export, and
 // requires an error naming the offending field: every exported
 // per-node column one node short, then each check on the rest of the
-// state. A state refused before the engine is touched (its kind,
-// instance, RefCovered or a column length) must leave the engine able
-// to import a valid one.
+// state. A state refused before the engine is touched (its instance,
+// RefCovered or a column length) must leave the engine able to import
+// a valid one.
 func TestImportStateRefusals(t *testing.T) {
 	cfg := Config{Theta: 6, WindowLen: 16, RefLevels: 1, Lambda: 2, Eta: 2}
 	ada, err := NewADA(cfg)
@@ -36,7 +36,6 @@ func TestImportStateRefusals(t *testing.T) {
 		untouched   bool
 	}
 	cases := []refusal{
-		{"wrong kind", "Kind", func(st *EngineState) { st.Kind = "STA" }, true},
 		{"negative instance", "Instance", func(st *EngineState) { st.Instance = -1 }, true},
 		{"RefCovered below 0", "RefCovered", func(st *EngineState) { st.RefCovered = -1 }, true},
 		{"RefCovered past the tree", "RefCovered", func(st *EngineState) { st.RefCovered = ada.Tree().Len() + 1 }, true},

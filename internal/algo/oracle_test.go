@@ -44,7 +44,6 @@ type oracleADA struct {
 
 	// Reference series for nodes in the top h levels (§V-B5).
 	refActual  map[int]*series.Ring
-	refModel   map[int]forecast.Linear
 	refCovered int // tree size when reference coverage was last ensured
 
 	// Reusable scratch and pools for the steady-state step.
@@ -65,7 +64,6 @@ func newOracleADA(cfg Config) (*oracleADA, error) {
 		cfg:       cfg,
 		tree:      cfg.Tree,
 		refActual: make(map[int]*series.Ring),
-		refModel:  make(map[int]forecast.Linear),
 	}, nil
 }
 
@@ -158,15 +156,6 @@ func (a *oracleADA) Init(window []*DenseUnit) (*StepState, error) {
 		for id := range agg {
 			a.observeRuleStats(id, agg[id])
 		}
-	}
-	for id, r := range a.refActual {
-		vals := r.Values()
-		if len(vals) == 0 {
-			a.refModel[id] = a.cfg.NewForecaster(nil, nil)
-			continue
-		}
-		a.refModel[id] = a.cfg.NewForecaster(nil, vals[:len(vals)-1])
-		a.refModel[id].Update(vals[len(vals)-1])
 	}
 	a.refCovered = a.tree.Len()
 	tSeries := now().Sub(start)
@@ -368,7 +357,6 @@ func (a *oracleADA) stepDense(u *DenseUnit) (*StepState, error) {
 	// Reference series and split-rule statistics.
 	for id, r := range a.refActual {
 		r.Append(a.rawA[id])
-		a.refModel[id].Update(a.rawA[id])
 	}
 	a.maintainRefCoverage()
 	for id, v := range a.rawA {
@@ -621,8 +609,6 @@ func (a *oracleADA) maintainRefCoverage() {
 			r := series.NewRing(a.cfg.WindowLen)
 			r.Append(a.rawA[n])
 			a.refActual[n] = r
-			a.refModel[n] = a.cfg.NewForecaster(nil, nil)
-			a.refModel[n].Update(a.rawA[n])
 		}
 	}
 	a.refCovered = a.tree.Len()
@@ -679,7 +665,7 @@ func (a *oracleADA) ExportState() (*EngineState, error) {
 			a.memberSet.add(int32(id))
 		}
 	}
-	st := &EngineState{Kind: "ADA", Instance: a.instance, RefCovered: a.refCovered}
+	st := &EngineState{Instance: a.instance, RefCovered: a.refCovered}
 	a.export(st, n)
 	for id, ns := range a.state {
 		if ns == nil {
@@ -707,11 +693,7 @@ func (a *oracleADA) ExportState() (*EngineState, error) {
 	}
 	sort.Ints(ids)
 	for _, id := range ids {
-		model, err := forecast.Capture(a.refModel[id])
-		if err != nil {
-			return nil, fmt.Errorf("algo: reference %d: %w", id, err)
-		}
-		st.Refs = append(st.Refs, RefState{ID: id, Ring: captureRing(a.refActual[id]), Model: model})
+		st.Refs = append(st.Refs, RefState{ID: id, Ring: captureRing(a.refActual[id])})
 	}
 	return st, nil
 }
@@ -887,7 +869,7 @@ func diffExport(eng *ADA, ora *oracleADA) error {
 	}
 	for i, gr := range g.Refs {
 		or := o.Refs[i]
-		if gr.ID != or.ID || !sameFloats(gr.Ring.Values, or.Ring.Values) || !sameModel(gr.Model, or.Model) {
+		if gr.ID != or.ID || !sameFloats(gr.Ring.Values, or.Ring.Values) {
 			return fmt.Errorf("reference %d (node %d, oracle node %d) differs", i, gr.ID, or.ID)
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"tiresias/internal/forecast"
 	"tiresias/internal/hierarchy"
 )
 
@@ -185,8 +184,8 @@ func BenchmarkADAStepGrowingTree(b *testing.B) {
 // stuck-denormal decay: after every leaf has carried traffic, thousands
 // of units that touch only a few of them must leave no subnormal value
 // anywhere in the engine's state. Before Flush, a quiet node's
-// smoothed statistics and the reference models above it decayed to
-// 4.9e-324 and stayed there.
+// smoothed statistics decayed to 4.9e-324 and stayed there; a quiet
+// model's own decay is pinned by forecast.TestQuietModelsFlushToZero.
 func TestADAQuietStateHoldsNoSubnormals(t *testing.T) {
 	tree := hierarchy.New()
 	leaves := wideTree(tree, 4, 6, 12)
@@ -240,21 +239,11 @@ func TestADAQuietStateHoldsNoSubnormals(t *testing.T) {
 	check("PrevA", st.PrevA)
 	check("CumA", st.CumA)
 	check("EwmaA", st.EwmaA)
+	if len(st.Series) == 0 {
+		t.Fatal("no series; the model check is vacuous")
+	}
 	for _, ss := range st.Series {
 		check(fmt.Sprintf("series model of node %d", ss.ID), ss.Model.Floats)
-	}
-	if len(st.Refs) == 0 {
-		t.Fatal("no reference series; the check is vacuous")
-	}
-	quietHW := 0
-	for _, rs := range st.Refs {
-		check(fmt.Sprintf("reference model of node %d", rs.ID), rs.Model.Floats)
-		if rs.Model.Kind == forecast.KindHoltWinters && rs.Ring.Values[len(rs.Ring.Values)-1] == 0 {
-			quietHW++
-		}
-	}
-	if quietHW == 0 {
-		t.Fatal("no quiet Holt-Winters reference model; the check is vacuous")
 	}
 }
 

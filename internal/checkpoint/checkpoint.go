@@ -21,8 +21,8 @@
 // without a version bump. CFG., TRE. and DET. must precede ENG. and
 // TRE. must precede STR.: they bound what the later sections decode.
 // Integers are varints, single floats little-endian IEEE-754 bits.
-// Float slices are run-coded (version 2): a uvarint length, then runs
-// of
+// Float slices are run-coded (since version 2): a uvarint length, then
+// runs of
 //
 //	uvarint zeros | uvarint k | k × float64 bits
 //
@@ -32,11 +32,11 @@
 // heavy-hitter set — so a checkpoint scales with live state, and float
 // state still round-trips bit-exactly, which is what makes a restored
 // detector emit anomalies identical to one that never restarted.
-// Version 1 wrote every float slice densely; Read still accepts it.
-// Every decoding failure — truncation, a flipped byte (caught by the
-// per-section CRC32), an unknown version, a float slice longer than
-// the structure it mirrors — is reported as an error wrapping
-// ErrBadCheckpoint.
+// Write emits only Version; Read also upgrades versions 1 and 2 (see
+// Version). Every decoding failure — truncation, a flipped byte
+// (caught by the per-section CRC32), an unknown version, a float slice
+// longer than the structure it mirrors — is reported as an error
+// wrapping ErrBadCheckpoint.
 package checkpoint
 
 import (
@@ -58,9 +58,14 @@ import (
 const magic = "TIRESCKP"
 
 // Version is the checkpoint format version Write emits. Read also
-// accepts version 1, which differs only in writing float slices
-// densely, and rejects any other version with ErrBadCheckpoint.
-const Version = 2
+// accepts versions 1 and 2, whose extra fields no step reads: CFG.'s
+// engine selector, ENG.'s kind, its copy of DET.'s instance, a model
+// per reference series and an empty retained-window list, and each
+// held forecast as a one-sample ring (version 1 also wrote float
+// slices densely). Their branch of the one decoder checks each such
+// field as their readers did and drops it, so an old file re-encodes
+// to what a fresh run writes. Any other version is ErrBadCheckpoint.
+const Version = 3
 
 // Section tags.
 const (
@@ -222,11 +227,10 @@ func Read(r io.Reader) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: truncated version", ErrBadCheckpoint)
 	}
-	if version != 1 && version != Version {
+	if version < 1 || version > Version {
 		return nil, fmt.Errorf("%w: format version %d, this build reads versions 1 to %d",
 			ErrBadCheckpoint, version, Version)
 	}
-	runs := version >= 2
 	snap := &Snapshot{}
 	seen := map[string]bool{}
 	for {
@@ -246,7 +250,7 @@ func Read(r io.Reader) (*Snapshot, error) {
 		seen[tag] = true
 		switch tag {
 		case tagConfig:
-			err = decodeConfig(buf, &snap.Config)
+			err = decodeConfig(buf, version, &snap.Config)
 		case tagTree:
 			snap.Tree, err = decodeTree(buf)
 		case tagDetector:
@@ -255,12 +259,12 @@ func Read(r io.Reader) (*Snapshot, error) {
 			if !seen[tagConfig] || !seen[tagTree] || !seen[tagDetector] {
 				return nil, fmt.Errorf("%w: engine section before configuration, hierarchy or detector", ErrBadCheckpoint)
 			}
-			snap.Engine, err = decodeEngine(buf, runs, engineBoundsOf(snap))
+			snap.Engine, err = decodeEngine(buf, version, snap)
 		case tagStream:
 			if !seen[tagTree] {
 				return nil, fmt.Errorf("%w: stream section before hierarchy", ErrBadCheckpoint)
 			}
-			snap.Stream, err = decodeStream(buf, runs, snap.Tree)
+			snap.Stream, err = decodeStream(buf, version >= 2, snap.Tree)
 		default:
 			// Unknown section from a future writer of the same
 			// version: skippable by construction (framing carries the
@@ -292,10 +296,6 @@ func readUvarint(s *byteScanner) (uint64, error) {
 
 // --- Config section ---
 
-// engineADA is the engine selector the config section carries: ADA,
-// the only engine a detector runs. Any other value is refused.
-const engineADA = 1
-
 func encodeConfig(c *Config) *payload {
 	p := &payload{}
 	p.putVarint(int64(c.Delta))
@@ -304,7 +304,6 @@ func encodeConfig(c *Config) *payload {
 	p.putF64(c.Theta)
 	p.putF64(c.Thresholds.RT)
 	p.putF64(c.Thresholds.DT)
-	p.putInt(engineADA)
 	p.putInt(int(c.Rule))
 	p.putF64(c.RuleAlpha)
 	p.putInt(c.RefLevels)
@@ -320,7 +319,7 @@ func encodeConfig(c *Config) *payload {
 	return p
 }
 
-func decodeConfig(buf []byte, c *Config) error {
+func decodeConfig(buf []byte, version uint64, c *Config) error {
 	r := &reader{buf: buf}
 	c.Delta = time.Duration(r.getVarint())
 	c.Increment = time.Duration(r.getVarint())
@@ -328,8 +327,11 @@ func decodeConfig(buf []byte, c *Config) error {
 	c.Theta = r.getF64()
 	c.Thresholds.RT = r.getF64()
 	c.Thresholds.DT = r.getF64()
-	if sel := r.getInt(); sel != engineADA {
-		r.fail("engine selector %d (only ADA, %d, restores)", sel, engineADA)
+	if version < 3 {
+		// The engine selector, from when STA had checkpoints.
+		if sel := r.getInt(); sel != 1 {
+			r.fail("engine selector %d (only ADA, 1, restores)", sel)
+		}
 	}
 	c.Rule = algo.SplitRule(r.getInt())
 	c.RuleAlpha = r.getF64()
@@ -479,10 +481,10 @@ func getMulti(r *reader, b engineBounds) *series.MultiScaleState {
 	return ms
 }
 
+// encodeEngine writes the engine state but its instance, which is the
+// detector section's.
 func encodeEngine(e *algo.EngineState) *payload {
 	p := &payload{}
-	p.putString(e.Kind)
-	p.putInt(e.Instance)
 	flags, floats := e.Columns()
 	for _, col := range flags {
 		p.putBools(*col)
@@ -494,9 +496,7 @@ func encodeEngine(e *algo.EngineState) *payload {
 	for _, ss := range e.Series {
 		p.putInt(ss.ID)
 		putRing(p, ss.Actual)
-		// The forecast ring holds one sample, the held forecast, at the
-		// actual ring's capacity ℓ, which older builds check it against.
-		putRing(p, algo.RingState{Cap: ss.Actual.Cap, Values: []float64{ss.Forecast}})
+		p.putF64(ss.Forecast)
 		putModel(p, ss.Model)
 		putMulti(p, ss.Multi)
 	}
@@ -504,12 +504,8 @@ func encodeEngine(e *algo.EngineState) *payload {
 	for _, rs := range e.Refs {
 		p.putInt(rs.ID)
 		putRing(p, rs.Ring)
-		putModel(p, rs.Model)
 	}
 	p.putInt(e.RefCovered)
-	// The retained-window list once held STA state; it stays in the
-	// format, always empty, so ADA checkpoints keep their bytes.
-	p.putLen(0)
 	return p
 }
 
@@ -545,11 +541,21 @@ func engineBoundsOf(s *Snapshot) engineBounds {
 	}
 }
 
-func decodeEngine(buf []byte, runs bool, b engineBounds) (*algo.EngineState, error) {
-	r := &reader{buf: buf, runs: runs}
-	e := &algo.EngineState{}
-	e.Kind = r.getString()
-	e.Instance = r.getInt()
+// decodeEngine reads the engine section against the sections before
+// it; see Version for what the old-form branches check and drop.
+func decodeEngine(buf []byte, version uint64, s *Snapshot) (*algo.EngineState, error) {
+	r := &reader{buf: buf, runs: version >= 2}
+	b := engineBoundsOf(s)
+	e := &algo.EngineState{Instance: s.Instance}
+	old := version < 3
+	if old {
+		if kind := r.getString(); kind != "ADA" {
+			r.fail("engine kind %q; only ADA state restores", kind)
+		}
+		if inst := r.getInt(); inst != s.Instance {
+			r.fail("engine instance %d, detector instance %d", inst, s.Instance)
+		}
+	}
 	flags, floats := e.Columns()
 	for _, col := range flags {
 		*col = r.getBools()
@@ -561,9 +567,11 @@ func decodeEngine(buf []byte, runs bool, b engineBounds) (*algo.EngineState, err
 	for i := 0; i < n && r.err == nil; i++ {
 		ss := algo.SeriesState{ID: r.getInt()}
 		ss.Actual = getRing(r, b)
-		// Of a forecast ring only the newest sample is state (an
-		// empty ring holds a zero forecast); its capacity is not read.
-		if fc := getRing(r, b).Values; len(fc) > 0 {
+		if !old {
+			ss.Forecast = r.getF64()
+		} else if fc := getRing(r, b).Values; len(fc) > 0 {
+			// An old forecast ring: its newest sample is the held
+			// forecast (zero when empty), its capacity is not read.
 			ss.Forecast = fc[len(fc)-1]
 		}
 		ss.Model = getModel(r, b)
@@ -574,12 +582,19 @@ func decodeEngine(buf []byte, runs bool, b engineBounds) (*algo.EngineState, err
 	for i := 0; i < n && r.err == nil; i++ {
 		rs := algo.RefState{ID: r.getInt()}
 		rs.Ring = getRing(r, b)
-		rs.Model = getModel(r, b)
+		if old {
+			// A model of the reference series, which no step reads.
+			if _, err := forecast.Restore(getModel(r, b)); err != nil {
+				r.fail("reference %d: %v", rs.ID, err)
+			}
+		}
 		e.Refs = append(e.Refs, rs)
 	}
 	e.RefCovered = r.getInt()
-	if n := r.getLen(); n != 0 {
-		r.fail("engine section holds a %d-unit retained window (STA state); only ADA state restores", n)
+	if old {
+		if n := r.getLen(); n != 0 {
+			r.fail("engine section holds a %d-unit retained window (STA state); only ADA state restores", n)
+		}
 	}
 	if err := r.done(tagEngine); err != nil {
 		return nil, err

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -229,23 +230,82 @@ func TestStreamSectionRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEngineSectionRejectsRetainedWindow: the engine section's trailing
-// retained-window list (once STA state) is written empty, and a
-// non-empty one is refused rather than silently dropped.
+// TestEngineSectionRejectsRetainedWindow: versions 1 and 2 close the
+// engine section with a retained-window list (once STA state) that was
+// always written empty, and their branch of the decoder refuses a
+// non-empty one rather than silently dropping it.
 func TestEngineSectionRejectsRetainedWindow(t *testing.T) {
-	p := encodeEngine(&algo.EngineState{Kind: "ADA"})
-	if last := p.buf[len(p.buf)-1]; last != 0 {
-		t.Fatalf("engine section ends in %#x, want an empty window (0)", last)
+	snap := coldSnapshot()
+	// An empty version-2 engine section: kind, instance, the exported
+	// columns, no series, no references, RefCovered, then the list.
+	p := &payload{}
+	p.putString("ADA")
+	p.putInt(snap.Instance)
+	flags, floats := (&algo.EngineState{}).Columns()
+	for range flags {
+		p.putBools(nil)
 	}
-	if _, err := decodeEngine(p.buf, true, engineBounds{}); err != nil {
+	for range floats {
+		p.putFloats(nil)
+	}
+	p.putLen(0)
+	p.putLen(0)
+	p.putInt(0)
+	if _, err := decodeEngine(append(p.buf, 0), 2, snap); err != nil {
 		t.Fatalf("empty window: %v", err)
 	}
-	p.buf = p.buf[:len(p.buf)-1]
 	p.putLen(1)
 	p.putInt32s([]int32{0})
 	p.putFloats([]float64{2})
-	if _, err := decodeEngine(p.buf, true, engineBounds{}); !errors.Is(err, ErrBadCheckpoint) {
+	if _, err := decodeEngine(p.buf, 2, snap); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("one-unit window: err = %v, want ErrBadCheckpoint", err)
+	}
+}
+
+// TestEngineSectionHoldsOnlyReadState: a version-3 engine section is
+// the exported columns, the series, each reference as its ID and ring
+// alone, and RefCovered. No engine kind or instance precedes the
+// columns, no model follows a reference ring, and no retained-window
+// list closes the section.
+func TestEngineSectionHoldsOnlyReadState(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", fmt.Sprintf("v%d", Version), "ada_w16.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := Read(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := snap.Engine
+	if len(e.Series) == 0 || len(e.Refs) == 0 {
+		t.Fatalf("%d series, %d references: the check is vacuous", len(e.Series), len(e.Refs))
+	}
+	got := encodeEngine(e).buf
+
+	var cols, refs, tail payload
+	flags, floats := e.Columns()
+	for _, col := range flags {
+		cols.putBools(*col)
+	}
+	for _, col := range floats {
+		cols.putFloats(*col)
+	}
+	refs.putLen(len(e.Refs))
+	for _, rs := range e.Refs {
+		refs.putInt(rs.ID)
+		putRing(&refs, rs.Ring)
+	}
+	tail.putInt(e.RefCovered)
+	// The series, from the same section with no reference.
+	noRefs := *e
+	noRefs.Refs = nil
+	series := encodeEngine(&noRefs).buf
+	if !bytes.HasPrefix(series, cols.buf) {
+		t.Fatal("the engine section does not open with its columns")
+	}
+	series = series[len(cols.buf) : len(series)-1-len(tail.buf)]
+	if want := slices.Concat(cols.buf, series, refs.buf, tail.buf); !bytes.Equal(got, want) {
+		t.Fatalf("engine section of %d bytes, want the %d of columns, series, (ID, ring) references and RefCovered", len(got), len(want))
 	}
 }
 
@@ -253,9 +313,9 @@ func TestEngineSectionRejectsRetainedWindow(t *testing.T) {
 // checkpoint zeroRunBomb builds.
 var zeroRunBombSeed = filepath.Join("testdata", "fuzz", "FuzzCheckpointRead", "zero-run-bomb")
 
-// zeroRunBomb returns a version-2 checkpoint whose engine section, a
-// few bytes long, claims a 2^28-float zero run for the per-node
-// weights of a five-node hierarchy.
+// zeroRunBomb returns a checkpoint whose engine section, a few bytes
+// long, claims a 2^28-float zero run for the per-node weights of a
+// five-node hierarchy.
 func zeroRunBomb(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -264,8 +324,6 @@ func zeroRunBomb(t *testing.T) []byte {
 	}
 	raw := buf.Bytes()
 	eng := &payload{}
-	eng.putString("ADA")
-	eng.putInt(0)
 	eng.putBools(nil)
 	eng.putBools(nil)
 	eng.putUvarint(1 << 28) // Weight: 2^28 floats,
@@ -324,7 +382,7 @@ func TestEngineSectionNeedsItsBounds(t *testing.T) {
 	}{
 		{tagConfig, encodeConfig(&snap.Config)},
 		{tagTree, encodeTree(snap.Tree)},
-		{tagEngine, encodeEngine(&algo.EngineState{Kind: "ADA"})},
+		{tagEngine, encodeEngine(&algo.EngineState{})},
 		{tagDetector, encodeDetector(snap)},
 		{tagEnd, &payload{}},
 	} {

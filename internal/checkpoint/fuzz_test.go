@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -13,13 +14,25 @@ import (
 
 // goldens are the committed checkpoint files (written by the root
 // package's golden tests): an ADA detector and two Manager stream
-// files, one mid-warm-up and one mid-unit. Each current-format file
-// has two older forms: version 1, and version 2 as written while every
-// series kept a forecast ring of ℓ samples (rings).
-var goldens = []struct{ v1, rings, current string }{
-	{"ada_w16.ckpt", filepath.Join("v2rings", "ada_w16.ckpt"), filepath.Join("v2", "ada_w16.ckpt")},
-	{filepath.Join("manager_w16", "warming.ckpt"), filepath.Join("v2rings", "manager_w16", "warming.ckpt"), filepath.Join("v2", "manager_w16", "warming.ckpt")},
-	{filepath.Join("manager_w16", "partial.ckpt"), filepath.Join("v2rings", "manager_w16", "partial.ckpt"), filepath.Join("v2", "manager_w16", "partial.ckpt")},
+// files, one mid-warm-up and one mid-unit, each in the current format
+// and in the old forms the decoder upgrades, oldest first: version 1,
+// version 2 as written while every series kept a forecast ring of ℓ
+// samples, and version 2 as last written.
+var goldens = func() (out []golden) {
+	for _, name := range []string{"ada_w16.ckpt", filepath.Join("manager_w16", "warming.ckpt"), filepath.Join("manager_w16", "partial.ckpt")} {
+		out = append(out, golden{
+			current: filepath.Join(fmt.Sprintf("v%d", Version), name),
+			old:     []string{name, filepath.Join("v2rings", name), filepath.Join("v2", name)},
+		})
+	}
+	return out
+}()
+
+// golden is one committed checkpoint: its current-format file and its
+// old forms, each a path under the repository's testdata.
+type golden struct {
+	current string
+	old     []string
 }
 
 // reencode writes snap and reads the bytes back, failing the test when
@@ -48,24 +61,24 @@ func readGolden(f *testing.F, name string) []byte {
 // FuzzCheckpointRead holds the decoder to its contract on arbitrary
 // bytes: Read never panics, and whatever it accepts re-encodes to bytes
 // that Read accepts again and that re-encode identically. Only the
-// first pass may normalize: version-1 files, unknown sections,
-// non-canonical varints, and a series' forecast ring, which keeps only
-// its newest sample (zero for an empty ring) at the capacity of the
-// series' actual ring. The seeds are the committed goldens in all
-// their forms: a current file must round-trip byte for byte, and its
-// version-1 and full-forecast-ring forms must re-encode to it once
-// their EwmaA column is zeroed, as an engine whose split rule is not
-// EWMA loads it (the goldens run Long-Term-History).
+// first pass may normalize: an old format version, unknown sections,
+// non-canonical varints, and a version-1 or -2 series' forecast ring,
+// which keeps only its newest sample (zero for an empty ring). The
+// seeds are the committed goldens of every version: a current file
+// must round-trip byte for byte, and each old form must re-encode to
+// it once its EwmaA column is zeroed, as an engine whose split rule is
+// not EWMA loads it (the goldens run Long-Term-History).
 func FuzzCheckpointRead(f *testing.F) {
 	current := make([][]byte, len(goldens))
 	for i, g := range goldens {
 		current[i] = readGolden(f, g.current)
-		f.Add(readGolden(f, g.v1))
-		f.Add(readGolden(f, g.rings))
+		for _, name := range g.old {
+			f.Add(readGolden(f, name))
+		}
 	}
 	for i, g := range goldens {
 		f.Add(current[i])
-		for _, name := range []string{g.v1, g.rings, g.current} {
+		for _, name := range append(g.old, g.current) {
 			snap, err := Read(bytes.NewReader(readGolden(f, name)))
 			if err != nil {
 				f.Fatalf("golden %s: %v", name, err)

@@ -539,3 +539,64 @@ func TestInPlaceMatchesFreshConstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestQuietModelsFlushToZero is the regression test for the
+// stuck-denormal decay: a model primed on traffic and then fed zeros
+// must never hold a subnormal value, and must come to rest. Without
+// Flush a decaying float (EWMA's forecast, a Holt-Winters trend)
+// reaches 4.9e-324 and stays there (0.6 × 4.9e-324 rounds back to
+// 4.9e-324), and every later update takes a microcoded multiply.
+//
+// Holt-Winters at rest is not all zero: under zero input every state
+// with level c, trend 0 and each seasonal slot −c (for two seasons,
+// slots summing to −c) is a fixed point, and a primed model settles on
+// one. So the test requires the trend, which decays as (1−β)^n, to be
+// exactly zero, EWMA's forecast too, and one full seasonal cycle of
+// zeros to leave the state bit for bit unchanged.
+func TestQuietModelsFlushToZero(t *testing.T) {
+	history := make([]float64, 48)
+	for i := range history {
+		history[i] = float64(20 + 7*(i%4) + 3*(i%12))
+	}
+	hw, err := NewHoltWinters(0.4, 0.05, 0.3, 4, history)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dual, err := NewDualSeason(0.4, 0.05, 0.3, 0.76, 4, 12, history)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// (1−β)^n passes under 2^-1022 near n = 13,800 for β = 0.05.
+	const quiet, cycle = 16000, 12
+	for _, c := range []struct {
+		m Linear
+		// decaying is the index in Capture's Floats of the float that
+		// must reach zero: EWMA's forecast, the models' trend.
+		decaying int
+	}{{NewEWMA(0.4, history...), 1}, {hw, 4}, {dual, 5}} {
+		var st State
+		for unit := range quiet + cycle {
+			if unit == quiet {
+				st, _ = Capture(c.m)
+			}
+			c.m.Update(0)
+			got, err := Capture(c.m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range got.Floats {
+				if v != 0 && math.Abs(v) < 0x1p-1022 {
+					t.Fatalf("%s, quiet unit %d: state float %d = %g is subnormal", got.Kind, unit, i, v)
+				}
+			}
+		}
+		end, _ := Capture(c.m)
+		if v := end.Floats[c.decaying]; v != 0 {
+			t.Errorf("%s: state float %d = %g after %d quiet units, want 0", end.Kind, c.decaying, v, quiet)
+		}
+		if !slices.Equal(st.Ints, end.Ints) || !slices.EqualFunc(st.Floats, end.Floats, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Errorf("%s: %d more quiet units moved the state %v to %v", end.Kind, cycle, st.Floats, end.Floats)
+		}
+		t.Logf("%s at rest: %v", end.Kind, end.Floats)
+	}
+}
