@@ -40,6 +40,9 @@
 //	curl -X POST localhost:8080/v2/checkpoint   # on-demand snapshot
 //	tiresias-serve -checkpoint-dir /var/lib/tiresias -restore
 //
+// A restored stream keeps its checkpointed θ, thresholds and gap
+// bound unless -theta, -rt/-dt or -max-gap is given.
+//
 // Zero-downtime handoff chains the two: the outgoing process runs
 // with -handoff, and on SIGTERM it drains the pipeline, writes a
 // final checkpoint, and commits a HANDOFF-READY marker into the
@@ -266,10 +269,7 @@ func buildServer(args []string) (*proc, error) {
 	cfg := httpserve.Config{
 		Delta:         *delta,
 		WindowLen:     *window,
-		Theta:         *theta,
-		Thresholds:    tiresias.Thresholds{RT: *rt, DT: *dt},
 		Shards:        *shards,
-		MaxGap:        *maxGap,
 		QueueDepth:    *queue,
 		Backpressure:  bp,
 		IndexCap:      *indexCap,
@@ -279,8 +279,22 @@ func buildServer(args []string) (*proc, error) {
 		Restore:       *restore,
 		Logger:        logger,
 	}
-	if *maxGap <= 0 {
-		cfg.MaxGap = -1 // httpserve: negative disables the bound
+	// θ, the thresholds and the gap bound are set only from flags
+	// given on the command line, so -restore keeps the checkpointed
+	// values the others would override.
+	given := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	if given["theta"] {
+		cfg.Theta = *theta
+	}
+	if given["rt"] || given["dt"] {
+		cfg.Thresholds = tiresias.Thresholds{RT: *rt, DT: *dt}
+	}
+	if given["max-gap"] {
+		cfg.MaxGap = *maxGap
+		if *maxGap <= 0 {
+			cfg.MaxGap = -1 // httpserve: negative disables the bound
+		}
 	}
 	cfg.WriteTimeout = *writeTO
 	if *writeTO <= 0 {

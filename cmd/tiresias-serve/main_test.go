@@ -16,10 +16,11 @@ import (
 
 	"tiresias"
 	"tiresias/api"
+	"tiresias/internal/checkpoint"
 )
 
 // newProc builds a test proc, with the log floor raised to error so
-// per-request Info lines do not drown the test output.
+// lifecycle and 4xx request lines do not drown the test output.
 func newProc(t *testing.T, args ...string) *proc {
 	t.Helper()
 	p, err := buildServer(append([]string{"-log-level", "error"}, args...))
@@ -391,6 +392,55 @@ func TestCheckpointEndpointDisabled(t *testing.T) {
 	// directory starts cold instead of crash-looping the service.
 	if _, err := buildServer([]string{"-addr", "127.0.0.1:0", "-checkpoint-dir", t.TempDir(), "-restore"}); err != nil {
 		t.Fatalf("-restore from an empty directory must cold-start, got %v", err)
+	}
+}
+
+// TestRestoreKeepsCheckpointedTheta restores the golden Manager
+// checkpoint, written with θ = 4: without -theta the restored streams
+// keep it, and an explicit -theta overrides it.
+func TestRestoreKeepsCheckpointedTheta(t *testing.T) {
+	golden, err := filepath.Glob(filepath.Join("..", "..", "testdata", "v3", "manager_w16", "*.ckpt"))
+	if err != nil || len(golden) == 0 {
+		t.Fatalf("golden files %v (err %v)", golden, err)
+	}
+	for _, tc := range []struct {
+		flags []string
+		want  float64
+	}{{nil, 4}, {[]string{"-theta", "6"}, 6}} {
+		dir := t.TempDir()
+		for _, f := range golden {
+			b, err := os.ReadFile(f)
+			if err == nil {
+				err = os.WriteFile(filepath.Join(dir, filepath.Base(f)), b, 0o644)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		p := newProc(t, append([]string{"-window", "16", "-checkpoint-dir", dir, "-restore"}, tc.flags...)...)
+		_, err := p.hs.Checkpoint()
+		_ = p.hs.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		written, _ := filepath.Glob(filepath.Join(dir, "ckpt-*", "*.ckpt"))
+		if len(written) != len(golden) {
+			t.Fatalf("checkpoint wrote %v, want %d files", written, len(golden))
+		}
+		for _, f := range written {
+			fh, err := os.Open(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := checkpoint.Read(fh)
+			fh.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap.Config.Theta != tc.want {
+				t.Errorf("flags %q: %s holds θ = %v, want %v", tc.flags, filepath.Base(f), snap.Config.Theta, tc.want)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Command tiresias-vet is the repo's invariant checker: a multichecker
-// running the internal/analysis suite (hotpath, lockguard, lockorder,
-// goroline, atomiccheck, wireerr, ckptsec, forbidimport, deadexport)
+// running the internal/analysis suite (hotpath, locks, goroline,
+// atomiccheck, wireerr, ckptsec, forbidimport, deadexport)
 // over the given packages. It exits non-zero when any analyzer reports
 // a finding, so CI can run it as a blocking lint step:
 //

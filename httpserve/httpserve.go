@@ -39,10 +39,14 @@ type Config struct {
 	Delta time.Duration
 	// WindowLen is the sliding-window length ℓ (default 672).
 	WindowLen int
-	// Theta is the heavy-hitter threshold θ (default 10).
+	// Theta is the heavy-hitter threshold θ (default 10). With
+	// Restore, a non-zero Theta overrides the checkpointed θ of every
+	// restored stream; zero keeps it.
 	Theta float64
 	// Thresholds are the Definition-4 sensitivity parameters; the
-	// zero value selects the paper's operating point.
+	// zero value selects the paper's operating point. With Restore, a
+	// non-zero value overrides the checkpointed RT and DT; zero keeps
+	// them.
 	Thresholds tiresias.Thresholds
 	// DetectorOptions are appended to the per-stream detector
 	// options built from the fields above (advanced tuning: split
@@ -51,7 +55,9 @@ type Config struct {
 	// Shards is the Manager's lock-shard count (default 16).
 	Shards int
 	// MaxGap bounds gap-fill timeunits per record: 0 selects
-	// tiresias.DefaultMaxGap, negative disables the bound.
+	// tiresias.DefaultMaxGap, negative disables the bound. With
+	// Restore, a non-zero MaxGap overrides the checkpointed bound;
+	// zero keeps it.
 	MaxGap int
 	// QueueDepth > 0 enables pipelined ingestion with that many jobs
 	// of queue per shard (a job is one body's records for one shard);
@@ -70,7 +76,9 @@ type Config struct {
 	CheckpointDir string
 	// Restore rebuilds the fleet from CheckpointDir at construction
 	// (a directory with no checkpoint cold-starts; see
-	// Server.ColdStarted).
+	// Server.ColdStarted). Restored streams keep their checkpointed
+	// θ, thresholds and gap bound unless Theta, Thresholds or MaxGap
+	// is set; GET /v2/config reports the values new streams get.
 	Restore bool
 	// MaxBodyBytes caps ingest request bodies (default 8 MiB).
 	MaxBodyBytes int64
@@ -190,6 +198,7 @@ type Server struct {
 // is restored from Config.CheckpointDir when Config.Restore is set,
 // and all routes are wired.
 func New(cfg Config) (*Server, error) {
+	given := cfg
 	cfg = cfg.withDefaults()
 	history := cfg.History
 	cfg.History = nil // the index owns it now; do not pin the slice
@@ -205,14 +214,25 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.decoders.New = func() any { return &decoder{sc: wirerec.Scanner{Cache: s.cache}} }
 	s.ix.Add(HistoryStream, history...)
-	liveOpts := append([]tiresias.Option{
+	liveOpts := []tiresias.Option{
 		tiresias.WithDelta(cfg.Delta),
 		tiresias.WithWindowLen(cfg.WindowLen),
-		tiresias.WithTheta(cfg.Theta),
-		tiresias.WithThresholds(cfg.Thresholds),
-		tiresias.WithMaxGap(cfg.MaxGap),
 		tiresias.WithSink(tiresias.SinkFuncs{Unit: s.metrics.observeStep}),
-	}, cfg.DetectorOptions...)
+	}
+	// θ, the thresholds and the gap bound are passed only when the
+	// caller set them: a restored stream keeps its checkpointed values
+	// otherwise, and a new stream gets the detector defaults, which
+	// are withDefaults' values.
+	if given.Theta != 0 {
+		liveOpts = append(liveOpts, tiresias.WithTheta(cfg.Theta))
+	}
+	if given.Thresholds != (tiresias.Thresholds{}) {
+		liveOpts = append(liveOpts, tiresias.WithThresholds(cfg.Thresholds))
+	}
+	if given.MaxGap != 0 {
+		liveOpts = append(liveOpts, tiresias.WithMaxGap(cfg.MaxGap))
+	}
+	liveOpts = append(liveOpts, cfg.DetectorOptions...)
 	mgrOpts := []tiresias.ManagerOption{
 		tiresias.WithShards(cfg.Shards),
 		tiresias.WithDetectorOptions(liveOpts...),
@@ -269,7 +289,8 @@ func (s *Server) Handler() http.Handler { return s.handler }
 // write deadline (Config.WriteTimeout), converts a handler panic into
 // a structured 500 plus a counted recovery — one poisoned request
 // must not kill the process serving every other stream — and records
-// the request on the metrics and the structured log.
+// the request on the metrics and the structured log: a 2xx or 3xx at
+// Debug, a 4xx at Warn, a 5xx at Error.
 func (s *Server) contain(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		tw := &trackingWriter{ResponseWriter: w}
@@ -284,7 +305,15 @@ func (s *Server) contain(next http.Handler) http.Handler {
 			// connection lifetime would drown the latency histogram,
 			// so it is counted but not timed.
 			s.metrics.observeRequest(status, d, r.URL.Path != "/v2/anomalies/watch")
-			s.log.LogAttrs(r.Context(), slog.LevelInfo, "request",
+			// A success is routine at this rate (the request histogram
+			// counts it); only failures reach the default log floor.
+			level := slog.LevelDebug
+			if status >= 500 {
+				level = slog.LevelError
+			} else if status >= 400 {
+				level = slog.LevelWarn
+			}
+			s.log.LogAttrs(r.Context(), level, "request",
 				slog.String("method", r.Method),
 				slog.String("path", r.URL.Path),
 				slog.Int("status", status),

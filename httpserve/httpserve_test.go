@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,6 +18,7 @@ import (
 
 	"tiresias"
 	"tiresias/api"
+	"tiresias/internal/checkpoint"
 )
 
 // testConfig returns a Config tuned for fast detection in tests: one
@@ -445,6 +448,60 @@ func TestV2CheckpointAndRestore(t *testing.T) {
 		t.Fatal("ColdStarted not reported")
 	}
 	_ = s3.Close()
+}
+
+// TestRestoreKeepsCheckpointedTheta restores the golden Manager
+// checkpoint, written with θ = 4, and checkpoints it again: with Theta
+// unset the streams keep θ = 4, and a set Theta overrides it.
+func TestRestoreKeepsCheckpointedTheta(t *testing.T) {
+	golden, err := filepath.Glob(filepath.Join("..", "testdata", "v3", "manager_w16", "*.ckpt"))
+	if err != nil || len(golden) == 0 {
+		t.Fatalf("golden files %v (err %v)", golden, err)
+	}
+	for _, tc := range []struct {
+		theta, want float64
+	}{{0, 4}, {6, 6}} {
+		dir := t.TempDir()
+		for _, f := range golden {
+			b, err := os.ReadFile(f)
+			if err == nil {
+				err = os.WriteFile(filepath.Join(dir, filepath.Base(f)), b, 0o644)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := New(Config{WindowLen: 16, Theta: tc.theta, CheckpointDir: dir, Restore: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.ColdStarted {
+			t.Fatal("restore of the golden checkpoint cold-started")
+		}
+		_, err = s.Checkpoint()
+		_ = s.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		written, _ := filepath.Glob(filepath.Join(dir, "ckpt-*", "*.ckpt"))
+		if len(written) != len(golden) {
+			t.Fatalf("checkpoint wrote %v, want %d files", written, len(golden))
+		}
+		for _, f := range written {
+			fh, err := os.Open(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := checkpoint.Read(fh)
+			fh.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap.Config.Theta != tc.want {
+				t.Errorf("Theta %v: %s holds θ = %v, want %v", tc.theta, filepath.Base(f), snap.Config.Theta, tc.want)
+			}
+		}
+	}
 }
 
 // TestRemovedRoutesAre404 pins the single wire version: the /v1 shims

@@ -166,7 +166,7 @@ func TestRequestLogging(t *testing.T) {
 	mu := make(chan struct{}, 1)
 	mu <- struct{}{}
 	cfg := testConfig()
-	cfg.Logger = slog.New(slog.NewJSONHandler(&lockedWriter{w: &buf, mu: mu}, nil))
+	cfg.Logger = slog.New(slog.NewJSONHandler(&lockedWriter{w: &buf, mu: mu}, &slog.HandlerOptions{Level: slog.LevelDebug}))
 	_, ts := newTestServer(t, cfg)
 	get(t, ts.URL+"/v2/config", nil)
 	get(t, ts.URL+"/v2/nope", nil)
@@ -181,6 +181,28 @@ func TestRequestLogging(t *testing.T) {
 	}
 	if !strings.Contains(logs, `"component":"http"`) || !strings.Contains(logs, `"duration_ms"`) {
 		t.Fatalf("request log missing slog conventions:\n%s", logs)
+	}
+	if !strings.Contains(logs, `"level":"WARN","msg":"request","component":"http","method":"GET","path":"/v2/nope","status":404`) {
+		t.Fatalf("404 request not logged at WARN:\n%s", logs)
+	}
+}
+
+// TestRequestLogFloor pins the request log levels at the default Info
+// floor: a success is not logged, a 4xx is, at WARN.
+func TestRequestLogFloor(t *testing.T) {
+	var buf bytes.Buffer
+	cfg := testConfig()
+	cfg.Logger = slog.New(slog.NewJSONHandler(&buf, nil))
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/v2/healthz", nil))
+	s.Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/v2/nope", nil))
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 1 || !strings.Contains(lines[0], `"level":"WARN"`) || !strings.Contains(lines[0], `"status":404`) {
+		t.Fatalf("at the Info floor want one WARN line for the 404, got:\n%s", buf.String())
 	}
 }
 
@@ -222,7 +244,7 @@ func TestMetricsCheckpointAge(t *testing.T) {
 func TestRequestLogLine(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := testConfig()
-	cfg.Logger = slog.New(slog.NewJSONHandler(&buf, nil))
+	cfg.Logger = slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +255,7 @@ func TestRequestLogLine(t *testing.T) {
 	// Time and duration vary per run; every other byte is fixed.
 	line := regexp.MustCompile(`"time":"[^"]*"`).ReplaceAllString(buf.String(), `"time":"T"`)
 	line = regexp.MustCompile(`"duration_ms":[0-9.e+-]+`).ReplaceAllString(line, `"duration_ms":D`)
-	const want = `{"time":"T","level":"INFO","msg":"request","component":"http","method":"GET","path":"/v2/healthz","status":200,"duration_ms":D,"remote":"192.0.2.1:1234"}` + "\n"
+	const want = `{"time":"T","level":"DEBUG","msg":"request","component":"http","method":"GET","path":"/v2/healthz","status":200,"duration_ms":D,"remote":"192.0.2.1:1234"}` + "\n"
 	if line != want {
 		t.Fatalf("request log line:\ngot  %s\nwant %s", line, want)
 	}

@@ -10,16 +10,17 @@
 //     are findings, and syntax rules cover the allocations inside
 //     runtime calls that escape analysis never reports (fmt, string
 //     concatenation and conversions, maps, channels, growing appends).
-//   - lockguard: struct fields documented "guarded by <mu>" may only
-//     be touched while that mutex is held.
-//   - lockorder: the lock-acquisition-order graph, built
-//     inter-procedurally across every loaded package, must be acyclic,
-//     re-entrant-free, and consistent with the hierarchy declared by
+//   - locks: the locking contract, read from one simulation of the
+//     locks held at each node (heldWalk). Struct fields documented
+//     "guarded by <mu>" may only be touched while that mutex is held,
+//     and the lock-acquisition-order graph, built inter-procedurally
+//     across every loaded package, must be acyclic, re-entrant-free,
+//     and consistent with the hierarchy declared by
 //     //tiresias:lockorder directives in package docs.
 //   - goroline: every go statement in the concurrent library packages
 //     must have a visible shutdown path; timer-leaking
 //     time.After/time.Tick in loops and unbuffered-channel sends under
-//     a mutex are flagged.
+//     a mutex (as heldWalk sees it) are flagged.
 //   - atomiccheck: a field touched through sync/atomic anywhere must
 //     be touched atomically everywhere, and sync/atomic.Value, whose
 //     copies go vet's copylocks check cannot see, is not used.
@@ -38,7 +39,7 @@
 //
 // Analyzers run over parsed, type-checked syntax — per package (Run),
 // or once over every loaded package (RunModule, for inter-procedural
-// checks like lockorder and module-wide ones like deadexport). A
+// checks like locks and module-wide ones like deadexport). A
 // finding can be suppressed at its line (or the line above) with a
 //
 //	//tiresias:ignore [analyzer ...] (justification)

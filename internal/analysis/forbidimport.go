@@ -131,8 +131,7 @@ func runForbidImport(pass *Pass, rules []ForbidRule) error {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Hotpath,
-		Lockguard,
-		Lockorder,
+		Locks,
 		NewGoroline(nil),
 		Atomiccheck,
 		Wireerr,

@@ -35,9 +35,10 @@ var DefaultGorolinePackages = []string{
 //     (or ever, for Tick), so a loop turns them into a slow leak; use
 //     time.NewTimer/NewTicker with a deferred Stop.
 //   - A send on a locally-visible unbuffered channel must not happen
-//     while a mutex is held: the send blocks until a receiver is
-//     ready, and a blocked lock holder is a convoy (or a deadlock, if
-//     the receiver needs the same lock).
+//     while a mutex is held, as the locks analyzer's heldWalk sees it:
+//     the send blocks until a receiver is ready, and a blocked lock
+//     holder is a convoy (or a deadlock, if the receiver needs the
+//     same lock).
 //
 // A deliberate exception is annotated in place:
 // //tiresias:ignore goroline (reason).
@@ -69,21 +70,29 @@ func runGoroline(pass *Pass, pkgs []string) error {
 		return nil
 	}
 	unbuffered := collectUnbufferedChans(pass)
+	pkg := pass2pkg(pass)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkGoroFunc(pass, fd, unbuffered)
+			checkGoroFunc(pass, fd)
+			heldWalk(pkg, fd.Body, func(n ast.Node, held []heldLock, _ heldLock) {
+				if x, ok := n.(*ast.SendStmt); ok && len(held) > 0 {
+					if obj := chanObj(pass, x.Chan); obj != nil && unbuffered[obj] {
+						pass.Reportf(x.Pos(), "send on unbuffered channel %s while holding %s (the send blocks the lock holder until a receiver is ready)", chanName(x.Chan), held[0])
+					}
+				}
+			})
 		}
 	}
 	return nil
 }
 
-// checkGoroFunc applies the three lifecycle rules to one function.
-func checkGoroFunc(pass *Pass, fd *ast.FuncDecl, unbuffered map[types.Object]bool) {
-	events := collectLockEvents(pass, fd)
+// checkGoroFunc applies the shutdown-path and loop-timer rules to one
+// function.
+func checkGoroFunc(pass *Pass, fd *ast.FuncDecl) {
 	loopDepth := 0
 	var walk func(n ast.Node)
 	walk = func(root ast.Node) {
@@ -110,12 +119,6 @@ func checkGoroFunc(pass *Pass, fd *ast.FuncDecl, unbuffered map[types.Object]boo
 				return false
 			case *ast.GoStmt:
 				checkGoStmt(pass, fd, x)
-			case *ast.SendStmt:
-				if obj := chanObj(pass, x.Chan); obj != nil && unbuffered[obj] {
-					if base, mu := lockHeldAtPos(events, x.Pos()); mu != "" {
-						pass.Reportf(x.Pos(), "send on unbuffered channel %s while holding %s.%s (the send blocks the lock holder until a receiver is ready)", chanName(x.Chan), base, mu)
-					}
-				}
 			case *ast.CallExpr:
 				if loopDepth > 0 {
 					if sel, ok := x.Fun.(*ast.SelectorExpr); ok {
@@ -300,36 +303,8 @@ func chanName(e ast.Expr) string {
 	return "channel"
 }
 
-// lockHeldAtPos reports the first base/mutex pair held at pos, or
-// ("", "") when none is.
-func lockHeldAtPos(events []lockEvent, pos token.Pos) (string, string) {
-	type key struct{ base, mutex string }
-	held := map[key]int{}
-	var order []key
-	for _, e := range events {
-		if e.pos >= pos {
-			continue
-		}
-		k := key{e.base, e.mutex}
-		if e.acquire {
-			if held[k] == 0 {
-				order = append(order, k)
-			}
-			held[k]++
-		} else if !e.deferred && held[k] > 0 {
-			held[k]--
-		}
-	}
-	for _, k := range order {
-		if held[k] > 0 {
-			return k.base, k.mutex
-		}
-	}
-	return "", ""
-}
-
 // pass2pkg adapts a per-package Pass to the *Package shape the shared
-// lockorder helpers take.
+// locks helpers (heldWalk, staticCallee) take.
 func pass2pkg(pass *Pass) *Package {
 	return &Package{Fset: pass.Fset, Files: pass.Files, Types: pass.Pkg, TypesInfo: pass.TypesInfo}
 }

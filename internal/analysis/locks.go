@@ -5,18 +5,22 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
 
-// Lockorder is the deadlock-prevention half of the locking contract.
-// Where lockguard checks that guarded fields are touched under their
-// mutex, lockorder checks that mutexes are taken in one global order:
-// it simulates every function's lock acquisitions positionally (the
-// same Lock-before/non-deferred-Unlock-after model lockguard uses),
-// follows static calls across every loaded package to build the
-// acquires-while-holding graph over lock classes, and reports
+// Locks checks the locking contract. Its rules all read one held-lock
+// model, heldWalk, run once over every function of every loaded
+// package:
 //
+//   - guarded fields: a struct field whose doc or trailing comment
+//     says "guarded by <mu>" (<mu> a sync.Mutex or sync.RWMutex field
+//     of the same struct) may only be accessed where base.mu is held
+//     on the same base expression, unless the function's doc declares
+//     the lock-held precondition ("... must be held", "The caller
+//     holds mu"), delegating the obligation to its callers;
 //   - re-entrant acquisition: taking a mutex the function (or a
 //     callee, transitively) already holds — same instance is a certain
 //     self-deadlock, same class a hazard that needs an explicit order;
@@ -31,21 +35,22 @@ import (
 //
 // A lock class is a mutex identity that survives instances:
 // "Type.field" for a struct-field mutex (managerShard.mu, Index.mu),
-// "pkg.var" for a package-level one. Entry points may declare their
-// transitive lock footprint with //tiresias:acquires C1, C2 (or
-// //tiresias:acquires nothing) in their doc comment; lockorder
-// verifies the computed footprint stays within the declaration, so
-// the documented contract of Snapshot/Restore/Checkpoint cannot
-// silently grow a new lock dependency.
+// "pkg.var" for a package-level one. The order rules follow static
+// calls across packages to build the acquires-while-holding graph over
+// classes. Entry points may declare their transitive lock footprint
+// with //tiresias:acquires C1, C2 (or //tiresias:acquires nothing) in
+// their doc comment; the analyzer verifies the computed footprint stays
+// within the declaration, so the documented contract of
+// Snapshot/Restore/Checkpoint cannot silently grow a new lock
+// dependency.
 //
-// The analysis follows static calls only: calls through function
-// values and interfaces contribute no edges (declare those paths with
-// //tiresias:lockorder instead — e.g. an observer callback invoked
-// under a shard lock).
-var Lockorder = &Analyzer{
-	Name:      "lockorder",
-	Doc:       "check lock-acquisition order across packages: cycles, re-entrant locks, and the declared //tiresias:lockorder hierarchy",
-	RunModule: runLockorder,
+// Calls through function values and interfaces contribute no edges
+// (declare those paths with //tiresias:lockorder instead — e.g. an
+// observer callback invoked under a shard lock).
+var Locks = &Analyzer{
+	Name:      "locks",
+	Doc:       `check the locking contract: "guarded by <mu>" fields accessed with the mutex held; lock order acyclic, not re-entrant, and within the declared //tiresias:lockorder hierarchy`,
+	RunModule: runLocks,
 }
 
 // lockorderDirective declares a fragment of the intended hierarchy in
@@ -56,6 +61,14 @@ const lockorderDirective = "//tiresias:lockorder"
 // its doc comment: //tiresias:acquires A, B (or "nothing").
 const acquiresDirective = "//tiresias:acquires"
 
+// guardedRe extracts the mutex field name from a field comment.
+var guardedRe = regexp.MustCompile(`(?i)guarded by (\w+)`)
+
+// heldDocRe matches function docs that declare a lock-held
+// precondition, e.g. "The shard lock must be held." or "The caller
+// holds mu."
+var heldDocRe = regexp.MustCompile(`(?i)(lock )?must be held|caller (must )?holds?`)
+
 // heldLock is one mutex the simulation considers held: its class and
 // the printed base expression identifying the instance.
 type heldLock struct {
@@ -63,12 +76,76 @@ type heldLock struct {
 	base  string
 }
 
+// String renders the held instance as written: "sh.mu" for class
+// managerShard.mu on base sh.
+func (h heldLock) String() string {
+	return h.base + "." + h.class[strings.LastIndexByte(h.class, '.')+1:]
+}
+
+// heldWalk is the one simulation of which locks are held at each node
+// of a function body. It walks body in source order and calls
+// visit(n, held, acq) before each node n, with held the locks held
+// there (earliest first) and acq the lock n itself takes (a Lock or
+// RLock call; the zero heldLock otherwise). visit must not retain held.
+//
+// Only type-checked sync mutex operations count (mutexOp). The model
+// is positional, not path-sensitive: a lock is held from its Lock to
+// the next non-deferred Unlock of the same instance, and a deferred
+// unlock holds it to the function's end. That is the shape of every
+// critical section in this codebase (lock → touch → unlock, or lock →
+// defer unlock), and it rejects mu.Lock(); mu.Unlock(); touch. A
+// function literal — a goroutine body included — is walked under the
+// locks held where it is created (a goroutine spawned under ckptMu
+// inherits the ordering obligation: the checkpoint fan-out shape), and
+// what it locks, or releases at its own end, does not leak out.
+func heldWalk(pkg *Package, body *ast.BlockStmt, visit func(n ast.Node, held []heldLock, acq heldLock)) {
+	var held []heldLock
+	var walk func(root ast.Node, deferred bool)
+	walk = func(root ast.Node, deferred bool) {
+		ast.Inspect(root, func(n ast.Node) bool {
+			if n == nil {
+				return false
+			}
+			var class, base, op string
+			if call, ok := n.(*ast.CallExpr); ok {
+				class, base, op = mutexOp(pkg, call)
+			}
+			var acq heldLock
+			if op == "Lock" || op == "RLock" {
+				acq = heldLock{class: class, base: base}
+			}
+			visit(n, held, acq)
+			switch x := n.(type) {
+			case *ast.DeferStmt:
+				walk(x.Call, true)
+				return false
+			case *ast.FuncLit:
+				saved := slices.Clone(held)
+				walk(x.Body, false)
+				held = saved
+				return false
+			}
+			if acq.class != "" {
+				held = append(held, acq)
+			} else if op != "" && !deferred { // Unlock, RUnlock
+				for i := len(held) - 1; i >= 0; i-- {
+					if held[i] == (heldLock{class: class, base: base}) {
+						held = slices.Delete(held, i, i+1)
+						break
+					}
+				}
+			}
+			return true
+		})
+	}
+	walk(body, false)
+}
+
 // loAcquire is one observed acquisition with the locks held at it.
 type loAcquire struct {
-	class string
-	base  string
-	pos   token.Pos
-	held  []heldLock
+	heldLock
+	pos  token.Pos
+	held []heldLock
 }
 
 // loCall is one static call with the locks held at it.
@@ -96,25 +173,24 @@ type loEdge struct {
 	detail   string
 }
 
-func runLockorder(pass *ModulePass) error {
+func runLocks(pass *ModulePass) error {
 	funcs := map[string]*loFunc{}
 	var order []string // deterministic iteration
 	declEdges := map[[2]string]*loEdge{}
 	for _, pkg := range pass.Pkgs {
 		collectLockorderDecls(pkg, declEdges)
+		guards := collectGuards(pkg)
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
 					continue
 				}
-				obj, ok := pkg.TypesInfo.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
+				lf := walkLockFunc(pass, pkg, fd, guards)
+				if obj, ok := pkg.TypesInfo.Defs[fd.Name].(*types.Func); ok {
+					funcs[obj.FullName()] = lf
+					order = append(order, obj.FullName())
 				}
-				lf := extractLockFacts(pkg, fd)
-				funcs[obj.FullName()] = lf
-				order = append(order, obj.FullName())
 			}
 		}
 	}
@@ -128,7 +204,6 @@ func runLockorder(pass *ModulePass) error {
 			set[a.class] = true
 		}
 		trans[name] = set
-		_ = lf
 	}
 	for changed := true; changed; {
 		changed = false
@@ -191,69 +266,53 @@ func runLockorder(pass *ModulePass) error {
 	return nil
 }
 
-// extractLockFacts simulates one function body in source order,
-// tracking the held-lock stack through Lock/Unlock calls (deferred
-// unlocks hold to function end) and snapshotting it at every
-// acquisition and static call. Function literals — including goroutine
-// bodies — are walked inline under the current held set: a goroutine
-// spawned while a lock is held inherits the ordering obligation,
-// which is exactly the checkpoint fan-out shape (ckptMu held, shard
-// goroutines lock shard.mu).
-func extractLockFacts(pkg *Package, fd *ast.FuncDecl) *loFunc {
+// walkLockFunc runs one function body through heldWalk once for every
+// rule: it reports each guarded-field access made without its mutex
+// held (unless the doc declares the lock-held precondition), and
+// records each acquisition and static call, with the locks held at it,
+// for the order rules.
+func walkLockFunc(pass *ModulePass, pkg *Package, fd *ast.FuncDecl, guards map[types.Object]string) *loFunc {
 	lf := &loFunc{name: fd.Name.Name, pkg: pkg, pos: fd.Pos(), declared: parseAcquiresDecl(fd.Doc)}
 	if fd.Recv != nil {
 		if tn := recvTypeName(pkg, fd); tn != "" {
 			lf.name = tn + "." + fd.Name.Name
 		}
 	}
-	var held []heldLock
-	var walk func(n ast.Node, deferred bool)
-	walk = func(root ast.Node, deferred bool) {
-		ast.Inspect(root, func(n ast.Node) bool {
-			if ds, ok := n.(*ast.DeferStmt); ok && !deferred {
-				walk(ds.Call, true)
-				return false
+	checkGuards := len(guards) > 0 && (fd.Doc == nil || !heldDocRe.MatchString(fd.Doc.Text()))
+	heldWalk(pkg, fd.Body, func(n ast.Node, held []heldLock, acq heldLock) {
+		switch x := n.(type) {
+		case *ast.SelectorExpr:
+			if checkGuards {
+				checkGuarded(pass, pkg, x, held, guards)
 			}
-			if fl, ok := n.(*ast.FuncLit); ok {
-				// The literal's body runs under the locks held at its
-				// creation (the goroutine fan-out shape), but what it
-				// locks — and what its deferred unlocks release at
-				// *its* end — does not leak into the enclosing
-				// function's held stack.
-				saved := append([]heldLock(nil), held...)
-				walk(fl.Body, false)
-				held = saved
-				return false
+		case *ast.CallExpr:
+			if acq.class != "" {
+				lf.acquires = append(lf.acquires, loAcquire{heldLock: acq, pos: x.Pos(), held: slices.Clone(held)})
+			} else if callee := staticCallee(pkg, x); callee != nil {
+				lf.calls = append(lf.calls, loCall{callee: callee.FullName(), pos: x.Pos(), held: slices.Clone(held)})
 			}
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if class, base, op := mutexOp(pkg, call); class != "" {
-				switch op {
-				case "Lock", "RLock":
-					lf.acquires = append(lf.acquires, loAcquire{class: class, base: base, pos: call.Pos(), held: append([]heldLock(nil), held...)})
-					held = append(held, heldLock{class: class, base: base})
-				default: // Unlock, RUnlock
-					if !deferred {
-						for i := len(held) - 1; i >= 0; i-- {
-							if held[i].class == class && held[i].base == base {
-								held = append(held[:i], held[i+1:]...)
-								break
-							}
-						}
-					}
-				}
-				return true
-			}
-			if callee := staticCallee(pkg, call); callee != nil {
-				lf.calls = append(lf.calls, loCall{callee: callee.FullName(), pos: call.Pos(), held: append([]heldLock(nil), held...)})
-			}
-			return true
-		})
-	}
-	walk(fd.Body, false)
+		}
+	})
 	return lf
+}
+
+// checkGuarded reports sel when it selects a guarded field and no held
+// lock is the field's mutex on the same base expression.
+func checkGuarded(pass *ModulePass, pkg *Package, sel *ast.SelectorExpr, held []heldLock, guards map[types.Object]string) {
+	s, ok := pkg.TypesInfo.Selections[sel]
+	if !ok || s.Kind() != types.FieldVal {
+		return
+	}
+	mu, ok := guards[s.Obj()]
+	if !ok {
+		return
+	}
+	base := exprString(sel.X)
+	if base != "" && slices.ContainsFunc(held, func(h heldLock) bool { return h.String() == base+"."+mu }) {
+		return
+	}
+	pass.Reportf(pkg, sel.Pos(), "%s.%s is guarded by %s.%s, which is not held here (lock it, or document the function's lock-held precondition)",
+		base, sel.Sel.Name, base, mu)
 }
 
 // mutexOp recognizes base.mu.Lock()/RLock()/Unlock()/RUnlock() on a
@@ -529,4 +588,75 @@ func checkAcquiresDecls(pass *ModulePass, funcs map[string]*loFunc, order []stri
 			pass.Reportf(lf.pkg, lf.pos, "%s acquires %s but its //tiresias:acquires declaration does not list it", lf.name, strings.Join(missing, ", "))
 		}
 	}
+}
+
+// collectGuards scans the package's struct type declarations for
+// fields annotated "guarded by <mu>", mapping each field's
+// types.Object to its mutex field name.
+func collectGuards(pkg *Package) map[types.Object]string {
+	guards := map[types.Object]string{}
+	for _, f := range pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, field := range st.Fields.List {
+				mu := guardName(field)
+				if mu == "" {
+					continue
+				}
+				for _, name := range field.Names {
+					if obj := pkg.TypesInfo.Defs[name]; obj != nil {
+						guards[obj] = mu
+					}
+				}
+			}
+			return true
+		})
+	}
+	return guards
+}
+
+// guardName extracts the mutex name from a field's doc or trailing
+// comment ("" when the field is not annotated).
+func guardName(field *ast.Field) string {
+	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
+		if cg == nil {
+			continue
+		}
+		if m := guardedRe.FindStringSubmatch(cg.Text()); m != nil {
+			return m[1]
+		}
+	}
+	return ""
+}
+
+// exprString renders simple base expressions (identifiers, selector
+// chains, index expressions) for matching and diagnostics; other
+// shapes render as "" and are treated as unmatched.
+func exprString(e ast.Expr) string {
+	switch x := e.(type) {
+	case *ast.Ident:
+		return x.Name
+	case *ast.SelectorExpr:
+		if b := exprString(x.X); b != "" {
+			return b + "." + x.Sel.Name
+		}
+	case *ast.IndexExpr:
+		if b := exprString(x.X); b != "" {
+			return b + "[" + exprString(x.Index) + "]"
+		}
+	case *ast.ParenExpr:
+		return exprString(x.X)
+	case *ast.StarExpr:
+		return exprString(x.X)
+	case *ast.BasicLit:
+		return x.Value
+	}
+	return ""
 }

@@ -120,3 +120,17 @@ func (b *box) handoff(v int) {
 	b.mu.Unlock()
 	b.ch <- v // no finding: lock released
 }
+
+// litThenSend locks inside a goroutine literal; the lock ends with the
+// literal, so the send after it holds nothing.
+func (b *box) litThenSend(v int) {
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		b.mu.Lock()
+		defer b.mu.Unlock()
+	}()
+	b.ch <- v // no finding: the literal's lock stayed in the literal
+	wg.Wait()
+}

@@ -24,7 +24,7 @@ func aboveMultiline() map[string]int {
 //
 //tiresias:hotpath
 func multiAnalyzer() *buf {
-	return &buf{} //tiresias:ignore lockguard hotpath (fixture: several analyzers in one directive)
+	return &buf{} //tiresias:ignore locks hotpath (fixture: several analyzers in one directive)
 }
 
 // unjustified: a directive without a justification is itself reported

@@ -49,3 +49,15 @@ func badAfterUnlock(c *counter) int {
 func held(c *counter) {
 	c.n++
 }
+
+// litLeak locks inside a goroutine literal: the literal's lock, and
+// its deferred unlock, end with the literal, so the access after it is
+// unguarded.
+func litLeak(c *counter) int {
+	go func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.n++
+	}()
+	return c.n // want `c\.n is guarded by c\.mu`
+}

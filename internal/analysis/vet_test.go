@@ -13,7 +13,7 @@ func TestHotpath(t *testing.T) {
 }
 
 func TestLockguard(t *testing.T) {
-	analysistest.Run(t, "lockguard", analysis.Lockguard)
+	analysistest.Run(t, "lockguard", analysis.Locks)
 }
 
 func TestEscapecheck(t *testing.T) {
@@ -23,7 +23,7 @@ func TestEscapecheck(t *testing.T) {
 }
 
 func TestLockorder(t *testing.T) {
-	analysistest.Run(t, "lockorder", analysis.Lockorder)
+	analysistest.Run(t, "lockorder", analysis.Locks)
 }
 
 func TestGoroline(t *testing.T) {

@@ -203,7 +203,7 @@ func NewManager(opts ...ManagerOption) (*Manager, error) {
 		fsys:         o.fsys,
 	}
 	for i := range m.shards {
-		m.shards[i].streams = make(map[string]*managedStream) //tiresias:ignore lockguard (construction before publication; no other goroutine can hold a shard yet)
+		m.shards[i].streams = make(map[string]*managedStream) //tiresias:ignore locks (construction before publication; no other goroutine can hold a shard yet)
 	}
 	if o.pipelined {
 		m.pipe = newPipeline(m, o.queueDepth, o.policy)

@@ -29,7 +29,7 @@
 // ManagerFromCheckpoint do the same for a fleet).
 //
 // The package's mutexes form a declared hierarchy, machine-checked by
-// tiresias-vet's lockorder analyzer: the checkpoint serializer is the
+// tiresias-vet's locks analyzer: the checkpoint serializer is the
 // only path that nests locks, taking the checkpoint mutex first, then
 // the pipeline's (to drain queued records, each barrier sent under the
 // pipeline's admission mutex), each shard's (to freeze its streams),
