@@ -174,10 +174,13 @@ func BenchmarkADAStep(b *testing.B) {
 // the point (≈1450 units at α = 0.4) where a quiet node's smoothed
 // state used to decay into the subnormal range and make every later
 // step pay a microcoded multiply per node. It runs under the default
-// split rule and under EWMA, the one rule whose statistic a quiet node
-// must catch up on when it is next touched (ewmaThrough).
+// split rule; under Last-Time-Unit, the one rule whose statistic the
+// previous closure also writes; and under EWMA, the one rule whose
+// statistic a quiet node must catch up on when it is next touched
+// (ewmaThrough).
 func BenchmarkADAStepSparse(b *testing.B) {
 	b.Run("rule=LongTermHistory", func(b *testing.B) { benchADAStepSparse(b, algo.LongTermHistory) })
+	b.Run("rule=LastTimeUnit", func(b *testing.B) { benchADAStepSparse(b, algo.LastTimeUnit) })
 	b.Run("rule=EWMA", func(b *testing.B) { benchADAStepSparse(b, algo.EWMARule) })
 }
 

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"tiresias/internal/algo"
 	"tiresias/internal/checkpoint"
 	"tiresias/internal/gen"
 )
@@ -426,29 +427,32 @@ func TestGoldenManagerCheckpoint(t *testing.T) {
 	}
 }
 
-// TestEwmaAOnlyUnderEWMARule: the engine keeps the EWMA split-rule
-// statistic only under the rule that reads it. Under every other rule
-// the exported EwmaA column is all zero after Init and steps, and after
-// restoring goldenRingsCkptPath, whose EwmaA is populated, and resuming
-// from it. Under EWMARule the same run exports a non-zero column.
-func TestEwmaAOnlyUnderEWMARule(t *testing.T) {
+// TestStatisticOnlyUnderItsRule: the engine keeps only the split-rule
+// statistic its rule reads. Under each rule the exported column of
+// that statistic is non-zero and the other two are all zero (all three
+// under Uniform, which reads none) after Init and steps, after
+// restoring goldenRingsCkptPath, whose three columns are populated,
+// and after resuming from it.
+func TestStatisticOnlyUnderItsRule(t *testing.T) {
 	opts, part1, part2 := goldenWorkload(t)
 	rings, err := os.ReadFile(goldenRingsCkptPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ewmaA := func(det *Tiresias) []float64 {
+	nonZero := func(col []float64) bool { return slices.ContainsFunc(col, func(v float64) bool { return v != 0 }) }
+	columns := func(st *algo.EngineState) map[SplitRule][]float64 {
+		return map[SplitRule][]float64{LastTimeUnit: st.PrevA, LongTermHistory: st.CumA, EWMARule: st.EwmaA}
+	}
+	check := func(what string, rule SplitRule, det *Tiresias) {
 		t.Helper()
 		st, err := det.Engine().ExportState()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st.EwmaA
-	}
-	zero := func(what string, rule SplitRule, col []float64) {
-		t.Helper()
-		if i := slices.IndexFunc(col, func(v float64) bool { return v != 0 }); i >= 0 {
-			t.Errorf("%s: %s exports EwmaA[%d] = %v, want all zero", rule, what, i, col[i])
+		for of, col := range columns(st) {
+			if got := nonZero(col); got != (of == rule) {
+				t.Errorf("%s: %s exports %s's statistic non-zero: %v, want %v", rule, what, of, got, of == rule)
+			}
 		}
 	}
 	for _, rule := range []SplitRule{Uniform, LastTimeUnit, LongTermHistory, EWMARule} {
@@ -459,31 +463,27 @@ func TestEwmaAOnlyUnderEWMARule(t *testing.T) {
 		if _, err := det.Run(context.Background(), NewSliceSource(part1)); err != nil {
 			t.Fatal(err)
 		}
-		if rule == EWMARule {
-			if !slices.ContainsFunc(ewmaA(det), func(v float64) bool { return v != 0 }) {
-				t.Error("EWMA: the engine exports an all-zero EwmaA")
-			}
-			continue
-		}
-		zero("a fresh run", rule, ewmaA(det))
+		check("a fresh run", rule, det)
 
 		snap, err := checkpoint.Read(bytes.NewReader(rings))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.ContainsFunc(snap.Engine.EwmaA, func(v float64) bool { return v != 0 }) {
-			t.Fatalf("%s carries no EwmaA to ignore", goldenRingsCkptPath)
+		for of, col := range columns(snap.Engine) {
+			if !nonZero(col) {
+				t.Fatalf("%s carries no %s statistic to ignore", goldenRingsCkptPath, of)
+			}
 		}
 		snap.Config.Rule = rule
 		restored, err := restoreFromSnapshot(snap)
 		if err != nil {
 			t.Fatal(err)
 		}
-		zero("a restore", rule, ewmaA(restored))
+		check("a restore", rule, restored)
 		if _, err := restored.Run(context.Background(), NewSliceSource(part2)); err != nil {
 			t.Fatal(err)
 		}
-		zero("a resumed restore", rule, ewmaA(restored))
+		check("a resumed restore", rule, restored)
 	}
 }
 

@@ -253,6 +253,9 @@ func buildServer(args []string) (*proc, error) {
 		// surface keeps the stricter contract.
 		return nil, fmt.Errorf("-shards must be >= 1, got %d", *shards)
 	}
+	if *watchBuf < 1 {
+		return nil, fmt.Errorf("-watch-buffer must be >= 1, got %d", *watchBuf)
+	}
 	var history []tiresias.Anomaly
 	if *storePath != "" {
 		f, err := os.Open(*storePath)

@@ -282,6 +282,11 @@ func TestBuildServerBadLiveConfig(t *testing.T) {
 	if _, err := buildServer([]string{"-shards", "0"}); err == nil {
 		t.Fatal("zero shards must fail buildServer")
 	}
+	for _, n := range []string{"0", "-1"} {
+		if _, err := buildServer([]string{"-watch-buffer", n}); err == nil || !strings.Contains(err.Error(), "-watch-buffer") {
+			t.Fatalf("-watch-buffer %s: buildServer error %v, want one naming the flag", n, err)
+		}
+	}
 }
 
 func TestLiveIngestOversizedBodyIs413(t *testing.T) {

@@ -81,6 +81,7 @@ type Config struct {
 	// is set; GET /v2/config reports the values new streams get.
 	Restore bool
 	// MaxBodyBytes caps ingest request bodies (default 8 MiB).
+	// Negative is refused, as for PageLimit and WatchBuffer.
 	MaxBodyBytes int64
 	// PageLimit is the hard cap on /v2/anomalies page size and the
 	// default watch replay chunk (default 1000).
@@ -198,6 +199,14 @@ type Server struct {
 // is restored from Config.CheckpointDir when Config.Restore is set,
 // and all routes are wired.
 func New(cfg Config) (*Server, error) {
+	for _, f := range [...]struct {
+		name string
+		v    int64
+	}{{"MaxBodyBytes", cfg.MaxBodyBytes}, {"PageLimit", int64(cfg.PageLimit)}, {"WatchBuffer", int64(cfg.WatchBuffer)}} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("httpserve: Config.%s is %d, want 0 (the default) or more", f.name, f.v)
+		}
+	}
 	given := cfg
 	cfg = cfg.withDefaults()
 	history := cfg.History

@@ -59,6 +59,25 @@ func TestNewRefusesBadDetectorOptions(t *testing.T) {
 	}
 }
 
+// TestNewRefusesNegativeLimits: a negative body cap, page cap or watch
+// buffer fails New. Accepted, each broke every request it bounds: every
+// ingest body a 413, every page all retained entries, every watch a
+// contained panic.
+func TestNewRefusesNegativeLimits(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"MaxBodyBytes": {MaxBodyBytes: -1},
+		"PageLimit":    {PageLimit: -1},
+		"WatchBuffer":  {WatchBuffer: -1},
+	} {
+		if s, err := New(cfg); err == nil {
+			_ = s.Close()
+			t.Errorf("New accepted %s -1", name)
+		} else if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not name %s", err, name)
+		}
+	}
+}
+
 // ndjsonBody renders records as NDJSON: warmupUnits steady minutes on
 // one stream, a 50-record burst, and a boundary-crossing closer.
 func ndjsonBody(streamName string, warmupUnits int) string {

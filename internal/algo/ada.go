@@ -144,7 +144,7 @@ func NewADA(cfg Config) (*ADA, error) {
 	if tree == nil {
 		tree = hierarchy.New()
 	}
-	return &ADA{cfg: cfg, tree: tree, fresh: cfg.NewForecaster(nil, nil)}, nil
+	return &ADA{cfg: cfg, tree: tree, nodeCols: nodeCols{rule: cfg.Rule}, fresh: cfg.NewForecaster(nil, nil)}, nil
 }
 
 // Name implements Engine.
@@ -226,22 +226,16 @@ func (a *ADA) Init(window []*DenseUnit) (*StepState, error) {
 	}
 
 	// Reference series for the top h levels (§V-B5, raw weights A_n)
-	// and split-rule statistics, seeded in one pass over the window;
-	// ewmaA only under the rule that reads it.
+	// and the split-rule statistic, seeded in one pass over the window.
 	a.coverRefs(false)
 	var agg []float64
-	ewma, alpha := a.cfg.Rule == EWMARule, a.cfg.RuleAlpha
 	for _, u := range units {
 		agg = shhh.AggregateInto(a.tree, u.ids, u.vals, agg)
 		for i, id := range a.refIDs {
 			a.refActual[i].Append(agg[id])
 		}
 		for id, v := range agg {
-			a.prevA[id] = v
-			a.cumA[id] += v
-			if ewma {
-				a.ewmaA[id] = forecast.Flush(alpha*v + (1-alpha)*a.ewmaA[id])
-			}
+			a.observeX(id, v)
 		}
 	}
 	a.indexState()
@@ -330,54 +324,61 @@ func (a *ADA) refit(ns *nodeSeries, vals []float64) {
 	ns.model.Update(vals[last])
 }
 
-// observeRuleStats updates the X_n statistics with the raw weights of
-// the elapsed timeunit. A node outside both closures had and has zero
-// raw weight: its prevA and cumA are unchanged and its ewmaA only
-// decays, which ewmaThrough applies when the value is next read.
-// ewmaA is kept only under EWMARule, the one rule that reads it;
-// under the others it stays zero.
+// observeX folds a timeunit of raw weight v into the node's X_n. A
+// Uniform engine keeps no X_n.
 //
 //tiresias:hotpath
-func (a *ADA) observeRuleStats() {
-	for _, id := range a.prevClosure {
-		a.prevA[id] = a.rawA[id] // zero unless touched again
-	}
-	for _, id := range a.closure {
-		v := a.rawA[id]
-		a.prevA[id] = v
-		a.cumA[id] += v
-	}
-	if a.cfg.Rule != EWMARule {
-		return
-	}
-	alpha := a.cfg.RuleAlpha
-	for _, id := range a.closure {
-		a.ewmaA[id] = forecast.Flush(alpha*a.rawA[id] + (1-alpha)*a.ewmaThrough(int(id), a.instance-1))
-		a.ewmaAt[id] = a.instance
+func (a *ADA) observeX(id int, v float64) {
+	switch a.cfg.Rule {
+	case LastTimeUnit:
+		a.x[id] = v
+	case LongTermHistory:
+		a.x[id] += v
+	case EWMARule:
+		a.x[id] = forecast.Flush(a.cfg.RuleAlpha*v + (1-a.cfg.RuleAlpha)*a.ewmaThrough(id, a.instance-1))
+		a.xAt[id] = a.instance
 	}
 }
 
-// ewmaThrough returns the node's smoothed raw weight as of the end of
-// the given instance, first applying one multiply by 1−α per quiet
-// instance since it was last brought current — exactly what the
-// recurrence computes for a zero observation, so the value is
-// bit-identical to updating every node every instance. The loop stops
-// at zero, which Flush makes reachable (about 1360 multiplies from 1 at
-// α = 0.4), so a node costs what its eager updates would have, at most
-// that many, when it is next touched — and nothing while it is quiet.
-// Only an EWMARule engine calls it.
+// observeRuleStats updates X_n with the raw weights of the elapsed
+// timeunit. A node outside both closures had and has zero raw weight:
+// its last-unit and cumulative weights are unchanged and its smoothed
+// weight only decays, which ewmaThrough applies when the value is
+// next read. A node of the previous closure went quiet, which changes
+// its last-unit weight.
+//
+//tiresias:hotpath
+func (a *ADA) observeRuleStats() {
+	if a.cfg.Rule == LastTimeUnit {
+		for _, id := range a.prevClosure {
+			a.x[id] = 0 // observed again below if touched again
+		}
+	}
+	for _, id := range a.closure {
+		a.observeX(int(id), a.rawA[id])
+	}
+}
+
+// ewmaThrough brings an EWMARule engine's x[id] current through the
+// given instance and returns it, first applying one multiply by 1−α
+// per quiet instance since xAt[id] — exactly what the recurrence
+// computes for a zero observation, so the value is bit-identical to
+// updating every node every instance. The loop stops at zero, which
+// Flush makes reachable (about 1360 multiplies from 1 at α = 0.4), so
+// a node costs what its eager updates would have, at most that many,
+// when it is next touched — and nothing while it is quiet.
 //
 //tiresias:hotpath
 func (a *ADA) ewmaThrough(id, instance int) float64 {
-	e := a.ewmaA[id]
-	at := a.ewmaAt[id]
+	e := a.x[id]
+	at := a.xAt[id]
 	if at >= instance {
 		return e
 	}
 	for decay := 1 - a.cfg.RuleAlpha; at < instance && e != 0; at++ {
 		e = forecast.Flush(decay * e)
 	}
-	a.ewmaA[id], a.ewmaAt[id] = e, instance
+	a.x[id], a.xAt[id] = e, instance
 	return e
 }
 
@@ -387,13 +388,10 @@ func (a *ADA) ruleX(id int) float64 {
 	switch a.cfg.Rule {
 	case Uniform:
 		return 1
-	case LastTimeUnit:
-		return a.prevA[id]
-	case LongTermHistory:
-		return a.cumA[id]
-	default: // EWMARule
+	case EWMARule:
 		return a.ewmaThrough(id, a.instance-1)
 	}
+	return a.x[id]
 }
 
 // setMember moves a node into or out of the SHHH set.
@@ -409,35 +407,29 @@ func (a *ADA) setMember(id int, in bool) {
 
 // indexState rebuilds the sparse indexes — closure and members — from
 // the per-node state, after Init or ImportState filled it. Any node
-// with a non-zero weight, flag or prevA is listed in closure, so the
-// next step zeroes and re-observes it whatever the arrays held.
+// with a non-zero weight or flag, or a non-zero last-unit weight under
+// LastTimeUnit, is listed in closure, so the next step zeroes and
+// re-observes it whatever the arrays held.
 func (a *ADA) indexState() {
 	a.closure = a.closure[:0]
 	for id := range a.rawA {
-		if a.rawA[id] != 0 || a.weight[id] != 0 || a.ishh[id] || a.prevA[id] != 0 {
+		if a.rawA[id] != 0 || a.weight[id] != 0 || a.ishh[id] || a.cfg.Rule == LastTimeUnit && a.x[id] != 0 {
 			a.closure = append(a.closure, int32(id))
 		}
 	}
 	a.members = a.memberSet.appendTo(a.members[:0], false)
 }
 
-// StepDense implements Engine.
+// StepDense implements Engine. It is the flat, sparse per-instance
+// core: every loop ranges over the touched closure, the SHHH members or
+// the reference nodes, never over the tree. In the steady state (no
+// tree growth, no membership change) it allocates nothing.
 //
 //tiresias:hotpath
 func (a *ADA) StepDense(u *DenseUnit) (*StepState, error) {
 	if !a.inited {
 		return nil, errState
 	}
-	return a.stepDense(u)
-}
-
-// stepDense is the flat, sparse per-instance core: every loop ranges
-// over the touched closure, the SHHH members or the reference nodes,
-// never over the tree. In the steady state (no tree growth, no
-// membership change) it allocates nothing.
-//
-//tiresias:hotpath
-func (a *ADA) stepDense(u *DenseUnit) (*StepState, error) {
 	a.instance++
 
 	// --- Initialization stage (lines 6-12). ---
@@ -919,7 +911,7 @@ func (a *ADA) Memory() MemoryStats {
 	for _, r := range a.refActual {
 		m.RefSeriesFloats += r.Len()
 	}
-	// prevA/cumA/ewmaA bookkeeping: 3 floats per node.
-	m.AuxFloats = 3 * a.tree.Len()
+	// The split-rule statistic, and under EWMARule its instance column.
+	m.AuxFloats = len(a.x) + len(a.xAt)
 	return m
 }

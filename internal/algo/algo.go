@@ -216,8 +216,8 @@ type MemoryStats struct {
 	SeriesFloats int
 	// RefSeriesFloats counts reference-series samples (ADA, §V-B5).
 	RefSeriesFloats int
-	// AuxFloats counts per-node bookkeeping (split-rule statistics,
-	// stored timeunit counters for STA, ...).
+	// AuxFloats counts per-node bookkeeping (ADA's split-rule statistic
+	// and its EWMARule instance column, STA's stored timeunit counters).
 	AuxFloats int
 }
 

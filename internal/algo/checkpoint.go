@@ -93,7 +93,9 @@ type EngineState struct {
 	// ADA per-node arrays, indexed by dense node ID (length = tree
 	// size at export): the exported columns of its per-node state, in
 	// declaration order (see Columns). InSHHH is written from the SHHH
-	// member set.
+	// member set. PrevA, CumA and EwmaA are the split-rule statistics
+	// of LastTimeUnit, LongTermHistory and EWMARule: the engine keeps
+	// only its rule's, and exports the other two all zero.
 	InSHHH []bool
 	Ishh   []bool
 	Weight []float64
@@ -124,10 +126,8 @@ func (a *ADA) ExportState() (*EngineState, error) {
 	// the exported hierarchy.
 	a.grow()
 	n := a.tree.Len()
-	if a.cfg.Rule == EWMARule {
-		for id := 0; id < n; id++ {
-			a.ewmaThrough(id, a.instance)
-		}
+	for id := range a.xAt { // EWMARule only
+		a.ewmaThrough(id, a.instance)
 	}
 	st := &EngineState{Instance: a.instance, RefCovered: a.refCovered}
 	a.export(st, n)
@@ -160,8 +160,8 @@ func (a *ADA) ExportState() (*EngineState, error) {
 // ImportState loads an exported state into a freshly constructed ADA
 // whose Config and hierarchy match the exporting engine, and returns
 // the rebuilt StepState of the last processed instance. The engine
-// must not have been Init-ed. Under a rule other than EWMARule the
-// EwmaA column is ignored and loaded as zeros.
+// must not have been Init-ed. Of PrevA, CumA and EwmaA only the split
+// rule's statistic is loaded; the other two are ignored.
 func (a *ADA) ImportState(st *EngineState) (*StepState, error) {
 	if a.inited {
 		return nil, errState
@@ -180,11 +180,6 @@ func (a *ADA) ImportState(st *EngineState) (*StepState, error) {
 	a.instance = st.Instance
 	a.grow()
 	a.load(st)
-	if a.cfg.Rule != EWMARule {
-		// A file written before ewmaA was kept only for EWMARule may
-		// carry it; zeroed, the engine matches one that never kept it.
-		clear(a.ewmaA)
-	}
 	for _, ss := range st.Series {
 		if ss.ID < 0 || ss.ID >= n || a.state[ss.ID] != nil {
 			return nil, fmt.Errorf("algo: checkpoint Series ID %d duplicated or outside hierarchy of %d nodes", ss.ID, n)

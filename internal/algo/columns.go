@@ -12,15 +12,14 @@ type nodeCols struct {
 	ishh   []bool
 	weight []float64 // modified weight W_n of the current instance
 	rawA   []float64 // raw aggregated weight A_n of the current instance
-	// Split-rule statistics (X_n). ewmaA is kept only under EWMARule,
-	// the one rule that reads it, and is all zero under the others.
-	// ewmaA[id] is current through instance ewmaAt[id]; ewmaThrough
-	// applies the decay of the quiet instances since, when the value is
-	// read.
-	prevA  []float64 // raw weight in the previous timeunit
-	cumA   []float64 // cumulative raw weight over all timeunits
-	ewmaA  []float64 // exponentially smoothed raw weight
-	ewmaAt []int
+	// x is the split-rule statistic X_n rule reads: the raw weight in
+	// the previous timeunit, the cumulative one or the smoothed one.
+	// Under EWMARule only, x[id] is current through instance xAt[id],
+	// and ewmaThrough applies the decay since when it is read. Uniform
+	// keeps neither.
+	rule SplitRule
+	x    []float64
+	xAt  []int
 	// Marks of the current instance: the nodes flagged for the split
 	// pass, and those that received a split series (for §V-B5 repair).
 	splits   idSet
@@ -47,7 +46,8 @@ type (
 // grow, ExportState, ImportState, the checkpoint codec (through
 // EngineState.Columns) and the test oracle iterate them, so exporting
 // another column is a line here and a field in EngineState. grow
-// lists the columns that are not exported.
+// lists the columns that are not exported. Only the rule's statistic
+// field is bound to storage, x; the others export zeros and load none.
 func (c *nodeCols) flags(st *EngineState) [2]flagCol {
 	return [...]flagCol{
 		{"InSHHH", &c.memberSet, nil, &st.InSHHH},
@@ -59,15 +59,23 @@ func (c *nodeCols) floats(st *EngineState) [5]floatCol {
 	return [...]floatCol{
 		{"Weight", &c.weight, &st.Weight},
 		{"RawA", &c.rawA, &st.RawA},
-		{"PrevA", &c.prevA, &st.PrevA},
-		{"CumA", &c.cumA, &st.CumA},
-		{"EwmaA", &c.ewmaA, &st.EwmaA},
+		{"PrevA", c.xOf(LastTimeUnit), &st.PrevA},
+		{"CumA", c.xOf(LongTermHistory), &st.CumA},
+		{"EwmaA", c.xOf(EWMARule), &st.EwmaA},
 	}
 }
 
-// grow extends every column to n nodes: the exported ones, then the
-// rest, each with its fill for a new node (nil, false, 0, instance for
-// ewmaAt, -1 for refIdx).
+// xOf returns x's storage if rule is the engine's, else nil.
+func (c *nodeCols) xOf(rule SplitRule) *[]float64 {
+	if c.rule != rule {
+		return nil
+	}
+	return &c.x
+}
+
+// grow extends every held column to n nodes: the exported ones, then
+// the rest, each with its fill for a new node (nil, false, 0, instance
+// for xAt, -1 for refIdx).
 func (c *nodeCols) grow(n, instance int) {
 	if len(c.state) >= n {
 		return
@@ -81,10 +89,14 @@ func (c *nodeCols) grow(n, instance int) {
 		}
 	}
 	for _, col := range c.floats(&st) {
-		extend(col.at, n, 0)
+		if col.at != nil {
+			extend(col.at, n, 0)
+		}
 	}
 	extend(&c.state, n, nil)
-	extend(&c.ewmaAt, n, instance)
+	if c.rule == EWMARule {
+		extend(&c.xAt, n, instance)
+	}
 	c.splits.grow(n)
 	extend(&c.gotSplit, n, false)
 	extend(&c.refIdx, n, -1)
@@ -109,6 +121,10 @@ func (c *nodeCols) export(st *EngineState, n int) {
 		}
 	}
 	for _, col := range c.floats(st) {
+		if col.at == nil {
+			*col.out = make([]float64, n)
+			continue
+		}
 		*col.out = append([]float64(nil), (*col.at)[:n]...)
 	}
 }
@@ -147,7 +163,9 @@ func (c *nodeCols) load(st *EngineState) {
 		}
 	}
 	for _, col := range c.floats(st) {
-		copy(*col.at, *col.out)
+		if col.at != nil {
+			copy(*col.at, *col.out)
+		}
 	}
 }
 

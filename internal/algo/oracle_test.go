@@ -31,10 +31,15 @@ type oracleADA struct {
 	// declaration. The step logic keeps SHHH membership and the split
 	// marks in the flag slices below instead of the declared sets — the
 	// representation ADA had before it kept them as sets — and export
-	// reads membership from inSHHH.
+	// reads membership from inSHHH. It keeps every split-rule statistic
+	// in its own columns below, as ADA did before it kept only its
+	// rule's; the embedded columns hold none.
 	nodeCols
 	inSHHH  []bool
 	tosplit []bool
+	prevA   []float64 // raw weight in the previous timeunit
+	cumA    []float64 // cumulative raw weight over all timeunits
+	ewmaA   []float64 // exponentially smoothed raw weight (EWMARule only)
 
 	// Touched-ID lists for tosplit/gotSplit, so each instance clears
 	// only what the previous instance marked instead of memsetting
@@ -74,6 +79,9 @@ func (a *oracleADA) grow() {
 	a.nodeCols.grow(n, a.instance)
 	extend(&a.inSHHH, n, false)
 	extend(&a.tosplit, n, false)
+	extend(&a.prevA, n, 0)
+	extend(&a.cumA, n, 0)
+	extend(&a.ewmaA, n, 0)
 }
 
 // Init implements Engine: the first time instance performs the same
@@ -666,7 +674,17 @@ func (a *oracleADA) ExportState() (*EngineState, error) {
 		}
 	}
 	st := &EngineState{Instance: a.instance, RefCovered: a.refCovered}
-	a.export(st, n)
+	a.export(st, n) // every statistic field all zero
+	// The format carries only the rule's statistic.
+	for _, f := range []struct {
+		rule SplitRule
+		out  *[]float64
+		col  []float64
+	}{{LastTimeUnit, &st.PrevA, a.prevA}, {LongTermHistory, &st.CumA, a.cumA}, {EWMARule, &st.EwmaA, a.ewmaA}} {
+		if f.rule == a.cfg.Rule {
+			*f.out = append([]float64(nil), f.col[:n]...)
+		}
+	}
 	for id, ns := range a.state {
 		if ns == nil {
 			continue

@@ -73,49 +73,72 @@ func TestHistoryRulesFollowTrafficShares(t *testing.T) {
 	}
 }
 
-// TestRuleXValues checks the X statistics directly.
+// TestRuleXValues checks each rule's X statistic, on an engine of that
+// rule, after a unit of weight 8 and after one of 4.
 func TestRuleXValues(t *testing.T) {
-	cfg := Config{Theta: 100, WindowLen: 4, Rule: EWMARule, RuleAlpha: 0.5}
-	ada, err := NewADA(cfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		rule        SplitRule
+		init, after float64
+	}{
+		{Uniform, 1, 1},
+		{LastTimeUnit, 8, 4},
+		{LongTermHistory, 8, 12},
+		// α = 0.5: 0.5*8 = 4, then 0.5*4 + 0.5*4 = 4.
+		{EWMARule, 4, 4},
+	} {
+		ada, err := NewADA(Config{Theta: 100, WindowLen: 4, Rule: tc.rule, RuleAlpha: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := initUnits(ada, []tu{{{key("n"), 8}}}); err != nil {
+			t.Fatal(err)
+		}
+		id := ada.Tree().Lookup(key("n"))
+		if x := ada.ruleX(id); math.Abs(x-tc.init) > 1e-9 {
+			t.Fatalf("%s: X = %v after Init, want %v", tc.rule, x, tc.init)
+		}
+		if _, err := stepUnit(ada, tu{{key("n"), 4}}); err != nil {
+			t.Fatal(err)
+		}
+		if x := ada.ruleX(id); math.Abs(x-tc.after) > 1e-9 {
+			t.Fatalf("%s: X = %v after a step, want %v", tc.rule, x, tc.after)
+		}
 	}
-	if _, err := initUnits(ada, []tu{{{key("n"), 8}}}); err != nil {
-		t.Fatal(err)
-	}
-	id := ada.Tree().Lookup(key("n"))
-	if ada.prevA[id] != 8 {
-		t.Fatalf("prevA = %v, want 8", ada.prevA[id])
-	}
-	if _, err := stepUnit(ada, tu{{key("n"), 4}}); err != nil {
-		t.Fatal(err)
-	}
-	if ada.prevA[id] != 4 {
-		t.Fatalf("prevA = %v, want 4", ada.prevA[id])
-	}
-	if ada.cumA[id] != 12 {
-		t.Fatalf("cumA = %v, want 12", ada.cumA[id])
-	}
-	// EWMA after seeing 8 then 4 with α=0.5: 0.5*4 + 0.5*(0.5*8) = 4.
-	if math.Abs(ada.ewmaA[id]-4) > 1e-9 {
-		t.Fatalf("ewmaA = %v, want 4", ada.ewmaA[id])
-	}
-	// ruleX dispatch.
-	ada.cfg.Rule = Uniform
-	if ada.ruleX(id) != 1 {
-		t.Fatal("Uniform X must be 1")
-	}
-	ada.cfg.Rule = LastTimeUnit
-	if ada.ruleX(id) != 4 {
-		t.Fatal("LastTimeUnit X wrong")
-	}
-	ada.cfg.Rule = LongTermHistory
-	if ada.ruleX(id) != 12 {
-		t.Fatal("LongTermHistory X wrong")
-	}
-	ada.cfg.Rule = EWMARule
-	if math.Abs(ada.ruleX(id)-4) > 1e-9 {
-		t.Fatal("EWMARule X wrong")
+}
+
+// TestRuleColumnsHeld pins which statistic columns each rule keeps:
+// x under every rule that reads a statistic, its instance column xAt
+// under EWMARule alone, neither under Uniform.
+func TestRuleColumnsHeld(t *testing.T) {
+	for _, tc := range []struct {
+		rule   SplitRule
+		x, xAt bool
+	}{
+		{Uniform, false, false},
+		{LastTimeUnit, true, false},
+		{LongTermHistory, true, false},
+		{EWMARule, true, true},
+	} {
+		ada, err := NewADA(Config{Theta: 100, WindowLen: 4, Rule: tc.rule})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := initUnits(ada, []tu{{{key("a", "b"), 8}}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := stepUnit(ada, tu{{key("a", "c"), 4}}); err != nil {
+			t.Fatal(err)
+		}
+		n := ada.Tree().Len()
+		wantLen := func(held bool) int {
+			if held {
+				return n
+			}
+			return 0
+		}
+		if len(ada.x) != wantLen(tc.x) || len(ada.xAt) != wantLen(tc.xAt) {
+			t.Errorf("%s: x covers %d nodes and xAt %d, want %d and %d", tc.rule, len(ada.x), len(ada.xAt), wantLen(tc.x), wantLen(tc.xAt))
+		}
 	}
 }
 

@@ -1,7 +1,9 @@
 package algo
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 
 	"tiresias/internal/hierarchy"
 	"tiresias/internal/shhh"
@@ -148,7 +150,7 @@ func (s *STA) process() (*StepState, error) {
 		})
 		s.lastSeries[n] = ts
 	}
-	sortHHs(state.HeavyHitters)
+	slices.SortFunc(state.HeavyHitters, func(a, b HeavyHitter) int { return cmp.Compare(a.ID, b.ID) })
 	state.Timings = StageTimings{
 		UpdatingHierarchies: tUpdate,
 		CreatingTimeSeries:  tSeries,
@@ -202,13 +204,4 @@ func (s *STA) Memory() MemoryStats {
 		m.SeriesFloats += len(ts) + 1 // the heavy hitter's forecast
 	}
 	return m
-}
-
-// sortHHs orders heavy hitters by node ID for determinism.
-func sortHHs(hhs []HeavyHitter) {
-	for i := 1; i < len(hhs); i++ {
-		for j := i; j > 0 && hhs[j].ID < hhs[j-1].ID; j-- {
-			hhs[j], hhs[j-1] = hhs[j-1], hhs[j]
-		}
-	}
 }

@@ -66,8 +66,9 @@ func readGolden(f *testing.F, name string) []byte {
 // which keeps only its newest sample (zero for an empty ring). The
 // seeds are the committed goldens of every version: a current file
 // must round-trip byte for byte, and each old form must re-encode to
-// it once its EwmaA column is zeroed, as an engine whose split rule is
-// not EWMA loads it (the goldens run Long-Term-History).
+// it once the statistic columns of the split rules other than its own
+// are zeroed, as an engine loads it (the goldens run
+// Long-Term-History).
 func FuzzCheckpointRead(f *testing.F) {
 	current := make([][]byte, len(goldens))
 	for i, g := range goldens {
@@ -83,8 +84,12 @@ func FuzzCheckpointRead(f *testing.F) {
 			if err != nil {
 				f.Fatalf("golden %s: %v", name, err)
 			}
-			if snap.Engine != nil && snap.Config.Rule != algo.EWMARule {
-				clear(snap.Engine.EwmaA)
+			if e := snap.Engine; e != nil {
+				for rule, col := range map[algo.SplitRule][]float64{algo.LastTimeUnit: e.PrevA, algo.LongTermHistory: e.CumA, algo.EWMARule: e.EwmaA} {
+					if rule != snap.Config.Rule {
+						clear(col)
+					}
+				}
 			}
 			got, _ := reencode(f, snap)
 			if !bytes.Equal(got, current[i]) {

@@ -198,7 +198,7 @@ func Table4(p Profile) (*Result, error) {
 		vals[fmt.Sprintf("ADA:h%d", h)] = m.Normalized()
 		vals[fmt.Sprintf("ADA:h%d:frac", h)] = frac
 	}
-	t.addNote("counted: ADA — each series' samples and its one held forecast, reference-series samples, 3 split-rule floats per node; STA — 2 slots per retained (ID, count) pair, each heavy hitter's rebuilt series and its forecast")
+	t.addNote("counted: ADA — each series' samples and its one held forecast, reference-series samples, 1 split-rule float per node; STA — 2 slots per retained (ID, count) pair, each heavy hitter's rebuilt series and its forecast")
 	t.addNote("paper: ADA ≈ 36%% of STA at h=0, rising with h (43%% at h=2)")
 	return &Result{ID: "table4", Text: t.Render(), Values: vals}, nil
 }

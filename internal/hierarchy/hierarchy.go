@@ -131,7 +131,6 @@ type Tree struct {
 	// first and last are a node's first and last child, next its next
 	// sibling; -1 for none.
 	first, last, next []int32
-	degree            []int32 // a node's number of children
 	// hash is a node's path hash (0 for the root; see step); table is
 	// the path table: every non-root node's ID, at the slot its hash's
 	// top bits pick or linearly after it, with 0 for an empty slot. It
@@ -170,12 +169,11 @@ func (t *Tree) add(parent int32, label string, key Key) int32 {
 	d, h := int32(0), uint64(0)
 	if parent >= 0 {
 		d, h = t.depth[parent]+1, t.step(t.hash[parent], label)
-		if t.degree[parent] == 0 {
+		if t.first[parent] < 0 {
 			t.first[parent] = id
 		} else {
 			t.next[t.last[parent]] = id
 		}
-		t.degree[parent]++
 		t.last[parent] = id
 	}
 	t.parent = append(t.parent, parent)
@@ -185,7 +183,6 @@ func (t *Tree) add(parent int32, label string, key Key) int32 {
 	t.first = append(t.first, -1)
 	t.last = append(t.last, -1)
 	t.next = append(t.next, -1)
-	t.degree = append(t.degree, 0)
 	t.hash = append(t.hash, h)
 	switch {
 	case parent < 0:
@@ -262,9 +259,6 @@ func (t *Tree) FirstChild(id int) int { return int(t.first[id]) }
 //
 //tiresias:hotpath
 func (t *Tree) NextSibling(id int) int { return int(t.next[id]) }
-
-// Degree returns the number of children of id.
-func (t *Tree) Degree(id int) int { return int(t.degree[id]) }
 
 // Child returns the ID of id's child labeled label, or -1.
 //
@@ -393,15 +387,14 @@ func (t *Tree) AddChild(parent int, label string) (id int, added bool) {
 // is its parent's mixed with its label, a path-table entry Child
 // resolves to it, its parent's depth plus one and its parent's Key
 // extended by its label; each node's sibling chain lists exactly its
-// children, in ascending ID order, ending at its last child, and is as
-// long as its Degree; the path table holds each non-root node once and
-// is at most half full; and the levels partition the nodes by depth,
-// in ascending ID order. It is
-// used by tests and returns a descriptive error on the first violation
-// found.
+// children, in ascending ID order, ending at its last child; the path
+// table holds each non-root node once and is at most half full; and
+// the levels partition the nodes by depth, in ascending ID order. It
+// is used by tests and returns a descriptive error on the first
+// violation found.
 func (t *Tree) Validate() error {
 	n := len(t.parent)
-	for _, l := range []int{len(t.depth), len(t.label), len(t.key), len(t.first), len(t.last), len(t.next), len(t.degree), len(t.hash)} {
+	for _, l := range []int{len(t.depth), len(t.label), len(t.key), len(t.first), len(t.last), len(t.next), len(t.hash)} {
 		if l != n {
 			return fmt.Errorf("hierarchy: arrays sized %d, tree has %d nodes", l, n)
 		}
@@ -426,18 +419,21 @@ func (t *Tree) Validate() error {
 			return fmt.Errorf("hierarchy: node %d has key %q under parent %q", id, k, t.key[p])
 		}
 	}
+	listed := 0
 	for id := 0; id < n; id++ {
-		count, prev := 0, int32(-1)
+		prev := int32(-1)
 		for c := t.first[id]; c >= 0; c = t.next[c] {
 			if c <= prev || int(c) >= n || int(t.parent[c]) != id {
 				return fmt.Errorf("hierarchy: child list of node %d holds %d after %d", id, c, prev)
 			}
-			count, prev = count+1, c
+			listed, prev = listed+1, c
 		}
-		if count != int(t.degree[id]) || t.last[id] != prev {
-			return fmt.Errorf("hierarchy: node %d lists %d children ending at %d, has degree %d ending at %d",
-				id, count, prev, t.degree[id], t.last[id])
+		if t.last[id] != prev {
+			return fmt.Errorf("hierarchy: node %d's child list ends at %d, last child is %d", id, prev, t.last[id])
 		}
+	}
+	if listed != n-1 {
+		return fmt.Errorf("hierarchy: child lists hold %d nodes, tree has %d non-root nodes", listed, n-1)
 	}
 	if err := t.validateTable(); err != nil {
 		return err

@@ -249,9 +249,6 @@ func TestNodeAccessors(t *testing.T) {
 	if tr.FirstChild(leaf) != -1 || tr.FirstChild(p) != leaf {
 		t.Fatal("FirstChild() wrong")
 	}
-	if tr.Degree(p) != 1 || tr.Degree(leaf) != 0 {
-		t.Fatalf("Degree() = %d, want 1", tr.Degree(p))
-	}
 	if tr.Key(Root).String() != "<root>" || tr.Label(Root) != "" {
 		t.Fatalf("root Key() = %q", tr.Key(Root))
 	}

@@ -94,8 +94,9 @@ func WithThresholds(th Thresholds) Option {
 }
 
 // WithSplitRule selects ADA's split rule (default Long-Term-History).
-// The engine keeps only the statistic its rule reads, so the rule is
-// structural: Restore refuses to change it.
+// The engine keeps one statistic per node, the one its rule reads
+// (none under Uniform), and a checkpoint carries only that one, so the
+// rule is structural: Restore refuses to change it.
 func WithSplitRule(r SplitRule) Option {
 	return optionFunc(func(o *options) { o.Rule = r })
 }
